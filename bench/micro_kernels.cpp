@@ -3,6 +3,10 @@
 // operators, norms, banded Cholesky, the spectral oracle, whole V-cycles,
 // and runtime primitives.  These quantify the per-operation costs the
 // autotuner trades off.
+//
+// Every benchmark that runs on the engine's scheduler reports wall time
+// (UseRealTime): google-benchmark's cpu_time counts only the calling
+// thread, not the pool's workers, so it understates a threaded kernel.
 
 #include <benchmark/benchmark.h>
 
@@ -47,7 +51,7 @@ void BM_SorSweep(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * (n - 2) * (n - 2));
 }
-BENCHMARK(BM_SorSweep)->Arg(65)->Arg(257)->Arg(1025);
+BENCHMARK(BM_SorSweep)->Arg(65)->Arg(257)->Arg(1025)->UseRealTime();
 
 void BM_JacobiSweep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -60,7 +64,7 @@ void BM_JacobiSweep(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * (n - 2) * (n - 2));
 }
-BENCHMARK(BM_JacobiSweep)->Arg(257)->Arg(1025);
+BENCHMARK(BM_JacobiSweep)->Arg(257)->Arg(1025)->UseRealTime();
 
 void BM_Residual(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -73,7 +77,7 @@ void BM_Residual(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * (n - 2) * (n - 2));
 }
-BENCHMARK(BM_Residual)->Arg(257)->Arg(1025);
+BENCHMARK(BM_Residual)->Arg(257)->Arg(1025)->UseRealTime();
 
 void BM_Restrict(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -84,7 +88,7 @@ void BM_Restrict(benchmark::State& state) {
     grid::restrict_full_weighting(problem.b, coarse, sched);
   }
 }
-BENCHMARK(BM_Restrict)->Arg(257)->Arg(1025);
+BENCHMARK(BM_Restrict)->Arg(257)->Arg(1025)->UseRealTime();
 
 void BM_Interpolate(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -95,7 +99,7 @@ void BM_Interpolate(benchmark::State& state) {
     grid::interpolate_add(coarse, fine, sched);
   }
 }
-BENCHMARK(BM_Interpolate)->Arg(257)->Arg(1025);
+BENCHMARK(BM_Interpolate)->Arg(257)->Arg(1025)->UseRealTime();
 
 void BM_Norm2(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -107,7 +111,7 @@ void BM_Norm2(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(sink);
 }
-BENCHMARK(BM_Norm2)->Arg(257)->Arg(1025);
+BENCHMARK(BM_Norm2)->Arg(257)->Arg(1025)->UseRealTime();
 
 void BM_BandCholeskyFactor(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -141,7 +145,7 @@ void BM_FastPoissonOracle(benchmark::State& state) {
     solver.solve(problem.b, problem.x0, out, sched);
   }
 }
-BENCHMARK(BM_FastPoissonOracle)->Arg(257)->Arg(1025);
+BENCHMARK(BM_FastPoissonOracle)->Arg(257)->Arg(1025)->UseRealTime();
 
 void BM_VCycle(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -155,7 +159,7 @@ void BM_VCycle(benchmark::State& state) {
                     pool);
   }
 }
-BENCHMARK(BM_VCycle)->Arg(257)->Arg(1025);
+BENCHMARK(BM_VCycle)->Arg(257)->Arg(1025)->UseRealTime();
 
 // Profiling-overhead pair: identical V-cycles with the obs::PhaseProfile
 // hook disabled (null sink — the production default) versus enabled.  CI
@@ -174,7 +178,7 @@ void BM_VCycleProfilingOff(benchmark::State& state) {
     solvers::vcycle(x, problem.b, options, sched, direct, pool);
   }
 }
-BENCHMARK(BM_VCycleProfilingOff)->Arg(257);
+BENCHMARK(BM_VCycleProfilingOff)->Arg(257)->UseRealTime();
 
 void BM_VCycleProfilingOn(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -191,7 +195,7 @@ void BM_VCycleProfilingOn(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(profile.total_seconds());
 }
-BENCHMARK(BM_VCycleProfilingOn)->Arg(257);
+BENCHMARK(BM_VCycleProfilingOn)->Arg(257)->UseRealTime();
 
 // ----------------------------------------------- packed-vs-legacy pairs --
 // The ISSUE-7 tentpole's accounting: each pair runs the identical sweep
@@ -231,12 +235,20 @@ void stencil_residual_bench(benchmark::State& state,
 void BM_StencilResidualLegacy(benchmark::State& state) {
   stencil_residual_bench(state, grid::KernelPolicy{});
 }
-BENCHMARK(BM_StencilResidualLegacy)->Arg(129)->Arg(513)->Arg(1025);
+BENCHMARK(BM_StencilResidualLegacy)
+    ->Arg(129)
+    ->Arg(513)
+    ->Arg(1025)
+    ->UseRealTime();
 
 void BM_StencilResidualPacked(benchmark::State& state) {
   stencil_residual_bench(state, packed_policy());
 }
-BENCHMARK(BM_StencilResidualPacked)->Arg(129)->Arg(513)->Arg(1025);
+BENCHMARK(BM_StencilResidualPacked)
+    ->Arg(129)
+    ->Arg(513)
+    ->Arg(1025)
+    ->UseRealTime();
 
 void stencil_sor_bench(benchmark::State& state,
                        const grid::KernelPolicy& policy) {
@@ -256,12 +268,12 @@ void stencil_sor_bench(benchmark::State& state,
 void BM_StencilSorLegacy(benchmark::State& state) {
   stencil_sor_bench(state, grid::KernelPolicy{});
 }
-BENCHMARK(BM_StencilSorLegacy)->Arg(129)->Arg(513)->Arg(1025);
+BENCHMARK(BM_StencilSorLegacy)->Arg(129)->Arg(513)->Arg(1025)->UseRealTime();
 
 void BM_StencilSorPacked(benchmark::State& state) {
   stencil_sor_bench(state, packed_policy());
 }
-BENCHMARK(BM_StencilSorPacked)->Arg(129)->Arg(513)->Arg(1025);
+BENCHMARK(BM_StencilSorPacked)->Arg(129)->Arg(513)->Arg(1025)->UseRealTime();
 
 void stencil_zebra_bench(benchmark::State& state,
                          const grid::KernelPolicy& policy) {
@@ -283,12 +295,12 @@ void stencil_zebra_bench(benchmark::State& state,
 void BM_StencilZebraLegacy(benchmark::State& state) {
   stencil_zebra_bench(state, grid::KernelPolicy{});
 }
-BENCHMARK(BM_StencilZebraLegacy)->Arg(129)->Arg(513)->Arg(1025);
+BENCHMARK(BM_StencilZebraLegacy)->Arg(129)->Arg(513)->Arg(1025)->UseRealTime();
 
 void BM_StencilZebraPacked(benchmark::State& state) {
   stencil_zebra_bench(state, packed_policy());
 }
-BENCHMARK(BM_StencilZebraPacked)->Arg(129)->Arg(513)->Arg(1025);
+BENCHMARK(BM_StencilZebraPacked)->Arg(129)->Arg(513)->Arg(1025)->UseRealTime();
 
 void BM_ParallelForOverhead(benchmark::State& state) {
   auto& sched = bench_engine().scheduler();
@@ -300,7 +312,7 @@ void BM_ParallelForOverhead(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(sink.load());
 }
-BENCHMARK(BM_ParallelForOverhead);
+BENCHMARK(BM_ParallelForOverhead)->UseRealTime();
 
 }  // namespace
 

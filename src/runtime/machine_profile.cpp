@@ -7,14 +7,10 @@
 
 namespace pbmg::rt {
 
-namespace {
-
 int hardware_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 8 : static_cast<int>(hw);
 }
-
-}  // namespace
 
 MachineProfile harpertown_profile() {
   MachineProfile p;

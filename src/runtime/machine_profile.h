@@ -13,7 +13,7 @@
 /// machine: Intel Xeon E7340 (Harpertown), AMD Opteron 2356 (Barcelona) and
 /// Sun Fire T200 (Niagara) each produce different cycles.  We cannot ship
 /// that silicon, so a profile captures the *mechanism* through which the
-/// architecture influences tuning: how many workers run, how finely work is
+/// architecture influences tuning: how many threads run, how finely work is
 /// sliced, and how expensive task creation is (Niagara's many slow threads
 /// are modelled as high per-spawn overhead).  Profiles change the relative
 /// cost of the sequential direct solver versus parallel relaxations, which
@@ -21,13 +21,19 @@
 
 namespace pbmg::rt {
 
+/// Hardware threads reported by the platform (8 when it reports none).
+int hardware_threads();
+
 /// Execution-environment description used to configure the scheduler.
 struct MachineProfile {
   /// Identifier used in configs, tables and figure labels.
   std::string name = "default";
 
-  /// Number of worker threads (>= 1).
-  int threads = 8;
+  /// Number of threads that execute a parallel region (>= 1), counting the
+  /// thread that calls into the scheduler: the pool starts threads − 1
+  /// workers and the caller takes part in its own regions.  Defaults to the
+  /// core count, so a default profile never oversubscribes the machine.
+  int threads = hardware_threads();
 
   /// Minimum rows per leaf task when slicing grid sweeps; larger values
   /// model architectures where fine-grained tasks are not profitable.
@@ -79,7 +85,7 @@ struct ProfileTunable {
   bool log_scale = false;   ///< explore multiplicatively (grains, cutoffs)
 };
 
-/// The searchable runtime parameters of a profile: worker count, grain
+/// The searchable runtime parameters of a profile: thread count, grain
 /// rows, and the parallel/sequential cutoff.  spawn_overhead_ns is *not*
 /// tunable — it models the machine, it does not configure it.
 std::vector<ProfileTunable> profile_tunables(const MachineProfile& profile);

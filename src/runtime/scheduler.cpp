@@ -1,5 +1,6 @@
 #include "runtime/scheduler.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "support/error.h"
@@ -8,10 +9,27 @@ namespace pbmg::rt {
 
 namespace {
 
-// Identifies the worker index of the current thread within the scheduler it
-// belongs to (or -1 on external threads).
+// The scheduler the current thread executes for, and its participant slot
+// there: a worker's for its lifetime, a caller's (slot 0) while it is inside
+// one of the scheduler's parallel regions or waits.
 thread_local const Scheduler* tls_scheduler = nullptr;
-thread_local int tls_worker_index = -1;
+thread_local int tls_slot = -1;
+
+// Idle-spin budgets, in wall time because one pause costs anywhere from a
+// few to over a hundred cycles depending on the CPU.  An idle worker spins
+// this long before sleeping: multigrid issues bursts of parallel regions
+// (one per sweep per level) separated by serial glue (coarse levels, the
+// direct solve, request bookkeeping), and waking a sleeping thread costs
+// tens of microseconds on bare metal and up to milliseconds on a virtual
+// machine whose host is busy, since the idle vCPU halts.
+constexpr std::chrono::microseconds kWorkerSpin{5000};
+// A caller whose group is still running elsewhere spins this long before it
+// blocks: the last leaf tasks of a region normally finish well within it,
+// and a block costs the same wake-up.
+constexpr std::chrono::microseconds kCallerSpin{1000};
+// Pause rounds between clock reads while spinning; a steady_clock read costs
+// about two pauses.
+constexpr int kRoundsPerClockRead = 32;
 
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -20,6 +38,57 @@ inline void cpu_relax() {
   std::this_thread::yield();
 #endif
 }
+
+// One idle episode's spin: spin() pauses once, or returns false (ending the
+// episode) when the budget since the episode's first spin() is spent;
+// reset() ends the episode early, when work turned up.
+class IdleSpin {
+ public:
+  explicit IdleSpin(std::chrono::microseconds budget) : budget_(budget) {}
+
+  bool spin() {
+    if (rounds_++ == 0) {
+      start_ = std::chrono::steady_clock::now();
+    } else if (rounds_ % kRoundsPerClockRead == 0 &&
+               std::chrono::steady_clock::now() - start_ >= budget_) {
+      rounds_ = 0;
+      return false;
+    }
+    cpu_relax();
+    return true;
+  }
+
+  void reset() { rounds_ = 0; }
+
+ private:
+  std::chrono::microseconds budget_;
+  std::int64_t rounds_ = 0;
+  std::chrono::steady_clock::time_point start_;
+};
+
+// Makes a thread outside `sched` its participant slot 0 for the scope's
+// lifetime and restores the thread's previous identity (none, or a slot of
+// another scheduler) on exit.  A thread already executing for `sched` keeps
+// its slot.
+class CallerScope {
+ public:
+  explicit CallerScope(const Scheduler* sched)
+      : previous_scheduler_(tls_scheduler), previous_slot_(tls_slot) {
+    if (tls_scheduler == sched) return;
+    tls_scheduler = sched;
+    tls_slot = 0;
+  }
+  ~CallerScope() {
+    tls_scheduler = previous_scheduler_;
+    tls_slot = previous_slot_;
+  }
+  CallerScope(const CallerScope&) = delete;
+  CallerScope& operator=(const CallerScope&) = delete;
+
+ private:
+  const Scheduler* previous_scheduler_;
+  int previous_slot_;
+};
 
 }  // namespace
 
@@ -31,38 +100,41 @@ void TaskGroup::record_exception(std::exception_ptr e) {
 Scheduler::Scheduler(const MachineProfile& profile) : profile_(profile) {
   PBMG_CHECK(profile.threads >= 1, "scheduler requires >= 1 thread");
   active_workers_.store(profile.threads, std::memory_order_release);
-  workers_.reserve(static_cast<std::size_t>(profile.threads));
+  slots_.reserve(static_cast<std::size_t>(profile.threads));
   for (int i = 0; i < profile.threads; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
+    slots_.push_back(std::make_unique<Slot>());
   }
-  threads_.reserve(workers_.size());
-  for (int i = 0; i < profile.threads; ++i) {
+  // Slot 0 is the caller's: no thread of its own.
+  threads_.reserve(slots_.size() - 1);
+  for (int i = 1; i < profile.threads; ++i) {
     threads_.emplace_back([this, i] { worker_main(i); });
   }
 }
 
 Scheduler::~Scheduler() {
   stop_.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-  }
-  sleep_cv_.notify_all();
+  wake_sleepers();
   for (auto& t : threads_) t.join();
 }
 
 bool Scheduler::on_worker_thread() const { return tls_scheduler == this; }
 
+void Scheduler::wake_sleepers() {
+  {
+    // Empty critical section: a sleeper checks its predicate and goes to
+    // sleep under sleep_mutex_, so taking the mutex here orders the state
+    // change before that check or after the sleep began — the notify
+    // cannot fall in between and be lost.
+    std::lock_guard<std::mutex> lock(sleep_mutex_);
+  }
+  sleep_cv_.notify_all();
+}
+
 void Scheduler::set_active_workers(int count) {
   if (count < 1) count = 1;
   if (count > thread_count()) count = thread_count();
   active_workers_.store(count, std::memory_order_release);
-  {
-    // Empty critical section: orders the store against the condvar waits
-    // so no worker can miss the limit change between its predicate check
-    // and its sleep.
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-  }
-  sleep_cv_.notify_all();
+  wake_sleepers();
 }
 
 void Scheduler::inject_spawn_overhead() const {
@@ -72,21 +144,27 @@ void Scheduler::inject_spawn_overhead() const {
   while (std::chrono::steady_clock::now() - start < budget) cpu_relax();
 }
 
-void Scheduler::push_task(int worker_index, Task task) {
-  Worker& worker = *workers_[static_cast<std::size_t>(worker_index)];
+bool Scheduler::task_ready() const {
+  for (const auto& slot : slots_) {
+    if (slot->approx_size.load() > 0) return true;
+  }
+  return false;
+}
+
+void Scheduler::push_task(int slot, Task task) {
+  Slot& owner = *slots_[static_cast<std::size_t>(slot)];
   {
-    std::lock_guard<Spinlock> lock(worker.lock);
-    worker.deque.push_back(std::move(task));
-    worker.approx_size.store(static_cast<int>(worker.deque.size()),
-                             std::memory_order_release);
+    std::lock_guard<Spinlock> lock(owner.lock);
+    owner.deque.push_back(std::move(task));
+    // Sequentially consistent with the sleepers' count-then-check, so
+    // either this push sees the sleeper below or the sleeper's task_ready()
+    // sees the task.
+    owner.approx_size.store(static_cast<int>(owner.deque.size()));
   }
-  ready_tasks_.fetch_add(1, std::memory_order_release);
-  if (sleeper_count_.load(std::memory_order_acquire) > 0) {
-    // Wake everyone: pushes come in bursts at the start of a parallel
-    // region, and a notify_one cascade (each woken worker waking the next)
-    // costs one futex round-trip per worker — serialising the ramp-up.
-    sleep_cv_.notify_all();
-  }
+  // Wake everyone: pushes come in bursts at the start of a parallel region,
+  // and a notify_one cascade (each woken worker waking the next) costs one
+  // futex round-trip per worker — serialising the ramp-up.
+  if (sleeper_count_.load() > 0) wake_sleepers();
 }
 
 void Scheduler::spawn(TaskGroup& group, std::function<void()> fn) {
@@ -95,70 +173,55 @@ void Scheduler::spawn(TaskGroup& group, std::function<void()> fn) {
   Task task;
   task.fn = std::move(fn);
   task.group = &group;
-  int target;
-  if (tls_scheduler == this) {
-    target = tls_worker_index;
-  } else {
-    target = static_cast<int>(
-        external_round_robin_.fetch_add(1, std::memory_order_relaxed) %
-        workers_.size());
-  }
-  push_task(target, std::move(task));
+  push_task(on_worker_thread() ? tls_slot : 0, std::move(task));
 }
 
-bool Scheduler::try_pop_local(int index, Task& out) {
-  Worker& worker = *workers_[static_cast<std::size_t>(index)];
-  if (worker.approx_size.load(std::memory_order_acquire) == 0) return false;
-  std::lock_guard<Spinlock> lock(worker.lock);
-  if (worker.deque.empty()) return false;
-  out = std::move(worker.deque.back());
-  worker.deque.pop_back();
-  worker.approx_size.store(static_cast<int>(worker.deque.size()),
-                           std::memory_order_release);
+bool Scheduler::try_pop_local(int slot, Task& out) {
+  Slot& owner = *slots_[static_cast<std::size_t>(slot)];
+  if (owner.approx_size.load(std::memory_order_acquire) == 0) return false;
+  std::lock_guard<Spinlock> lock(owner.lock);
+  if (owner.deque.empty()) return false;
+  out = std::move(owner.deque.back());
+  owner.deque.pop_back();
+  owner.approx_size.store(static_cast<int>(owner.deque.size()),
+                          std::memory_order_release);
   return true;
 }
 
-bool Scheduler::try_steal(int thief_index, Task& out) {
+bool Scheduler::try_steal(int thief_slot, Task& out) {
   const int n = thread_count();
   // Deterministic round starting at a pseudo-random victim: cheap and good
   // enough for victim selection.
   const auto start = static_cast<int>(
-      (static_cast<std::uint64_t>(thief_index) * 0x9e3779b9u +
+      (static_cast<std::uint64_t>(thief_slot) * 0x9e3779b9u +
        static_cast<std::uint64_t>(
            steal_count_.load(std::memory_order_relaxed))) %
       static_cast<std::uint64_t>(n));
   for (int offset = 0; offset < n; ++offset) {
     const int victim = (start + offset) % n;
-    if (victim == thief_index) continue;
-    Worker& worker = *workers_[static_cast<std::size_t>(victim)];
+    if (victim == thief_slot) continue;
+    Slot& owner = *slots_[static_cast<std::size_t>(victim)];
     // Occupancy hint first: empty victims are skipped without locking so
-    // idle thieves never contend with a busy owner's deque mutex.
-    if (worker.approx_size.load(std::memory_order_acquire) == 0) continue;
+    // idle thieves never contend with a busy owner's deque lock.
+    if (owner.approx_size.load(std::memory_order_acquire) == 0) continue;
     // try_lock: if the owner (or another thief) holds the lock, move on to
     // the next victim instead of convoying here.
-    if (!worker.lock.try_lock()) continue;
-    std::lock_guard<Spinlock> lock(worker.lock, std::adopt_lock);
-    if (worker.deque.empty()) continue;
-    out = std::move(worker.deque.front());
-    worker.deque.pop_front();
-    worker.approx_size.store(static_cast<int>(worker.deque.size()),
-                             std::memory_order_release);
+    if (!owner.lock.try_lock()) continue;
+    std::lock_guard<Spinlock> lock(owner.lock, std::adopt_lock);
+    if (owner.deque.empty()) continue;
+    out = std::move(owner.deque.front());
+    owner.deque.pop_front();
+    owner.approx_size.store(static_cast<int>(owner.deque.size()),
+                            std::memory_order_release);
     steal_count_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
   return false;
 }
 
-bool Scheduler::try_acquire_task(int index, Task& out) {
-  if (index >= 0 && try_pop_local(index, out)) return true;
-  if (thread_count() > 1 || index < 0) {
-    const int thief = index >= 0 ? index : 0;
-    if (try_steal(thief, out)) return true;
-    // An external waiter (index < 0) may also need to drain worker 0's own
-    // deque; try_steal skips the thief's index, so check it explicitly.
-    if (index < 0 && try_pop_local(0, out)) return true;
-  }
-  return false;
+bool Scheduler::try_acquire_task(int slot, Task& out) {
+  return try_pop_local(slot, out) ||
+         (thread_count() > 1 && try_steal(slot, out));
 }
 
 void Scheduler::spawn_range(TaskGroup& group, Task::RangeFn fn, void* context,
@@ -171,19 +234,10 @@ void Scheduler::spawn_range(TaskGroup& group, Task::RangeFn fn, void* context,
   task.begin = begin;
   task.end = end;
   task.group = &group;
-  int target;
-  if (tls_scheduler == this) {
-    target = tls_worker_index;
-  } else {
-    target = static_cast<int>(
-        external_round_robin_.fetch_add(1, std::memory_order_relaxed) %
-        workers_.size());
-  }
-  push_task(target, std::move(task));
+  push_task(tls_slot, std::move(task));
 }
 
 void Scheduler::execute(Task task) {
-  ready_tasks_.fetch_sub(1, std::memory_order_acq_rel);
   TaskGroup* group = task.group;
   try {
     if (task.range_fn != nullptr) {
@@ -194,86 +248,104 @@ void Scheduler::execute(Task task) {
   } catch (...) {
     group->record_exception(std::current_exception());
   }
-  const std::int64_t left =
-      group->pending_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-  if (left == 0) group->pending_.notify_all();
+  // After the decrement the group may be gone (its waiter saw zero and
+  // returned), so the wake-up reads only scheduler state.  Sequentially
+  // consistent with block_caller's count-then-check.
+  if (group->pending_.fetch_sub(1) == 1 && blocked_callers_.load() > 0) {
+    wake_sleepers();
+  }
 }
 
-void Scheduler::worker_main(int index) {
+void Scheduler::worker_main(int slot) {
   tls_scheduler = this;
-  tls_worker_index = index;
-  // Spin a few hundred microseconds before parking: multigrid issues
-  // bursts of short parallel regions (one per sweep per level) separated
-  // by brief serial glue, and paying a condvar wake-up between regions
-  // would dominate small-grid kernels.
-  constexpr int kSpinRounds = 65536;
+  tls_slot = slot;
+  IdleSpin idle(kWorkerSpin);
   while (!stop_.load(std::memory_order_acquire)) {
-    // Throttled worker: park until the active-worker limit readmits this
-    // index.  Tasks left in (or round-robined into) this worker's deque
-    // stay stealable by the active workers, so parking never strands work.
-    if (index >= active_workers_.load(std::memory_order_acquire)) {
+    // Throttled worker: park until the active limit readmits this slot.
+    // Tasks left in this worker's deque stay stealable by the active
+    // participants, so parking never strands work.
+    if (slot >= active_workers_.load(std::memory_order_acquire)) {
       std::unique_lock<std::mutex> lock(sleep_mutex_);
       sleep_cv_.wait(lock, [&] {
         return stop_.load(std::memory_order_acquire) ||
-               index < active_workers_.load(std::memory_order_acquire);
+               slot < active_workers_.load(std::memory_order_acquire);
       });
+      idle.reset();
       continue;
     }
     Task task;
-    bool found = false;
-    for (int round = 0; round < kSpinRounds && !found; ++round) {
-      found = try_acquire_task(index, task);
-      if (!found) cpu_relax();
-    }
-    if (found) {
+    if (try_acquire_task(slot, task)) {
+      idle.reset();
+      // The throttle may have dropped between the check above and the
+      // take.  A task pushed after set_active_workers returned is ordered
+      // after the new limit by the deque lock, so this re-check sees it:
+      // hand the task back, where the active participants can steal it,
+      // and park.
+      if (slot >= active_workers_.load(std::memory_order_acquire)) {
+        push_task(slot, std::move(task));
+        continue;
+      }
       execute(std::move(task));
       continue;
     }
-    // Nothing after spinning: sleep until a push, a throttle change (the
-    // limit may have dropped below this index — re-check the park branch),
-    // or shutdown.
+    if (idle.spin()) continue;
+    // Nothing within the spin budget: sleep until a push, a throttle change
+    // (the limit may have dropped below this slot — re-check the park
+    // branch), or shutdown.
     std::unique_lock<std::mutex> lock(sleep_mutex_);
-    sleeper_count_.fetch_add(1, std::memory_order_release);
+    sleeper_count_.fetch_add(1);
     sleep_cv_.wait(lock, [&] {
-      return stop_.load(std::memory_order_acquire) ||
-             ready_tasks_.load(std::memory_order_acquire) > 0 ||
-             index >= active_workers_.load(std::memory_order_acquire);
+      return stop_.load(std::memory_order_acquire) || task_ready() ||
+             slot >= active_workers_.load(std::memory_order_acquire);
     });
-    sleeper_count_.fetch_sub(1, std::memory_order_release);
+    sleeper_count_.fetch_sub(1);
   }
   tls_scheduler = nullptr;
-  tls_worker_index = -1;
+  tls_slot = -1;
+}
+
+void Scheduler::block_caller(TaskGroup& group) {
+  // Wake on either event: the group drains, or a task appears anywhere.
+  // The second matters when the pool is throttled to the caller alone (or
+  // thread_count() is 1): concurrent callers share slot 0 and run each
+  // other's tasks, so one may push this group's next split after this
+  // caller found nothing to take, and no worker would run it.
+  std::unique_lock<std::mutex> lock(sleep_mutex_);
+  sleeper_count_.fetch_add(1);
+  blocked_callers_.fetch_add(1);
+  sleep_cv_.wait(lock, [&] {
+    return group.pending_.load() == 0 || task_ready();
+  });
+  blocked_callers_.fetch_sub(1);
+  sleeper_count_.fetch_sub(1);
+}
+
+void Scheduler::help_until_drained(TaskGroup& group) {
+  const int slot = tls_slot;
+  IdleSpin idle(kCallerSpin);
+  while (group.pending_.load(std::memory_order_acquire) > 0) {
+    Task task;
+    if (try_acquire_task(slot, task)) {
+      execute(std::move(task));
+      idle.reset();
+      continue;
+    }
+    // A worker waits here inside a task whose continuation a region is
+    // waiting for, so it keeps polling rather than pay a wake-up.  A
+    // caller (slot 0) spins briefly for its region's last tasks, then
+    // sleeps.
+    if (slot != 0) {
+      cpu_relax();
+      continue;
+    }
+    if (idle.spin()) continue;
+    block_caller(group);
+  }
 }
 
 void Scheduler::wait(TaskGroup& group) {
-  if (on_worker_thread()) {
-    // Help: keep running tasks (any tasks — depth-first locality) until the
-    // group drains.  Never blocks, so nested waits cannot deadlock.
-    while (group.pending_.load(std::memory_order_acquire) > 0) {
-      Task task;
-      if (try_acquire_task(tls_worker_index, task)) {
-        execute(std::move(task));
-      } else {
-        cpu_relax();
-      }
-    }
-  } else {
-    // External thread: wait for the group.  It deliberately does NOT
-    // execute tasks, so a pool of T workers performs exactly T threads of
-    // work (the paper's thread-count semantics, Fig. 9).  Short regions
-    // finish in microseconds, so spin briefly before the futex sleep.
-    constexpr int kWaiterSpinRounds = 16384;
-    for (int round = 0; round < kWaiterSpinRounds; ++round) {
-      if (group.pending_.load(std::memory_order_acquire) == 0) break;
-      cpu_relax();
-    }
-    while (true) {
-      const std::int64_t pending =
-          group.pending_.load(std::memory_order_acquire);
-      if (pending == 0) break;
-      group.pending_.wait(pending, std::memory_order_acquire);
-    }
-  }
+  CallerScope scope(this);
+  help_until_drained(group);
   std::exception_ptr e;
   {
     std::lock_guard<std::mutex> lock(group.exception_mutex_);
@@ -317,14 +389,15 @@ void Scheduler::parallel_for(std::int64_t begin, std::int64_t end,
     }
   };
   Splitter splitter{this, &group, grain, &body};
-  if (on_worker_thread()) {
-    // Work-first on a worker: keep the left half, spawn the right.
+  CallerScope scope(this);
+  // Work-first on every participant, the caller included: keep the left
+  // half, spawn the right.  A throw from the leftmost leaf is recorded
+  // like a task's so the spawned halves, which point into this frame,
+  // finish before it unwinds.
+  try {
     splitter.run(begin, end);
-  } else {
-    // External caller: hand the whole range to the pool so that exactly
-    // thread_count() workers execute it, then block.  The splitter lives on
-    // this frame until wait() returns, so child tasks may point into it.
-    spawn_range(group, &Splitter::entry, &splitter, begin, end);
+  } catch (...) {
+    group.record_exception(std::current_exception());
   }
   wait(group);
 }
@@ -334,17 +407,18 @@ double Scheduler::parallel_reduce_sum(std::int64_t begin, std::int64_t end,
                                       const RangeSum& chunk_fn) {
   if (end <= begin) return 0.0;
   if (grain < 1) grain = 1;
-  if (thread_count() == 1 || end - begin <= grain) {
-    return chunk_fn(begin, end);
-  }
-  std::mutex sum_mutex;
+  const std::int64_t chunks = (end - begin + grain - 1) / grain;
+  if (chunks == 1) return chunk_fn(begin, end);
+  std::vector<double> partials(static_cast<std::size_t>(chunks));
+  parallel_for(0, chunks, 1, [&](std::int64_t first, std::int64_t last) {
+    for (std::int64_t k = first; k < last; ++k) {
+      const std::int64_t b = begin + k * grain;
+      partials[static_cast<std::size_t>(k)] =
+          chunk_fn(b, std::min(end, b + grain));
+    }
+  });
   double total = 0.0;
-  parallel_for(begin, end, grain,
-               [&](std::int64_t b, std::int64_t e) {
-                 const double partial = chunk_fn(b, e);
-                 std::lock_guard<std::mutex> lock(sum_mutex);
-                 total += partial;
-               });
+  for (const double partial : partials) total += partial;
   return total;
 }
 

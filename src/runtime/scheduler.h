@@ -18,15 +18,27 @@
 /// Work-stealing task scheduler.
 ///
 /// This reproduces the PetaBricks runtime library described in §3.2.3 of
-/// the paper: dynamic task scheduling over per-worker deques with a task
-/// stealing protocol in the style of Cilk-5.  Owners push and pop at the
-/// bottom of their own deque (depth-first, locality-friendly); idle workers
-/// steal from the top of a random victim (breadth-first, load balancing).
+/// the paper: dynamic task scheduling over per-participant deques with a
+/// task stealing protocol in the style of Cilk-5.  Owners push and pop at
+/// the bottom of their own deque (depth-first, locality-friendly); idle
+/// participants steal from the top of a random victim (breadth-first, load
+/// balancing).
 ///
-/// Tasks are grouped into TaskGroups; `Scheduler::wait` blocks until a
-/// group drains, and a worker that waits keeps executing tasks instead of
-/// blocking, so nested parallelism (relaxations inside recursive multigrid
-/// calls) composes without thread explosion.
+/// A scheduler built for T threads runs T participants, and the thread that
+/// calls into it is one of them: slot 0 has a deque but no OS thread, and
+/// the pool starts T − 1 workers for slots 1..T−1 (none when T = 1).  A
+/// thread outside the pool that calls parallel_for, parallel_reduce_sum or
+/// wait becomes slot 0 for the duration of the call: it splits its range
+/// work-first like a worker, executes tasks until its group drains, and
+/// blocks only when no task is left to take.  Concurrent callers share
+/// slot 0.  So T threads of work run on T threads, the paper's thread-count
+/// semantics (Fig. 9), and a pool sized to the core count does not
+/// oversubscribe the machine.
+///
+/// Tasks are grouped into TaskGroups; `Scheduler::wait` returns when a group
+/// drains, and every participant that waits keeps executing tasks while
+/// any are left, so nested parallelism (relaxations inside recursive
+/// multigrid calls) composes without thread explosion.
 
 namespace pbmg::rt {
 
@@ -80,7 +92,8 @@ class TaskGroup {
   std::exception_ptr first_exception_;
 };
 
-/// Work-stealing scheduler with a fixed worker pool.
+/// Work-stealing scheduler: a pool of threads − 1 workers plus the calling
+/// thread.
 class Scheduler {
  public:
   /// Chunk body for parallel loops: invoked as body(chunk_begin, chunk_end).
@@ -89,7 +102,9 @@ class Scheduler {
   /// Chunk function for reductions: returns the partial sum of a chunk.
   using RangeSum = std::function<double(std::int64_t, std::int64_t)>;
 
-  /// Creates `profile.threads` workers.  Throws InvalidArgument for a
+  /// Creates `profile.threads` participant slots and starts
+  /// `profile.threads − 1` worker threads; the caller of each parallel
+  /// region is the remaining participant.  Throws InvalidArgument for a
   /// non-positive thread count.
   explicit Scheduler(const MachineProfile& profile);
   ~Scheduler();
@@ -97,35 +112,41 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Number of worker threads.
-  int thread_count() const { return static_cast<int>(workers_.size()); }
+  /// Number of threads that execute a parallel region, the caller included
+  /// (profile().threads).
+  int thread_count() const { return static_cast<int>(slots_.size()); }
 
   /// Profile this scheduler was built from.
   const MachineProfile& profile() const { return profile_; }
 
-  /// Spawns a task into `group`.  Called from a worker thread the task goes
-  /// to that worker's deque; from an external thread it is distributed
-  /// round-robin.
+  /// Spawns a task into `group`.  From a participant the task goes to its
+  /// own deque; from any other thread it goes to slot 0, the callers'
+  /// deque, where the pool steals it and wait() finds it.
   void spawn(TaskGroup& group, std::function<void()> fn);
 
-  /// Waits for all tasks in `group` to complete.  A worker thread helps by
-  /// executing tasks while waiting; an external thread blocks.  Rethrows
-  /// the first task exception.
+  /// Waits for all tasks in `group` to complete, executing tasks meanwhile.
+  /// A thread outside the pool takes part as slot 0 until the group drains
+  /// and blocks only while no task is left to take; a pool thread never
+  /// blocks.  Rethrows the first task exception.
   void wait(TaskGroup& group);
 
   /// Parallel loop over [begin, end): splits recursively until chunks are
   /// at most `grain` long and invokes body(chunk_begin, chunk_end) on each.
-  /// Runs inline when the range is small or the pool has a single worker.
+  /// The calling thread keeps the left half of every split and runs it.
+  /// Runs inline when the range fits one grain or thread_count() is 1.
   void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                     const RangeBody& body);
 
-  /// Parallel sum-reduction over [begin, end): chunk_fn returns each chunk's
-  /// partial sum.  Result ordering is non-deterministic (floating-point
-  /// sums may differ across runs by rounding).
+  /// Parallel sum-reduction over [begin, end): chunk_fn returns the partial
+  /// sum of each `grain`-long chunk [begin + k·grain, begin + (k+1)·grain),
+  /// and the partials are added in chunk order.  The chunks do not depend
+  /// on the thread count, so the result is bitwise identical on every
+  /// thread count and every run.
   double parallel_reduce_sum(std::int64_t begin, std::int64_t end,
                              std::int64_t grain, const RangeSum& chunk_fn);
 
-  /// True when the calling thread is one of this scheduler's workers.
+  /// True when the calling thread executes for this scheduler: one of its
+  /// workers, or a caller inside one of its parallel regions or waits.
   bool on_worker_thread() const;
 
   /// Grain for a row-sliced kernel over `rows` rows of `cells_per_row`
@@ -145,18 +166,19 @@ class Scheduler {
     return steal_count_.load(std::memory_order_relaxed);
   }
 
-  /// Limits how many of the pool's workers actively execute tasks
-  /// (clamped to [1, thread_count()]).  Workers at index >= `count` park
-  /// on the sleep condvar until the limit is raised again; tasks already
-  /// sitting in a parked worker's deque remain stealable, so nothing is
-  /// lost or stalled — the pool just runs narrower.  This deliberately
-  /// models a machine whose effective core count shrank under the service
-  /// (noisy neighbours, thermal throttling, a resized container): the
-  /// drift bench and tests use it to degrade latency mid-run without
-  /// rebuilding the engine.  Thread-safe.
+  /// Limits how many threads execute tasks, the caller included (clamped
+  /// to [1, thread_count()]).  Workers at slot >= `count` park on the sleep
+  /// condvar until the limit is raised again, and a worker that finds
+  /// itself throttled right after taking a task hands it back; tasks in a
+  /// parked worker's deque remain stealable, so nothing is lost or stalled
+  /// — the pool just runs narrower.  `count = 1` leaves the caller running
+  /// its regions alone.  This deliberately models a machine whose effective
+  /// core count shrank under the service (noisy neighbours, thermal
+  /// throttling, a resized container): the drift bench and tests use it to
+  /// degrade latency mid-run without rebuilding the engine.  Thread-safe.
   void set_active_workers(int count);
 
-  /// Current active-worker limit (thread_count() unless throttled).
+  /// Current active-thread limit (thread_count() unless throttled).
   int active_workers() const {
     return active_workers_.load(std::memory_order_acquire);
   }
@@ -178,36 +200,48 @@ class Scheduler {
     TaskGroup* group = nullptr;
   };
 
-  struct Worker {
+  /// One participant's deque: slot 0 belongs to the callers, slots
+  /// 1..thread_count()−1 to the workers.  Cache-line aligned so one slot's
+  /// push/pop traffic does not evict its neighbours'.
+  struct alignas(64) Slot {
     std::deque<Task> deque;
     Spinlock lock;
     /// Lock-free occupancy hint: lets idle thieves skip empty victims
-    /// without touching `lock`, so spinning workers do not contend with
-    /// the owner's push/pop traffic.
+    /// without touching `lock`, so spinning participants do not contend
+    /// with the owner's push/pop traffic.
     std::atomic<int> approx_size{0};
   };
 
-  void worker_main(int index);
-  bool try_pop_local(int index, Task& out);
-  bool try_steal(int thief_index, Task& out);
-  bool try_acquire_task(int index, Task& out);
+  void worker_main(int slot);
+  bool try_pop_local(int slot, Task& out);
+  bool try_steal(int thief_slot, Task& out);
+  bool try_acquire_task(int slot, Task& out);
   void execute(Task task);
-  void push_task(int worker_index, Task task);
+  void push_task(int slot, Task task);
+  bool task_ready() const;
   void spawn_range(TaskGroup& group, Task::RangeFn fn, void* context,
                    std::int64_t begin, std::int64_t end);
+  void help_until_drained(TaskGroup& group);
+  void block_caller(TaskGroup& group);
+  void wake_sleepers();
   void inject_spawn_overhead() const;
 
   MachineProfile profile_;
-  std::vector<std::unique_ptr<Worker>> workers_;
+  std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<std::thread> threads_;
   std::atomic<bool> stop_{false};
   std::atomic<int> active_workers_{0};  // set to thread_count() in the ctor
-  std::atomic<std::int64_t> ready_tasks_{0};
-  std::atomic<std::int64_t> steal_count_{0};
-  std::atomic<std::uint64_t> external_round_robin_{0};
+  /// Threads asleep on sleep_cv_ (idle workers and blocked callers): a push
+  /// wakes them.
   std::atomic<int> sleeper_count_{0};
+  /// Callers blocked on sleep_cv_ until their group drains: a drain wakes
+  /// them.
+  std::atomic<int> blocked_callers_{0};
   std::mutex sleep_mutex_;
   std::condition_variable sleep_cv_;
+  /// Written on every steal, so kept off the line of the read-mostly flags
+  /// above that every spinning participant polls.
+  alignas(64) std::atomic<std::int64_t> steal_count_{0};
 };
 
 }  // namespace pbmg::rt

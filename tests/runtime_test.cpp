@@ -1,8 +1,11 @@
 // Tests for the work-stealing scheduler: coverage of parallel_for and
-// parallel_reduce, nested parallelism, exception propagation, stealing,
-// machine profiles, and the Spinlock primitive.
+// parallel_reduce, deterministic reductions, nested parallelism, exception
+// propagation, stealing, the caller's participation, machine profiles, and
+// the Spinlock primitive.
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -79,6 +82,32 @@ TEST(Scheduler, ParallelReduceSumMatchesSerial) {
   const double expected =
       static_cast<double>(kN - 1) * static_cast<double>(kN) / 2.0;
   EXPECT_DOUBLE_EQ(parallel, expected);
+}
+
+TEST(Scheduler, ParallelReduceSumIsBitwiseIdenticalAcrossThreadCounts) {
+  // Non-integer terms of mixed magnitude, so any change in how partial sums
+  // are grouped or ordered shows in the last bits.
+  const auto chunk_sum = [](std::int64_t b, std::int64_t e) {
+    double acc = 0.0;
+    for (std::int64_t i = b; i < e; ++i) {
+      acc += std::sin(0.37 * static_cast<double>(i)) /
+             (1.0 + 1e-3 * static_cast<double>(i));
+    }
+    return acc;
+  };
+  constexpr std::int64_t kN = 20011;
+  constexpr std::int64_t kGrain = 37;
+  const double reference =
+      Scheduler(test_profile(1)).parallel_reduce_sum(0, kN, kGrain, chunk_sum);
+  for (int threads : {1, 2, 4, 8}) {
+    Scheduler sched(test_profile(threads));
+    for (int repeat = 0; repeat < 20; ++repeat) {
+      const double sum = sched.parallel_reduce_sum(0, kN, kGrain, chunk_sum);
+      ASSERT_EQ(std::memcmp(&sum, &reference, sizeof(double)), 0)
+          << "threads " << threads << " repeat " << repeat << ": " << sum
+          << " vs " << reference;
+    }
+  }
 }
 
 TEST(Scheduler, NestedParallelForDoesNotDeadlock) {
@@ -161,6 +190,47 @@ TEST(Scheduler, OnWorkerThreadDetection) {
   EXPECT_TRUE(inside.load());
 }
 
+TEST(Scheduler, CallerTakesPartAndRestoresItsIdentity) {
+  // The caller is a participant while it is inside a region (so chunks it
+  // runs, and nested regions it drives on another scheduler, see the right
+  // identity) and an outsider again once the region returns.
+  Scheduler a(test_profile(2));
+  Scheduler b(test_profile(2));
+  std::atomic<int> outside_a{0};
+  std::atomic<int> outside_b{0};
+  std::atomic<int> not_restored{0};
+  a.parallel_for(0, 64, 1, [&](std::int64_t, std::int64_t) {
+    if (!a.on_worker_thread()) outside_a.fetch_add(1);
+    b.parallel_for(0, 8, 1, [&](std::int64_t, std::int64_t) {
+      if (!b.on_worker_thread()) outside_b.fetch_add(1);
+    });
+    if (!a.on_worker_thread() || b.on_worker_thread()) {
+      not_restored.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(outside_a.load(), 0);
+  EXPECT_EQ(outside_b.load(), 0);
+  EXPECT_EQ(not_restored.load(), 0);
+  EXPECT_FALSE(a.on_worker_thread());
+  EXPECT_FALSE(b.on_worker_thread());
+}
+
+TEST(Scheduler, SingleThreadSchedulerRunsTasksOnTheCaller) {
+  // threads = 1 starts no worker: spawned tasks run on the thread that
+  // waits for them.
+  Scheduler sched(test_profile(1));
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> elsewhere{0};
+  TaskGroup group;
+  for (int i = 0; i < 50; ++i) {
+    sched.spawn(group, [&] {
+      if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+    });
+  }
+  sched.wait(group);
+  EXPECT_EQ(elsewhere.load(), 0);
+}
+
 TEST(Scheduler, SingleThreadRunsInline) {
   Scheduler sched(test_profile(1));
   std::int64_t sum = 0;  // no atomics needed: everything runs inline
@@ -221,6 +291,25 @@ TEST(Scheduler, ActiveWorkerThrottleNarrowsAndRestoresThePool) {
   }
 }
 
+TEST(Scheduler, ThrottledToOneRunsEveryChunkOnTheCaller) {
+  // set_active_workers counts the caller: at 1 the pool's workers are
+  // parked and the caller runs its whole region itself.
+  Scheduler sched(test_profile(4));
+  sched.set_active_workers(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<int> chunks{0};
+    std::atomic<int> elsewhere{0};
+    sched.parallel_for(0, 512, 1, [&](std::int64_t, std::int64_t) {
+      chunks.fetch_add(1);
+      if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+    });
+    ASSERT_EQ(chunks.load(), 512) << "round " << round;
+    ASSERT_EQ(elsewhere.load(), 0) << "round " << round;
+  }
+  sched.set_active_workers(4);
+}
+
 TEST(Scheduler, ThrottleTogglesUnderConcurrentLoadWithoutLosingWork) {
   // Race the throttle against live parallel work: a driver thread flips
   // the active-worker limit while parallel_for regions run.  Every index
@@ -268,6 +357,11 @@ TEST(MachineProfile, PresetsAreDistinctAndValid) {
   const MachineProfile c = niagara_profile();
   EXPECT_NE(a.grain_rows, b.grain_rows);
   EXPECT_NE(b.spawn_overhead_ns, c.spawn_overhead_ns);
+}
+
+TEST(MachineProfile, DefaultThreadCountIsTheCoreCount) {
+  EXPECT_EQ(MachineProfile{}.threads, hardware_threads());
+  EXPECT_EQ(profile_by_name("default").threads, hardware_threads());
 }
 
 TEST(MachineProfile, SerialProfileNeverSplits) {

@@ -1,9 +1,12 @@
 // Stress and failure-injection tests for the work-stealing runtime:
 // randomised nested spawns, many concurrent groups, exception storms,
-// oversubscription, and profile edge cases.
+// concurrent callers sharing the caller slot, oversubscription, and
+// profile edge cases.
 
 #include <atomic>
 #include <cmath>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -88,6 +91,102 @@ TEST(SchedulerStress, ExceptionStormDeliversOnePerGroupAndSurvives) {
   for (int t = 0; t < 100; ++t) sched.spawn(group, [&ok] { ok.fetch_add(1); });
   sched.wait(group);
   EXPECT_EQ(ok.load(), 100);
+}
+
+/// Thrown by a client's task, tagged so the test can tell whose it is.
+struct ClientError : std::runtime_error {
+  ClientError(int client_id, int round_id)
+      : std::runtime_error("client task failed"),
+        client(client_id),
+        round(round_id) {}
+  int client;
+  int round;
+};
+
+TEST(SchedulerStress, ConcurrentCallersShareTheCallerSlot) {
+  // Four client threads drive one 4-thread scheduler at once, all as slot 0:
+  // nested parallel_for → parallel_reduce_sum → parallel_for regions, with
+  // every third round throwing from one leaf, while another thread cycles
+  // the active-thread limit through 1..4 (at 1 the clients are the only
+  // executors and run each other's tasks).
+  Scheduler sched(stress_profile(4));
+  constexpr int kClients = 4;
+  constexpr int kRounds = 24;
+  constexpr std::int64_t kOuter = 8;
+  constexpr std::int64_t kInner = 32;
+  std::atomic<bool> stop{false};
+  std::thread toggler([&] {
+    int width = 1;
+    while (!stop.load(std::memory_order_acquire)) {
+      sched.set_active_workers(width);
+      width = width % 4 + 1;
+      std::this_thread::yield();
+    }
+  });
+  std::vector<int> wrong_coverage(kClients, 0);
+  std::vector<int> wrong_sum(kClients, 0);
+  std::vector<int> missing_exception(kClients, 0);
+  std::vector<int> foreign_exception(kClients, 0);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        const bool throws = (round + c) % 3 == 0;
+        const std::int64_t bad = (round * 37 + c * 11) % (kOuter * kInner);
+        std::vector<std::atomic<int>> hits(kOuter * kInner);
+        try {
+          sched.parallel_for(0, kOuter, 1, [&](std::int64_t ob,
+                                               std::int64_t oe) {
+            for (std::int64_t o = ob; o < oe; ++o) {
+              const double sum = sched.parallel_reduce_sum(
+                  0, kInner, 4, [&](std::int64_t b, std::int64_t e) {
+                    sched.parallel_for(b, e, 1, [&](std::int64_t ib,
+                                                    std::int64_t ie) {
+                      for (std::int64_t i = ib; i < ie; ++i) {
+                        const std::int64_t index = o * kInner + i;
+                        hits[static_cast<std::size_t>(index)].fetch_add(1);
+                        if (throws && index == bad) {
+                          throw ClientError(c, round);
+                        }
+                      }
+                    });
+                    return static_cast<double>(e - b);
+                  });
+              if (sum != static_cast<double>(kInner)) ++wrong_sum[c];
+            }
+          });
+          if (throws) ++missing_exception[c];
+        } catch (const ClientError& e) {
+          if (!throws || e.client != c || e.round != round) {
+            ++foreign_exception[c];
+          }
+        }
+        // A throwing leaf cuts its own chunk (and the enclosing ones) short,
+        // so only clean rounds must cover everything; no index may ever run
+        // twice.
+        for (const auto& hit : hits) {
+          const int count = hit.load();
+          if (count > 1 || (!throws && count != 1)) ++wrong_coverage[c];
+        }
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
+  stop.store(true, std::memory_order_release);
+  toggler.join();
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(wrong_coverage[c], 0) << "client " << c;
+    EXPECT_EQ(wrong_sum[c], 0) << "client " << c;
+    EXPECT_EQ(missing_exception[c], 0) << "client " << c;
+    EXPECT_EQ(foreign_exception[c], 0) << "client " << c;
+  }
+  // Healthy afterwards at full width.
+  sched.set_active_workers(4);
+  std::atomic<std::int64_t> total{0};
+  sched.parallel_for(0, 1000, 8, [&](std::int64_t b, std::int64_t e) {
+    total.fetch_add(e - b, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(total.load(), 1000);
 }
 
 TEST(SchedulerStress, OversubscribedPoolStillCorrect) {
