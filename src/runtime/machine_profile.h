@@ -32,7 +32,8 @@ struct MachineProfile {
   /// Number of threads that execute a parallel region (>= 1), counting the
   /// thread that calls into the scheduler: the pool starts threads − 1
   /// workers and the caller takes part in its own regions.  Defaults to the
-  /// core count, so a default profile never oversubscribes the machine.
+  /// core count, so a default profile keeps one caller's regions within the
+  /// machine; C concurrent callers can add up to C + threads − 1 threads.
   int threads = hardware_threads();
 
   /// Minimum rows per leaf task when slicing grid sweeps; larger values

@@ -22,11 +22,11 @@ thread_local int tls_slot = -1;
 // direct solve, request bookkeeping), and waking a sleeping thread costs
 // tens of microseconds on bare metal and up to milliseconds on a virtual
 // machine whose host is busy, since the idle vCPU halts.
-constexpr std::chrono::microseconds kWorkerSpin{5000};
+constexpr std::chrono::microseconds kWorkerSpin{2000};
 // A caller whose group is still running elsewhere spins this long before it
 // blocks: the last leaf tasks of a region normally finish well within it,
 // and a block costs the same wake-up.
-constexpr std::chrono::microseconds kCallerSpin{1000};
+constexpr std::chrono::microseconds kCallerSpin{500};
 // Pause rounds between clock reads while spinning; a steady_clock read costs
 // about two pauses.
 constexpr int kRoundsPerClockRead = 32;
@@ -113,13 +113,13 @@ Scheduler::Scheduler(const MachineProfile& profile) : profile_(profile) {
 
 Scheduler::~Scheduler() {
   stop_.store(true, std::memory_order_release);
-  wake_sleepers();
+  notify(worker_cv_);
   for (auto& t : threads_) t.join();
 }
 
 bool Scheduler::on_worker_thread() const { return tls_scheduler == this; }
 
-void Scheduler::wake_sleepers() {
+void Scheduler::notify(std::condition_variable& cv) {
   {
     // Empty critical section: a sleeper checks its predicate and goes to
     // sleep under sleep_mutex_, so taking the mutex here orders the state
@@ -127,14 +127,19 @@ void Scheduler::wake_sleepers() {
     // cannot fall in between and be lost.
     std::lock_guard<std::mutex> lock(sleep_mutex_);
   }
-  sleep_cv_.notify_all();
+  cv.notify_all();
 }
 
 void Scheduler::set_active_workers(int count) {
   if (count < 1) count = 1;
   if (count > thread_count()) count = thread_count();
-  active_workers_.store(count, std::memory_order_release);
-  wake_sleepers();
+  // Sequentially consistent with push_task's read of the limit, so a push
+  // that saw the old limit and skipped the callers' wake-up is seen by a
+  // caller woken below.
+  active_workers_.store(count);
+  notify(worker_cv_);
+  // A blocked caller also takes tasks while the limit is 1.
+  notify(caller_cv_);
 }
 
 void Scheduler::inject_spawn_overhead() const {
@@ -161,10 +166,14 @@ void Scheduler::push_task(int slot, Task task) {
     // sees the task.
     owner.approx_size.store(static_cast<int>(owner.deque.size()));
   }
-  // Wake everyone: pushes come in bursts at the start of a parallel region,
-  // and a notify_one cascade (each woken worker waking the next) costs one
-  // futex round-trip per worker — serialising the ramp-up.
-  if (sleeper_count_.load() > 0) wake_sleepers();
+  // Wake every sleeping worker: pushes come in bursts at the start of a
+  // parallel region, and a notify_one cascade (each woken worker waking the
+  // next) costs one futex round-trip per worker — serialising the ramp-up.
+  if (sleeping_workers_.load() > 0) notify(worker_cv_);
+  // With the limit at 1 no worker runs tasks, so blocked callers must.
+  if (blocked_callers_.load() > 0 && active_workers_.load() == 1) {
+    notify(caller_cv_);
+  }
 }
 
 void Scheduler::spawn(TaskGroup& group, std::function<void()> fn) {
@@ -252,7 +261,7 @@ void Scheduler::execute(Task task) {
   // returned), so the wake-up reads only scheduler state.  Sequentially
   // consistent with block_caller's count-then-check.
   if (group->pending_.fetch_sub(1) == 1 && blocked_callers_.load() > 0) {
-    wake_sleepers();
+    notify(caller_cv_);
   }
 }
 
@@ -266,7 +275,7 @@ void Scheduler::worker_main(int slot) {
     // participants, so parking never strands work.
     if (slot >= active_workers_.load(std::memory_order_acquire)) {
       std::unique_lock<std::mutex> lock(sleep_mutex_);
-      sleep_cv_.wait(lock, [&] {
+      worker_cv_.wait(lock, [&] {
         return stop_.load(std::memory_order_acquire) ||
                slot < active_workers_.load(std::memory_order_acquire);
       });
@@ -293,31 +302,29 @@ void Scheduler::worker_main(int slot) {
     // (the limit may have dropped below this slot — re-check the park
     // branch), or shutdown.
     std::unique_lock<std::mutex> lock(sleep_mutex_);
-    sleeper_count_.fetch_add(1);
-    sleep_cv_.wait(lock, [&] {
+    sleeping_workers_.fetch_add(1);
+    worker_cv_.wait(lock, [&] {
       return stop_.load(std::memory_order_acquire) || task_ready() ||
              slot >= active_workers_.load(std::memory_order_acquire);
     });
-    sleeper_count_.fetch_sub(1);
+    sleeping_workers_.fetch_sub(1);
   }
   tls_scheduler = nullptr;
   tls_slot = -1;
 }
 
 void Scheduler::block_caller(TaskGroup& group) {
-  // Wake on either event: the group drains, or a task appears anywhere.
-  // The second matters when the pool is throttled to the caller alone (or
-  // thread_count() is 1): concurrent callers share slot 0 and run each
-  // other's tasks, so one may push this group's next split after this
-  // caller found nothing to take, and no worker would run it.
+  // Sleep until the group drains.  While the limit is 1 no worker runs
+  // tasks, so also wake when a task appears anywhere: concurrent callers
+  // share slot 0 and run each other's tasks, and one may push this group's
+  // next split after this caller found nothing to take.
   std::unique_lock<std::mutex> lock(sleep_mutex_);
-  sleeper_count_.fetch_add(1);
   blocked_callers_.fetch_add(1);
-  sleep_cv_.wait(lock, [&] {
-    return group.pending_.load() == 0 || task_ready();
+  caller_cv_.wait(lock, [&] {
+    return group.pending_.load() == 0 ||
+           (active_workers_.load() == 1 && task_ready());
   });
   blocked_callers_.fetch_sub(1);
-  sleeper_count_.fetch_sub(1);
 }
 
 void Scheduler::help_until_drained(TaskGroup& group) {

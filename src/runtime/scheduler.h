@@ -31,9 +31,14 @@
 /// wait becomes slot 0 for the duration of the call: it splits its range
 /// work-first like a worker, executes tasks until its group drains, and
 /// blocks only when no task is left to take.  Concurrent callers share
-/// slot 0.  So T threads of work run on T threads, the paper's thread-count
-/// semantics (Fig. 9), and a pool sized to the core count does not
-/// oversubscribe the machine.
+/// slot 0.  So one caller's regions run on T threads, the paper's
+/// thread-count semantics (Fig. 9), and a pool sized to the core count
+/// keeps a single caller within the machine.  C concurrent callers whose
+/// regions overlap add up to C + T − 1 threads executing tasks: each runs
+/// any task it can take, its own or another caller's, until its own group
+/// drains.  A blocked caller wakes only when its group drains (or, with
+/// the pool throttled to one thread, when a task appears), so it does not
+/// go on running other callers' tasks once it has blocked.
 ///
 /// Tasks are grouped into TaskGroups; `Scheduler::wait` returns when a group
 /// drains, and every participant that waits keeps executing tasks while
@@ -166,12 +171,13 @@ class Scheduler {
     return steal_count_.load(std::memory_order_relaxed);
   }
 
-  /// Limits how many threads execute tasks, the caller included (clamped
-  /// to [1, thread_count()]).  Workers at slot >= `count` park on the sleep
-  /// condvar until the limit is raised again, and a worker that finds
-  /// itself throttled right after taking a task hands it back; tasks in a
-  /// parked worker's deque remain stealable, so nothing is lost or stalled
-  /// — the pool just runs narrower.  `count = 1` leaves the caller running
+  /// Limits how many participant slots execute tasks, the callers' slot 0
+  /// included (clamped to [1, thread_count()]), so one caller's regions run
+  /// on `count` threads.  Workers at slot >= `count` park until the limit
+  /// is raised again, and a worker that finds itself throttled right after
+  /// taking a task hands it back; tasks in a parked worker's deque remain
+  /// stealable, so nothing is lost or stalled — the pool just runs
+  /// narrower.  `count = 1` leaves the caller running
   /// its regions alone.  This deliberately models a machine whose effective
   /// core count shrank under the service (noisy neighbours, thermal
   /// throttling, a resized container): the drift bench and tests use it to
@@ -201,9 +207,8 @@ class Scheduler {
   };
 
   /// One participant's deque: slot 0 belongs to the callers, slots
-  /// 1..thread_count()−1 to the workers.  Cache-line aligned so one slot's
-  /// push/pop traffic does not evict its neighbours'.
-  struct alignas(64) Slot {
+  /// 1..thread_count()−1 to the workers.
+  struct Slot {
     std::deque<Task> deque;
     Spinlock lock;
     /// Lock-free occupancy hint: lets idle thieves skip empty victims
@@ -223,7 +228,7 @@ class Scheduler {
                    std::int64_t begin, std::int64_t end);
   void help_until_drained(TaskGroup& group);
   void block_caller(TaskGroup& group);
-  void wake_sleepers();
+  void notify(std::condition_variable& cv);
   void inject_spawn_overhead() const;
 
   MachineProfile profile_;
@@ -231,17 +236,15 @@ class Scheduler {
   std::vector<std::thread> threads_;
   std::atomic<bool> stop_{false};
   std::atomic<int> active_workers_{0};  // set to thread_count() in the ctor
-  /// Threads asleep on sleep_cv_ (idle workers and blocked callers): a push
-  /// wakes them.
-  std::atomic<int> sleeper_count_{0};
-  /// Callers blocked on sleep_cv_ until their group drains: a drain wakes
-  /// them.
+  /// Idle workers asleep on worker_cv_: a push wakes them.
+  std::atomic<int> sleeping_workers_{0};
+  /// Callers asleep on caller_cv_ until their group drains: a drain wakes
+  /// them, and so does a push while the limit is 1.
   std::atomic<int> blocked_callers_{0};
   std::mutex sleep_mutex_;
-  std::condition_variable sleep_cv_;
-  /// Written on every steal, so kept off the line of the read-mostly flags
-  /// above that every spinning participant polls.
-  alignas(64) std::atomic<std::int64_t> steal_count_{0};
+  std::condition_variable worker_cv_;
+  std::condition_variable caller_cv_;
+  std::atomic<std::int64_t> steal_count_{0};
 };
 
 }  // namespace pbmg::rt
