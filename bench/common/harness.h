@@ -20,7 +20,7 @@
 
 /// \file harness.h
 /// Shared infrastructure for the paper-reproduction benchmark binaries
-/// (one binary per table/figure; see DESIGN.md §5).
+/// (one binary per table/figure of the paper).
 ///
 /// Responsibilities: benchmark-wide settings (sizes, trials, cache
 /// directory), tuned-config acquisition through the disk cache, evaluation

@@ -15,8 +15,7 @@ namespace pbmg {
 
 SolveService::SolveService(Engine& engine, tune::TunedConfig config,
                            ServicePolicy policy)
-    : engine_(engine),
-      policy_(policy),
+    : policy_(policy),
       requests_ok_(
           metrics_.counter("pbmg_solve_requests_total{outcome=\"ok\"}")),
       requests_unconverged_(metrics_.counter(
@@ -46,8 +45,9 @@ SolveService::SolveService(Engine& engine, tune::TunedConfig config,
       route_distance_(
           metrics_.histogram("pbmg_route_fingerprint_distance")) {
   current_ = std::make_shared<Generation>();
-  current_->engine = &engine_;
-  current_->config = std::move(config);
+  current_->engine = &engine;
+  current_->config =
+      std::make_shared<const tune::TunedConfig>(std::move(config));
   generation_gauge_.set(1.0);
 }
 
@@ -66,7 +66,7 @@ void SolveService::install(tune::TunedConfig config,
                            obs::LatencyBaseline baseline,
                            std::shared_ptr<Engine> engine) {
   auto fresh = std::make_shared<Generation>();
-  fresh->config = std::move(config);
+  fresh->config = std::make_shared<const tune::TunedConfig>(std::move(config));
   std::int64_t id = 0;
   std::vector<std::shared_ptr<Generation>> reclaimed;
   {
@@ -81,6 +81,14 @@ void SolveService::install(tune::TunedConfig config,
     // engine, which outlives the service by contract.
     fresh->owned = engine ? std::move(engine) : current_->owned;
     fresh->engine = fresh->owned ? fresh->owned.get() : current_->engine;
+    // Family extensions carry over: retuned_families_ is service-wide, so
+    // an extension dropped here would never be trained again.  The
+    // installed config is newer than an extension for its own family.
+    {
+      std::lock_guard<std::mutex> gen_lock(current_->mutex);
+      fresh->family_configs = current_->family_configs;
+    }
+    fresh->family_configs.erase(fresh->config->op_family);
     retired_.push_back(current_);
     current_ = std::move(fresh);
     stats_.generation = id;
@@ -92,7 +100,7 @@ void SolveService::install(tune::TunedConfig config,
   // baseline; samples still in flight on the old generation are filtered
   // out by observe_drift's generation check.
   if (watcher_) watcher_->rebase(std::move(baseline));
-  // `reclaimed` destructs here, outside every lock: tearing down session
+  // `reclaimed` destructs here, outside every lock: tearing down cached
   // hierarchies (and possibly a generation-owned engine) is heavy.
 }
 
@@ -100,23 +108,27 @@ void SolveService::reclaim_retired_locked(
     std::vector<std::shared_ptr<Generation>>& out) {
   // A retired generation with use_count 1 is pinned by nobody: no
   // SessionRef holds its aliased pointer, no in-flight solve snapshotted
-  // it, only retired_ itself keeps it alive.  Its sessions — and its
-  // engine, when no later generation co-owns it — are dead weight.
+  // it, only retired_ itself keeps it alive.  Its cache — and its
+  // engine, when no later generation co-owns it — is dead weight.
   auto it = retired_.begin();
   while (it != retired_.end()) {
     if (it->use_count() == 1) {
-      const std::size_t bytes = (*it)->resident_bytes;
-      if (bytes > 0) {
-        session_bytes_gauge_.set(static_cast<double>(
-            session_bytes_.fetch_sub(bytes, std::memory_order_acq_rel) -
-            bytes));
-      }
+      Generation& gen = **it;
+      add_bytes(gen, -static_cast<std::ptrdiff_t>(gen.resident_bytes));
       out.push_back(std::move(*it));
       it = retired_.erase(it);
     } else {
       ++it;
     }
   }
+}
+
+void SolveService::add_bytes(Generation& gen, std::ptrdiff_t delta) {
+  if (delta == 0) return;
+  const auto step = static_cast<std::size_t>(delta);  // wraps for negatives
+  gen.resident_bytes += step;
+  session_bytes_gauge_.set(static_cast<double>(
+      session_bytes_.fetch_add(step, std::memory_order_acq_rel) + step));
 }
 
 std::shared_ptr<SolveService::Generation> SolveService::current_generation()
@@ -141,56 +153,73 @@ obs::Histogram& SolveService::latency_histogram(int n, int accuracy_index) {
   return hist;
 }
 
-SessionRef SolveService::session_in(const std::shared_ptr<Generation>& gen,
-                                    int n) {
-  {
-    std::lock_guard<std::mutex> lock(gen->mutex);
-    auto it = gen->sessions.find(n);
-    if (it != gen->sessions.end()) {
-      it->second.last_used =
-          lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-      return SessionRef(it->second.session, gen);
+template <class Build>
+SolveService::Slot SolveService::cached(const std::shared_ptr<Generation>& gen,
+                                        const CacheKey& key,
+                                        const Build& build) {
+  for (;;) {
+    FamilyTable extensions;
+    {
+      std::lock_guard<std::mutex> lock(gen->mutex);
+      auto it = gen->cache.find(key);
+      if (it != gen->cache.end()) {
+        it->second.last_used =
+            lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
+        return it->second;
+      }
+      extensions = gen->family_configs;
     }
-  }
-  // Construct outside the lock: prewarming a large level hierarchy
-  // allocates and zero-fills megabytes, and must not stall unrelated
-  // in-flight solves of other sizes.  If two threads race to bind the
-  // same size, emplace keeps the winner and the loser's session is
-  // discarded (its prewarmed grids are already in the shared pool).
-  // The operator comes from the config's own family, so a service over
-  // non-Poisson tables solves the operator it was tuned for (the Poisson
-  // family takes StencilOp's constant-coefficient fast path, bit-for-bit
-  // the historical behaviour).
-  auto fresh = std::make_shared<SolveSession>(
-      *gen->engine, gen->config,
-      make_operator(n, parse_operator_family(gen->config.op_family)));
-  const std::size_t bytes = fresh->footprint_bytes();
-  SessionRef ref;
-  {
+    // Build outside the lock: prewarming a large level hierarchy
+    // allocates and zero-fills megabytes, and fingerprinting an operator
+    // sweeps it, neither of which may stall in-flight requests on other
+    // entries.  If two threads race to bind one key, try_emplace keeps the
+    // winner and the loser's entry is discarded after the unlock (its
+    // prewarmed grids are already in the shared pool).
+    Slot fresh = build(extensions);
     std::lock_guard<std::mutex> lock(gen->mutex);
-    auto [it, inserted] = gen->sessions.emplace(n, SessionSlot{});
+    // install_family may have landed while a binding was building; if the
+    // freshly installed tables are exactly the ones this binding settled
+    // for a stand-in over, rebuild against the new map rather than
+    // caching a decision the install just invalidated.
+    const OpBinding* routed = fresh.binding.get();
+    if (routed != nullptr && routed->served_family != routed->nearest_family &&
+        gen->family_configs.count(routed->nearest_family) != 0 &&
+        extensions.count(routed->nearest_family) == 0) {
+      continue;
+    }
+    auto [it, inserted] = gen->cache.try_emplace(key, std::move(fresh));
     if (inserted) {
-      it->second.session = std::move(fresh);
-      it->second.bytes = bytes;
-      gen->resident_bytes += bytes;
-      session_bytes_gauge_.set(static_cast<double>(
-          session_bytes_.fetch_add(bytes, std::memory_order_acq_rel) +
-          bytes));
+      add_bytes(*gen, static_cast<std::ptrdiff_t>(it->second.bytes));
     }
     it->second.last_used =
         lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-    // Pin before enforcing, so the slot we are about to hand out is
+    // Pin before enforcing, so the entry we are about to hand out is
     // never its own eviction victim (use_count > 1 excludes it).
-    ref = SessionRef(it->second.session, gen);
+    Slot pinned = it->second;
     if (inserted) enforce_policy_locked(*gen);
+    return pinned;
   }
-  return ref;
+}
+
+SessionRef SolveService::session_in(const std::shared_ptr<Generation>& gen,
+                                    int n) {
+  Slot slot = cached(gen, CacheKey{false, nullptr, n}, [&](const FamilyTable&) {
+    // The operator comes from the config's own family, so a service over
+    // non-Poisson tables solves the operator it was tuned for (the Poisson
+    // family takes StencilOp's constant-coefficient fast path, bit-for-bit
+    // the historical behaviour).
+    auto session = std::make_shared<SolveSession>(
+        *gen->engine, *gen->config,
+        make_operator(n, parse_operator_family(gen->config->op_family)));
+    const std::size_t bytes = session->footprint_bytes();
+    return Slot{std::move(session), nullptr, bytes, 0};
+  });
+  return SessionRef(std::move(slot.session), gen);
 }
 
 void SolveService::enforce_policy_locked(Generation& gen) {
   const auto over = [&] {
-    if (policy_.max_sessions > 0 &&
-        gen.sessions.size() > policy_.max_sessions) {
+    if (policy_.max_sessions > 0 && gen.cache.size() > policy_.max_sessions) {
       return true;
     }
     return policy_.max_session_bytes > 0 &&
@@ -198,43 +227,49 @@ void SolveService::enforce_policy_locked(Generation& gen) {
                policy_.max_session_bytes;
   };
   while (over()) {
-    // LRU among this generation's UNPINNED slots (use_count 1: only the
-    // cache itself holds the session — no SessionRef, no in-flight
-    // batch).  Pinned sessions are untouchable no matter how stale, so
-    // a workload that pins everything can exceed the budget; it drains
-    // back under it as pins drop and later binds re-enforce.
-    auto victim = gen.sessions.end();
-    for (auto it = gen.sessions.begin(); it != gen.sessions.end(); ++it) {
-      if (it->second.session.use_count() != 1) continue;
-      if (victim == gen.sessions.end() ||
-          it->second.last_used < victim->second.last_used) {
+    // LRU among this generation's UNPINNED entries (use_count 1: only the
+    // cache itself holds it — no SessionRef, no in-flight request).
+    // Pinned entries are untouchable no matter how stale, so a workload
+    // that pins everything can exceed the budget; it drains back under it
+    // as requests drop their pins (enforce_policy) and later binds
+    // re-enforce.
+    auto victim = gen.cache.end();
+    for (auto it = gen.cache.begin(); it != gen.cache.end(); ++it) {
+      const Slot& slot = it->second;
+      const long refs = slot.session ? slot.session.use_count()
+                                     : slot.binding.use_count();
+      if (refs != 1) continue;
+      if (victim == gen.cache.end() ||
+          slot.last_used < victim->second.last_used) {
         victim = it;
       }
     }
-    if (victim == gen.sessions.end()) return;  // everything pinned
-    const std::size_t bytes = victim->second.bytes;
-    gen.resident_bytes -= bytes;
-    gen.sessions.erase(victim);
-    session_bytes_gauge_.set(static_cast<double>(
-        session_bytes_.fetch_sub(bytes, std::memory_order_acq_rel) -
-        bytes));
+    if (victim == gen.cache.end()) return;  // everything pinned
+    add_bytes(gen, -static_cast<std::ptrdiff_t>(victim->second.bytes));
+    gen.cache.erase(victim);
     session_evictions_.add(1);
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+void SolveService::enforce_policy(Generation& gen) {
+  if (policy_.max_session_bytes == 0 && policy_.max_sessions == 0) return;
+  std::lock_guard<std::mutex> lock(gen.mutex);
+  enforce_policy_locked(gen);
 }
 
 SessionRef SolveService::session(int n) {
   return session_in(current_generation(), n);
 }
 
-void SolveService::validate_request(const Generation& gen,
-                                    const SolveRequest& request) const {
-  if (request.accuracy_index >= gen.config.accuracy_count()) {
-    throw ConfigError(
-        "SolveService: accuracy_index " +
-        std::to_string(request.accuracy_index) +
-        " is outside the tuned ladder [0, " +
-        std::to_string(gen.config.accuracy_count()) + ")");
+void SolveService::validate_request(const tune::TunedConfig& config,
+                                    const SolveRequest& request) {
+  if (request.accuracy_index >= config.accuracy_count()) {
+    throw ConfigError("SolveService: accuracy_index " +
+                      std::to_string(request.accuracy_index) +
+                      " is outside family '" + config.op_family +
+                      "' tuned ladder [0, " +
+                      std::to_string(config.accuracy_count()) + ")");
   }
   if (request.accuracy_index < 0 && request.target_accuracy <= 0.0) {
     throw ConfigError(
@@ -244,6 +279,34 @@ void SolveService::validate_request(const Generation& gen,
   }
 }
 
+void SolveService::account(Outcome outcome, std::int64_t count,
+                           std::int64_t converged, double seconds,
+                           obs::Histogram* healthy) {
+  // Failed requests cost wall-clock too; without the failure histogram a
+  // wave of fast-failing (or diverging) requests would be invisible in
+  // latency telemetry.  The healthy histograms are what the drift watcher
+  // (and any operator reading them) treats as serving latency, so a
+  // sample with an unconverged request in it never lands there.
+  if (outcome == Outcome::kThrew || converged != count) {
+    failure_seconds_.record(seconds);
+  } else if (healthy != nullptr) {
+    healthy->record(seconds);
+  }
+  if (outcome == Outcome::kThrew) {
+    failures_total_.add(count);
+    requests_error_.add(count);
+    std::lock_guard<std::mutex> lock(mutex_);
+    stats_.failures += count;
+    return;
+  }
+  requests_ok_.add(converged);
+  requests_unconverged_.add(count - converged);
+  std::lock_guard<std::mutex> lock(mutex_);
+  stats_.requests += count;
+  if (outcome == Outcome::kRouted) stats_.routed_requests += count;
+  stats_.busy_seconds += seconds;
+}
+
 SolveStats SolveService::solve(Grid2D& x, const Grid2D& b,
                                const SolveRequest& request) {
   SolveStats stats;
@@ -251,7 +314,7 @@ SolveStats SolveService::solve(Grid2D& x, const Grid2D& b,
   const std::shared_ptr<Generation> gen = current_generation();
   const double t0 = now_seconds();
   try {
-    validate_request(*gen, request);
+    validate_request(*gen->config, request);
     const SessionRef bound = session_in(gen, x.n());
     index = request.accuracy_index >= 0
                 ? request.accuracy_index
@@ -263,33 +326,12 @@ SolveStats SolveService::solve(Grid2D& x, const Grid2D& b,
                                  request.residual);
     stats.generation = gen->id;
   } catch (...) {
-    failures_total_.add(1);
-    requests_error_.add(1);
-    // Failed solves cost wall-clock too; without this histogram a wave of
-    // fast-failing requests would be invisible in latency telemetry.
-    failure_seconds_.record(now_seconds() - t0);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.failures;
+    account(Outcome::kThrew, 1, 0, now_seconds() - t0);
     throw;
   }
-  // Healthy and unhealthy latency split: the per-(n, acc) histograms are
-  // what the drift watcher (and any operator reading them) treats as
-  // healthy serving latency, and observe_drift already refuses
-  // unconverged samples — recording them here anyway would quietly skew
-  // the very distribution the watcher compares against.  A solve that
-  // failed its residual audit is accounted where thrown solves go.
-  if (stats.converged) {
-    latency_histogram(stats.n, index).record(stats.seconds);
-    requests_ok_.add(1);
-  } else {
-    failure_seconds_.record(stats.seconds);
-    requests_unconverged_.add(1);
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.requests;
-    stats_.busy_seconds += stats.seconds;
-  }
+  enforce_policy(*gen);
+  account(Outcome::kServed, 1, stats.converged ? 1 : 0, stats.seconds,
+          stats.converged ? &latency_histogram(stats.n, index) : nullptr);
   observe_drift(gen, stats, index, request.fmg);
   return stats;
 }
@@ -304,7 +346,7 @@ std::vector<SolveStats> SolveService::solve_batch(std::span<Grid2D* const> xs,
   const double t0 = now_seconds();
   int index = -1;
   try {
-    validate_request(*gen, request);
+    validate_request(*gen->config, request);
     const SessionRef bound = session_in(gen, b_template.n());
     index = request.accuracy_index >= 0
                 ? request.accuracy_index
@@ -326,11 +368,7 @@ std::vector<SolveStats> SolveService::solve_batch(std::span<Grid2D* const> xs,
     for (SolveStats& stats : all) stats.generation = gen->id;
   } catch (...) {
     // A throw mid-walk fails every request in the batch.
-    failures_total_.add(count);
-    requests_error_.add(count);
-    failure_seconds_.record(now_seconds() - t0);
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_.failures += count;
+    account(Outcome::kThrew, count, 0, now_seconds() - t0);
     throw;
   }
   // One latency sample per batch: the fused walk has one wall-clock (the
@@ -344,18 +382,10 @@ std::vector<SolveStats> SolveService::solve_batch(std::span<Grid2D* const> xs,
     if (stats.converged) ++converged;
   }
   const double seconds = now_seconds() - t0;
-  if (converged == count) {
-    latency_histogram(b_template.n(), index).record(seconds);
-  } else {
-    failure_seconds_.record(seconds);
-  }
-  requests_ok_.add(converged);
-  requests_unconverged_.add(count - converged);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_.requests += count;
-    stats_.busy_seconds += seconds;
-  }
+  enforce_policy(*gen);
+  account(Outcome::kServed, count, converged, seconds,
+          converged == count ? &latency_histogram(b_template.n(), index)
+                             : nullptr);
   return all;
 }
 
@@ -444,62 +474,50 @@ obs::Counter& SolveService::route_counter(const std::string& family,
 void SolveService::install_family(tune::TunedConfig config) {
   const std::string name = config.op_family;
   auto fresh = std::make_shared<const tune::TunedConfig>(std::move(config));
-  const std::shared_ptr<Generation> gen = current_generation();
-  std::vector<std::shared_ptr<const OpBinding>> dropped;
+  std::vector<Slot> dropped;
   {
-    std::lock_guard<std::mutex> lock(gen->mutex);
-    gen->family_configs[name] = std::move(fresh);
+    // Holding mutex_ orders this against install(): an extension never
+    // lands on a generation whose extensions install() already copied.
+    std::lock_guard<std::mutex> lock(mutex_);
+    Generation& gen = *current_;
+    std::lock_guard<std::mutex> gen_lock(gen.mutex);
+    gen.family_configs[name] = std::move(fresh);
     // Drop the bindings this install supersedes: operators whose nearest
     // family is the one just trained but which were being served by a
     // stand-in.  Their next request re-routes onto the new tables; every
-    // other binding — and every in-flight solve, which holds its own
+    // other entry — and every in-flight solve, which holds its own
     // shared_ptr — is untouched.
-    auto it = gen->bindings.begin();
-    while (it != gen->bindings.end()) {
-      if (it->second->nearest_family == name &&
-          it->second->served_family != name) {
+    auto it = gen.cache.begin();
+    while (it != gen.cache.end()) {
+      const OpBinding* binding = it->second.binding.get();
+      if (binding != nullptr && binding->nearest_family == name &&
+          binding->served_family != name) {
+        add_bytes(gen, -static_cast<std::ptrdiff_t>(it->second.bytes));
         dropped.push_back(std::move(it->second));
-        it = gen->bindings.erase(it);
+        it = gen.cache.erase(it);
       } else {
         ++it;
       }
     }
   }
-  // `dropped` destructs here, outside the lock: each binding tears down a
+  // `dropped` destructs here, outside the locks: each binding tears down a
   // DynamicSolver's coefficient hierarchies and executors.
 }
 
 std::shared_ptr<const SolveService::OpBinding> SolveService::binding_for(
     const std::shared_ptr<Generation>& gen, const grid::StencilOp& op) {
-  const std::pair<const void*, int> key{op.identity(), op.n()};
-  for (;;) {
-    std::map<std::string, std::shared_ptr<const tune::TunedConfig>> table;
-    {
-      std::lock_guard<std::mutex> lock(gen->mutex);
-      auto it = gen->bindings.find(key);
-      if (it != gen->bindings.end()) return it->second;
-      table = gen->family_configs;
-    }
-    // Fingerprint + solver construction run outside the generation lock:
-    // the fingerprint sweep is O(n²) and the bind coarsens/prewarms a
-    // full hierarchy, neither of which may stall in-flight requests.
+  const CacheKey key{true, op.identity(), op.n()};
+  return cached(gen, key, [&](const FamilyTable& extensions) {
     auto binding = std::make_shared<OpBinding>();
     binding->op = op;  // pins identity() against allocator reuse
-    binding->fp = grid::fingerprint(op);
     const std::vector<grid::FamilyMatch> ranked =
-        grid::rank_families(binding->fp);
+        grid::rank_families(grid::fingerprint(op));
     binding->nearest = ranked.front().family;
     binding->nearest_family = to_string(ranked.front().family);
-    binding->nearest_distance = ranked.front().distance;
-    // The construction config serves as the fallback tables for its own
-    // family unless an install_family extension superseded it.  Reading
-    // gen->config without the lock is safe: it is immutable for the
-    // generation's lifetime.
-    const std::string primary_family = gen->config.op_family;
-    if (table.find(primary_family) == table.end()) {
-      table[primary_family] =
-          std::shared_ptr<const tune::TunedConfig>(gen, &gen->config);
-    }
+    // The generation's config serves as the fallback tables for its own
+    // family unless an install_family extension superseded it.
+    FamilyTable table = extensions;
+    table.emplace(gen->config->op_family, gen->config);
     // Escalation ladder: every family with tables deep enough for this
     // operator, nearest first.  The served family is the first rung.
     const int level = level_of_size(op.n());
@@ -527,23 +545,9 @@ std::shared_ptr<const SolveService::OpBinding> SolveService::binding_for(
         op, std::move(ladder), gen->engine->scheduler(),
         gen->engine->direct(), gen->engine->scratch(),
         gen->engine->relax());
-    {
-      std::lock_guard<std::mutex> lock(gen->mutex);
-      // install_family may have landed while this binding was building;
-      // if the freshly installed tables are exactly the ones this binding
-      // settled for a stand-in over, rebuild against the new map rather
-      // than caching a decision the install just invalidated.
-      if (binding->served_family != binding->nearest_family &&
-          gen->family_configs.count(binding->nearest_family) != 0 &&
-          table.count(binding->nearest_family) == 0) {
-        continue;
-      }
-      auto [it, inserted] = gen->bindings.emplace(key, std::move(binding));
-      // An emplace race keeps the winner; the loser's solver (and its
-      // prewarmed grids, already returned to the shared pool) is dropped.
-      return it->second;
-    }
-  }
+    const std::size_t bytes = binding->solver->footprint_bytes();
+    return Slot{nullptr, std::move(binding), bytes, 0};
+  }).binding;
 }
 
 bool SolveService::start_family_retune(OperatorFamily family) {
@@ -620,27 +624,12 @@ SolveStats SolveService::solve_op(const grid::StencilOp& op, Grid2D& x,
         retune_fired = start_family_retune(binding->nearest);
       }
     }
-    double target = request.target_accuracy;
-    if (request.accuracy_index >= 0) {
-      if (request.accuracy_index >=
-          binding->served_config->accuracy_count()) {
-        throw ConfigError(
-            "SolveService: accuracy_index " +
-            std::to_string(request.accuracy_index) +
-            " is outside family '" + binding->served_family +
-            "' tuned ladder [0, " +
-            std::to_string(binding->served_config->accuracy_count()) + ")");
-      }
-      target = binding->served_config
-                   ->accuracies()[static_cast<std::size_t>(
-                       request.accuracy_index)];
-    } else if (request.target_accuracy <= 0.0) {
-      throw ConfigError(
-          "SolveService: request selects no accuracy — set accuracy_index "
-          "to a tuned ladder index or target_accuracy to a positive "
-          "accuracy level (the default-constructed request is deliberately "
-          "invalid)");
-    }
+    validate_request(*binding->served_config, request);
+    const double target =
+        request.accuracy_index >= 0
+            ? binding->served_config->accuracies()[static_cast<std::size_t>(
+                  request.accuracy_index)]
+            : request.target_accuracy;
     result = binding->solver->solve(x, b, target,
                                     route_policy_.max_iterations,
                                     request.profile.get());
@@ -656,11 +645,7 @@ SolveStats SolveService::solve_op(const grid::StencilOp& op, Grid2D& x,
     stats.generation = gen->id;
     stats.phases = request.profile;
   } catch (...) {
-    failures_total_.add(1);
-    requests_error_.add(1);
-    failure_seconds_.record(now_seconds() - t0);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.failures;
+    account(Outcome::kThrew, 1, 0, now_seconds() - t0);
     throw;
   }
   // Routing telemetry.  Outcome precedence: a request that fired a
@@ -677,21 +662,12 @@ SolveStats SolveService::solve_op(const grid::StencilOp& op, Grid2D& x,
   if (result.family_switches > 0) {
     route_switches_.add(result.family_switches);
   }
+  binding.reset();  // the request's pin
+  enforce_policy(*gen);
   // Routed solves do not land in the per-(n, acc) latency histograms or
   // the drift watcher: their adaptive invocation count makes the latency
   // incomparable to the fixed-shape baseline distribution.
-  if (stats.converged) {
-    requests_ok_.add(1);
-  } else {
-    failure_seconds_.record(stats.seconds);
-    requests_unconverged_.add(1);
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.requests;
-    ++stats_.routed_requests;
-    stats_.busy_seconds += stats.seconds;
-  }
+  account(Outcome::kRouted, 1, stats.converged ? 1 : 0, stats.seconds);
   if (detail != nullptr) *detail = std::move(result);
   return stats;
 }
@@ -707,7 +683,7 @@ ServiceStats SolveService::stats() const {
   }
   {
     std::lock_guard<std::mutex> lock(gen->mutex);
-    out.sessions = gen->sessions.size();
+    out.sessions = gen->cache.size();
   }
   out.evictions = evictions_.load(std::memory_order_relaxed);
   out.session_bytes = session_bytes_.load(std::memory_order_acquire);
@@ -754,9 +730,10 @@ std::size_t SolveService::trim() {
 Engine& SolveService::engine() const { return *current_generation()->engine; }
 
 const tune::TunedConfig& SolveService::config() const {
-  // Safe to return by reference: generations are retained (retired_) for
-  // the service's lifetime, so the referent outlives every caller.
-  return current_generation()->config;
+  // The referent lives as long as its generation: while it is live, and
+  // after an install() until the retired generation's last pin drops and
+  // reclaim_retired_locked destroys it (see the header's contract).
+  return *current_generation()->config;
 }
 
 obs::RegistrySnapshot SolveService::metrics_snapshot() {
@@ -769,7 +746,7 @@ obs::RegistrySnapshot SolveService::metrics_snapshot() {
   {
     std::lock_guard<std::mutex> lock(gen->mutex);
     metrics_.gauge("pbmg_service_sessions")
-        .set(static_cast<double>(gen->sessions.size()));
+        .set(static_cast<double>(gen->cache.size()));
   }
   return metrics_.snapshot();
 }

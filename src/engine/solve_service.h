@@ -63,18 +63,19 @@
 /// `pbmg_route_total{family,outcome=matched|escalated|retune}` plus a
 /// fingerprint-distance histogram.
 ///
-/// Fleet-scale memory: sessions are the expensive resident state (packed
-/// coefficient streams, RAP ladders, prewarmed scratch), so the session
-/// cache is byte-budgeted.  ServicePolicy caps resident session bytes
-/// and/or session count; binding a size past the budget evicts the
-/// least-recently-used *unpinned* sessions
-/// (`pbmg_session_evictions_total`), and session() hands out a pinning
-/// SessionRef so a session in use is never destroyed under its caller.
-/// The same pin keeps the whole generation alive: a retired generation is
-/// reclaimed — sessions, and its engine when generation-owned — as soon
-/// as its last SessionRef drops and no solve is in flight on it, instead
-/// of being retained for the service's lifetime.  Resident bytes across
-/// all generations are exported as `pbmg_session_bytes`.
+/// Fleet-scale memory: sessions and routed bindings are the expensive
+/// resident state (each is a tune::PreparedOperator: packed coefficient
+/// streams, RAP ladders, prewarmed scratch), so each generation keeps
+/// both in one byte-budgeted LRU cache.  ServicePolicy caps resident
+/// bytes and/or entry count; a bind past the budget evicts the
+/// least-recently-used *unpinned* entries
+/// (`pbmg_session_evictions_total`).  An entry is pinned while anything
+/// besides the cache holds it: a SessionRef from session(), or a request
+/// in flight on it.  A pin also keeps the whole generation alive: a
+/// retired generation is reclaimed — its cache, and its engine when
+/// generation-owned — as soon as its last pin drops, instead of being
+/// retained for the service's lifetime.  Resident bytes across all
+/// generations are exported as `pbmg_session_bytes`.
 
 namespace pbmg {
 
@@ -109,16 +110,16 @@ struct RoutePolicy {
   int max_iterations = 64;
 };
 
-/// Admission/eviction budget for the session cache.  Zero means
-/// unlimited (the historical behaviour).  The byte budget counts
-/// SolveSession::footprint_bytes across every retained generation; a bind
-/// that would exceed it evicts LRU-first among the live generation's
-/// unpinned sessions.  A single session larger than the budget is still
-/// admitted (the service must be able to serve it) — the budget then
-/// empties everything else.
+/// Admission/eviction budget for the cache of sessions and routed
+/// bindings.  Zero means unlimited (the historical behaviour).  The byte
+/// budget counts the footprint_bytes of every cached entry across every
+/// retained generation; a bind that would exceed it evicts LRU-first
+/// among the live generation's unpinned entries.  A single entry larger
+/// than the budget is still admitted (the service must be able to serve
+/// it) — the budget then empties everything else.
 struct ServicePolicy {
   std::size_t max_session_bytes = 0;  ///< resident footprint cap (0 = off)
-  std::size_t max_sessions = 0;       ///< live-generation count cap (0 = off)
+  std::size_t max_sessions = 0;  ///< live-generation entry cap (0 = off)
 };
 
 /// Service-level counters (monotonic since construction, except the
@@ -127,9 +128,9 @@ struct ServiceStats {
   std::int64_t requests = 0;     ///< solves completed (batch counts each RHS)
   std::int64_t failures = 0;     ///< solves that threw
   double busy_seconds = 0.0;     ///< sum of per-request solve seconds
-  std::size_t sessions = 0;      ///< grid sizes bound in the live generation
-  std::int64_t evictions = 0;    ///< sessions evicted by the cache budget
-  std::size_t session_bytes = 0;  ///< resident session bytes, all generations
+  std::size_t sessions = 0;      ///< entries cached in the live generation
+  std::int64_t evictions = 0;    ///< entries evicted by the cache budget
+  std::size_t session_bytes = 0;  ///< resident entry bytes, all generations
   std::size_t retired_generations = 0;  ///< retired gens still pinned alive
   std::int64_t trims = 0;        ///< trim() calls since construction
   std::int64_t trim_bytes = 0;   ///< total bytes freed by those trims
@@ -145,8 +146,8 @@ struct ServiceStats {
 
 /// Pinning handle to a cached SolveSession.  While any SessionRef to a
 /// session exists, the eviction sweep will not destroy it, and the
-/// generation that owns it (config + engine + sibling sessions) stays
-/// alive even after being retired by an install().  Dropping the last
+/// generation that owns it (config + engine + cache) stays alive even
+/// after being retired by an install().  Dropping the last
 /// ref makes the session evictable again and lets a retired generation's
 /// memory be reclaimed.  Copyable and cheap (two shared_ptrs); the
 /// session API behind it is const-thread-safe, so refs may be shared
@@ -206,7 +207,9 @@ class SolveService {
   /// Atomically installs a new generation: new requests bind the fresh
   /// config (and engine, when non-null — otherwise the live generation's
   /// engine is inherited), in-flight solves finish where they started,
-  /// and the drift watcher — if armed — is rebased onto `baseline`.
+  /// and the drift watcher — if armed — is rebased onto `baseline`.  The
+  /// live generation's family extensions (install_family) carry over,
+  /// except one for the new config's own op_family, which it supersedes.
   /// Thread-safe; called by the background retune and usable directly.
   void install(tune::TunedConfig config, obs::LatencyBaseline baseline = {},
                std::shared_ptr<Engine> engine = nullptr);
@@ -238,8 +241,9 @@ class SolveService {
   /// install(), this is a generation *extension* — the generation id,
   /// its engine, its sessions, and every in-flight solve are untouched;
   /// only routed bindings that were standing in for this family are
-  /// dropped so their next request re-routes.  Thread-safe; called by
-  /// the background family retune and usable directly.
+  /// dropped (their bytes leave the budget) so their next request
+  /// re-routes.  Thread-safe; called by the background family retune and
+  /// usable directly.
   void install_family(tune::TunedConfig config);
 
   /// Serves one arbitrary-operator request: fingerprints `op` (cached
@@ -283,8 +287,8 @@ class SolveService {
                                       const SolveRequest& request);
 
   /// The live generation's session bound to side `n`, created on first
-  /// use (evicting LRU unpinned sessions if the bind exceeds the
-  /// policy budget).  Thread-safe.  The returned SessionRef pins the
+  /// use (evicting LRU unpinned entries if the bind exceeds the policy
+  /// budget).  Thread-safe.  The returned SessionRef pins the
   /// session — and its whole generation — against eviction and
   /// retired-generation reclaim; hold it only as long as needed.  After
   /// an install() the ref stays valid but no longer receives new solve()
@@ -330,24 +334,15 @@ class SolveService {
   const tune::TunedConfig& config() const;
 
  private:
-  /// One cache entry: the session plus its eviction bookkeeping.
-  struct SessionSlot {
-    std::shared_ptr<SolveSession> session;
-    std::size_t bytes = 0;        ///< footprint_bytes() at bind time
-    std::uint64_t last_used = 0;  ///< global LRU tick of the last bind
-  };
-
-  /// One cached routing decision: an operator's fingerprint, the family
-  /// it routed to, and the bound DynamicSolver (prewarmed hierarchies +
-  /// executors).  Immutable once published; the StencilOp copy keeps the
-  /// coefficient storage — and with it the identity() cache key — alive
-  /// for the binding's lifetime.
+  /// One cached routing decision: the family an operator's fingerprint
+  /// ranked nearest, the family it routed to, and the bound DynamicSolver
+  /// (prewarmed hierarchies + executors).  Immutable once published; the
+  /// StencilOp copy keeps the coefficient storage — and with it the
+  /// identity() cache key — alive for the binding's lifetime.
   struct OpBinding {
     grid::StencilOp op;
-    grid::OperatorFingerprint fp;
     std::string nearest_family;      ///< overall-nearest canonical family
     OperatorFamily nearest = OperatorFamily::kPoisson;
-    double nearest_distance = 0.0;
     std::string served_family;       ///< nearest family WITH tuned tables
     double served_distance = 0.0;
     bool matched = false;  ///< served_distance within the match threshold
@@ -355,51 +350,94 @@ class SolveService {
     std::shared_ptr<const tune::TunedConfig> served_config;
   };
 
-  /// One immutable (config, engine, sessions) unit.  `owned` is null
-  /// when the engine is caller-owned (generation 1, and config-only
-  /// installs that inherited it); `engine` always points at the engine
-  /// this generation executes on.  Installs inherit `owned` as a
-  /// shared_ptr — never a raw pointer into a retired generation — so
-  /// reclaiming a retired generation can release a generation-owned
-  /// engine exactly when its last co-owner goes.
+  /// Cache key.  A session is keyed by its grid side; a routed binding by
+  /// (StencilOp::identity, n), flagged so that a Poisson operator's null
+  /// identity never collides with the session of its size.
+  struct CacheKey {
+    bool routed = false;
+    const void* identity = nullptr;
+    int n = 0;
+    auto operator<=>(const CacheKey&) const = default;
+  };
+
+  /// One cache entry — a session or a routed binding — and its eviction
+  /// bookkeeping.  A copy of the slot pins the entry: the eviction sweep
+  /// only takes entries whose last reference is the cache's own.
+  struct Slot {
+    std::shared_ptr<SolveSession> session;     ///< set for session keys
+    std::shared_ptr<const OpBinding> binding;  ///< set for routed keys
+    std::size_t bytes = 0;        ///< footprint_bytes() at bind time
+    std::uint64_t last_used = 0;  ///< global LRU tick of the last bind
+  };
+
+  using FamilyTable =
+      std::map<std::string, std::shared_ptr<const tune::TunedConfig>>;
+
+  /// One immutable (config, engine, cache) unit.  `owned` is null when
+  /// the engine is caller-owned (generation 1, and config-only installs
+  /// that inherited it); `engine` always points at the engine this
+  /// generation executes on.  Installs inherit `owned` as a shared_ptr —
+  /// never a raw pointer into a retired generation — so reclaiming a
+  /// retired generation can release a generation-owned engine exactly
+  /// when its last co-owner goes.  Cached entries share `config`, never
+  /// the generation, so nothing in the cache keeps its own generation
+  /// alive.
   struct Generation {
     std::int64_t id = 1;
     std::shared_ptr<Engine> owned;
     Engine* engine = nullptr;
-    tune::TunedConfig config;
-    std::mutex mutex;  // guards sessions + resident_bytes + the two maps
-                       // below (family_configs, bindings)
-    std::map<int, SessionSlot> sessions;
+    std::shared_ptr<const tune::TunedConfig> config;
+    std::mutex mutex;  // guards cache, resident_bytes and family_configs
+    std::map<CacheKey, Slot> cache;
     std::size_t resident_bytes = 0;  ///< sum of slot bytes in this gen
-    /// Generation extensions: per-family tuned tables installed after
-    /// this generation went live (install_family).  The construction
-    /// config stays the fallback for its own op_family.
-    std::map<std::string, std::shared_ptr<const tune::TunedConfig>>
-        family_configs;
-    /// Routed-operator cache keyed by (StencilOp::identity, n).
-    std::map<std::pair<const void*, int>, std::shared_ptr<const OpBinding>>
-        bindings;
+    /// Generation extensions: per-family tuned tables installed through
+    /// install_family (and carried across install()).  `config` stays
+    /// the fallback for its own op_family.
+    FamilyTable family_configs;
   };
 
   std::shared_ptr<Generation> current_generation() const;
+  /// The entry under `key` in `gen`, pinned by the returned copy.  A miss
+  /// runs `build(extensions)` outside the generation lock, on a snapshot
+  /// of the generation's family extensions, keeps the winner of an
+  /// emplace race, and enforces the policy budget on the new entry.
+  template <class Build>
+  Slot cached(const std::shared_ptr<Generation>& gen, const CacheKey& key,
+              const Build& build);
   SessionRef session_in(const std::shared_ptr<Generation>& gen, int n);
-  /// Evicts LRU unpinned slots from `gen` until the policy is satisfied
-  /// (or nothing evictable remains).  Caller must hold gen->mutex.
+  /// The cached routing decision for `op` in `gen`, fingerprinting and
+  /// binding a DynamicSolver on first sight.
+  std::shared_ptr<const OpBinding> binding_for(
+      const std::shared_ptr<Generation>& gen, const grid::StencilOp& op);
+  /// Evicts LRU unpinned entries from `gen` until the policy is satisfied
+  /// (or nothing evictable remains).  Caller must hold gen.mutex.
   void enforce_policy_locked(Generation& gen);
+  /// Re-enforces the budget after a request dropped its pin: a bind that
+  /// found every other entry pinned overshoots, and requests drain it as
+  /// they finish.  Free under an unlimited policy.
+  void enforce_policy(Generation& gen);
+  /// Adds `delta` to `gen`'s resident bytes and to the service-wide
+  /// counter behind pbmg_session_bytes.  Caller must hold gen.mutex, or
+  /// hold the last reference to `gen`.
+  void add_bytes(Generation& gen, std::ptrdiff_t delta);
   /// Moves retired generations nobody pins into `out` for destruction
   /// outside the lock.  Caller must hold mutex_.
   void reclaim_retired_locked(
       std::vector<std::shared_ptr<Generation>>& out);
-  void validate_request(const Generation& gen,
-                        const SolveRequest& request) const;
+  /// Throws ConfigError unless `request` selects an accuracy on
+  /// `config`'s ladder.
+  static void validate_request(const tune::TunedConfig& config,
+                               const SolveRequest& request);
+  enum class Outcome { kServed, kRouted, kThrew };
+  /// The request ledger of solve, solve_batch and solve_op: `count`
+  /// requests timed as one sample of `seconds`, `converged` of which
+  /// passed their audit.  The sample lands in `healthy` (if non-null)
+  /// only when all converged, else in pbmg_solve_failure_seconds.
+  void account(Outcome outcome, std::int64_t count, std::int64_t converged,
+               double seconds, obs::Histogram* healthy = nullptr);
   void observe_drift(const std::shared_ptr<Generation>& gen,
                      const SolveStats& stats, int accuracy_index, bool fmg);
   void start_retune();
-  /// The cached routing decision for `op` in `gen`, fingerprinting and
-  /// binding a DynamicSolver on first sight (construction happens outside
-  /// the generation lock; an emplace race keeps the winner).
-  std::shared_ptr<const OpBinding> binding_for(
-      const std::shared_ptr<Generation>& gen, const grid::StencilOp& op);
   /// Launches the once-per-family background retune; returns true when
   /// THIS call fired it (false: no callback, family already handled, or
   /// another retune is mid-flight — the family stays unhandled so a
@@ -413,7 +451,6 @@ class SolveService {
   obs::Counter& route_counter(const std::string& family,
                               const std::string& outcome);
 
-  Engine& engine_;  ///< construction-time engine (generation 1)
   ServicePolicy policy_;
 
   obs::MetricsRegistry metrics_;
@@ -447,8 +484,8 @@ class SolveService {
   std::map<std::pair<std::string, std::string>, obs::Counter*> route_counters_;
 
   std::atomic<std::int64_t> generation_id_{1};
-  std::atomic<std::uint64_t> lru_tick_{0};  ///< global session-use clock
-  /// Resident session bytes across all generations; atomic because binds
+  std::atomic<std::uint64_t> lru_tick_{0};  ///< global entry-use clock
+  /// Resident entry bytes across all generations; atomic because binds
   /// and evictions happen under per-generation mutexes, reclaim under
   /// mutex_.  Mirrored into pbmg_session_bytes at every change.
   std::atomic<std::size_t> session_bytes_{0};

@@ -1,10 +1,9 @@
 #include "engine/solve_session.h"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
-#include "grid/grid_ops.h"
-#include "grid/level.h"
 #include "solvers/relax.h"
 #include "support/timer.h"
 
@@ -16,68 +15,17 @@ SolveSession::SolveSession(Engine& engine, tune::TunedConfig config, int n)
 SolveSession::SolveSession(Engine& engine, tune::TunedConfig config,
                            grid::StencilOp op)
     : engine_(engine),
-      config_(std::move(config)),
-      n_(op.n()),
-      level_(level_of_size(op.n())),
-      // Prewarm the coarse coefficient hierarchies: coarsening happens
-      // here, once, so no solve ever re-coarsens coefficients (the Poisson
-      // fast path stores no grids and costs nothing; the Galerkin RAP
-      // ladder is materialized only when some tuned cell asks for it).
-      ops_(std::move(op)),
-      ops_rap_(tune::config_uses_rap(config_, level_)
-                   ? grid::StencilHierarchy(ops_.at(level_),
-                                            grid::Coarsening::kRap)
-                   : grid::StencilHierarchy()),
-      executor_(config_, engine.scheduler(), engine.direct(),
-                engine.scratch(), nullptr, engine.relax(), &ops_,
-                ops_rap_.top_level() >= 1 ? &ops_rap_ : nullptr) {
-  PBMG_CHECK(config_.max_level() >= level_,
-             "SolveSession: config trained up to level " +
-                 std::to_string(config_.max_level()) +
-                 " cannot solve level " + std::to_string(level_));
-  // Preallocate the level hierarchy: a V/FMG recursion holds at most
-  // three scratch grids per side length at once (residual at the fine
-  // side plus restricted-residual and error at the coarse side of the
-  // level above), so warming three per level means the first request —
-  // and every concurrent request after it, once the pool refills —
-  // allocates nothing on the solve path.  Configs that relax with line
-  // smoothers additionally lease the two Thomas workspace grids per
-  // sweep level; warm those too so a line-smoothed session is just as
-  // allocation-free on its first request.
-  const int per_level =
-      tune::config_uses_line_smoothers(config_, level_) ? 5 : 3;
-  std::size_t scratch_bytes = 0;
-  for (int k = 1; k <= level_; ++k) {
-    const int side = size_of_level(k);
-    scratch_bytes += static_cast<std::size_t>(per_level) *
-                     static_cast<std::size_t>(side) *
-                     static_cast<std::size_t>(side) * sizeof(double);
-    std::vector<grid::ScratchPool::Lease> warm;
-    warm.reserve(static_cast<std::size_t>(per_level));
-    for (int c = 0; c < per_level; ++c) {
-      warm.push_back(engine_.scratch().acquire(side));
-    }
-  }  // leases release here, stocking the free-list
-  // Sessions whose engine tuned the packed kernel layout pack every level
-  // here, once, for the same reason the coefficient ladders coarsen here:
-  // no solve ever pays the O(n²) pack on its timed path.
-  if (engine_.relax().kernels.layout == grid::StencilLayout::kPacked) {
-    ops_.prewarm_packed();
-    if (ops_rap_.top_level() >= 1) ops_rap_.prewarm_packed();
-  }
-  // Footprint accounting happens last so the packed streams the prewarm
-  // just materialized are counted.  The scratch term is what the prewarm
-  // above stocked, an admission estimate (the pool shares grids across
-  // this engine's sessions).
-  footprint_bytes_ = ops_.bytes() + ops_rap_.bytes() + scratch_bytes;
-}
+      prepared_(std::move(op),
+                {std::make_shared<const tune::TunedConfig>(std::move(config))},
+                engine.scheduler(), engine.direct(), engine.scratch(),
+                engine.relax()) {}
 
 SolveStats SolveSession::stats_for(double seconds, int accuracy_index,
                                    int iterations, bool converged) const {
   SolveStats stats;
   stats.seconds = seconds;
-  stats.n = n_;
-  stats.level = level_;
+  stats.n = n();
+  stats.level = level();
   stats.accuracy_index = accuracy_index;
   stats.iterations = iterations;
   stats.converged = converged;
@@ -85,49 +33,54 @@ SolveStats SolveSession::stats_for(double seconds, int accuracy_index,
 }
 
 void SolveSession::check_operands(const Grid2D& x, const Grid2D& b) const {
-  PBMG_CHECK(x.n() == n_ && b.n() == n_,
+  PBMG_CHECK(x.n() == n() && b.n() == n(),
              "SolveSession: operand size mismatch (session is bound to n=" +
-                 std::to_string(n_) + ")");
+                 std::to_string(n()) + ")");
 }
 
-double SolveSession::residual_norm(const Grid2D& x, const Grid2D& b) const {
-  auto lease = engine_.scratch().acquire(n_);
-  grid::residual_op(op(), x, b, lease.get(), engine_.scheduler(),
-                    engine_.relax().kernels);
-  return grid::norm2_interior(lease.get(), engine_.scheduler());
+void SolveSession::audit(SolveStats& stats, double r0, const Grid2D& x,
+                         const Grid2D& b, const ResidualPolicy& check) const {
+  if (!check.enabled) return;
+  const double r1 = prepared_.residual_norm(x, b);
+  stats.initial_residual = r0;
+  stats.final_residual = r1;
+  stats.residual_checked = true;
+  // final ≤ limit·initial, with the r0 == 0 edge (already-exact guess, or
+  // an all-zero problem) demanding the solve kept it exact.
+  stats.converged = std::isfinite(r1) &&
+                    (r0 == 0.0 ? r1 == 0.0 : r1 <= check.ratio_limit * r0);
 }
 
-namespace {
-
-// final ≤ limit·initial, with the r0 == 0 edge (already-exact guess, or an
-// all-zero problem) demanding the solve kept it exact.
-bool residual_converged(double r0, double r1, double ratio_limit) {
-  if (!std::isfinite(r1)) return false;
-  if (r0 == 0.0) return r1 == 0.0;
-  return r1 <= ratio_limit * r0;
+SolveStats SolveSession::solve_tuned(
+    Grid2D& x, const Grid2D& b, int accuracy_index, bool fmg,
+    std::shared_ptr<obs::PhaseProfile> profile,
+    const ResidualPolicy& check) const {
+  check_operands(x, b);
+  const double r0 = check.enabled ? prepared_.residual_norm(x, b) : 0.0;
+  const tune::TunedExecutor& executor = prepared_.executor(0);
+  const double t0 = now_seconds();
+  const int iterations =
+      fmg ? executor.run_fmg(x, b, accuracy_index, profile.get())
+          : executor.run_v(x, b, accuracy_index, profile.get());
+  const double seconds = now_seconds() - t0;
+  SolveStats stats = stats_for(seconds, accuracy_index, iterations, true);
+  audit(stats, r0, x, b, check);
+  stats.phases = std::move(profile);
+  return stats;
 }
-
-}  // namespace
 
 SolveStats SolveSession::solve_v(Grid2D& x, const Grid2D& b,
                                  int accuracy_index,
                                  std::shared_ptr<obs::PhaseProfile> profile,
                                  const ResidualPolicy& check) const {
-  check_operands(x, b);
-  const double r0 = check.enabled ? residual_norm(x, b) : 0.0;
-  const double t0 = now_seconds();
-  const int iterations = executor_.run_v(x, b, accuracy_index, profile.get());
-  const double seconds = now_seconds() - t0;
-  SolveStats stats = stats_for(seconds, accuracy_index, iterations, true);
-  if (check.enabled) {
-    stats.initial_residual = r0;
-    stats.final_residual = residual_norm(x, b);
-    stats.residual_checked = true;
-    stats.converged =
-        residual_converged(r0, stats.final_residual, check.ratio_limit);
-  }
-  stats.phases = std::move(profile);
-  return stats;
+  return solve_tuned(x, b, accuracy_index, false, std::move(profile), check);
+}
+
+SolveStats SolveSession::solve_fmg(Grid2D& x, const Grid2D& b,
+                                   int accuracy_index,
+                                   std::shared_ptr<obs::PhaseProfile> profile,
+                                   const ResidualPolicy& check) const {
+  return solve_tuned(x, b, accuracy_index, true, std::move(profile), check);
 }
 
 std::vector<SolveStats> SolveSession::solve_batch_v(
@@ -143,52 +96,24 @@ std::vector<SolveStats> SolveSession::solve_batch_v(
   std::vector<double> r0(xs.size(), 0.0);
   if (check.enabled) {
     for (std::size_t k = 0; k < xs.size(); ++k) {
-      r0[k] = residual_norm(*xs[k], b);
+      r0[k] = prepared_.residual_norm(*xs[k], b);
     }
   }
   const std::vector<const Grid2D*> bs(xs.size(), &b);
   const double t0 = now_seconds();
-  const int iterations =
-      executor_.run_v_multi(xs, bs, accuracy_index, profile.get());
+  const int iterations = prepared_.executor(0).run_v_multi(
+      xs, bs, accuracy_index, profile.get());
   const double seconds = now_seconds() - t0;
   all.reserve(xs.size());
   for (std::size_t k = 0; k < xs.size(); ++k) {
     // Every entry carries the batch wall-clock (see the header: the K
     // solves are one fused walk, there is no honest per-request share).
     SolveStats stats = stats_for(seconds, accuracy_index, iterations, true);
-    if (check.enabled) {
-      stats.initial_residual = r0[k];
-      stats.final_residual = residual_norm(*xs[k], b);
-      stats.residual_checked = true;
-      stats.converged =
-          residual_converged(r0[k], stats.final_residual, check.ratio_limit);
-    }
+    audit(stats, r0[k], *xs[k], b, check);
     stats.phases = profile;
     all.push_back(std::move(stats));
   }
   return all;
-}
-
-SolveStats SolveSession::solve_fmg(Grid2D& x, const Grid2D& b,
-                                   int accuracy_index,
-                                   std::shared_ptr<obs::PhaseProfile> profile,
-                                   const ResidualPolicy& check) const {
-  check_operands(x, b);
-  const double r0 = check.enabled ? residual_norm(x, b) : 0.0;
-  const double t0 = now_seconds();
-  const int iterations =
-      executor_.run_fmg(x, b, accuracy_index, profile.get());
-  const double seconds = now_seconds() - t0;
-  SolveStats stats = stats_for(seconds, accuracy_index, iterations, true);
-  if (check.enabled) {
-    stats.initial_residual = r0;
-    stats.final_residual = residual_norm(x, b);
-    stats.residual_checked = true;
-    stats.converged =
-        residual_converged(r0, stats.final_residual, check.ratio_limit);
-  }
-  stats.phases = std::move(profile);
-  return stats;
 }
 
 SolveStats SolveSession::solve_reference_v(
@@ -199,7 +124,7 @@ SolveStats SolveSession::solve_reference_v(
   options.profile = profile.get();
   const double t0 = now_seconds();
   const auto outcome = solvers::solve_reference_v(
-      ops_, x, b, options, max_cycles, stop, engine_.scheduler(),
+      operators(), x, b, options, max_cycles, stop, engine_.scheduler(),
       engine_.direct(), engine_.scratch());
   SolveStats stats = stats_for(now_seconds() - t0, -1, outcome.iterations,
                                outcome.converged);
@@ -215,7 +140,7 @@ SolveStats SolveSession::solve_reference_fmg(
   options.profile = profile.get();
   const double t0 = now_seconds();
   const auto outcome = solvers::solve_reference_fmg(
-      ops_, x, b, options, max_cycles, stop, engine_.scheduler(),
+      operators(), x, b, options, max_cycles, stop, engine_.scheduler(),
       engine_.direct(), engine_.scratch());
   SolveStats stats = stats_for(now_seconds() - t0, -1, outcome.iterations,
                                outcome.converged);
@@ -228,7 +153,7 @@ SolveStats SolveSession::solve_iterated_sor(Grid2D& x, const Grid2D& b,
                                             const solvers::StopFn& stop) const {
   check_operands(x, b);
   const double omega =
-      solvers::scaled_omega_opt(n_, engine_.relax().omega_scale);
+      solvers::scaled_omega_opt(n(), engine_.relax().omega_scale);
   const double t0 = now_seconds();
   const auto outcome = solvers::solve_iterated_sor(
       op(), x, b, omega, max_sweeps, stop, engine_.scheduler());

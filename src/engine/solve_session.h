@@ -10,18 +10,17 @@
 #include "grid/stencil_op.h"
 #include "obs/phase_profile.h"
 #include "solvers/multigrid.h"
-#include "tune/executor.h"
+#include "tune/prepared_operator.h"
 #include "tune/table.h"
 
 /// \file solve_session.h
 /// A prepared solve context: Engine + TunedConfig + operator + grid size.
 ///
 /// Sessions amortize per-request setup for a service that answers many
-/// solves of one size: the tuned executor is bound once, the bound
-/// operator's coarse coefficient hierarchy is restricted once (stencil
-/// coefficients never re-coarsen on the solve path), and the level
-/// hierarchy's scratch grids are preallocated into the engine's pool so
-/// the first request pays no allocation bursts.  All solve entry points
+/// solves of one size: a tune::PreparedOperator over the one config binds
+/// the tuned executor, coarsens the operator's coefficient ladders and
+/// stocks the engine's scratch pool once, so the first request pays no
+/// allocation bursts and no solve re-coarsens.  All solve entry points
 /// are const and thread-safe (the underlying scheduler and scratch pool
 /// are concurrent); many client threads may solve through one session as
 /// long as each brings its own x/b grids.
@@ -91,30 +90,28 @@ class SolveSession {
   SolveSession(const SolveSession&) = delete;
   SolveSession& operator=(const SolveSession&) = delete;
 
-  int n() const { return n_; }
-  int level() const { return level_; }
+  int n() const { return prepared_.n(); }
+  int level() const { return prepared_.level(); }
   Engine& engine() const { return engine_; }
-  const tune::TunedConfig& config() const { return config_; }
+  const tune::TunedConfig& config() const { return prepared_.config(0); }
 
   /// The bound fine-grid operator (Poisson fast path for the int ctor).
-  const grid::StencilOp& op() const { return ops_.at(level_); }
+  const grid::StencilOp& op() const { return prepared_.op(); }
 
   /// The prewarmed per-level operator ladder.
-  const grid::StencilHierarchy& operators() const { return ops_; }
+  const grid::StencilHierarchy& operators() const {
+    return prepared_.operators();
+  }
 
   /// Ladder index of the cheapest tuned accuracy >= target.
   int accuracy_index(double target_accuracy) const {
-    return config_.accuracy_index(target_accuracy);
+    return config().accuracy_index(target_accuracy);
   }
 
-  /// Resident bytes this session pins for its lifetime: the coefficient
-  /// ladders (averaged + RAP, packed streams included) plus the scratch
-  /// grids its solves cycle through.  The scratch term is the prewarm
-  /// estimate — pool grids are shared across sessions on one engine, so
-  /// this is an admission/eviction accounting figure (what binding the
-  /// session added to the fleet's footprint), not an exclusive-ownership
-  /// measurement.  Computed once at construction, after prewarming.
-  std::size_t footprint_bytes() const { return footprint_bytes_; }
+  /// Resident bytes this session pins for its lifetime
+  /// (tune::PreparedOperator::footprint_bytes): the coefficient ladders
+  /// plus the scratch grids its solves cycle through.
+  std::size_t footprint_bytes() const { return prepared_.footprint_bytes(); }
 
   /// Tuned MULTIGRID-V_i at `accuracy_index` (x: Dirichlet ring + guess).
   /// `profile`, when non-null, receives the solve's per-(level, phase)
@@ -166,18 +163,17 @@ class SolveSession {
   SolveStats stats_for(double seconds, int accuracy_index, int iterations,
                        bool converged) const;
   void check_operands(const Grid2D& x, const Grid2D& b) const;
-  /// ||b − A·x|| over the interior, on a pool-leased scratch grid.
-  double residual_norm(const Grid2D& x, const Grid2D& b) const;
+  /// Runs one tuned V (or FMG) walk inside the timed window, with the
+  /// optional residual audit outside it.
+  SolveStats solve_tuned(Grid2D& x, const Grid2D& b, int accuracy_index,
+                         bool fmg, std::shared_ptr<obs::PhaseProfile> profile,
+                         const ResidualPolicy& check) const;
+  /// Fills the audit fields of `stats` from the pre-solve residual `r0`.
+  void audit(SolveStats& stats, double r0, const Grid2D& x, const Grid2D& b,
+             const ResidualPolicy& check) const;
 
   Engine& engine_;
-  tune::TunedConfig config_;
-  int n_;
-  int level_;
-  grid::StencilHierarchy ops_;      // built before executor_, which binds it
-  grid::StencilHierarchy ops_rap_;  // Galerkin ladder; empty unless a tuned
-                                    // cell asks for rap coarsening
-  tune::TunedExecutor executor_;    // bound to config_ (stable: non-movable)
-  std::size_t footprint_bytes_ = 0;  // see footprint_bytes()
+  tune::PreparedOperator prepared_;  // one config, executor 0
 };
 
 }  // namespace pbmg

@@ -10,7 +10,7 @@
 /// Numerical kernels on grids: the 5-point Laplacian, residuals, norms, and
 /// the inter-grid transfer operators used by every multigrid variant.
 ///
-/// Conventions (see DESIGN.md §4):
+/// Conventions:
 ///  - the discrete operator on an n×n grid is
 ///      (A x)(i,j) = (4·x(i,j) − x(i±1,j) − x(i,j±1)) / h²,  h = 1/(n−1);
 ///  - interior cells are (1..n−2)²; the boundary ring carries Dirichlet data;

@@ -20,7 +20,7 @@
 
 namespace pbmg::linalg {
 
-/// Assembles A (with the 1/h² scaling of DESIGN.md §4) for grid side n.
+/// Assembles A (with the 1/h² scaling of grid/grid_ops.h) for grid side n.
 /// Requires n = 2^k + 1, n >= 3.
 BandMatrix assemble_poisson_band(int n);
 

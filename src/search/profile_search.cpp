@@ -39,7 +39,8 @@ ParamSpace make_profile_space(const rt::MachineProfile& base,
   }
   // Relaxation weights from solvers/relax: RECURSE's ω (paper: 1.15) and
   // the scale on ω_opt(N) used by the iterative shortcut.  Ranges stay
-  // inside SOR's (0, 2) stability interval and set_relax_tunables' bounds.
+  // inside SOR's (0, 2) stability interval and validate_relax_tunables'
+  // bounds.
   space.add_float("recurse_omega", 0.6, 1.9, solvers::kRecurseOmega);
   space.add_float("omega_scale", 0.7, 1.3, 1.0);
   // The smoother is a first-class *categorical* choice dimension (like

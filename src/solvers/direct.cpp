@@ -1,11 +1,5 @@
 #include "solvers/direct.h"
 
-// The deprecated shared_direct_solver shim is defined below; silence the
-// self-referential deprecation warning.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 #include "grid/level.h"
 #include "linalg/poisson_assembly.h"
 
@@ -68,11 +62,6 @@ void DirectSolver::clear_cache() {
 std::size_t DirectSolver::cached_sizes() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return cache_.size();
-}
-
-DirectSolver& shared_direct_solver() {
-  static DirectSolver instance;
-  return instance;
 }
 
 }  // namespace pbmg::solvers

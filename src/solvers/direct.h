@@ -14,10 +14,12 @@
 ///
 /// DPBSV factors on every call, and the paper's complexity table (Direct =
 /// n² = N⁴) counts that factorization, so the paper-faithful configuration
-/// is cache-free: `shared_direct_solver()` refactors on every solve.  The
-/// optional factor cache (the Poisson band matrix depends only on n) is an
-/// extension for API users who solve many systems of one size; tests use it
-/// to validate both paths.
+/// is cache-free: a default-constructed DirectSolver (what every
+/// pbmg::Engine owns unless EngineOptions::direct_max_cached_n says
+/// otherwise) refactors on every solve.  The optional factor cache (the
+/// Poisson band matrix depends only on n) is an extension for API users
+/// who solve many systems of one size; tests use it to validate both
+/// paths.
 
 namespace pbmg::solvers {
 
@@ -55,12 +57,5 @@ class DirectSolver {
   mutable std::mutex mutex_;
   std::map<int, std::shared_ptr<const linalg::BandMatrix>> cache_;
 };
-
-/// \deprecated Process-wide shared direct solver — the last of the
-/// retired singletons, kept one release for out-of-tree callers.  Every
-/// pbmg::Engine owns its own DirectSolver (engine.direct()); nothing
-/// in-tree may call this (enforced by the no_singleton_calls test).
-[[deprecated("use pbmg::Engine::direct() instead")]]
-DirectSolver& shared_direct_solver();
 
 }  // namespace pbmg::solvers

@@ -36,17 +36,6 @@ double omega_opt(int n) {
   return 2.0 / (1.0 + std::sin(M_PI * h));
 }
 
-namespace {
-
-RelaxTunables& mutable_relax_tunables() {
-  static RelaxTunables tunables;
-  return tunables;
-}
-
-}  // namespace
-
-const RelaxTunables& relax_tunables() { return mutable_relax_tunables(); }
-
 void validate_relax_tunables(const RelaxTunables& tunables) {
   PBMG_CHECK(tunables.recurse_omega > 0.0 && tunables.recurse_omega < 2.0,
              "relax tunables: recurse_omega must be in (0, 2)");
@@ -58,28 +47,8 @@ void validate_relax_tunables(const RelaxTunables& tunables) {
   grid::validate_kernel_policy(tunables.kernels);
 }
 
-void set_relax_tunables(const RelaxTunables& tunables) {
-  validate_relax_tunables(tunables);
-  mutable_relax_tunables() = tunables;
-}
-
 double scaled_omega_opt(int n, double scale) {
   return std::min(std::max(omega_opt(n) * scale, 0.05), 1.999);
-}
-
-double tuned_omega_opt(int n) {
-  return scaled_omega_opt(n, relax_tunables().omega_scale);
-}
-
-double tuned_recurse_omega() { return relax_tunables().recurse_omega; }
-
-ScopedRelaxTunables::ScopedRelaxTunables(const RelaxTunables& tunables)
-    : previous_(relax_tunables()) {
-  set_relax_tunables(tunables);
-}
-
-ScopedRelaxTunables::~ScopedRelaxTunables() {
-  mutable_relax_tunables() = previous_;
 }
 
 void sor_sweep(Grid2D& x, const Grid2D& b, double omega,

@@ -82,11 +82,9 @@ inline constexpr double kJacobiOmega = 2.0 / 3.0;
 /// the population tuner searches them.  Searched values travel with the
 /// pbmg::Engine that owns the solve: executors and trainers capture a
 /// RelaxTunables by value at construction (no mid-solve global reads),
-/// so concurrent engines can run different weights.  The process-wide
-/// relax_tunables()/set_relax_tunables()/ScopedRelaxTunables surface
-/// remains only as the default for legacy callers that construct
-/// executors without an Engine; the reference algorithms keep the
-/// paper's constants.
+/// so concurrent engines can run different weights.  A default-constructed
+/// RelaxTunables holds the paper's values; the reference algorithms keep
+/// the paper's constants.
 struct RelaxTunables {
   double recurse_omega = kRecurseOmega;  ///< ω of RECURSE's pre/post sweeps
   double omega_scale = 1.0;              ///< multiplier applied to ω_opt(N)
@@ -105,42 +103,16 @@ struct RelaxTunables {
   grid::KernelPolicy kernels;
 };
 
-/// Currently active tunables (defaults reproduce the paper exactly).
-const RelaxTunables& relax_tunables();
-
 /// Throws InvalidArgument unless 0 < recurse_omega < 2 and
 /// 0.1 <= omega_scale <= 1.5 (SOR diverges outside (0, 2)).  Shared by
-/// set_relax_tunables and the search subsystem's deserializers so the two
-/// can never drift apart.
+/// Engine construction, the tuned executors and the search subsystem's
+/// deserializers so they can never drift apart.
 void validate_relax_tunables(const RelaxTunables& tunables);
 
 /// ω_opt(n) × scale, clamped into SOR's stability interval.  The search
-/// objective and tuned_omega_opt both use this, so candidates are measured
-/// under exactly the ω the tuned executor later runs with.
+/// objective and the tuned executors both use this, so candidates are
+/// measured under exactly the ω the tuned executor later runs with.
 double scaled_omega_opt(int n, double scale);
-
-/// Installs new tunables after validate_relax_tunables.  Setup-path API:
-/// not thread-safe against running sweeps.
-void set_relax_tunables(const RelaxTunables& tunables);
-
-/// ω_opt(n) × the active omega_scale, clamped into (0, 2).
-double tuned_omega_opt(int n);
-
-/// The active RECURSE relaxation weight.
-double tuned_recurse_omega();
-
-/// RAII: swaps tunables in, restores the previous values on destruction.
-class ScopedRelaxTunables {
- public:
-  explicit ScopedRelaxTunables(const RelaxTunables& tunables);
-  ~ScopedRelaxTunables();
-
-  ScopedRelaxTunables(const ScopedRelaxTunables&) = delete;
-  ScopedRelaxTunables& operator=(const ScopedRelaxTunables&) = delete;
-
- private:
-  RelaxTunables previous_;
-};
 
 /// One full red-black SOR sweep (red half-sweep then black half-sweep) on
 /// A·x = b.  Cells of one colour depend only on the other colour, so each

@@ -4,8 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "grid/grid_ops.h"
-#include "grid/level.h"
 #include "support/timer.h"
 
 namespace pbmg::tune {
@@ -19,6 +17,14 @@ std::vector<FamilyConfig> single_rung(const TunedConfig& config) {
   return ladder;
 }
 
+std::vector<std::shared_ptr<const TunedConfig>> configs_of(
+    const std::vector<FamilyConfig>& ladder) {
+  std::vector<std::shared_ptr<const TunedConfig>> configs;
+  configs.reserve(ladder.size());
+  for (const FamilyConfig& rung : ladder) configs.push_back(rung.config);
+  return configs;
+}
+
 }  // namespace
 
 DynamicSolver::DynamicSolver(grid::StencilOp op,
@@ -27,46 +33,9 @@ DynamicSolver::DynamicSolver(grid::StencilOp op,
                              solvers::DirectSolver& direct,
                              grid::ScratchPool& pool,
                              const solvers::RelaxTunables& relax)
-    : n_(op.n()),
-      level_(level_of_size(op.n())),
-      ladder_(std::move(ladder)),
-      sched_(sched),
-      direct_(direct),
-      pool_(pool),
-      relax_(relax),
-      ops_(std::move(op)) {
-  PBMG_CHECK(!ladder_.empty(), "DynamicSolver: escalation ladder is empty");
-  bool any_rap = false;
-  for (const FamilyConfig& rung : ladder_) {
-    PBMG_CHECK(rung.config != nullptr,
-               "DynamicSolver: null config in escalation ladder");
-    PBMG_CHECK(rung.config->max_level() >= level_,
-               "DynamicSolver: ladder config for family '" + rung.family +
-                   "' trained up to level " +
-                   std::to_string(rung.config->max_level()) +
-                   " cannot solve level " + std::to_string(level_));
-    any_rap = any_rap || config_uses_rap(*rung.config, level_);
-  }
-  // Bind-time prewarm, mirroring SolveSession: coarsen the coefficient
-  // ladders once (the Galerkin ladder only if some bound config asks for
-  // RAP cells), build one executor per family against the shared
-  // hierarchies, and pack the SoA streams when the tuned kernel layout is
-  // packed — so no solve() call ever pays setup inside its timed window.
-  if (any_rap) {
-    ops_rap_ =
-        grid::StencilHierarchy(ops_.at(level_), grid::Coarsening::kRap);
-  }
-  executors_.reserve(ladder_.size());
-  for (const FamilyConfig& rung : ladder_) {
-    executors_.push_back(std::make_unique<TunedExecutor>(
-        *rung.config, sched_, direct_, pool_, nullptr, relax_, &ops_,
-        ops_rap_.top_level() >= 1 ? &ops_rap_ : nullptr));
-  }
-  if (relax_.kernels.layout == grid::StencilLayout::kPacked) {
-    ops_.prewarm_packed();
-    if (ops_rap_.top_level() >= 1) ops_rap_.prewarm_packed();
-  }
-}
+    : ladder_(std::move(ladder)),
+      prepared_(std::move(op), configs_of(ladder_), sched, direct, pool,
+                relax) {}
 
 DynamicSolver::DynamicSolver(const TunedConfig& config, grid::StencilOp op,
                              rt::Scheduler& sched,
@@ -83,25 +52,19 @@ std::vector<std::string> DynamicSolver::families() const {
   return names;
 }
 
-double DynamicSolver::residual_norm(const Grid2D& x, const Grid2D& b) const {
-  auto lease = pool_.acquire(n_);
-  grid::residual_op(op(), x, b, lease.get(), sched_, relax_.kernels);
-  return grid::norm2_interior(lease.get(), sched_);
-}
-
 DynamicResult DynamicSolver::solve(Grid2D& x, const Grid2D& b,
                                    double target_reduction,
                                    int max_iterations,
                                    obs::PhaseProfile* profile) const {
   PBMG_CHECK(target_reduction >= 1.0,
              "DynamicSolver: target_reduction must be >= 1");
-  PBMG_CHECK(x.n() == n_ && b.n() == n_,
+  PBMG_CHECK(x.n() == n() && b.n() == n(),
              "DynamicSolver: operand size mismatch (solver is bound to n=" +
-                 std::to_string(n_) + ")");
+                 std::to_string(n()) + ")");
 
   DynamicResult result;
   result.final_family = ladder_.front().family;
-  const double r0 = residual_norm(x, b);
+  const double r0 = prepared_.residual_norm(x, b);
   result.initial_residual = r0;
   result.final_residual = r0;
   if (r0 == 0.0) {
@@ -122,11 +85,10 @@ DynamicResult DynamicSolver::solve(Grid2D& x, const Grid2D& b,
     // Only tuned-variant invocations are timed; the feedback residual
     // norms below run outside the window (honest-stats contract).
     const double t0 = now_seconds();
-    const int cycles =
-        executors_[rung]->run_v(x, b, index, profile);
+    const int cycles = prepared_.executor(rung).run_v(x, b, index, profile);
     result.seconds += now_seconds() - t0;
     result.iterations = it;
-    r_now = residual_norm(x, b);
+    r_now = prepared_.residual_norm(x, b);
     result.variants.push_back({ladder_[rung].family, index, cycles,
                                r_prev > 0.0 ? r_prev / r_now : 1.0});
     if (r_now <= r_target) break;
@@ -157,7 +119,7 @@ DynamicResult DynamicSolver::solve(Grid2D& x, const Grid2D& b,
   }
   // Out-of-timed-window residual audit: convergence is judged from a
   // fresh residual of the final iterate, not the in-loop feedback value.
-  const double r_final = residual_norm(x, b);
+  const double r_final = prepared_.residual_norm(x, b);
   result.final_residual = r_final;
   result.residual_reduction =
       r_final > 0.0 ? r0 / r_final : std::numeric_limits<double>::infinity();

@@ -10,7 +10,7 @@
 #include "obs/phase_profile.h"
 #include "runtime/scheduler.h"
 #include "solvers/direct.h"
-#include "tune/executor.h"
+#include "tune/prepared_operator.h"
 #include "tune/table.h"
 
 /// \file dynamic.h
@@ -35,11 +35,11 @@
 ///    exhausted and the input still responds worse than the class
 ///    promises, it switches to the next family's tables instead of
 ///    stalling — the cross-family half of the §6 loop.
-///  - Everything expensive happens once, at bind time: the averaged
-///    coefficient hierarchy, the Galerkin RAP ladder (when any bound
-///    config uses it), one TunedExecutor per family, and the packed SoA
-///    streams.  solve() touches none of it — two consecutive solves share
-///    every prewarmed structure (dynamic_test pins this).
+///  - Everything expensive happens once, at bind time, in one
+///    tune::PreparedOperator over the ladder's configs: the coefficient
+///    ladders, one TunedExecutor per family, the packed SoA streams and
+///    the scratch warm-up.  solve() touches none of it — two consecutive
+///    solves share every prewarmed structure (dynamic_test pins this).
 ///
 /// Honest stats contract (PR 8): DynamicResult reports the executor's
 /// *real* per-variant iteration counts, times only the tuned-variant
@@ -52,7 +52,7 @@ namespace pbmg::tune {
 /// One rung of the cross-family escalation ladder: a family name (stable
 /// grid/problem.h token, used in results and metrics labels) and its
 /// tuned tables.  The shared_ptr keeps the config alive for the solver's
-/// lifetime (service generations hand out aliased pointers).
+/// lifetime (service generations share theirs with their bindings).
 struct FamilyConfig {
   std::string family;
   std::shared_ptr<const TunedConfig> config;
@@ -93,34 +93,35 @@ class DynamicSolver {
   /// Binds `op` and an ordered escalation ladder (nearest family first;
   /// must be non-empty, every config trained to op's level) to execution
   /// resources (normally one pbmg::Engine's scheduler/direct/scratch
-  /// trio).  Construction coarsens the coefficient hierarchies, builds
-  /// one executor per family and prewarms packed streams when the relax
-  /// tunables select the packed kernel layout — solve() reuses all of it.
+  /// trio) through one tune::PreparedOperator — solve() reuses all of it.
   DynamicSolver(grid::StencilOp op, std::vector<FamilyConfig> ladder,
                 rt::Scheduler& sched, solvers::DirectSolver& direct,
                 grid::ScratchPool& pool,
-                const solvers::RelaxTunables& relax =
-                    solvers::relax_tunables());
+                const solvers::RelaxTunables& relax = {});
 
   /// Single-family convenience: the historical one-config binding (the
   /// config is copied; its op_family provenance names the ladder rung).
   DynamicSolver(const TunedConfig& config, grid::StencilOp op,
                 rt::Scheduler& sched, solvers::DirectSolver& direct,
                 grid::ScratchPool& pool,
-                const solvers::RelaxTunables& relax =
-                    solvers::relax_tunables());
+                const solvers::RelaxTunables& relax = {});
 
   /// Not movable: the bound executors hold the hierarchies by address.
   DynamicSolver(const DynamicSolver&) = delete;
   DynamicSolver& operator=(const DynamicSolver&) = delete;
 
   /// Grid side / recursion level the solver is bound to.
-  int n() const { return n_; }
-  int level() const { return level_; }
+  int n() const { return prepared_.n(); }
+  int level() const { return prepared_.level(); }
 
   /// The bound fine-grid operator and its prewarmed averaged ladder.
-  const grid::StencilOp& op() const { return ops_.at(level_); }
-  const grid::StencilHierarchy& operators() const { return ops_; }
+  const grid::StencilOp& op() const { return prepared_.op(); }
+  const grid::StencilHierarchy& operators() const {
+    return prepared_.operators();
+  }
+
+  /// Resident bytes the binding pins (PreparedOperator::footprint_bytes).
+  std::size_t footprint_bytes() const { return prepared_.footprint_bytes(); }
 
   /// Family names of the bound escalation ladder, in escalation order.
   std::vector<std::string> families() const;
@@ -137,21 +138,8 @@ class DynamicSolver {
                       obs::PhaseProfile* profile = nullptr) const;
 
  private:
-  double residual_norm(const Grid2D& x, const Grid2D& b) const;
-
-  int n_ = 0;
-  int level_ = 0;
   std::vector<FamilyConfig> ladder_;
-  rt::Scheduler& sched_;
-  solvers::DirectSolver& direct_;
-  grid::ScratchPool& pool_;
-  solvers::RelaxTunables relax_;
-  grid::StencilHierarchy ops_;      // built before the executors below
-  grid::StencilHierarchy ops_rap_;  // Galerkin ladder; empty unless some
-                                    // bound config asks for rap cells
-  /// One executor per ladder rung, bound once at construction to the
-  /// shared hierarchies (TunedExecutor is non-movable).
-  std::vector<std::unique_ptr<TunedExecutor>> executors_;
+  PreparedOperator prepared_;  // executor i runs ladder_[i]
 };
 
 }  // namespace pbmg::tune

@@ -43,8 +43,7 @@ class TunedExecutor {
   /// null; when set, every operation is recorded for cycle-shape
   /// rendering.  `relax` is captured by value so concurrent executors on
   /// different engines can run different searched weights; the default
-  /// reads the process-wide tunables once, preserving the historical
-  /// ScopedRelaxTunables behaviour for legacy callers.  `ops`, when
+  /// holds the paper's weights and kernel policy.  `ops`, when
   /// non-null, is the averaged-coefficient operator hierarchy the tuned
   /// algorithms run against (it must outlive the executor and cover every
   /// level executed); null selects the constant-coefficient Poisson
@@ -59,8 +58,7 @@ class TunedExecutor {
   TunedExecutor(const TunedConfig& config, rt::Scheduler& sched,
                 solvers::DirectSolver& direct, grid::ScratchPool& pool,
                 trace::CycleTracer* tracer = nullptr,
-                const solvers::RelaxTunables& relax =
-                    solvers::relax_tunables(),
+                const solvers::RelaxTunables& relax = {},
                 const grid::StencilHierarchy* ops = nullptr,
                 const grid::StencilHierarchy* ops_rap = nullptr);
 

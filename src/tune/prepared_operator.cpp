@@ -1,0 +1,82 @@
+#include "tune/prepared_operator.h"
+
+#include <utility>
+
+#include "grid/grid_ops.h"
+#include "grid/level.h"
+
+namespace pbmg::tune {
+
+PreparedOperator::PreparedOperator(
+    grid::StencilOp op, std::vector<std::shared_ptr<const TunedConfig>> configs,
+    rt::Scheduler& sched, solvers::DirectSolver& direct,
+    grid::ScratchPool& pool, const solvers::RelaxTunables& relax)
+    : n_(op.n()),
+      level_(level_of_size(op.n())),
+      configs_(std::move(configs)),
+      sched_(sched),
+      pool_(pool),
+      relax_(relax),
+      ops_(std::move(op)) {
+  PBMG_CHECK(!configs_.empty(), "PreparedOperator: no tuned config to bind");
+  bool any_rap = false;
+  bool any_line = false;
+  for (const auto& config : configs_) {
+    PBMG_CHECK(config != nullptr, "PreparedOperator: null tuned config");
+    PBMG_CHECK(config->max_level() >= level_,
+               "PreparedOperator: config for family '" + config->op_family +
+                   "' trained up to level " +
+                   std::to_string(config->max_level()) +
+                   " cannot solve level " + std::to_string(level_));
+    any_rap = any_rap || config_uses_rap(*config, level_);
+    any_line = any_line || config_uses_line_smoothers(*config, level_);
+  }
+  // Coarsen the coefficient ladders here, once, so no solve ever
+  // re-coarsens (the Poisson fast path stores no grids and costs nothing;
+  // the Galerkin ladder is materialized only when some cell asks for it).
+  if (any_rap) {
+    ops_rap_ = grid::StencilHierarchy(ops_.at(level_), grid::Coarsening::kRap);
+  }
+  const grid::StencilHierarchy* rap =
+      ops_rap_.top_level() >= 1 ? &ops_rap_ : nullptr;
+  executors_.reserve(configs_.size());
+  for (const auto& config : configs_) {
+    executors_.push_back(std::make_unique<TunedExecutor>(
+        *config, sched_, direct, pool_, nullptr, relax_, &ops_, rap));
+  }
+  // Stock the pool: a V/FMG recursion holds at most three scratch grids
+  // per side length at once (residual at the fine side plus
+  // restricted-residual and error at the coarse side of the level above),
+  // so warming three per level means the first request — and every
+  // concurrent request after it, once the pool refills — allocates
+  // nothing on the solve path.  Line smoothers additionally lease the two
+  // Thomas workspace grids per sweep level.
+  const int per_level = any_line ? 5 : 3;
+  std::size_t scratch_bytes = 0;
+  for (int k = 1; k <= level_; ++k) {
+    const int side = size_of_level(k);
+    scratch_bytes += static_cast<std::size_t>(per_level) *
+                     static_cast<std::size_t>(side) *
+                     static_cast<std::size_t>(side) * sizeof(double);
+    std::vector<grid::ScratchPool::Lease> warm;
+    warm.reserve(static_cast<std::size_t>(per_level));
+    for (int c = 0; c < per_level; ++c) warm.push_back(pool_.acquire(side));
+  }  // leases release here, stocking the free-list
+  // Pack every level here for the same reason the ladders coarsen here:
+  // no solve ever pays the O(n²) pack on its timed path.
+  if (relax_.kernels.layout == grid::StencilLayout::kPacked) {
+    ops_.prewarm_packed();
+    if (rap != nullptr) ops_rap_.prewarm_packed();
+  }
+  // Counted last, so the packed streams just materialized are included.
+  footprint_bytes_ = ops_.bytes() + ops_rap_.bytes() + scratch_bytes;
+}
+
+double PreparedOperator::residual_norm(const Grid2D& x,
+                                       const Grid2D& b) const {
+  auto lease = pool_.acquire(n_);
+  grid::residual_op(op(), x, b, lease.get(), sched_, relax_.kernels);
+  return grid::norm2_interior(lease.get(), sched_);
+}
+
+}  // namespace pbmg::tune

@@ -1,0 +1,89 @@
+#pragma once
+
+#include <cstddef>
+#include <memory>
+#include <vector>
+
+#include "grid/grid2d.h"
+#include "grid/scratch.h"
+#include "grid/stencil_op.h"
+#include "runtime/scheduler.h"
+#include "solvers/direct.h"
+#include "solvers/relax.h"
+#include "tune/executor.h"
+#include "tune/table.h"
+
+/// \file prepared_operator.h
+/// One fine operator prepared for tuned solves under one or more configs.
+///
+/// Everything a tuned walk reads that does not depend on the right-hand
+/// side is built here, once, at bind time:
+///  - the averaged coefficient ladder, and the Galerkin RAP ladder only
+///    when some config holds RAP cells;
+///  - one TunedExecutor per config, bound to those ladders;
+///  - the packed SoA coefficient streams, when the relax tunables select
+///    the packed kernel layout;
+///  - the scratch grids a V/FMG walk leases, stocked into the pool.
+/// No solve then coarsens, packs or allocates on its timed path.
+///
+/// SolveSession (one config) and tune::DynamicSolver (a family ladder) are
+/// entry points over one of these, and SolveService budgets and evicts
+/// both by footprint_bytes().
+
+namespace pbmg::tune {
+
+class PreparedOperator {
+ public:
+  /// Prepares `op` for every config in `configs` on one engine's
+  /// resources (the scheduler, direct solver and pool must outlive this
+  /// object; the relax tunables are copied).  Throws InvalidArgument when
+  /// `configs` is empty, holds null, or holds a config not trained up to
+  /// op's level.
+  PreparedOperator(grid::StencilOp op,
+                   std::vector<std::shared_ptr<const TunedConfig>> configs,
+                   rt::Scheduler& sched, solvers::DirectSolver& direct,
+                   grid::ScratchPool& pool,
+                   const solvers::RelaxTunables& relax);
+
+  /// Not movable: the executors hold the ladders and configs by address.
+  PreparedOperator(const PreparedOperator&) = delete;
+  PreparedOperator& operator=(const PreparedOperator&) = delete;
+
+  int n() const { return n_; }
+  int level() const { return level_; }
+
+  /// The fine-grid operator and its averaged ladder.
+  const grid::StencilOp& op() const { return ops_.at(level_); }
+  const grid::StencilHierarchy& operators() const { return ops_; }
+
+  /// The i-th config and the executor bound to it, in construction order.
+  const TunedConfig& config(std::size_t i) const { return *configs_.at(i); }
+  const TunedExecutor& executor(std::size_t i) const {
+    return *executors_.at(i);
+  }
+
+  /// Resident bytes this binding pins: the coefficient ladders (averaged
+  /// and RAP, packed streams included) plus the scratch grids its solves
+  /// cycle through.  The scratch term is the warm-up estimate: pool grids
+  /// are shared by every binding on one engine, so this is an admission
+  /// and eviction figure, not an exclusive-ownership measurement.
+  std::size_t footprint_bytes() const { return footprint_bytes_; }
+
+  /// ||b − A·x|| over the interior, on a pool-leased scratch grid.
+  double residual_norm(const Grid2D& x, const Grid2D& b) const;
+
+ private:
+  int n_;
+  int level_;
+  std::vector<std::shared_ptr<const TunedConfig>> configs_;
+  rt::Scheduler& sched_;
+  grid::ScratchPool& pool_;
+  solvers::RelaxTunables relax_;
+  grid::StencilHierarchy ops_;      // built before the executors below
+  grid::StencilHierarchy ops_rap_;  // Galerkin ladder; empty unless some
+                                    // config asks for RAP cells
+  std::vector<std::unique_ptr<TunedExecutor>> executors_;
+  std::size_t footprint_bytes_ = 0;
+};
+
+}  // namespace pbmg::tune

@@ -245,5 +245,39 @@ TEST(DynamicSolver, JumpUnderPoissonStartEscalatesCrossFamily) {
   EXPECT_GE(result.residual_reduction, 1e6);
 }
 
+TEST(DynamicSolver, PreallocatesTheLevelHierarchy) {
+  // The bind stocks the engine's scratch pool the way a SolveSession's
+  // does, so the first solve — every executor on the ladder, plus the
+  // feedback residuals — draws from the warmed free-list, never malloc.
+  Engine local([] {
+    rt::MachineProfile p;
+    p.name = "dynamic-prewarm";
+    p.threads = 2;
+    p.grain_rows = 4;
+    return p;
+  }());
+  const int level = 5;
+  const int n = size_of_level(level);
+  std::vector<FamilyConfig> ladder;
+  ladder.push_back(
+      {"poisson", std::make_shared<const TunedConfig>(trained())});
+  ladder.push_back({"jump", std::make_shared<const TunedConfig>(
+                                rap_config(level, "jump"))});
+  const DynamicSolver solver(
+      make_operator(n, OperatorFamily::kJumpCoefficient), std::move(ladder),
+      local.scheduler(), local.direct(), local.scratch(), local.relax());
+  EXPECT_GT(local.scratch().pooled(), 0u);
+  const auto warm = local.scratch().stats();
+  Rng rng(49);  // the input that escalates across families above
+  auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
+  Grid2D x = problem.x0;
+  const auto result = solver.solve(x, problem.b, 1e6, 64);
+  EXPECT_TRUE(result.converged);
+  EXPECT_GE(result.family_switches, 1);  // both executors ran
+  const auto after = local.scratch().stats();
+  EXPECT_GT(after.hits, warm.hits);
+  EXPECT_EQ(after.misses, warm.misses);  // nothing allocated on the path
+}
+
 }  // namespace
 }  // namespace pbmg::tune

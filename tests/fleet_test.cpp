@@ -1,10 +1,11 @@
-// Fleet-serving suite: the byte-budgeted session cache (LRU eviction,
-// SessionRef pinning, retired-generation reclaim) and the batched
-// multi-RHS solve path.  Eviction must never destroy a pinned session,
-// an evicted size must rebind to bit-identical solves, solve_batch must
-// bitwise-match K solo solves under any thread count, and binds /
-// batches / installs / trims must be race-free under concurrent clients
-// (this suite runs under TSan and UBSan in CI).
+// Fleet-serving suite: the byte-budgeted cache of sessions and routed
+// bindings (LRU eviction, SessionRef pinning, retired-generation reclaim)
+// and the batched multi-RHS solve path.  Eviction must never destroy a
+// pinned session, an evicted size or operator must rebind to
+// bit-identical solves, a routed-operator storm must stay under the byte
+// budget, solve_batch must bitwise-match K solo solves under any thread
+// count, and binds / batches / installs / trims must be race-free under
+// concurrent clients (this suite runs under TSan, ASan and UBSan in CI).
 
 #include <atomic>
 #include <cstring>
@@ -17,6 +18,7 @@
 
 #include "engine/solve_service.h"
 #include "grid/level.h"
+#include "grid/problem.h"
 #include "support/rng.h"
 #include "tune/accuracy.h"
 #include "tune/trainer.h"
@@ -137,6 +139,95 @@ TEST(FleetCache, EvictedSizeRebindsToBitIdenticalSolves) {
   Grid2D second(n, 0.0);
   second.copy_from(problem.x0);
   service.solve(second, problem.b, request);
+  EXPECT_TRUE(bitwise_equal(first, second));
+}
+
+// ------------------------------------------------------ routed entries --
+
+/// Footprint of one routed binding of a jump operator at side `n`, read
+/// as the resident bytes of a throwaway unlimited service after one
+/// routed request.
+std::size_t routed_footprint(int n) {
+  SolveService probe(engine(), trained());
+  const grid::StencilOp op =
+      make_operator(n, OperatorFamily::kJumpCoefficient);
+  Rng rng(1);
+  auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
+  SolveRequest request;
+  request.target_accuracy = 1e3;
+  Grid2D x(n, 0.0);
+  x.copy_from(problem.x0);
+  probe.solve_op(op, x, problem.b, request);
+  return probe.stats().session_bytes;
+}
+
+TEST(FleetCache, RoutedOperatorStormStaysUnderTheByteBudget) {
+  // Every distinct operator identity is its own routed binding.  Those
+  // bindings share the session budget: a storm of operators the service
+  // has never seen must evict, not accumulate.
+  const int n = size_of_level(kMaxLevel);
+  const std::size_t one = routed_footprint(n);
+  ASSERT_GT(one, 0u);
+  ServicePolicy policy;
+  policy.max_session_bytes = 2 * one;
+  SolveService service(engine(), trained(), policy);
+  constexpr int kOperators = 24;
+  std::vector<grid::StencilOp> ops;
+  for (int i = 0; i < kOperators; ++i) {
+    ops.push_back(make_operator(n, OperatorFamily::kJumpCoefficient));
+  }
+  ASSERT_NE(ops[0].identity(), ops[1].identity());
+  Rng rng(909);
+  auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
+  SolveRequest request;
+  request.target_accuracy = 1e3;
+
+  constexpr int kClients = 4;
+  std::atomic<int> unconverged{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kOperators; ++i) {
+        Grid2D x(n, 0.0);
+        x.copy_from(problem.x0);
+        const SolveStats stats = service.solve_op(
+            ops[(c * kOperators / kClients + i) % kOperators], x, problem.b,
+            request);
+        if (!stats.converged) unconverged.fetch_add(1);
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
+
+  EXPECT_EQ(unconverged.load(), 0);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.routed_requests, kClients * kOperators);
+  EXPECT_GT(stats.evictions, 0);
+  EXPECT_LE(stats.session_bytes, policy.max_session_bytes);
+}
+
+TEST(FleetCache, EvictedRoutedOperatorRebindsToBitIdenticalSolves) {
+  ServicePolicy policy;
+  policy.max_sessions = 1;
+  SolveService service(engine(), trained(), policy);
+  const int n = size_of_level(kMaxLevel);
+  const grid::StencilOp op =
+      make_operator(n, OperatorFamily::kJumpCoefficient);
+  Rng rng(910);
+  auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
+  SolveRequest request;
+  request.target_accuracy = 1e3;
+  Grid2D first(n, 0.0);
+  first.copy_from(problem.x0);
+  service.solve_op(op, first, problem.b, request);
+  // A session bind evicts the routed binding (one entry allowed); the
+  // rebind must reproduce the evicted binding's arithmetic exactly.
+  service.session(size_of_level(3));
+  ASSERT_EQ(service.stats().evictions, 1);
+  Grid2D second(n, 0.0);
+  second.copy_from(problem.x0);
+  service.solve_op(op, second, problem.b, request);
+  EXPECT_EQ(service.stats().evictions, 2);  // the rebind evicted the session
   EXPECT_TRUE(bitwise_equal(first, second));
 }
 

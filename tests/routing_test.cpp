@@ -301,5 +301,82 @@ TEST(OperatorRouting, AccuracyIndexSelectsServedLadderTarget) {
   EXPECT_GE(detail.residual_reduction, 1e5);
 }
 
+TEST(OperatorRouting, PrimaryFamilyRouteDoesNotPinItsGeneration) {
+  // A routed binding served by the generation's own config must share the
+  // config, not the generation: otherwise the generation's cache owns the
+  // generation, and no install() + trim() ever reclaims it.
+  const int level = 4;
+  const int n = size_of_level(level);
+  SolveService service(
+      engine(), handmade(level, "poisson", grid::Coarsening::kAverage));
+  Rng rng(13);
+  auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
+  SolveRequest request;
+  request.target_accuracy = 1e3;
+  Grid2D x = problem.x0;
+  tune::DynamicResult detail;
+  service.solve_op(grid::StencilOp::poisson(n), x, problem.b, request,
+                   &detail);
+  ASSERT_EQ(detail.final_family, "poisson");
+  EXPECT_GT(service.stats().session_bytes, 0u);  // the binding is counted
+  service.install(handmade(level, "poisson", grid::Coarsening::kAverage));
+  service.trim();
+  EXPECT_EQ(service.stats().retired_generations, 0u);
+  EXPECT_EQ(service.stats().session_bytes, 0u);  // gen 2 holds nothing yet
+}
+
+TEST(OperatorRouting, FamilyExtensionsSurviveInstall) {
+  // install() replaces the primary tables; family extensions installed
+  // through install_family must carry into the fresh generation, since
+  // the once-per-family retune guard never fires for them again.
+  const int level = 4;
+  const int n = size_of_level(level);
+  SolveService service(engine(),
+                       handmade(level, "jump", grid::Coarsening::kRap));
+  service.install_family(
+      handmade(level, "aniso-t45", grid::Coarsening::kRap));
+  const grid::StencilOp t45 = make_operator(n, OperatorFamily::kAnisoTheta45);
+  Rng rng(17);
+  auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
+  SolveRequest request;
+  request.target_accuracy = 10.0;
+  Grid2D before = problem.x0;
+  tune::DynamicResult routed;
+  service.solve_op(t45, before, problem.b, request, &routed);
+  ASSERT_FALSE(routed.variants.empty());
+  ASSERT_EQ(routed.variants.front().family, "aniso-t45");
+
+  service.install(handmade(level, "jump", grid::Coarsening::kRap));
+  Grid2D after = problem.x0;
+  service.solve_op(t45, after, problem.b, request, &routed);
+  ASSERT_FALSE(routed.variants.empty());
+  EXPECT_EQ(routed.variants.front().family, "aniso-t45");
+  EXPECT_TRUE(bitwise_equal(before, after));
+}
+
+TEST(OperatorRouting, InstalledConfigSupersedesItsFamilyExtension) {
+  // An extension for the installed config's own family is dropped: the
+  // install is newer, and its tables (not the extension's) serve.
+  const int level = 4;
+  const int n = size_of_level(level);
+  SolveService service(
+      engine(), handmade(level, "poisson", grid::Coarsening::kAverage));
+  service.install_family(handmade(level - 1, "jump", grid::Coarsening::kRap));
+  service.install(handmade(level, "jump", grid::Coarsening::kRap));
+  // The level-3 extension could not cover n; the installed level-4 jump
+  // tables do, so the jump operator is served by its own family.
+  const grid::StencilOp jump =
+      make_operator(n, OperatorFamily::kJumpCoefficient);
+  Rng rng(19);
+  auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
+  SolveRequest request;
+  request.target_accuracy = 10.0;
+  Grid2D x = problem.x0;
+  tune::DynamicResult routed;
+  service.solve_op(jump, x, problem.b, request, &routed);
+  ASSERT_FALSE(routed.variants.empty());
+  EXPECT_EQ(routed.variants.front().family, "jump");
+}
+
 }  // namespace
 }  // namespace pbmg
