@@ -101,6 +101,23 @@ void BM_Interpolate(benchmark::State& state) {
 }
 BENCHMARK(BM_Interpolate)->Arg(257)->Arg(1025)->UseRealTime();
 
+// The fused residual restriction that replaced BM_Residual + BM_Restrict
+// in the multigrid cycles: their sum over this time is the fusion's gain.
+void BM_RestrictResidual(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  auto problem = problem_for(n);
+  const grid::StencilOp op = grid::StencilOp::poisson(n);
+  Grid2D coarse(coarse_size(n), 0.0);
+  auto& sched = bench_engine().scheduler();
+  for (auto _ : state) {
+    grid::restrict_residual(op, problem.x0, problem.b, coarse, sched);
+    benchmark::DoNotOptimize(coarse.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * (n - 2) * (n - 2));
+}
+BENCHMARK(BM_RestrictResidual)->Arg(257)->Arg(1025)->UseRealTime();
+
 void BM_Norm2(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto problem = problem_for(n);

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "grid/level.h"
 #include "grid/packed_kernels.h"
+#include "grid/packed_rows.h"
+#include "grid/packed_stencil.h"
 
 namespace pbmg::grid {
 
@@ -56,110 +60,159 @@ void apply_poisson(const Grid2D& x, Grid2D& out, rt::Scheduler& sched) {
   zero_boundary(out);
 }
 
-void residual(const Grid2D& x, const Grid2D& b, Grid2D& r,
-              rt::Scheduler& sched) {
-  check_valid(x, "residual");
-  check_same_size(x, b, "residual");
-  check_same_size(x, r, "residual");
-  const int n = x.n();
-  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
+namespace {
+
+/// Picks the W-lane instantiation of a row kernel for lane width w.
+template <typename Fn>
+Fn by_width(int w, Fn w1, Fn w2, Fn w4) {
+  return w == 4 ? w4 : w == 2 ? w2 : w1;
+}
+
+/// The row kernel apply_op, residual_op, residual_op_multi and
+/// restrict_residual drive, one per operator kind: rows(i, out) writes
+/// interior row i of b − A·x — or of A·x when b is null — into
+/// out[1..n−2].  The kinds are the Poisson fast path (the pk:: SIMD row at
+/// the widest supported width; requires b), the packed 5- and 9-point
+/// rows at the policy's clamped width, and the legacy 5- and 9-point
+/// rows.  Every kind at every width gives the same bits as its scalar
+/// loop, so a driver's choice of rows never changes results.
+class StencilRows {
+ public:
+  StencilRows(const StencilOp& op, const Grid2D& x, const Grid2D* b,
+              const KernelPolicy& kernels)
+      : op_(op),
+        x_(x),
+        b_(b),
+        n_(x.n()),
+        inv_h2_(static_cast<double>(x.n() - 1) *
+                static_cast<double>(x.n() - 1)),
+        c_(op.c()) {
+    if (op.is_poisson()) {
+      PBMG_CHECK(b != nullptr, "StencilRows: Poisson rows need a rhs");
+      row_ = by_width(packed_simd_width_supported(), &poisson<1>,
+                      &poisson<2>, &poisson<4>);
+    } else if (kernels.layout == StencilLayout::kPacked) {
+      packed_ = &op.packed();
+      const int w = clamp_simd_width(kernels.simd_width);
+      row_ = packed_->nine_point()
+                 ? by_width(w, &packed9<1>, &packed9<2>, &packed9<4>)
+                 : by_width(w, &packed5<1>, &packed5<2>, &packed5<4>);
+    } else if (op.is_nine_point()) {
+      row_ = b != nullptr ? &legacy9<true> : &legacy9<false>;
+    } else {
+      row_ = b != nullptr ? &legacy5<true> : &legacy5<false>;
+    }
+  }
+
+  void operator()(int i, double* out) const { row_(*this, i, out); }
+
+ private:
+  using RowFn = void (*)(const StencilRows&, int, double*);
+
+  const double* rhs(int i) const {
+    return b_ != nullptr ? b_->row(i) : nullptr;
+  }
+
+  template <int W>
+  static void poisson(const StencilRows& s, int i, double* out) {
+    pk::poisson_residual_row<W>(s.x_.row(i - 1), s.x_.row(i),
+                                s.x_.row(i + 1), s.b_->row(i), out,
+                                s.inv_h2_, s.n_);
+  }
+
+  template <int W>
+  static void packed5(const StencilRows& s, int i, double* out) {
+    pk::stencil_row5<W>(pk::view5(*s.packed_, i), s.x_.row(i - 1),
+                        s.x_.row(i), s.x_.row(i + 1), s.rhs(i), out,
+                        s.inv_h2_, s.c_, s.n_);
+  }
+
+  template <int W>
+  static void packed9(const StencilRows& s, int i, double* out) {
+    pk::stencil_row9<W>(pk::view9(*s.packed_, i), s.x_.row(i - 1),
+                        s.x_.row(i), s.x_.row(i + 1), s.rhs(i), out,
+                        s.inv_h2_, s.c_, s.n_);
+  }
+
+  /// Legacy 5-point row; WithRhs selects residual (rhs − A·x) versus
+  /// plain application (A·x).  The accumulation order mirrors the Poisson
+  /// kernels term for term, so a variable operator whose coefficients
+  /// happen to be exactly 1 (c = 0) reproduces the fast path to the last
+  /// ulp.
+  template <bool WithRhs>
+  static void legacy5(const StencilRows& s, int i, double* o) {
+    const double* up = s.x_.row(i - 1);
+    const double* mid = s.x_.row(i);
+    const double* down = s.x_.row(i + 1);
+    const double* axr = s.op_.ax_grid().row(i);  // aW = axr[j-1], aE = axr[j]
+    const double* ay_up = s.op_.ay_grid().row(i - 1);  // aN = ay_up[j]
+    const double* ay_dn = s.op_.ay_grid().row(i);      // aS = ay_dn[j]
+    const double* rhs = s.rhs(i);
+    for (int j = 1; j < s.n_ - 1; ++j) {
+      const double aw = axr[j - 1];
+      const double ae = axr[j];
+      const double an = ay_up[j];
+      const double as = ay_dn[j];
+      const double diag = ((aw + ae) + an) + as;
+      const double av = (diag * mid[j] - an * up[j] - as * down[j] -
+                         aw * mid[j - 1] - ae * mid[j + 1]) *
+                            s.inv_h2_ +
+                        s.c_ * mid[j];
+      if constexpr (WithRhs) o[j] = rhs[j] - av;
+      else o[j] = av;
+    }
+  }
+
+  /// Legacy 9-point row: corner couplings and the explicit centre
+  /// coefficient join the accumulation (see stencil_op.h for the coupling
+  /// layout).  The 5-point row above stays separate so operators without
+  /// corners keep their bitwise-stable code path.
+  template <bool WithRhs>
+  static void legacy9(const StencilRows& s, int i, double* o) {
+    const double* up = s.x_.row(i - 1);
+    const double* mid = s.x_.row(i);
+    const double* down = s.x_.row(i + 1);
+    const NinePointRows rows(s.op_, i);
+    const double* rhs = s.rhs(i);
+    for (int j = 1; j < s.n_ - 1; ++j) {
+      const double nb = rows.neighbour_sum(up, mid, down, j);
+      const double av =
+          (rows.center[j] * mid[j] - nb) * s.inv_h2_ + s.c_ * mid[j];
+      if constexpr (WithRhs) o[j] = rhs[j] - av;
+      else o[j] = av;
+    }
+  }
+
+  const StencilOp& op_;
+  const Grid2D& x_;
+  const Grid2D* b_;
+  const PackedStencil* packed_ = nullptr;
+  int n_;
+  double inv_h2_;
+  double c_;
+  RowFn row_ = nullptr;
+};
+
+/// Writes every interior row of `out` through `rows` and zeroes its ring.
+void sweep_rows(const StencilRows& rows, Grid2D& out, rt::Scheduler& sched) {
+  const int n = out.n();
   sched.parallel_for(1, n - 1, sched.grain_for(n - 2, n - 2),
                      [&](std::int64_t ib, std::int64_t ie) {
                        for (int i = static_cast<int>(ib);
                             i < static_cast<int>(ie); ++i) {
-                         const double* up = x.row(i - 1);
-                         const double* mid = x.row(i);
-                         const double* down = x.row(i + 1);
-                         const double* rhs = b.row(i);
-                         double* o = r.row(i);
-                         for (int j = 1; j < n - 1; ++j) {
-                           o[j] = rhs[j] - (4.0 * mid[j] - up[j] - down[j] -
-                                            mid[j - 1] - mid[j + 1]) *
-                                               inv_h2;
-                         }
+                         rows(i, out.row(i));
                        }
                      });
-  zero_boundary(r);
-}
-
-namespace {
-
-/// Shared variable-coefficient stencil loop; WithRhs selects residual
-/// (rhs − A·x) versus plain application (A·x).  The accumulation order of
-/// the generic path mirrors the Poisson kernels term for term, so a
-/// variable operator whose coefficients happen to be exactly 1 (c = 0)
-/// reproduces the fast path to the last ulp.
-template <bool WithRhs>
-void stencil_loop(const StencilOp& op, const Grid2D& x, const Grid2D* b,
-                  Grid2D& out, rt::Scheduler& sched) {
-  const int n = x.n();
-  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
-  const double c = op.c();
-  const Grid2D& ax = op.ax_grid();
-  const Grid2D& ay = op.ay_grid();
-  sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          const double* up = x.row(i - 1);
-          const double* mid = x.row(i);
-          const double* down = x.row(i + 1);
-          const double* axr = ax.row(i);      // aW = axr[j-1], aE = axr[j]
-          const double* ay_up = ay.row(i - 1);  // aN = ay_up[j]
-          const double* ay_dn = ay.row(i);      // aS = ay_dn[j]
-          const double* rhs = WithRhs ? b->row(i) : nullptr;
-          double* o = out.row(i);
-          for (int j = 1; j < n - 1; ++j) {
-            const double aw = axr[j - 1];
-            const double ae = axr[j];
-            const double an = ay_up[j];
-            const double as = ay_dn[j];
-            const double diag = ((aw + ae) + an) + as;
-            const double av = (diag * mid[j] - an * up[j] - as * down[j] -
-                               aw * mid[j - 1] - ae * mid[j + 1]) *
-                                  inv_h2 +
-                              c * mid[j];
-            if constexpr (WithRhs) o[j] = rhs[j] - av;
-            else o[j] = av;
-          }
-        }
-      });
-  zero_boundary(out);
-}
-
-/// 9-point variant: corner couplings and the explicit centre coefficient
-/// join the accumulation (see stencil_op.h for the coupling layout).  The
-/// 5-point loop above stays untouched so operators without corners keep
-/// their bitwise-stable code path.
-template <bool WithRhs>
-void stencil_loop9(const StencilOp& op, const Grid2D& x, const Grid2D* b,
-                   Grid2D& out, rt::Scheduler& sched) {
-  const int n = x.n();
-  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
-  const double c = op.c();
-  sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          const double* up = x.row(i - 1);
-          const double* mid = x.row(i);
-          const double* down = x.row(i + 1);
-          const NinePointRows rows(op, i);
-          const double* rhs = WithRhs ? b->row(i) : nullptr;
-          double* o = out.row(i);
-          for (int j = 1; j < n - 1; ++j) {
-            const double nb = rows.neighbour_sum(up, mid, down, j);
-            const double av =
-                (rows.center[j] * mid[j] - nb) * inv_h2 + c * mid[j];
-            if constexpr (WithRhs) o[j] = rhs[j] - av;
-            else o[j] = av;
-          }
-        }
-      });
   zero_boundary(out);
 }
 
 }  // namespace
+
+void residual(const Grid2D& x, const Grid2D& b, Grid2D& r,
+              rt::Scheduler& sched) {
+  check_valid(x, "residual");
+  residual_op(StencilOp::poisson(x.n()), x, b, r, sched);
+}
 
 void apply_op(const StencilOp& op, const Grid2D& x, Grid2D& out,
               rt::Scheduler& sched, const KernelPolicy& kernels) {
@@ -170,15 +223,7 @@ void apply_op(const StencilOp& op, const Grid2D& x, Grid2D& out,
     apply_poisson(x, out, sched);
     return;
   }
-  if (kernels.layout == StencilLayout::kPacked) {
-    packed_apply(op, x, out, sched, kernels.simd_width);
-    return;
-  }
-  if (op.is_nine_point()) {
-    stencil_loop9<false>(op, x, nullptr, out, sched);
-    return;
-  }
-  stencil_loop<false>(op, x, nullptr, out, sched);
+  sweep_rows(StencilRows(op, x, nullptr, kernels), out, sched);
 }
 
 void residual_op(const StencilOp& op, const Grid2D& x, const Grid2D& b,
@@ -188,153 +233,23 @@ void residual_op(const StencilOp& op, const Grid2D& x, const Grid2D& b,
   check_same_size(x, b, "residual_op");
   check_same_size(x, r, "residual_op");
   PBMG_CHECK(op.n() == x.n(), "residual_op: operator/grid size mismatch");
-  if (op.is_poisson()) {
-    residual(x, b, r, sched);
-    return;
-  }
-  if (kernels.layout == StencilLayout::kPacked) {
-    packed_residual(op, x, b, r, sched, kernels.simd_width);
-    return;
-  }
-  if (op.is_nine_point()) {
-    stencil_loop9<true>(op, x, &b, r, sched);
-    return;
-  }
-  stencil_loop<true>(op, x, &b, r, sched);
+  sweep_rows(StencilRows(op, x, &b, kernels), r, sched);
 }
-
-namespace {
-
-/// Validates one batched-kernel call: equal span sizes, no null slots,
-/// every grid matching the operator's size.
-void check_multi(const StencilOp& op, std::span<const Grid2D* const> xs,
-                 std::span<const Grid2D* const> bs,
-                 std::span<Grid2D* const> rs, const char* what) {
-  PBMG_CHECK(xs.size() == bs.size() && xs.size() == rs.size(),
-             std::string(what) + ": span size mismatch");
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr && rs[k] != nullptr,
-               std::string(what) + ": null grid slot");
-    PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n() &&
-                   rs[k]->n() == op.n(),
-               std::string(what) + ": operator/grid size mismatch");
-  }
-}
-
-/// Fused Poisson residual over K right-hand-sides: one row task walks all
-/// K solution/rhs rows before moving on.  Per-k arithmetic is the solo
-/// residual() loop verbatim.
-void residual_poisson_multi(std::span<const Grid2D* const> xs,
-                            std::span<const Grid2D* const> bs,
-                            std::span<Grid2D* const> rs,
-                            rt::Scheduler& sched) {
-  const int n = xs[0]->n();
-  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
-  sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          for (std::size_t k = 0; k < xs.size(); ++k) {
-            const Grid2D& x = *xs[k];
-            const double* up = x.row(i - 1);
-            const double* mid = x.row(i);
-            const double* down = x.row(i + 1);
-            const double* rhs = bs[k]->row(i);
-            double* o = rs[k]->row(i);
-            for (int j = 1; j < n - 1; ++j) {
-              o[j] = rhs[j] - (4.0 * mid[j] - up[j] - down[j] - mid[j - 1] -
-                               mid[j + 1]) *
-                                  inv_h2;
-            }
-          }
-        }
-      });
-  for (Grid2D* r : rs) zero_boundary(*r);
-}
-
-/// Fused 5-point residual: coefficient rows are resolved once per grid
-/// row and reused across all K inner sweeps — the coefficient-bandwidth
-/// amortization batching exists for.  Per-k accumulation mirrors
-/// stencil_loop<true> term for term.
-void residual_5pt_multi(const StencilOp& op,
-                        std::span<const Grid2D* const> xs,
-                        std::span<const Grid2D* const> bs,
-                        std::span<Grid2D* const> rs, rt::Scheduler& sched) {
-  const int n = op.n();
-  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
-  const double c = op.c();
-  const Grid2D& ax = op.ax_grid();
-  const Grid2D& ay = op.ay_grid();
-  sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          const double* axr = ax.row(i);
-          const double* ay_up = ay.row(i - 1);
-          const double* ay_dn = ay.row(i);
-          for (std::size_t k = 0; k < xs.size(); ++k) {
-            const Grid2D& x = *xs[k];
-            const double* up = x.row(i - 1);
-            const double* mid = x.row(i);
-            const double* down = x.row(i + 1);
-            const double* rhs = bs[k]->row(i);
-            double* o = rs[k]->row(i);
-            for (int j = 1; j < n - 1; ++j) {
-              const double aw = axr[j - 1];
-              const double ae = axr[j];
-              const double an = ay_up[j];
-              const double as = ay_dn[j];
-              const double diag = ((aw + ae) + an) + as;
-              o[j] = rhs[j] - ((diag * mid[j] - an * up[j] - as * down[j] -
-                                aw * mid[j - 1] - ae * mid[j + 1]) *
-                                   inv_h2 +
-                               c * mid[j]);
-            }
-          }
-        }
-      });
-  for (Grid2D* r : rs) zero_boundary(*r);
-}
-
-/// Fused 9-point residual; per-k accumulation mirrors stencil_loop9<true>.
-void residual_9pt_multi(const StencilOp& op,
-                        std::span<const Grid2D* const> xs,
-                        std::span<const Grid2D* const> bs,
-                        std::span<Grid2D* const> rs, rt::Scheduler& sched) {
-  const int n = op.n();
-  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
-  const double c = op.c();
-  sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          const NinePointRows rows(op, i);
-          for (std::size_t k = 0; k < xs.size(); ++k) {
-            const Grid2D& x = *xs[k];
-            const double* up = x.row(i - 1);
-            const double* mid = x.row(i);
-            const double* down = x.row(i + 1);
-            const double* rhs = bs[k]->row(i);
-            double* o = rs[k]->row(i);
-            for (int j = 1; j < n - 1; ++j) {
-              const double nb = rows.neighbour_sum(up, mid, down, j);
-              o[j] = rhs[j] -
-                     ((rows.center[j] * mid[j] - nb) * inv_h2 + c * mid[j]);
-            }
-          }
-        }
-      });
-  for (Grid2D* r : rs) zero_boundary(*r);
-}
-
-}  // namespace
 
 void residual_op_multi(const StencilOp& op,
                        std::span<const Grid2D* const> xs,
                        std::span<const Grid2D* const> bs,
                        std::span<Grid2D* const> rs, rt::Scheduler& sched,
                        const KernelPolicy& kernels) {
-  check_multi(op, xs, bs, rs, "residual_op_multi");
+  PBMG_CHECK(xs.size() == bs.size() && xs.size() == rs.size(),
+             "residual_op_multi: span size mismatch");
+  for (std::size_t k = 0; k < xs.size(); ++k) {
+    PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr && rs[k] != nullptr,
+               "residual_op_multi: null grid slot");
+    PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n() &&
+                   rs[k]->n() == op.n(),
+               "residual_op_multi: operator/grid size mismatch");
+  }
   if (xs.empty()) return;
   if (xs.size() == 1) {
     // K = 1 takes the solo kernel so batch-of-one and solo are the same
@@ -342,20 +257,38 @@ void residual_op_multi(const StencilOp& op,
     residual_op(op, *xs[0], *bs[0], *rs[0], sched, kernels);
     return;
   }
-  if (op.is_poisson()) {
-    residual_poisson_multi(xs, bs, rs, sched);
-    return;
+  check_valid(*xs[0], "residual_op_multi");
+  std::vector<StencilRows> rows;
+  rows.reserve(xs.size());
+  for (std::size_t k = 0; k < xs.size(); ++k) {
+    rows.emplace_back(op, *xs[k], bs[k], kernels);
   }
-  if (kernels.layout == StencilLayout::kPacked) {
-    packed_residual_multi(op, xs, bs, rs, sched, kernels.simd_width);
-    return;
-  }
-  if (op.is_nine_point()) {
-    residual_9pt_multi(op, xs, bs, rs, sched);
-    return;
-  }
-  residual_5pt_multi(op, xs, bs, rs, sched);
+  const int n = op.n();
+  sched.parallel_for(
+      1, n - 1, sched.grain_for(n - 2, n - 2),
+      [&](std::int64_t ib, std::int64_t ie) {
+        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
+          // All K rows of grid row i back to back, so row i's coefficient
+          // streams are loaded once and stay hot across the batch.
+          for (std::size_t k = 0; k < rows.size(); ++k) {
+            rows[k](i, rs[k]->row(i));
+          }
+        }
+      });
+  for (Grid2D* r : rs) zero_boundary(*r);
 }
+
+namespace {
+
+using RestrictRowFn = void (*)(const double*, const double*, const double*,
+                               double*, int);
+
+RestrictRowFn restrict_row_fn() {
+  return by_width(packed_simd_width_supported(), &pk::restrict_row<1>,
+                  &pk::restrict_row<2>, &pk::restrict_row<4>);
+}
+
+}  // namespace
 
 void restrict_full_weighting(const Grid2D& fine, Grid2D& coarse,
                              rt::Scheduler& sched) {
@@ -363,22 +296,49 @@ void restrict_full_weighting(const Grid2D& fine, Grid2D& coarse,
   PBMG_CHECK(coarse.n() == coarse_size(fine.n()),
              "restrict_full_weighting: coarse grid has wrong size");
   const int nc = coarse.n();
+  const RestrictRowFn restrict_row = restrict_row_fn();
   sched.parallel_for(
       1, nc - 1, sched.grain_for(nc - 2, 4 * (nc - 2)),
       [&](std::int64_t ib, std::int64_t ie) {
         for (int ci = static_cast<int>(ib); ci < static_cast<int>(ie); ++ci) {
-          const int fi = 2 * ci;
-          const double* up = fine.row(fi - 1);
-          const double* mid = fine.row(fi);
-          const double* down = fine.row(fi + 1);
-          double* out = coarse.row(ci);
-          for (int cj = 1; cj < nc - 1; ++cj) {
-            const int fj = 2 * cj;
-            out[cj] = (4.0 * mid[fj] +
-                       2.0 * (up[fj] + down[fj] + mid[fj - 1] + mid[fj + 1]) +
-                       up[fj - 1] + up[fj + 1] + down[fj - 1] + down[fj + 1]) *
-                      (1.0 / 16.0);
-          }
+          restrict_row(fine.row(2 * ci - 1), fine.row(2 * ci),
+                       fine.row(2 * ci + 1), coarse.row(ci), nc);
+        }
+      });
+  zero_boundary(coarse);
+}
+
+void restrict_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
+                       Grid2D& coarse, rt::Scheduler& sched,
+                       const KernelPolicy& kernels) {
+  check_valid(x, "restrict_residual");
+  check_same_size(x, b, "restrict_residual");
+  PBMG_CHECK(op.n() == x.n(),
+             "restrict_residual: operator/grid size mismatch");
+  PBMG_CHECK(coarse.n() == coarse_size(x.n()),
+             "restrict_residual: coarse grid has wrong size");
+  const int n = x.n();
+  const int nc = coarse.n();
+  const StencilRows rows(op, x, &b, kernels);
+  const RestrictRowFn restrict_row = restrict_row_fn();
+  sched.parallel_for(
+      1, nc - 1, sched.grain_for(nc - 2, 4 * (nc - 2)),
+      [&](std::int64_t ib, std::int64_t ie) {
+        // Coarse row ci weighs fine residual rows 2ci−1 … 2ci+1, so rows
+        // 2ib−1 … 2ie−1 each feed this leaf once: the odd row below one
+        // coarse row is the row above the next, and rotates up instead of
+        // being recomputed.  Only the buffer's interior columns are
+        // written or read.
+        std::vector<double> buffer(3 * static_cast<std::size_t>(n), 0.0);
+        double* up = buffer.data();
+        double* mid = up + n;
+        double* down = mid + n;
+        rows(2 * static_cast<int>(ib) - 1, up);
+        for (int ci = static_cast<int>(ib); ci < static_cast<int>(ie); ++ci) {
+          rows(2 * ci, mid);
+          rows(2 * ci + 1, down);
+          restrict_row(up, mid, down, coarse.row(ci), nc);
+          std::swap(up, down);
         }
       });
   zero_boundary(coarse);
@@ -405,40 +365,20 @@ void restrict_inject(const Grid2D& fine, Grid2D& coarse,
 
 namespace {
 
-/// Shared bilinear-interpolation loop; Assign selects overwrite vs add.
-template <bool Assign>
-void interpolate_impl(const Grid2D& coarse, Grid2D& fine,
-                      rt::Scheduler& sched) {
+void interpolate(const Grid2D& coarse, Grid2D& fine, bool assign,
+                 rt::Scheduler& sched) {
   PBMG_CHECK(coarse.n() == coarse_size(fine.n()),
              "interpolate: coarse grid has wrong size");
   const int n = fine.n();
+  const auto interpolate_row =
+      by_width(packed_simd_width_supported(), &pk::interpolate_row<1>,
+               &pk::interpolate_row<2>, &pk::interpolate_row<4>);
   sched.parallel_for(
       1, n - 1, sched.grain_for(n - 2, n - 2),
       [&](std::int64_t ib, std::int64_t ie) {
         for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          double* out = fine.row(i);
-          if (i % 2 == 0) {
-            const double* c = coarse.row(i / 2);
-            for (int j = 1; j < n - 1; ++j) {
-              const double v = (j % 2 == 0)
-                                   ? c[j / 2]
-                                   : 0.5 * (c[j / 2] + c[j / 2 + 1]);
-              if constexpr (Assign) out[j] = v;
-              else out[j] += v;
-            }
-          } else {
-            const double* c0 = coarse.row(i / 2);
-            const double* c1 = coarse.row(i / 2 + 1);
-            for (int j = 1; j < n - 1; ++j) {
-              const double v =
-                  (j % 2 == 0)
-                      ? 0.5 * (c0[j / 2] + c1[j / 2])
-                      : 0.25 * (c0[j / 2] + c0[j / 2 + 1] + c1[j / 2] +
-                                c1[j / 2 + 1]);
-              if constexpr (Assign) out[j] = v;
-              else out[j] += v;
-            }
-          }
+          const double* c1 = i % 2 == 0 ? nullptr : coarse.row(i / 2 + 1);
+          interpolate_row(coarse.row(i / 2), c1, fine.row(i), assign, n);
         }
       });
 }
@@ -448,13 +388,13 @@ void interpolate_impl(const Grid2D& coarse, Grid2D& fine,
 void interpolate_add(const Grid2D& coarse, Grid2D& fine,
                      rt::Scheduler& sched) {
   check_valid(fine, "interpolate_add");
-  interpolate_impl<false>(coarse, fine, sched);
+  interpolate(coarse, fine, /*assign=*/false, sched);
 }
 
 void interpolate_assign(const Grid2D& coarse, Grid2D& fine,
                         rt::Scheduler& sched) {
   check_valid(fine, "interpolate_assign");
-  interpolate_impl<true>(coarse, fine, sched);
+  interpolate(coarse, fine, /*assign=*/true, sched);
 }
 
 double norm2_interior(const Grid2D& g, rt::Scheduler& sched) {

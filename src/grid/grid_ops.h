@@ -35,15 +35,15 @@ void residual(const Grid2D& x, const Grid2D& b, Grid2D& r,
 /// dispatches to apply_poisson, bit-for-bit, and a 5-point operator keeps
 /// its pre-9-point loop bit-for-bit; 9-point operators take the corner-
 /// coupled kernel.  A KernelPolicy selecting StencilLayout::kPacked runs
-/// the SoA-packed SIMD kernels instead (packed_kernels.h) — bitwise
-/// identical results, different memory traffic (Poisson still takes its
-/// dedicated kernel).  Requires x.n() == op.n().
+/// the SoA-packed SIMD rows instead (packed_rows.h) — bitwise identical
+/// results, different memory traffic.  Requires x.n() == op.n().
 void apply_op(const StencilOp& op, const Grid2D& x, Grid2D& out,
               rt::Scheduler& sched, const KernelPolicy& kernels = {});
 
 /// r = b − A x for a variable-coefficient operator; r's boundary ring is
-/// zeroed.  The Poisson fast path dispatches to residual(), bit-for-bit;
-/// the kernel policy selects legacy vs packed sweeps as in apply_op.
+/// zeroed.  The Poisson fast path runs the constant-coefficient SIMD row
+/// at the widest width the CPU supports (identical to residual()); other
+/// operators take the legacy or packed rows as in apply_op.
 void residual_op(const StencilOp& op, const Grid2D& x, const Grid2D& b,
                  Grid2D& r, rt::Scheduler& sched,
                  const KernelPolicy& kernels = {});
@@ -69,6 +69,16 @@ void residual_op_multi(const StencilOp& op,
 /// Requires coarse.n() == coarse_size(fine.n()).
 void restrict_full_weighting(const Grid2D& fine, Grid2D& coarse,
                              rt::Scheduler& sched);
+
+/// Fused residual restriction: coarse = full weighting of (b − A x),
+/// bitwise identical to residual_op(op, x, b, r, sched, kernels) followed
+/// by restrict_full_weighting(r, coarse, sched), but the fine residual is
+/// never stored: each parallel leaf computes the residual rows its coarse
+/// rows weigh into a three-row buffer and restricts them from there.
+/// Requires b.n() == x.n() == op.n() and coarse.n() == coarse_size(x.n()).
+void restrict_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
+                       Grid2D& coarse, rt::Scheduler& sched,
+                       const KernelPolicy& kernels = {});
 
 /// Injection restriction: coarse(I,J) = fine(2I,2J) over the whole grid,
 /// boundary included.  Used by full multigrid to coarsen the *problem*

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "grid/grid_ops.h"
 #include "grid/level.h"
 #include "grid/packed_rows.h"
 #include "grid/packed_stencil.h"
@@ -14,33 +15,25 @@
 
 namespace pbmg::grid {
 
-namespace {
+namespace pk {
 
-void zero_boundary(Grid2D& g) {
-  const int n = g.n();
-  for (int j = 0; j < n; ++j) {
-    g(0, j) = 0.0;
-    g(n - 1, j) = 0.0;
-  }
-  for (int i = 0; i < n; ++i) {
-    g(i, 0) = 0.0;
-    g(i, n - 1) = 0.0;
-  }
-}
-
-pk::View5 view5(const PackedStencil& p, int i) {
+View5 view5(const PackedStencil& p, int i) {
   return {p.stream(i, PackedStencil::kAw), p.stream(i, PackedStencil::kAe),
           p.stream(i, PackedStencil::kAn), p.stream(i, PackedStencil::kAs),
           p.stream(i, PackedStencil::kDiag5)};
 }
 
-pk::View9 view9(const PackedStencil& p, int i) {
+View9 view9(const PackedStencil& p, int i) {
   return {p.stream(i, PackedStencil::kAw), p.stream(i, PackedStencil::kAe),
           p.stream(i, PackedStencil::kAn), p.stream(i, PackedStencil::kAs),
           p.stream(i, PackedStencil::kNw), p.stream(i, PackedStencil::kNe),
           p.stream(i, PackedStencil::kSw), p.stream(i, PackedStencil::kSe),
           p.stream(i, PackedStencil::kCtr)};
 }
+
+}  // namespace pk
+
+namespace {
 
 /// Line-group geometry for one zebra parity: lines first, first+2, …,
 /// n−2 split into ceil(count / w) groups of up to w lanes.
@@ -103,131 +96,18 @@ void check_packed_operands(const StencilOp& op, const Grid2D& x,
              std::string(what) + ": operator/grid size mismatch");
 }
 
-void packed_stencil_sweep(const StencilOp& op, const Grid2D& x,
-                          const Grid2D* b, Grid2D& out, rt::Scheduler& sched,
-                          int simd_width) {
-  const PackedStencil& p = op.packed();
-  const int n = x.n();
-  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
-  const double c = op.c();
-  const int w = clamp_simd_width(simd_width);
-  const bool nine = p.nine_point();
-  sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          const double* up = x.row(i - 1);
-          const double* mid = x.row(i);
-          const double* down = x.row(i + 1);
-          const double* rhs = b != nullptr ? b->row(i) : nullptr;
-          double* o = out.row(i);
-          if (nine) {
-            const pk::View9 v = view9(p, i);
-            switch (w) {
-              case 4: pk::stencil_row9<4>(v, up, mid, down, rhs, o, inv_h2,
-                                          c, n); break;
-              case 2: pk::stencil_row9<2>(v, up, mid, down, rhs, o, inv_h2,
-                                          c, n); break;
-              default: pk::stencil_row9<1>(v, up, mid, down, rhs, o, inv_h2,
-                                           c, n); break;
-            }
-          } else {
-            const pk::View5 v = view5(p, i);
-            switch (w) {
-              case 4: pk::stencil_row5<4>(v, up, mid, down, rhs, o, inv_h2,
-                                          c, n); break;
-              case 2: pk::stencil_row5<2>(v, up, mid, down, rhs, o, inv_h2,
-                                          c, n); break;
-              default: pk::stencil_row5<1>(v, up, mid, down, rhs, o, inv_h2,
-                                           c, n); break;
-            }
-          }
-        }
-      });
-  zero_boundary(out);
-}
-
 }  // namespace
 
 void packed_apply(const StencilOp& op, const Grid2D& x, Grid2D& out,
                   rt::Scheduler& sched, int simd_width) {
   check_packed_operands(op, x, "packed_apply");
-  PBMG_CHECK(x.n() == out.n(), "packed_apply: grid size mismatch");
-  packed_stencil_sweep(op, x, nullptr, out, sched, simd_width);
+  apply_op(op, x, out, sched, {StencilLayout::kPacked, simd_width});
 }
 
 void packed_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
                      Grid2D& r, rt::Scheduler& sched, int simd_width) {
   check_packed_operands(op, x, "packed_residual");
-  PBMG_CHECK(x.n() == b.n() && x.n() == r.n(),
-             "packed_residual: grid size mismatch");
-  packed_stencil_sweep(op, x, &b, r, sched, simd_width);
-}
-
-void packed_residual_multi(const StencilOp& op,
-                           std::span<const Grid2D* const> xs,
-                           std::span<const Grid2D* const> bs,
-                           std::span<Grid2D* const> rs, rt::Scheduler& sched,
-                           int simd_width) {
-  PBMG_CHECK(xs.size() == bs.size() && xs.size() == rs.size(),
-             "packed_residual_multi: span size mismatch");
-  if (xs.empty()) return;
-  check_packed_operands(op, *xs[0], "packed_residual_multi");
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n() &&
-                   rs[k]->n() == op.n(),
-               "packed_residual_multi: grid size mismatch");
-  }
-  const PackedStencil& p = op.packed();
-  const int n = op.n();
-  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
-  const double c = op.c();
-  const int w = clamp_simd_width(simd_width);
-  const bool nine = p.nine_point();
-  sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          // View built once per row; the K inner sweeps stream the same
-          // coefficient block while it is hot.
-          if (nine) {
-            const pk::View9 v = view9(p, i);
-            for (std::size_t k = 0; k < xs.size(); ++k) {
-              const double* up = xs[k]->row(i - 1);
-              const double* mid = xs[k]->row(i);
-              const double* down = xs[k]->row(i + 1);
-              const double* rhs = bs[k]->row(i);
-              double* o = rs[k]->row(i);
-              switch (w) {
-                case 4: pk::stencil_row9<4>(v, up, mid, down, rhs, o, inv_h2,
-                                            c, n); break;
-                case 2: pk::stencil_row9<2>(v, up, mid, down, rhs, o, inv_h2,
-                                            c, n); break;
-                default: pk::stencil_row9<1>(v, up, mid, down, rhs, o,
-                                             inv_h2, c, n); break;
-              }
-            }
-          } else {
-            const pk::View5 v = view5(p, i);
-            for (std::size_t k = 0; k < xs.size(); ++k) {
-              const double* up = xs[k]->row(i - 1);
-              const double* mid = xs[k]->row(i);
-              const double* down = xs[k]->row(i + 1);
-              const double* rhs = bs[k]->row(i);
-              double* o = rs[k]->row(i);
-              switch (w) {
-                case 4: pk::stencil_row5<4>(v, up, mid, down, rhs, o, inv_h2,
-                                            c, n); break;
-                case 2: pk::stencil_row5<2>(v, up, mid, down, rhs, o, inv_h2,
-                                            c, n); break;
-                default: pk::stencil_row5<1>(v, up, mid, down, rhs, o,
-                                             inv_h2, c, n); break;
-              }
-            }
-          }
-        }
-      });
-  for (Grid2D* r : rs) zero_boundary(*r);
+  residual_op(op, x, b, r, sched, {StencilLayout::kPacked, simd_width});
 }
 
 void packed_sor_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
@@ -253,7 +133,7 @@ void packed_sor_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
             for (int i = static_cast<int>(ib); i < static_cast<int>(ie);
                  ++i) {
               if ((i & 1) != pi) continue;
-              const pk::View9 v = view9(p, i);
+              const pk::View9 v = pk::view9(p, i);
               const double* up = x.row(i - 1);
               double* mid = x.row(i);
               const double* down = x.row(i + 1);
@@ -277,7 +157,7 @@ void packed_sor_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
         1, n - 1, sched.grain_for(n - 2, n - 2),
         [&, parity](std::int64_t ib, std::int64_t ie) {
           for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            const pk::View5 v = view5(p, i);
+            const pk::View5 v = pk::view5(p, i);
             const double* up = x.row(i - 1);
             double* mid = x.row(i);
             const double* down = x.row(i + 1);
@@ -323,7 +203,7 @@ void packed_sor_sweep_multi(const StencilOp& op, std::span<Grid2D* const> xs,
             for (int i = static_cast<int>(ib); i < static_cast<int>(ie);
                  ++i) {
               if ((i & 1) != pi) continue;
-              const pk::View9 v = view9(p, i);
+              const pk::View9 v = pk::view9(p, i);
               const int j0 = 1 + ((1 + pj) & 1);
               for (std::size_t k = 0; k < xs.size(); ++k) {
                 const double* up = xs[k]->row(i - 1);
@@ -349,7 +229,7 @@ void packed_sor_sweep_multi(const StencilOp& op, std::span<Grid2D* const> xs,
         1, n - 1, sched.grain_for(n - 2, n - 2),
         [&, parity](std::int64_t ib, std::int64_t ie) {
           for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            const pk::View5 v = view5(p, i);
+            const pk::View5 v = pk::view5(p, i);
             const int j0 = 1 + ((i + 1 + parity) & 1);
             for (std::size_t k = 0; k < xs.size(); ++k) {
               const double* up = xs[k]->row(i - 1);
@@ -393,7 +273,7 @@ void packed_jacobi_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
           const double* rhs = b.row(i);
           double* out = scratch.row(i);
           if (nine) {
-            const pk::View9 v = view9(p, i);
+            const pk::View9 v = pk::view9(p, i);
             switch (w) {
               case 4: pk::jacobi_row9<4>(v, up, mid, down, rhs, out, h2,
                                          ch2, omega, keep, n); break;
@@ -403,7 +283,7 @@ void packed_jacobi_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
                                           ch2, omega, keep, n); break;
             }
           } else {
-            const pk::View5 v = view5(p, i);
+            const pk::View5 v = pk::view5(p, i);
             switch (w) {
               case 4: pk::jacobi_row5<4>(v, up, mid, down, rhs, out, h2,
                                          ch2, omega, keep, n); break;
@@ -452,7 +332,7 @@ void packed_line_x(const StencilOp& op, Grid2D& x, const Grid2D& b,
             const double* down = x.row(i0 + 1);
             const double* rhs = b.row(i0);
             if (nine) {
-              const pk::View9 v = view9(p, i0);
+              const pk::View9 v = pk::view9(p, i0);
               switch (w) {
                 case 4: pk::x_lines9<4>(v, pstride, up, mid, down, rhs,
                                         gstride, lanes, cp, dp, h2, ch2, n);
@@ -465,7 +345,7 @@ void packed_line_x(const StencilOp& op, Grid2D& x, const Grid2D& b,
                          break;
               }
             } else {
-              const pk::View5 v = view5(p, i0);
+              const pk::View5 v = pk::view5(p, i0);
               switch (w) {
                 case 4: pk::x_lines5<4>(v, pstride, up, mid, down, rhs,
                                         gstride, lanes, cp, dp, h2, ch2, n);
@@ -584,7 +464,7 @@ void packed_line_x_multi(const StencilOp& op, std::span<Grid2D* const> xs,
             // Factor once per group, replay per iterate: the factors (and
             // coefficient streams) stay hot across all K rhs passes.
             if (nine) {
-              const pk::View9 v = view9(p, i0);
+              const pk::View9 v = pk::view9(p, i0);
               switch (w) {
                 case 4: pk::x_factor9<4>(v, pstride, lanes, cp, sub, inv,
                                          ch2, n); break;
@@ -611,7 +491,7 @@ void packed_line_x_multi(const StencilOp& op, std::span<Grid2D* const> xs,
                 }
               }
             } else {
-              const pk::View5 v = view5(p, i0);
+              const pk::View5 v = pk::view5(p, i0);
               switch (w) {
                 case 4: pk::x_factor5<4>(v, pstride, lanes, cp, sub, inv,
                                          ch2, n); break;

@@ -14,9 +14,13 @@
 ///
 /// The public entry points in grid_ops.h / solvers::relax.h /
 /// solvers::line_relax.h dispatch here when a KernelPolicy selects the
-/// packed layout; callers rarely use these directly.  All of them:
-///  - require a non-Poisson operator (the fast path keeps its dedicated
-///    constant-coefficient kernels under either layout);
+/// packed layout (apply/residual run the same packed rows through
+/// grid_ops.cpp's drivers); callers rarely use these directly.  All of
+/// them:
+///  - require a non-Poisson operator: the fast path stores no
+///    coefficients to pack, and its constant-coefficient residual and
+///    SOR rows (packed_rows.h) run at packed_simd_width_supported() under
+///    either layout;
 ///  - read coefficients from op.packed(), packing lazily on first touch
 ///    (prewarm via StencilHierarchy::prewarm_packed to keep it off timed
 ///    sweeps);
@@ -35,7 +39,8 @@ namespace pbmg::grid {
 
 /// Widest SIMD lane count worth requesting on this machine: 4 when the
 /// CPU runs AVX2 (or is aarch64, where the 4-lane kernels compile to NEON
-/// pairs), 2 for baseline x86-64 SSE2, 1 elsewhere.
+/// pairs), 2 for baseline x86-64 SSE2, 1 elsewhere.  The Poisson residual
+/// and SOR rows, restriction and interpolation always run at this width.
 int packed_simd_width_supported();
 
 /// Halves `width` (a valid KernelPolicy width in {1, 2, 4}) until the
@@ -51,18 +56,6 @@ void packed_apply(const StencilOp& op, const Grid2D& x, Grid2D& out,
 /// r = b − A·x under the packed layout.  Matches residual_op.
 void packed_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
                      Grid2D& r, rt::Scheduler& sched, int simd_width);
-
-/// Batched rs[k] = bs[k] − A·xs[k] under the packed layout: each packed
-/// coefficient row block is loaded once and swept across all K
-/// right-hand-sides before the next row (coefficient bandwidth amortized
-/// K-fold).  Each k runs the exact solo pk:: row kernel, so every slot is
-/// bitwise identical to K packed_residual calls.  Requires equal span
-/// sizes; see residual_op_multi for the caller-facing dispatch.
-void packed_residual_multi(const StencilOp& op,
-                           std::span<const Grid2D* const> xs,
-                           std::span<const Grid2D* const> bs,
-                           std::span<Grid2D* const> rs, rt::Scheduler& sched,
-                           int simd_width);
 
 /// One coloured SOR sweep under the packed layout (red-black for 5-point
 /// operators, four-colour for 9-point).  Matches solvers::sor_sweep's

@@ -710,6 +710,167 @@ void y_apply9(double* xb, const double* bb, const double* pbase, long prow,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Constant-coefficient Poisson rows and the grid transfers
+// ---------------------------------------------------------------------------
+
+template <int W>
+void poisson_residual_row(const double* up, const double* mid,
+                          const double* down, const double* rhs, double* out,
+                          double inv_h2, int n) {
+  using V = simd::Vec<W>;
+  const V vinv = V::broadcast(inv_h2);
+  const V four = V::broadcast(4.0);
+  int j = 1;
+  for (; j + W <= n - 1; j += W) {
+    (V::load(rhs + j) -
+     (four * V::load(mid + j) - V::load(up + j) - V::load(down + j) -
+      V::load(mid + j - 1) - V::load(mid + j + 1)) *
+         vinv)
+        .store(out + j);
+  }
+  for (; j <= n - 2; ++j) {
+    out[j] = rhs[j] - (4.0 * mid[j] - up[j] - down[j] - mid[j - 1] -
+                       mid[j + 1]) *
+                          inv_h2;
+  }
+}
+
+// W = 4 walks four consecutive columns from the first active one, so
+// every step starts on the active colour and the even lanes are the
+// active cells; each of them reads only other-colour neighbours, which
+// this pass never writes, so updating all lanes from one set of loads and
+// keeping the odd lanes' old values reproduces the scalar sweep exactly.
+// Each step loads the next step's left neighbours before its own store:
+// loaded after it, they would straddle the store, which a CPU cannot
+// forward, and every step would stall until the store left the buffer.
+// The one lane they share is an odd lane the store leaves unchanged.
+// Two lanes would keep one updated cell per step, which measures slower
+// than the scalar loop, so W = 2 runs the scalar loop like W = 1.
+template <int W>
+void poisson_sor_row(const double* up, double* mid, const double* down,
+                     const double* rhs, double h2, double quarter_omega,
+                     double keep, int j0, int n) {
+  int j = j0;
+  if constexpr (W >= 4) {
+    using V = simd::Vec<W>;
+    if (j + W <= n - 1) {
+      const V vh2 = V::broadcast(h2);
+      const V vqo = V::broadcast(quarter_omega);
+      const V vkeep = V::broadcast(keep);
+      V left = V::load(mid + j - 1);
+      bool more = true;
+      while (more) {
+        const V m = V::load(mid + j);
+        const V t = vh2 * V::load(rhs + j) + V::load(up + j) +
+                    V::load(down + j) + left + V::load(mid + j + 1);
+        more = j + 2 * W <= n - 1;
+        if (more) left = V::load(mid + j + W - 1);
+        blend_even(vkeep * m + vqo * t, m).store(mid + j);
+        j += W;
+      }
+    }
+  }
+  for (; j <= n - 2; j += 2) {
+    mid[j] = keep * mid[j] + quarter_omega * (h2 * rhs[j] + up[j] + down[j] +
+                                              mid[j - 1] + mid[j + 1]);
+  }
+}
+
+// W = 4 evaluates the stencil at eight consecutive fine columns from the
+// even column 2cj with unit-stride loads and keeps the even lanes (the
+// coarse points); the odd lanes are discarded.  Two lanes would keep one
+// value per vector, which measures slower than the scalar loop, so W = 2
+// runs the scalar loop like W = 1.
+template <int W>
+void restrict_row(const double* up, const double* mid, const double* down,
+                  double* out, int nc) {
+  int cj = 1;
+  if constexpr (W >= 4) {
+    using V = simd::Vec<W>;
+    const V four = V::broadcast(4.0);
+    const V two = V::broadcast(2.0);
+    const V sixteenth = V::broadcast(1.0 / 16.0);
+    const auto weigh = [&](int f) {
+      return (four * V::load(mid + f) +
+              two * (V::load(up + f) + V::load(down + f) +
+                     V::load(mid + f - 1) + V::load(mid + f + 1)) +
+              V::load(up + f - 1) + V::load(up + f + 1) +
+              V::load(down + f - 1) + V::load(down + f + 1)) *
+             sixteenth;
+    };
+    for (; cj + W <= nc - 1; cj += W) {
+      V even;
+      V odd;
+      deinterleave(weigh(2 * cj), weigh(2 * cj + W), even, odd);
+      even.store(out + cj);
+    }
+  }
+  for (; cj <= nc - 2; ++cj) {
+    const int fj = 2 * cj;
+    out[cj] = (4.0 * mid[fj] +
+               2.0 * (up[fj] + down[fj] + mid[fj - 1] + mid[fj + 1]) +
+               up[fj - 1] + up[fj + 1] + down[fj - 1] + down[fj + 1]) *
+              (1.0 / 16.0);
+  }
+}
+
+// W > 1 covers fine columns 2cj+1 … 2cj+2W per step from W coarse values
+// a = c[cj…] and their right neighbours b = c[cj+1…]: odd columns take
+// the midpoint of a and b, even columns b, interleaved into two stores.
+template <int W, bool Assign>
+void interpolate_row_as(const double* c0, const double* c1, double* out,
+                        int n) {
+  using V = simd::Vec<W>;
+  const auto put = [](double* p, double v) {
+    if constexpr (Assign) *p = v;
+    else *p += v;
+  };
+  int cj = 0;
+  if (W > 1) {
+    const V half = V::broadcast(0.5);
+    const V quarter = V::broadcast(0.25);
+    const auto put_v = [](double* p, V v) {
+      if constexpr (Assign) v.store(p);
+      else (V::load(p) + v).store(p);
+    };
+    for (; 2 * (cj + W) <= n - 2; cj += W) {
+      const V a0 = V::load(c0 + cj);
+      const V b0 = V::load(c0 + cj + 1);
+      V lo;
+      V hi;
+      if (c1 == nullptr) {
+        interleave(half * (a0 + b0), b0, lo, hi);
+      } else {
+        const V a1 = V::load(c1 + cj);
+        const V b1 = V::load(c1 + cj + 1);
+        interleave(quarter * (a0 + b0 + a1 + b1), half * (b0 + b1), lo, hi);
+      }
+      put_v(out + 2 * cj + 1, lo);
+      put_v(out + 2 * cj + 1 + W, hi);
+    }
+  }
+  for (int j = 2 * cj + 1; j <= n - 2; ++j) {
+    if (c1 == nullptr) {
+      put(out + j, j % 2 == 0 ? c0[j / 2] : 0.5 * (c0[j / 2] + c0[j / 2 + 1]));
+    } else {
+      put(out + j, j % 2 == 0 ? 0.5 * (c0[j / 2] + c1[j / 2])
+                              : 0.25 * (c0[j / 2] + c0[j / 2 + 1] +
+                                        c1[j / 2] + c1[j / 2 + 1]));
+    }
+  }
+}
+
+template <int W>
+void interpolate_row(const double* c0, const double* c1, double* out,
+                     bool assign, int n) {
+  if (assign) {
+    interpolate_row_as<W, true>(c0, c1, out, n);
+  } else {
+    interpolate_row_as<W, false>(c0, c1, out, n);
+  }
+}
+
 }  // namespace pbmg::grid::pk
 
 // One width TU invokes this to emit the only definitions of its W.
@@ -767,4 +928,14 @@ void y_apply9(double* xb, const double* bb, const double* pbase, long prow,
   template void y_apply9<W>(double*, const double*, const double*, long,      \
                             long, int, int, const double*, const double*,     \
                             const double*, double*, double, int);             \
+  template void poisson_residual_row<W>(const double*, const double*,         \
+                                        const double*, const double*,         \
+                                        double*, double, int);                \
+  template void poisson_sor_row<W>(const double*, double*, const double*,     \
+                                   const double*, double, double, double,     \
+                                   int, int);                                 \
+  template void restrict_row<W>(const double*, const double*, const double*,  \
+                                double*, int);                                \
+  template void interpolate_row<W>(const double*, const double*, double*,     \
+                                   bool, int);                                \
   }

@@ -1,7 +1,10 @@
 #pragma once
 
 /// \file packed_rows.h
-/// Width-templated flat row kernels over a PackedStencil row block.
+/// Width-templated flat row kernels: the packed variable-coefficient
+/// sweeps over a PackedStencil row block, and the constant-coefficient
+/// Poisson residual and red-black SOR plus the full-weighting restriction
+/// and bilinear interpolation that every operator shares.
 ///
 /// Everything here works on raw `double*` streams — no Grid2D, no
 /// scheduler, no StencilOp — so the per-width translation units
@@ -11,13 +14,18 @@
 /// x86; mixing ISAs in merged inline functions would be an ODR bug).
 /// Only declarations live here; packed_kernels_body.h holds the
 /// definitions and each width TU explicitly instantiates one W, so the
-/// dispatching TU (packed_kernels.cpp, compiled with baseline flags)
-/// links against exactly one copy per width.
+/// dispatching TUs (compiled with baseline flags) link against exactly
+/// one copy per width.
 ///
-/// Parity contract: every kernel reproduces the corresponding legacy
+/// Parity contract: every kernel reproduces the corresponding scalar
 /// loop's floating-point expression tree verbatim (same association,
 /// same negations), so for any W the results are bitwise identical to
-/// the scalar legacy sweep.  See simd.h for why that holds per lane.
+/// the W = 1 instantiation, which is the scalar path.  See simd.h for
+/// why that holds per lane.
+
+namespace pbmg::grid {
+class PackedStencil;
+}
 
 namespace pbmg::grid::pk {
 
@@ -43,6 +51,11 @@ struct View9 {
   const double* se;
   const double* ctr;
 };
+
+/// The streams of interior grid row i of a 5- or 9-point packed block
+/// (defined in packed_kernels.cpp, outside the per-width TUs).
+View5 view5(const PackedStencil& p, int i);
+View9 view9(const PackedStencil& p, int i);
 
 /// Residual/apply over one interior row: out[j] = A·x (rhs == nullptr)
 /// or rhs[j] − A·x (residual).  Unit-stride W-wide inner loop + scalar
@@ -163,5 +176,44 @@ void y_apply9(double* xb, const double* bb, const double* pbase, long prow,
               long ppad, int j0, int lanes, const double* cp,
               const double* sub, const double* inv, double* dp, double h2,
               int n);
+
+// ---------------------------------------------------------------------------
+// Constant-coefficient Poisson rows and the grid transfers
+// ---------------------------------------------------------------------------
+
+/// Poisson residual over one interior row: out[j] = rhs[j] −
+/// (4·mid[j] − up[j] − down[j] − mid[j−1] − mid[j+1])·inv_h2 for j in
+/// [1, n−2].
+template <int W>
+void poisson_residual_row(const double* up, const double* mid,
+                          const double* down, const double* rhs, double* out,
+                          double inv_h2, int n);
+
+/// One red-black Poisson SOR pass over a row: updates mid[j] in place for
+/// j = j0, j0+2, …, n−2.  W = 4 loads four consecutive columns of rows
+/// i−1, i, i+1 and stores four blended columns of row i — the other
+/// colour's cells are written back unchanged — so the caller must own
+/// rows i−1 and i+1 for the whole pass.  W = 1 and W = 2 run the scalar
+/// loop, which reads only the other colour of rows i±1 and writes only
+/// the active cells, so it is safe on any row.
+template <int W>
+void poisson_sor_row(const double* up, double* mid, const double* down,
+                     const double* rhs, double h2, double quarter_omega,
+                     double keep, int j0, int n);
+
+/// Full weighting of fine rows up/mid/down (2ci−1, 2ci, 2ci+1) onto one
+/// coarse row: out[cj] for cj in [1, nc−2], nc the coarse side.  Reads
+/// fine columns [1, 2nc−2].
+template <int W>
+void restrict_row(const double* up, const double* mid, const double* down,
+                  double* out, int nc);
+
+/// Bilinear interpolation onto interior fine row i of side n, over
+/// columns [1, n−2]: an even row passes its coarse row i/2 as c0 and
+/// c1 = nullptr, an odd row passes coarse rows i/2 and i/2 + 1.  Assigns
+/// out[j] = P·c or adds out[j] += P·c.
+template <int W>
+void interpolate_row(const double* c0, const double* c1, double* out,
+                     bool assign, int n);
 
 }  // namespace pbmg::grid::pk

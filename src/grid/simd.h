@@ -1,8 +1,10 @@
 #pragma once
 
 /// \file simd.h
-/// Minimal portable SIMD vector over W doubles (W = 1, 2, 4) for the
-/// packed stencil kernels.
+/// Minimal portable SIMD vector over W doubles (W = 1, 2, 4) for the row
+/// kernels of packed_rows.h: the packed variable-coefficient sweeps and
+/// the constant-coefficient Poisson residual, red-black SOR, full-weighting
+/// restriction and bilinear interpolation every operator shares.
 ///
 /// Only lane-wise +, −, ×, ÷ and a sign-flip negation are provided — all
 /// of them correctly rounded per IEEE-754, so a W-lane operation is
@@ -12,6 +14,10 @@
 /// compiles with -ffp-contract=off, and this wrapper never emits fused
 /// ops), every vector width produces the same bits as the scalar
 /// fallback, preserving the deterministic-under-thread-count guarantee.
+/// The lane moves — deinterleave(), interleave() and blend_even() — only
+/// copy values between lanes, never compute, so they are exact too.  The
+/// 2-lane specializations carry only interleave(): no kernel uses the
+/// other two below four lanes.
 ///
 /// Specializations: SSE2 / NEON for W = 2, AVX2 for W = 4 (only where the
 /// including translation unit is compiled with AVX2 — see
@@ -93,6 +99,29 @@ struct Vec {
     for (int l = 0; l < W; ++l) r.v[l] = -v[l];
     return r;
   }
+  /// Splits the 2W consecutive values lo ++ hi into the values at even
+  /// and at odd positions: even = {x0, x2, …}, odd = {x1, x3, …}.
+  friend void deinterleave(Vec lo, Vec hi, Vec& even, Vec& odd) {
+    for (int l = 0; l < W; ++l) {
+      const int e = 2 * l;
+      even.v[l] = e < W ? lo.v[e] : hi.v[e - W];
+      odd.v[l] = e + 1 < W ? lo.v[e + 1] : hi.v[e + 1 - W];
+    }
+  }
+  /// Inverse of deinterleave: lo ++ hi = {e0, o0, e1, o1, …}.
+  friend void interleave(Vec even, Vec odd, Vec& lo, Vec& hi) {
+    for (int l = 0; l < W; ++l) {
+      const int e = 2 * l;
+      (e < W ? lo.v[e] : hi.v[e - W]) = even.v[l];
+      (e + 1 < W ? lo.v[e + 1] : hi.v[e + 1 - W]) = odd.v[l];
+    }
+  }
+  /// Even lanes (0, 2, …) from a, odd lanes from b.
+  friend Vec blend_even(Vec a, Vec b) {
+    Vec r;
+    for (int l = 0; l < W; ++l) r.v[l] = l % 2 == 0 ? a.v[l] : b.v[l];
+    return r;
+  }
 };
 
 #if defined(PBMG_SIMD_SSE2)
@@ -120,6 +149,10 @@ struct Vec<2> {
     // Sign-bit flip: exactly IEEE negation, matching scalar -x (0 − x
     // would differ on signed zeros).
     return {_mm_xor_pd(v, _mm_set1_pd(-0.0))};
+  }
+  friend void interleave(Vec even, Vec odd, Vec& lo, Vec& hi) {
+    lo.v = _mm_unpacklo_pd(even.v, odd.v);
+    hi.v = _mm_unpackhi_pd(even.v, odd.v);
   }
 };
 
@@ -152,6 +185,21 @@ struct Vec<4> {
   Vec operator-() const {
     return {_mm256_xor_pd(v, _mm256_set1_pd(-0.0))};
   }
+  friend void deinterleave(Vec lo, Vec hi, Vec& even, Vec& odd) {
+    // In-lane unpacks give {x0, x4, x2, x6} / {x1, x5, x3, x7}; one
+    // cross-lane permute each restores ascending order.
+    even.v = _mm256_permute4x64_pd(_mm256_unpacklo_pd(lo.v, hi.v), 0xD8);
+    odd.v = _mm256_permute4x64_pd(_mm256_unpackhi_pd(lo.v, hi.v), 0xD8);
+  }
+  friend void interleave(Vec even, Vec odd, Vec& lo, Vec& hi) {
+    const __m256d a = _mm256_unpacklo_pd(even.v, odd.v);  // e0 o0 e2 o2
+    const __m256d b = _mm256_unpackhi_pd(even.v, odd.v);  // e1 o1 e3 o3
+    lo.v = _mm256_permute2f128_pd(a, b, 0x20);
+    hi.v = _mm256_permute2f128_pd(a, b, 0x31);
+  }
+  friend Vec blend_even(Vec a, Vec b) {
+    return {_mm256_blend_pd(a.v, b.v, 0xA)};  // lanes 1, 3 from b
+  }
 };
 
 #endif  // __AVX2__
@@ -179,6 +227,10 @@ struct Vec<2> {
   friend Vec operator*(Vec a, Vec b) { return {vmulq_f64(a.v, b.v)}; }
   friend Vec operator/(Vec a, Vec b) { return {vdivq_f64(a.v, b.v)}; }
   Vec operator-() const { return {vnegq_f64(v)}; }
+  friend void interleave(Vec even, Vec odd, Vec& lo, Vec& hi) {
+    lo.v = vzip1q_f64(even.v, odd.v);
+    hi.v = vzip2q_f64(even.v, odd.v);
+  }
 };
 
 #endif  // PBMG_SIMD_SSE2 / PBMG_SIMD_NEON

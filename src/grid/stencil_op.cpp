@@ -15,27 +15,31 @@ namespace {
 /// Series (harmonic) combination of two fine edges spanning one coarse
 /// edge: the effective conductance of two unit-length conductors in
 /// series, scaled back to the coarse edge length.  Exact for constant
-/// coefficients: H(a, a) = a.  The guard is a PBMG_CHECK (active in every
-/// build): a degenerate pair (a1 + a2 <= 0) would otherwise produce an
-/// Inf/NaN coefficient that propagates silently through the whole coarse
-/// hierarchy in plain Release, where the construction-time positivity
-/// scan (PBMG_NUM_ASSERT) is compiled out.
+/// coefficients: H(a, a) = a.  The construction-time positivity scan
+/// already rejects every non-positive edge; this PBMG_CHECK keeps a
+/// degenerate pair (a1 + a2 <= 0) from producing an Inf/NaN coefficient
+/// should an edge ever reach here unscanned.
 double series(double a1, double a2) {
   const double sum = a1 + a2;
   PBMG_CHECK(sum > 0.0, "StencilOp: degenerate edge pair in restriction");
   return 2.0 * a1 * a2 / sum;
 }
 
+// Both scans run in every build: a zero, negative or NaN edge (or a
+// non-positive centre) would otherwise be accepted by Release and divided
+// by in the first sweep.  They are one O(n²) pass per construction —
+// operator binding and coarsening, never a solve.
+
 void check_coefficients(const Grid2D& ax, const Grid2D& ay, int n) {
   // Only edges adjacent to interior equations matter, but a single bad
-  // value anywhere is almost always a construction bug, so the assertion
-  // build scans every stored edge.
+  // value anywhere is almost always a construction bug, so every stored
+  // edge is scanned.
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j + 1 < n; ++j) {
-      PBMG_NUM_ASSERT(std::isfinite(ax(i, j)) && ax(i, j) > 0.0,
-                      "StencilOp: ax edge coefficient must be finite and > 0");
-      PBMG_NUM_ASSERT(std::isfinite(ay(j, i)) && ay(j, i) > 0.0,
-                      "StencilOp: ay edge coefficient must be finite and > 0");
+      PBMG_CHECK(std::isfinite(ax(i, j)) && ax(i, j) > 0.0,
+                 "StencilOp: ax edge coefficient must be finite and > 0");
+      PBMG_CHECK(std::isfinite(ay(j, i)) && ay(j, i) > 0.0,
+                 "StencilOp: ay edge coefficient must be finite and > 0");
     }
   }
 }
@@ -49,24 +53,24 @@ void check_nine_point(const Grid2D& ax, const Grid2D& ay, const Grid2D& ase,
   // check_coefficients so every stored edge is covered.
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j + 1 < n; ++j) {
-      PBMG_NUM_ASSERT(std::isfinite(ax(i, j)),
-                      "StencilOp: ax edge coupling must be finite");
-      PBMG_NUM_ASSERT(std::isfinite(ay(j, i)),
-                      "StencilOp: ay edge coupling must be finite");
+      PBMG_CHECK(std::isfinite(ax(i, j)),
+                 "StencilOp: ax edge coupling must be finite");
+      PBMG_CHECK(std::isfinite(ay(j, i)),
+                 "StencilOp: ay edge coupling must be finite");
     }
   }
   for (int i = 0; i + 1 < n; ++i) {
     for (int j = 0; j + 1 < n; ++j) {
-      PBMG_NUM_ASSERT(std::isfinite(ase(i, j)),
-                      "StencilOp: ase corner coupling must be finite");
-      PBMG_NUM_ASSERT(std::isfinite(asw(i, j + 1)),
-                      "StencilOp: asw corner coupling must be finite");
+      PBMG_CHECK(std::isfinite(ase(i, j)),
+                 "StencilOp: ase corner coupling must be finite");
+      PBMG_CHECK(std::isfinite(asw(i, j + 1)),
+                 "StencilOp: asw corner coupling must be finite");
     }
   }
   for (int i = 1; i + 1 < n; ++i) {
     for (int j = 1; j + 1 < n; ++j) {
-      PBMG_NUM_ASSERT(std::isfinite(center(i, j)) && center(i, j) > 0.0,
-                      "StencilOp: centre coefficient must be finite and > 0");
+      PBMG_CHECK(std::isfinite(center(i, j)) && center(i, j) > 0.0,
+                 "StencilOp: centre coefficient must be finite and > 0");
     }
   }
 }

@@ -114,7 +114,10 @@ StencilLayout parse_stencil_layout(const std::string& name);
 /// forwards it).  simd_width is the *requested* lane count in {1, 2, 4};
 /// the dispatcher clamps it to what the running CPU supports — safe because
 /// every width is bitwise identical, so clamping never changes results.
-/// Width only matters under kPacked (legacy sweeps ignore it).
+/// Width only matters under kPacked (legacy sweeps ignore it); the Poisson
+/// residual and SOR rows and the restriction and interpolation every
+/// operator shares always run at the widest supported width
+/// (packed_simd_width_supported()), whatever the policy says.
 struct KernelPolicy {
   StencilLayout layout = StencilLayout::kLegacy;
   int simd_width = 1;
@@ -140,7 +143,8 @@ class StencilOp {
   /// and `ay` must be n×n: ax(i,j) is the coefficient of the edge between
   /// nodes (i,j) and (i,j+1) (read for j in [0, n−2]); ay(i,j) is the
   /// coefficient of the edge between (i,j) and (i+1,j) (read for i in
-  /// [0, n−2]).  Requires every read edge coefficient > 0 and c >= 0.
+  /// [0, n−2]).  Requires every stored edge coefficient finite and > 0
+  /// and c >= 0; throws InvalidArgument otherwise, in every build.
   static StencilOp variable(Grid2D ax, Grid2D ay, double c);
 
   /// Builds a 9-point operator from explicit coupling grids.  In addition
@@ -149,8 +153,9 @@ class StencilOp {
   /// and (i+1,j−1) (the "/" diagonal, read for i in [0, n−2], j in
   /// [1, n−1]); center(i,j) is the explicit centre coefficient at interior
   /// nodes (coupling units — the assembled diagonal is center/h² + c).
-  /// Corner couplings may be negative; requires center > 0 on the
-  /// interior and c >= 0.
+  /// Corner couplings may be negative; requires finite couplings, a
+  /// finite center > 0 on the interior and c >= 0, and throws
+  /// InvalidArgument otherwise, in every build.
   static StencilOp nine_point(Grid2D ax, Grid2D ay, Grid2D ase, Grid2D asw,
                               Grid2D center, double c);
 

@@ -63,16 +63,12 @@ void vcycle_impl(const grid::StencilHierarchy* ops, Grid2D& x,
     return;
   }
   smooth(op, x, b, options, options.pre_relax, level, sched, pool);
-  const int n = x.n();
-  auto r_lease = pool.acquire(n);
-  Grid2D& r = r_lease.get();  // residual() writes every cell
-  const int nc = coarse_size(n);
+  const int nc = coarse_size(x.n());
   auto rc_lease = pool.acquire(nc);
   Grid2D& rc = rc_lease.get();  // restriction writes interior + zeros ring
   {
     obs::ScopedPhaseTimer timer(profile, obs::Phase::kRestrict, level);
-    grid::residual_op(op, x, b, r, sched, options.kernels);
-    grid::restrict_full_weighting(r, rc, sched);
+    grid::restrict_residual(op, x, b, rc, sched, options.kernels);
   }
   // Error equation on the coarse grid: zero initial guess, zero Dirichlet
   // ring (the error of a Dirichlet problem vanishes on the boundary).

@@ -5,6 +5,7 @@
 
 #include "grid/level.h"
 #include "grid/packed_kernels.h"
+#include "grid/packed_rows.h"
 
 namespace pbmg::solvers {
 
@@ -51,32 +52,65 @@ double scaled_omega_opt(int n, double scale) {
   return std::min(std::max(omega_opt(n) * scale, 0.05), 1.999);
 }
 
+namespace {
+
+using PoissonSorRow = void (*)(const double*, double*, const double*,
+                               const double*, double, double, double, int,
+                               int);
+
+/// Smallest grid whose rows take the wide SOR row: on shorter rows its
+/// per-row setup outweighs the few active cells it covers (one-thread
+/// sweeps measure no faster than the scalar row at n = 33 and slower at
+/// n = 17), so smaller grids keep the scalar row throughout.
+constexpr int kWideSorMinN = 65;
+
+/// One red-black Poisson SOR pass of colour `parity` over the iterates xs
+/// (each against its own rhs in bs), row by row, every iterate's row i
+/// before row i + 1.  A leaf's interior rows take the widest row kernel,
+/// whose full-width loads read the neighbour rows' same-colour cells and
+/// whose blended store rewrites this row's other colour — safe only
+/// because this thread updates both neighbour rows itself, in order.
+/// The leaf's first and last rows border rows another leaf may be
+/// updating concurrently, so they take the W = 1 row, which reads and
+/// writes nothing that leaf touches.
+void poisson_sor_pass(std::span<Grid2D* const> xs,
+                      std::span<const Grid2D* const> bs, double omega,
+                      int parity, rt::Scheduler& sched) {
+  const int n = xs[0]->n();
+  const double h2 = mesh_width(n) * mesh_width(n);
+  const double quarter_omega = 0.25 * omega;
+  const double keep = 1.0 - omega;
+  const int width = n < kWideSorMinN ? 1 : grid::packed_simd_width_supported();
+  const PoissonSorRow wide =
+      width == 4   ? &grid::pk::poisson_sor_row<4>
+      : width == 2 ? &grid::pk::poisson_sor_row<2>
+                   : &grid::pk::poisson_sor_row<1>;
+  sched.parallel_for(
+      1, n - 1, sched.grain_for(n - 2, n - 2),
+      [&](std::int64_t ib, std::int64_t ie) {
+        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
+          const PoissonSorRow row =
+              i > ib && i + 1 < ie ? wide : &grid::pk::poisson_sor_row<1>;
+          // parity 0 = "red" cells ((i + j) even), parity 1 = "black".
+          const int j0 = 1 + ((i + 1 + parity) & 1);
+          for (std::size_t k = 0; k < xs.size(); ++k) {
+            row(xs[k]->row(i - 1), xs[k]->row(i), xs[k]->row(i + 1),
+                bs[k]->row(i), h2, quarter_omega, keep, j0, n);
+          }
+        }
+      });
+}
+
+}  // namespace
+
 void sor_sweep(Grid2D& x, const Grid2D& b, double omega,
                rt::Scheduler& sched) {
   PBMG_CHECK(is_valid_grid_size(x.n()), "sor_sweep: grid size must be 2^k+1");
   PBMG_CHECK(x.n() == b.n(), "sor_sweep: grid size mismatch");
-  const int n = x.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double quarter_omega = 0.25 * omega;
-  const double keep = 1.0 - omega;
-  // parity 0 = "red" cells ((i + j) even), parity 1 = "black".
+  Grid2D* const xs[] = {&x};
+  const Grid2D* const bs[] = {&b};
   for (int parity = 0; parity <= 1; ++parity) {
-    sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
-        [&, parity](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            const double* up = x.row(i - 1);
-            double* mid = x.row(i);
-            const double* down = x.row(i + 1);
-            const double* rhs = b.row(i);
-            const int j0 = 1 + ((i + 1 + parity) & 1);
-            for (int j = j0; j < n - 1; j += 2) {
-              mid[j] = keep * mid[j] +
-                       quarter_omega * (h2 * rhs[j] + up[j] + down[j] +
-                                        mid[j - 1] + mid[j + 1]);
-            }
-          }
-        });
+    poisson_sor_pass(xs, bs, omega, parity, sched);
   }
 }
 
@@ -240,37 +274,6 @@ void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
 
 namespace {
 
-/// Fused Poisson red-black sweep over K iterates; per-k update order is
-/// the solo sor_sweep(Grid2D&, ...) loop verbatim.
-void sor_sweep_poisson_multi(std::span<Grid2D* const> xs,
-                             std::span<const Grid2D* const> bs, double omega,
-                             rt::Scheduler& sched) {
-  const int n = xs[0]->n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double quarter_omega = 0.25 * omega;
-  const double keep = 1.0 - omega;
-  for (int parity = 0; parity <= 1; ++parity) {
-    sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
-        [&, parity](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            const int j0 = 1 + ((i + 1 + parity) & 1);
-            for (std::size_t k = 0; k < xs.size(); ++k) {
-              const double* up = xs[k]->row(i - 1);
-              double* mid = xs[k]->row(i);
-              const double* down = xs[k]->row(i + 1);
-              const double* rhs = bs[k]->row(i);
-              for (int j = j0; j < n - 1; j += 2) {
-                mid[j] = keep * mid[j] +
-                         quarter_omega * (h2 * rhs[j] + up[j] + down[j] +
-                                          mid[j - 1] + mid[j + 1]);
-              }
-            }
-          }
-        });
-  }
-}
-
 /// Fused 9-point four-colour sweep over K iterates; coefficient rows are
 /// resolved once per grid row and reused across the K inner updates.
 void sor_sweep_nine_multi(const grid::StencilOp& op,
@@ -374,7 +377,11 @@ void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
     return;
   }
   if (op.is_poisson()) {
-    sor_sweep_poisson_multi(xs, bs, omega, sched);
+    PBMG_CHECK(is_valid_grid_size(op.n()),
+               "sor_sweep_multi: grid size must be 2^k+1");
+    for (int parity = 0; parity <= 1; ++parity) {
+      poisson_sor_pass(xs, bs, omega, parity, sched);
+    }
     return;
   }
   PBMG_CHECK(is_valid_grid_size(op.n()),

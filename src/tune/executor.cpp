@@ -196,16 +196,12 @@ void TunedExecutor::recurse_body_at(Grid2D& x, const Grid2D& b, int level,
   relax_once();
   trace(trace::Op::kRelax, level);
 
-  const int n = x.n();
-  auto r_lease = pool_.acquire(n);
-  Grid2D& r = r_lease.get();  // residual() writes every cell
-  const int nc = coarse_size(n);
+  const int nc = coarse_size(x.n());
   auto rc_lease = pool_.acquire(nc);
   Grid2D& rc = rc_lease.get();  // restriction writes interior + zeros ring
   {
     obs::ScopedPhaseTimer timer(profile, obs::Phase::kRestrict, level);
-    grid::residual_op(op, x, b, r, sched_, relax_.kernels);
-    grid::restrict_full_weighting(r, rc, sched_);
+    grid::restrict_residual(op, x, b, rc, sched_, relax_.kernels);
   }
   trace(trace::Op::kRestrict, level);
 
@@ -433,17 +429,13 @@ void TunedExecutor::estimate_at(Grid2D& x, const Grid2D& b, int level,
   // top, the historical path below it); the coarsening axis applies to
   // the RECURSE bodies, whose cells carry it, not to the estimate phase —
   // training and execution share this rule, so measurements stay honest.
-  const int n = x.n();
-  auto r_lease = pool_.acquire(n);
-  Grid2D& r = r_lease.get();
-  const int nc = coarse_size(n);
+  const int nc = coarse_size(x.n());
   auto rc_lease = pool_.acquire(nc);
   Grid2D& rc = rc_lease.get();
   {
     obs::ScopedPhaseTimer timer(profile, obs::Phase::kRestrict, level);
-    grid::residual_op(op_at(level, grid::Coarsening::kAverage, rap), x, b, r,
-                      sched_, relax_.kernels);
-    grid::restrict_full_weighting(r, rc, sched_);
+    grid::restrict_residual(op_at(level, grid::Coarsening::kAverage, rap), x,
+                            b, rc, sched_, relax_.kernels);
   }
   trace(trace::Op::kRestrict, level);
 

@@ -44,14 +44,16 @@ PreparedOperator::PreparedOperator(
     executors_.push_back(std::make_unique<TunedExecutor>(
         *config, sched_, direct, pool_, nullptr, relax_, &ops_, rap));
   }
-  // Stock the pool: a V/FMG recursion holds at most three scratch grids
-  // per side length at once (residual at the fine side plus
-  // restricted-residual and error at the coarse side of the level above),
-  // so warming three per level means the first request — and every
-  // concurrent request after it, once the pool refills — allocates
-  // nothing on the solve path.  Line smoothers additionally lease the two
-  // Thomas workspace grids per sweep level.
-  const int per_level = any_line ? 5 : 3;
+  // Stock the pool: a V/FMG recursion holds at most two scratch grids per
+  // side length at once — the restricted residual and the error of the
+  // level above.  The fine residual is never a grid: restrict_residual
+  // weighs it row by row from a per-leaf buffer.  Warming two per level
+  // means the first request — and every concurrent request after it, once
+  // the pool refills — allocates nothing on the solve path.  Line
+  // smoothers additionally lease the two Thomas workspace grids per sweep
+  // level.  The audit's residual_norm lease at the fine side fits the
+  // fine level's two, which no recursion holds.
+  const int per_level = any_line ? 4 : 2;
   std::size_t scratch_bytes = 0;
   for (int k = 1; k <= level_; ++k) {
     const int side = size_of_level(k);

@@ -100,6 +100,16 @@ TEST(SolveSession, PreallocatesTheLevelHierarchy) {
   const auto after = local.scratch().stats();
   EXPECT_GT(after.hits, warm.hits);
   EXPECT_EQ(after.misses, warm.misses);  // nothing allocated on the path
+  // The tuned walks too: FMG's estimate phases and the V/FMG recursion
+  // bodies hold two grids per coarse side, which the warm-up stocks.
+  const int top = trained().accuracy_count() - 1;
+  x.copy_from(inst.problem.x0);
+  session.solve_fmg(x, inst.problem.b, top);
+  x.copy_from(inst.problem.x0);
+  session.solve_v(x, inst.problem.b, top);
+  const auto tuned = local.scratch().stats();
+  EXPECT_GT(tuned.hits, after.hits);
+  EXPECT_EQ(tuned.misses, warm.misses);
 }
 
 TEST(SolveSession, SolveVMeetsAccuracyContractAndReportsStats) {

@@ -9,11 +9,18 @@
 // RAP ladder, at n = 3 and 5 edge sizes, and across thread counts.
 // Also covered: the PackedStencil layout itself (alignment, stream
 // mapping, fused 5-point diagonal), the Poisson passthrough, width
-// clamping, and KernelPolicy validation.
+// clamping, and KernelPolicy validation.  The constant-coefficient
+// Poisson residual and SOR rows and the restriction and interpolation
+// rows every operator shares are pinned against scalar reference loops
+// kept here, at every width, through the public entry points at one and
+// four threads, and with eight-row leaves racing at n = 257 and 1025; the
+// fused restrict_residual is pinned against residual_op followed by
+// restrict_full_weighting for every operator kind.
 
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +29,7 @@
 #include "grid/grid_ops.h"
 #include "grid/level.h"
 #include "grid/packed_kernels.h"
+#include "grid/packed_rows.h"
 #include "grid/packed_stencil.h"
 #include "grid/problem.h"
 #include "grid/stencil_op.h"
@@ -32,7 +40,7 @@
 namespace pbmg::grid {
 namespace {
 
-Engine& engine_with(int threads) {
+Engine& engine_with(int threads, int grain_rows = 2) {
   static Engine one([] {
     rt::MachineProfile p;
     p.name = "packed-test-1t";
@@ -46,7 +54,18 @@ Engine& engine_with(int threads) {
     p.grain_rows = 2;  // force real slicing so races would surface
     return EngineOptions{p, {}, {}, 0};
   }());
-  return threads == 1 ? one : four;
+  // Eight-row leaves: the Poisson SOR sweep runs its full-width rows only
+  // inside a leaf, so its leaf-edge rows race their neighbour leaves only
+  // when leaves are longer than two rows.
+  static Engine four_wide([] {
+    rt::MachineProfile p;
+    p.name = "packed-test-4t-g8";
+    p.threads = 4;
+    p.grain_rows = 8;
+    return EngineOptions{p, {}, {}, 0};
+  }());
+  if (threads == 1) return one;
+  return grain_rows == 8 ? four_wide : four;
 }
 
 /// Deterministic dense test data; magnitudes mixed so any dropped term or
@@ -344,6 +363,284 @@ TEST(PackedParity, PrewarmedHierarchyMatchesLazyPacking) {
   }
 }
 
+// ------------------------------------- Poisson fast path & transfers --
+
+// Scalar reference loops for the constant-coefficient residual, red-black
+// SOR, full-weighting restriction and bilinear interpolation: the parity
+// oracle that every row width and every entry point must match bit for
+// bit.
+
+void reference_residual(const Grid2D& x, const Grid2D& b, Grid2D& r) {
+  const int n = x.n();
+  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
+  r.fill(0.0);
+  for (int i = 1; i < n - 1; ++i) {
+    const double* up = x.row(i - 1);
+    const double* mid = x.row(i);
+    const double* down = x.row(i + 1);
+    const double* rhs = b.row(i);
+    double* o = r.row(i);
+    for (int j = 1; j < n - 1; ++j) {
+      o[j] = rhs[j] -
+             (4.0 * mid[j] - up[j] - down[j] - mid[j - 1] - mid[j + 1]) *
+                 inv_h2;
+    }
+  }
+}
+
+void reference_sor(Grid2D& x, const Grid2D& b, double omega) {
+  const int n = x.n();
+  const double h2 = mesh_width(n) * mesh_width(n);
+  const double quarter_omega = 0.25 * omega;
+  const double keep = 1.0 - omega;
+  for (int parity = 0; parity <= 1; ++parity) {
+    for (int i = 1; i < n - 1; ++i) {
+      const double* up = x.row(i - 1);
+      double* mid = x.row(i);
+      const double* down = x.row(i + 1);
+      const double* rhs = b.row(i);
+      for (int j = 1 + ((i + 1 + parity) & 1); j < n - 1; j += 2) {
+        mid[j] = keep * mid[j] + quarter_omega * (h2 * rhs[j] + up[j] +
+                                                  down[j] + mid[j - 1] +
+                                                  mid[j + 1]);
+      }
+    }
+  }
+}
+
+void reference_restrict(const Grid2D& fine, Grid2D& coarse) {
+  const int nc = coarse.n();
+  coarse.fill(0.0);
+  for (int ci = 1; ci < nc - 1; ++ci) {
+    const double* up = fine.row(2 * ci - 1);
+    const double* mid = fine.row(2 * ci);
+    const double* down = fine.row(2 * ci + 1);
+    for (int cj = 1; cj < nc - 1; ++cj) {
+      const int fj = 2 * cj;
+      coarse(ci, cj) =
+          (4.0 * mid[fj] +
+           2.0 * (up[fj] + down[fj] + mid[fj - 1] + mid[fj + 1]) +
+           up[fj - 1] + up[fj + 1] + down[fj - 1] + down[fj + 1]) *
+          (1.0 / 16.0);
+    }
+  }
+}
+
+void reference_interpolate(const Grid2D& coarse, Grid2D& fine, bool assign) {
+  const int n = fine.n();
+  for (int i = 1; i < n - 1; ++i) {
+    double* out = fine.row(i);
+    const double* c0 = coarse.row(i / 2);
+    const double* c1 = coarse.row(i / 2 + (i % 2));
+    for (int j = 1; j < n - 1; ++j) {
+      double v = 0.0;
+      if (i % 2 == 0) {
+        v = j % 2 == 0 ? c0[j / 2] : 0.5 * (c0[j / 2] + c0[j / 2 + 1]);
+      } else {
+        v = j % 2 == 0 ? 0.5 * (c0[j / 2] + c1[j / 2])
+                       : 0.25 * (c0[j / 2] + c0[j / 2 + 1] + c1[j / 2] +
+                                 c1[j / 2 + 1]);
+      }
+      if (assign) out[j] = v;
+      else out[j] += v;
+    }
+  }
+}
+
+/// Calls f(std::integral_constant<int, W>) for every lane width the
+/// running CPU can execute.
+template <typename F>
+void for_each_supported_width(const F& f) {
+  f(std::integral_constant<int, 1>{});
+  if (packed_simd_width_supported() >= 2) f(std::integral_constant<int, 2>{});
+  if (packed_simd_width_supported() >= 4) f(std::integral_constant<int, 4>{});
+}
+
+/// n = 3 … 33 cover a single interior point and every vector tail.
+constexpr int kSmallSizes[] = {3, 5, 9, 17, 33};
+
+TEST(PoissonRows, EveryWidthMatchesTheScalarReference) {
+  std::uint64_t seed = 0x9051;
+  for (const int n : kSmallSizes) {
+    const int nc = coarse_size(n);
+    const double inv_h2 =
+        static_cast<double>(n - 1) * static_cast<double>(n - 1);
+    const double h2 = mesh_width(n) * mesh_width(n);
+    const Grid2D x = random_grid(n, ++seed);
+    const Grid2D b = random_grid(n, ++seed);
+    const Grid2D coarse = random_grid(nc, ++seed);
+    Grid2D r_ref(n, 0.0);
+    reference_residual(x, b, r_ref);
+    Grid2D sor_ref = x;
+    for (int s = 0; s < 3; ++s) reference_sor(sor_ref, b, 1.15);
+    Grid2D rc_ref(nc, 0.0);
+    reference_restrict(x, rc_ref);
+    Grid2D add_ref = x;
+    reference_interpolate(coarse, add_ref, /*assign=*/false);
+    Grid2D assign_ref = x;
+    reference_interpolate(coarse, assign_ref, /*assign=*/true);
+
+    for_each_supported_width([&](auto width) {
+      constexpr int W = decltype(width)::value;
+      SCOPED_TRACE("n=" + std::to_string(n) + " W=" + std::to_string(W));
+      Grid2D r(n, 0.0);
+      for (int i = 1; i < n - 1; ++i) {
+        pk::poisson_residual_row<W>(x.row(i - 1), x.row(i), x.row(i + 1),
+                                    b.row(i), r.row(i), inv_h2, n);
+      }
+      EXPECT_TRUE(bitwise_equal(r, r_ref)) << "residual";
+
+      // One thread walks every row in order, so every row may take the
+      // full-width kernel.
+      Grid2D sor = x;
+      for (int s = 0; s < 3; ++s) {
+        for (int parity = 0; parity <= 1; ++parity) {
+          for (int i = 1; i < n - 1; ++i) {
+            pk::poisson_sor_row<W>(sor.row(i - 1), sor.row(i), sor.row(i + 1),
+                                   b.row(i), h2, 0.25 * 1.15, 1.0 - 1.15,
+                                   1 + ((i + 1 + parity) & 1), n);
+          }
+        }
+      }
+      EXPECT_TRUE(bitwise_equal(sor, sor_ref)) << "three SOR sweeps";
+
+      Grid2D rc(nc, 0.0);
+      for (int ci = 1; ci < nc - 1; ++ci) {
+        pk::restrict_row<W>(x.row(2 * ci - 1), x.row(2 * ci),
+                            x.row(2 * ci + 1), rc.row(ci), nc);
+      }
+      EXPECT_TRUE(bitwise_equal(rc, rc_ref)) << "restriction";
+
+      for (const bool assign : {false, true}) {
+        Grid2D fine = x;
+        for (int i = 1; i < n - 1; ++i) {
+          pk::interpolate_row<W>(coarse.row(i / 2),
+                                 i % 2 == 0 ? nullptr : coarse.row(i / 2 + 1),
+                                 fine.row(i), assign, n);
+        }
+        EXPECT_TRUE(bitwise_equal(fine, assign ? assign_ref : add_ref))
+            << (assign ? "interpolate_assign" : "interpolate_add");
+      }
+    });
+  }
+}
+
+/// The public entry points against the reference at one size and engine.
+void expect_entry_points_match_reference(int n, Engine& eng,
+                                         std::uint64_t seed) {
+  rt::Scheduler& sched = eng.scheduler();
+  const int nc = coarse_size(n);
+  const Grid2D x = random_grid(n, seed);
+  const Grid2D b = random_grid(n, seed + 1);
+  const Grid2D coarse = random_grid(nc, seed + 2);
+
+  Grid2D r_ref(n, 0.0);
+  reference_residual(x, b, r_ref);
+  Grid2D r(n, 1.0);
+  residual(x, b, r, sched);
+  EXPECT_TRUE(bitwise_equal(r, r_ref)) << "residual";
+  Grid2D r_op(n, 1.0);
+  residual_op(StencilOp::poisson(n), x, b, r_op, sched, packed_policy(4));
+  EXPECT_TRUE(bitwise_equal(r_op, r_ref)) << "residual_op";
+
+  Grid2D sor_ref = x;
+  Grid2D sor = x;
+  for (int s = 0; s < 3; ++s) {
+    reference_sor(sor_ref, b, 1.15);
+    solvers::sor_sweep(sor, b, 1.15, sched);
+  }
+  EXPECT_TRUE(bitwise_equal(sor, sor_ref)) << "three SOR sweeps";
+
+  Grid2D rc_ref(nc, 0.0);
+  reference_restrict(r_ref, rc_ref);
+  Grid2D rc(nc, 1.0);
+  restrict_full_weighting(r_ref, rc, sched);
+  EXPECT_TRUE(bitwise_equal(rc, rc_ref)) << "restrict_full_weighting";
+  Grid2D fused(nc, 1.0);
+  restrict_residual(StencilOp::poisson(n), x, b, fused, sched);
+  EXPECT_TRUE(bitwise_equal(fused, rc_ref)) << "restrict_residual";
+
+  Grid2D add_ref = x;
+  Grid2D add = x;
+  reference_interpolate(coarse, add_ref, /*assign=*/false);
+  interpolate_add(coarse, add, sched);
+  EXPECT_TRUE(bitwise_equal(add, add_ref)) << "interpolate_add";
+  Grid2D assign_ref = x;
+  Grid2D assign = x;
+  reference_interpolate(coarse, assign_ref, /*assign=*/true);
+  interpolate_assign(coarse, assign, sched);
+  EXPECT_TRUE(bitwise_equal(assign, assign_ref)) << "interpolate_assign";
+}
+
+TEST(PoissonRows, EntryPointsMatchTheScalarReferenceAtOneAndFourThreads) {
+  std::uint64_t seed = 0xE27;
+  for (const int n : kSmallSizes) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " threads=" + std::to_string(threads));
+      expect_entry_points_match_reference(n, engine_with(threads), seed += 8);
+    }
+  }
+}
+
+TEST(PoissonRows, SlicedSweepsMatchTheScalarReference) {
+  // Past the 16,384-cell sequential cutoff, so four threads run eight-row
+  // leaves concurrently: the SOR leaf-edge rows and the fused
+  // restriction's per-leaf buffers race here if anywhere.
+  std::uint64_t seed = 0x511CE;
+  for (const int n : {257, 1025}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    expect_entry_points_match_reference(n, engine_with(4, 8), seed += 8);
+  }
+}
+
+TEST(FusedRestriction, MatchesResidualThenRestrictForEveryOperatorKind) {
+  // restrict_residual drives the same row kernel as residual_op, so it
+  // must equal residual_op followed by restrict_full_weighting exactly:
+  // Poisson, every parity family under both layouts, and a Galerkin RAP
+  // level (9-point coarse operator of a rotated fine one).
+  const auto expect_fused = [](const StencilOp& op, const KernelPolicy& k,
+                               Engine& eng, std::uint64_t seed) {
+    const int n = op.n();
+    const Grid2D x = random_grid(n, seed);
+    const Grid2D b = random_grid(n, seed + 1);
+    Grid2D r(n, 1.0);
+    Grid2D expected(coarse_size(n), 1.0);
+    residual_op(op, x, b, r, eng.scheduler(), k);
+    restrict_full_weighting(r, expected, eng.scheduler());
+    Grid2D fused(coarse_size(n), 2.0);
+    restrict_residual(op, x, b, fused, eng.scheduler(), k);
+    EXPECT_TRUE(bitwise_equal(fused, expected));
+  };
+  std::uint64_t seed = 0xF05E;
+  for (const int n : kSmallSizes) {
+    SCOPED_TRACE("poisson n=" + std::to_string(n));
+    expect_fused(StencilOp::poisson(n), KernelPolicy{}, engine_with(4),
+                 seed += 2);
+  }
+  for (const OperatorFamily family : kParityFamilies) {
+    for (const int n : {5, 33}) {
+      const StencilOp op = make_operator(n, family);
+      for (const KernelPolicy& k : {KernelPolicy{}, packed_policy(4)}) {
+        SCOPED_TRACE("family=" + to_string(family) + " n=" +
+                     std::to_string(n) + " layout=" + to_string(k.layout));
+        expect_fused(op, k, engine_with(4), seed += 2);
+      }
+    }
+  }
+  const StencilHierarchy rap(make_operator(33, OperatorFamily::kAnisoTheta30),
+                             Coarsening::kRap);
+  for (const KernelPolicy& k : {KernelPolicy{}, packed_policy(4)}) {
+    SCOPED_TRACE("rap level, layout=" + to_string(k.layout));
+    expect_fused(rap.at(rap.top_level() - 1), k, engine_with(4), seed += 2);
+  }
+  const StencilOp jump = make_operator(257, OperatorFamily::kJumpCoefficient);
+  for (const KernelPolicy& k : {KernelPolicy{}, packed_policy(4)}) {
+    SCOPED_TRACE("jump n=257 sliced, layout=" + to_string(k.layout));
+    expect_fused(jump, k, engine_with(4, 8), seed += 2);
+  }
+}
+
 // ---------------------------------------------------------- multi-RHS --
 
 /// Solo-vs-batched check: runs `solo(x, b)` on each of K slots and
@@ -378,9 +675,10 @@ void expect_multi_matches_solo(int n, int k_count, std::uint64_t seed,
 }
 
 void expect_all_multi_parity(const StencilOp& op, const KernelPolicy& policy,
-                             int k_count, int threads, std::uint64_t seed) {
+                             int k_count, int threads, std::uint64_t seed,
+                             int grain_rows = 2) {
   const int n = op.n();
-  Engine& eng = engine_with(threads);
+  Engine& eng = engine_with(threads, grain_rows);
   rt::Scheduler& sched = eng.scheduler();
   expect_multi_matches_solo(
       n, k_count, seed,
@@ -449,12 +747,17 @@ TEST(MultiRhsParity, AllFamiliesWidthsAndLayoutsMatchSolo) {
 }
 
 TEST(MultiRhsParity, PoissonFastPathAndThreadCountsMatchSolo) {
-  const StencilOp op = StencilOp::poisson(33);
+  // n = 257 is past the sequential cutoff, so the 4-thread runs split rows
+  // into eight-row leaves and the SIMD SOR rows meet their leaf edges.
   std::uint64_t seed = 0xF00D;
-  for (const int threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_all_multi_parity(op, KernelPolicy{}, /*k_count=*/3, threads,
-                            ++seed);
+  for (const int n : {33, 257}) {
+    const StencilOp op = StencilOp::poisson(n);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " threads=" + std::to_string(threads));
+      expect_all_multi_parity(op, KernelPolicy{}, /*k_count=*/3, threads,
+                              ++seed, /*grain_rows=*/n > 33 ? 8 : 2);
+    }
   }
 }
 

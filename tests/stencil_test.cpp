@@ -436,5 +436,43 @@ TEST(StencilFastPath, PoissonReferenceCyclesAreBitwiseIdenticalToLegacyPath) {
                            fmg_legacy.size() * sizeof(double)));
 }
 
+TEST(StencilValidation, BadCoefficientsThrowInEveryBuild) {
+  // Construction rejects a zero, negative or non-finite 5-point edge, and
+  // a non-positive or non-finite 9-point centre, in Release as well as
+  // under PBMG_ASSERTIONS: accepted, each would be divided by (or spread
+  // NaN) in the first sweep.
+  const int n = 9;
+  for (const double bad : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    Grid2D ax(n, 1.0);
+    Grid2D ay(n, 1.0);
+    ax(4, 3) = bad;
+    EXPECT_THROW(grid::StencilOp::variable(ax, Grid2D(n, 1.0), 0.0),
+                 InvalidArgument)
+        << "ax edge " << bad;
+    ay(3, 4) = bad;
+    EXPECT_THROW(grid::StencilOp::variable(Grid2D(n, 1.0), ay, 0.0),
+                 InvalidArgument)
+        << "ay edge " << bad;
+
+    Grid2D center(n, 4.0);
+    center(4, 4) = bad;
+    EXPECT_THROW(grid::StencilOp::nine_point(Grid2D(n, 1.0), Grid2D(n, 1.0),
+                                             Grid2D(n, 0.0), Grid2D(n, 0.0),
+                                             center, 0.0),
+                 InvalidArgument)
+        << "centre " << bad;
+  }
+  // Corner couplings may be negative, but not NaN.
+  Grid2D ase(n, -0.25);
+  EXPECT_NO_THROW(grid::StencilOp::nine_point(Grid2D(n, 1.0), Grid2D(n, 1.0),
+                                              ase, Grid2D(n, 0.0),
+                                              Grid2D(n, 4.0), 0.0));
+  ase(2, 5) = std::nan("");
+  EXPECT_THROW(grid::StencilOp::nine_point(Grid2D(n, 1.0), Grid2D(n, 1.0), ase,
+                                           Grid2D(n, 0.0), Grid2D(n, 4.0),
+                                           0.0),
+               InvalidArgument);
+}
+
 }  // namespace
 }  // namespace pbmg
