@@ -16,6 +16,7 @@
 #include "grid/level.h"
 #include "grid/packed_kernels.h"
 #include "grid/problem.h"
+#include "grid/stencil_op.h"
 #include "linalg/band_matrix.h"
 #include "linalg/poisson_assembly.h"
 #include "obs/phase_profile.h"
@@ -318,6 +319,34 @@ void BM_StencilZebraPacked(benchmark::State& state) {
   stencil_zebra_bench(state, packed_policy());
 }
 BENCHMARK(BM_StencilZebraPacked)->Arg(129)->Arg(513)->Arg(1025)->UseRealTime();
+
+// --------------------------------------------------------- RAP ladders --
+// The Galerkin RAP ladder a θ=45° binding builds, coarsened on the bench
+// engine's scheduler and serially (the scheduler-less constructor).  Both
+// produce the same ladder bit for bit (tests/rap_test.cpp), so the ratio
+// is the parallel build's speedup.
+
+void rap_ladder_bench(benchmark::State& state, rt::Scheduler* sched) {
+  const int n = static_cast<int>(state.range(0));
+  const grid::StencilOp fine = make_operator(n, OperatorFamily::kAnisoTheta45);
+  for (auto _ : state) {
+    const grid::StencilHierarchy ladder =
+        sched != nullptr
+            ? grid::StencilHierarchy(fine, grid::Coarsening::kRap, *sched)
+            : grid::StencilHierarchy(fine, grid::Coarsening::kRap);
+    benchmark::DoNotOptimize(ladder.at(1).n());
+  }
+}
+
+void BM_RapLadderSerial(benchmark::State& state) {
+  rap_ladder_bench(state, nullptr);
+}
+BENCHMARK(BM_RapLadderSerial)->Arg(513)->UseRealTime();
+
+void BM_RapLadder(benchmark::State& state) {
+  rap_ladder_bench(state, &bench_engine().scheduler());
+}
+BENCHMARK(BM_RapLadder)->Arg(513)->UseRealTime();
 
 void BM_ParallelForOverhead(benchmark::State& state) {
   auto& sched = bench_engine().scheduler();

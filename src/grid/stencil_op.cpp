@@ -7,6 +7,7 @@
 
 #include "grid/level.h"
 #include "grid/packed_stencil.h"
+#include "runtime/scheduler.h"
 
 namespace pbmg::grid {
 
@@ -376,87 +377,135 @@ StencilOp StencilOp::restricted() const {
   return variable(std::move(ax_c), std::move(ay_c), c_);
 }
 
-StencilOp StencilOp::galerkin_coarse() const {
-  PBMG_CHECK(n_ >= 5,
-             "StencilOp::galerkin_coarse: cannot coarsen below N = 5");
-  const int n = n_;
+namespace {
+
+/// The coupling grids of one Galerkin coarse operator under construction.
+struct GalerkinGrids {
+  explicit GalerkinGrids(int nc)
+      : ax(nc, 0.0), ay(nc, 0.0), ase(nc, 0.0), asw(nc, 0.0), ctr(nc, 0.0) {}
+  Grid2D ax;
+  Grid2D ay;
+  Grid2D ase;
+  Grid2D asw;
+  Grid2D ctr;
+};
+
+/// Coarse row `ci` of the Galerkin product (see galerkin_coarse()).
+///
+/// A_c(C,D) = Σ_p Σ_q R(C,p) · A(p,q) · P(q,D): R is the full-weighting
+/// stencil [1 2 1; 2 4 2; 1 2 1]/16 over the 3×3 fine nodes around 2C
+/// (boundary p excluded — restriction zeroes the ring), A runs over the
+/// interior fine matrix (couplings to the boundary are Dirichlet-lifted,
+/// not matrix entries), and P is bilinear interpolation (q contributes to
+/// the coarse nodes D with |q − 2D|∞ <= 1, weight 2^-(|dx|+|dy|)).  Since
+/// q stays within ±2 of 2C and 2D within ±1 of q, |D − C|∞ <= 1: the
+/// Galerkin coarse operator is again 9-point.  Entries are stored in
+/// coarse coupling units (×h_c² = 4·h_f², so matrix scaling cancels to the
+/// factor 4 below) with the fine reaction term c folded into the coarse
+/// stencil (the coarse operator carries c = 0).
+///
+/// Each node computes all eight of its couplings, and every shared one
+/// (an edge or a diagonal) is also computed by the node at its other end,
+/// equal up to summation-order rounding.  A row-major loop over all nodes
+/// that stored both would keep the value of the later node.  This row
+/// stores each shared entry only from that node: the west, north, NW and
+/// NE couplings always (their other node comes earlier), the east, south,
+/// SE and SW ones only where the other node lies outside the interior.
+/// So every entry is written exactly once, rows may run in any order or
+/// concurrently, and the result is bitwise the row-major one.  A row
+/// writes only its own grid row and, for its north-side couplings, the
+/// one above, and never an entry another row writes.
+void galerkin_row(const StencilOp& fine, int ci, GalerkinGrids& out) {
+  const int n = fine.n();
   const int nc = coarse_size(n);
   const double hf2 = mesh_width(n) * mesh_width(n);
-
-  Grid2D ax_c(nc, 0.0);
-  Grid2D ay_c(nc, 0.0);
-  Grid2D ase_c(nc, 0.0);
-  Grid2D asw_c(nc, 0.0);
-  Grid2D ctr_c(nc, 0.0);
-
-  // A_c(C,D) = Σ_p Σ_q R(C,p) · A(p,q) · P(q,D): R is the full-weighting
-  // stencil [1 2 1; 2 4 2; 1 2 1]/16 over the 3×3 fine nodes around 2C
-  // (boundary p excluded — restriction zeroes the ring), A runs over the
-  // interior fine matrix (couplings to the boundary are Dirichlet-lifted,
-  // not matrix entries), and P is bilinear interpolation (q contributes
-  // to the coarse nodes D with |q − 2D|∞ <= 1, weight 2^-(|dx|+|dy|)).
-  // Since q stays within ±2 of 2C and 2D within ±1 of q, |D − C|∞ <= 1:
-  // the Galerkin coarse operator is again 9-point.  Entries are stored in
-  // coarse coupling units (×h_c² = 4·h_f², so matrix scaling cancels to
-  // the factor 4 below) with the fine reaction term c folded into the
-  // coarse stencil (the coarse operator carries c = 0).
+  const double c = fine.c();
   constexpr double kRw[3] = {0.25, 0.5, 0.25};  // per-axis FW weights
-  for (int ci = 1; ci + 1 < nc; ++ci) {
-    for (int cj = 1; cj + 1 < nc; ++cj) {
-      double acc[3][3] = {};
-      for (int dpi = -1; dpi <= 1; ++dpi) {
-        const int pi = 2 * ci + dpi;
-        if (pi < 1 || pi > n - 2) continue;
-        for (int dpj = -1; dpj <= 1; ++dpj) {
-          const int pj = 2 * cj + dpj;
-          if (pj < 1 || pj > n - 2) continue;
-          const double wr = kRw[dpi + 1] * kRw[dpj + 1];
-          for (int si = -1; si <= 1; ++si) {
-            const int qi = pi + si;
-            if (qi < 1 || qi > n - 2) continue;
-            for (int sj = -1; sj <= 1; ++sj) {
-              const int qj = pj + sj;
-              if (qj < 1 || qj > n - 2) continue;
-              const double entry =
-                  (si == 0 && sj == 0)
-                      ? 4.0 * (center(pi, pj) + c_ * hf2)
-                      : -4.0 * coupling(pi, pj, si, sj);
-              if (entry == 0.0) continue;
-              // Bilinear P: an even fine index maps to one coarse node
-              // with weight 1, an odd one to its two neighbours with ½.
-              const int di0 = qi / 2;
-              const int dj0 = qj / 2;
-              const bool odd_i = (qi & 1) != 0;
-              const bool odd_j = (qj & 1) != 0;
-              const double wi = odd_i ? 0.5 : 1.0;
-              const double wj = odd_j ? 0.5 : 1.0;
-              const double w = wr * entry * (wi * wj);
-              for (int ti = 0; ti <= (odd_i ? 1 : 0); ++ti) {
-                for (int tj = 0; tj <= (odd_j ? 1 : 0); ++tj) {
-                  acc[di0 + ti - ci + 1][dj0 + tj - cj + 1] += w;
-                }
+  const bool last_row = ci == nc - 2;
+  for (int cj = 1; cj + 1 < nc; ++cj) {
+    double acc[3][3] = {};
+    for (int dpi = -1; dpi <= 1; ++dpi) {
+      const int pi = 2 * ci + dpi;
+      if (pi < 1 || pi > n - 2) continue;
+      for (int dpj = -1; dpj <= 1; ++dpj) {
+        const int pj = 2 * cj + dpj;
+        if (pj < 1 || pj > n - 2) continue;
+        const double wr = kRw[dpi + 1] * kRw[dpj + 1];
+        for (int si = -1; si <= 1; ++si) {
+          const int qi = pi + si;
+          if (qi < 1 || qi > n - 2) continue;
+          for (int sj = -1; sj <= 1; ++sj) {
+            const int qj = pj + sj;
+            if (qj < 1 || qj > n - 2) continue;
+            const double entry =
+                (si == 0 && sj == 0)
+                    ? 4.0 * (fine.center(pi, pj) + c * hf2)
+                    : -4.0 * fine.coupling(pi, pj, si, sj);
+            if (entry == 0.0) continue;
+            // Bilinear P: an even fine index maps to one coarse node with
+            // weight 1, an odd one to its two neighbours with ½.
+            const int di0 = qi / 2;
+            const int dj0 = qj / 2;
+            const bool odd_i = (qi & 1) != 0;
+            const bool odd_j = (qj & 1) != 0;
+            const double wi = odd_i ? 0.5 : 1.0;
+            const double wj = odd_j ? 0.5 : 1.0;
+            const double w = wr * entry * (wi * wj);
+            for (int ti = 0; ti <= (odd_i ? 1 : 0); ++ti) {
+              for (int tj = 0; tj <= (odd_j ? 1 : 0); ++tj) {
+                acc[di0 + ti - ci + 1][dj0 + tj - cj + 1] += w;
               }
             }
           }
         }
       }
-      ctr_c(ci, cj) = acc[1][1];
-      // Couplings are the negated off-diagonal entries, written from this
-      // node's perspective; shared edges/diagonals are written twice with
-      // values equal up to summation-order rounding, keeping the stored
-      // representation exactly symmetric.
-      ax_c(ci, cj) = -acc[1][2];
-      ax_c(ci, cj - 1) = -acc[1][0];
-      ay_c(ci, cj) = -acc[2][1];
-      ay_c(ci - 1, cj) = -acc[0][1];
-      ase_c(ci, cj) = -acc[2][2];
-      ase_c(ci - 1, cj - 1) = -acc[0][0];
-      asw_c(ci, cj) = -acc[2][0];
-      asw_c(ci - 1, cj + 1) = -acc[0][2];
     }
+    // Couplings are the negated off-diagonal entries.
+    out.ctr(ci, cj) = acc[1][1];
+    out.ax(ci, cj - 1) = -acc[1][0];
+    out.ay(ci - 1, cj) = -acc[0][1];
+    out.ase(ci - 1, cj - 1) = -acc[0][0];
+    out.asw(ci - 1, cj + 1) = -acc[0][2];
+    const bool last_col = cj == nc - 2;
+    if (last_col) out.ax(ci, cj) = -acc[1][2];
+    if (last_row) out.ay(ci, cj) = -acc[2][1];
+    if (last_row || last_col) out.ase(ci, cj) = -acc[2][2];
+    if (last_row || cj == 1) out.asw(ci, cj) = -acc[2][0];
   }
-  return nine_point(std::move(ax_c), std::move(ay_c), std::move(ase_c),
-                    std::move(asw_c), std::move(ctr_c), 0.0);
+}
+
+/// galerkin_coarse() over every coarse row: serially when `sched` is
+/// null, otherwise as a parallel loop whose cost per coarse row is the
+/// two fine rows it covers.
+StencilOp galerkin_product(const StencilOp& fine, rt::Scheduler* sched) {
+  PBMG_CHECK(fine.n() >= 5,
+             "StencilOp::galerkin_coarse: cannot coarsen below N = 5");
+  const int n = fine.n();
+  const int nc = coarse_size(n);
+  GalerkinGrids out(nc);
+  const auto rows = [&](std::int64_t begin, std::int64_t end) {
+    for (std::int64_t ci = begin; ci < end; ++ci) {
+      galerkin_row(fine, static_cast<int>(ci), out);
+    }
+  };
+  if (sched == nullptr) {
+    rows(1, nc - 1);
+  } else {
+    sched->parallel_for(1, nc - 1, sched->grain_for(nc - 2, 2 * n), rows);
+  }
+  return StencilOp::nine_point(std::move(out.ax), std::move(out.ay),
+                               std::move(out.ase), std::move(out.asw),
+                               std::move(out.ctr), 0.0);
+}
+
+}  // namespace
+
+StencilOp StencilOp::galerkin_coarse() const {
+  return galerkin_product(*this, nullptr);
+}
+
+StencilOp StencilOp::galerkin_coarse(rt::Scheduler& sched) const {
+  return galerkin_product(*this, &sched);
 }
 
 StencilOp StencilOp::coarsened(Coarsening mode) const {
@@ -464,14 +513,25 @@ StencilOp StencilOp::coarsened(Coarsening mode) const {
 }
 
 StencilHierarchy::StencilHierarchy(StencilOp fine, Coarsening mode)
+    : StencilHierarchy(std::move(fine), mode, nullptr) {}
+
+StencilHierarchy::StencilHierarchy(StencilOp fine, Coarsening mode,
+                                   rt::Scheduler& sched)
+    : StencilHierarchy(std::move(fine), mode, &sched) {}
+
+StencilHierarchy::StencilHierarchy(StencilOp fine, Coarsening mode,
+                                   rt::Scheduler* sched)
     : mode_(mode) {
   PBMG_CHECK(fine.n() >= 3, "StencilHierarchy: empty fine operator");
   const int top = level_of_size(fine.n());
   ops_.resize(static_cast<std::size_t>(top) + 1);
   ops_[static_cast<std::size_t>(top)] = std::move(fine);
   for (int k = top - 1; k >= 1; --k) {
+    const StencilOp& above = ops_[static_cast<std::size_t>(k) + 1];
     ops_[static_cast<std::size_t>(k)] =
-        ops_[static_cast<std::size_t>(k) + 1].coarsened(mode);
+        sched != nullptr && mode == Coarsening::kRap
+            ? above.galerkin_coarse(*sched)
+            : above.coarsened(mode);
   }
 }
 

@@ -71,6 +71,10 @@
 /// Numerical kernels (apply/residual) live in grid_ops.h as free functions
 /// like every other grid kernel; this header only defines the data types.
 
+namespace pbmg::rt {
+class Scheduler;
+}  // namespace pbmg::rt
+
 namespace pbmg::grid {
 
 class PackedStencil;
@@ -262,6 +266,12 @@ class StencilOp {
   /// including for the Poisson fast path.  Requires n() >= 5.
   StencilOp galerkin_coarse() const;
 
+  /// The same product with its coarse rows run on `sched`: bitwise equal
+  /// to galerkin_coarse() on every thread count, because each shared
+  /// coupling is written once, from the node that the serial row-major
+  /// loop writes it from last.
+  StencilOp galerkin_coarse(rt::Scheduler& sched) const;
+
   /// Dispatch helper: restricted() or galerkin_coarse() by mode.
   StencilOp coarsened(Coarsening mode) const;
 
@@ -356,6 +366,11 @@ class StencilHierarchy {
   explicit StencilHierarchy(StencilOp fine,
                             Coarsening mode = Coarsening::kAverage);
 
+  /// Same ladder, with each Galerkin coarsening's rows run on `sched`
+  /// (StencilOp::galerkin_coarse(sched)): bitwise the serial ladder.
+  /// Averaged coarsening stays serial.
+  StencilHierarchy(StencilOp fine, Coarsening mode, rt::Scheduler& sched);
+
   /// Fine-grid recursion level (0 for an empty hierarchy).
   int top_level() const { return static_cast<int>(ops_.size()) - 1; }
 
@@ -382,6 +397,8 @@ class StencilHierarchy {
   std::size_t bytes() const;
 
  private:
+  StencilHierarchy(StencilOp fine, Coarsening mode, rt::Scheduler* sched);
+
   std::vector<StencilOp> ops_;  ///< ops_[k] at level k; [0] unused padding
   Coarsening mode_ = Coarsening::kAverage;
 };

@@ -24,36 +24,50 @@ TunedExecutor::TunedExecutor(const TunedConfig& config, rt::Scheduler& sched,
       tracer_(tracer),
       relax_(relax),
       ops_(ops),
-      ops_rap_(ops_rap),
-      config_uses_rap_(config_uses_rap(config, config.max_level())) {
+      ops_rap_(ops_rap) {
   solvers::validate_relax_tunables(relax_);
   PBMG_CHECK(ops_ == nullptr || ops_->top_level() >= 1,
              "TunedExecutor: empty operator hierarchy");
   PBMG_CHECK(ops_rap_ == nullptr || ops_rap_->top_level() >= 1,
              "TunedExecutor: empty RAP operator hierarchy");
+  if (ops_ == nullptr && ops_rap_ == nullptr) {
+    poisson_rap_tops_.assign(
+        static_cast<std::size_t>(config_.max_level()) + 1, false);
+    for (int top = 2; top <= config_.max_level(); ++top) {
+      poisson_rap_tops_[static_cast<std::size_t>(top)] =
+          reach(config_, top).rap_below_top;
+    }
+  }
 }
 
 grid::StencilOp TunedExecutor::op_at(int level, grid::Coarsening coarsening,
-                                     const grid::StencilHierarchy* rap) const {
+                                     RapLadder rap) const {
   if (coarsening == grid::Coarsening::kRap) {
-    PBMG_CHECK(rap != nullptr,
-               "TunedExecutor: config cell tuned for RAP coarsening but no "
-               "RAP ladder was bound for its operator hierarchy");
-    return rap->at(level);
+    if (rap.ladder != nullptr) return rap.ladder->at(level);
+    // Both ladders share the fine operator, so a RAP cell at the top reads
+    // it from the averaged side; below the top, no ladder is a bind bug.
+    PBMG_CHECK(level == rap.top,
+               "TunedExecutor: config cell tuned for RAP coarsening at level " +
+                   std::to_string(level) +
+                   " but no RAP ladder was bound for its operator hierarchy");
   }
   return ops_ != nullptr ? ops_->at(level)
                          : grid::StencilOp::poisson(size_of_level(level));
 }
 
-const grid::StencilHierarchy* TunedExecutor::rap_for_top(
+TunedExecutor::RapLadder TunedExecutor::rap_for_top(
     int top_level, obs::PhaseProfile* profile) const {
-  if (ops_rap_ != nullptr) return ops_rap_;
-  if (ops_ != nullptr || !config_uses_rap_) return nullptr;
-  // Bare (Poisson fast path) executor with RAP cells in its tables: own
-  // the Galerkin ladder of the Poisson operator at this top, built once
-  // per distinct top level and shared by every subsequent solve.  Guarded
-  // so concurrent solves through one executor stay safe; the lock is per
-  // public entry, never inside the recursion.
+  const int top = ops_ != nullptr ? ops_->top_level() : top_level;
+  if (ops_rap_ != nullptr) return {ops_rap_, top};
+  const auto k = static_cast<std::size_t>(top_level);
+  if (k >= poisson_rap_tops_.size() || !poisson_rap_tops_[k]) {
+    return {nullptr, top};  // poisson_rap_tops_ is empty unless bare
+  }
+  // Bare (Poisson fast path) executor whose tables read RAP below this
+  // top: own the Galerkin ladder of the Poisson operator at this top,
+  // built once per distinct top level and shared by every subsequent
+  // solve.  Guarded so concurrent solves through one executor stay safe;
+  // the lock is per public entry, never inside the recursion.
   std::lock_guard<std::mutex> lock(poisson_rap_mutex_);
   auto& slot = poisson_rap_cache_[top_level];
   if (slot == nullptr) {
@@ -62,7 +76,7 @@ const grid::StencilHierarchy* TunedExecutor::rap_for_top(
         grid::StencilOp::poisson(size_of_level(top_level)),
         grid::Coarsening::kRap);
   }
-  return slot.get();
+  return {slot.get(), top};
 }
 
 void TunedExecutor::trace(trace::Op op, int level, int detail) const {
@@ -126,7 +140,7 @@ void TunedExecutor::estimate(Grid2D& x, const Grid2D& b,
 
 int TunedExecutor::run_v_at(Grid2D& x, const Grid2D& b, int level,
                             int accuracy_index,
-                            const grid::StencilHierarchy* rap,
+                            RapLadder rap,
                             obs::PhaseProfile* profile) const {
   const VEntry& entry = config_.v_entry(level, accuracy_index);
   PBMG_CHECK(entry.trained, "run_v: cell (" + std::to_string(level) + "," +
@@ -166,7 +180,7 @@ void TunedExecutor::recurse_body_at(Grid2D& x, const Grid2D& b, int level,
                                     int sub_accuracy_index,
                                     solvers::RelaxKind smoother,
                                     grid::Coarsening coarsening,
-                                    const grid::StencilHierarchy* rap,
+                                    RapLadder rap,
                                     obs::PhaseProfile* profile) const {
   PBMG_CHECK(level >= 2, "recurse_body: cannot recurse below level 2");
   PBMG_CHECK(sub_accuracy_index >= kClassicalCoarse &&
@@ -239,7 +253,7 @@ void TunedExecutor::recurse_body_at(Grid2D& x, const Grid2D& b, int level,
 int TunedExecutor::run_v_multi_at(std::span<Grid2D* const> xs,
                                   std::span<const Grid2D* const> bs,
                                   int level, int accuracy_index,
-                                  const grid::StencilHierarchy* rap,
+                                  RapLadder rap,
                                   obs::PhaseProfile* profile) const {
   const VEntry& entry = config_.v_entry(level, accuracy_index);
   PBMG_CHECK(entry.trained, "run_v: cell (" + std::to_string(level) + "," +
@@ -287,7 +301,7 @@ void TunedExecutor::recurse_body_multi_at(std::span<Grid2D* const> xs,
                                           int level, int sub_accuracy_index,
                                           solvers::RelaxKind smoother,
                                           grid::Coarsening coarsening,
-                                          const grid::StencilHierarchy* rap,
+                                          RapLadder rap,
                                           obs::PhaseProfile* profile) const {
   // The solo recurse_body_at, with each kernel swapped for its fused
   // multi-RHS counterpart (or a per-k loop where there is nothing to
@@ -380,7 +394,7 @@ void TunedExecutor::recurse_body_multi_at(std::span<Grid2D* const> xs,
 
 int TunedExecutor::run_fmg_at(Grid2D& x, const Grid2D& b, int level,
                               int accuracy_index,
-                              const grid::StencilHierarchy* rap,
+                              RapLadder rap,
                               obs::PhaseProfile* profile) const {
   const FmgEntry& entry = config_.fmg_entry(level, accuracy_index);
   PBMG_CHECK(entry.trained, "run_fmg: cell (" + std::to_string(level) + "," +
@@ -420,7 +434,7 @@ int TunedExecutor::run_fmg_at(Grid2D& x, const Grid2D& b, int level,
 
 void TunedExecutor::estimate_at(Grid2D& x, const Grid2D& b, int level,
                                 int estimate_accuracy_index,
-                                const grid::StencilHierarchy* rap,
+                                RapLadder rap,
                                 obs::PhaseProfile* profile) const {
   PBMG_CHECK(level >= 2, "estimate: cannot restrict below level 2");
   // Paper §2.4 ESTIMATE_i: coarse-grid correction whose coarse solve is

@@ -4,6 +4,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <vector>
 
 #include "grid/grid2d.h"
 #include "grid/scratch.h"
@@ -50,11 +51,15 @@ class TunedExecutor {
   /// operator, exactly as before.  `ops_rap`, when non-null, is the
   /// Galerkin R·A·P ladder of the same fine operator: cells whose tuned
   /// coarsening is grid::Coarsening::kRap relax and correct against it.
-  /// A bare executor (no hierarchies at all, the Poisson fast path)
-  /// serves RAP cells by lazily building the Poisson RAP ladder for each
-  /// invoked top level; an executor bound to an averaged hierarchy but
-  /// no RAP ladder throws when a RAP cell executes, because the fine
-  /// operator needed to build one is the caller's.
+  /// It is needed only below the top: both ladders share the fine
+  /// operator, so a RAP cell at the top (the averaged hierarchy's top, or
+  /// the invoked level of a bare executor) reads that operator when no
+  /// ladder is bound.  A bare executor (no hierarchies at all, the
+  /// Poisson fast path) lazily builds the Poisson RAP ladder for an
+  /// invoked top level only when reach() says a cell below it reads RAP;
+  /// an executor bound to an averaged hierarchy but no RAP ladder throws
+  /// InvalidArgument when a RAP cell executes below the top, because the
+  /// fine operator needed to build one is the caller's.
   TunedExecutor(const TunedConfig& config, rt::Scheduler& sched,
                 solvers::DirectSolver& direct, grid::ScratchPool& pool,
                 trace::CycleTracer* tracer = nullptr,
@@ -103,10 +108,13 @@ class TunedExecutor {
   /// coarse MULTIGRID-V_j call reads its own levels' tuned smoothers
   /// from the tables.  `coarsening` selects the operator ladder the body
   /// relaxes on and corrects against at this level (the coarse call's
-  /// cells again read their own tuned coarsening); at the hierarchy's top
-  /// level both ladders share the fine operator, so the choice is exact
-  /// there and an approximation below — which the trainer measures
-  /// honestly, since candidates race under the same rule.
+  /// cells again read their own tuned coarsening).  At the top both
+  /// ladders share the fine operator, so there the choice changes nothing
+  /// and needs no RAP ladder; below it the RAP operator replaces the
+  /// averaged approximation — which the trainer measures honestly, since
+  /// candidates race under the same rule.  A classical coarse call
+  /// (kClassicalCoarse) carries `coarsening` down its whole ramp, so it
+  /// reads the RAP ladder below the top even from a top-level body.
   void recurse_body(
       Grid2D& x, const Grid2D& b, int sub_accuracy_index,
       solvers::RelaxKind smoother = solvers::RelaxKind::kSor,
@@ -120,56 +128,61 @@ class TunedExecutor {
   const TunedConfig& config() const { return config_; }
 
  private:
-  // Every private recursion carries `rap`, the RAP ladder resolved once
-  // at the public entry point for the invoked top level (see
-  // rap_for_top), so deep RECURSE bodies never re-derive it.  The _at
-  // entry points return the executed iteration count at *their* level
-  // (the public methods surface the top level's).
+  /// The RAP side of one solve, resolved once at its public entry point
+  /// (rap_for_top): the Galerkin ladder, or null when nothing the solve
+  /// can reach reads it below `top`, the level whose operator both
+  /// ladders share.
+  struct RapLadder {
+    const grid::StencilHierarchy* ladder = nullptr;
+    int top = 0;
+  };
+
+  // Every private recursion carries `rap`, resolved once per public entry
+  // point, so deep RECURSE bodies never re-derive it.  The _at entry
+  // points return the executed iteration count at *their* level (the
+  // public methods surface the top level's).
   int run_v_at(Grid2D& x, const Grid2D& b, int level, int accuracy_index,
-               const grid::StencilHierarchy* rap,
-               obs::PhaseProfile* profile) const;
+               RapLadder rap, obs::PhaseProfile* profile) const;
   int run_v_multi_at(std::span<Grid2D* const> xs,
                      std::span<const Grid2D* const> bs, int level,
-                     int accuracy_index, const grid::StencilHierarchy* rap,
+                     int accuracy_index, RapLadder rap,
                      obs::PhaseProfile* profile) const;
   void recurse_body_multi_at(std::span<Grid2D* const> xs,
                              std::span<const Grid2D* const> bs, int level,
                              int sub_accuracy_index,
                              solvers::RelaxKind smoother,
-                             grid::Coarsening coarsening,
-                             const grid::StencilHierarchy* rap,
+                             grid::Coarsening coarsening, RapLadder rap,
                              obs::PhaseProfile* profile) const;
   int run_fmg_at(Grid2D& x, const Grid2D& b, int level, int accuracy_index,
-                 const grid::StencilHierarchy* rap,
-                 obs::PhaseProfile* profile) const;
+                 RapLadder rap, obs::PhaseProfile* profile) const;
   void recurse_body_at(Grid2D& x, const Grid2D& b, int level,
                        int sub_accuracy_index, solvers::RelaxKind smoother,
-                       grid::Coarsening coarsening,
-                       const grid::StencilHierarchy* rap,
+                       grid::Coarsening coarsening, RapLadder rap,
                        obs::PhaseProfile* profile) const;
   void estimate_at(Grid2D& x, const Grid2D& b, int level,
-                   int estimate_accuracy_index,
-                   const grid::StencilHierarchy* rap,
+                   int estimate_accuracy_index, RapLadder rap,
                    obs::PhaseProfile* profile) const;
   void trace(trace::Op op, int level, int detail = 0) const;
 
   /// Operator at `level` in the requested ladder: the averaged hierarchy
   /// (or the Poisson fast path when none was bound), or the resolved RAP
-  /// ladder.
+  /// ladder.  A RAP cell at `rap.top` with no ladder reads the averaged
+  /// hierarchy's operator there, which is the shared fine operator; one
+  /// below the top with no ladder throws InvalidArgument.
   grid::StencilOp op_at(int level, grid::Coarsening coarsening,
-                        const grid::StencilHierarchy* rap) const;
+                        RapLadder rap) const;
 
-  /// RAP ladder for a solve whose fine grid sits at `top_level`: the one
+  /// RAP side of a solve whose fine grid sits at `top_level`: the ladder
   /// bound at construction when present; otherwise — for executors bound
   /// to no hierarchy at all, i.e. the Poisson fast path — a lazily built,
-  /// cached Galerkin ladder of the Poisson operator at that top (only
-  /// when the config actually holds RAP cells).  An executor bound to an
-  /// explicit averaged hierarchy but no RAP ladder returns null; its RAP
-  /// cells then throw in op_at, because the fine operator needed to build
-  /// the ladder is the caller's, not ours to guess.  A lazy build is
-  /// attributed to `profile` as Phase::kRapSetup at `top_level`.
-  const grid::StencilHierarchy* rap_for_top(int top_level,
-                                            obs::PhaseProfile* profile) const;
+  /// cached Galerkin ladder of the Poisson operator at that top, only
+  /// when reach() finds a cell below it that reads RAP.  An executor
+  /// bound to an explicit averaged hierarchy but no RAP ladder gets none;
+  /// its RAP cells below the top then throw in op_at, because the fine
+  /// operator needed to build the ladder is the caller's, not ours to
+  /// guess.  A lazy build is attributed to `profile` as Phase::kRapSetup
+  /// at `top_level`.
+  RapLadder rap_for_top(int top_level, obs::PhaseProfile* profile) const;
 
   const TunedConfig& config_;
   rt::Scheduler& sched_;
@@ -179,7 +192,9 @@ class TunedExecutor {
   solvers::RelaxTunables relax_;
   const grid::StencilHierarchy* ops_;
   const grid::StencilHierarchy* ops_rap_;
-  bool config_uses_rap_;
+  /// Bare executors only: [k] is true when a solve entering at level k
+  /// reads the Poisson RAP ladder below k (reach()).
+  std::vector<bool> poisson_rap_tops_;
   mutable std::mutex poisson_rap_mutex_;  ///< guards the lazy cache below
   mutable std::map<int, std::shared_ptr<const grid::StencilHierarchy>>
       poisson_rap_cache_;  ///< keyed by top level; bare-executor path only

@@ -19,8 +19,8 @@ PreparedOperator::PreparedOperator(
       relax_(relax),
       ops_(std::move(op)) {
   PBMG_CHECK(!configs_.empty(), "PreparedOperator: no tuned config to bind");
-  bool any_rap = false;
-  bool any_line = false;
+  bool rap_below_top = false;
+  bool line_smoothers = false;
   for (const auto& config : configs_) {
     PBMG_CHECK(config != nullptr, "PreparedOperator: null tuned config");
     PBMG_CHECK(config->max_level() >= level_,
@@ -28,14 +28,18 @@ PreparedOperator::PreparedOperator(
                    "' trained up to level " +
                    std::to_string(config->max_level()) +
                    " cannot solve level " + std::to_string(level_));
-    any_rap = any_rap || config_uses_rap(*config, level_);
-    any_line = any_line || config_uses_line_smoothers(*config, level_);
+    const Reach r = reach(*config, level_);
+    rap_below_top = rap_below_top || r.rap_below_top;
+    line_smoothers = line_smoothers || r.line_smoothers;
   }
   // Coarsen the coefficient ladders here, once, so no solve ever
-  // re-coarsens (the Poisson fast path stores no grids and costs nothing;
-  // the Galerkin ladder is materialized only when some cell asks for it).
-  if (any_rap) {
-    ops_rap_ = grid::StencilHierarchy(ops_.at(level_), grid::Coarsening::kRap);
+  // re-coarsens (the Poisson fast path stores no grids and costs nothing).
+  // The Galerkin ladder is built, on the engine's workers, only when a
+  // cell some solve can reach reads it below the top: at the top both
+  // ladders share the fine operator, which the executors read from ops_.
+  if (rap_below_top) {
+    ops_rap_ = grid::StencilHierarchy(ops_.at(level_), grid::Coarsening::kRap,
+                                      sched_);
   }
   const grid::StencilHierarchy* rap =
       ops_rap_.top_level() >= 1 ? &ops_rap_ : nullptr;
@@ -51,9 +55,10 @@ PreparedOperator::PreparedOperator(
   // means the first request — and every concurrent request after it, once
   // the pool refills — allocates nothing on the solve path.  Line
   // smoothers additionally lease the two Thomas workspace grids per sweep
-  // level.  The audit's residual_norm lease at the fine side fits the
-  // fine level's two, which no recursion holds.
-  const int per_level = any_line ? 4 : 2;
+  // level, so reachable line smoothers warm four.  The audit's
+  // residual_norm lease at the fine side fits the fine level's two, which
+  // no recursion holds.
+  const int per_level = line_smoothers ? 4 : 2;
   std::size_t scratch_bytes = 0;
   for (int k = 1; k <= level_; ++k) {
     const int side = size_of_level(k);
@@ -71,7 +76,13 @@ PreparedOperator::PreparedOperator(
     if (rap != nullptr) ops_rap_.prewarm_packed();
   }
   // Counted last, so the packed streams just materialized are included.
-  footprint_bytes_ = ops_.bytes() + ops_rap_.bytes() + scratch_bytes;
+  // The RAP ladder's top is ops_'s top (same coefficients, same packed
+  // slot), so only its levels below the top add bytes.
+  std::size_t rap_bytes = 0;
+  for (int k = 1; k < ops_rap_.top_level(); ++k) {
+    rap_bytes += ops_rap_.at(k).bytes();
+  }
+  footprint_bytes_ = ops_.bytes() + rap_bytes + scratch_bytes;
 }
 
 double PreparedOperator::residual_norm(const Grid2D& x,

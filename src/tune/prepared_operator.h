@@ -17,13 +17,19 @@
 /// One fine operator prepared for tuned solves under one or more configs.
 ///
 /// Everything a tuned walk reads that does not depend on the right-hand
-/// side is built here, once, at bind time:
-///  - the averaged coefficient ladder, and the Galerkin RAP ladder only
-///    when some config holds RAP cells;
+/// side is built here, once, at bind time, and only what the solves
+/// entering at the operator's level can reach (tune::reach over every
+/// config):
+///  - the averaged coefficient ladder, always;
+///  - the Galerkin RAP ladder, coarsened on the engine's workers, only
+///    when a reachable cell reads it below the top — at the top both
+///    ladders share the fine operator, which the executors read from the
+///    averaged side;
 ///  - one TunedExecutor per config, bound to those ladders;
 ///  - the packed SoA coefficient streams, when the relax tunables select
 ///    the packed kernel layout;
-///  - the scratch grids a V/FMG walk leases, stocked into the pool.
+///  - the scratch grids a V/FMG walk leases, stocked into the pool: two
+///    per level, or four when a reachable body runs a line smoother.
 /// No solve then coarsens, packs or allocates on its timed path.
 ///
 /// SolveSession (one config) and tune::DynamicSolver (a family ladder) are
@@ -64,9 +70,11 @@ class PreparedOperator {
 
   /// Resident bytes this binding pins: the coefficient ladders (averaged
   /// and RAP, packed streams included) plus the scratch grids its solves
-  /// cycle through.  The scratch term is the warm-up estimate: pool grids
-  /// are shared by every binding on one engine, so this is an admission
-  /// and eviction figure, not an exclusive-ownership measurement.
+  /// cycle through.  Each level is counted once: the RAP ladder adds only
+  /// its levels below the top, whose operator is the averaged ladder's.
+  /// The scratch term is the warm-up estimate: pool grids are shared by
+  /// every binding on one engine, so this is an admission and eviction
+  /// figure, not an exclusive-ownership measurement.
   std::size_t footprint_bytes() const { return footprint_bytes_; }
 
   /// ||b − A·x|| over the interior, on a pool-leased scratch grid.
@@ -80,8 +88,8 @@ class PreparedOperator {
   grid::ScratchPool& pool_;
   solvers::RelaxTunables relax_;
   grid::StencilHierarchy ops_;      // built before the executors below
-  grid::StencilHierarchy ops_rap_;  // Galerkin ladder; empty unless some
-                                    // config asks for RAP cells
+  grid::StencilHierarchy ops_rap_;  // Galerkin ladder; empty unless a
+                                    // reachable cell reads it below the top
   std::vector<std::unique_ptr<TunedExecutor>> executors_;
   std::size_t footprint_bytes_ = 0;
 };

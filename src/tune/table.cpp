@@ -1,8 +1,8 @@
 #include "tune/table.h"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "grid/level.h"
 #include "support/error.h"
@@ -320,47 +320,53 @@ std::vector<double> paper_accuracies() {
   return {1e1, 1e3, 1e5, 1e7, 1e9};
 }
 
-namespace {
-
-/// Shared walker over the trained RECURSE-style cells (V kRecurse and
-/// FMG kEstimateThenRecurse — the cells that carry the smoother and
-/// coarsening axes): true when `pred` holds for any of them in levels
-/// [2, max_level].  One walker, so session prewarm / ladder
-/// materialization can never desynchronize from what the executor runs.
-template <typename Pred>
-bool any_recurse_cell(const TunedConfig& config, int max_level, Pred pred) {
-  const int top = std::min(max_level, config.max_level());
-  for (int level = 2; level <= top; ++level) {
-    for (int i = 0; i < config.accuracy_count(); ++i) {
-      const VEntry& v = config.v_entry(level, i);
-      if (v.trained && v.choice.kind == VKind::kRecurse &&
-          pred(v.choice.smoother, v.choice.coarsening)) {
-        return true;
+Reach reach(const TunedConfig& config, int top) {
+  PBMG_CHECK(top >= 1 && top <= config.max_level(),
+             "reach: level " + std::to_string(top) + " outside [1, " +
+                 std::to_string(config.max_level()) + "]");
+  const int m = config.accuracy_count();
+  const auto slot = [](int i) { return static_cast<std::size_t>(i); };
+  Reach out;
+  // The V and FMG accuracy indices reachable at `level`.  Every link goes
+  // one level down, so one sweep from the top visits each cell once.
+  std::vector<bool> v(slot(m), true);
+  std::vector<bool> fmg(slot(m), true);
+  for (int level = top; level >= 2; --level) {
+    std::vector<bool> v_below(slot(m), false);
+    std::vector<bool> fmg_below(slot(m), false);
+    // One RECURSE body at `level` and the coarse call it makes.  A
+    // classical ramp runs the body's smoother and coarsening at every
+    // level below, down to the level-1 direct solve.
+    const auto body = [&](int sub, solvers::RelaxKind smoother,
+                          grid::Coarsening coarsening) {
+      if (solvers::is_line_relax(smoother)) out.line_smoothers = true;
+      if (coarsening == grid::Coarsening::kRap &&
+          (level < top || sub == kClassicalCoarse)) {
+        out.rap_below_top = true;
       }
-      const FmgEntry& f = config.fmg_entry(level, i);
-      if (f.trained && f.choice.kind == FmgKind::kEstimateThenRecurse &&
-          pred(f.choice.smoother, f.choice.coarsening)) {
-        return true;
+      if (sub >= 0 && sub < m) v_below[slot(sub)] = true;
+    };
+    for (int i = 0; i < m; ++i) {
+      const VEntry& ve = config.v_entry(level, i);
+      if (v[slot(i)] && ve.trained && ve.choice.kind == VKind::kRecurse) {
+        body(ve.choice.sub_accuracy, ve.choice.smoother,
+             ve.choice.coarsening);
+      }
+      const FmgEntry& fe = config.fmg_entry(level, i);
+      if (!fmg[slot(i)] || !fe.trained || fe.choice.kind == FmgKind::kDirect) {
+        continue;
+      }
+      const int est = fe.choice.estimate_accuracy;
+      if (est >= 0 && est < m) fmg_below[slot(est)] = true;
+      if (fe.choice.kind == FmgKind::kEstimateThenRecurse) {
+        body(fe.choice.solve_accuracy, fe.choice.smoother,
+             fe.choice.coarsening);
       }
     }
+    v = std::move(v_below);
+    fmg = std::move(fmg_below);
   }
-  return false;
-}
-
-}  // namespace
-
-bool config_uses_rap(const TunedConfig& config, int max_level) {
-  return any_recurse_cell(
-      config, max_level, [](solvers::RelaxKind, grid::Coarsening coarsening) {
-        return coarsening == grid::Coarsening::kRap;
-      });
-}
-
-bool config_uses_line_smoothers(const TunedConfig& config, int max_level) {
-  return any_recurse_cell(
-      config, max_level, [](solvers::RelaxKind smoother, grid::Coarsening) {
-        return solvers::is_line_relax(smoother);
-      });
+  return out;
 }
 
 namespace {

@@ -146,15 +146,21 @@ class TunedConfig {
 /// {10, 10³, 10⁵, 10⁷, 10⁹}.
 std::vector<double> paper_accuracies();
 
-/// True when any trained cell at levels [2, max_level] corrects against
-/// the Galerkin RAP ladder — executors and sessions use this to decide
-/// whether the second operator hierarchy must be materialized at all.
-bool config_uses_rap(const TunedConfig& config, int max_level);
-
-/// True when any trained cell at levels [2, max_level] relaxes with a
-/// line smoother — sessions use this to prewarm the Thomas workspace
-/// grids next to the cycle temporaries.
-bool config_uses_line_smoothers(const TunedConfig& config, int max_level);
+/// What the solves entering `config` at level `top` can execute.  The
+/// walk starts at MULTIGRID-V_i and FULL-MULTIGRID_i at `top` for every
+/// accuracy index i and follows what the executor follows: a RECURSE
+/// body's coarse MULTIGRID-V_j, an FMG cell's ESTIMATE_j and its RECURSE_m
+/// bodies, and classical ramps, which carry their cell's smoother and
+/// coarsening down to the level-1 direct solve.  Untrained or out-of-range
+/// cells are not followed (executing one throws).  A binding prepares
+/// exactly this: the Galerkin RAP ladder only when `rap_below_top` (at
+/// `top` both ladders share the fine operator), and line-smoother scratch
+/// only when `line_smoothers`.
+struct Reach {
+  bool rap_below_top = false;   ///< a reachable level below `top` reads RAP
+  bool line_smoothers = false;  ///< a reachable body runs a line smoother
+};
+Reach reach(const TunedConfig& config, int top);
 
 /// " {line_x}"-style rendering suffix for non-default smoothers; empty
 /// for point SOR, so the historical point-only renderings are unchanged.

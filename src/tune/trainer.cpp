@@ -519,15 +519,14 @@ TunedConfig Trainer::train() {
     // exactly what a SolveSession bound to (family, n) will execute.  The
     // Poisson family keeps the null-hierarchy fast path (and the DST
     // oracle inside make_training_set's size overload); its RAP ladder is
-    // materialized only when the coarsening axis is actually raced.
+    // materialized, on the engine's workers, only when the coarsening axis
+    // is actually raced.  Both ladders share the one fine operator.
+    const grid::StencilOp fine = make_operator(n, options_.op_family);
     grid::StencilHierarchy hier;
     grid::StencilHierarchy hier_rap;
-    if (!poisson) {
-      hier = grid::StencilHierarchy(make_operator(n, options_.op_family));
-    }
+    if (!poisson) hier = grid::StencilHierarchy(fine);
     if (want_rap) {
-      hier_rap = grid::StencilHierarchy(make_operator(n, options_.op_family),
-                                        grid::Coarsening::kRap);
+      hier_rap = grid::StencilHierarchy(fine, grid::Coarsening::kRap, sched_);
     }
     const grid::StencilHierarchy* ops = poisson ? nullptr : &hier;
     const grid::StencilHierarchy* ops_rap = want_rap ? &hier_rap : nullptr;

@@ -9,6 +9,8 @@
 // pinned here.
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -198,6 +200,55 @@ TEST(GalerkinRap, PoissonCoarsensToTheStandardNinePointStencil) {
   }
   // The averaged path still short-circuits to the fast path, untouched.
   EXPECT_TRUE(grid::StencilOp::poisson(n).restricted().is_poisson());
+}
+
+bool bitwise_equal(const Grid2D& a, const Grid2D& b) {
+  return a.n() == b.n() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(GalerkinRap, SchedulerBuiltLaddersMatchSerialBitwise) {
+  // The parallel build writes each shared coupling once, from the node the
+  // serial row-major loop writes it from last, so the ladder must be
+  // memcmp-identical on every thread count.  With grain_rows 8 and n >=
+  // 257 the top coarsenings run past the 16,384-cell sequential cutoff,
+  // so leaves meet at edges (where TSan races them) instead of running
+  // inline on the caller.
+  std::vector<std::unique_ptr<Engine>> engines;
+  for (const int threads : {1, 2, 4}) {
+    rt::MachineProfile p;
+    p.name = "rap-parallel";
+    p.threads = threads;
+    p.grain_rows = 8;
+    engines.push_back(std::make_unique<Engine>(p));
+  }
+  for (const OperatorFamily family :
+       {OperatorFamily::kPoisson, OperatorFamily::kJumpCoefficient,
+        OperatorFamily::kAnisoTheta45, OperatorFamily::kSmoothVariable}) {
+    for (const int n : {257, 513}) {
+      const grid::StencilOp fine = make_operator(n, family);
+      const grid::StencilHierarchy serial(fine, grid::Coarsening::kRap);
+      for (const auto& engine : engines) {
+        const grid::StencilHierarchy parallel(fine, grid::Coarsening::kRap,
+                                              engine->scheduler());
+        ASSERT_EQ(parallel.top_level(), serial.top_level());
+        for (int level = serial.top_level() - 1; level >= 1; --level) {
+          const grid::StencilOp& a = serial.at(level);
+          const grid::StencilOp& b = parallel.at(level);
+          const std::string where =
+              to_string(family) + " n=" + std::to_string(n) + " threads=" +
+              std::to_string(engine->scheduler().thread_count()) +
+              " level " + std::to_string(level);
+          EXPECT_TRUE(bitwise_equal(a.ax_grid(), b.ax_grid())) << where;
+          EXPECT_TRUE(bitwise_equal(a.ay_grid(), b.ay_grid())) << where;
+          EXPECT_TRUE(bitwise_equal(a.ase_grid(), b.ase_grid())) << where;
+          EXPECT_TRUE(bitwise_equal(a.asw_grid(), b.asw_grid())) << where;
+          EXPECT_TRUE(bitwise_equal(a.center_grid(), b.center_grid()))
+              << where;
+        }
+      }
+    }
+  }
 }
 
 TEST(GalerkinRap, LadderStaysSymmetricPositiveDefinite) {
