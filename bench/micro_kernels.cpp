@@ -10,6 +10,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "engine/engine.h"
 #include "fft/fast_poisson.h"
 #include "grid/grid_ops.h"
@@ -319,6 +322,41 @@ void BM_StencilZebraPacked(benchmark::State& state) {
   stencil_zebra_bench(state, packed_policy());
 }
 BENCHMARK(BM_StencilZebraPacked)->Arg(129)->Arg(513)->Arg(1025)->UseRealTime();
+
+// The packed line passes pick their body by K (grid/packed_kernels.h):
+// one-pass rows for one iterate, factor-once for a batch.  Arguments are
+// (n, K) on the jump-coefficient operator, the family varcoef batches
+// serve; K = 4 is the batch size they send and K = 1 the solo body on
+// the same operator.  Real time covers one sweep of all K iterates, so
+// time per RHS is real time / K.
+void BM_StencilZebraPackedBatch(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto k_count = static_cast<std::size_t>(state.range(1));
+  const grid::StencilOp op =
+      make_operator(n, OperatorFamily::kJumpCoefficient);
+  op.packed();
+  const auto problem = problem_for(n);
+  std::vector<Grid2D> xs(k_count, problem.x0);
+  std::vector<Grid2D*> slots;
+  for (Grid2D& x : xs) slots.push_back(&x);
+  const std::vector<const Grid2D*> bs(k_count, &problem.b);
+  auto& sched = bench_engine().scheduler();
+  auto& pool = bench_engine().scratch();
+  for (auto _ : state) {
+    solvers::line_relax_sweep_multi(op, slots, bs,
+                                    solvers::RelaxKind::kLineZebraAlt, sched,
+                                    pool, packed_policy());
+    benchmark::DoNotOptimize(xs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(k_count) * (n - 2) *
+                          (n - 2));
+}
+BENCHMARK(BM_StencilZebraPackedBatch)
+    ->Args({513, 1})
+    ->Args({513, 4})
+    ->UseRealTime();
 
 // --------------------------------------------------------- RAP ladders --
 // The Galerkin RAP ladder a θ=45° binding builds, coarsened on the bench

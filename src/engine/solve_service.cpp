@@ -1,7 +1,6 @@
 #include "engine/solve_service.h"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -352,31 +351,24 @@ std::vector<SolveStats> SolveService::solve_batch(std::span<Grid2D* const> xs,
                 ? request.accuracy_index
                 : bound->accuracy_index(request.target_accuracy);
     batch_size_.record(static_cast<double>(xs.size()));
-    if (request.fmg) {
-      // FULL-MULTIGRID has no fused multi-RHS walk (its ESTIMATE ramp is
-      // inherently per-iterate), so an FMG batch is a loop of solo
-      // solves — same results, no amortization.
-      all.reserve(xs.size());
-      for (Grid2D* x : xs) {
-        all.push_back(bound->solve_fmg(*x, b_template, index,
-                                       request.profile, request.residual));
-      }
-    } else {
-      all = bound->solve_batch_v(xs, b_template, index, request.profile,
-                                 request.residual);
-    }
+    all = request.fmg ? bound->solve_batch_fmg(xs, b_template, index,
+                                               request.profile,
+                                               request.residual)
+                      : bound->solve_batch_v(xs, b_template, index,
+                                             request.profile,
+                                             request.residual);
     for (SolveStats& stats : all) stats.generation = gen->id;
   } catch (...) {
     // A throw mid-walk fails every request in the batch.
     account(Outcome::kThrew, count, 0, now_seconds() - t0);
     throw;
   }
-  // One latency sample per batch: the fused walk has one wall-clock (the
-  // FMG loop's per-solve times sum to it), so per-RHS samples would
-  // overcount the histogram K-fold.  The sample is healthy only when
-  // EVERY RHS converged; outcome counters still split per RHS.  Batched
-  // samples never feed the drift watcher — batch wall-clock grows with K
-  // and is incomparable to the solo per-solve baseline.
+  // One latency sample per batch: the fused walk has one wall-clock, so
+  // per-RHS samples would overcount the histogram K-fold.  The sample is
+  // healthy only when EVERY RHS converged; outcome counters still split
+  // per RHS.  Batched samples never feed the drift watcher — batch
+  // wall-clock grows with K and is incomparable to the solo per-solve
+  // baseline.
   std::int64_t converged = 0;
   for (const SolveStats& stats : all) {
     if (stats.converged) ++converged;
@@ -402,14 +394,9 @@ void SolveService::observe_drift(const std::shared_ptr<Generation>& gen,
   if (!stats.converged) return;
   // V-cycle and FMG latencies live in separate baseline keys: FMG solves
   // are legitimately slower (the ramp), and mixing the two modes into
-  // one window reads as drift whenever the workload mix shifts.  The
-  // initial residual (when the request's audit measured one) feeds the
-  // watcher's input-distribution summary alongside the latency sample.
-  const obs::DriftObservation verdict = watcher_->observe(
-      stats.n, accuracy_index, stats.seconds, fmg,
-      stats.residual_checked
-          ? stats.initial_residual
-          : std::numeric_limits<double>::quiet_NaN());
+  // one window reads as drift whenever the workload mix shifts.
+  const obs::DriftObservation verdict =
+      watcher_->observe(stats.n, accuracy_index, stats.seconds, fmg);
   if (verdict.window_complete) {
     (verdict.drifted ? drift_windows_drifted_ : drift_windows_ok_).add(1);
     std::lock_guard<std::mutex> lock(mutex_);

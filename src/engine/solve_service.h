@@ -269,19 +269,20 @@ class SolveService {
                       tune::DynamicResult* detail = nullptr);
 
   /// Solves K iterates against one shared right-hand side `b_template`
-  /// in a single fused multi-RHS plan walk (SolveSession::solve_batch_v):
-  /// every relax/residual sweep loads each coefficient row once and
-  /// applies it to all K iterates, so throughput grows with K while each
-  /// xs[k] finishes bitwise identical to a solo solve(xs[k], b, request).
-  /// `request.fmg` batches degrade gracefully to a loop of solo FMG
-  /// solves (the ramp has no fused walk).  Returns one SolveStats per
-  /// iterate; for the fused V path their `seconds` all carry the batch
-  /// wall-clock, and the service records ONE latency sample per batch —
-  /// into the healthy histogram only when every RHS converged — plus a
-  /// `pbmg_batch_size` histogram sample.  Batched samples do not feed
-  /// the drift watcher: batch wall-clock is not comparable to the solo
-  /// per-solve baseline.  Thread-safe; throws like solve() (a throw
-  /// fails all K requests).
+  /// in a single fused multi-RHS plan walk (SolveSession::solve_batch_v,
+  /// or solve_batch_fmg for `request.fmg`): every relax and restriction
+  /// sweep loads each coefficient row once and applies it to all K
+  /// iterates, so throughput grows with K while each xs[k] finishes
+  /// bitwise identical to a solo solve(xs[k], b, request).  V and FMG
+  /// batches are both fused.  Returns one SolveStats per iterate; each
+  /// slot's `seconds` is the batch's wall-clock, and the service records
+  /// ONE latency sample per batch — into the healthy histogram only when
+  /// every RHS converged — plus a `pbmg_batch_size` histogram sample.
+  /// Batched samples do not feed the drift watcher: batch wall-clock is
+  /// not comparable to the solo per-solve baseline.  Thread-safe; throws
+  /// like solve() (a throw fails all K requests), and throws
+  /// InvalidArgument when two slots share an iterate or an iterate is
+  /// `b_template`.
   std::vector<SolveStats> solve_batch(std::span<Grid2D* const> xs,
                                       const Grid2D& b_template,
                                       const SolveRequest& request);

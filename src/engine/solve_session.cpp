@@ -51,46 +51,14 @@ void SolveSession::audit(SolveStats& stats, double r0, const Grid2D& x,
                     (r0 == 0.0 ? r1 == 0.0 : r1 <= check.ratio_limit * r0);
 }
 
-SolveStats SolveSession::solve_tuned(
-    Grid2D& x, const Grid2D& b, int accuracy_index, bool fmg,
-    std::shared_ptr<obs::PhaseProfile> profile,
-    const ResidualPolicy& check) const {
-  check_operands(x, b);
-  const double r0 = check.enabled ? prepared_.residual_norm(x, b) : 0.0;
-  const tune::TunedExecutor& executor = prepared_.executor(0);
-  const double t0 = now_seconds();
-  const int iterations =
-      fmg ? executor.run_fmg(x, b, accuracy_index, profile.get())
-          : executor.run_v(x, b, accuracy_index, profile.get());
-  const double seconds = now_seconds() - t0;
-  SolveStats stats = stats_for(seconds, accuracy_index, iterations, true);
-  audit(stats, r0, x, b, check);
-  stats.phases = std::move(profile);
-  return stats;
-}
-
-SolveStats SolveSession::solve_v(Grid2D& x, const Grid2D& b,
-                                 int accuracy_index,
-                                 std::shared_ptr<obs::PhaseProfile> profile,
-                                 const ResidualPolicy& check) const {
-  return solve_tuned(x, b, accuracy_index, false, std::move(profile), check);
-}
-
-SolveStats SolveSession::solve_fmg(Grid2D& x, const Grid2D& b,
-                                   int accuracy_index,
-                                   std::shared_ptr<obs::PhaseProfile> profile,
-                                   const ResidualPolicy& check) const {
-  return solve_tuned(x, b, accuracy_index, true, std::move(profile), check);
-}
-
-std::vector<SolveStats> SolveSession::solve_batch_v(
+std::vector<SolveStats> SolveSession::solve_tuned(
     std::span<Grid2D* const> xs, const Grid2D& b, int accuracy_index,
-    std::shared_ptr<obs::PhaseProfile> profile,
+    bool fmg, std::shared_ptr<obs::PhaseProfile> profile,
     const ResidualPolicy& check) const {
   std::vector<SolveStats> all;
   if (xs.empty()) return all;
   for (const Grid2D* x : xs) {
-    PBMG_CHECK(x != nullptr, "solve_batch_v: null iterate");
+    PBMG_CHECK(x != nullptr, "SolveSession: null iterate");
     check_operands(*x, b);
   }
   std::vector<double> r0(xs.size(), 0.0);
@@ -100,9 +68,11 @@ std::vector<SolveStats> SolveSession::solve_batch_v(
     }
   }
   const std::vector<const Grid2D*> bs(xs.size(), &b);
+  const tune::TunedExecutor& executor = prepared_.executor(0);
   const double t0 = now_seconds();
-  const int iterations = prepared_.executor(0).run_v_multi(
-      xs, bs, accuracy_index, profile.get());
+  const int iterations =
+      fmg ? executor.run_fmg_multi(xs, bs, accuracy_index, profile.get())
+          : executor.run_v_multi(xs, bs, accuracy_index, profile.get());
   const double seconds = now_seconds() - t0;
   all.reserve(xs.size());
   for (std::size_t k = 0; k < xs.size(); ++k) {
@@ -114,6 +84,40 @@ std::vector<SolveStats> SolveSession::solve_batch_v(
     all.push_back(std::move(stats));
   }
   return all;
+}
+
+SolveStats SolveSession::solve_v(Grid2D& x, const Grid2D& b,
+                                 int accuracy_index,
+                                 std::shared_ptr<obs::PhaseProfile> profile,
+                                 const ResidualPolicy& check) const {
+  Grid2D* const xs[] = {&x};
+  return std::move(
+      solve_tuned(xs, b, accuracy_index, false, std::move(profile), check)
+          .front());
+}
+
+SolveStats SolveSession::solve_fmg(Grid2D& x, const Grid2D& b,
+                                   int accuracy_index,
+                                   std::shared_ptr<obs::PhaseProfile> profile,
+                                   const ResidualPolicy& check) const {
+  Grid2D* const xs[] = {&x};
+  return std::move(
+      solve_tuned(xs, b, accuracy_index, true, std::move(profile), check)
+          .front());
+}
+
+std::vector<SolveStats> SolveSession::solve_batch_v(
+    std::span<Grid2D* const> xs, const Grid2D& b, int accuracy_index,
+    std::shared_ptr<obs::PhaseProfile> profile,
+    const ResidualPolicy& check) const {
+  return solve_tuned(xs, b, accuracy_index, false, std::move(profile), check);
+}
+
+std::vector<SolveStats> SolveSession::solve_batch_fmg(
+    std::span<Grid2D* const> xs, const Grid2D& b, int accuracy_index,
+    std::shared_ptr<obs::PhaseProfile> profile,
+    const ResidualPolicy& check) const {
+  return solve_tuned(xs, b, accuracy_index, true, std::move(profile), check);
 }
 
 SolveStats SolveSession::solve_reference_v(

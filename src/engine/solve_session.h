@@ -118,12 +118,15 @@ class SolveSession {
   /// wall-time breakdown and is returned in SolveStats::phases; a shared
   /// profile may aggregate across many solves (and threads).  `check`
   /// optionally audits convergence via pre/post residual norms (see
-  /// ResidualPolicy); both norms run outside the timed window.
+  /// ResidualPolicy); both norms run outside the timed window.  A batch
+  /// of one: runs solve_batch_v's path on a one-element span.  Throws
+  /// InvalidArgument when x is b.
   SolveStats solve_v(Grid2D& x, const Grid2D& b, int accuracy_index,
                      std::shared_ptr<obs::PhaseProfile> profile = nullptr,
                      const ResidualPolicy& check = {}) const;
 
-  /// Tuned FULL-MULTIGRID_i at `accuracy_index`; same contract as solve_v.
+  /// Tuned FULL-MULTIGRID_i at `accuracy_index`; same contract as solve_v
+  /// (a batch of one on solve_batch_fmg's path).
   SolveStats solve_fmg(Grid2D& x, const Grid2D& b, int accuracy_index,
                        std::shared_ptr<obs::PhaseProfile> profile = nullptr,
                        const ResidualPolicy& check = {}) const;
@@ -138,7 +141,17 @@ class SolveSession {
   /// per-request share would be fiction), which is why SolveService
   /// records batch latency once per batch, not per RHS.  Residual audits,
   /// when enabled, run per iterate outside the timed window as in solve_v.
+  /// Throws InvalidArgument when two slots share an iterate or an iterate
+  /// is b.
   std::vector<SolveStats> solve_batch_v(
+      std::span<Grid2D* const> xs, const Grid2D& b, int accuracy_index,
+      std::shared_ptr<obs::PhaseProfile> profile = nullptr,
+      const ResidualPolicy& check = {}) const;
+
+  /// Batched FULL-MULTIGRID: the ESTIMATE ramps and solve phases of all K
+  /// iterates run as one fused walk (TunedExecutor::run_fmg_multi); same
+  /// contract as solve_batch_v, each slot bitwise its solve_fmg.
+  std::vector<SolveStats> solve_batch_fmg(
       std::span<Grid2D* const> xs, const Grid2D& b, int accuracy_index,
       std::shared_ptr<obs::PhaseProfile> profile = nullptr,
       const ResidualPolicy& check = {}) const;
@@ -163,11 +176,13 @@ class SolveSession {
   SolveStats stats_for(double seconds, int accuracy_index, int iterations,
                        bool converged) const;
   void check_operands(const Grid2D& x, const Grid2D& b) const;
-  /// Runs one tuned V (or FMG) walk inside the timed window, with the
-  /// optional residual audit outside it.
-  SolveStats solve_tuned(Grid2D& x, const Grid2D& b, int accuracy_index,
-                         bool fmg, std::shared_ptr<obs::PhaseProfile> profile,
-                         const ResidualPolicy& check) const;
+  /// The one tuned solve path: one V (or FMG) walk over the batch inside
+  /// the timed window, with the optional per-slot residual audits outside
+  /// it.  Every public tuned entry point lands here.
+  std::vector<SolveStats> solve_tuned(
+      std::span<Grid2D* const> xs, const Grid2D& b, int accuracy_index,
+      bool fmg, std::shared_ptr<obs::PhaseProfile> profile,
+      const ResidualPolicy& check) const;
   /// Fills the audit fields of `stats` from the pre-solve residual `r0`.
   void audit(SolveStats& stats, double r0, const Grid2D& x, const Grid2D& b,
              const ResidualPolicy& check) const;

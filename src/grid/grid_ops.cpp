@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 #include <vector>
 
 #include "grid/level.h"
@@ -68,27 +67,25 @@ Fn by_width(int w, Fn w1, Fn w2, Fn w4) {
   return w == 4 ? w4 : w == 2 ? w2 : w1;
 }
 
-/// The row kernel apply_op, residual_op, residual_op_multi and
-/// restrict_residual drive, one per operator kind: rows(i, out) writes
-/// interior row i of b − A·x — or of A·x when b is null — into
-/// out[1..n−2].  The kinds are the Poisson fast path (the pk:: SIMD row at
-/// the widest supported width; requires b), the packed 5- and 9-point
-/// rows at the policy's clamped width, and the legacy 5- and 9-point
-/// rows.  Every kind at every width gives the same bits as its scalar
-/// loop, so a driver's choice of rows never changes results.
+/// The row kernel of one operator that apply_op, residual_op and
+/// restrict_residual drive: rows(x, b, i, out) writes interior row i of
+/// b − A·x — or of A·x when the rows were built without a rhs and b is
+/// null — into out[1..n−2].  One object serves every iterate of a batch.
+/// The kinds are the Poisson fast path (the pk:: SIMD row at the widest
+/// supported width; requires a rhs), the packed 5- and 9-point rows at
+/// the policy's clamped width, and the legacy 5- and 9-point rows.  Every
+/// kind at every width gives the same bits as its scalar loop, so a
+/// driver's choice of rows never changes results.
 class StencilRows {
  public:
-  StencilRows(const StencilOp& op, const Grid2D& x, const Grid2D* b,
-              const KernelPolicy& kernels)
+  StencilRows(const StencilOp& op, bool with_rhs, const KernelPolicy& kernels)
       : op_(op),
-        x_(x),
-        b_(b),
-        n_(x.n()),
-        inv_h2_(static_cast<double>(x.n() - 1) *
-                static_cast<double>(x.n() - 1)),
+        n_(op.n()),
+        inv_h2_(static_cast<double>(op.n() - 1) *
+                static_cast<double>(op.n() - 1)),
         c_(op.c()) {
     if (op.is_poisson()) {
-      PBMG_CHECK(b != nullptr, "StencilRows: Poisson rows need a rhs");
+      PBMG_CHECK(with_rhs, "StencilRows: Poisson rows need a rhs");
       row_ = by_width(packed_simd_width_supported(), &poisson<1>,
                       &poisson<2>, &poisson<4>);
     } else if (kernels.layout == StencilLayout::kPacked) {
@@ -98,40 +95,40 @@ class StencilRows {
                  ? by_width(w, &packed9<1>, &packed9<2>, &packed9<4>)
                  : by_width(w, &packed5<1>, &packed5<2>, &packed5<4>);
     } else if (op.is_nine_point()) {
-      row_ = b != nullptr ? &legacy9<true> : &legacy9<false>;
+      row_ = with_rhs ? &legacy9<true> : &legacy9<false>;
     } else {
-      row_ = b != nullptr ? &legacy5<true> : &legacy5<false>;
+      row_ = with_rhs ? &legacy5<true> : &legacy5<false>;
     }
   }
 
-  void operator()(int i, double* out) const { row_(*this, i, out); }
+  void operator()(const Grid2D& x, const Grid2D* b, int i,
+                  double* out) const {
+    row_(*this, x, b != nullptr ? b->row(i) : nullptr, i, out);
+  }
 
  private:
-  using RowFn = void (*)(const StencilRows&, int, double*);
+  using RowFn = void (*)(const StencilRows&, const Grid2D&, const double*,
+                         int, double*);
 
-  const double* rhs(int i) const {
-    return b_ != nullptr ? b_->row(i) : nullptr;
+  template <int W>
+  static void poisson(const StencilRows& s, const Grid2D& x,
+                      const double* rhs, int i, double* out) {
+    pk::poisson_residual_row<W>(x.row(i - 1), x.row(i), x.row(i + 1), rhs,
+                                out, s.inv_h2_, s.n_);
   }
 
   template <int W>
-  static void poisson(const StencilRows& s, int i, double* out) {
-    pk::poisson_residual_row<W>(s.x_.row(i - 1), s.x_.row(i),
-                                s.x_.row(i + 1), s.b_->row(i), out,
-                                s.inv_h2_, s.n_);
+  static void packed5(const StencilRows& s, const Grid2D& x,
+                      const double* rhs, int i, double* out) {
+    pk::stencil_row5<W>(pk::view5(*s.packed_, i), x.row(i - 1), x.row(i),
+                        x.row(i + 1), rhs, out, s.inv_h2_, s.c_, s.n_);
   }
 
   template <int W>
-  static void packed5(const StencilRows& s, int i, double* out) {
-    pk::stencil_row5<W>(pk::view5(*s.packed_, i), s.x_.row(i - 1),
-                        s.x_.row(i), s.x_.row(i + 1), s.rhs(i), out,
-                        s.inv_h2_, s.c_, s.n_);
-  }
-
-  template <int W>
-  static void packed9(const StencilRows& s, int i, double* out) {
-    pk::stencil_row9<W>(pk::view9(*s.packed_, i), s.x_.row(i - 1),
-                        s.x_.row(i), s.x_.row(i + 1), s.rhs(i), out,
-                        s.inv_h2_, s.c_, s.n_);
+  static void packed9(const StencilRows& s, const Grid2D& x,
+                      const double* rhs, int i, double* out) {
+    pk::stencil_row9<W>(pk::view9(*s.packed_, i), x.row(i - 1), x.row(i),
+                        x.row(i + 1), rhs, out, s.inv_h2_, s.c_, s.n_);
   }
 
   /// Legacy 5-point row; WithRhs selects residual (rhs − A·x) versus
@@ -140,14 +137,14 @@ class StencilRows {
   /// happen to be exactly 1 (c = 0) reproduces the fast path to the last
   /// ulp.
   template <bool WithRhs>
-  static void legacy5(const StencilRows& s, int i, double* o) {
-    const double* up = s.x_.row(i - 1);
-    const double* mid = s.x_.row(i);
-    const double* down = s.x_.row(i + 1);
+  static void legacy5(const StencilRows& s, const Grid2D& x,
+                      const double* rhs, int i, double* o) {
+    const double* up = x.row(i - 1);
+    const double* mid = x.row(i);
+    const double* down = x.row(i + 1);
     const double* axr = s.op_.ax_grid().row(i);  // aW = axr[j-1], aE = axr[j]
     const double* ay_up = s.op_.ay_grid().row(i - 1);  // aN = ay_up[j]
     const double* ay_dn = s.op_.ay_grid().row(i);      // aS = ay_dn[j]
-    const double* rhs = s.rhs(i);
     for (int j = 1; j < s.n_ - 1; ++j) {
       const double aw = axr[j - 1];
       const double ae = axr[j];
@@ -168,12 +165,12 @@ class StencilRows {
   /// layout).  The 5-point row above stays separate so operators without
   /// corners keep their bitwise-stable code path.
   template <bool WithRhs>
-  static void legacy9(const StencilRows& s, int i, double* o) {
-    const double* up = s.x_.row(i - 1);
-    const double* mid = s.x_.row(i);
-    const double* down = s.x_.row(i + 1);
+  static void legacy9(const StencilRows& s, const Grid2D& x,
+                      const double* rhs, int i, double* o) {
+    const double* up = x.row(i - 1);
+    const double* mid = x.row(i);
+    const double* down = x.row(i + 1);
     const NinePointRows rows(s.op_, i);
-    const double* rhs = s.rhs(i);
     for (int j = 1; j < s.n_ - 1; ++j) {
       const double nb = rows.neighbour_sum(up, mid, down, j);
       const double av =
@@ -184,8 +181,6 @@ class StencilRows {
   }
 
   const StencilOp& op_;
-  const Grid2D& x_;
-  const Grid2D* b_;
   const PackedStencil* packed_ = nullptr;
   int n_;
   double inv_h2_;
@@ -194,13 +189,14 @@ class StencilRows {
 };
 
 /// Writes every interior row of `out` through `rows` and zeroes its ring.
-void sweep_rows(const StencilRows& rows, Grid2D& out, rt::Scheduler& sched) {
+void sweep_rows(const StencilRows& rows, const Grid2D& x, const Grid2D* b,
+                Grid2D& out, rt::Scheduler& sched) {
   const int n = out.n();
   sched.parallel_for(1, n - 1, sched.grain_for(n - 2, n - 2),
                      [&](std::int64_t ib, std::int64_t ie) {
                        for (int i = static_cast<int>(ib);
                             i < static_cast<int>(ie); ++i) {
-                         rows(i, out.row(i));
+                         rows(x, b, i, out.row(i));
                        }
                      });
   zero_boundary(out);
@@ -223,7 +219,7 @@ void apply_op(const StencilOp& op, const Grid2D& x, Grid2D& out,
     apply_poisson(x, out, sched);
     return;
   }
-  sweep_rows(StencilRows(op, x, nullptr, kernels), out, sched);
+  sweep_rows(StencilRows(op, false, kernels), x, nullptr, out, sched);
 }
 
 void residual_op(const StencilOp& op, const Grid2D& x, const Grid2D& b,
@@ -233,49 +229,7 @@ void residual_op(const StencilOp& op, const Grid2D& x, const Grid2D& b,
   check_same_size(x, b, "residual_op");
   check_same_size(x, r, "residual_op");
   PBMG_CHECK(op.n() == x.n(), "residual_op: operator/grid size mismatch");
-  sweep_rows(StencilRows(op, x, &b, kernels), r, sched);
-}
-
-void residual_op_multi(const StencilOp& op,
-                       std::span<const Grid2D* const> xs,
-                       std::span<const Grid2D* const> bs,
-                       std::span<Grid2D* const> rs, rt::Scheduler& sched,
-                       const KernelPolicy& kernels) {
-  PBMG_CHECK(xs.size() == bs.size() && xs.size() == rs.size(),
-             "residual_op_multi: span size mismatch");
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr && rs[k] != nullptr,
-               "residual_op_multi: null grid slot");
-    PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n() &&
-                   rs[k]->n() == op.n(),
-               "residual_op_multi: operator/grid size mismatch");
-  }
-  if (xs.empty()) return;
-  if (xs.size() == 1) {
-    // K = 1 takes the solo kernel so batch-of-one and solo are the same
-    // code path, not merely bitwise-equal ones.
-    residual_op(op, *xs[0], *bs[0], *rs[0], sched, kernels);
-    return;
-  }
-  check_valid(*xs[0], "residual_op_multi");
-  std::vector<StencilRows> rows;
-  rows.reserve(xs.size());
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    rows.emplace_back(op, *xs[k], bs[k], kernels);
-  }
-  const int n = op.n();
-  sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          // All K rows of grid row i back to back, so row i's coefficient
-          // streams are loaded once and stay hot across the batch.
-          for (std::size_t k = 0; k < rows.size(); ++k) {
-            rows[k](i, rs[k]->row(i));
-          }
-        }
-      });
-  for (Grid2D* r : rs) zero_boundary(*r);
+  sweep_rows(StencilRows(op, true, kernels), x, &b, r, sched);
 }
 
 namespace {
@@ -311,37 +265,68 @@ void restrict_full_weighting(const Grid2D& fine, Grid2D& coarse,
 void restrict_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
                        Grid2D& coarse, rt::Scheduler& sched,
                        const KernelPolicy& kernels) {
-  check_valid(x, "restrict_residual");
-  check_same_size(x, b, "restrict_residual");
-  PBMG_CHECK(op.n() == x.n(),
-             "restrict_residual: operator/grid size mismatch");
-  PBMG_CHECK(coarse.n() == coarse_size(x.n()),
-             "restrict_residual: coarse grid has wrong size");
-  const int n = x.n();
-  const int nc = coarse.n();
-  const StencilRows rows(op, x, &b, kernels);
+  const Grid2D* const xs[] = {&x};
+  const Grid2D* const bs[] = {&b};
+  Grid2D* const coarses[] = {&coarse};
+  restrict_residual_multi(op, xs, bs, coarses, sched, kernels);
+}
+
+void restrict_residual_multi(const StencilOp& op,
+                             std::span<const Grid2D* const> xs,
+                             std::span<const Grid2D* const> bs,
+                             std::span<Grid2D* const> coarse,
+                             rt::Scheduler& sched,
+                             const KernelPolicy& kernels) {
+  PBMG_CHECK(xs.size() == bs.size() && xs.size() == coarse.size(),
+             "restrict_residual: span size mismatch");
+  for (std::size_t k = 0; k < xs.size(); ++k) {
+    PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr && coarse[k] != nullptr,
+               "restrict_residual: null grid slot");
+    check_valid(*xs[k], "restrict_residual");
+    check_same_size(*xs[k], *bs[k], "restrict_residual");
+    PBMG_CHECK(op.n() == xs[k]->n(),
+               "restrict_residual: operator/grid size mismatch");
+    PBMG_CHECK(coarse[k]->n() == coarse_size(xs[k]->n()),
+               "restrict_residual: coarse grid has wrong size");
+  }
+  if (xs.empty()) return;
+  const std::size_t batch = xs.size();
+  const int n = op.n();
+  const int nc = coarse_size(n);
+  const StencilRows rows(op, true, kernels);
   const RestrictRowFn restrict_row = restrict_row_fn();
   sched.parallel_for(
       1, nc - 1, sched.grain_for(nc - 2, 4 * (nc - 2)),
       [&](std::int64_t ib, std::int64_t ie) {
         // Coarse row ci weighs fine residual rows 2ci−1 … 2ci+1, so rows
         // 2ib−1 … 2ie−1 each feed this leaf once: the odd row below one
-        // coarse row is the row above the next, and rotates up instead of
-        // being recomputed.  Only the buffer's interior columns are
-        // written or read.
-        std::vector<double> buffer(3 * static_cast<std::size_t>(n), 0.0);
-        double* up = buffer.data();
-        double* mid = up + n;
-        double* down = mid + n;
-        rows(2 * static_cast<int>(ib) - 1, up);
+        // coarse row is the row above the next, and trades places with
+        // the row below instead of being recomputed.  Each slot owns
+        // three buffer rows, and every slot's rows of one fine row are
+        // computed back to back, so that row's coefficient streams are
+        // loaded once for the whole batch.  Only the buffer's interior
+        // columns are written or read.
+        const auto stride = static_cast<std::size_t>(n);
+        std::vector<double> buffer(3 * batch * stride, 0.0);
+        for (std::size_t k = 0; k < batch; ++k) {
+          rows(*xs[k], bs[k], 2 * static_cast<int>(ib) - 1,
+               buffer.data() + 3 * k * stride);
+        }
+        bool swapped = false;
         for (int ci = static_cast<int>(ib); ci < static_cast<int>(ie); ++ci) {
-          rows(2 * ci, mid);
-          rows(2 * ci + 1, down);
-          restrict_row(up, mid, down, coarse.row(ci), nc);
-          std::swap(up, down);
+          for (std::size_t k = 0; k < batch; ++k) {
+            double* slot = buffer.data() + 3 * k * stride;
+            double* up = swapped ? slot + 2 * stride : slot;
+            double* mid = slot + stride;
+            double* down = swapped ? slot : slot + 2 * stride;
+            rows(*xs[k], bs[k], 2 * ci, mid);
+            rows(*xs[k], bs[k], 2 * ci + 1, down);
+            restrict_row(up, mid, down, coarse[k]->row(ci), nc);
+          }
+          swapped = !swapped;
         }
       });
-  zero_boundary(coarse);
+  for (Grid2D* c : coarse) zero_boundary(*c);
 }
 
 void restrict_inject(const Grid2D& fine, Grid2D& coarse,

@@ -48,20 +48,6 @@ void residual_op(const StencilOp& op, const Grid2D& x, const Grid2D& b,
                  Grid2D& r, rt::Scheduler& sched,
                  const KernelPolicy& kernels = {});
 
-/// Batched residual: rs[k] = bs[k] − A·xs[k] for K right-hand-sides of
-/// one operator, fused so each coefficient row is loaded once per row
-/// sweep and reused across all K (the batched-serving amortization —
-/// coefficients dominate the 9-point sweep's bandwidth).  Each k's
-/// per-point accumulation order is exactly the solo residual_op order,
-/// so every slot is bitwise identical to K separate calls; the fusion
-/// changes only *when* coefficient loads happen, never the arithmetic.
-/// Requires equal span sizes and all grids matching op.n().
-void residual_op_multi(const StencilOp& op,
-                       std::span<const Grid2D* const> xs,
-                       std::span<const Grid2D* const> bs,
-                       std::span<Grid2D* const> rs, rt::Scheduler& sched,
-                       const KernelPolicy& kernels = {});
-
 /// Full-weighting restriction of the fine interior onto the coarse grid:
 /// coarse(I,J) = 1/16 · [1 2 1; 2 4 2; 1 2 1] stencil at fine (2I, 2J).
 /// The coarse boundary ring is zeroed (restriction is applied to residuals,
@@ -75,10 +61,29 @@ void restrict_full_weighting(const Grid2D& fine, Grid2D& coarse,
 /// by restrict_full_weighting(r, coarse, sched), but the fine residual is
 /// never stored: each parallel leaf computes the residual rows its coarse
 /// rows weigh into a three-row buffer and restricts them from there.
-/// Requires b.n() == x.n() == op.n() and coarse.n() == coarse_size(x.n()).
+/// Forwards a one-element span to restrict_residual_multi, which is the
+/// only body.  Requires b.n() == x.n() == op.n() and
+/// coarse.n() == coarse_size(x.n()).
 void restrict_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
                        Grid2D& coarse, rt::Scheduler& sched,
                        const KernelPolicy& kernels = {});
+
+/// Batched fused residual restriction: coarse[k] = full weighting of
+/// (bs[k] − A·xs[k]) for K iterates of one operator.  Each leaf keeps a
+/// three-row buffer per slot and computes every slot's residual row i
+/// back to back, so row i's coefficient streams are loaded once for the
+/// batch and no fine residual is ever stored.  Each slot's arithmetic is
+/// exactly restrict_residual's, so every slot is bitwise identical to K
+/// separate calls under any thread count; the leaves split the coarse
+/// rows with restrict_residual's grain whatever K is.  Requires equal
+/// span sizes, every fine grid matching op.n() and every coarse grid of
+/// side coarse_size(op.n()).
+void restrict_residual_multi(const StencilOp& op,
+                             std::span<const Grid2D* const> xs,
+                             std::span<const Grid2D* const> bs,
+                             std::span<Grid2D* const> coarse,
+                             rt::Scheduler& sched,
+                             const KernelPolicy& kernels = {});
 
 /// Injection restriction: coarse(I,J) = fine(2I,2J) over the whole grid,
 /// boundary included.  Used by full multigrid to coarsen the *problem*

@@ -1,6 +1,7 @@
 #include "grid/packed_kernels.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "grid/grid_ops.h"
 #include "grid/level.h"
@@ -86,6 +87,20 @@ int clamp_simd_width(int width) {
 
 namespace {
 
+/// Calls f with the lane width w ∈ {1, 2, 4} as a compile-time constant
+/// (a std::integral_constant), so one call site reaches each width's
+/// explicit instantiation in packed_kernels_w*.cpp.
+template <typename F>
+void with_width(int w, const F& f) {
+  if (w == 4) {
+    f(std::integral_constant<int, 4>{});
+  } else if (w == 2) {
+    f(std::integral_constant<int, 2>{});
+  } else {
+    f(std::integral_constant<int, 1>{});
+  }
+}
+
 void check_packed_operands(const StencilOp& op, const Grid2D& x,
                            const char* what) {
   PBMG_CHECK(!op.is_poisson(),
@@ -94,6 +109,18 @@ void check_packed_operands(const StencilOp& op, const Grid2D& x,
              std::string(what) + ": grid size must be 2^k+1");
   PBMG_CHECK(op.n() == x.n(),
              std::string(what) + ": operator/grid size mismatch");
+}
+
+void check_packed_batch(const StencilOp& op, std::span<Grid2D* const> xs,
+                        std::span<const Grid2D* const> bs, const char* what) {
+  PBMG_CHECK(xs.size() == bs.size(),
+             std::string(what) + ": span size mismatch");
+  if (xs.empty()) return;
+  check_packed_operands(op, *xs[0], what);
+  for (std::size_t k = 0; k < xs.size(); ++k) {
+    PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n(),
+               std::string(what) + ": grid size mismatch");
+  }
 }
 
 }  // namespace
@@ -110,12 +137,13 @@ void packed_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
   residual_op(op, x, b, r, sched, {StencilLayout::kPacked, simd_width});
 }
 
-void packed_sor_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
-                      double omega, rt::Scheduler& sched, int simd_width) {
-  check_packed_operands(op, x, "packed_sor_sweep");
-  PBMG_CHECK(x.n() == b.n(), "packed_sor_sweep: grid size mismatch");
+void packed_sor_sweep_multi(const StencilOp& op, std::span<Grid2D* const> xs,
+                            std::span<const Grid2D* const> bs, double omega,
+                            rt::Scheduler& sched, int simd_width) {
+  check_packed_batch(op, xs, bs, "packed_sor_sweep");
+  if (xs.empty()) return;
   const PackedStencil& p = op.packed();
-  const int n = x.n();
+  const int n = op.n();
   const double h2 = mesh_width(n) * mesh_width(n);
   const double ch2 = op.c() * h2;
   const double keep = 1.0 - omega;
@@ -134,90 +162,16 @@ void packed_sor_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
                  ++i) {
               if ((i & 1) != pi) continue;
               const pk::View9 v = pk::view9(p, i);
-              const double* up = x.row(i - 1);
-              double* mid = x.row(i);
-              const double* down = x.row(i + 1);
-              const double* rhs = b.row(i);
-              const int j0 = 1 + ((1 + pj) & 1);
-              switch (w) {
-                case 4: pk::sor_row9<4>(v, up, mid, down, rhs, h2, ch2,
-                                        omega, keep, j0, n); break;
-                case 2: pk::sor_row9<2>(v, up, mid, down, rhs, h2, ch2,
-                                        omega, keep, j0, n); break;
-                default: pk::sor_row9<1>(v, up, mid, down, rhs, h2, ch2,
-                                         omega, keep, j0, n); break;
-              }
-            }
-          });
-    }
-    return;
-  }
-  for (int parity = 0; parity <= 1; ++parity) {
-    sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
-        [&, parity](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            const pk::View5 v = pk::view5(p, i);
-            const double* up = x.row(i - 1);
-            double* mid = x.row(i);
-            const double* down = x.row(i + 1);
-            const double* rhs = b.row(i);
-            const int j0 = 1 + ((i + 1 + parity) & 1);
-            switch (w) {
-              case 4: pk::sor_row5<4>(v, up, mid, down, rhs, h2, ch2, omega,
-                                      keep, j0, n); break;
-              case 2: pk::sor_row5<2>(v, up, mid, down, rhs, h2, ch2, omega,
-                                      keep, j0, n); break;
-              default: pk::sor_row5<1>(v, up, mid, down, rhs, h2, ch2,
-                                       omega, keep, j0, n); break;
-            }
-          }
-        });
-  }
-}
-
-void packed_sor_sweep_multi(const StencilOp& op, std::span<Grid2D* const> xs,
-                            std::span<const Grid2D* const> bs, double omega,
-                            rt::Scheduler& sched, int simd_width) {
-  PBMG_CHECK(xs.size() == bs.size(),
-             "packed_sor_sweep_multi: span size mismatch");
-  if (xs.empty()) return;
-  check_packed_operands(op, *xs[0], "packed_sor_sweep_multi");
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n(),
-               "packed_sor_sweep_multi: grid size mismatch");
-  }
-  const PackedStencil& p = op.packed();
-  const int n = op.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const double keep = 1.0 - omega;
-  const int w = clamp_simd_width(simd_width);
-  if (p.nine_point()) {
-    for (int color = 0; color < 4; ++color) {
-      const int pi = color >> 1;
-      const int pj = color & 1;
-      sched.parallel_for(
-          1, n - 1, sched.grain_for(n - 2, n - 2),
-          [&, pi, pj](std::int64_t ib, std::int64_t ie) {
-            for (int i = static_cast<int>(ib); i < static_cast<int>(ie);
-                 ++i) {
-              if ((i & 1) != pi) continue;
-              const pk::View9 v = pk::view9(p, i);
               const int j0 = 1 + ((1 + pj) & 1);
               for (std::size_t k = 0; k < xs.size(); ++k) {
                 const double* up = xs[k]->row(i - 1);
                 double* mid = xs[k]->row(i);
                 const double* down = xs[k]->row(i + 1);
                 const double* rhs = bs[k]->row(i);
-                switch (w) {
-                  case 4: pk::sor_row9<4>(v, up, mid, down, rhs, h2, ch2,
-                                          omega, keep, j0, n); break;
-                  case 2: pk::sor_row9<2>(v, up, mid, down, rhs, h2, ch2,
-                                          omega, keep, j0, n); break;
-                  default: pk::sor_row9<1>(v, up, mid, down, rhs, h2, ch2,
-                                           omega, keep, j0, n); break;
-                }
+                with_width(w, [&](auto W) {
+                  pk::sor_row9<W>(v, up, mid, down, rhs, h2, ch2, omega, keep,
+                                  j0, n);
+                });
               }
             }
           });
@@ -236,18 +190,21 @@ void packed_sor_sweep_multi(const StencilOp& op, std::span<Grid2D* const> xs,
               double* mid = xs[k]->row(i);
               const double* down = xs[k]->row(i + 1);
               const double* rhs = bs[k]->row(i);
-              switch (w) {
-                case 4: pk::sor_row5<4>(v, up, mid, down, rhs, h2, ch2,
-                                        omega, keep, j0, n); break;
-                case 2: pk::sor_row5<2>(v, up, mid, down, rhs, h2, ch2,
-                                        omega, keep, j0, n); break;
-                default: pk::sor_row5<1>(v, up, mid, down, rhs, h2, ch2,
-                                         omega, keep, j0, n); break;
-              }
+              with_width(w, [&](auto W) {
+                pk::sor_row5<W>(v, up, mid, down, rhs, h2, ch2, omega, keep, j0,
+                                n);
+              });
             }
           }
         });
   }
+}
+
+void packed_sor_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
+                      double omega, rt::Scheduler& sched, int simd_width) {
+  Grid2D* const xs[] = {&x};
+  const Grid2D* const bs[] = {&b};
+  packed_sor_sweep_multi(op, xs, bs, omega, sched, simd_width);
 }
 
 void packed_jacobi_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
@@ -274,24 +231,16 @@ void packed_jacobi_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
           double* out = scratch.row(i);
           if (nine) {
             const pk::View9 v = pk::view9(p, i);
-            switch (w) {
-              case 4: pk::jacobi_row9<4>(v, up, mid, down, rhs, out, h2,
-                                         ch2, omega, keep, n); break;
-              case 2: pk::jacobi_row9<2>(v, up, mid, down, rhs, out, h2,
-                                         ch2, omega, keep, n); break;
-              default: pk::jacobi_row9<1>(v, up, mid, down, rhs, out, h2,
-                                          ch2, omega, keep, n); break;
-            }
+            with_width(w, [&](auto W) {
+              pk::jacobi_row9<W>(v, up, mid, down, rhs, out, h2, ch2, omega,
+                                 keep, n);
+            });
           } else {
             const pk::View5 v = pk::view5(p, i);
-            switch (w) {
-              case 4: pk::jacobi_row5<4>(v, up, mid, down, rhs, out, h2,
-                                         ch2, omega, keep, n); break;
-              case 2: pk::jacobi_row5<2>(v, up, mid, down, rhs, out, h2,
-                                         ch2, omega, keep, n); break;
-              default: pk::jacobi_row5<1>(v, up, mid, down, rhs, out, h2,
-                                          ch2, omega, keep, n); break;
-            }
+            with_width(w, [&](auto W) {
+              pk::jacobi_row5<W>(v, up, mid, down, rhs, out, h2, ch2, omega,
+                                 keep, n);
+            });
           }
         }
       });
@@ -299,153 +248,40 @@ void packed_jacobi_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
   x.swap(scratch);
 }
 
-void packed_line_x(const StencilOp& op, Grid2D& x, const Grid2D& b,
-                   rt::Scheduler& sched, ScratchPool& pool, int simd_width) {
-  check_packed_operands(op, x, "packed_line_x");
-  PBMG_CHECK(x.n() == b.n(), "packed_line_x: grid size mismatch");
+// Both line passes keep two bodies and pick one by K.  One iterate runs
+// the one-pass rows (x_lines*/y_lines*), which eliminate and substitute
+// in a single walk of the bands.  A batch factors each line group once
+// (x_factor*/y_factor*) and replays the rhs recurrence per iterate
+// (x_apply*/y_apply*), so the pivot divides and coefficient loads are
+// shared by all K.  The split costs a second walk over the stored
+// factors, which one iterate never earns back: on 4 threads with AVX2,
+// factor-once took 1.08–1.39× the one-pass time at K = 1 and 0.52–0.90×
+// the time of four one-pass calls at K = 4, with identical bits.
+
+void packed_line_x_multi(const StencilOp& op, std::span<Grid2D* const> xs,
+                         std::span<const Grid2D* const> bs,
+                         rt::Scheduler& sched, ScratchPool& pool,
+                         int simd_width) {
+  check_packed_batch(op, xs, bs, "packed_line_x");
+  if (xs.empty()) return;
   const PackedStencil& p = op.packed();
-  const int n = x.n();
+  const int n = op.n();
   const double h2 = mesh_width(n) * mesh_width(n);
   const double ch2 = op.c() * h2;
   const int w = clamp_line_width(clamp_simd_width(simd_width), n);
   const long pstride = 2 * p.row_stride();  // lane l: streams of row i0+2l
   const long gstride = 2 * static_cast<long>(n);  // lane l: grid row i0+2l
   const bool nine = p.nine_point();
+  const bool factor_once = xs.size() > 1;
   auto cp_lease = pool.acquire(n);
   auto dp_lease = pool.acquire(n);
   Grid2D& cpg = cp_lease.get();
   Grid2D& dpg = dp_lease.get();
-  for (int parity = 1; parity >= 0; --parity) {
-    const LineGroups lg = line_groups(n, parity, w);
-    if (lg.groups == 0) continue;
-    sched.parallel_for(
-        0, lg.groups,
-        sched.grain_for(lg.groups, static_cast<std::int64_t>(w) * (n - 2)),
-        [&](std::int64_t gb, std::int64_t ge) {
-          for (int g = static_cast<int>(gb); g < static_cast<int>(ge); ++g) {
-            const int i0 = lg.first + 2 * g * w;
-            const int lanes = std::min(w, lg.count - g * w);
-            double* cp = cpg.row(g * w);
-            double* dp = dpg.row(g * w);
-            const double* up = x.row(i0 - 1);
-            double* mid = x.row(i0);
-            const double* down = x.row(i0 + 1);
-            const double* rhs = b.row(i0);
-            if (nine) {
-              const pk::View9 v = pk::view9(p, i0);
-              switch (w) {
-                case 4: pk::x_lines9<4>(v, pstride, up, mid, down, rhs,
-                                        gstride, lanes, cp, dp, h2, ch2, n);
-                        break;
-                case 2: pk::x_lines9<2>(v, pstride, up, mid, down, rhs,
-                                        gstride, lanes, cp, dp, h2, ch2, n);
-                        break;
-                default: pk::x_lines9<1>(v, pstride, up, mid, down, rhs,
-                                         gstride, lanes, cp, dp, h2, ch2, n);
-                         break;
-              }
-            } else {
-              const pk::View5 v = pk::view5(p, i0);
-              switch (w) {
-                case 4: pk::x_lines5<4>(v, pstride, up, mid, down, rhs,
-                                        gstride, lanes, cp, dp, h2, ch2, n);
-                        break;
-                case 2: pk::x_lines5<2>(v, pstride, up, mid, down, rhs,
-                                        gstride, lanes, cp, dp, h2, ch2, n);
-                        break;
-                default: pk::x_lines5<1>(v, pstride, up, mid, down, rhs,
-                                         gstride, lanes, cp, dp, h2, ch2, n);
-                         break;
-              }
-            }
-          }
-        });
+  std::vector<ScratchPool::Lease> factor_leases;
+  if (factor_once) {
+    factor_leases.push_back(pool.acquire(n));
+    factor_leases.push_back(pool.acquire(n));
   }
-}
-
-void packed_line_y(const StencilOp& op, Grid2D& x, const Grid2D& b,
-                   rt::Scheduler& sched, ScratchPool& pool, int simd_width) {
-  check_packed_operands(op, x, "packed_line_y");
-  PBMG_CHECK(x.n() == b.n(), "packed_line_y: grid size mismatch");
-  const PackedStencil& p = op.packed();
-  const int n = x.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const int w = clamp_line_width(clamp_simd_width(simd_width), n);
-  const bool nine = p.nine_point();
-  double* xb = x.row(0);
-  const double* bb = b.row(0);
-  const double* pbase = p.base();
-  const long prow = p.row_stride();
-  const long ppad = p.padded();
-  auto cp_lease = pool.acquire(n);
-  auto dp_lease = pool.acquire(n);
-  Grid2D& cpg = cp_lease.get();
-  Grid2D& dpg = dp_lease.get();
-  for (int parity = 1; parity >= 0; --parity) {
-    const LineGroups lg = line_groups(n, parity, w);
-    if (lg.groups == 0) continue;
-    sched.parallel_for(
-        0, lg.groups,
-        sched.grain_for(lg.groups, static_cast<std::int64_t>(w) * (n - 2)),
-        [&](std::int64_t gb, std::int64_t ge) {
-          for (int g = static_cast<int>(gb); g < static_cast<int>(ge); ++g) {
-            const int j0 = lg.first + 2 * g * w;
-            const int lanes = std::min(w, lg.count - g * w);
-            double* cp = cpg.row(g * w);
-            double* dp = dpg.row(g * w);
-            if (nine) {
-              switch (w) {
-                case 4: pk::y_lines9<4>(xb, bb, pbase, prow, ppad, j0, lanes,
-                                        cp, dp, h2, ch2, n); break;
-                case 2: pk::y_lines9<2>(xb, bb, pbase, prow, ppad, j0, lanes,
-                                        cp, dp, h2, ch2, n); break;
-                default: pk::y_lines9<1>(xb, bb, pbase, prow, ppad, j0,
-                                         lanes, cp, dp, h2, ch2, n); break;
-              }
-            } else {
-              switch (w) {
-                case 4: pk::y_lines5<4>(xb, bb, pbase, prow, ppad, j0, lanes,
-                                        cp, dp, h2, ch2, n); break;
-                case 2: pk::y_lines5<2>(xb, bb, pbase, prow, ppad, j0, lanes,
-                                        cp, dp, h2, ch2, n); break;
-                default: pk::y_lines5<1>(xb, bb, pbase, prow, ppad, j0,
-                                         lanes, cp, dp, h2, ch2, n); break;
-              }
-            }
-          }
-        });
-  }
-}
-
-void packed_line_x_multi(const StencilOp& op, std::span<Grid2D* const> xs,
-                         std::span<const Grid2D* const> bs,
-                         rt::Scheduler& sched, ScratchPool& pool,
-                         int simd_width) {
-  PBMG_CHECK(xs.size() == bs.size(),
-             "packed_line_x_multi: span size mismatch");
-  if (xs.empty()) return;
-  check_packed_operands(op, *xs[0], "packed_line_x_multi");
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n(),
-               "packed_line_x_multi: grid size mismatch");
-  }
-  const PackedStencil& p = op.packed();
-  const int n = op.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const int w = clamp_line_width(clamp_simd_width(simd_width), n);
-  const long pstride = 2 * p.row_stride();
-  const long gstride = 2 * static_cast<long>(n);
-  const bool nine = p.nine_point();
-  auto cp_lease = pool.acquire(n);
-  auto sub_lease = pool.acquire(n);
-  auto inv_lease = pool.acquire(n);
-  auto dp_lease = pool.acquire(n);
-  Grid2D& cpg = cp_lease.get();
-  Grid2D& subg = sub_lease.get();
-  Grid2D& invg = inv_lease.get();
-  Grid2D& dpg = dp_lease.get();
   for (int parity = 1; parity >= 0; --parity) {
     const LineGroups lg = line_groups(n, parity, w);
     if (lg.groups == 0) continue;
@@ -458,64 +294,58 @@ void packed_line_x_multi(const StencilOp& op, std::span<Grid2D* const> xs,
             const int i0 = lg.first + 2 * g * w;
             const int lanes = std::min(w, lg.count - g * w);
             double* cp = cpg.row(g * w);
-            double* sub = subg.row(g * w);
-            double* inv = invg.row(g * w);
             double* dp = dpg.row(g * w);
-            // Factor once per group, replay per iterate: the factors (and
-            // coefficient streams) stay hot across all K rhs passes.
+            if (!factor_once) {
+              const double* up = xs[0]->row(i0 - 1);
+              double* mid = xs[0]->row(i0);
+              const double* down = xs[0]->row(i0 + 1);
+              const double* rhs = bs[0]->row(i0);
+              if (nine) {
+                const pk::View9 v = pk::view9(p, i0);
+                with_width(w, [&](auto W) {
+                  pk::x_lines9<W>(v, pstride, up, mid, down, rhs, gstride,
+                                  lanes, cp, dp, h2, ch2, n);
+                });
+              } else {
+                const pk::View5 v = pk::view5(p, i0);
+                with_width(w, [&](auto W) {
+                  pk::x_lines5<W>(v, pstride, up, mid, down, rhs, gstride,
+                                  lanes, cp, dp, h2, ch2, n);
+                });
+              }
+              continue;
+            }
+            double* sub = factor_leases[0].get().row(g * w);
+            double* inv = factor_leases[1].get().row(g * w);
             if (nine) {
               const pk::View9 v = pk::view9(p, i0);
-              switch (w) {
-                case 4: pk::x_factor9<4>(v, pstride, lanes, cp, sub, inv,
-                                         ch2, n); break;
-                case 2: pk::x_factor9<2>(v, pstride, lanes, cp, sub, inv,
-                                         ch2, n); break;
-                default: pk::x_factor9<1>(v, pstride, lanes, cp, sub, inv,
-                                          ch2, n); break;
-              }
+              with_width(w, [&](auto W) {
+                pk::x_factor9<W>(v, pstride, lanes, cp, sub, inv, ch2, n);
+              });
               for (std::size_t k = 0; k < xs.size(); ++k) {
                 const double* up = xs[k]->row(i0 - 1);
                 double* mid = xs[k]->row(i0);
                 const double* down = xs[k]->row(i0 + 1);
                 const double* rhs = bs[k]->row(i0);
-                switch (w) {
-                  case 4: pk::x_apply9<4>(v, pstride, up, mid, down, rhs,
-                                          gstride, lanes, cp, sub, inv, dp,
-                                          h2, n); break;
-                  case 2: pk::x_apply9<2>(v, pstride, up, mid, down, rhs,
-                                          gstride, lanes, cp, sub, inv, dp,
-                                          h2, n); break;
-                  default: pk::x_apply9<1>(v, pstride, up, mid, down, rhs,
-                                           gstride, lanes, cp, sub, inv, dp,
-                                           h2, n); break;
-                }
+                with_width(w, [&](auto W) {
+                  pk::x_apply9<W>(v, pstride, up, mid, down, rhs, gstride,
+                                  lanes, cp, sub, inv, dp, h2, n);
+                });
               }
             } else {
               const pk::View5 v = pk::view5(p, i0);
-              switch (w) {
-                case 4: pk::x_factor5<4>(v, pstride, lanes, cp, sub, inv,
-                                         ch2, n); break;
-                case 2: pk::x_factor5<2>(v, pstride, lanes, cp, sub, inv,
-                                         ch2, n); break;
-                default: pk::x_factor5<1>(v, pstride, lanes, cp, sub, inv,
-                                          ch2, n); break;
-              }
+              with_width(w, [&](auto W) {
+                pk::x_factor5<W>(v, pstride, lanes, cp, sub, inv, ch2, n);
+              });
               for (std::size_t k = 0; k < xs.size(); ++k) {
                 const double* up = xs[k]->row(i0 - 1);
                 double* mid = xs[k]->row(i0);
                 const double* down = xs[k]->row(i0 + 1);
                 const double* rhs = bs[k]->row(i0);
-                switch (w) {
-                  case 4: pk::x_apply5<4>(v, pstride, up, mid, down, rhs,
-                                          gstride, lanes, cp, sub, inv, dp,
-                                          h2, n); break;
-                  case 2: pk::x_apply5<2>(v, pstride, up, mid, down, rhs,
-                                          gstride, lanes, cp, sub, inv, dp,
-                                          h2, n); break;
-                  default: pk::x_apply5<1>(v, pstride, up, mid, down, rhs,
-                                           gstride, lanes, cp, sub, inv, dp,
-                                           h2, n); break;
-                }
+                with_width(w, [&](auto W) {
+                  pk::x_apply5<W>(v, pstride, up, mid, down, rhs, gstride,
+                                  lanes, cp, sub, inv, dp, h2, n);
+                });
               }
             }
           }
@@ -527,14 +357,8 @@ void packed_line_y_multi(const StencilOp& op, std::span<Grid2D* const> xs,
                          std::span<const Grid2D* const> bs,
                          rt::Scheduler& sched, ScratchPool& pool,
                          int simd_width) {
-  PBMG_CHECK(xs.size() == bs.size(),
-             "packed_line_y_multi: span size mismatch");
+  check_packed_batch(op, xs, bs, "packed_line_y");
   if (xs.empty()) return;
-  check_packed_operands(op, *xs[0], "packed_line_y_multi");
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n(),
-               "packed_line_y_multi: grid size mismatch");
-  }
   const PackedStencil& p = op.packed();
   const int n = op.n();
   const double h2 = mesh_width(n) * mesh_width(n);
@@ -544,14 +368,16 @@ void packed_line_y_multi(const StencilOp& op, std::span<Grid2D* const> xs,
   const double* pbase = p.base();
   const long prow = p.row_stride();
   const long ppad = p.padded();
+  const bool factor_once = xs.size() > 1;
   auto cp_lease = pool.acquire(n);
-  auto sub_lease = pool.acquire(n);
-  auto inv_lease = pool.acquire(n);
   auto dp_lease = pool.acquire(n);
   Grid2D& cpg = cp_lease.get();
-  Grid2D& subg = sub_lease.get();
-  Grid2D& invg = inv_lease.get();
   Grid2D& dpg = dp_lease.get();
+  std::vector<ScratchPool::Lease> factor_leases;
+  if (factor_once) {
+    factor_leases.push_back(pool.acquire(n));
+    factor_leases.push_back(pool.acquire(n));
+  }
   for (int parity = 1; parity >= 0; --parity) {
     const LineGroups lg = line_groups(n, parity, w);
     if (lg.groups == 0) continue;
@@ -564,56 +390,50 @@ void packed_line_y_multi(const StencilOp& op, std::span<Grid2D* const> xs,
             const int j0 = lg.first + 2 * g * w;
             const int lanes = std::min(w, lg.count - g * w);
             double* cp = cpg.row(g * w);
-            double* sub = subg.row(g * w);
-            double* inv = invg.row(g * w);
             double* dp = dpg.row(g * w);
-            if (nine) {
-              switch (w) {
-                case 4: pk::y_factor9<4>(pbase, prow, ppad, j0, lanes, cp,
-                                         sub, inv, ch2, n); break;
-                case 2: pk::y_factor9<2>(pbase, prow, ppad, j0, lanes, cp,
-                                         sub, inv, ch2, n); break;
-                default: pk::y_factor9<1>(pbase, prow, ppad, j0, lanes, cp,
-                                          sub, inv, ch2, n); break;
+            if (!factor_once) {
+              double* xb = xs[0]->row(0);
+              const double* bb = bs[0]->row(0);
+              if (nine) {
+                with_width(w, [&](auto W) {
+                  pk::y_lines9<W>(xb, bb, pbase, prow, ppad, j0, lanes, cp, dp,
+                                  h2, ch2, n);
+                });
+              } else {
+                with_width(w, [&](auto W) {
+                  pk::y_lines5<W>(xb, bb, pbase, prow, ppad, j0, lanes, cp, dp,
+                                  h2, ch2, n);
+                });
               }
+              continue;
+            }
+            double* sub = factor_leases[0].get().row(g * w);
+            double* inv = factor_leases[1].get().row(g * w);
+            if (nine) {
+              with_width(w, [&](auto W) {
+                pk::y_factor9<W>(pbase, prow, ppad, j0, lanes, cp, sub, inv,
+                                 ch2, n);
+              });
               for (std::size_t k = 0; k < xs.size(); ++k) {
                 double* xb = xs[k]->row(0);
                 const double* bb = bs[k]->row(0);
-                switch (w) {
-                  case 4: pk::y_apply9<4>(xb, bb, pbase, prow, ppad, j0,
-                                          lanes, cp, sub, inv, dp, h2, n);
-                          break;
-                  case 2: pk::y_apply9<2>(xb, bb, pbase, prow, ppad, j0,
-                                          lanes, cp, sub, inv, dp, h2, n);
-                          break;
-                  default: pk::y_apply9<1>(xb, bb, pbase, prow, ppad, j0,
-                                           lanes, cp, sub, inv, dp, h2, n);
-                           break;
-                }
+                with_width(w, [&](auto W) {
+                  pk::y_apply9<W>(xb, bb, pbase, prow, ppad, j0, lanes, cp, sub,
+                                  inv, dp, h2, n);
+                });
               }
             } else {
-              switch (w) {
-                case 4: pk::y_factor5<4>(pbase, prow, ppad, j0, lanes, cp,
-                                         sub, inv, ch2, n); break;
-                case 2: pk::y_factor5<2>(pbase, prow, ppad, j0, lanes, cp,
-                                         sub, inv, ch2, n); break;
-                default: pk::y_factor5<1>(pbase, prow, ppad, j0, lanes, cp,
-                                          sub, inv, ch2, n); break;
-              }
+              with_width(w, [&](auto W) {
+                pk::y_factor5<W>(pbase, prow, ppad, j0, lanes, cp, sub, inv,
+                                 ch2, n);
+              });
               for (std::size_t k = 0; k < xs.size(); ++k) {
                 double* xb = xs[k]->row(0);
                 const double* bb = bs[k]->row(0);
-                switch (w) {
-                  case 4: pk::y_apply5<4>(xb, bb, pbase, prow, ppad, j0,
-                                          lanes, cp, sub, inv, dp, h2, n);
-                          break;
-                  case 2: pk::y_apply5<2>(xb, bb, pbase, prow, ppad, j0,
-                                          lanes, cp, sub, inv, dp, h2, n);
-                          break;
-                  default: pk::y_apply5<1>(xb, bb, pbase, prow, ppad, j0,
-                                           lanes, cp, sub, inv, dp, h2, n);
-                           break;
-                }
+                with_width(w, [&](auto W) {
+                  pk::y_apply5<W>(xb, bb, pbase, prow, ppad, j0, lanes, cp, sub,
+                                  inv, dp, h2, n);
+                });
               }
             }
           }

@@ -34,6 +34,11 @@
 /// (stride-2 gathers, per-lane scalar stores); the line solves vectorize
 /// across independent same-parity lines (lane l = line i0 + 2l), which
 /// turns the serial Thomas recurrences into W independent chains.
+///
+/// The sweeps a tuned walk runs take K iterates: packed_sor_sweep_multi is
+/// the only SOR body, and packed_sor_sweep forwards a one-element span to
+/// it.  The line passes have no single-grid entry; they choose between a
+/// one-pass body and a factor-once body by K.
 
 namespace pbmg::grid {
 
@@ -59,14 +64,16 @@ void packed_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
 
 /// One coloured SOR sweep under the packed layout (red-black for 5-point
 /// operators, four-colour for 9-point).  Matches solvers::sor_sweep's
-/// operator overload.
+/// operator overload.  Forwards a one-element span to
+/// packed_sor_sweep_multi, which is the only body.
 void packed_sor_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
                       double omega, rt::Scheduler& sched, int simd_width);
 
-/// Batched coloured SOR: one sweep of each xs[k] against bs[k], the K
-/// sweeps fused per colour × row so coefficient blocks are reused across
-/// right-hand-sides.  Bitwise identical per slot to K packed_sor_sweep
-/// calls (per-k update order is untouched; the RHS never couple).
+/// Coloured SOR over K iterates: one sweep of each xs[k] against bs[k],
+/// the K sweeps fused per colour × row so coefficient blocks are reused
+/// across right-hand-sides.  Each slot's update order is the one-iterate
+/// order (the iterates never couple), so every slot is bitwise identical
+/// to its own packed_sor_sweep call; K = 1 is that call.
 void packed_sor_sweep_multi(const StencilOp& op, std::span<Grid2D* const> xs,
                             std::span<const Grid2D* const> bs, double omega,
                             rt::Scheduler& sched, int simd_width);
@@ -77,30 +84,24 @@ void packed_jacobi_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
                          double omega, Grid2D& scratch, rt::Scheduler& sched,
                          int simd_width);
 
-/// One x-line (row) zebra pass under the packed layout: odd rows then
-/// even rows, each group of `simd_width` same-parity rows solved as one
-/// batched Thomas elimination.  Matches line_x of
-/// solvers::line_relax_sweep.
-void packed_line_x(const StencilOp& op, Grid2D& x, const Grid2D& b,
-                   rt::Scheduler& sched, ScratchPool& pool, int simd_width);
-
-/// One y-line (column) zebra pass under the packed layout.
-void packed_line_y(const StencilOp& op, Grid2D& x, const Grid2D& b,
-                   rt::Scheduler& sched, ScratchPool& pool, int simd_width);
-
-/// Batched x-line zebra pass: the Thomas forward-elimination pivots
-/// depend only on the operator, so each line group is factored once
-/// (pivot reciprocals + super-diagonal, including every divide) and the
-/// rhs recurrence replays per iterate against the cached factors — K
-/// right-hand sides per coefficient-stream load AND per pivot divide.
-/// Bitwise identical per slot to K packed_line_x calls: the apply pass
-/// multiplies by the exact inv values the solo elimination computes.
+/// One x-line (row) zebra pass over K iterates under the packed layout:
+/// odd rows then even rows, each group of `simd_width` same-parity rows
+/// solved as one batched Thomas elimination.  Matches the x pass of
+/// solvers::line_relax_sweep for every slot, bit for bit.  The entry
+/// picks its body by K: one iterate runs the one-pass rows, which
+/// eliminate and substitute in one walk of the bands; a batch factors
+/// each line group once (pivot reciprocals and super-diagonal, every
+/// divide included) and replays the rhs recurrence per iterate against
+/// the stored factors, so K right-hand sides share each coefficient load
+/// and each pivot divide.  The replay multiplies by the exact inv values
+/// the one-pass elimination computes, so both bodies give the same bits.
 void packed_line_x_multi(const StencilOp& op, std::span<Grid2D* const> xs,
                          std::span<const Grid2D* const> bs,
                          rt::Scheduler& sched, ScratchPool& pool,
                          int simd_width);
 
-/// Batched y-line zebra pass; same factor-once/apply-per-RHS contract.
+/// One y-line (column) zebra pass over K iterates under the packed
+/// layout; same bodies, same choice by K.
 void packed_line_y_multi(const StencilOp& op, std::span<Grid2D* const> xs,
                          std::span<const Grid2D* const> bs,
                          rt::Scheduler& sched, ScratchPool& pool,

@@ -140,7 +140,7 @@ void sor_row5(const View5& s, const double* up, double* mid,
   }
 }
 
-// Legacy order (relax.cpp sor_sweep_nine): nb via NinePointRows —
+// Legacy order (relax.cpp sor_sweep_nine_multi): nb via NinePointRows —
 // (aW*mid[j−1] + aE*mid[j+1]) + cross — then
 //   mid[j] = keep*mid[j] + omega*(h²*rhs[j] + nb)/(ctr + c·h²)
 template <int W>

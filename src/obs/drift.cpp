@@ -117,21 +117,10 @@ void record_into(HistogramSnapshot& window, double seconds) {
 }  // namespace
 
 DriftObservation DriftWatcher::observe(int n, int accuracy_index,
-                                       double seconds, bool fmg,
-                                       double initial_residual) {
+                                       double seconds, bool fmg) {
   DriftObservation obs;
   std::lock_guard<std::mutex> lock(mutex_);
   KeyState& state = windows_[LatencyBaseline::Key{n, accuracy_index, fmg}];
-  // Input-distribution summary first, before the baseline gate below:
-  // workload statistics are meaningful (and wanted) for request shapes
-  // that have never been latency-baselined.
-  if (std::isfinite(initial_residual) && initial_residual > 0.0) {
-    const double value = std::log10(initial_residual);
-    state.r_count += 1;
-    const double delta = value - state.r_mean;
-    state.r_mean += delta / static_cast<double>(state.r_count);
-    state.r_m2 += delta * (value - state.r_mean);
-  }
   const HistogramSnapshot* baseline = baseline_.find(n, accuracy_index, fmg);
   if (baseline == nullptr || baseline->count <= 0) {
     // Never-measured request shape: nothing to compare against.  Skipping
@@ -165,24 +154,6 @@ DriftObservation DriftWatcher::observe(int n, int accuracy_index,
     state.drift_streak = 0;
   }
   return obs;
-}
-
-std::map<LatencyBaseline::Key, ResidualStats> DriftWatcher::residual_stats()
-    const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::map<LatencyBaseline::Key, ResidualStats> stats;
-  for (const auto& [key, state] : windows_) {
-    if (state.r_count <= 0) continue;
-    ResidualStats entry;
-    entry.count = state.r_count;
-    entry.mean_log10 = state.r_mean;
-    entry.stddev_log10 =
-        state.r_count > 1
-            ? std::sqrt(state.r_m2 / static_cast<double>(state.r_count))
-            : 0.0;
-    stats[key] = entry;
-  }
-  return stats;
 }
 
 void DriftWatcher::rebase(LatencyBaseline baseline) {

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstdint>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -111,19 +109,6 @@ struct DriftObservation {
   double ks = 0.0;               ///< bucket-mass distance (closed windows)
 };
 
-/// Running summary of a key's initial-residual magnitudes (log10 scale —
-/// residuals span decades, so the arithmetic mean of the raw values would
-/// be dominated by the largest input ever seen).  This is the
-/// input-distribution half of drift: latency windows say how fast the
-/// machine is, these say what kind of right-hand sides are arriving.  A
-/// workload shift (harder inputs, different forcing amplitudes) moves
-/// mean_log10 / stddev_log10 even while every solve stays fast.
-struct ResidualStats {
-  std::int64_t count = 0;      ///< samples with a finite positive residual
-  double mean_log10 = 0.0;     ///< mean of log10(initial residual)
-  double stddev_log10 = 0.0;   ///< population stddev of log10(residual)
-};
-
 /// Accumulates live latency samples into per-(n × accuracy) windows and
 /// compares each full window against the baseline.  Thread-safe: observe
 /// and rebase serialize on an internal mutex, which is fine because a
@@ -141,23 +126,11 @@ class DriftWatcher {
   /// not re-fire every window while the retune runs).  FMG and V-cycle
   /// samples accumulate into separate windows and compare against
   /// separate baseline entries.
-  ///
-  /// `initial_residual`, when finite and positive, additionally feeds the
-  /// key's input-distribution summary (ResidualStats) — recorded even for
-  /// keys with no latency baseline, so workload statistics accumulate
-  /// from the first request, not the first retune.  Pass NaN (the
-  /// default) when the caller did not measure a residual.
   DriftObservation observe(int n, int accuracy_index, double seconds,
-                           bool fmg = false,
-                           double initial_residual =
-                               std::numeric_limits<double>::quiet_NaN());
-
-  /// Per-key initial-residual summaries accumulated so far (keys with no
-  /// residual samples are omitted).  Snapshot under the lock.
-  std::map<LatencyBaseline::Key, ResidualStats> residual_stats() const;
+                           bool fmg = false);
 
   /// Installs a fresh baseline (after a retune + config swap) and drops
-  /// all in-flight windows, drift streaks, and residual summaries.
+  /// all in-flight windows and drift streaks.
   void rebase(LatencyBaseline baseline);
 
   const DriftPolicy& policy() const { return policy_; }
@@ -166,13 +139,9 @@ class DriftWatcher {
   struct KeyState {
     HistogramSnapshot window;  ///< accumulating live window (plain, locked)
     int drift_streak = 0;      ///< consecutive drifted windows
-    // Welford accumulator over log10(initial residual).
-    std::int64_t r_count = 0;
-    double r_mean = 0.0;
-    double r_m2 = 0.0;
   };
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   LatencyBaseline baseline_;
   DriftPolicy policy_;
   std::map<LatencyBaseline::Key, KeyState> windows_;

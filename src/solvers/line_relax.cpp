@@ -334,47 +334,30 @@ void check_line_operands(const Grid2D& x, const Grid2D& b, RelaxKind kind) {
   PBMG_CHECK(x.n() == b.n(), "line_relax_sweep: grid size mismatch");
 }
 
+bool has_x_pass(RelaxKind kind) {
+  return kind == RelaxKind::kLineX || kind == RelaxKind::kLineZebraAlt;
+}
+
+bool has_y_pass(RelaxKind kind) {
+  return kind == RelaxKind::kLineY || kind == RelaxKind::kLineZebraAlt;
+}
+
 }  // namespace
 
 void line_relax_sweep(Grid2D& x, const Grid2D& b, RelaxKind kind,
                       rt::Scheduler& sched, grid::ScratchPool& pool) {
   check_line_operands(x, b, kind);
-  if (kind == RelaxKind::kLineX || kind == RelaxKind::kLineZebraAlt) {
-    line_x_poisson(x, b, sched, pool);
-  }
-  if (kind == RelaxKind::kLineY || kind == RelaxKind::kLineZebraAlt) {
-    line_y_poisson(x, b, sched, pool);
-  }
+  if (has_x_pass(kind)) line_x_poisson(x, b, sched, pool);
+  if (has_y_pass(kind)) line_y_poisson(x, b, sched, pool);
 }
 
 void line_relax_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
                       RelaxKind kind, rt::Scheduler& sched,
                       grid::ScratchPool& pool,
                       const grid::KernelPolicy& kernels) {
-  if (op.is_poisson()) {
-    line_relax_sweep(x, b, kind, sched, pool);
-    return;
-  }
-  check_line_operands(x, b, kind);
-  PBMG_CHECK(op.n() == x.n(), "line_relax_sweep: operator/grid size mismatch");
-  if (kernels.layout == grid::StencilLayout::kPacked) {
-    if (kind == RelaxKind::kLineX || kind == RelaxKind::kLineZebraAlt) {
-      grid::packed_line_x(op, x, b, sched, pool, kernels.simd_width);
-    }
-    if (kind == RelaxKind::kLineY || kind == RelaxKind::kLineZebraAlt) {
-      grid::packed_line_y(op, x, b, sched, pool, kernels.simd_width);
-    }
-    return;
-  }
-  const bool nine = op.is_nine_point();
-  if (kind == RelaxKind::kLineX || kind == RelaxKind::kLineZebraAlt) {
-    if (nine) line_x_nine(op, x, b, sched, pool);
-    else line_x_op(op, x, b, sched, pool);
-  }
-  if (kind == RelaxKind::kLineY || kind == RelaxKind::kLineZebraAlt) {
-    if (nine) line_y_nine(op, x, b, sched, pool);
-    else line_y_op(op, x, b, sched, pool);
-  }
+  Grid2D* const xs[] = {&x};
+  const Grid2D* const bs[] = {&b};
+  line_relax_sweep_multi(op, xs, bs, kind, sched, pool, kernels);
 }
 
 void line_relax_sweep_multi(const grid::StencilOp& op,
@@ -382,40 +365,45 @@ void line_relax_sweep_multi(const grid::StencilOp& op,
                             std::span<const Grid2D* const> bs, RelaxKind kind,
                             rt::Scheduler& sched, grid::ScratchPool& pool,
                             const grid::KernelPolicy& kernels) {
-  PBMG_CHECK(xs.size() == bs.size(),
-             "line_relax_sweep_multi: span size mismatch");
+  PBMG_CHECK(xs.size() == bs.size(), "line_relax_sweep: span size mismatch");
   for (std::size_t k = 0; k < xs.size(); ++k) {
     PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr,
-               "line_relax_sweep_multi: null grid slot");
+               "line_relax_sweep: null grid slot");
+    check_line_operands(*xs[k], *bs[k], kind);
+    PBMG_CHECK(op.n() == xs[k]->n(),
+               "line_relax_sweep: operator/grid size mismatch");
   }
-  if (xs.size() == 1) {
-    // Batch-of-one takes the solo code path, not merely an equivalent one.
-    line_relax_sweep(op, *xs[0], *bs[0], kind, sched, pool, kernels);
-    return;
-  }
-  if (!op.is_poisson() &&
-      kernels.layout == grid::StencilLayout::kPacked) {
-    // The Thomas pivots depend only on the operator: factor each line
-    // group once and replay the rhs recurrence per iterate
-    // (grid/packed_kernels.h), instead of re-dividing K times.  The
+  if (xs.empty()) return;
+  if (!op.is_poisson() && kernels.layout == grid::StencilLayout::kPacked) {
+    // The packed passes take the whole batch (grid/packed_kernels.h).  The
     // zebra order per iterate (x pass then y pass, odd lines then even)
-    // is preserved inside each fused pass, so every slot stays bitwise
-    // identical to its solo sweep.
-    for (std::size_t k = 0; k < xs.size(); ++k) {
-      check_line_operands(*xs[k], *bs[k], kind);
-      PBMG_CHECK(op.n() == xs[k]->n(),
-                 "line_relax_sweep_multi: operator/grid size mismatch");
-    }
-    if (kind == RelaxKind::kLineX || kind == RelaxKind::kLineZebraAlt) {
+    // holds inside each pass, so every slot is bitwise its solo sweep.
+    if (has_x_pass(kind)) {
       grid::packed_line_x_multi(op, xs, bs, sched, pool, kernels.simd_width);
     }
-    if (kind == RelaxKind::kLineY || kind == RelaxKind::kLineZebraAlt) {
+    if (has_y_pass(kind)) {
       grid::packed_line_y_multi(op, xs, bs, sched, pool, kernels.simd_width);
     }
     return;
   }
+  // The Poisson fast path and the per-grid layout have one line body
+  // each, for one iterate; they sweep the batch an iterate at a time.
+  const bool nine = op.is_nine_point();
   for (std::size_t k = 0; k < xs.size(); ++k) {
-    line_relax_sweep(op, *xs[k], *bs[k], kind, sched, pool, kernels);
+    Grid2D& x = *xs[k];
+    const Grid2D& b = *bs[k];
+    if (op.is_poisson()) {
+      line_relax_sweep(x, b, kind, sched, pool);
+      continue;
+    }
+    if (has_x_pass(kind)) {
+      if (nine) line_x_nine(op, x, b, sched, pool);
+      else line_x_op(op, x, b, sched, pool);
+    }
+    if (has_y_pass(kind)) {
+      if (nine) line_y_nine(op, x, b, sched, pool);
+      else line_y_op(op, x, b, sched, pool);
+    }
   }
 }
 

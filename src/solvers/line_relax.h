@@ -58,22 +58,24 @@ void line_relax_sweep(Grid2D& x, const Grid2D& b, RelaxKind kind,
 /// Variable-coefficient overload: the tridiagonal bands carry the true
 /// per-edge coefficients (sub = −aW, sup = −aE for rows; −aN/−aS for
 /// columns) and the full diagonal (aW+aE+aN+aS)/h² + c.  The Poisson
-/// fast path dispatches to the overload above, bit-for-bit.  A
-/// KernelPolicy selecting the packed layout runs the batched-Thomas SIMD
-/// line solves (grid/packed_kernels.h), vectorized across independent
-/// same-parity lines and bitwise identical to legacy.  Requires
-/// op.n() == x.n().
+/// fast path runs the overload above, bit-for-bit.  A KernelPolicy
+/// selecting the packed layout runs the batched-Thomas SIMD line solves
+/// (grid/packed_kernels.h), vectorized across independent same-parity
+/// lines and bitwise identical to legacy.  Forwards a one-element span to
+/// line_relax_sweep_multi.  Requires op.n() == x.n().
 void line_relax_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
                       RelaxKind kind, rt::Scheduler& sched,
                       grid::ScratchPool& pool,
                       const grid::KernelPolicy& kernels = {});
 
-/// Batched zebra line relaxation: one sweep of each xs[k] against bs[k].
-/// A line sweep already amortizes coefficient traffic across the
-/// same-parity lines of ONE iterate (the batched-Thomas lanes), so this
-/// is a sequential loop over K solo sweeps — trivially bitwise identical
-/// per slot — kept as an entry point so the batched executor treats every
-/// smoother uniformly and a genuinely fused variant can slot in later.
+/// Zebra line relaxation over K iterates: one sweep of each xs[k] against
+/// bs[k], every slot bitwise identical to its own line_relax_sweep call.
+/// The packed layout passes the whole batch to its line passes, which
+/// pick a body by K: the one-pass rows for one iterate, and for a batch
+/// one factorization per line group replayed per iterate, so the pivot
+/// divides and coefficient loads are shared (grid/packed_kernels.h).  The
+/// Poisson fast path and the per-grid layout sweep the iterates one at a
+/// time with their one-iterate bodies.
 void line_relax_sweep_multi(const grid::StencilOp& op,
                             std::span<Grid2D* const> xs,
                             std::span<const Grid2D* const> bs, RelaxKind kind,

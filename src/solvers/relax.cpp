@@ -147,44 +147,6 @@ void jacobi_sweep(Grid2D& x, const Grid2D& b, double omega, Grid2D& scratch,
 
 namespace {
 
-/// 9-point SOR needs four colours: diagonal neighbours share the red-black
-/// parity (i+j changes by 0 or 2 across a corner), so a two-colour sweep
-/// would race same-colour updates under the row-parallel scheduler.  With
-/// colours (i mod 2, j mod 2) every stencil neighbour lies in a different
-/// class, restoring the frozen-reads guarantee — the sweep is bitwise
-/// deterministic under any thread count, like the red-black point sweeps.
-void sor_sweep_nine(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
-                    double omega, rt::Scheduler& sched) {
-  const int n = x.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const double keep = 1.0 - omega;
-  for (int color = 0; color < 4; ++color) {
-    const int pi = color >> 1;  // row parity of this colour class
-    const int pj = color & 1;   // column parity
-    sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
-        [&, pi, pj](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            if ((i & 1) != pi) continue;
-            const double* up = x.row(i - 1);
-            double* mid = x.row(i);
-            const double* down = x.row(i + 1);
-            const double* rhs = b.row(i);
-            const grid::NinePointRows rows(op, i);
-            const int j0 = 1 + ((1 + pj) & 1);
-            for (int j = j0; j < n - 1; j += 2) {
-              const double diag = rows.center[j] + ch2;
-              PBMG_NUM_ASSERT(diag > 0.0,
-                              "sor_sweep: non-positive stencil diagonal");
-              const double nb = rows.neighbour_sum(up, mid, down, j);
-              mid[j] = keep * mid[j] + omega * (h2 * rhs[j] + nb) / diag;
-            }
-          }
-        });
-  }
-}
-
 void jacobi_sweep_nine(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
                        double omega, Grid2D& scratch, rt::Scheduler& sched) {
   const int n = x.n();
@@ -214,68 +176,14 @@ void jacobi_sweep_nine(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
   x.swap(scratch);
 }
 
-}  // namespace
-
-void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
-               double omega, rt::Scheduler& sched,
-               const grid::KernelPolicy& kernels) {
-  if (op.is_poisson()) {
-    sor_sweep(x, b, omega, sched);
-    return;
-  }
-  PBMG_CHECK(is_valid_grid_size(x.n()), "sor_sweep: grid size must be 2^k+1");
-  PBMG_CHECK(x.n() == b.n(), "sor_sweep: grid size mismatch");
-  PBMG_CHECK(op.n() == x.n(), "sor_sweep: operator/grid size mismatch");
-  if (kernels.layout == grid::StencilLayout::kPacked) {
-    grid::packed_sor_sweep(op, x, b, omega, sched, kernels.simd_width);
-    return;
-  }
-  if (op.is_nine_point()) {
-    sor_sweep_nine(op, x, b, omega, sched);
-    return;
-  }
-  const int n = x.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const double keep = 1.0 - omega;
-  const Grid2D& ax = op.ax_grid();
-  const Grid2D& ay = op.ay_grid();
-  for (int parity = 0; parity <= 1; ++parity) {
-    sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
-        [&, parity](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            const double* up = x.row(i - 1);
-            double* mid = x.row(i);
-            const double* down = x.row(i + 1);
-            const double* rhs = b.row(i);
-            const double* axr = ax.row(i);
-            const double* ay_up = ay.row(i - 1);
-            const double* ay_dn = ay.row(i);
-            const int j0 = 1 + ((i + 1 + parity) & 1);
-            for (int j = j0; j < n - 1; j += 2) {
-              const double aw = axr[j - 1];
-              const double ae = axr[j];
-              const double an = ay_up[j];
-              const double as = ay_dn[j];
-              const double diag = (((aw + ae) + an) + as) + ch2;
-              PBMG_NUM_ASSERT(diag > 0.0,
-                              "sor_sweep: non-positive stencil diagonal");
-              mid[j] = keep * mid[j] +
-                       omega *
-                           (h2 * rhs[j] + an * up[j] + as * down[j] +
-                            aw * mid[j - 1] + ae * mid[j + 1]) /
-                           diag;
-            }
-          }
-        });
-  }
-}
-
-namespace {
-
-/// Fused 9-point four-colour sweep over K iterates; coefficient rows are
-/// resolved once per grid row and reused across the K inner updates.
+/// 9-point SOR needs four colours: diagonal neighbours share the red-black
+/// parity (i+j changes by 0 or 2 across a corner), so a two-colour sweep
+/// would race same-colour updates under the row-parallel scheduler.  With
+/// colours (i mod 2, j mod 2) every stencil neighbour lies in a different
+/// class, restoring the frozen-reads guarantee — the sweep is bitwise
+/// deterministic under any thread count, like the red-black point sweeps.
+/// Coefficient rows are resolved once per grid row and reused across the
+/// K iterates.
 void sor_sweep_nine_multi(const grid::StencilOp& op,
                           std::span<Grid2D* const> xs,
                           std::span<const Grid2D* const> bs, double omega,
@@ -312,7 +220,8 @@ void sor_sweep_nine_multi(const grid::StencilOp& op,
   }
 }
 
-/// Fused 5-point red-black sweep over K iterates.
+/// 5-point red-black sweep over K iterates, each coefficient row loaded
+/// once for all K.
 void sor_sweep_5pt_multi(const grid::StencilOp& op,
                          std::span<Grid2D* const> xs,
                          std::span<const Grid2D* const> bs, double omega,
@@ -363,39 +272,35 @@ void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
                      std::span<const Grid2D* const> bs, double omega,
                      rt::Scheduler& sched,
                      const grid::KernelPolicy& kernels) {
-  PBMG_CHECK(xs.size() == bs.size(), "sor_sweep_multi: span size mismatch");
-  if (xs.empty()) return;
+  PBMG_CHECK(xs.size() == bs.size(), "sor_sweep: span size mismatch");
+  PBMG_CHECK(is_valid_grid_size(op.n()), "sor_sweep: grid size must be 2^k+1");
   for (std::size_t k = 0; k < xs.size(); ++k) {
     PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr,
-               "sor_sweep_multi: null grid slot");
+               "sor_sweep: null grid slot");
     PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n(),
-               "sor_sweep_multi: operator/grid size mismatch");
+               "sor_sweep: operator/grid size mismatch");
   }
-  if (xs.size() == 1) {
-    // Batch-of-one takes the solo code path, not merely an equivalent one.
-    sor_sweep(op, *xs[0], *bs[0], omega, sched, kernels);
-    return;
-  }
+  if (xs.empty()) return;
   if (op.is_poisson()) {
-    PBMG_CHECK(is_valid_grid_size(op.n()),
-               "sor_sweep_multi: grid size must be 2^k+1");
     for (int parity = 0; parity <= 1; ++parity) {
       poisson_sor_pass(xs, bs, omega, parity, sched);
     }
-    return;
-  }
-  PBMG_CHECK(is_valid_grid_size(op.n()),
-             "sor_sweep_multi: grid size must be 2^k+1");
-  if (kernels.layout == grid::StencilLayout::kPacked) {
+  } else if (kernels.layout == grid::StencilLayout::kPacked) {
     grid::packed_sor_sweep_multi(op, xs, bs, omega, sched,
                                  kernels.simd_width);
-    return;
-  }
-  if (op.is_nine_point()) {
+  } else if (op.is_nine_point()) {
     sor_sweep_nine_multi(op, xs, bs, omega, sched);
-    return;
+  } else {
+    sor_sweep_5pt_multi(op, xs, bs, omega, sched);
   }
-  sor_sweep_5pt_multi(op, xs, bs, omega, sched);
+}
+
+void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
+               double omega, rt::Scheduler& sched,
+               const grid::KernelPolicy& kernels) {
+  Grid2D* const xs[] = {&x};
+  const Grid2D* const bs[] = {&b};
+  sor_sweep_multi(op, xs, bs, omega, sched, kernels);
 }
 
 void jacobi_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,

@@ -128,22 +128,23 @@ void jacobi_sweep(Grid2D& x, const Grid2D& b, double omega, Grid2D& scratch,
 
 /// Red-black SOR sweep for a variable-coefficient operator: each update
 /// divides by the cell's true diagonal (aW+aE+aN+aS)/h² + c instead of the
-/// Poisson 4/h².  The Poisson fast path dispatches to sor_sweep above,
+/// Poisson 4/h².  The Poisson fast path runs sor_sweep above's rows,
 /// bit-for-bit.  A KernelPolicy selecting the packed layout runs the SoA
 /// SIMD sweep (grid/packed_kernels.h), bitwise identical to legacy.
-/// Requires x.n() == op.n().
+/// Forwards a one-element span to sor_sweep_multi, which holds the only
+/// body of each kind.  Requires x.n() == op.n().
 void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
                double omega, rt::Scheduler& sched,
                const grid::KernelPolicy& kernels = {});
 
-/// Batched red-black SOR: one sweep of each xs[k] against bs[k] under one
-/// operator, the K sweeps fused per parity (or colour) × row so each
-/// coefficient row is loaded once and reused across right-hand-sides —
-/// the bandwidth amortization batched serving buys.  The K iterates never
-/// couple, and each k's update order is exactly the solo sor_sweep order,
-/// so every slot is bitwise identical to K separate calls under any
-/// thread count.  Dispatches Poisson / packed / 9-point / 5-point like
-/// the solo overload.  Requires equal span sizes and all grids matching
+/// Red-black SOR over K iterates: one sweep of each xs[k] against bs[k]
+/// under one operator, the K sweeps fused per parity (or colour) × row so
+/// each coefficient row is loaded once and reused across right-hand-sides
+/// — the bandwidth amortization batched serving buys.  The K iterates
+/// never couple, and each k's update order is the one-iterate order, so
+/// every slot is bitwise identical to its own sor_sweep call under any
+/// thread count; K = 1 is that call.  Dispatches Poisson / packed /
+/// 9-point / 5-point.  Requires equal span sizes and all grids matching
 /// op.n().
 void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
                      std::span<const Grid2D* const> bs, double omega,

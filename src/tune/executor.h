@@ -32,6 +32,11 @@
 /// MULTIGRID-V_j, correction, one post-SOR(1.15)) and ESTIMATE (residual
 /// restriction, coarse FULL-MULTIGRID_j, correction) recurse through the
 /// same tables one level down.
+///
+/// There is one walk, and it takes K iterates at once: a solo solve is a
+/// batch of one (run_v, run_fmg, recurse_body and estimate forward a
+/// one-element span), so solo and batched solves run the same kernels
+/// and each batch slot is bitwise its solo solve.
 
 namespace pbmg::tune {
 
@@ -76,20 +81,24 @@ class TunedExecutor {
   /// iterations the tuned plan actually executed — RECURSE bodies or SOR
   /// sweeps at the entry level, or 1 for a direct solve — so callers
   /// (SolveSession/SolveService) can report real cycle counts instead of
-  /// fabricating them.
+  /// fabricating them.  A batch of one: forwards a one-element span to
+  /// run_v_multi, so a solo solve runs exactly the batch walk's kernels.
   int run_v(Grid2D& x, const Grid2D& b, int accuracy_index,
             obs::PhaseProfile* profile = nullptr) const;
 
   /// Runs MULTIGRID-V on K iterates xs[k] against right-hand-sides bs[k]
-  /// simultaneously: one tuned plan walk whose relax/residual sweeps are
-  /// the fused multi-RHS kernels (sor_sweep_multi / residual_op_multi),
-  /// so each coefficient row is loaded once per sweep and reused across
-  /// all K.  Every xs[k] finishes bitwise identical to a solo
-  /// run_v(xs[k], bs[k], accuracy_index) — the fusion reorders memory
-  /// traffic, never each iterate's accumulation — which is the batched
-  /// serving contract SolveService::solve_batch exposes.  All grids must
-  /// share one trained level; returns the top-level iteration count (the
-  /// same for every k, since they execute one plan).
+  /// simultaneously: one tuned plan walk whose relax and restriction
+  /// sweeps take the whole batch (sor_sweep_multi, line_relax_sweep_multi,
+  /// restrict_residual_multi), so each coefficient row is loaded once per
+  /// sweep and reused across all K.  This walk is the only one: every
+  /// xs[k] finishes bitwise identical to a solo run_v(xs[k], bs[k],
+  /// accuracy_index), because a solo solve is this walk at K = 1 and the
+  /// fusion reorders memory traffic, never each iterate's accumulation.
+  /// All grids must share one trained level.  Throws InvalidArgument when
+  /// an iterate is another slot's iterate or any slot's right-hand side;
+  /// right-hand sides may be shared.  Returns the top-level iteration
+  /// count (the same for every k, since they execute one plan), or 0 for
+  /// an empty batch.
   int run_v_multi(std::span<Grid2D* const> xs,
                   std::span<const Grid2D* const> bs, int accuracy_index,
                   obs::PhaseProfile* profile = nullptr) const;
@@ -99,6 +108,13 @@ class TunedExecutor {
   /// ESTIMATE ramp's own iterations recurse through their own cells).
   int run_fmg(Grid2D& x, const Grid2D& b, int accuracy_index,
               obs::PhaseProfile* profile = nullptr) const;
+
+  /// FULL-MULTIGRID over K iterates: the ESTIMATE ramp and the solve
+  /// phase walk the batch exactly as run_v_multi walks V, with the same
+  /// per-slot bitwise contract and the same aliasing checks.
+  int run_fmg_multi(std::span<Grid2D* const> xs,
+                    std::span<const Grid2D* const> bs, int accuracy_index,
+                    obs::PhaseProfile* profile = nullptr) const;
 
   /// One application of the RECURSE_j body at x's level (exposed for the
   /// trainer, which needs to iterate it while measuring accuracy).
@@ -115,13 +131,15 @@ class TunedExecutor {
   /// candidates race under the same rule.  A classical coarse call
   /// (kClassicalCoarse) carries `coarsening` down its whole ramp, so it
   /// reads the RAP ladder below the top even from a top-level body.
+  /// Runs the batch recursion on a one-element span.
   void recurse_body(
       Grid2D& x, const Grid2D& b, int sub_accuracy_index,
       solvers::RelaxKind smoother = solvers::RelaxKind::kSor,
       grid::Coarsening coarsening = grid::Coarsening::kAverage,
       obs::PhaseProfile* profile = nullptr) const;
 
-  /// One application of ESTIMATE_j at x's level (exposed for the trainer).
+  /// One application of ESTIMATE_j at x's level (exposed for the trainer);
+  /// runs the batch recursion on a one-element span.
   void estimate(Grid2D& x, const Grid2D& b, int estimate_accuracy_index,
                 obs::PhaseProfile* profile = nullptr) const;
 
@@ -137,12 +155,11 @@ class TunedExecutor {
     int top = 0;
   };
 
-  // Every private recursion carries `rap`, resolved once per public entry
-  // point, so deep RECURSE bodies never re-derive it.  The _at entry
-  // points return the executed iteration count at *their* level (the
-  // public methods surface the top level's).
-  int run_v_at(Grid2D& x, const Grid2D& b, int level, int accuracy_index,
-               RapLadder rap, obs::PhaseProfile* profile) const;
+  // The one walk.  Every private step takes the whole batch and carries
+  // `rap`, resolved once per public entry point, so deep RECURSE bodies
+  // never re-derive it.  The run_*_at steps return the executed
+  // iteration count at *their* level (the public methods surface the
+  // top level's).
   int run_v_multi_at(std::span<Grid2D* const> xs,
                      std::span<const Grid2D* const> bs, int level,
                      int accuracy_index, RapLadder rap,
@@ -153,15 +170,28 @@ class TunedExecutor {
                              solvers::RelaxKind smoother,
                              grid::Coarsening coarsening, RapLadder rap,
                              obs::PhaseProfile* profile) const;
-  int run_fmg_at(Grid2D& x, const Grid2D& b, int level, int accuracy_index,
-                 RapLadder rap, obs::PhaseProfile* profile) const;
-  void recurse_body_at(Grid2D& x, const Grid2D& b, int level,
-                       int sub_accuracy_index, solvers::RelaxKind smoother,
+  int run_fmg_multi_at(std::span<Grid2D* const> xs,
+                       std::span<const Grid2D* const> bs, int level,
+                       int accuracy_index, RapLadder rap,
+                       obs::PhaseProfile* profile) const;
+  void estimate_multi_at(std::span<Grid2D* const> xs,
+                         std::span<const Grid2D* const> bs, int level,
+                         int estimate_accuracy_index, RapLadder rap,
+                         obs::PhaseProfile* profile) const;
+  /// Direct solve of every slot at `level` on the `coarsening` ladder.
+  void direct_multi_at(std::span<Grid2D* const> xs,
+                       std::span<const Grid2D* const> bs, int level,
                        grid::Coarsening coarsening, RapLadder rap,
                        obs::PhaseProfile* profile) const;
-  void estimate_at(Grid2D& x, const Grid2D& b, int level,
-                   int estimate_accuracy_index, RapLadder rap,
-                   obs::PhaseProfile* profile) const;
+  /// `iterations` SOR(ω_opt) sweeps of the batch on the averaged ladder.
+  void sor_multi_at(std::span<Grid2D* const> xs,
+                    std::span<const Grid2D* const> bs, int level,
+                    int iterations, RapLadder rap,
+                    obs::PhaseProfile* profile) const;
+  /// xs[k] += P·es[k] for every slot, timed and traced at `level`.
+  void interpolate_multi_at(std::span<Grid2D* const> es,
+                            std::span<Grid2D* const> xs, int level,
+                            obs::PhaseProfile* profile) const;
   void trace(trace::Op op, int level, int detail = 0) const;
 
   /// Operator at `level` in the requested ladder: the averaged hierarchy

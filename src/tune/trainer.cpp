@@ -258,7 +258,8 @@ void Trainer::train_v_level(TunedConfig& config, int level,
     cand.meas = measure_iterative(
         set, nullptr,
         [&](Grid2D& x, const Grid2D& b) {
-          solvers::sor_sweep(fine_op, x, b, omega, sched_);
+          solvers::sor_sweep(fine_op, x, b, omega, sched_,
+                             engine_.relax().kernels);
         },
         options_.max_sor_iterations, budget());
     candidates.push_back(std::move(cand));
@@ -403,7 +404,8 @@ void Trainer::train_fmg_level(TunedConfig& config, int level,
         const double omega =
             solvers::scaled_omega_opt(n, engine_.relax().omega_scale);
         step = [this, omega, &fine_op](Grid2D& x, const Grid2D& b) {
-          solvers::sor_sweep(fine_op, x, b, omega, sched_);
+          solvers::sor_sweep(fine_op, x, b, omega, sched_,
+                             engine_.relax().kernels);
         };
         max_iterations = options_.max_sor_iterations;
       } else {
@@ -527,6 +529,14 @@ TunedConfig Trainer::train() {
     if (!poisson) hier = grid::StencilHierarchy(fine);
     if (want_rap) {
       hier_rap = grid::StencilHierarchy(fine, grid::Coarsening::kRap, sched_);
+    }
+    // Pack both ladders up front on packed engines, as PreparedOperator
+    // does at bind: otherwise the first candidate at each level — the
+    // robust one that sets the pruning budget — pays the pack in its
+    // timed steps.
+    if (engine_.relax().kernels.layout == grid::StencilLayout::kPacked) {
+      hier.prewarm_packed();
+      hier_rap.prewarm_packed();
     }
     const grid::StencilHierarchy* ops = poisson ? nullptr : &hier;
     const grid::StencilHierarchy* ops_rap = want_rap ? &hier_rap : nullptr;

@@ -239,44 +239,6 @@ TEST(DriftWatcher, RebaseDropsWindowsAndStreaks) {
   }
 }
 
-TEST(DriftWatcher, ResidualStatsAccumulateEvenWithoutBaseline) {
-  // The input-distribution half of drift: initial-residual summaries
-  // accumulate from the first request, including for request shapes that
-  // have no latency baseline to compare against.
-  obs::DriftWatcher watcher(obs::LatencyBaseline{}, tight_policy());
-  // 1e2 and 1e4: mean log10 = 3, population stddev = 1.
-  watcher.observe(33, 0, 1e-3, false, 1e2);
-  watcher.observe(33, 0, 1e-3, false, 1e4);
-  // Unaudited solves (NaN default) and degenerate residuals don't count.
-  watcher.observe(33, 0, 1e-3, false);
-  watcher.observe(33, 0, 1e-3, false, 0.0);
-  const auto stats = watcher.residual_stats();
-  ASSERT_EQ(stats.size(), 1u);
-  const auto& entry = stats.at(obs::LatencyBaseline::Key{33, 0, false});
-  EXPECT_EQ(entry.count, 2);
-  EXPECT_NEAR(entry.mean_log10, 3.0, 1e-12);
-  EXPECT_NEAR(entry.stddev_log10, 1.0, 1e-12);
-}
-
-TEST(DriftWatcher, ResidualStatsSplitPerKeyAndRebaseClears) {
-  obs::DriftWatcher watcher(obs::LatencyBaseline{}, tight_policy());
-  watcher.observe(33, 0, 1e-3, false, 1e3);
-  watcher.observe(33, 0, 1e-3, true, 1e5);   // FMG: separate key
-  watcher.observe(65, 1, 1e-3, false, 1e1);  // different shape
-  auto stats = watcher.residual_stats();
-  ASSERT_EQ(stats.size(), 3u);
-  EXPECT_NEAR(stats.at(obs::LatencyBaseline::Key{33, 0, false}).mean_log10,
-              3.0, 1e-12);
-  EXPECT_NEAR(stats.at(obs::LatencyBaseline::Key{33, 0, true}).mean_log10,
-              5.0, 1e-12);
-  EXPECT_NEAR(stats.at(obs::LatencyBaseline::Key{65, 1, false}).mean_log10,
-              1.0, 1e-12);
-  // A retune/install rebases the watcher: the workload summary restarts
-  // with the new generation, like the latency windows do.
-  watcher.rebase(obs::LatencyBaseline{});
-  EXPECT_TRUE(watcher.residual_stats().empty());
-}
-
 TEST(LatencyBaseline, FmgKeysAreSeparateAndSurviveJsonRoundTrip) {
   obs::LatencyBaseline baseline;
   baseline.set(33, 1, snapshot_at(1e-3, 4));

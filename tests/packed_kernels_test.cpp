@@ -14,8 +14,9 @@
 // rows every operator shares are pinned against scalar reference loops
 // kept here, at every width, through the public entry points at one and
 // four threads, and with eight-row leaves racing at n = 257 and 1025; the
-// fused restrict_residual is pinned against residual_op followed by
-// restrict_full_weighting for every operator kind.
+// fused restrict_residual, solo and over K iterates, is pinned against
+// residual_op followed by restrict_full_weighting for every operator
+// kind.
 
 #include <cstdint>
 #include <cstring>
@@ -680,23 +681,28 @@ void expect_all_multi_parity(const StencilOp& op, const KernelPolicy& policy,
   const int n = op.n();
   Engine& eng = engine_with(threads, grain_rows);
   rt::Scheduler& sched = eng.scheduler();
+  // The span restriction against an independent per-slot reference: the
+  // stored residual, then full weighting.  Each slot's x becomes its
+  // coarse grid.
   expect_multi_matches_solo(
       n, k_count, seed,
       [&](Grid2D& x, const Grid2D& b) {
         Grid2D r(n, 1.0);
         residual_op(op, x, b, r, sched, policy);
-        x = r;
+        Grid2D coarse(coarse_size(n), 1.0);
+        restrict_full_weighting(r, coarse, sched);
+        x = coarse;
       },
       [&](std::vector<Grid2D*>& xs, std::vector<const Grid2D*>& bs) {
-        std::vector<Grid2D> r_store(xs.size(), Grid2D(n, 1.0));
-        std::vector<Grid2D*> rs;
+        std::vector<Grid2D> c_store(xs.size(), Grid2D(coarse_size(n), 2.0));
+        std::vector<Grid2D*> cs;
         std::vector<const Grid2D*> xs_read;
         for (std::size_t k = 0; k < xs.size(); ++k) {
-          rs.push_back(&r_store[k]);
+          cs.push_back(&c_store[k]);
           xs_read.push_back(xs[k]);
         }
-        residual_op_multi(op, xs_read, bs, rs, sched, policy);
-        for (std::size_t k = 0; k < xs.size(); ++k) *xs[k] = r_store[k];
+        restrict_residual_multi(op, xs_read, bs, cs, sched, policy);
+        for (std::size_t k = 0; k < xs.size(); ++k) *xs[k] = c_store[k];
       });
   expect_multi_matches_solo(
       n, k_count, seed ^ 0x50F,
@@ -762,8 +768,11 @@ TEST(MultiRhsParity, PoissonFastPathAndThreadCountsMatchSolo) {
 }
 
 TEST(MultiRhsParity, BatchSizesIncludingSingleAndOddMatchSolo) {
-  // K = 1 routes to the solo code path outright; K = 5 leaves a partial
-  // trailing element in any would-be unrolling.  Both must hold parity.
+  // K = 1 is the batch body itself (the single-grid entry points forward
+  // a one-element span), except the packed line passes, which pick their
+  // one-pass body at K = 1 and their factor-once body above it; K = 5
+  // leaves a partial trailing element in any would-be unrolling.  All
+  // must hold parity.
   const StencilOp op = make_operator(17, OperatorFamily::kAnisoTheta45);
   std::uint64_t seed = 0x0DD;
   for (const int k_count : {1, 2, 5}) {

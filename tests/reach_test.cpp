@@ -164,8 +164,9 @@ Grid2D random_guess(const PoissonProblem& problem, Rng& rng) {
   return x;
 }
 
-/// Every accuracy's V, FMG and K=4 batch through a session bound to `op`
-/// must be memcmp-equal to the full-ladder executor's solo solves.
+/// Every accuracy's V, FMG, K=4 V batch and K=3 FMG batch through a
+/// session bound to `op` must be memcmp-equal to the full-ladder
+/// executor's solo solves.
 void expect_session_matches(const TunedConfig& config,
                             const grid::StencilOp& op, const std::string& label,
                             std::uint64_t seed) {
@@ -195,18 +196,33 @@ void expect_session_matches(const TunedConfig& config,
   // The warm-up stocked every grid the solo walks lease, line-smoother
   // workspaces included.
   EXPECT_EQ(local.scratch().stats().misses, warm.misses) << label;
+  // Batches walk the same spans solo solves do: K = 4 V and K = 3 FMG
+  // (ESTIMATE ramps over spans included) against solo reference solves.
   for (int i = 0; i < config.accuracy_count(); ++i) {
-    std::vector<Grid2D> xs;
-    for (int k = 0; k < 4; ++k) xs.push_back(random_guess(problem, rng));
-    std::vector<Grid2D> expected = xs;
-    std::vector<Grid2D*> slots;
-    for (Grid2D& x : xs) slots.push_back(&x);
-    session.solve_batch_v(slots, problem.b, i);
-    for (int k = 0; k < 4; ++k) {
-      ref.run_v(expected[static_cast<std::size_t>(k)], problem.b, i);
-      EXPECT_TRUE(bitwise_equal(xs[static_cast<std::size_t>(k)],
-                                expected[static_cast<std::size_t>(k)]))
-          << label << " batch " << i << " slot " << k;
+    for (const bool fmg : {false, true}) {
+      const std::size_t k_count = fmg ? 3 : 4;
+      std::vector<Grid2D> xs;
+      for (std::size_t k = 0; k < k_count; ++k) {
+        xs.push_back(random_guess(problem, rng));
+      }
+      std::vector<Grid2D> expected = xs;
+      std::vector<Grid2D*> slots;
+      for (Grid2D& x : xs) slots.push_back(&x);
+      if (fmg) {
+        session.solve_batch_fmg(slots, problem.b, i);
+      } else {
+        session.solve_batch_v(slots, problem.b, i);
+      }
+      for (std::size_t k = 0; k < k_count; ++k) {
+        if (fmg) {
+          ref.run_fmg(expected[k], problem.b, i);
+        } else {
+          ref.run_v(expected[k], problem.b, i);
+        }
+        EXPECT_TRUE(bitwise_equal(xs[k], expected[k]))
+            << label << (fmg ? " FMG" : " V") << " batch " << i << " slot "
+            << k;
+      }
     }
   }
 }

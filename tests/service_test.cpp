@@ -165,6 +165,40 @@ TEST(SolveService, CountsFailuresAndKeepsServing) {
   EXPECT_EQ(service.stats().requests, 1);
 }
 
+TEST(SolveService, AliasedIteratesAreRejectedAndSharedRhsIsNot) {
+  // A batch slot's walk writes its iterate while every slot reads its
+  // right-hand side, so an iterate that two slots share, or that is the
+  // right-hand side, cannot match its solo solve.  Both are rejected for
+  // V and FMG batches and for solo solves; a right-hand side shared by
+  // distinct iterates stays legal.
+  SolveService service(engine(), trained());
+  Rng rng(4242);
+  const PoissonProblem problem = make_problem(
+      size_of_level(kMaxLevel), InputDistribution::kUnbiased, rng);
+  for (const bool fmg : {false, true}) {
+    SCOPED_TRACE(fmg ? "FMG" : "V");
+    SolveRequest request;
+    request.accuracy_index = 1;
+    request.fmg = fmg;
+    Grid2D x = problem.x0;
+    const std::vector<Grid2D*> twice{&x, &x};
+    EXPECT_THROW(service.solve_batch(twice, problem.b, request),
+                 InvalidArgument);
+    Grid2D b = problem.b;
+    const std::vector<Grid2D*> into_rhs{&b};
+    EXPECT_THROW(service.solve_batch(into_rhs, b, request), InvalidArgument);
+    EXPECT_THROW(service.solve(b, b, request), InvalidArgument);
+    Grid2D y = problem.x0;
+    Grid2D z = problem.x0;
+    Grid2D solo = problem.x0;
+    const std::vector<Grid2D*> shared_rhs{&y, &z};
+    service.solve_batch(shared_rhs, problem.b, request);
+    service.solve(solo, problem.b, request);
+    EXPECT_TRUE(bitwise_equal(y, solo));
+    EXPECT_TRUE(bitwise_equal(z, solo));
+  }
+}
+
 TEST(SolveService, TrimUnderLoadFreesMemoryAndServiceRecovers) {
   // A dedicated engine so pooled-byte accounting is not shared with the
   // other tests in this binary.
