@@ -136,25 +136,29 @@ BENCHMARK(BM_Norm2)->Arg(257)->Arg(1025)->UseRealTime();
 
 void BM_BandCholeskyFactor(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
+  const grid::StencilOp op = grid::StencilOp::poisson(n);
   for (auto _ : state) {
-    linalg::BandMatrix a = linalg::assemble_poisson_band(n);
+    linalg::BandMatrix a = linalg::assemble_stencil_band(op);
     linalg::band_cholesky_factor(a);
     benchmark::DoNotOptimize(a.band(0, 0));
   }
 }
 BENCHMARK(BM_BandCholeskyFactor)->Arg(33)->Arg(65)->Arg(129);
 
-void BM_DirectSolveCachedFactor(benchmark::State& state) {
+// The whole Direct method as the cycles call it (DPBSV semantics):
+// assembly, factorization and the triangular solves, on every call.
+void BM_DirectSolve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto problem = problem_for(n);
-  solvers::DirectSolver cached(n);
+  solvers::DirectSolver direct;
   Grid2D x = problem.x0;
-  cached.solve(problem.b, x);  // warm the factor cache
   for (auto _ : state) {
-    cached.solve(problem.b, x);
+    direct.solve(problem.b, x);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_DirectSolveCachedFactor)->Arg(65)->Arg(129);
+BENCHMARK(BM_DirectSolve)->Arg(9)->Arg(33)->Arg(65);
 
 void BM_FastPoissonOracle(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

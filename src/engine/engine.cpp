@@ -10,8 +10,7 @@ Engine::Engine(EngineOptions options)
     : relax_(options.relax),
       cache_dir_(options.cache_dir.empty() ? tune::default_cache_dir()
                                            : options.cache_dir),
-      scheduler_(options.profile),
-      direct_(options.direct_max_cached_n) {
+      scheduler_(options.profile) {
   solvers::validate_relax_tunables(relax_);
 }
 

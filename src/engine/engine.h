@@ -54,10 +54,6 @@ struct EngineOptions {
   /// Tuned-config cache directory for Engine::tuned_config; empty selects
   /// tune::default_cache_dir() ($PBMG_CACHE_DIR or ./pbmg_tuned_cache).
   std::string cache_dir;
-
-  /// Factor-cache bound of the owned DirectSolver (0 = cache-free, the
-  /// paper-faithful DPBSV behaviour; see solvers/direct.h).
-  int direct_max_cached_n = 0;
 };
 
 /// Owns the runtime resources of one tuned-solver instance.
@@ -68,12 +64,12 @@ class Engine {
 
   /// Engine over `profile` with paper-default relaxation weights.
   explicit Engine(const rt::MachineProfile& profile)
-      : Engine(EngineOptions{profile, {}, {}, 0}) {}
+      : Engine(EngineOptions{profile, {}, {}}) {}
 
   /// Engine over searched runtime parameters (profile + relax weights).
   Engine(const rt::MachineProfile& profile,
          const solvers::RelaxTunables& relax)
-      : Engine(EngineOptions{profile, relax, {}, 0}) {}
+      : Engine(EngineOptions{profile, relax, {}}) {}
 
   /// Fully specified construction.  Throws InvalidArgument for an invalid
   /// profile (non-positive threads) or relax weights outside SOR's
@@ -92,7 +88,8 @@ class Engine {
   /// The engine's scratch-grid pool (trim()/stats() for observability).
   grid::ScratchPool& scratch() { return scratch_; }
 
-  /// The engine's direct solver.
+  /// The engine's direct solver (stateless: DPBSV semantics, factoring on
+  /// every call).
   solvers::DirectSolver& direct() { return direct_; }
 
   /// Relaxation weights executors and trainers built on this engine use.

@@ -125,12 +125,6 @@ void check_packed_batch(const StencilOp& op, std::span<Grid2D* const> xs,
 
 }  // namespace
 
-void packed_apply(const StencilOp& op, const Grid2D& x, Grid2D& out,
-                  rt::Scheduler& sched, int simd_width) {
-  check_packed_operands(op, x, "packed_apply");
-  apply_op(op, x, out, sched, {StencilLayout::kPacked, simd_width});
-}
-
 void packed_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
                      Grid2D& r, rt::Scheduler& sched, int simd_width) {
   check_packed_operands(op, x, "packed_residual");
@@ -205,47 +199,6 @@ void packed_sor_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
   Grid2D* const xs[] = {&x};
   const Grid2D* const bs[] = {&b};
   packed_sor_sweep_multi(op, xs, bs, omega, sched, simd_width);
-}
-
-void packed_jacobi_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
-                         double omega, Grid2D& scratch, rt::Scheduler& sched,
-                         int simd_width) {
-  check_packed_operands(op, x, "packed_jacobi_sweep");
-  PBMG_CHECK(x.n() == b.n() && x.n() == scratch.n(),
-             "packed_jacobi_sweep: grid size mismatch");
-  const PackedStencil& p = op.packed();
-  const int n = x.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const double keep = 1.0 - omega;
-  const int w = clamp_simd_width(simd_width);
-  const bool nine = p.nine_point();
-  sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          const double* up = x.row(i - 1);
-          const double* mid = x.row(i);
-          const double* down = x.row(i + 1);
-          const double* rhs = b.row(i);
-          double* out = scratch.row(i);
-          if (nine) {
-            const pk::View9 v = pk::view9(p, i);
-            with_width(w, [&](auto W) {
-              pk::jacobi_row9<W>(v, up, mid, down, rhs, out, h2, ch2, omega,
-                                 keep, n);
-            });
-          } else {
-            const pk::View5 v = pk::view5(p, i);
-            with_width(w, [&](auto W) {
-              pk::jacobi_row5<W>(v, up, mid, down, rhs, out, h2, ch2, omega,
-                                 keep, n);
-            });
-          }
-        }
-      });
-  scratch.copy_boundary_from(x);
-  x.swap(scratch);
 }
 
 // Both line passes keep two bodies and pick one by K.  One iterate runs

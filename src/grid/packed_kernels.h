@@ -9,14 +9,15 @@
 
 /// \file packed_kernels.h
 /// Packed-layout sweep kernels: the StencilLayout::kPacked implementations
-/// of apply/residual, coloured SOR, weighted Jacobi, and the zebra
-/// batched-Thomas line solves, vectorized with the simd.h wrapper.
+/// of the residual, coloured SOR and the zebra batched-Thomas line
+/// solves, vectorized with the simd.h wrapper.  Apply and the fused
+/// residual restriction run the same packed rows through grid_ops.cpp's
+/// drivers; weighted Jacobi has no packed form (its one body is the
+/// Poisson sweep in solvers/relax.h).
 ///
 /// The public entry points in grid_ops.h / solvers::relax.h /
 /// solvers::line_relax.h dispatch here when a KernelPolicy selects the
-/// packed layout (apply/residual run the same packed rows through
-/// grid_ops.cpp's drivers); callers rarely use these directly.  All of
-/// them:
+/// packed layout; callers rarely use these directly.  All of them:
 ///  - require a non-Poisson operator: the fast path stores no
 ///    coefficients to pack, and its constant-coefficient residual and
 ///    SOR rows (packed_rows.h) run at packed_simd_width_supported() under
@@ -29,11 +30,11 @@
 ///  - clamp simd_width to what the running CPU supports, which is
 ///    result-invariant for the same reason.
 ///
-/// Vectorization shapes: residual/apply/Jacobi vectorize unit-stride
-/// along the row; coloured SOR vectorizes across same-colour points
-/// (stride-2 gathers, per-lane scalar stores); the line solves vectorize
-/// across independent same-parity lines (lane l = line i0 + 2l), which
-/// turns the serial Thomas recurrences into W independent chains.
+/// Vectorization shapes: residual/apply vectorize unit-stride along the
+/// row; coloured SOR vectorizes across same-colour points (stride-2
+/// gathers, per-lane scalar stores); the line solves vectorize across
+/// independent same-parity lines (lane l = line i0 + 2l), which turns the
+/// serial Thomas recurrences into W independent chains.
 ///
 /// The sweeps a tuned walk runs take K iterates: packed_sor_sweep_multi is
 /// the only SOR body, and packed_sor_sweep forwards a one-element span to
@@ -52,11 +53,6 @@ int packed_simd_width_supported();
 /// running CPU supports it.  Clamping never changes results — every width
 /// is bitwise identical — so tuned tables stay portable across machines.
 int clamp_simd_width(int width);
-
-/// out = A·x under the packed layout.  Pre/post-conditions match
-/// apply_op; requires !op.is_poisson().
-void packed_apply(const StencilOp& op, const Grid2D& x, Grid2D& out,
-                  rt::Scheduler& sched, int simd_width);
 
 /// r = b − A·x under the packed layout.  Matches residual_op.
 void packed_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
@@ -77,12 +73,6 @@ void packed_sor_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
 void packed_sor_sweep_multi(const StencilOp& op, std::span<Grid2D* const> xs,
                             std::span<const Grid2D* const> bs, double omega,
                             rt::Scheduler& sched, int simd_width);
-
-/// One weighted-Jacobi sweep under the packed layout; `scratch` holds the
-/// old iterate on return (contents swapped), like solvers::jacobi_sweep.
-void packed_jacobi_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
-                         double omega, Grid2D& scratch, rt::Scheduler& sched,
-                         int simd_width);
 
 /// One x-line (row) zebra pass over K iterates under the packed layout:
 /// odd rows then even rows, each group of `simd_width` same-parity rows

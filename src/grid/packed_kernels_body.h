@@ -102,7 +102,7 @@ void stencil_row9(const View9& s, const double* up, const double* mid,
 }
 
 // ---------------------------------------------------------------------------
-// SOR / Jacobi
+// SOR
 // ---------------------------------------------------------------------------
 
 // Legacy order (relax.cpp sor_sweep 5-point):
@@ -176,68 +176,6 @@ void sor_row9(const View9& s, const double* up, double* mid,
     const double nb = s.aw[j] * mid[j - 1] + s.ae[j] * mid[j + 1] + cross;
     const double d = s.ctr[j] + ch2;
     mid[j] = keep * mid[j] + omega * (h2 * rhs[j] + nb) / d;
-  }
-}
-
-template <int W>
-void jacobi_row5(const View5& s, const double* up, const double* mid,
-                 const double* down, const double* rhs, double* out,
-                 double h2, double ch2, double omega, double keep, int n) {
-  using V = simd::Vec<W>;
-  const V vh2 = V::broadcast(h2);
-  const V vch2 = V::broadcast(ch2);
-  const V vom = V::broadcast(omega);
-  const V vkeep = V::broadcast(keep);
-  int j = 1;
-  for (; j + W <= n - 1; j += W) {
-    const V t = vh2 * V::load(rhs + j) +
-                V::load(s.an + j) * V::load(up + j) +
-                V::load(s.as + j) * V::load(down + j) +
-                V::load(s.aw + j) * V::load(mid + j - 1) +
-                V::load(s.ae + j) * V::load(mid + j + 1);
-    const V d = V::load(s.diag + j) + vch2;
-    (vkeep * V::load(mid + j) + vom * t / d).store(out + j);
-  }
-  for (; j <= n - 2; ++j) {
-    const double d = s.diag[j] + ch2;
-    out[j] = keep * mid[j] +
-             omega *
-                 (h2 * rhs[j] + s.an[j] * up[j] + s.as[j] * down[j] +
-                  s.aw[j] * mid[j - 1] + s.ae[j] * mid[j + 1]) /
-                 d;
-  }
-}
-
-template <int W>
-void jacobi_row9(const View9& s, const double* up, const double* mid,
-                 const double* down, const double* rhs, double* out,
-                 double h2, double ch2, double omega, double keep, int n) {
-  using V = simd::Vec<W>;
-  const V vh2 = V::broadcast(h2);
-  const V vch2 = V::broadcast(ch2);
-  const V vom = V::broadcast(omega);
-  const V vkeep = V::broadcast(keep);
-  int j = 1;
-  for (; j + W <= n - 1; j += W) {
-    const V cross = V::load(s.an + j) * V::load(up + j) +
-                    V::load(s.as + j) * V::load(down + j) +
-                    V::load(s.nw + j) * V::load(up + j - 1) +
-                    V::load(s.ne + j) * V::load(up + j + 1) +
-                    V::load(s.sw + j) * V::load(down + j - 1) +
-                    V::load(s.se + j) * V::load(down + j + 1);
-    const V nb = V::load(s.aw + j) * V::load(mid + j - 1) +
-                 V::load(s.ae + j) * V::load(mid + j + 1) + cross;
-    const V d = V::load(s.ctr + j) + vch2;
-    const V t = vh2 * V::load(rhs + j) + nb;
-    (vkeep * V::load(mid + j) + vom * t / d).store(out + j);
-  }
-  for (; j <= n - 2; ++j) {
-    const double cross = s.an[j] * up[j] + s.as[j] * down[j] +
-                         s.nw[j] * up[j - 1] + s.ne[j] * up[j + 1] +
-                         s.sw[j] * down[j - 1] + s.se[j] * down[j + 1];
-    const double nb = s.aw[j] * mid[j - 1] + s.ae[j] * mid[j + 1] + cross;
-    const double d = s.ctr[j] + ch2;
-    out[j] = keep * mid[j] + omega * (h2 * rhs[j] + nb) / d;
   }
 }
 
@@ -888,12 +826,6 @@ void interpolate_row(const double* c0, const double* c1, double* out,
   template void sor_row9<W>(const View9&, const double*, double*,             \
                             const double*, const double*, double, double,     \
                             double, double, int, int);                        \
-  template void jacobi_row5<W>(const View5&, const double*, const double*,    \
-                               const double*, const double*, double*, double, \
-                               double, double, double, int);                  \
-  template void jacobi_row9<W>(const View9&, const double*, const double*,    \
-                               const double*, const double*, double*, double, \
-                               double, double, double, int);                  \
   template void x_lines5<W>(const View5&, long, const double*, double*,       \
                             const double*, const double*, long, int, double*, \
                             double*, double, double, int);                    \

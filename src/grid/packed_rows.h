@@ -84,18 +84,6 @@ void sor_row9(const View9& s, const double* up, double* mid,
               const double* down, const double* rhs, double h2, double ch2,
               double omega, double keep, int j0, int n);
 
-/// Weighted-Jacobi row: like SOR but out-of-place (reads mid, writes
-/// out) and over every interior column, so loads are unit-stride.
-template <int W>
-void jacobi_row5(const View5& s, const double* up, const double* mid,
-                 const double* down, const double* rhs, double* out,
-                 double h2, double ch2, double omega, double keep, int n);
-
-template <int W>
-void jacobi_row9(const View9& s, const double* up, const double* mid,
-                 const double* down, const double* rhs, double* out,
-                 double h2, double ch2, double omega, double keep, int n);
-
 /// Batched Thomas solve of W same-parity x-lines (grid rows).  Lane l
 /// works on grid row i0 + 2l: its streams sit at `s.* + l*pstride`
 /// (pstride = 2·PackedStencil::row_stride()) and its grid rows at

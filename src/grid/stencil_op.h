@@ -309,8 +309,8 @@ class StencilOp {
 };
 
 /// Row-pointer view of a 9-point operator's coefficients around grid row
-/// i, for the row-sweeping kernels (apply/residual, SOR, Jacobi, x-line
-/// solves).  It encodes the offset aliasing of the shared-coupling layout
+/// i, for the row-sweeping kernels (apply/residual, SOR, x-line solves).
+/// It encodes the offset aliasing of the shared-coupling layout
 /// — aNW = se_up[j−1], aNE = sw_up[j+1], aSW = sw_dn[j], aSE = se_dn[j] —
 /// in one place, so the kernels cannot drift from the convention that
 /// StencilOp::coupling() defines.  Requires is_nine_point() and an

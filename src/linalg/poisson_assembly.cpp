@@ -4,53 +4,8 @@
 
 namespace pbmg::linalg {
 
-BandMatrix assemble_poisson_band(int n) {
-  PBMG_CHECK(is_valid_grid_size(n), "assemble_poisson_band: n must be 2^k+1");
-  const int m_side = n - 2;
-  const int dim = m_side * m_side;
-  const int kd = m_side;
-  const double inv_h2 =
-      static_cast<double>(n - 1) * static_cast<double>(n - 1);
-  // A 1x1 matrix has bandwidth 0; otherwise the north neighbour sits m_side
-  // columns away.
-  BandMatrix a(dim, dim == 1 ? 0 : kd);
-  for (int i = 0; i < m_side; ++i) {
-    for (int j = 0; j < m_side; ++j) {
-      const int idx = i * m_side + j;
-      a.band(idx, 0) = 4.0 * inv_h2;
-      if (j + 1 < m_side) a.band(idx, 1) = -inv_h2;       // east neighbour
-      if (i + 1 < m_side) a.band(idx, m_side) = -inv_h2;  // south neighbour
-    }
-  }
-  return a;
-}
-
-std::vector<double> gather_poisson_rhs(const Grid2D& b,
-                                       const Grid2D& x_boundary) {
-  const int n = b.n();
-  PBMG_CHECK(is_valid_grid_size(n), "gather_poisson_rhs: n must be 2^k+1");
-  PBMG_CHECK(x_boundary.n() == n, "gather_poisson_rhs: size mismatch");
-  const int m_side = n - 2;
-  const double inv_h2 =
-      static_cast<double>(n - 1) * static_cast<double>(n - 1);
-  std::vector<double> rhs(static_cast<std::size_t>(m_side) *
-                          static_cast<std::size_t>(m_side));
-  for (int i = 1; i <= m_side; ++i) {
-    for (int j = 1; j <= m_side; ++j) {
-      double v = b(i, j);
-      if (i == 1) v += inv_h2 * x_boundary(0, j);
-      if (i == m_side) v += inv_h2 * x_boundary(n - 1, j);
-      if (j == 1) v += inv_h2 * x_boundary(i, 0);
-      if (j == m_side) v += inv_h2 * x_boundary(i, n - 1);
-      rhs[static_cast<std::size_t>(i - 1) * m_side + (j - 1)] = v;
-    }
-  }
-  return rhs;
-}
-
 BandMatrix assemble_stencil_band(const grid::StencilOp& op) {
   const int n = op.n();
-  if (op.is_poisson()) return assemble_poisson_band(n);
   PBMG_CHECK(is_valid_grid_size(n), "assemble_stencil_band: n must be 2^k+1");
   const int m_side = n - 2;
   const int dim = m_side * m_side;
@@ -92,7 +47,6 @@ std::vector<double> gather_stencil_rhs(const grid::StencilOp& op,
                                        const Grid2D& b,
                                        const Grid2D& x_boundary) {
   const int n = b.n();
-  if (op.is_poisson()) return gather_poisson_rhs(b, x_boundary);
   PBMG_CHECK(is_valid_grid_size(n), "gather_stencil_rhs: n must be 2^k+1");
   PBMG_CHECK(op.n() == n && x_boundary.n() == n,
              "gather_stencil_rhs: size mismatch");

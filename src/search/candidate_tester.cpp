@@ -22,14 +22,6 @@ CandidateTester::CandidateTester(const ParamSpace& space, Objective objective,
              "CandidateTester: early_abandon_factor must be >= 1");
   PBMG_CHECK(options_.timeout_seconds > 0.0,
              "CandidateTester: timeout must be positive");
-  if (options_.metrics != nullptr) {
-    obs::MetricsRegistry& m = *options_.metrics;
-    tested_total_ = &m.counter("pbmg_search_candidates_tested_total");
-    completed_total_ = &m.counter("pbmg_search_candidates_completed_total");
-    abandons_total_ = &m.counter("pbmg_search_early_abandons_total");
-    dnfs_total_ = &m.counter("pbmg_search_dnfs_total");
-    candidate_seconds_ = &m.histogram("pbmg_search_candidate_seconds");
-  }
 }
 
 TestResult CandidateTester::test(const Candidate& candidate,
@@ -44,7 +36,6 @@ TestResult CandidateTester::test(const Candidate& candidate,
           : std::numeric_limits<double>::infinity();
   Deadline deadline(options_.timeout_seconds);
 
-  if (tested_total_ != nullptr) tested_total_->add(1);
   TestResult result;
   double total = 0.0;
   const int count = static_cast<int>(instances_.size());
@@ -54,21 +45,17 @@ TestResult CandidateTester::test(const Candidate& candidate,
     ++evaluations_;
     result.instances_run = i + 1;
     if (!std::isfinite(cost) || cost < 0.0 || deadline.expired()) {
-      if (dnfs_total_ != nullptr) dnfs_total_->add(1);
       return result;  // failed / timed out: totals stay infinite
     }
     total += cost;
     if (i + 1 < count && total > abandon_budget) {
       result.abandoned = true;
-      if (abandons_total_ != nullptr) abandons_total_->add(1);
       return result;  // early abandon: cannot beat the incumbent
     }
   }
   result.total_seconds = total;
   result.mean_seconds = total / static_cast<double>(count);
   result.completed = true;
-  if (completed_total_ != nullptr) completed_total_->add(1);
-  if (candidate_seconds_ != nullptr) candidate_seconds_->record(total);
   return result;
 }
 

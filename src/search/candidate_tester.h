@@ -4,7 +4,6 @@
 #include <limits>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "search/param_space.h"
 #include "support/timer.h"
 #include "tune/accuracy.h"
@@ -46,13 +45,6 @@ struct TesterOptions {
   /// Floor added to the abandon budget so timing noise at microsecond
   /// scales cannot reject viable candidates.
   double budget_floor_seconds = 1e-3;
-
-  /// Optional telemetry sink (must outlive the tester).  When set, the
-  /// tester feeds pbmg_search_candidates_tested_total / _completed_total,
-  /// pbmg_search_early_abandons_total, pbmg_search_dnfs_total, and the
-  /// pbmg_search_candidate_seconds histogram of completed-candidate
-  /// totals.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// Outcome of measuring one candidate.
@@ -106,13 +98,6 @@ class CandidateTester {
   std::vector<tune::TrainingInstance> instances_;
   TesterOptions options_;
   int evaluations_ = 0;
-  // Telemetry handles resolved once at construction (null without a
-  // registry); registry accessors guarantee stable addresses.
-  obs::Counter* tested_total_ = nullptr;
-  obs::Counter* completed_total_ = nullptr;
-  obs::Counter* abandons_total_ = nullptr;
-  obs::Counter* dnfs_total_ = nullptr;
-  obs::Histogram* candidate_seconds_ = nullptr;
 };
 
 }  // namespace pbmg::search

@@ -36,14 +36,6 @@ SearchResult PopulationSearch::run() {
   std::vector<Evaluated> population;
   std::set<std::string> seen;
   const int evaluations_before = tester_.evaluations();
-  obs::Gauge* best_gauge =
-      options_.metrics != nullptr
-          ? &options_.metrics->gauge("pbmg_search_best_total_seconds")
-          : nullptr;
-  obs::Counter* generations_total =
-      options_.metrics != nullptr
-          ? &options_.metrics->counter("pbmg_search_generations_total")
-          : nullptr;
 
   double best_known = std::numeric_limits<double>::infinity();
   const auto race = [&](Candidate candidate) {
@@ -52,9 +44,6 @@ SearchResult PopulationSearch::run() {
     if (!seen.insert(key).second) return;  // already measured this point
     const TestResult tested = tester_.test(candidate, best_known);
     if (!tested.completed) return;         // abandoned, timed out, or failed
-    if (tested.total_seconds < best_known && best_gauge != nullptr) {
-      best_gauge->set(tested.total_seconds);
-    }
     best_known = std::min(best_known, tested.total_seconds);
     population.push_back(Evaluated{std::move(candidate), tested.total_seconds,
                                    tested.mean_seconds});
@@ -112,7 +101,6 @@ SearchResult PopulationSearch::run() {
 
     select();
     ++result.generations_run;
-    if (generations_total != nullptr) generations_total->add(1);
     result.best_history.push_back(population.empty()
                                       ? std::numeric_limits<double>::infinity()
                                       : population.front().total_seconds);
@@ -126,10 +114,6 @@ SearchResult PopulationSearch::run() {
   }
 
   result.evaluations = tester_.evaluations() - evaluations_before;
-  if (options_.metrics != nullptr) {
-    options_.metrics->counter("pbmg_search_evaluations_total")
-        .add(result.evaluations);
-  }
   if (population.empty()) {
     throw NumericalError(
         "PopulationSearch: no candidate completed the test set (objective "

@@ -35,13 +35,6 @@ struct PopulationOptions {
 
   /// Optional progress sink (one line per generation).
   std::function<void(const std::string&)> log;
-
-  /// Optional telemetry sink (must outlive the search).  When set, run()
-  /// feeds pbmg_search_generations_total / pbmg_search_evaluations_total
-  /// counters and tracks the best-so-far trajectory in the
-  /// pbmg_search_best_total_seconds gauge.  Usually the same registry the
-  /// tester writes to (TesterOptions::metrics).
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// A candidate together with its measured cost.

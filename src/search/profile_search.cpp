@@ -91,7 +91,7 @@ RuntimeParams decode_runtime_params(const ParamSpace& space,
   }
   params.relax.recurse_omega = space.float_value(candidate, "recurse_omega");
   params.relax.omega_scale = space.float_value(candidate, "omega_scale");
-  params.relax.smoother = solvers::parse_relax_kind(
+  params.smoother = solvers::parse_relax_kind(
       space.categorical_value(candidate, "smoother"));
   params.coarsening = grid::parse_coarsening(
       space.categorical_value(candidate, "coarsening"));
@@ -113,8 +113,6 @@ Json SearchedProfile::to_json() const {
   j.set("profile", rt::profile_to_json(profile));
   j.set("recurse_omega", relax.recurse_omega);
   j.set("omega_scale", relax.omega_scale);
-  j.set("smoother", solvers::to_string(relax.smoother));
-  j.set("coarsening", grid::to_string(coarsening));
   j.set("layout", grid::to_string(relax.kernels.layout));
   j.set("simd_width", std::int64_t{relax.kernels.simd_width});
   j.set("default_seconds", finite_cap(default_seconds));
@@ -132,14 +130,9 @@ SearchedProfile SearchedProfile::from_json(const Json& json) {
   out.relax.recurse_omega = json.at("recurse_omega").as_double();
   out.relax.omega_scale = json.at("omega_scale").as_double();
   try {
-    // Documents from before the smoother / coarsening axes read as point
-    // SOR on the averaged ladder.
-    out.relax.smoother = solvers::parse_relax_kind(
-        json.get("smoother", std::string("point_rb")));
-    out.coarsening = grid::parse_coarsening(
-        json.get("coarsening", std::string("avg")));
     // Documents from before the kernel-policy axes read as the legacy
-    // scalar kernels.
+    // scalar kernels.  Older documents' "smoother" and "coarsening"
+    // fields are ignored.
     out.relax.kernels.layout = grid::parse_stencil_layout(
         json.get("layout", std::string("legacy")));
     out.relax.kernels.simd_width =
@@ -223,7 +216,7 @@ SearchedProfile search_profile(const ProfileSearchOptions& options) {
     // shortcut becomes iterated line relaxation when a line variant is
     // selected (point SOR at the scaled ω_opt otherwise), and the V-cycle
     // phase relaxes with it inside the recursion.
-    const solvers::RelaxKind smoother = params.relax.smoother;
+    const solvers::RelaxKind smoother = params.smoother;
     Grid2D x(n, 0.0);
     x.copy_from(inst.problem.x0);
     double elapsed = 0.0;
@@ -270,13 +263,11 @@ SearchedProfile search_profile(const ProfileSearchOptions& options) {
     return kInf;  // never converged: the candidate is unusable
   };
 
-  TesterOptions topts = options.tester;
-  if (topts.metrics == nullptr) topts.metrics = options.metrics;
-  CandidateTester tester(space, objective, std::move(instances), topts);
+  CandidateTester tester(space, objective, std::move(instances),
+                         options.tester);
   PopulationOptions popts = options.population;
   popts.seed = options.seed;
   if (!popts.log && options.log) popts.log = options.log;
-  if (popts.metrics == nullptr) popts.metrics = options.metrics;
   PopulationSearch engine(space, tester, popts);
   const SearchResult result = engine.run();
 
@@ -286,7 +277,6 @@ SearchedProfile search_profile(const ProfileSearchOptions& options) {
   out.profile = best.profile;
   out.profile.name = options.base.name + "+searched";
   out.relax = best.relax;
-  out.coarsening = best.coarsening;
   out.default_seconds = result.default_total_seconds;
   out.searched_seconds = result.best.total_seconds;
   out.evaluations = result.evaluations;

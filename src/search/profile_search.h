@@ -27,17 +27,25 @@
 namespace pbmg::search {
 
 /// Builds the searchable space over `base`: the profile's tunables
-/// (threads, grain_rows, sequential_cutoff_cells) plus RECURSE ω and the
-/// ω_opt scale from solvers/relax.  Defaults reproduce `base` exactly.
-/// With include_machine_tunables = false only the relaxation weights are
-/// searched (see ProfileSearchOptions::relax_only).
+/// (threads, grain_rows, sequential_cutoff_cells) plus the relaxation
+/// group — RECURSE ω and the ω_opt scale from solvers/relax, the
+/// workload's smoother and coarsening, and the kernel layout and SIMD
+/// width.  Defaults reproduce `base` exactly.  With
+/// include_machine_tunables = false only the relaxation group is searched
+/// (see ProfileSearchOptions::relax_only).
 ParamSpace make_profile_space(const rt::MachineProfile& base,
                               bool include_machine_tunables = true);
 
-/// A candidate decoded into concrete runtime parameters.
+/// A candidate decoded into concrete runtime parameters.  `profile` and
+/// `relax` are what a SearchedProfile keeps; the two algorithmic axes
+/// shape only the search's own workload, since tuned tables choose the
+/// smoother and coarsening per cell.
 struct RuntimeParams {
   rt::MachineProfile profile;
   solvers::RelaxTunables relax;
+  /// Smoother of the candidate's workload (the "smoother" categorical
+  /// axis): point red-black SOR or one of the zebra line variants.
+  solvers::RelaxKind smoother = solvers::RelaxKind::kSor;
   /// Coarse-operator ladder of the candidate's V-cycle workload (the
   /// "coarsening" categorical axis): legacy averaged coefficients or
   /// exact Galerkin R·A·P (grid/stencil_op.h).
@@ -93,23 +101,15 @@ struct ProfileSearchOptions {
   TesterOptions tester;          ///< pruning knobs
 
   std::function<void(const std::string&)> log;
-
-  /// Optional telemetry sink shared by the tester and the population
-  /// engine (candidates tested / DNFs / early abandons / best-so-far);
-  /// forwarded into population.metrics and tester.metrics unless those
-  /// are already set.  Must outlive the search.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// Search outcome: concrete runtime parameters plus the provenance needed
-/// to persist and reproduce them.
+/// to persist and reproduce them.  The winning smoother and coarsening are
+/// not kept: nothing an Engine runs reads them (tuned tables carry their
+/// own per cell), and from_json ignores them in older documents.
 struct SearchedProfile {
   rt::MachineProfile profile;     ///< name gains a "+searched" suffix
   solvers::RelaxTunables relax;
-  /// Winning coarsening of the workload's V-cycle phase (serialized as
-  /// "coarsening"; documents written before the RAP axis read as the
-  /// legacy averaged ladder).
-  grid::Coarsening coarsening = grid::Coarsening::kAverage;
 
   double default_seconds = 0.0;   ///< workload total under `base`
   double searched_seconds = 0.0;  ///< workload total under the winner

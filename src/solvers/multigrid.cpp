@@ -29,11 +29,13 @@ void smooth(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
       }
       break;
     case RelaxKind::kJacobi: {
+      // Jacobi has only the Poisson body: it serves the smoother ablation.
+      PBMG_CHECK(op.is_poisson(),
+                 "vcycle: Jacobi relaxation runs on the Poisson operator only");
       auto scratch_lease = pool.acquire(x.n());
       for (int s = 0; s < sweeps; ++s) {
         obs::ScopedPhaseTimer timer(profile, obs::Phase::kRelax, level);
-        jacobi_sweep(op, x, b, kJacobiOmega, scratch_lease.get(), sched,
-                     options.kernels);
+        jacobi_sweep(x, b, kJacobiOmega, scratch_lease.get(), sched);
       }
       break;
     }

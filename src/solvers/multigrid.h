@@ -23,15 +23,18 @@
 
 namespace pbmg::solvers {
 
-/// Parameters of a classical V-cycle.  The smoother (RelaxKind, now in
-/// relax.h) may be any of the point or line variants; line relaxation
-/// leases its Thomas workspaces from the cycle's ScratchPool.
+/// Parameters of a classical V-cycle.  The smoother (RelaxKind, in
+/// relax.h) may be point SOR or any line variant on every operator; line
+/// relaxation leases its Thomas workspaces from the cycle's ScratchPool.
 struct VCycleOptions {
   int pre_relax = 1;             ///< smoothing sweeps before coarsening
   int post_relax = 1;            ///< smoothing sweeps after the correction
   double omega = kRecurseOmega;  ///< relaxation weight (paper: 1.15)
   int direct_level = 1;          ///< recursion level solved directly (1 ⇒ N=3)
-  RelaxKind relaxation = RelaxKind::kSor;  ///< smoother (paper: SOR)
+  /// Smoother (paper: SOR).  kJacobi, the smoother ablation's, runs on the
+  /// Poisson operator only (at ω = kJacobiOmega, ignoring `omega`); a cycle
+  /// that reaches any other operator with it throws InvalidArgument.
+  RelaxKind relaxation = RelaxKind::kSor;
   /// Kernel implementation policy for the smoothing and residual sweeps
   /// (grid/stencil_op.h): legacy streaming vs the packed SoA layout plus
   /// SIMD width.  Bitwise result-invariant; affects Poisson cycles not at

@@ -42,9 +42,6 @@ void validate_relax_tunables(const RelaxTunables& tunables) {
              "relax tunables: recurse_omega must be in (0, 2)");
   PBMG_CHECK(tunables.omega_scale >= 0.1 && tunables.omega_scale <= 1.5,
              "relax tunables: omega_scale must be in [0.1, 1.5]");
-  // A deserialized byte is not necessarily a valid enumerator; to_string
-  // throws for anything outside the enum.
-  (void)to_string(tunables.smoother);
   grid::validate_kernel_policy(tunables.kernels);
 }
 
@@ -146,35 +143,6 @@ void jacobi_sweep(Grid2D& x, const Grid2D& b, double omega, Grid2D& scratch,
 }
 
 namespace {
-
-void jacobi_sweep_nine(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
-                       double omega, Grid2D& scratch, rt::Scheduler& sched) {
-  const int n = x.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const double keep = 1.0 - omega;
-  sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          const double* up = x.row(i - 1);
-          const double* mid = x.row(i);
-          const double* down = x.row(i + 1);
-          const double* rhs = b.row(i);
-          const grid::NinePointRows rows(op, i);
-          double* out = scratch.row(i);
-          for (int j = 1; j < n - 1; ++j) {
-            const double diag = rows.center[j] + ch2;
-            PBMG_NUM_ASSERT(diag > 0.0,
-                            "jacobi_sweep: non-positive stencil diagonal");
-            const double nb = rows.neighbour_sum(up, mid, down, j);
-            out[j] = keep * mid[j] + omega * (h2 * rhs[j] + nb) / diag;
-          }
-        }
-      });
-  scratch.copy_boundary_from(x);
-  x.swap(scratch);
-}
 
 /// 9-point SOR needs four colours: diagonal neighbours share the red-black
 /// parity (i+j changes by 0 or 2 across a corner), so a two-colour sweep
@@ -301,65 +269,6 @@ void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
   Grid2D* const xs[] = {&x};
   const Grid2D* const bs[] = {&b};
   sor_sweep_multi(op, xs, bs, omega, sched, kernels);
-}
-
-void jacobi_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
-                  double omega, Grid2D& scratch, rt::Scheduler& sched,
-                  const grid::KernelPolicy& kernels) {
-  if (op.is_poisson()) {
-    jacobi_sweep(x, b, omega, scratch, sched);
-    return;
-  }
-  PBMG_CHECK(is_valid_grid_size(x.n()),
-             "jacobi_sweep: grid size must be 2^k+1");
-  PBMG_CHECK(x.n() == b.n() && x.n() == scratch.n(),
-             "jacobi_sweep: grid size mismatch");
-  PBMG_CHECK(op.n() == x.n(), "jacobi_sweep: operator/grid size mismatch");
-  if (kernels.layout == grid::StencilLayout::kPacked) {
-    grid::packed_jacobi_sweep(op, x, b, omega, scratch, sched,
-                              kernels.simd_width);
-    return;
-  }
-  if (op.is_nine_point()) {
-    jacobi_sweep_nine(op, x, b, omega, scratch, sched);
-    return;
-  }
-  const int n = x.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const double keep = 1.0 - omega;
-  const Grid2D& ax = op.ax_grid();
-  const Grid2D& ay = op.ay_grid();
-  sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          const double* up = x.row(i - 1);
-          const double* mid = x.row(i);
-          const double* down = x.row(i + 1);
-          const double* rhs = b.row(i);
-          const double* axr = ax.row(i);
-          const double* ay_up = ay.row(i - 1);
-          const double* ay_dn = ay.row(i);
-          double* out = scratch.row(i);
-          for (int j = 1; j < n - 1; ++j) {
-            const double aw = axr[j - 1];
-            const double ae = axr[j];
-            const double an = ay_up[j];
-            const double as = ay_dn[j];
-            const double diag = (((aw + ae) + an) + as) + ch2;
-            PBMG_NUM_ASSERT(diag > 0.0,
-                            "jacobi_sweep: non-positive stencil diagonal");
-            out[j] = keep * mid[j] +
-                     omega *
-                         (h2 * rhs[j] + an * up[j] + as * down[j] +
-                          aw * mid[j - 1] + ae * mid[j + 1]) /
-                         diag;
-          }
-        }
-      });
-  scratch.copy_boundary_from(x);
-  x.swap(scratch);
 }
 
 }  // namespace pbmg::solvers

@@ -15,15 +15,17 @@
 /// iterative shortcut uses ω_opt(N) — the optimal SOR weight for the 2-D
 /// Poisson problem with Dirichlet boundaries — while the relaxations inside
 /// RECURSE use the fixed weight 1.15 chosen by the authors.  Weighted
-/// Jacobi is provided as the alternative the paper measured and rejected.
+/// Jacobi is the alternative the paper measured and rejected; it has one
+/// body, the Poisson sweep the smoother ablation runs.
 
 namespace pbmg::solvers {
 
 /// Smoother selection — the relaxation axis of the choice space.  The
 /// paper restricted its search to point Red-Black SOR after finding it
 /// beat weighted Jacobi on its (isotropic Poisson) training data (§2.3);
-/// Jacobi is kept for the ablation that verifies that finding
-/// (bench/ablation_smoother).  The line variants (solvers/line_relax.h)
+/// Jacobi is kept, for the Poisson operator only, for the ablation that
+/// verifies that finding (bench/ablation_smoother).  The line variants
+/// (solvers/line_relax.h)
 /// solve whole rows/columns exactly via batched Thomas tridiagonal
 /// solves in zebra (odd/even line red-black) ordering; they are what
 /// makes strong axis anisotropy (the `aniso1000` / `aniso-rot` operator
@@ -34,7 +36,7 @@ namespace pbmg::solvers {
 /// (search/profile_search.h).
 enum class RelaxKind {
   kSor,          ///< point red-black SOR ("point_rb", the paper's choice)
-  kJacobi,       ///< weighted Jacobi (ablation only)
+  kJacobi,       ///< weighted Jacobi (Poisson ablation only)
   kLineX,        ///< x-line zebra relaxation (tridiagonal solves per row)
   kLineY,        ///< y-line zebra relaxation (tridiagonal solves per column)
   kLineZebraAlt, ///< alternating zebra: one x-line + one y-line pass
@@ -84,17 +86,11 @@ inline constexpr double kJacobiOmega = 2.0 / 3.0;
 /// RelaxTunables by value at construction (no mid-solve global reads),
 /// so concurrent engines can run different weights.  A default-constructed
 /// RelaxTunables holds the paper's values; the reference algorithms keep
-/// the paper's constants.
+/// the paper's constants.  The smoother itself is not a setting here:
+/// tuned executors run the per-cell smoother the DP recorded.
 struct RelaxTunables {
   double recurse_omega = kRecurseOmega;  ///< ω of RECURSE's pre/post sweeps
   double omega_scale = 1.0;              ///< multiplier applied to ω_opt(N)
-  /// Searched default smoother (the "smoother" categorical axis of
-  /// make_profile_space): the profile-search workload runs under it, and
-  /// API users can read it off a SearchedProfile to build VCycleOptions.
-  /// Tuned executors use the *per-cell* smoother the DP recorded, which
-  /// takes precedence; the paper-faithful reference drivers keep point
-  /// SOR regardless.
-  RelaxKind smoother = RelaxKind::kSor;
   /// Searched kernel implementation policy (the "layout" / "simd_width"
   /// axes of make_profile_space): legacy per-grid streaming vs the packed
   /// SoA-block layout and its SIMD lane count.  Bitwise result-invariant —
@@ -121,8 +117,10 @@ double scaled_omega_opt(int n, double scale);
 void sor_sweep(Grid2D& x, const Grid2D& b, double omega,
                rt::Scheduler& sched);
 
-/// One weighted-Jacobi sweep.  `scratch` must match x's size; on return x
-/// holds the new iterate (contents are swapped, scratch holds the old).
+/// One weighted-Jacobi sweep on the Poisson operator, the only one Jacobi
+/// runs on (the smoother ablation's; no tuned plan can select it).
+/// `scratch` must match x's size; on return x holds the new iterate
+/// (contents are swapped, scratch holds the old).
 void jacobi_sweep(Grid2D& x, const Grid2D& b, double omega, Grid2D& scratch,
                   rt::Scheduler& sched);
 
@@ -150,12 +148,5 @@ void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
                      std::span<const Grid2D* const> bs, double omega,
                      rt::Scheduler& sched,
                      const grid::KernelPolicy& kernels = {});
-
-/// Weighted-Jacobi sweep for a variable-coefficient operator; same
-/// diagonal handling, fast-path and kernel-policy contract as the SOR
-/// overload.
-void jacobi_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
-                  double omega, Grid2D& scratch, rt::Scheduler& sched,
-                  const grid::KernelPolicy& kernels = {});
 
 }  // namespace pbmg::solvers

@@ -273,10 +273,17 @@ TunedConfig TunedConfig::from_json(const Json& json) {
           fmg_entry_from_json(fmg_row[static_cast<std::size_t>(i)]);
     }
   }
-  // Semantic validation: recursion must reference valid accuracy indices.
+  // Semantic validation: recursion must reference valid accuracy indices,
+  // and iteration counts must be ones the trainer can write — V cells run
+  // at least one sweep or body, FMG cells may stop after their estimate.
+  // A negative (or zero V) count would load and then solve as a silent
+  // no-op that still reports convergence.
   for (int level = 1; level <= max_level; ++level) {
     for (int i = 0; i < config.accuracy_count(); ++i) {
       const VChoice& vc = config.v_entry(level, i).choice;
+      if (vc.kind != VKind::kDirect && vc.iterations < 1) {
+        throw ConfigError("tuned-config: V iterations must be >= 1");
+      }
       if (vc.kind == VKind::kRecurse) {
         // kClassicalCoarse (-1) is the classical single-body V-cycle.
         if (vc.sub_accuracy < kClassicalCoarse ||
@@ -289,6 +296,9 @@ TunedConfig TunedConfig::from_json(const Json& json) {
       }
       const FmgChoice& fc = config.fmg_entry(level, i).choice;
       if (fc.kind != FmgKind::kDirect) {
+        if (fc.iterations < 0) {
+          throw ConfigError("tuned-config: FMG iterations must be >= 0");
+        }
         if (fc.estimate_accuracy < 0 ||
             fc.estimate_accuracy >= config.accuracy_count()) {
           throw ConfigError(

@@ -41,7 +41,8 @@ struct VChoice {
   VKind kind = VKind::kDirect;
   int sub_accuracy = -1;  ///< j of the coarse MULTIGRID-V_j, or
                           ///< kClassicalCoarse (kRecurse only)
-  int iterations = 0;     ///< SOR sweeps or RECURSE iterations (non-direct)
+  int iterations = 0;     ///< SOR sweeps or RECURSE iterations (>= 1 for
+                          ///< non-direct cells; from_json enforces it)
   /// Smoother of the RECURSE body's pre/post sweeps (kRecurse only; the
   /// kIterSor shortcut stays point SOR at ω_opt, the paper's iterative
   /// baseline).  The trainer enumerates this per level — the relaxation
@@ -69,7 +70,8 @@ struct FmgChoice {
   FmgKind kind = FmgKind::kDirect;
   int estimate_accuracy = -1;  ///< j of ESTIMATE_j (non-direct kinds)
   int solve_accuracy = -1;     ///< m of RECURSE_m (kEstimateThenRecurse)
-  int iterations = 0;          ///< SOR sweeps or RECURSE iterations
+  int iterations = 0;          ///< SOR sweeps or RECURSE iterations after
+                               ///< the estimate (>= 0; 0 when it sufficed)
   /// Smoother of the solve phase's RECURSE bodies (kEstimateThenRecurse
   /// only); inherited from the V cell that tuned RECURSE_m at this level
   /// so the FMG candidate count stays unchanged (see trainer.cpp).

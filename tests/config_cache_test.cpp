@@ -426,6 +426,55 @@ TEST_F(CorruptCacheTest, UnrecognisedCoarseningName) {
   expect_miss_and_recover("badcoarsening", doc.dump(2) + "\n");
 }
 
+/// `config` as JSON with the iterations of one cell of `table`
+/// ("multigrid_v" or "full_multigrid") replaced.
+Json with_iterations(const TunedConfig& config, const char* table, int level,
+                     int accuracy_index, int iterations) {
+  Json doc = config.to_json();
+  Json levels = doc.at(table);
+  levels.as_array()[static_cast<std::size_t>(level - 1)]
+      .as_array()[static_cast<std::size_t>(accuracy_index)]
+      .set("iterations", iterations);
+  doc.set(table, std::move(levels));
+  return doc;
+}
+
+TEST(ConfigCacheIO, IterationCountsTheTrainerCannotWriteAreRejected) {
+  // A V cell that runs no sweep or body — or any negative count — used to
+  // load and then solve as a silent no-op that reported convergence.  V
+  // sor and recurse cells need >= 1 iteration; FMG non-direct cells may
+  // keep 0 (the estimate sufficed) but not fewer.
+  const TunedConfig config = handmade_config();
+  ASSERT_EQ(config.v_entry(3, 2).choice.kind, VKind::kRecurse);
+  ASSERT_EQ(config.v_entry(3, 1).choice.kind, VKind::kIterSor);
+  for (const int bad : {-3, 0}) {
+    EXPECT_THROW(
+        TunedConfig::from_json(with_iterations(config, "multigrid_v", 3, 2,
+                                               bad)),
+        ConfigError)
+        << "recurse " << bad;
+    EXPECT_THROW(
+        TunedConfig::from_json(with_iterations(config, "multigrid_v", 3, 1,
+                                               bad)),
+        ConfigError)
+        << "sor " << bad;
+  }
+  EXPECT_THROW(TunedConfig::from_json(
+                   with_iterations(config, "full_multigrid", 3, 2, -3)),
+               ConfigError);
+  const TunedConfig estimate_only = TunedConfig::from_json(
+      with_iterations(config, "full_multigrid", 3, 2, 0));
+  EXPECT_EQ(estimate_only.fmg_entry(3, 2).choice.iterations, 0);
+}
+
+TEST_F(CorruptCacheTest, NegativeIterationCount) {
+  // The cache loader must read such an entry as a clean miss and retrain.
+  expect_miss_and_recover(
+      "negiterations",
+      with_iterations(handmade_config(), "multigrid_v", 3, 2, -3).dump(2) +
+          "\n");
+}
+
 TEST_F(CorruptCacheTest, OutOfRangeNumberLiteral) {
   // std::stod raises std::out_of_range (not a pbmg::Error) for this
   // literal; the loader must still treat it as a miss.
@@ -588,12 +637,12 @@ TEST(SearchedConfigCache, CorruptedTunablesFallBackToRetraining) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(SearchedConfigCache, UnrecognisedSmootherNameIsACleanMiss) {
-  // A searched-profile entry whose smoother carries a name this version
-  // does not know (e.g. written by a future version) must surface as a
-  // clean cache miss — re-search, retrain, overwrite — and never as an
-  // exception escaping load_or_search_train.
-  const auto dir = fresh_dir("pbmg_cc_badsmoothername");
+TEST(SearchedConfigCache, UnrecognisedLayoutNameIsACleanMiss) {
+  // A searched-profile entry whose kernel layout carries a name this
+  // version does not know (e.g. written by a future version) must surface
+  // as a clean cache miss — re-search, retrain, overwrite — and never as
+  // an exception escaping load_or_search_train.
+  const auto dir = fresh_dir("pbmg_cc_badlayoutname");
   const TrainerOptions options = tiny_options();
   search::ProfileSearchOptions search_options;
   search_options.base = rt::serial_profile();
@@ -622,18 +671,12 @@ TEST(SearchedConfigCache, UnrecognisedSmootherNameIsACleanMiss) {
     write_text_file(path.string(), doc.dump(2) + "\n");
   };
 
-  corrupt_field("smoother", "warp_drive");
+  corrupt_field("layout", "warp_drive");
   SearchTrainResult recovered;
   EXPECT_NO_THROW(recovered = load_or_search_train(
                       options, search_options, dir.string(), &from_cache));
   EXPECT_FALSE(from_cache);
   EXPECT_NO_THROW(solvers::validate_relax_tunables(recovered.searched.relax));
-
-  // Same contract for the coarsening field introduced with Galerkin RAP.
-  corrupt_field("coarsening", "octree");
-  EXPECT_NO_THROW(recovered = load_or_search_train(
-                      options, search_options, dir.string(), &from_cache));
-  EXPECT_FALSE(from_cache);
 
   const SearchTrainResult again = load_or_search_train(
       options, search_options, dir.string(), &from_cache);

@@ -13,6 +13,7 @@
 #include "grid/grid_ops.h"
 #include "grid/level.h"
 #include "grid/problem.h"
+#include "grid/stencil_op.h"
 #include "linalg/band_matrix.h"
 #include "linalg/poisson_assembly.h"
 #include "runtime/scheduler.h"
@@ -134,8 +135,9 @@ TEST(FastPoisson, MatchesBandedDirectSolver) {
   for (int n : {3, 5, 9, 17, 33}) {
     auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
     // Band solve.
-    linalg::BandMatrix a = linalg::assemble_poisson_band(n);
-    auto rhs = linalg::gather_poisson_rhs(problem.b, problem.x0);
+    const grid::StencilOp op = grid::StencilOp::poisson(n);
+    linalg::BandMatrix a = linalg::assemble_stencil_band(op);
+    auto rhs = linalg::gather_stencil_rhs(op, problem.b, problem.x0);
     linalg::band_spd_solve(a, rhs);
     Grid2D direct(n, 0.0);
     direct.copy_boundary_from(problem.x0);

@@ -1,6 +1,6 @@
 // Tests for the linear-algebra substrate: band storage, banded Cholesky
-// (the DPBSV equivalent), dense Cholesky cross-checks, and the Poisson
-// assembly with boundary lifting.
+// (the DPBSV equivalent), dense Cholesky cross-checks, and the band
+// assembly of the Poisson operator with boundary lifting.
 
 #include <cmath>
 #include <vector>
@@ -9,6 +9,7 @@
 
 #include "grid/grid2d.h"
 #include "grid/level.h"
+#include "grid/stencil_op.h"
 #include "linalg/band_matrix.h"
 #include "linalg/poisson_assembly.h"
 #include "support/error.h"
@@ -169,7 +170,7 @@ TEST(DenseCholesky, ValidatesInputs) {
 
 TEST(PoissonAssembly, MatrixMatchesStencil) {
   const int n = 5;  // interior 3x3, dim 9, bandwidth 3
-  const BandMatrix a = assemble_poisson_band(n);
+  const BandMatrix a = assemble_stencil_band(grid::StencilOp::poisson(n));
   EXPECT_EQ(a.dim(), 9);
   EXPECT_EQ(a.bandwidth(), 3);
   const double inv_h2 = 16.0;  // h = 1/4
@@ -185,7 +186,7 @@ TEST(PoissonAssembly, MatrixMatchesStencil) {
 }
 
 TEST(PoissonAssembly, BaseCaseIsOneByOne) {
-  const BandMatrix a = assemble_poisson_band(3);
+  const BandMatrix a = assemble_stencil_band(grid::StencilOp::poisson(3));
   EXPECT_EQ(a.dim(), 1);
   EXPECT_EQ(a.bandwidth(), 0);
   EXPECT_DOUBLE_EQ(a.get(0, 0), 16.0);  // 4 / h², h = 1/2
@@ -201,7 +202,7 @@ TEST(PoissonAssembly, GatherLiftsBoundaryScatterRoundTrips) {
       x(i, j) = rng.uniform(-1.0, 1.0);
     }
   }
-  const auto rhs = gather_poisson_rhs(b, x);
+  const auto rhs = gather_stencil_rhs(grid::StencilOp::poisson(n), b, x);
   ASSERT_EQ(rhs.size(), 9u);
   const double inv_h2 = 16.0;
   // Corner interior cell (1,1) receives north and west boundary lift.
@@ -227,7 +228,7 @@ TEST(PoissonAssembly, DirectBandSolveReproducesManufacturedSolution) {
       for (int j = 0; j < n; ++j) exact(i, j) = rng.uniform(-1.0, 1.0);
     }
     // b = A·exact computed by the band matrix itself (dense check path).
-    BandMatrix a = assemble_poisson_band(n);
+    BandMatrix a = assemble_stencil_band(grid::StencilOp::poisson(n));
     const auto dense = a.to_dense();
     const int m = (n - 2) * (n - 2);
     std::vector<double> xe(static_cast<std::size_t>(m));
@@ -250,7 +251,7 @@ TEST(PoissonAssembly, DirectBandSolveReproducesManufacturedSolution) {
       b(i, 1) -= inv_h2 * exact(i, 0);
       b(i, n - 2) -= inv_h2 * exact(i, n - 1);
     }
-    auto rhs = gather_poisson_rhs(b, exact);
+    auto rhs = gather_stencil_rhs(grid::StencilOp::poisson(n), b, exact);
     band_spd_solve(a, rhs);
     for (int i = 0; i < m; ++i) {
       ASSERT_NEAR(rhs[static_cast<std::size_t>(i)],
@@ -261,9 +262,11 @@ TEST(PoissonAssembly, DirectBandSolveReproducesManufacturedSolution) {
 }
 
 TEST(PoissonAssembly, RejectsInvalidSizes) {
-  EXPECT_THROW(assemble_poisson_band(4), InvalidArgument);
+  EXPECT_THROW(assemble_stencil_band(grid::StencilOp::poisson(4)),
+               InvalidArgument);
   Grid2D b(6, 0.0), x(6, 0.0);
-  EXPECT_THROW(gather_poisson_rhs(b, x), InvalidArgument);
+  EXPECT_THROW(gather_stencil_rhs(grid::StencilOp::poisson(5), b, x),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 // thread count.  That contract is what lets the tuner race the layout
 // and width axes as pure performance knobs — no candidate can change the
 // numerics — so this suite pins it with exact (memcmp-grade) equality,
-// not tolerances: residual/apply, coloured SOR, weighted Jacobi and the
-// zebra line solves, on 5-point and 9-point operators, down the Galerkin
-// RAP ladder, at n = 3 and 5 edge sizes, and across thread counts.
+// not tolerances: residual/apply, coloured SOR and the zebra line
+// solves, on 5-point and 9-point operators, down the Galerkin RAP
+// ladder, at n = 3 and 5 edge sizes, and across thread counts.
 // Also covered: the PackedStencil layout itself (alignment, stream
 // mapping, fused 5-point diagonal), the Poisson passthrough, width
 // clamping, and KernelPolicy validation.  The constant-coefficient
@@ -46,14 +46,14 @@ Engine& engine_with(int threads, int grain_rows = 2) {
     rt::MachineProfile p;
     p.name = "packed-test-1t";
     p.threads = 1;
-    return EngineOptions{p, {}, {}, 0};
+    return EngineOptions{p, {}, {}};
   }());
   static Engine four([] {
     rt::MachineProfile p;
     p.name = "packed-test-4t";
     p.threads = 4;
     p.grain_rows = 2;  // force real slicing so races would surface
-    return EngineOptions{p, {}, {}, 0};
+    return EngineOptions{p, {}, {}};
   }());
   // Eight-row leaves: the Poisson SOR sweep runs its full-width rows only
   // inside a leaf, so its leaf-edge rows race their neighbour leaves only
@@ -63,7 +63,7 @@ Engine& engine_with(int threads, int grain_rows = 2) {
     p.name = "packed-test-4t-g8";
     p.threads = 4;
     p.grain_rows = 8;
-    return EngineOptions{p, {}, {}, 0};
+    return EngineOptions{p, {}, {}};
   }());
   if (threads == 1) return one;
   return grain_rows == 8 ? four_wide : four;
@@ -237,14 +237,6 @@ void expect_all_sweeps_parity(const StencilOp& op, int width, int threads,
     // Three chained sweeps: any drift compounds and must stay zero.
     for (int s = 0; s < 3; ++s) solvers::sor_sweep(op, x, b, 1.15, sched, k);
   };
-  const auto jacobi = [&](Grid2D& x, const Grid2D& b, const KernelPolicy& k,
-                          int t) {
-    rt::Scheduler& sched = engine_with(t).scheduler();
-    Grid2D scratch(x.n(), 0.0);
-    for (int s = 0; s < 3; ++s) {
-      solvers::jacobi_sweep(op, x, b, 2.0 / 3.0, scratch, sched, k);
-    }
-  };
   const auto lines = [&](solvers::RelaxKind kind) {
     return [&, kind](Grid2D& x, const Grid2D& b, const KernelPolicy& k,
                      int t) {
@@ -273,7 +265,6 @@ void expect_all_sweeps_parity(const StencilOp& op, int width, int threads,
   expect_sweep_parity(op, width, threads, seed, residual);
   expect_sweep_parity(op, width, threads, seed, apply);
   expect_sweep_parity(op, width, threads, seed, sor);
-  expect_sweep_parity(op, width, threads, seed, jacobi);
   expect_sweep_parity(op, width, threads, seed, lines(solvers::RelaxKind::kLineX));
   expect_sweep_parity(op, width, threads, seed, lines(solvers::RelaxKind::kLineY));
   expect_sweep_parity(op, width, threads, seed,

@@ -39,7 +39,7 @@ Engine& engine() {
     p.name = "rap-test";
     p.threads = 4;
     p.grain_rows = 2;
-    return EngineOptions{p, {}, {}, 0};
+    return EngineOptions{p, {}, {}};
   }());
   return instance;
 }

@@ -440,6 +440,13 @@ TEST(ProfileSearch, SearchedProfileJsonRoundTrip) {
   Json bad_width = sp.to_json();
   bad_width.set("simd_width", std::int64_t{3});
   EXPECT_THROW(SearchedProfile::from_json(bad_width), ConfigError);
+  // Older documents also carry the workload's smoother and coarsening,
+  // which nothing reads any more: they load, and are ignored.
+  Json older = sp.to_json();
+  older.set("smoother", std::string("line_x"));
+  older.set("coarsening", std::string("rap"));
+  EXPECT_EQ(SearchedProfile::from_json(older).to_json().dump(),
+            sp.to_json().dump());
 }
 
 TEST(ProfileSearch, EndToEndOnATinyWorkload) {

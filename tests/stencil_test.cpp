@@ -33,7 +33,7 @@ Engine& engine() {
     p.name = "stencil-test";
     p.threads = 4;
     p.grain_rows = 2;
-    return EngineOptions{p, {}, {}, 0};
+    return EngineOptions{p, {}, {}};
   }());
   return instance;
 }
