@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/solve_session.h"
 #include "grid/grid_ops.h"
 #include "grid/level.h"
 #include "solvers/relax.h"
@@ -333,17 +334,18 @@ double run_tuned_impl(const Settings& settings, Engine& engine,
                       const tune::TrainingInstance& inst, int accuracy_index,
                       bool fmg) {
   rt::Scheduler& sched = engine.scheduler();
-  tune::TunedExecutor executor(config, sched, engine.direct(),
-                               engine.scratch(), nullptr, engine.relax());
   const int n = inst.problem.n();
+  // Bound before the first trial, as a served request's session is: the
+  // timed trials then measure the solve and nothing the bind prepares.
+  const SolveSession session(engine, config, n);
   Grid2D x(n, 0.0);
   const double seconds = time_min(
       settings, [&] { x.copy_from(inst.problem.x0); },
       [&] {
         if (fmg) {
-          executor.run_fmg(x, inst.problem.b, accuracy_index);
+          session.solve_fmg(x, inst.problem.b, accuracy_index);
         } else {
-          executor.run_v(x, inst.problem.b, accuracy_index);
+          session.solve_v(x, inst.problem.b, accuracy_index);
         }
       });
   // Contract check: a tuned run that misses its accuracy target by an

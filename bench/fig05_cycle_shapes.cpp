@@ -11,6 +11,7 @@
 
 #include "common/harness.h"
 #include "grid/level.h"
+#include "grid/stencil_op.h"
 #include "trace/cycle_trace.h"
 
 namespace {
@@ -23,11 +24,18 @@ void render_cycles(const Settings& settings, Engine& engine,
                    bool fmg, std::ostringstream& out) {
   const int n = size_of_level(settings.max_level);
   const auto inst = eval_instance(settings, engine, n, dist, /*salt=*/5);
+  // The tracing executor binds the Poisson operator's ladders: the
+  // averaged one, and the Galerkin one for tables with RAP cells.
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
+  const grid::StencilHierarchy rap(grid::StencilOp::poisson(n),
+                                   grid::Coarsening::kRap,
+                                   engine.scheduler());
   const char* roman[] = {"i", "ii", "iii", "iv"};
   for (int i = 0; i < 4 && i < config.accuracy_count(); ++i) {
     trace::CycleTracer tracer;
-    tune::TunedExecutor executor(config, engine.scheduler(), engine.direct(),
-                                 engine.scratch(), &tracer, engine.relax());
+    const tune::TunedExecutor executor(config, engine.scheduler(),
+                                       engine.direct(), engine.scratch(),
+                                       engine.relax(), ops, &rap, &tracer);
     Grid2D x(n, 0.0);
     x.copy_from(inst.problem.x0);
     if (fmg) {

@@ -10,6 +10,7 @@
 
 #include "common/harness.h"
 #include "grid/level.h"
+#include "grid/stencil_op.h"
 #include "trace/cycle_trace.h"
 
 namespace {
@@ -36,9 +37,16 @@ int main_impl(int argc, const char* const* argv) {
                                          settings.max_level);
     const auto inst = eval_instance(settings, engine, n,
                                     InputDistribution::kUnbiased, /*salt=*/14);
+    // The tracing executor binds the Poisson operator's ladders: the
+    // averaged one, and the Galerkin one for tables with RAP cells.
+    const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
+    const grid::StencilHierarchy rap(grid::StencilOp::poisson(n),
+                                     grid::Coarsening::kRap,
+                                     engine.scheduler());
     trace::CycleTracer tracer;
-    tune::TunedExecutor executor(config, engine.scheduler(), engine.direct(),
-                                 engine.scratch(), &tracer, engine.relax());
+    const tune::TunedExecutor executor(config, engine.scheduler(),
+                                       engine.direct(), engine.scratch(),
+                                       engine.relax(), ops, &rap, &tracer);
     Grid2D x(n, 0.0);
     x.copy_from(inst.problem.x0);
     executor.run_fmg(x, inst.problem.b, config.accuracy_index(1e5));

@@ -10,6 +10,7 @@
 #include "engine/engine.h"
 #include "grid/level.h"
 #include "grid/problem.h"
+#include "grid/stencil_op.h"
 #include "support/argparse.h"
 #include "support/table.h"
 #include "trace/cycle_trace.h"
@@ -43,6 +44,11 @@ int main(int argc, char** argv) {
 
   Rng rng(99);
   auto instance = tune::make_training_instance(n, dist, rng, sched);
+  // The tracing executors bind the Poisson operator's ladders: the
+  // averaged one, and the Galerkin one for tables with RAP cells.
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
+  const grid::StencilHierarchy rap(grid::StencilOp::poisson(n),
+                                   grid::Coarsening::kRap, sched);
 
   for (int i = 0; i < config.accuracy_count(); ++i) {
     const std::string acc = format_accuracy(
@@ -53,8 +59,9 @@ int main(int argc, char** argv) {
               << tune::render_call_stack(config, options.max_level, i);
     {
       trace::CycleTracer tracer;
-      tune::TunedExecutor executor(config, sched, direct, engine.scratch(),
-                                   &tracer);
+      const tune::TunedExecutor executor(config, sched, direct,
+                                         engine.scratch(), engine.relax(),
+                                         ops, &rap, &tracer);
       Grid2D x(n, 0.0);
       x.copy_from(instance.problem.x0);
       executor.run_v(x, instance.problem.b, i);
@@ -66,8 +73,9 @@ int main(int argc, char** argv) {
     }
     {
       trace::CycleTracer tracer;
-      tune::TunedExecutor executor(config, sched, direct, engine.scratch(),
-                                   &tracer);
+      const tune::TunedExecutor executor(config, sched, direct,
+                                         engine.scratch(), engine.relax(),
+                                         ops, &rap, &tracer);
       Grid2D x(n, 0.0);
       x.copy_from(instance.problem.x0);
       executor.run_fmg(x, instance.problem.b, i);

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "engine/engine.h"
+#include "engine/solve_session.h"
 #include "fft/fast_poisson.h"
 #include "grid/grid_ops.h"
 #include "grid/level.h"
@@ -24,7 +25,6 @@
 #include "support/table.h"
 #include "support/timer.h"
 #include "tune/accuracy.h"
-#include "tune/executor.h"
 #include "tune/trainer.h"
 
 namespace {
@@ -105,12 +105,12 @@ int main(int argc, char** argv) {
   std::cout << "Autotuning on the point-source distribution ..." << std::endl;
   tune::Trainer trainer(options, engine);
   const tune::TunedConfig config = trainer.train();
-  tune::TunedExecutor executor(config, sched, direct, engine.scratch());
+  const SolveSession session(engine, config, n);
   Grid2D x_tuned(n, 0.0);
   x_tuned.copy_from(problem.x0);
-  WallTimer tuned_timer;
-  executor.run_fmg(x_tuned, problem.b, config.accuracy_index(1e7));
-  const double tuned_seconds = tuned_timer.elapsed();
+  const double tuned_seconds =
+      session.solve_fmg(x_tuned, problem.b, config.accuracy_index(1e7))
+          .seconds;
 
   std::cout << "\nPotential field (ASCII, @=high, ' '=low):\n"
             << ascii_field(x_tuned)

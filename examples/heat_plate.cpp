@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "engine/engine.h"
+#include "engine/solve_session.h"
 #include "fft/fast_poisson.h"
 #include "grid/grid_ops.h"
 #include "grid/level.h"
@@ -23,7 +24,6 @@
 #include "support/table.h"
 #include "support/timer.h"
 #include "tune/accuracy.h"
-#include "tune/executor.h"
 #include "tune/trainer.h"
 
 int main(int argc, char** argv) {
@@ -93,12 +93,11 @@ int main(int argc, char** argv) {
   tune::Trainer trainer(options, engine);
   std::cout << "Autotuning ..." << std::endl;
   const tune::TunedConfig config = trainer.train();
-  tune::TunedExecutor executor(config, sched, direct, engine.scratch());
+  const SolveSession session(engine, config, n);
   Grid2D x_tuned(n, 0.0);
   x_tuned.copy_from(plate.x0);
-  WallTimer tuned_timer;
-  executor.run_v(x_tuned, plate.b, config.accuracy_index(target));
-  const double tuned_seconds = tuned_timer.elapsed();
+  const double tuned_seconds =
+      session.solve_v(x_tuned, plate.b, config.accuracy_index(target)).seconds;
 
   std::cout << "\nCentre-column temperature profile (tuned solve):\n";
   for (int r = 0; r <= 8; ++r) {

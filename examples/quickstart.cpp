@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "engine/engine.h"
+#include "engine/solve_session.h"
 #include "grid/grid_ops.h"
 #include "grid/level.h"
 #include "grid/problem.h"
@@ -19,7 +20,6 @@
 #include "support/table.h"
 #include "support/timer.h"
 #include "tune/accuracy.h"
-#include "tune/executor.h"
 #include "tune/trainer.h"
 
 int main(int argc, char** argv) {
@@ -54,17 +54,18 @@ int main(int argc, char** argv) {
             << tune::render_call_stack(config, options.max_level,
                                        config.accuracy_index(target));
 
-  // 2. Solve a fresh random instance with the tuned algorithm.
+  // 2. Solve a fresh random instance with the tuned algorithm.  The
+  //    session prepares everything the solve reads (operator ladders,
+  //    scratch grids) once, for N = n.
   Rng rng(2026);
   auto instance = tune::make_training_instance(
       n, InputDistribution::kUnbiased, rng, sched);
-  tune::TunedExecutor executor(config, sched, engine.direct(),
-                               engine.scratch());
+  const SolveSession session(engine, config, n);
   Grid2D x(n, 0.0);
   x.copy_from(instance.problem.x0);
-  WallTimer solve_timer;
-  executor.run_v(x, instance.problem.b, config.accuracy_index(target));
-  const double seconds = solve_timer.elapsed();
+  const double seconds =
+      session.solve_v(x, instance.problem.b, config.accuracy_index(target))
+          .seconds;
 
   // 3. Report: the tuned algorithm contracts the error by >= the target.
   const double achieved = tune::accuracy_of(instance, x, sched);

@@ -11,13 +11,13 @@
 #include <iostream>
 
 #include "engine/engine.h"
+#include "engine/solve_session.h"
 #include "grid/level.h"
 #include "grid/problem.h"
 #include "support/argparse.h"
 #include "support/table.h"
 #include "support/timer.h"
 #include "tune/accuracy.h"
-#include "tune/executor.h"
 #include "tune/trainer.h"
 
 int main(int argc, char** argv) {
@@ -74,15 +74,12 @@ int main(int argc, char** argv) {
   Rng rng(1234);
   auto instance = tune::make_training_instance(
       n, parse_distribution(config.distribution), rng, sched);
-  tune::TunedExecutor executor(config, sched, engine.direct(),
-                               engine.scratch());
+  const SolveSession session(engine, config, n);
   std::cout << "\n  target     time         achieved accuracy\n";
   for (int i = 0; i < config.accuracy_count(); ++i) {
     Grid2D x(n, 0.0);
     x.copy_from(instance.problem.x0);
-    WallTimer timer;
-    executor.run_v(x, instance.problem.b, i);
-    const double seconds = timer.elapsed();
+    const double seconds = session.solve_v(x, instance.problem.b, i).seconds;
     std::cout << "  "
               << format_accuracy(
                      config.accuracies()[static_cast<std::size_t>(i)])

@@ -27,13 +27,7 @@ void Engine::publish_metrics(obs::MetricsRegistry& registry) {
   registry.gauge("pbmg_scheduler_steals")
       .set(static_cast<double>(scheduler_.steal_count()));
   const grid::ScratchPool::Stats pool = scratch_.stats();
-  registry.gauge("pbmg_scratch_acquires")
-      .set(static_cast<double>(pool.acquires));
-  registry.gauge("pbmg_scratch_hits").set(static_cast<double>(pool.hits));
-  registry.gauge("pbmg_scratch_misses").set(static_cast<double>(pool.misses));
   registry.gauge("pbmg_scratch_trims").set(static_cast<double>(pool.trims));
-  registry.gauge("pbmg_scratch_pooled_grids")
-      .set(static_cast<double>(pool.pooled_grids));
   registry.gauge("pbmg_scratch_pooled_bytes")
       .set(static_cast<double>(pool.pooled_bytes));
   registry.gauge("pbmg_scratch_high_water_bytes")

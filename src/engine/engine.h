@@ -23,8 +23,8 @@
 ///   Engine        owns one rt::Scheduler (built from a MachineProfile),
 ///                 one grid::ScratchPool, one solvers::DirectSolver, the
 ///                 relaxation tunables, and a tuned-config cache handle.
-///   SolveSession  binds an Engine + TunedConfig + grid size n and serves
-///                 tuned/reference solves with per-request SolveStats
+///   SolveSession  binds an Engine + TunedConfig + operator (or grid size
+///                 n) and serves tuned solves with per-request SolveStats
 ///                 (engine/solve_session.h).
 ///   SolveService  multiplexes concurrent solve requests from many client
 ///                 threads onto one Engine (engine/solve_service.h).
@@ -108,9 +108,9 @@ class Engine {
 
   /// Samples this engine's runtime health into `registry` gauges
   /// (pbmg_scheduler_*, pbmg_scratch_*): work-steal count, thread count,
-  /// and the scratch pool's acquire/hit/miss/trim counters, pooled and
-  /// high-water bytes, and hit rate.  Call before snapshotting the
-  /// registry; safe to call concurrently with solves.
+  /// and the scratch pool's trim count, pooled and high-water bytes, and
+  /// hit rate.  Call before snapshotting the registry; safe to call
+  /// concurrently with solves.
   void publish_metrics(obs::MetricsRegistry& registry);
 
  private:

@@ -32,9 +32,6 @@ SolveService::SolveService(Engine& engine, tune::TunedConfig config,
       retunes_total_(metrics_.counter("pbmg_drift_retunes_total")),
       retune_failures_total_(
           metrics_.counter("pbmg_drift_retune_failures_total")),
-      route_escalations_(metrics_.counter("pbmg_route_escalations_total")),
-      route_switches_(
-          metrics_.counter("pbmg_route_family_switches_total")),
       family_retunes_total_(metrics_.counter("pbmg_family_retunes_total")),
       generation_gauge_(metrics_.gauge("pbmg_config_generation")),
       retune_gauge_(metrics_.gauge("pbmg_retune_in_progress")),
@@ -90,7 +87,6 @@ void SolveService::install(tune::TunedConfig config,
     fresh->family_configs.erase(fresh->config->op_family);
     retired_.push_back(current_);
     current_ = std::move(fresh);
-    stats_.generation = id;
     reclaim_retired_locked(reclaimed);
   }
   generation_id_.store(id, std::memory_order_release);
@@ -247,7 +243,6 @@ void SolveService::enforce_policy_locked(Generation& gen) {
     add_bytes(gen, -static_cast<std::ptrdiff_t>(victim->second.bytes));
     gen.cache.erase(victim);
     session_evictions_.add(1);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -294,16 +289,13 @@ void SolveService::account(Outcome outcome, std::int64_t count,
   if (outcome == Outcome::kThrew) {
     failures_total_.add(count);
     requests_error_.add(count);
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_.failures += count;
     return;
   }
   requests_ok_.add(converged);
   requests_unconverged_.add(count - converged);
   std::lock_guard<std::mutex> lock(mutex_);
-  stats_.requests += count;
-  if (outcome == Outcome::kRouted) stats_.routed_requests += count;
-  stats_.busy_seconds += seconds;
+  if (outcome == Outcome::kRouted) routed_requests_ += count;
+  busy_seconds_ += seconds;
 }
 
 SolveStats SolveService::solve(Grid2D& x, const Grid2D& b,
@@ -399,9 +391,6 @@ void SolveService::observe_drift(const std::shared_ptr<Generation>& gen,
       watcher_->observe(stats.n, accuracy_index, stats.seconds, fmg);
   if (verdict.window_complete) {
     (verdict.drifted ? drift_windows_drifted_ : drift_windows_ok_).add(1);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.drift_windows;
-    if (verdict.drifted) ++stats_.drifted_windows;
   }
   if (verdict.retune) start_retune();
 }
@@ -418,10 +407,6 @@ void SolveService::start_retune() {
   if (retune_thread_.joinable()) retune_thread_.join();
   retunes_total_.add(1);
   retune_gauge_.set(1.0);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.retunes;
-  }
   retune_thread_ = std::thread([this] {
     try {
       RetuneResult result = retune_fn_();
@@ -565,10 +550,6 @@ bool SolveService::start_family_retune(OperatorFamily family) {
   if (retune_thread_.joinable()) retune_thread_.join();
   family_retunes_total_.add(1);
   retune_gauge_.set(1.0);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.family_retunes;
-  }
   retune_thread_ = std::thread([this, family, name] {
     try {
       install_family(family_retune_fn_(family));
@@ -645,10 +626,6 @@ SolveStats SolveService::solve_op(const grid::StencilOp& op, Grid2D& x,
                             : "matched";
   route_counter(binding->served_family, outcome).add(1);
   route_distance_.record(binding->served_distance);
-  if (result.escalations > 0) route_escalations_.add(result.escalations);
-  if (result.family_switches > 0) {
-    route_switches_.add(result.family_switches);
-  }
   binding.reset();  // the request's pin
   enforce_policy(*gen);
   // Routed solves do not land in the per-(n, acc) latency histograms or
@@ -664,7 +641,8 @@ ServiceStats SolveService::stats() const {
   std::shared_ptr<Generation> gen;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    out = stats_;
+    out.busy_seconds = busy_seconds_;
+    out.routed_requests = routed_requests_;
     out.retired_generations = retired_.size();
     gen = current_;
   }
@@ -672,7 +650,18 @@ ServiceStats SolveService::stats() const {
     std::lock_guard<std::mutex> lock(gen->mutex);
     out.sessions = gen->cache.size();
   }
-  out.evictions = evictions_.load(std::memory_order_relaxed);
+  // Every other count is read from the registry counter that records it,
+  // so the exported metrics and these stats cannot disagree.
+  out.requests = requests_ok_.value() + requests_unconverged_.value();
+  out.failures = requests_error_.value();
+  out.evictions = session_evictions_.value();
+  out.trims = trims_total_.value();
+  out.trim_bytes = trim_bytes_total_.value();
+  out.drifted_windows = drift_windows_drifted_.value();
+  out.drift_windows = drift_windows_ok_.value() + out.drifted_windows;
+  out.retunes = retunes_total_.value();
+  out.family_retunes = family_retunes_total_.value();
+  out.generation = generation();
   out.session_bytes = session_bytes_.load(std::memory_order_acquire);
   out.scratch_hit_rate = gen->engine->scratch().stats().hit_rate();
   out.scheduler_steals = gen->engine->scheduler().steal_count();
@@ -708,9 +697,6 @@ std::size_t SolveService::trim() {
   }
   trims_total_.add(1);
   trim_bytes_total_.add(static_cast<std::int64_t>(freed));
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.trims;
-  stats_.trim_bytes += static_cast<std::int64_t>(freed);
   return freed;
 }
 
@@ -728,7 +714,7 @@ obs::RegistrySnapshot SolveService::metrics_snapshot() {
   gen->engine->publish_metrics(metrics_);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    metrics_.gauge("pbmg_service_busy_seconds").set(stats_.busy_seconds);
+    metrics_.gauge("pbmg_service_busy_seconds").set(busy_seconds_);
   }
   {
     std::lock_guard<std::mutex> lock(gen->mutex);

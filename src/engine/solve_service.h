@@ -123,25 +123,38 @@ struct ServicePolicy {
 };
 
 /// Service-level counters (monotonic since construction, except the
-/// gauges noted).
+/// gauges noted).  One ledger: each count below that the registry also
+/// exports is read from its counter (named in the field note), so the
+/// stats and the exposition never disagree.
 struct ServiceStats {
-  std::int64_t requests = 0;     ///< solves completed (batch counts each RHS)
-  std::int64_t failures = 0;     ///< solves that threw
+  /// Solves completed (batch counts each RHS):
+  /// pbmg_solve_requests_total{outcome="ok"} + {outcome="unconverged"}.
+  std::int64_t requests = 0;
+  /// Solves that threw: pbmg_solve_requests_total{outcome="error"}.
+  std::int64_t failures = 0;
   double busy_seconds = 0.0;     ///< sum of per-request solve seconds
   std::size_t sessions = 0;      ///< entries cached in the live generation
-  std::int64_t evictions = 0;    ///< entries evicted by the cache budget
+  /// Entries evicted by the cache budget: pbmg_session_evictions_total.
+  std::int64_t evictions = 0;
   std::size_t session_bytes = 0;  ///< resident entry bytes, all generations
   std::size_t retired_generations = 0;  ///< retired gens still pinned alive
-  std::int64_t trims = 0;        ///< trim() calls since construction
-  std::int64_t trim_bytes = 0;   ///< total bytes freed by those trims
+  /// trim() calls since construction: pbmg_scratch_trims_total.
+  std::int64_t trims = 0;
+  /// Total bytes freed by those trims: pbmg_scratch_trim_bytes_total.
+  std::int64_t trim_bytes = 0;
   double scratch_hit_rate = 0.0;    ///< pool hit rate, sampled at stats()
   std::int64_t scheduler_steals = 0;  ///< work steals, sampled at stats()
-  std::int64_t drift_windows = 0;   ///< comparison windows closed
-  std::int64_t drifted_windows = 0;  ///< windows that failed both tests
-  std::int64_t retunes = 0;      ///< background retunes launched
+  /// Comparison windows closed: pbmg_drift_windows_total, both verdicts.
+  std::int64_t drift_windows = 0;
+  /// Windows that failed both tests:
+  /// pbmg_drift_windows_total{verdict="drifted"}.
+  std::int64_t drifted_windows = 0;
+  /// Background retunes launched: pbmg_drift_retunes_total.
+  std::int64_t retunes = 0;
   std::int64_t generation = 1;   ///< live config generation (starts at 1)
   std::int64_t routed_requests = 0;  ///< solve_op requests completed
-  std::int64_t family_retunes = 0;   ///< background family retunes launched
+  /// Background family retunes launched: pbmg_family_retunes_total.
+  std::int64_t family_retunes = 0;
 };
 
 /// Pinning handle to a cached SolveSession.  While any SessionRef to a
@@ -222,8 +235,9 @@ class SolveService {
 
   /// What a family retune produces: tuned tables for the requested
   /// family (TunedConfig::op_family must name it).  Runs on a background
-  /// thread; throwing keeps serving the stand-in family and re-arms the
-  /// retune for later requests.
+  /// thread; throwing keeps serving the stand-in family, counts one
+  /// pbmg_drift_retune_failures_total, and re-arms the retune for later
+  /// requests.
   using FamilyRetuneFn = std::function<tune::TunedConfig(OperatorFamily)>;
 
   /// Arms operator routing (solve_op): sets the match threshold /
@@ -466,8 +480,6 @@ class SolveService {
   obs::Counter& drift_windows_drifted_;
   obs::Counter& retunes_total_;
   obs::Counter& retune_failures_total_;
-  obs::Counter& route_escalations_;
-  obs::Counter& route_switches_;
   obs::Counter& family_retunes_total_;
   obs::Gauge& generation_gauge_;
   obs::Gauge& retune_gauge_;
@@ -476,11 +488,14 @@ class SolveService {
   obs::Histogram& batch_size_;
   obs::Histogram& route_distance_;
 
-  mutable std::mutex mutex_;  // guards current_/retired_, stats_, latency_,
-                              // route_counters_
+  mutable std::mutex mutex_;  // guards current_/retired_, the two service
+                              // totals below, latency_, route_counters_
   std::shared_ptr<Generation> current_;
   std::vector<std::shared_ptr<Generation>> retired_;
-  ServiceStats stats_;
+  /// The two ServiceStats fields no registry counter records; every other
+  /// count is read back from its counter in stats().
+  double busy_seconds_ = 0.0;
+  std::int64_t routed_requests_ = 0;
   std::map<std::pair<int, int>, obs::Histogram*> latency_;
   std::map<std::pair<std::string, std::string>, obs::Counter*> route_counters_;
 
@@ -490,7 +505,6 @@ class SolveService {
   /// and evictions happen under per-generation mutexes, reclaim under
   /// mutex_.  Mirrored into pbmg_session_bytes at every change.
   std::atomic<std::size_t> session_bytes_{0};
-  std::atomic<std::int64_t> evictions_{0};
   std::unique_ptr<obs::DriftWatcher> watcher_;  // set once, before serving
   RetuneFn retune_fn_;
   std::atomic<bool> retune_in_progress_{false};

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "solvers/relax.h"
 #include "support/timer.h"
 
 namespace pbmg {
@@ -19,24 +18,6 @@ SolveSession::SolveSession(Engine& engine, tune::TunedConfig config,
                 {std::make_shared<const tune::TunedConfig>(std::move(config))},
                 engine.scheduler(), engine.direct(), engine.scratch(),
                 engine.relax()) {}
-
-SolveStats SolveSession::stats_for(double seconds, int accuracy_index,
-                                   int iterations, bool converged) const {
-  SolveStats stats;
-  stats.seconds = seconds;
-  stats.n = n();
-  stats.level = level();
-  stats.accuracy_index = accuracy_index;
-  stats.iterations = iterations;
-  stats.converged = converged;
-  return stats;
-}
-
-void SolveSession::check_operands(const Grid2D& x, const Grid2D& b) const {
-  PBMG_CHECK(x.n() == n() && b.n() == n(),
-             "SolveSession: operand size mismatch (session is bound to n=" +
-                 std::to_string(n()) + ")");
-}
 
 void SolveSession::audit(SolveStats& stats, double r0, const Grid2D& x,
                          const Grid2D& b, const ResidualPolicy& check) const {
@@ -59,7 +40,9 @@ std::vector<SolveStats> SolveSession::solve_tuned(
   if (xs.empty()) return all;
   for (const Grid2D* x : xs) {
     PBMG_CHECK(x != nullptr, "SolveSession: null iterate");
-    check_operands(*x, b);
+    PBMG_CHECK(x->n() == n() && b.n() == n(),
+               "SolveSession: operand size mismatch (session is bound to n=" +
+                   std::to_string(n()) + ")");
   }
   std::vector<double> r0(xs.size(), 0.0);
   if (check.enabled) {
@@ -78,7 +61,12 @@ std::vector<SolveStats> SolveSession::solve_tuned(
   for (std::size_t k = 0; k < xs.size(); ++k) {
     // Every entry carries the batch wall-clock (see the header: the K
     // solves are one fused walk, there is no honest per-request share).
-    SolveStats stats = stats_for(seconds, accuracy_index, iterations, true);
+    SolveStats stats;
+    stats.seconds = seconds;
+    stats.n = n();
+    stats.level = level();
+    stats.accuracy_index = accuracy_index;
+    stats.iterations = iterations;
     audit(stats, r0[k], *xs[k], b, check);
     stats.phases = profile;
     all.push_back(std::move(stats));
@@ -118,51 +106,6 @@ std::vector<SolveStats> SolveSession::solve_batch_fmg(
     std::shared_ptr<obs::PhaseProfile> profile,
     const ResidualPolicy& check) const {
   return solve_tuned(xs, b, accuracy_index, true, std::move(profile), check);
-}
-
-SolveStats SolveSession::solve_reference_v(
-    Grid2D& x, const Grid2D& b, int max_cycles, const solvers::StopFn& stop,
-    std::shared_ptr<obs::PhaseProfile> profile) const {
-  check_operands(x, b);
-  solvers::VCycleOptions options;
-  options.profile = profile.get();
-  const double t0 = now_seconds();
-  const auto outcome = solvers::solve_reference_v(
-      operators(), x, b, options, max_cycles, stop, engine_.scheduler(),
-      engine_.direct(), engine_.scratch());
-  SolveStats stats = stats_for(now_seconds() - t0, -1, outcome.iterations,
-                               outcome.converged);
-  stats.phases = std::move(profile);
-  return stats;
-}
-
-SolveStats SolveSession::solve_reference_fmg(
-    Grid2D& x, const Grid2D& b, int max_cycles, const solvers::StopFn& stop,
-    std::shared_ptr<obs::PhaseProfile> profile) const {
-  check_operands(x, b);
-  solvers::VCycleOptions options;
-  options.profile = profile.get();
-  const double t0 = now_seconds();
-  const auto outcome = solvers::solve_reference_fmg(
-      operators(), x, b, options, max_cycles, stop, engine_.scheduler(),
-      engine_.direct(), engine_.scratch());
-  SolveStats stats = stats_for(now_seconds() - t0, -1, outcome.iterations,
-                               outcome.converged);
-  stats.phases = std::move(profile);
-  return stats;
-}
-
-SolveStats SolveSession::solve_iterated_sor(Grid2D& x, const Grid2D& b,
-                                            int max_sweeps,
-                                            const solvers::StopFn& stop) const {
-  check_operands(x, b);
-  const double omega =
-      solvers::scaled_omega_opt(n(), engine_.relax().omega_scale);
-  const double t0 = now_seconds();
-  const auto outcome = solvers::solve_iterated_sor(
-      op(), x, b, omega, max_sweeps, stop, engine_.scheduler());
-  return stats_for(now_seconds() - t0, -1, outcome.iterations,
-                   outcome.converged);
 }
 
 }  // namespace pbmg

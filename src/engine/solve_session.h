@@ -17,10 +17,12 @@
 /// A prepared solve context: Engine + TunedConfig + operator + grid size.
 ///
 /// Sessions amortize per-request setup for a service that answers many
-/// solves of one size: a tune::PreparedOperator over the one config binds
-/// the tuned executor, coarsens the operator's coefficient ladders and
-/// stocks the engine's scratch pool once, so the first request pays no
-/// allocation bursts and no solve re-coarsens.  All solve entry points
+/// solves of one size: a tune::PreparedOperator over the one config
+/// coarsens the operator's coefficient ladders, binds the tuned executor
+/// to them and stocks the engine's scratch pool once, so the first request
+/// pays no allocation bursts and no solve builds a ladder.  Sessions serve
+/// tuned solves only; the reference solvers are solvers::vcycle and
+/// friends, which run on operators() directly.  All solve entry points
 /// are const and thread-safe (the underlying scheduler and scratch pool
 /// are concurrent); many client threads may solve through one session as
 /// long as each brings its own x/b grids.
@@ -36,15 +38,15 @@ struct SolveStats {
   double seconds = 0.0;     ///< wall-clock time of the solve
   int n = 0;                ///< grid side solved
   int level = 0;            ///< recursion level (n = 2^level + 1)
-  int accuracy_index = -1;  ///< tuned-ladder index (tuned solves; else -1)
-  /// Iterations actually executed: the stop-predicate count for reference
-  /// drivers, the tuned plan's top-level iteration count (RECURSE bodies
-  /// or SOR sweeps; 1 for a direct solve) for solve_v/solve_fmg.
+  int accuracy_index = -1;  ///< tuned-ladder index the solve ran
+  /// Iterations actually executed: the tuned plan's top-level iteration
+  /// count (RECURSE bodies or SOR sweeps; 1 for a direct solve), or the
+  /// tuned variants a routed solve invoked (SolveService::solve_op).
   int iterations = 0;
-  /// Reference drivers: stop predicate fired.  Tuned solves: true unless
-  /// a requested residual check failed — a tuned plan runs a fixed
-  /// iteration budget, so without the check this only asserts the plan
-  /// completed, not that it met its trained accuracy.
+  /// True unless a requested residual check failed — a tuned plan runs a
+  /// fixed iteration budget, so without the check this only asserts the
+  /// plan completed, not that it met its trained accuracy.  Routed solves
+  /// always audit (SolveService::solve_op).
   bool converged = true;
   double initial_residual = 0.0;  ///< ||b − A·x₀|| (residual_checked only)
   double final_residual = 0.0;    ///< ||b − A·x₁|| (residual_checked only)
@@ -156,26 +158,7 @@ class SolveSession {
       std::shared_ptr<obs::PhaseProfile> profile = nullptr,
       const ResidualPolicy& check = {}) const;
 
-  /// Reference V-cycles until `stop` or `max_cycles` (paper §4.2.2).
-  SolveStats solve_reference_v(Grid2D& x, const Grid2D& b, int max_cycles,
-                               const solvers::StopFn& stop,
-                               std::shared_ptr<obs::PhaseProfile> profile =
-                                   nullptr) const;
-
-  /// Reference full multigrid: one FMG ramp, then V-cycles until `stop`.
-  SolveStats solve_reference_fmg(Grid2D& x, const Grid2D& b, int max_cycles,
-                                 const solvers::StopFn& stop,
-                                 std::shared_ptr<obs::PhaseProfile> profile =
-                                     nullptr) const;
-
-  /// Iterated Red-Black SOR at ω_opt(n) scaled by the engine's tunables.
-  SolveStats solve_iterated_sor(Grid2D& x, const Grid2D& b, int max_sweeps,
-                                const solvers::StopFn& stop) const;
-
  private:
-  SolveStats stats_for(double seconds, int accuracy_index, int iterations,
-                       bool converged) const;
-  void check_operands(const Grid2D& x, const Grid2D& b) const;
   /// The one tuned solve path: one V (or FMG) walk over the batch inside
   /// the timed window, with the optional per-slot residual audits outside
   /// it.  Every public tuned entry point lands here.

@@ -28,8 +28,6 @@ const char* to_string(Phase phase) {
       return "interpolate";
     case Phase::kDirect:
       return "direct";
-    case Phase::kRapSetup:
-      return "rap_setup";
   }
   return "unknown";
 }

@@ -15,7 +15,9 @@
 /// A PhaseProfile is a (level × phase) grid of relaxed-atomic
 /// accumulators; solvers wrap each sweep-granularity operation (one
 /// relaxation sweep, one residual+restriction, one interpolation, one
-/// direct solve, one Galerkin RAP ladder build) in a ScopedPhaseTimer.
+/// direct solve) in a ScopedPhaseTimer.  Set-up such as coarsening the
+/// operator ladders happens at bind (tune::PreparedOperator), before any
+/// solve, so no phase of a solve builds anything.
 /// The hooks sit *between* kernels, never inside their parallel loops, so
 /// a profile adds two clock reads per sweep — microseconds against
 /// sweeps that cost tens of microseconds to milliseconds — and the
@@ -36,10 +38,9 @@ enum class Phase {
   kRestrict,      ///< residual/problem formation + restriction
   kInterpolate,   ///< correction/solution interpolation
   kDirect,        ///< banded-Cholesky base solves
-  kRapSetup,      ///< lazy Galerkin R·A·P ladder construction
 };
 
-inline constexpr int kPhaseCount = 6;
+inline constexpr int kPhaseCount = 5;
 
 /// Short stable identifier ("relax", "line_solve", ...).
 const char* to_string(Phase phase);

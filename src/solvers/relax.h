@@ -59,7 +59,8 @@ constexpr bool is_line_relax(RelaxKind kind) {
 
 /// All smoothers the autotuner may choose between (Jacobi is excluded:
 /// the paper measured and rejected it, and keeping it out preserves the
-/// historical candidate budget).  Order matters for the trainer: the
+/// historical candidate budget; a tuned table that names it fails to
+/// load with ConfigError).  Order matters for the trainer: the
 /// zebra variants come first so a robust candidate establishes the
 /// pruning budget before point relaxation — which stalls on strongly
 /// anisotropic operators — burns its full iteration cap.

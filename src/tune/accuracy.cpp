@@ -18,19 +18,6 @@ TrainingInstance make_training_instance(int n, InputDistribution dist,
   return inst;
 }
 
-std::vector<TrainingInstance> make_training_set(int n, InputDistribution dist,
-                                                const Rng& base_rng, int count,
-                                                rt::Scheduler& sched) {
-  PBMG_CHECK(count >= 1, "make_training_set: count must be >= 1");
-  std::vector<TrainingInstance> set;
-  set.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    Rng rng = base_rng.split(static_cast<std::uint64_t>(i) + 1);
-    set.push_back(make_training_instance(n, dist, rng, sched));
-  }
-  return set;
-}
-
 TrainingInstance make_training_instance(const grid::StencilOp& op,
                                         InputDistribution dist, Rng& rng,
                                         rt::Scheduler& sched) {

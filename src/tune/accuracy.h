@@ -27,14 +27,9 @@ struct TrainingInstance {
   double initial_error = 0.0;  ///< ||x0 − x_opt||₂ over the interior
 };
 
-/// Draws an instance of side n from `dist` and solves it exactly.
+/// Draws a Poisson instance of side n from `dist` and solves it exactly.
 TrainingInstance make_training_instance(int n, InputDistribution dist,
                                         Rng& rng, rt::Scheduler& sched);
-
-/// Draws `count` instances from independent RNG substreams.
-std::vector<TrainingInstance> make_training_set(int n, InputDistribution dist,
-                                                const Rng& base_rng, int count,
-                                                rt::Scheduler& sched);
 
 /// Instance for a variable-coefficient operator (stencil_op.h).  The
 /// Poisson fast path delegates to the DST oracle above, bit-for-bit; for
@@ -47,7 +42,9 @@ TrainingInstance make_training_instance(const grid::StencilOp& op,
                                         InputDistribution dist, Rng& rng,
                                         rt::Scheduler& sched);
 
-/// Draws `count` instances of the operator from independent RNG substreams.
+/// Draws `count` instances of the operator from independent RNG
+/// substreams (the trainer's per-level training sets; Poisson instances
+/// come from the DST oracle, as above).
 std::vector<TrainingInstance> make_training_set(const grid::StencilOp& op,
                                                 InputDistribution dist,
                                                 const Rng& base_rng, int count,

@@ -13,8 +13,8 @@
 /// tuning measured — it is only meaningful on the machine state the DP
 /// ran under.  This module captures that expectation explicitly: right
 /// after training, measure_latency_baseline times a handful of solves
-/// per (n × accuracy) cell through a real SolveSession-equivalent path
-/// (a TunedExecutor on the tuning engine) and snapshots the resulting
+/// per (n × accuracy) cell through a SolveSession on the tuning engine
+/// (the path serving takes) and snapshots the resulting
 /// histograms into an obs::LatencyBaseline.  The baseline travels with
 /// the tuned tables (config-cache schema v7 stores both in one JSON
 /// document) and seeds SolveService's DriftWatcher, closing the loop the

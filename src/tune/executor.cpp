@@ -14,70 +14,37 @@ namespace pbmg::tune {
 TunedExecutor::TunedExecutor(const TunedConfig& config, rt::Scheduler& sched,
                              solvers::DirectSolver& direct,
                              grid::ScratchPool& pool,
-                             trace::CycleTracer* tracer,
                              const solvers::RelaxTunables& relax,
-                             const grid::StencilHierarchy* ops,
-                             const grid::StencilHierarchy* ops_rap)
+                             const grid::StencilHierarchy& ops,
+                             const grid::StencilHierarchy* ops_rap,
+                             trace::CycleTracer* tracer)
     : config_(config),
       sched_(sched),
       direct_(direct),
       pool_(pool),
-      tracer_(tracer),
       relax_(relax),
       ops_(ops),
-      ops_rap_(ops_rap) {
+      ops_rap_(ops_rap),
+      tracer_(tracer) {
   solvers::validate_relax_tunables(relax_);
-  PBMG_CHECK(ops_ == nullptr || ops_->top_level() >= 1,
-             "TunedExecutor: empty operator hierarchy");
-  PBMG_CHECK(ops_rap_ == nullptr || ops_rap_->top_level() >= 1,
-             "TunedExecutor: empty RAP operator hierarchy");
-  if (ops_ == nullptr && ops_rap_ == nullptr) {
-    poisson_rap_tops_.assign(
-        static_cast<std::size_t>(config_.max_level()) + 1, false);
-    for (int top = 2; top <= config_.max_level(); ++top) {
-      poisson_rap_tops_[static_cast<std::size_t>(top)] =
-          reach(config_, top).rap_below_top;
-    }
-  }
+  PBMG_CHECK(ops_.top_level() >= 1, "TunedExecutor: empty operator hierarchy");
+  PBMG_CHECK(ops_rap_ == nullptr || ops_rap_->top_level() == ops_.top_level(),
+             "TunedExecutor: the RAP ladder must share the averaged "
+             "ladder's fine operator");
 }
 
-grid::StencilOp TunedExecutor::op_at(int level, grid::Coarsening coarsening,
-                                     RapLadder rap) const {
+const grid::StencilOp& TunedExecutor::op_at(
+    int level, grid::Coarsening coarsening) const {
   if (coarsening == grid::Coarsening::kRap) {
-    if (rap.ladder != nullptr) return rap.ladder->at(level);
+    if (ops_rap_ != nullptr) return ops_rap_->at(level);
     // Both ladders share the fine operator, so a RAP cell at the top reads
     // it from the averaged side; below the top, no ladder is a bind bug.
-    PBMG_CHECK(level == rap.top,
+    PBMG_CHECK(level == ops_.top_level(),
                "TunedExecutor: config cell tuned for RAP coarsening at level " +
                    std::to_string(level) +
                    " but no RAP ladder was bound for its operator hierarchy");
   }
-  return ops_ != nullptr ? ops_->at(level)
-                         : grid::StencilOp::poisson(size_of_level(level));
-}
-
-TunedExecutor::RapLadder TunedExecutor::rap_for_top(
-    int top_level, obs::PhaseProfile* profile) const {
-  const int top = ops_ != nullptr ? ops_->top_level() : top_level;
-  if (ops_rap_ != nullptr) return {ops_rap_, top};
-  const auto k = static_cast<std::size_t>(top_level);
-  if (k >= poisson_rap_tops_.size() || !poisson_rap_tops_[k]) {
-    return {nullptr, top};  // poisson_rap_tops_ is empty unless bare
-  }
-  // Bare (Poisson fast path) executor whose tables read RAP below this
-  // top: own the Galerkin ladder of the Poisson operator at this top,
-  // built once per distinct top level and shared by every subsequent
-  // solve.  Guarded so concurrent solves through one executor stay safe;
-  // the lock is per public entry, never inside the recursion.
-  std::lock_guard<std::mutex> lock(poisson_rap_mutex_);
-  auto& slot = poisson_rap_cache_[top_level];
-  if (slot == nullptr) {
-    obs::ScopedPhaseTimer timer(profile, obs::Phase::kRapSetup, top_level);
-    slot = std::make_shared<const grid::StencilHierarchy>(
-        grid::StencilOp::poisson(size_of_level(top_level)),
-        grid::Coarsening::kRap);
-  }
-  return {slot.get(), top};
+  return ops_.at(level);
 }
 
 void TunedExecutor::trace(trace::Op op, int level, int detail) const {
@@ -153,8 +120,7 @@ int TunedExecutor::run_v_multi(std::span<Grid2D* const> xs,
                                obs::PhaseProfile* profile) const {
   if (xs.empty() && bs.empty()) return 0;
   const int level = batch_level(xs, bs, "run_v");
-  return run_v_multi_at(xs, bs, level, accuracy_index,
-                        rap_for_top(level, profile), profile);
+  return run_v_multi_at(xs, bs, level, accuracy_index, profile);
 }
 
 int TunedExecutor::run_fmg(Grid2D& x, const Grid2D& b, int accuracy_index,
@@ -170,8 +136,7 @@ int TunedExecutor::run_fmg_multi(std::span<Grid2D* const> xs,
                                  obs::PhaseProfile* profile) const {
   if (xs.empty() && bs.empty()) return 0;
   const int level = batch_level(xs, bs, "run_fmg");
-  return run_fmg_multi_at(xs, bs, level, accuracy_index,
-                          rap_for_top(level, profile), profile);
+  return run_fmg_multi_at(xs, bs, level, accuracy_index, profile);
 }
 
 void TunedExecutor::recurse_body(Grid2D& x, const Grid2D& b,
@@ -183,7 +148,7 @@ void TunedExecutor::recurse_body(Grid2D& x, const Grid2D& b,
   const Grid2D* const bs[] = {&b};
   const int level = batch_level(xs, bs, "recurse_body");
   recurse_body_multi_at(xs, bs, level, sub_accuracy_index, smoother,
-                        coarsening, rap_for_top(level, profile), profile);
+                        coarsening, profile);
 }
 
 void TunedExecutor::estimate(Grid2D& x, const Grid2D& b,
@@ -192,18 +157,16 @@ void TunedExecutor::estimate(Grid2D& x, const Grid2D& b,
   Grid2D* const xs[] = {&x};
   const Grid2D* const bs[] = {&b};
   const int level = batch_level(xs, bs, "estimate");
-  estimate_multi_at(xs, bs, level, estimate_accuracy_index,
-                    rap_for_top(level, profile), profile);
+  estimate_multi_at(xs, bs, level, estimate_accuracy_index, profile);
 }
 
 void TunedExecutor::direct_multi_at(std::span<Grid2D* const> xs,
                                     std::span<const Grid2D* const> bs,
                                     int level, grid::Coarsening coarsening,
-                                    RapLadder rap,
                                     obs::PhaseProfile* profile) const {
   // The direct base solve has no cross-RHS bandwidth to amortize (its
   // cost is the factorization, shared either way), so it loops the slots.
-  const grid::StencilOp op = op_at(level, coarsening, rap);
+  const grid::StencilOp& op = op_at(level, coarsening);
   obs::ScopedPhaseTimer timer(profile, obs::Phase::kDirect, level);
   for (std::size_t k = 0; k < xs.size(); ++k) {
     direct_.solve(op, *bs[k], *xs[k]);
@@ -213,9 +176,9 @@ void TunedExecutor::direct_multi_at(std::span<Grid2D* const> xs,
 
 void TunedExecutor::sor_multi_at(std::span<Grid2D* const> xs,
                                  std::span<const Grid2D* const> bs, int level,
-                                 int iterations, RapLadder rap,
+                                 int iterations,
                                  obs::PhaseProfile* profile) const {
-  const grid::StencilOp op = op_at(level, grid::Coarsening::kAverage, rap);
+  const grid::StencilOp& op = op_at(level, grid::Coarsening::kAverage);
   const double omega =
       solvers::scaled_omega_opt(size_of_level(level), relax_.omega_scale);
   for (int it = 0; it < iterations; ++it) {
@@ -241,7 +204,6 @@ void TunedExecutor::interpolate_multi_at(std::span<Grid2D* const> es,
 int TunedExecutor::run_v_multi_at(std::span<Grid2D* const> xs,
                                   std::span<const Grid2D* const> bs,
                                   int level, int accuracy_index,
-                                  RapLadder rap,
                                   obs::PhaseProfile* profile) const {
   const VEntry& entry = config_.v_entry(level, accuracy_index);
   PBMG_CHECK(entry.trained, "run_v: cell (" + std::to_string(level) + "," +
@@ -249,17 +211,16 @@ int TunedExecutor::run_v_multi_at(std::span<Grid2D* const> xs,
                                 ") was never trained");
   switch (entry.choice.kind) {
     case VKind::kDirect:
-      direct_multi_at(xs, bs, level, grid::Coarsening::kAverage, rap,
-                      profile);
+      direct_multi_at(xs, bs, level, grid::Coarsening::kAverage, profile);
       return 1;
     case VKind::kIterSor:
-      sor_multi_at(xs, bs, level, entry.choice.iterations, rap, profile);
+      sor_multi_at(xs, bs, level, entry.choice.iterations, profile);
       return entry.choice.iterations;
     case VKind::kRecurse:
       for (int it = 0; it < entry.choice.iterations; ++it) {
         recurse_body_multi_at(xs, bs, level, entry.choice.sub_accuracy,
                               entry.choice.smoother, entry.choice.coarsening,
-                              rap, profile);
+                              profile);
       }
       return entry.choice.iterations;
   }
@@ -271,7 +232,6 @@ void TunedExecutor::recurse_body_multi_at(std::span<Grid2D* const> xs,
                                           int level, int sub_accuracy_index,
                                           solvers::RelaxKind smoother,
                                           grid::Coarsening coarsening,
-                                          RapLadder rap,
                                           obs::PhaseProfile* profile) const {
   PBMG_CHECK(level >= 2, "recurse_body: cannot recurse below level 2");
   PBMG_CHECK(sub_accuracy_index >= kClassicalCoarse &&
@@ -287,7 +247,7 @@ void TunedExecutor::recurse_body_multi_at(std::span<Grid2D* const> xs,
   // Every kernel takes the whole batch, so each coefficient stream is
   // loaded once per sweep for all K slots, while each slot's operation
   // sequence is exactly its solo walk's.
-  const grid::StencilOp op = op_at(level, coarsening, rap);
+  const grid::StencilOp& op = op_at(level, coarsening);
   const double recurse_omega = relax_.recurse_omega;
   const obs::Phase relax_phase = solvers::is_line_relax(smoother)
                                      ? obs::Phase::kLineSolve
@@ -324,14 +284,13 @@ void TunedExecutor::recurse_body_multi_at(std::span<Grid2D* const> xs,
     // cell's smoother and coarsening at every level (both travel down the
     // classical ramp just as VCycleOptions would carry them).
     if (level - 1 <= 1) {
-      direct_multi_at(e.grids(), rcs, level - 1, coarsening, rap, profile);
+      direct_multi_at(e.grids(), rcs, level - 1, coarsening, profile);
     } else {
       recurse_body_multi_at(e.grids(), rcs, level - 1, kClassicalCoarse,
-                            smoother, coarsening, rap, profile);
+                            smoother, coarsening, profile);
     }
   } else {
-    run_v_multi_at(e.grids(), rcs, level - 1, sub_accuracy_index, rap,
-                   profile);
+    run_v_multi_at(e.grids(), rcs, level - 1, sub_accuracy_index, profile);
   }
   interpolate_multi_at(e.grids(), xs, level, profile);
 
@@ -342,7 +301,6 @@ void TunedExecutor::recurse_body_multi_at(std::span<Grid2D* const> xs,
 int TunedExecutor::run_fmg_multi_at(std::span<Grid2D* const> xs,
                                     std::span<const Grid2D* const> bs,
                                     int level, int accuracy_index,
-                                    RapLadder rap,
                                     obs::PhaseProfile* profile) const {
   const FmgEntry& entry = config_.fmg_entry(level, accuracy_index);
   PBMG_CHECK(entry.trained, "run_fmg: cell (" + std::to_string(level) + "," +
@@ -350,21 +308,18 @@ int TunedExecutor::run_fmg_multi_at(std::span<Grid2D* const> xs,
                                 ") was never trained");
   switch (entry.choice.kind) {
     case FmgKind::kDirect:
-      direct_multi_at(xs, bs, level, grid::Coarsening::kAverage, rap,
-                      profile);
+      direct_multi_at(xs, bs, level, grid::Coarsening::kAverage, profile);
       return 1;
     case FmgKind::kEstimateThenSor:
-      estimate_multi_at(xs, bs, level, entry.choice.estimate_accuracy, rap,
-                        profile);
-      sor_multi_at(xs, bs, level, entry.choice.iterations, rap, profile);
+      estimate_multi_at(xs, bs, level, entry.choice.estimate_accuracy, profile);
+      sor_multi_at(xs, bs, level, entry.choice.iterations, profile);
       return entry.choice.iterations;
     case FmgKind::kEstimateThenRecurse:
-      estimate_multi_at(xs, bs, level, entry.choice.estimate_accuracy, rap,
-                        profile);
+      estimate_multi_at(xs, bs, level, entry.choice.estimate_accuracy, profile);
       for (int it = 0; it < entry.choice.iterations; ++it) {
         recurse_body_multi_at(xs, bs, level, entry.choice.solve_accuracy,
                               entry.choice.smoother, entry.choice.coarsening,
-                              rap, profile);
+                              profile);
       }
       return entry.choice.iterations;
   }
@@ -374,7 +329,6 @@ int TunedExecutor::run_fmg_multi_at(std::span<Grid2D* const> xs,
 void TunedExecutor::estimate_multi_at(std::span<Grid2D* const> xs,
                                       std::span<const Grid2D* const> bs,
                                       int level, int estimate_accuracy_index,
-                                      RapLadder rap,
                                       obs::PhaseProfile* profile) const {
   PBMG_CHECK(level >= 2, "estimate: cannot restrict below level 2");
   // Paper §2.4 ESTIMATE_i: coarse-grid correction whose coarse solve is
@@ -388,7 +342,7 @@ void TunedExecutor::estimate_multi_at(std::span<Grid2D* const> xs,
   {
     obs::ScopedPhaseTimer timer(profile, obs::Phase::kRestrict, level);
     grid::restrict_residual_multi(
-        op_at(level, grid::Coarsening::kAverage, rap), as_read(xs), bs,
+        op_at(level, grid::Coarsening::kAverage), as_read(xs), bs,
         rc.grids(), sched_, relax_.kernels);
   }
   trace(trace::Op::kRestrict, level);
@@ -396,7 +350,7 @@ void TunedExecutor::estimate_multi_at(std::span<Grid2D* const> xs,
   const SlotGrids e(pool_, nc, xs.size());
   for (Grid2D* g : e.grids()) g->fill(0.0);
   run_fmg_multi_at(e.grids(), as_read(rc.grids()), level - 1,
-                   estimate_accuracy_index, rap, profile);
+                   estimate_accuracy_index, profile);
   interpolate_multi_at(e.grids(), xs, level, profile);
 }
 

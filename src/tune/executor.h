@@ -1,10 +1,6 @@
 #pragma once
 
-#include <map>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <vector>
 
 #include "grid/grid2d.h"
 #include "grid/scratch.h"
@@ -43,34 +39,30 @@ namespace pbmg::tune {
 /// Executes tuned algorithms described by a TunedConfig.
 class TunedExecutor {
  public:
-  /// Binds the executor to a config and execution resources (normally one
-  /// pbmg::Engine's scheduler/direct/scratch trio).  The config, scheduler,
-  /// direct solver and pool must outlive the executor.  `tracer` may be
-  /// null; when set, every operation is recorded for cycle-shape
-  /// rendering.  `relax` is captured by value so concurrent executors on
-  /// different engines can run different searched weights; the default
-  /// holds the paper's weights and kernel policy.  `ops`, when
-  /// non-null, is the averaged-coefficient operator hierarchy the tuned
-  /// algorithms run against (it must outlive the executor and cover every
-  /// level executed); null selects the constant-coefficient Poisson
-  /// operator, exactly as before.  `ops_rap`, when non-null, is the
-  /// Galerkin R·A·P ladder of the same fine operator: cells whose tuned
-  /// coarsening is grid::Coarsening::kRap relax and correct against it.
-  /// It is needed only below the top: both ladders share the fine
-  /// operator, so a RAP cell at the top (the averaged hierarchy's top, or
-  /// the invoked level of a bare executor) reads that operator when no
-  /// ladder is bound.  A bare executor (no hierarchies at all, the
-  /// Poisson fast path) lazily builds the Poisson RAP ladder for an
-  /// invoked top level only when reach() says a cell below it reads RAP;
-  /// an executor bound to an averaged hierarchy but no RAP ladder throws
-  /// InvalidArgument when a RAP cell executes below the top, because the
-  /// fine operator needed to build one is the caller's.
+  /// Binds the executor to a config, execution resources (normally one
+  /// pbmg::Engine's scheduler/direct/scratch trio) and the operator
+  /// ladders its walks read.  The config, scheduler, direct solver, pool
+  /// and ladders must outlive the executor.  `relax` is captured by value
+  /// so concurrent executors on different engines can run different
+  /// searched weights.  `ops` is the averaged-coefficient ladder the tuned
+  /// algorithms run against; it must cover every level executed (the
+  /// Poisson operator's ladder stores no grids).  `ops_rap`, when
+  /// non-null, is the Galerkin R·A·P ladder of the same fine operator:
+  /// cells whose tuned coarsening is grid::Coarsening::kRap relax and
+  /// correct against it.  It is needed only below the top: both ladders
+  /// share the fine operator, so a RAP cell at `ops`'s top reads that
+  /// operator when no RAP ladder is bound, and one below the top throws
+  /// InvalidArgument.  The executor never builds or looks up a ladder:
+  /// tune::PreparedOperator builds what a binding's solves can reach
+  /// (tune::reach), and the trainer builds what it races.  `tracer` may
+  /// be null; when set, every operation is recorded for cycle-shape
+  /// rendering.
   TunedExecutor(const TunedConfig& config, rt::Scheduler& sched,
                 solvers::DirectSolver& direct, grid::ScratchPool& pool,
-                trace::CycleTracer* tracer = nullptr,
-                const solvers::RelaxTunables& relax = {},
-                const grid::StencilHierarchy* ops = nullptr,
-                const grid::StencilHierarchy* ops_rap = nullptr);
+                const solvers::RelaxTunables& relax,
+                const grid::StencilHierarchy& ops,
+                const grid::StencilHierarchy* ops_rap,
+                trace::CycleTracer* tracer = nullptr);
 
   /// Runs MULTIGRID-V at `accuracy_index` on x (ring = Dirichlet data,
   /// interior = current guess).  The level is derived from x.n(), which
@@ -143,91 +135,55 @@ class TunedExecutor {
   void estimate(Grid2D& x, const Grid2D& b, int estimate_accuracy_index,
                 obs::PhaseProfile* profile = nullptr) const;
 
-  const TunedConfig& config() const { return config_; }
-
  private:
-  /// The RAP side of one solve, resolved once at its public entry point
-  /// (rap_for_top): the Galerkin ladder, or null when nothing the solve
-  /// can reach reads it below `top`, the level whose operator both
-  /// ladders share.
-  struct RapLadder {
-    const grid::StencilHierarchy* ladder = nullptr;
-    int top = 0;
-  };
-
-  // The one walk.  Every private step takes the whole batch and carries
-  // `rap`, resolved once per public entry point, so deep RECURSE bodies
-  // never re-derive it.  The run_*_at steps return the executed
-  // iteration count at *their* level (the public methods surface the
-  // top level's).
+  // The one walk.  Every private step takes the whole batch.  The
+  // run_*_at steps return the executed iteration count at *their* level
+  // (the public methods surface the top level's).
   int run_v_multi_at(std::span<Grid2D* const> xs,
                      std::span<const Grid2D* const> bs, int level,
-                     int accuracy_index, RapLadder rap,
-                     obs::PhaseProfile* profile) const;
+                     int accuracy_index, obs::PhaseProfile* profile) const;
   void recurse_body_multi_at(std::span<Grid2D* const> xs,
                              std::span<const Grid2D* const> bs, int level,
                              int sub_accuracy_index,
                              solvers::RelaxKind smoother,
-                             grid::Coarsening coarsening, RapLadder rap,
+                             grid::Coarsening coarsening,
                              obs::PhaseProfile* profile) const;
   int run_fmg_multi_at(std::span<Grid2D* const> xs,
                        std::span<const Grid2D* const> bs, int level,
-                       int accuracy_index, RapLadder rap,
-                       obs::PhaseProfile* profile) const;
+                       int accuracy_index, obs::PhaseProfile* profile) const;
   void estimate_multi_at(std::span<Grid2D* const> xs,
                          std::span<const Grid2D* const> bs, int level,
-                         int estimate_accuracy_index, RapLadder rap,
+                         int estimate_accuracy_index,
                          obs::PhaseProfile* profile) const;
   /// Direct solve of every slot at `level` on the `coarsening` ladder.
   void direct_multi_at(std::span<Grid2D* const> xs,
                        std::span<const Grid2D* const> bs, int level,
-                       grid::Coarsening coarsening, RapLadder rap,
+                       grid::Coarsening coarsening,
                        obs::PhaseProfile* profile) const;
   /// `iterations` SOR(ω_opt) sweeps of the batch on the averaged ladder.
   void sor_multi_at(std::span<Grid2D* const> xs,
                     std::span<const Grid2D* const> bs, int level,
-                    int iterations, RapLadder rap,
-                    obs::PhaseProfile* profile) const;
+                    int iterations, obs::PhaseProfile* profile) const;
   /// xs[k] += P·es[k] for every slot, timed and traced at `level`.
   void interpolate_multi_at(std::span<Grid2D* const> es,
                             std::span<Grid2D* const> xs, int level,
                             obs::PhaseProfile* profile) const;
   void trace(trace::Op op, int level, int detail = 0) const;
 
-  /// Operator at `level` in the requested ladder: the averaged hierarchy
-  /// (or the Poisson fast path when none was bound), or the resolved RAP
-  /// ladder.  A RAP cell at `rap.top` with no ladder reads the averaged
-  /// hierarchy's operator there, which is the shared fine operator; one
-  /// below the top with no ladder throws InvalidArgument.
-  grid::StencilOp op_at(int level, grid::Coarsening coarsening,
-                        RapLadder rap) const;
-
-  /// RAP side of a solve whose fine grid sits at `top_level`: the ladder
-  /// bound at construction when present; otherwise — for executors bound
-  /// to no hierarchy at all, i.e. the Poisson fast path — a lazily built,
-  /// cached Galerkin ladder of the Poisson operator at that top, only
-  /// when reach() finds a cell below it that reads RAP.  An executor
-  /// bound to an explicit averaged hierarchy but no RAP ladder gets none;
-  /// its RAP cells below the top then throw in op_at, because the fine
-  /// operator needed to build the ladder is the caller's, not ours to
-  /// guess.  A lazy build is attributed to `profile` as Phase::kRapSetup
-  /// at `top_level`.
-  RapLadder rap_for_top(int top_level, obs::PhaseProfile* profile) const;
+  /// Operator at `level` in the requested ladder.  A RAP cell at the
+  /// averaged ladder's top with no RAP ladder bound reads the averaged
+  /// side, which is the shared fine operator; one below the top throws
+  /// InvalidArgument.
+  const grid::StencilOp& op_at(int level, grid::Coarsening coarsening) const;
 
   const TunedConfig& config_;
   rt::Scheduler& sched_;
   solvers::DirectSolver& direct_;
   grid::ScratchPool& pool_;
-  trace::CycleTracer* tracer_;
   solvers::RelaxTunables relax_;
-  const grid::StencilHierarchy* ops_;
+  const grid::StencilHierarchy& ops_;
   const grid::StencilHierarchy* ops_rap_;
-  /// Bare executors only: [k] is true when a solve entering at level k
-  /// reads the Poisson RAP ladder below k (reach()).
-  std::vector<bool> poisson_rap_tops_;
-  mutable std::mutex poisson_rap_mutex_;  ///< guards the lazy cache below
-  mutable std::map<int, std::shared_ptr<const grid::StencilHierarchy>>
-      poisson_rap_cache_;  ///< keyed by top level; bare-executor path only
+  trace::CycleTracer* tracer_;
 };
 
 }  // namespace pbmg::tune

@@ -46,7 +46,7 @@ PreparedOperator::PreparedOperator(
   executors_.reserve(configs_.size());
   for (const auto& config : configs_) {
     executors_.push_back(std::make_unique<TunedExecutor>(
-        *config, sched_, direct, pool_, nullptr, relax_, &ops_, rap));
+        *config, sched_, direct, pool_, relax_, ops_, rap));
   }
   // Stock the pool: a V/FMG recursion holds at most two scratch grids per
   // side length at once — the restricted residual and the error of the

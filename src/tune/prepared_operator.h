@@ -32,9 +32,11 @@
 ///    per level, or four when a reachable body runs a line smoother.
 /// No solve then coarsens, packs or allocates on its timed path.
 ///
-/// SolveSession (one config) and tune::DynamicSolver (a family ladder) are
-/// entry points over one of these, and SolveService budgets and evicts
-/// both by footprint_bytes().
+/// This is the only place a served ladder is made: a TunedExecutor binds
+/// the ladders it is given and never builds or looks one up, and the
+/// trainer builds only the ladders it races.  SolveSession (one config)
+/// and tune::DynamicSolver (a family ladder) are entry points over one of
+/// these, and SolveService budgets and evicts both by footprint_bytes().
 
 namespace pbmg::tune {
 

@@ -274,13 +274,22 @@ TunedConfig TunedConfig::from_json(const Json& json) {
     }
   }
   // Semantic validation: recursion must reference valid accuracy indices,
-  // and iteration counts must be ones the trainer can write — V cells run
-  // at least one sweep or body, FMG cells may stop after their estimate.
-  // A negative (or zero V) count would load and then solve as a silent
-  // no-op that still reports convergence.
+  // and iteration counts and smoothers must be ones the trainer can write
+  // — V cells run at least one sweep or body, FMG cells may stop after
+  // their estimate.  A negative (or zero V) count would load and then
+  // solve as a silent no-op that still reports convergence, and a Jacobi
+  // cell would silently relax with point SOR (the executor runs SOR for
+  // every smoother that is not a line variant).
   for (int level = 1; level <= max_level; ++level) {
     for (int i = 0; i < config.accuracy_count(); ++i) {
       const VChoice& vc = config.v_entry(level, i).choice;
+      const FmgChoice& fc = config.fmg_entry(level, i).choice;
+      if (vc.smoother == solvers::RelaxKind::kJacobi ||
+          fc.smoother == solvers::RelaxKind::kJacobi) {
+        throw ConfigError(
+            "tuned-config: jacobi is not a tunable smoother (the trainer "
+            "races point_rb and the line variants only)");
+      }
       if (vc.kind != VKind::kDirect && vc.iterations < 1) {
         throw ConfigError("tuned-config: V iterations must be >= 1");
       }
@@ -294,7 +303,6 @@ TunedConfig TunedConfig::from_json(const Json& json) {
           throw ConfigError("tuned-config: level 1 cannot recurse");
         }
       }
-      const FmgChoice& fc = config.fmg_entry(level, i).choice;
       if (fc.kind != FmgKind::kDirect) {
         if (fc.iterations < 0) {
           throw ConfigError("tuned-config: FMG iterations must be >= 0");

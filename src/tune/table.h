@@ -47,7 +47,8 @@ struct VChoice {
   /// kIterSor shortcut stays point SOR at ω_opt, the paper's iterative
   /// baseline).  The trainer enumerates this per level — the relaxation
   /// axis of the choice space — so line smoothers are *discovered* for
-  /// the anisotropic operator families rather than hard-coded.
+  /// the anisotropic operator families rather than hard-coded.  Never
+  /// kJacobi (not tunable; from_json rejects it).
   solvers::RelaxKind smoother = solvers::RelaxKind::kSor;
   /// Which coarse-operator ladder the RECURSE body corrects against
   /// (kRecurse only): the legacy averaged-coefficient 5-point ladder or
@@ -74,7 +75,8 @@ struct FmgChoice {
                                ///< the estimate (>= 0; 0 when it sufficed)
   /// Smoother of the solve phase's RECURSE bodies (kEstimateThenRecurse
   /// only); inherited from the V cell that tuned RECURSE_m at this level
-  /// so the FMG candidate count stays unchanged (see trainer.cpp).
+  /// so the FMG candidate count stays unchanged (see trainer.cpp).  Never
+  /// kJacobi, as for VChoice.
   solvers::RelaxKind smoother = solvers::RelaxKind::kSor;
   /// Coarsening of the solve phase's RECURSE bodies, inherited from the
   /// same V cell as the smoother; missing ⇒ legacy kAverage.

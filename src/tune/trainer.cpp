@@ -165,14 +165,14 @@ void Trainer::train_v_level(TunedConfig& config, int level,
                             bool allow_sor,
                             const std::vector<solvers::RelaxKind>& smoothers,
                             const std::vector<grid::Coarsening>& coarsenings,
-                            const grid::StencilHierarchy* ops,
+                            const grid::StencilHierarchy& ops,
                             const grid::StencilHierarchy* ops_rap) {
   const int m = config.accuracy_count();
   const int n = size_of_level(level);
-  const grid::StencilOp fine_op =
-      ops != nullptr ? ops->at(level) : grid::StencilOp::poisson(n);
-  TunedExecutor executor(config, sched_, engine_.direct(), engine_.scratch(),
-                         nullptr, engine_.relax(), ops, ops_rap);
+  const grid::StencilOp& fine_op = ops.at(level);
+  const TunedExecutor executor(config, sched_, engine_.direct(),
+                               engine_.scratch(), engine_.relax(), ops,
+                               ops_rap);
 
   struct CandidateResult {
     VChoice choice;      // iterations filled per accuracy at selection time
@@ -323,14 +323,14 @@ void Trainer::train_v_level(TunedConfig& config, int level,
 
 void Trainer::train_fmg_level(TunedConfig& config, int level,
                               const std::vector<TrainingInstance>& set,
-                              const grid::StencilHierarchy* ops,
+                              const grid::StencilHierarchy& ops,
                               const grid::StencilHierarchy* ops_rap) {
   const int m = config.accuracy_count();
   const int n = size_of_level(level);
-  const grid::StencilOp fine_op =
-      ops != nullptr ? ops->at(level) : grid::StencilOp::poisson(n);
-  TunedExecutor executor(config, sched_, engine_.direct(), engine_.scratch(),
-                         nullptr, engine_.relax(), ops, ops_rap);
+  const grid::StencilOp& fine_op = ops.at(level);
+  const TunedExecutor executor(config, sched_, engine_.direct(),
+                               engine_.scratch(), engine_.relax(), ops,
+                               ops_rap);
 
   struct CandidateResult {
     FmgChoice choice;
@@ -509,7 +509,6 @@ TunedConfig Trainer::train() {
   all_sub.push_back(kClassicalCoarse);
   for (int i = 0; i < config.accuracy_count(); ++i) all_sub.push_back(i);
 
-  const bool poisson = options_.op_family == OperatorFamily::kPoisson;
   const bool want_rap =
       std::find(options_.coarsenings.begin(), options_.coarsenings.end(),
                 grid::Coarsening::kRap) != options_.coarsenings.end();
@@ -518,17 +517,15 @@ TunedConfig Trainer::train() {
     const int n = size_of_level(level);
     // Each level trains against its own operator hierarchy — the family
     // discretised at this size with restricted coarse coefficients, i.e.
-    // exactly what a SolveSession bound to (family, n) will execute.  The
-    // Poisson family keeps the null-hierarchy fast path (and the DST
-    // oracle inside make_training_set's size overload); its RAP ladder is
-    // materialized, on the engine's workers, only when the coarsening axis
-    // is actually raced.  Both ladders share the one fine operator.
-    const grid::StencilOp fine = make_operator(n, options_.op_family);
-    grid::StencilHierarchy hier;
+    // exactly what a SolveSession bound to (family, n) will execute (a
+    // Poisson hierarchy stores no grids).  The RAP ladder is built, on
+    // the engine's workers, only when the coarsening axis is raced.  Both
+    // ladders share the one fine operator.
+    const grid::StencilHierarchy hier(make_operator(n, options_.op_family));
     grid::StencilHierarchy hier_rap;
-    if (!poisson) hier = grid::StencilHierarchy(fine);
     if (want_rap) {
-      hier_rap = grid::StencilHierarchy(fine, grid::Coarsening::kRap, sched_);
+      hier_rap = grid::StencilHierarchy(hier.at(level), grid::Coarsening::kRap,
+                                        sched_);
     }
     // Pack both ladders up front on packed engines, as PreparedOperator
     // does at bind: otherwise the first candidate at each level — the
@@ -538,19 +535,16 @@ TunedConfig Trainer::train() {
       hier.prewarm_packed();
       hier_rap.prewarm_packed();
     }
-    const grid::StencilHierarchy* ops = poisson ? nullptr : &hier;
     const grid::StencilHierarchy* ops_rap = want_rap ? &hier_rap : nullptr;
-    const Rng level_rng = rng.split(static_cast<std::uint64_t>(level));
-    const auto set =
-        poisson ? make_training_set(n, options_.distribution, level_rng,
-                                    options_.training_instances, sched_)
-                : make_training_set(hier.at(level), options_.distribution,
-                                    level_rng, options_.training_instances,
-                                    sched_);
+    // The Poisson operator's instances come from the DST oracle.
+    const auto set = make_training_set(
+        hier.at(level), options_.distribution,
+        rng.split(static_cast<std::uint64_t>(level)),
+        options_.training_instances, sched_);
     train_v_level(config, level, set, all_sub, /*allow_sor=*/true,
-                  options_.smoothers, options_.coarsenings, ops, ops_rap);
+                  options_.smoothers, options_.coarsenings, hier, ops_rap);
     if (options_.train_fmg) {
-      train_fmg_level(config, level, set, ops, ops_rap);
+      train_fmg_level(config, level, set, hier, ops_rap);
     }
   }
   return config;
@@ -574,15 +568,6 @@ SearchTrainResult search_then_train(
   return result;
 }
 
-std::future<SearchTrainResult> search_then_train_async(
-    TrainerOptions options, search::ProfileSearchOptions search_options) {
-  return std::async(std::launch::async,
-                    [options = std::move(options),
-                     search_options = std::move(search_options)]() {
-                      return search_then_train(options, search_options);
-                    });
-}
-
 TunedConfig Trainer::train_heuristic(int fixed_sub_accuracy) {
   TunedConfig config(options_.accuracies, options_.max_level);
   PBMG_CHECK(fixed_sub_accuracy >= 0 &&
@@ -600,28 +585,20 @@ TunedConfig Trainer::train_heuristic(int fixed_sub_accuracy) {
   direct_time_by_level_.clear();
 
   const std::vector<int> only_fixed{fixed_sub_accuracy};
-  const bool poisson = options_.op_family == OperatorFamily::kPoisson;
   Rng rng(options_.seed);
   for (int level = 2; level <= options_.max_level; ++level) {
-    const int n = size_of_level(level);
-    grid::StencilHierarchy hier;
-    if (!poisson) {
-      hier = grid::StencilHierarchy(make_operator(n, options_.op_family));
-    }
-    const grid::StencilHierarchy* ops = poisson ? nullptr : &hier;
-    const Rng level_rng = rng.split(static_cast<std::uint64_t>(level));
-    const auto set =
-        poisson ? make_training_set(n, options_.distribution, level_rng,
-                                    options_.training_instances, sched_)
-                : make_training_set(hier.at(level), options_.distribution,
-                                    level_rng, options_.training_instances,
-                                    sched_);
+    const grid::StencilHierarchy hier(
+        make_operator(size_of_level(level), options_.op_family));
+    const auto set = make_training_set(
+        hier.at(level), options_.distribution,
+        rng.split(static_cast<std::uint64_t>(level)),
+        options_.training_instances, sched_);
     // The Figure-7 heuristics reproduce the paper's restricted space
     // exactly: Direct and point-SOR RECURSE only, no line smoothers, the
     // historical averaged coarse ladder.
     train_v_level(config, level, set, only_fixed, /*allow_sor=*/false,
                   {solvers::RelaxKind::kSor}, {grid::Coarsening::kAverage},
-                  ops, nullptr);
+                  hier, nullptr);
   }
   return config;
 }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <future>
 #include <map>
 #include <string>
 #include <vector>
@@ -158,23 +157,25 @@ class Trainer {
                         double& worst_accuracy);
 
   /// `ops` is the averaged coefficient hierarchy of the level being
-  /// trained (null for the Poisson family, preserving the historical code
-  /// path) and `ops_rap` its Galerkin ladder (null when the coarsening
-  /// candidate list excludes kRap).  `smoothers` is the RECURSE relaxation
-  /// candidate list and `coarsenings` the coarse-ladder candidate list
-  /// (the full options_ lists for autotuning; point-only/average-only for
-  /// the paper's restricted heuristics).
+  /// trained (for every family, Poisson included: its ladder stores no
+  /// grids) and `ops_rap` its Galerkin ladder (null when the coarsening
+  /// candidate list excludes kRap).  The trainer builds both per level,
+  /// because it races the coarsening axis; its executors only bind them.
+  /// `smoothers` is the RECURSE relaxation candidate list and
+  /// `coarsenings` the coarse-ladder candidate list (the full options_
+  /// lists for autotuning; point-only/average-only for the paper's
+  /// restricted heuristics).
   void train_v_level(TunedConfig& config, int level,
                      const std::vector<TrainingInstance>& set,
                      const std::vector<int>& allowed_sub_accuracies,
                      bool allow_sor,
                      const std::vector<solvers::RelaxKind>& smoothers,
                      const std::vector<grid::Coarsening>& coarsenings,
-                     const grid::StencilHierarchy* ops,
+                     const grid::StencilHierarchy& ops,
                      const grid::StencilHierarchy* ops_rap);
   void train_fmg_level(TunedConfig& config, int level,
                        const std::vector<TrainingInstance>& set,
-                       const grid::StencilHierarchy* ops,
+                       const grid::StencilHierarchy& ops,
                        const grid::StencilHierarchy* ops_rap);
 
   /// Extrapolated direct-solve time at `level` from lower-level
@@ -212,12 +213,5 @@ struct SearchTrainResult {
 SearchTrainResult search_then_train(
     const TrainerOptions& options,
     const search::ProfileSearchOptions& search_options);
-
-/// search_then_train on a worker thread (std::async): the retune entry
-/// point for a service that detected drift and wants fresh tables without
-/// stalling its solve path.  The future owns the thread; it joins when
-/// the result is consumed (or the future destroyed).
-std::future<SearchTrainResult> search_then_train_async(
-    TrainerOptions options, search::ProfileSearchOptions search_options);
 
 }  // namespace pbmg::tune

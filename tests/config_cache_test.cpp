@@ -426,17 +426,23 @@ TEST_F(CorruptCacheTest, UnrecognisedCoarseningName) {
   expect_miss_and_recover("badcoarsening", doc.dump(2) + "\n");
 }
 
-/// `config` as JSON with the iterations of one cell of `table`
+/// `config` as JSON with field `key` of one cell of `table`
 /// ("multigrid_v" or "full_multigrid") replaced.
-Json with_iterations(const TunedConfig& config, const char* table, int level,
-                     int accuracy_index, int iterations) {
+Json with_cell(const TunedConfig& config, const char* table, int level,
+               int accuracy_index, const char* key, Json value) {
   Json doc = config.to_json();
   Json levels = doc.at(table);
   levels.as_array()[static_cast<std::size_t>(level - 1)]
       .as_array()[static_cast<std::size_t>(accuracy_index)]
-      .set("iterations", iterations);
+      .set(key, std::move(value));
   doc.set(table, std::move(levels));
   return doc;
+}
+
+Json with_iterations(const TunedConfig& config, const char* table, int level,
+                     int accuracy_index, int iterations) {
+  return with_cell(config, table, level, accuracy_index, "iterations",
+                   Json(iterations));
 }
 
 TEST(ConfigCacheIO, IterationCountsTheTrainerCannotWriteAreRejected) {
@@ -472,6 +478,30 @@ TEST_F(CorruptCacheTest, NegativeIterationCount) {
   expect_miss_and_recover(
       "negiterations",
       with_iterations(handmade_config(), "multigrid_v", 3, 2, -3).dump(2) +
+          "\n");
+}
+
+TEST(ConfigCacheIO, JacobiCellsAreRejected) {
+  // Jacobi is no tunable smoother: the trainer never writes it, and the
+  // executor relaxes every smoother that is not a line variant with point
+  // SOR, so a table naming it used to load and run SOR under its name.
+  const TunedConfig config = handmade_config();
+  ASSERT_EQ(config.v_entry(3, 2).choice.kind, VKind::kRecurse);
+  ASSERT_EQ(config.fmg_entry(3, 2).choice.kind, FmgKind::kEstimateThenRecurse);
+  for (const char* table : {"multigrid_v", "full_multigrid"}) {
+    EXPECT_THROW(TunedConfig::from_json(
+                     with_cell(config, table, 3, 2, "smoother", "jacobi")),
+                 ConfigError)
+        << table;
+  }
+}
+
+TEST_F(CorruptCacheTest, JacobiSmoother) {
+  // The cache loader must read such an entry as a clean miss and retrain.
+  expect_miss_and_recover(
+      "jacobi",
+      with_cell(handmade_config(), "multigrid_v", 3, 2, "smoother", "jacobi")
+              .dump(2) +
           "\n");
 }
 

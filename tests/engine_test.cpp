@@ -12,6 +12,7 @@
 #include "engine/engine.h"
 #include "engine/solve_session.h"
 #include "grid/level.h"
+#include "solvers/multigrid.h"
 #include "support/rng.h"
 #include "tune/accuracy.h"
 #include "tune/trainer.h"
@@ -89,14 +90,18 @@ TEST(SolveSession, PreallocatesTheLevelHierarchy) {
   SolveSession session(local, trained(), size_of_level(5));
   EXPECT_GT(local.scratch().pooled(), 0u);
   const auto warm = local.scratch().stats();
-  // The first solve draws from the warmed free-list instead of malloc.
+  // The first solves draw from the warmed free-list instead of malloc:
+  // reference V-cycles on the session's ladder, then the tuned walks.
   Rng rng(11);
   auto inst = tune::make_training_instance(
       session.n(), InputDistribution::kUnbiased, rng, local.scheduler());
   Grid2D x(session.n(), 0.0);
   x.copy_from(inst.problem.x0);
-  session.solve_reference_v(x, inst.problem.b, /*max_cycles=*/2,
-                            [](const Grid2D&, int it) { return it >= 2; });
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    solvers::vcycle(session.operators(), x, inst.problem.b,
+                    solvers::VCycleOptions{}, local.scheduler(),
+                    local.direct(), local.scratch());
+  }
   const auto after = local.scratch().stats();
   EXPECT_GT(after.hits, warm.hits);
   EXPECT_EQ(after.misses, warm.misses);  // nothing allocated on the path
@@ -130,23 +135,6 @@ TEST(SolveSession, SolveVMeetsAccuracyContractAndReportsStats) {
         trained().accuracies()[static_cast<std::size_t>(i)];
     EXPECT_GE(tune::accuracy_of(inst, x, engine().scheduler()), 0.2 * target);
   }
-}
-
-TEST(SolveSession, ReferenceSolversRunOnTheEngine) {
-  const int n = size_of_level(4);
-  SolveSession session(engine(), trained(), n);
-  Rng rng(33);
-  auto inst = tune::make_training_instance(n, InputDistribution::kUnbiased,
-                                           rng, engine().scheduler());
-  Grid2D x(n, 0.0);
-  x.copy_from(inst.problem.x0);
-  const auto stop = [&](const Grid2D& state, int) {
-    return tune::accuracy_of(inst, state, engine().scheduler()) >= 1e5;
-  };
-  const SolveStats stats = session.solve_reference_v(x, inst.problem.b,
-                                                     /*max_cycles=*/100, stop);
-  EXPECT_TRUE(stats.converged);
-  EXPECT_GT(stats.iterations, 0);
 }
 
 TEST(SolveSession, RejectsMismatchedOperandsAndUntrainedLevels) {

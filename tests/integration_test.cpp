@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
+#include "engine/solve_session.h"
 #include "grid/grid_ops.h"
 #include "grid/level.h"
 #include "grid/scratch.h"
+#include "grid/stencil_op.h"
 #include "solvers/multigrid.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -75,15 +77,20 @@ TEST_P(DistributionPipeline, TrainSaveLoadSolveMeetsContract) {
   const int n = size_of_level(5);
   Rng rng(777);
   auto inst = tune::make_training_instance(n, dist, rng, sched());
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
+  const grid::StencilHierarchy rap(grid::StencilOp::poisson(n),
+                                   grid::Coarsening::kRap);
   for (int i = 0; i < loaded.accuracy_count(); ++i) {
     trace::CycleTracer t1, t2;
     Grid2D x1(n, 0.0), x2(n, 0.0);
     x1.copy_from(inst.problem.x0);
     x2.copy_from(inst.problem.x0);
     tune::TunedExecutor e1(trained, sched(), engine().direct(),
-                           engine().scratch(), &t1);
+                           engine().scratch(), engine().relax(), ops, &rap,
+                           &t1);
     tune::TunedExecutor e2(loaded, sched(), engine().direct(),
-                           engine().scratch(), &t2);
+                           engine().scratch(), engine().relax(), ops, &rap,
+                           &t2);
     e1.run_v(x1, inst.problem.b, i);
     e2.run_v(x2, inst.problem.b, i);
     ASSERT_EQ(t1.events().size(), t2.events().size());
@@ -109,11 +116,10 @@ TEST(Integration, TunedConfigRunsUnderDifferentProfile) {
   Rng rng(888);
   auto inst = tune::make_training_instance(n, InputDistribution::kUnbiased,
                                            rng, serial);
-  tune::TunedExecutor executor(config, serial, serial_engine.direct(),
-                               serial_engine.scratch());
+  const SolveSession session(serial_engine, config, n);
   Grid2D x(n, 0.0);
   x.copy_from(inst.problem.x0);
-  executor.run_v(x, inst.problem.b, config.accuracy_count() - 1);
+  session.solve_v(x, inst.problem.b, config.accuracy_count() - 1);
   EXPECT_GE(tune::accuracy_of(inst, x, serial),
             0.2 * config.accuracies().back());
 }
@@ -160,11 +166,10 @@ TEST(Integration, FmgTableNeverSlowerThanVTableByMuch) {
   options.max_level = 6;
   tune::Trainer trainer(options, engine());
   const tune::TunedConfig config = trainer.train();
-  tune::TunedExecutor executor(config, sched(), engine().direct(),
-                               engine().scratch());
   constexpr int kRuns = 7;
   Rng rng(4321);
   for (int level = 3; level <= config.max_level(); ++level) {
+    const SolveSession session(engine(), config, size_of_level(level));
     const auto problem =
         make_problem(size_of_level(level), InputDistribution::kUnbiased, rng);
     for (int i = 0; i < config.accuracy_count(); ++i) {
@@ -173,11 +178,11 @@ TEST(Integration, FmgTableNeverSlowerThanVTableByMuch) {
       for (int run = 0; run < kRuns; ++run) {
         Grid2D x = problem.x0;
         WallTimer timer;
-        executor.run_v(x, problem.b, i);
+        session.solve_v(x, problem.b, i);
         v.add(timer.elapsed());
         x = problem.x0;
         timer.restart();
-        executor.run_fmg(x, problem.b, i);
+        session.solve_fmg(x, problem.b, i);
         f.add(timer.elapsed());
       }
       EXPECT_LE(f.median(), 2.0 * v.median() + 1e-4)
@@ -219,10 +224,14 @@ TEST(Integration, TracedShapeMatchesTableIterations) {
   if (entry.choice.kind != tune::VKind::kRecurse) {
     GTEST_SKIP() << "top choice is not RECURSE on this machine";
   }
+  const int n = size_of_level(5);
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
+  const grid::StencilHierarchy rap(grid::StencilOp::poisson(n),
+                                   grid::Coarsening::kRap);
   trace::CycleTracer tracer;
   tune::TunedExecutor executor(config, sched(), engine().direct(),
-                               engine().scratch(), &tracer);
-  const int n = size_of_level(5);
+                               engine().scratch(), engine().relax(), ops, &rap,
+                               &tracer);
   Rng rng(555);
   auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
   Grid2D x = problem.x0;
@@ -249,12 +258,11 @@ TEST(Integration, AccuracyLaddersOtherThanPaperDefaultWork) {
   Rng rng(444);
   auto inst = tune::make_training_instance(n, InputDistribution::kUnbiased,
                                            rng, sched());
-  tune::TunedExecutor executor(config, sched(), engine().direct(),
-                               engine().scratch());
+  const SolveSession session(engine(), config, n);
   for (int i = 0; i < 3; ++i) {
     Grid2D x(n, 0.0);
     x.copy_from(inst.problem.x0);
-    executor.run_v(x, inst.problem.b, i);
+    session.solve_v(x, inst.problem.b, i);
     EXPECT_GE(tune::accuracy_of(inst, x, sched()),
               0.2 * options.accuracies[static_cast<std::size_t>(i)]);
   }

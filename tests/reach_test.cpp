@@ -19,7 +19,6 @@
 #include "grid/level.h"
 #include "grid/problem.h"
 #include "grid/stencil_op.h"
-#include "obs/phase_profile.h"
 #include "support/rng.h"
 #include "tune/dynamic.h"
 #include "tune/executor.h"
@@ -149,7 +148,7 @@ struct FullLadders {
   TunedExecutor executor(const TunedConfig& config) const {
     Engine& e = reference_engine();
     return TunedExecutor(config, e.scheduler(), e.direct(), e.scratch(),
-                         nullptr, e.relax(), &ops, &rap);
+                         e.relax(), ops, &rap);
   }
   grid::StencilHierarchy ops;
   grid::StencilHierarchy rap;
@@ -289,42 +288,6 @@ TEST(Reach, SessionsMatchAnExecutorBoundToBothFullLadders) {
   }
 }
 
-TEST(Reach, BareExecutorMatchesTheFullLadders) {
-  // No hierarchy at all: the Poisson fast path builds its RAP ladder
-  // lazily, and only for tables that read it below the top.
-  const grid::StencilOp op = grid::StencilOp::poisson(size_of_level(kTop));
-  const FullLadders full(op);
-  Engine& e = reference_engine();
-  Rng rng(7);
-  const PoissonProblem problem =
-      make_problem(op.n(), InputDistribution::kUnbiased, rng);
-  for (const Case& c : cases(kTop)) {
-    const TunedExecutor bare(c.config, e.scheduler(), e.direct(),
-                             e.scratch());
-    const TunedExecutor ref = full.executor(c.config);
-    for (int i = 0; i < c.config.accuracy_count(); ++i) {
-      for (const bool fmg : {false, true}) {
-        obs::PhaseProfile profile;
-        Grid2D x = problem.x0;
-        Grid2D expected = problem.x0;
-        if (fmg) {
-          bare.run_fmg(x, problem.b, i, &profile);
-          ref.run_fmg(expected, problem.b, i);
-        } else {
-          bare.run_v(x, problem.b, i, &profile);
-          ref.run_v(expected, problem.b, i);
-        }
-        EXPECT_TRUE(bitwise_equal(x, expected))
-            << c.name << (fmg ? " FMG " : " V ") << i;
-        if (!c.expected.rap_below_top) {
-          EXPECT_EQ(profile.phase_seconds(obs::Phase::kRapSetup), 0.0)
-              << c.name << " built a ladder nothing reads";
-        }
-      }
-    }
-  }
-}
-
 TEST(Reach, RapBelowTheTopWithoutALadderThrows) {
   // An executor bound to the averaged ladder alone serves RAP cells at
   // the top from the shared fine operator, and fails loudly below it.
@@ -337,14 +300,14 @@ TEST(Reach, RapBelowTheTopWithoutALadderThrows) {
   const PoissonProblem problem =
       make_problem(op.n(), InputDistribution::kUnbiased, rng);
   const TunedExecutor top_only(all[0].config, e.scheduler(), e.direct(),
-                               e.scratch(), nullptr, e.relax(), &full.ops);
+                               e.scratch(), e.relax(), full.ops, nullptr);
   Grid2D x = problem.x0;
   Grid2D expected = problem.x0;
   top_only.run_v(x, problem.b, 3);
   full.executor(all[0].config).run_v(expected, problem.b, 3);
   EXPECT_TRUE(bitwise_equal(x, expected));
   const TunedExecutor below(all[1].config, e.scheduler(), e.direct(),
-                            e.scratch(), nullptr, e.relax(), &full.ops);
+                            e.scratch(), e.relax(), full.ops, nullptr);
   Grid2D y = problem.x0;
   EXPECT_THROW(below.run_v(y, problem.b, 3), InvalidArgument);
 }

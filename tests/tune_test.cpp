@@ -12,6 +12,7 @@
 #include "engine/solve_session.h"
 #include "grid/grid_ops.h"
 #include "grid/level.h"
+#include "grid/stencil_op.h"
 #include "solvers/relax.h"
 #include "support/rng.h"
 #include "test_problems.h"
@@ -73,8 +74,9 @@ TEST(Accuracy, InstanceMetricBehaves) {
 
 TEST(Accuracy, TrainingSetIsDeterministicInSeed) {
   const Rng base(123);
-  auto a = make_training_set(9, InputDistribution::kBiased, base, 2, sched());
-  auto b = make_training_set(9, InputDistribution::kBiased, base, 2, sched());
+  const grid::StencilOp op = grid::StencilOp::poisson(9);
+  auto a = make_training_set(op, InputDistribution::kBiased, base, 2, sched());
+  auto b = make_training_set(op, InputDistribution::kBiased, base, 2, sched());
   ASSERT_EQ(a.size(), 2u);
   EXPECT_EQ(a[0].problem.b(1, 1), b[0].problem.b(1, 1));
   EXPECT_EQ(a[1].problem.b(2, 3), b[1].problem.b(2, 3));
@@ -261,19 +263,18 @@ TEST(Trainer, ExpectedTimeIsMonotoneInAccuracy) {
 TEST(Trainer, TunedVMeetsAccuracyOnHeldOutInputs) {
   const TunedConfig& config = trained();
   // A fresh table may carry Galerkin-RAP cells (the coarsening axis is
-  // raced by default); a bare executor builds the Poisson RAP ladder for
-  // each executed top level on demand.
-  TunedExecutor executor(config, sched(), engine().direct(),
-                         engine().scratch());
+  // raced by default); each level's session binds the ladders its solves
+  // can reach.
   Rng rng(990001);
   for (int level = 2; level <= config.max_level(); ++level) {
     const int n = size_of_level(level);
+    const SolveSession session(engine(), config, n);
     auto inst = make_training_instance(n, InputDistribution::kUnbiased, rng,
                                        sched());
     for (int i = 0; i < config.accuracy_count(); ++i) {
       Grid2D x(n, 0.0);
       x.copy_from(inst.problem.x0);
-      executor.run_v(x, inst.problem.b, i);
+      session.solve_v(x, inst.problem.b, i);
       const double achieved = accuracy_of(inst, x, sched());
       const double target = config.accuracies()[static_cast<std::size_t>(i)];
       // Allow modest slack: training measured iteration counts on its own
@@ -286,17 +287,16 @@ TEST(Trainer, TunedVMeetsAccuracyOnHeldOutInputs) {
 
 TEST(Trainer, TunedFmgMeetsAccuracyOnHeldOutInputs) {
   const TunedConfig& config = trained();
-  TunedExecutor executor(config, sched(), engine().direct(),
-                         engine().scratch());
   Rng rng(990002);
   for (int level = 2; level <= config.max_level(); ++level) {
     const int n = size_of_level(level);
+    const SolveSession session(engine(), config, n);
     auto inst = make_training_instance(n, InputDistribution::kUnbiased, rng,
                                        sched());
     for (int i = 0; i < config.accuracy_count(); ++i) {
       Grid2D x(n, 0.0);
       x.copy_from(inst.problem.x0);
-      executor.run_fmg(x, inst.problem.b, i);
+      session.solve_fmg(x, inst.problem.b, i);
       const double achieved = accuracy_of(inst, x, sched());
       const double target = config.accuracies()[static_cast<std::size_t>(i)];
       EXPECT_GE(achieved, 0.2 * target)
@@ -322,15 +322,14 @@ TEST(Trainer, HeuristicRestrictsChoices) {
     }
   }
   // The heuristic still meets the top accuracy on held-out data.
-  TunedExecutor executor(config, sched(), engine().direct(),
-                         engine().scratch());
+  const int n = size_of_level(config.max_level());
+  const SolveSession session(engine(), config, n);
   Rng rng(990003);
-  auto inst = make_training_instance(size_of_level(config.max_level()),
-                                     InputDistribution::kUnbiased, rng,
+  auto inst = make_training_instance(n, InputDistribution::kUnbiased, rng,
                                      sched());
   Grid2D x(inst.problem.x0.n(), 0.0);
   x.copy_from(inst.problem.x0);
-  executor.run_v(x, inst.problem.b, config.accuracy_count() - 1);
+  session.solve_v(x, inst.problem.b, config.accuracy_count() - 1);
   EXPECT_GE(accuracy_of(inst, x, sched()),
             0.2 * config.accuracies().back());
 }
@@ -422,6 +421,16 @@ TEST(Trainer, DiscoversLineSmootherAtExtremeAnisotropy) {
 
 // ------------------------------------------------------------- executor --
 
+/// The Poisson operator's two ladders at side n, for executors bound
+/// directly (the tracing tests).
+struct PoissonLadders {
+  explicit PoissonLadders(int n)
+      : ops(grid::StencilOp::poisson(n)),
+        rap(grid::StencilOp::poisson(n), grid::Coarsening::kRap) {}
+  grid::StencilHierarchy ops;
+  grid::StencilHierarchy rap;
+};
+
 TEST(Executor, RunsFixedShapesIndependentOfInput) {
   // Tuned algorithms execute a static cycle shape: the traced event
   // sequence must be identical across inputs.
@@ -431,16 +440,19 @@ TEST(Executor, RunsFixedShapesIndependentOfInput) {
   Rng rng(31337);
   auto p1 = make_problem(n, InputDistribution::kUnbiased, rng);
   auto p2 = make_problem(n, InputDistribution::kBiased, rng);
+  const PoissonLadders ladders(n);
   trace::CycleTracer t1, t2;
   {
     TunedExecutor executor(config, sched(), engine().direct(),
-                           engine().scratch(), &t1);
+                           engine().scratch(), engine().relax(), ladders.ops,
+                           &ladders.rap, &t1);
     Grid2D x = p1.x0;
     executor.run_v(x, p1.b, 3);
   }
   {
     TunedExecutor executor(config, sched(), engine().direct(),
-                           engine().scratch(), &t2);
+                           engine().scratch(), engine().relax(), ladders.ops,
+                           &ladders.rap, &t2);
     Grid2D x = p2.x0;
     executor.run_v(x, p2.b, 3);
   }
@@ -454,11 +466,13 @@ TEST(Executor, RunsFixedShapesIndependentOfInput) {
 
 TEST(Executor, TraceRendersACycle) {
   const TunedConfig& config = trained();
+  const int n = size_of_level(config.max_level());
+  const PoissonLadders ladders(n);
   trace::CycleTracer tracer;
   TunedExecutor executor(config, sched(), engine().direct(),
-                           engine().scratch(), &tracer);
+                         engine().scratch(), engine().relax(), ladders.ops,
+                         &ladders.rap, &tracer);
   Rng rng(424242);
-  const int n = size_of_level(config.max_level());
   auto p = make_problem(n, InputDistribution::kUnbiased, rng);
   Grid2D x = p.x0;
   executor.run_fmg(x, p.b, config.accuracy_count() - 1);
@@ -469,8 +483,9 @@ TEST(Executor, TraceRendersACycle) {
 
 TEST(Executor, RejectsUntrainedCellsAndBadSizes) {
   TunedConfig config(paper_accuracies(), 4);  // untrained above level 1
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(17));
   TunedExecutor executor(config, sched(), engine().direct(),
-                         engine().scratch());
+                         engine().scratch(), engine().relax(), ops, nullptr);
   Grid2D x(17, 0.0), b(17, 0.0);
   EXPECT_THROW(executor.run_v(x, b, 0), InvalidArgument);
   Grid2D small(3, 0.0), wrong(5, 0.0);
