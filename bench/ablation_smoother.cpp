@@ -31,11 +31,12 @@ std::pair<double, int> time_smoother(const Settings& settings,
   solvers::VCycleOptions options;
   options.relaxation = relaxation;
   const int n = inst.problem.n();
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
   Grid2D x(n, 0.0);
   x.copy_from(inst.problem.x0);
   int needed = -1;
   for (int it = 1; it <= 300; ++it) {
-    solvers::vcycle(x, inst.problem.b, options, sched, direct, pool);
+    solvers::vcycle(ops, x, inst.problem.b, options, sched, direct, pool);
     if (tune::accuracy_of(inst, x, sched) >= target) {
       needed = it;
       break;
@@ -46,7 +47,8 @@ std::pair<double, int> time_smoother(const Settings& settings,
       settings, [&] { x.copy_from(inst.problem.x0); },
       [&] {
         for (int it = 0; it < needed; ++it) {
-          solvers::vcycle(x, inst.problem.b, options, sched, direct, pool);
+          solvers::vcycle(ops, x, inst.problem.b, options, sched, direct,
+                          pool);
         }
       });
   return {seconds, needed};

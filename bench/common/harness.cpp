@@ -275,11 +275,12 @@ double run_sor(const Settings& settings, Engine& engine,
 double run_reference_v(const Settings& settings, Engine& engine,
                        const tune::TrainingInstance& inst,
                        double target_accuracy, int max_cycles) {
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(inst.problem.n()));
   return probe_then_time(
       settings, engine, inst, target_accuracy, max_cycles, /*check_period=*/1,
       [&](Grid2D& x, const Grid2D& b) {
-        solvers::vcycle(x, b, solvers::VCycleOptions{}, engine.scheduler(),
-                        engine.direct(), engine.scratch());
+        solvers::vcycle(ops, x, b, solvers::VCycleOptions{},
+                        engine.scheduler(), engine.direct(), engine.scratch());
       });
 }
 
@@ -290,17 +291,18 @@ double run_reference_fmg(const Settings& settings, Engine& engine,
   solvers::DirectSolver& direct = engine.direct();
   grid::ScratchPool& pool = engine.scratch();
   const int n = inst.problem.n();
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
   // Probe: the FMG ramp is iteration 1, then V-cycles polish.
   Grid2D x(n, 0.0);
   x.copy_from(inst.problem.x0);
-  solvers::full_multigrid(x, inst.problem.b, solvers::VCycleOptions{}, sched,
-                          direct, pool);
+  solvers::full_multigrid(ops, x, inst.problem.b, solvers::VCycleOptions{},
+                          sched, direct, pool);
   int v_cycles = -1;
   if (tune::accuracy_of(inst, x, sched) >= target_accuracy) {
     v_cycles = 0;
   } else {
     for (int it = 1; it <= max_cycles; ++it) {
-      solvers::vcycle(x, inst.problem.b, solvers::VCycleOptions{}, sched,
+      solvers::vcycle(ops, x, inst.problem.b, solvers::VCycleOptions{}, sched,
                       direct, pool);
       if (tune::accuracy_of(inst, x, sched) >= target_accuracy) {
         v_cycles = it;
@@ -314,13 +316,13 @@ double run_reference_fmg(const Settings& settings, Engine& engine,
   return time_min(
       settings, [&] { x.copy_from(inst.problem.x0); },
       [&] {
-        solvers::full_multigrid(x, inst.problem.b, solvers::VCycleOptions{},
-                                sched, direct, pool);
+        solvers::full_multigrid(ops, x, inst.problem.b,
+                                solvers::VCycleOptions{}, sched, direct, pool);
         grid::residual(x, inst.problem.b, check_scratch, sched);
         norm_sink += grid::norm2_interior(check_scratch, sched);
         for (int it = 0; it < v_cycles; ++it) {
-          solvers::vcycle(x, inst.problem.b, solvers::VCycleOptions{}, sched,
-                          direct, pool);
+          solvers::vcycle(ops, x, inst.problem.b, solvers::VCycleOptions{},
+                          sched, direct, pool);
           grid::residual(x, inst.problem.b, check_scratch, sched);
           norm_sink += grid::norm2_interior(check_scratch, sched);
         }

@@ -100,14 +100,13 @@ int main_impl(int argc, const char* const* argv) {
     options.op_family = family;
     return options;
   };
-  service.enable_operator_routing(
-      RoutePolicy{}, [&](OperatorFamily family) {
-        progress("fig23: background retune for family '" +
-                 to_string(family) + "' started");
-        return tune::load_or_train(
-            family_options(family), engine,
-            cache_dir.empty() ? tune::default_cache_dir() : cache_dir);
-      });
+  service.enable_operator_routing([&](OperatorFamily family) {
+    progress("fig23: background retune for family '" + to_string(family) +
+             "' started");
+    return tune::load_or_train(
+        family_options(family), engine,
+        cache_dir.empty() ? tune::default_cache_dir() : cache_dir);
+  });
 
   // The mixed operator stream.  Distances to the Poisson reference tell
   // the routing story in advance: ~0 (in-family), small (near-family,

@@ -179,8 +179,9 @@ void BM_VCycle(benchmark::State& state) {
   auto& sched = bench_engine().scheduler();
   auto& direct = bench_engine().direct();
   auto& pool = bench_engine().scratch();
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
   for (auto _ : state) {
-    solvers::vcycle(x, problem.b, solvers::VCycleOptions{}, sched, direct,
+    solvers::vcycle(ops, x, problem.b, solvers::VCycleOptions{}, sched, direct,
                     pool);
   }
 }
@@ -198,9 +199,10 @@ void BM_VCycleProfilingOff(benchmark::State& state) {
   auto& sched = bench_engine().scheduler();
   auto& direct = bench_engine().direct();
   auto& pool = bench_engine().scratch();
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
   solvers::VCycleOptions options;  // options.profile == nullptr
   for (auto _ : state) {
-    solvers::vcycle(x, problem.b, options, sched, direct, pool);
+    solvers::vcycle(ops, x, problem.b, options, sched, direct, pool);
   }
 }
 BENCHMARK(BM_VCycleProfilingOff)->Arg(257)->UseRealTime();
@@ -212,11 +214,12 @@ void BM_VCycleProfilingOn(benchmark::State& state) {
   auto& sched = bench_engine().scheduler();
   auto& direct = bench_engine().direct();
   auto& pool = bench_engine().scratch();
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
   obs::PhaseProfile profile;
   solvers::VCycleOptions options;
   options.profile = &profile;
   for (auto _ : state) {
-    solvers::vcycle(x, problem.b, options, sched, direct, pool);
+    solvers::vcycle(ops, x, problem.b, options, sched, direct, pool);
   }
   benchmark::DoNotOptimize(profile.total_seconds());
 }

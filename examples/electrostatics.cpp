@@ -87,11 +87,12 @@ int main(int argc, char** argv) {
       grid::norm2_diff_interior(problem.x0, exact, sched);
 
   // Reference full multigrid until accuracy 1e7.
+  const grid::StencilHierarchy poisson(grid::StencilOp::poisson(n));
   Grid2D x_ref(n, 0.0);
   x_ref.copy_from(problem.x0);
   WallTimer ref_timer;
   const auto outcome = solvers::solve_reference_fmg(
-      x_ref, problem.b, solvers::VCycleOptions{}, 100,
+      poisson, x_ref, problem.b, solvers::VCycleOptions{}, 100,
       [&](const Grid2D& state, int) {
         return e0 / grid::norm2_diff_interior(state, exact, sched) >= 1e7;
       },

@@ -69,17 +69,19 @@ int main(int argc, char** argv) {
   x_sor.copy_from(plate.x0);
   WallTimer sor_timer;
   const auto sor_out = solvers::solve_iterated_sor(
-      x_sor, plate.b, solvers::omega_opt(n), 100000,
+      grid::StencilOp::poisson(n), x_sor, plate.b, solvers::omega_opt(n),
+      100000,
       [&](const Grid2D& state, int) { return accuracy(state) >= target; },
       sched);
   const double sor_seconds = sor_timer.elapsed();
 
   // Reference V cycles.
+  const grid::StencilHierarchy poisson(grid::StencilOp::poisson(n));
   Grid2D x_ref(n, 0.0);
   x_ref.copy_from(plate.x0);
   WallTimer ref_timer;
   const auto ref_out = solvers::solve_reference_v(
-      x_ref, plate.b, solvers::VCycleOptions{}, 100,
+      poisson, x_ref, plate.b, solvers::VCycleOptions{}, 100,
       [&](const Grid2D& state, int) { return accuracy(state) >= target; },
       sched, direct, engine.scratch());
   const double ref_seconds = ref_timer.elapsed();

@@ -22,17 +22,9 @@ tune::TunedConfig Engine::tuned_config(const tune::TrainerOptions& options,
 }
 
 void Engine::publish_metrics(obs::MetricsRegistry& registry) {
-  registry.gauge("pbmg_scheduler_threads")
-      .set(static_cast<double>(profile().threads));
   registry.gauge("pbmg_scheduler_steals")
       .set(static_cast<double>(scheduler_.steal_count()));
-  const grid::ScratchPool::Stats pool = scratch_.stats();
-  registry.gauge("pbmg_scratch_trims").set(static_cast<double>(pool.trims));
-  registry.gauge("pbmg_scratch_pooled_bytes")
-      .set(static_cast<double>(pool.pooled_bytes));
-  registry.gauge("pbmg_scratch_high_water_bytes")
-      .set(static_cast<double>(pool.high_water_bytes));
-  registry.gauge("pbmg_scratch_hit_rate").set(pool.hit_rate());
+  registry.gauge("pbmg_scratch_hit_rate").set(scratch_.stats().hit_rate());
 }
 
 }  // namespace pbmg

@@ -106,11 +106,10 @@ class Engine {
                                  int heuristic_sub_accuracy = -1,
                                  bool* from_cache = nullptr);
 
-  /// Samples this engine's runtime health into `registry` gauges
-  /// (pbmg_scheduler_*, pbmg_scratch_*): work-steal count, thread count,
-  /// and the scratch pool's trim count, pooled and high-water bytes, and
-  /// hit rate.  Call before snapshotting the registry; safe to call
-  /// concurrently with solves.
+  /// Samples this engine's runtime health into two `registry` gauges:
+  /// the work-steal count (pbmg_scheduler_steals) and the scratch pool's
+  /// hit rate (pbmg_scratch_hit_rate).  Call before snapshotting the
+  /// registry; safe to call concurrently with solves.
   void publish_metrics(obs::MetricsRegistry& registry);
 
  private:

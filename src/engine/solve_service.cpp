@@ -1,6 +1,7 @@
 #include "engine/solve_service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +13,17 @@
 
 namespace pbmg {
 
+namespace {
+
+/// A routed operator whose fingerprint sits within this distance of the
+/// served family's reference counts as matched.  0.75 sits under the
+/// smallest inter-family reference gap that matters for routing (≈ 1.0
+/// between the rotated-tensor families) while absorbing one family's
+/// discretization drift across grid sizes (≪ 0.1).
+constexpr double kMatchThreshold = 0.75;
+
+}  // namespace
+
 SolveService::SolveService(Engine& engine, tune::TunedConfig config,
                            ServicePolicy policy)
     : policy_(policy),
@@ -21,7 +33,6 @@ SolveService::SolveService(Engine& engine, tune::TunedConfig config,
           "pbmg_solve_requests_total{outcome=\"unconverged\"}")),
       requests_error_(
           metrics_.counter("pbmg_solve_requests_total{outcome=\"error\"}")),
-      failures_total_(metrics_.counter("pbmg_solve_failures_total")),
       session_evictions_(metrics_.counter("pbmg_session_evictions_total")),
       trims_total_(metrics_.counter("pbmg_scratch_trims_total")),
       trim_bytes_total_(metrics_.counter("pbmg_scratch_trim_bytes_total")),
@@ -265,11 +276,14 @@ void SolveService::validate_request(const tune::TunedConfig& config,
                       "' tuned ladder [0, " +
                       std::to_string(config.accuracy_count()) + ")");
   }
-  if (request.accuracy_index < 0 && request.target_accuracy <= 0.0) {
+  if (request.accuracy_index < 0 &&
+      !(std::isfinite(request.target_accuracy) &&
+        request.target_accuracy > 0.0)) {
     throw ConfigError(
         "SolveService: request selects no accuracy — set accuracy_index to "
-        "a tuned ladder index or target_accuracy to a positive accuracy "
-        "level (the default-constructed request is deliberately invalid)");
+        "a tuned ladder index or target_accuracy to a finite positive "
+        "accuracy level (the default-constructed request is deliberately "
+        "invalid)");
   }
 }
 
@@ -287,7 +301,6 @@ void SolveService::account(Outcome outcome, std::int64_t count,
     healthy->record(seconds);
   }
   if (outcome == Outcome::kThrew) {
-    failures_total_.add(count);
     requests_error_.add(count);
     return;
   }
@@ -422,9 +435,7 @@ void SolveService::start_retune() {
   });
 }
 
-void SolveService::enable_operator_routing(RoutePolicy policy,
-                                           FamilyRetuneFn retune) {
-  route_policy_ = policy;
+void SolveService::enable_operator_routing(FamilyRetuneFn retune) {
   family_retune_fn_ = std::move(retune);
 }
 
@@ -510,8 +521,7 @@ std::shared_ptr<const SolveService::OpBinding> SolveService::binding_for(
           std::to_string(level) + " (n=" + std::to_string(op.n()) +
           ") — train deeper tables before routing this size");
     }
-    binding->matched =
-        binding->served_distance <= route_policy_.match_threshold;
+    binding->matched = binding->served_distance <= kMatchThreshold;
     binding->served_config = ladder.front().config;
     binding->solver = std::make_shared<const tune::DynamicSolver>(
         op, std::move(ladder), gen->engine->scheduler(),
@@ -583,6 +593,8 @@ SolveStats SolveService::solve_op(const grid::StencilOp& op, Grid2D& x,
           "must go through solve() on a trained family");
     }
     binding = binding_for(gen, op);
+    // A request the service rejects trains nothing.
+    validate_request(*binding->served_config, request);
     if (!binding->matched) {
       // Outside every tuned family's threshold: serve from the nearest
       // stand-in, and train the real family in the background — once.
@@ -592,14 +604,12 @@ SolveStats SolveService::solve_op(const grid::StencilOp& op, Grid2D& x,
         retune_fired = start_family_retune(binding->nearest);
       }
     }
-    validate_request(*binding->served_config, request);
     const double target =
         request.accuracy_index >= 0
             ? binding->served_config->accuracies()[static_cast<std::size_t>(
                   request.accuracy_index)]
             : request.target_accuracy;
-    result = binding->solver->solve(x, b, target,
-                                    route_policy_.max_iterations,
+    result = binding->solver->solve(x, b, target, tune::kInvocationBudget,
                                     request.profile.get());
     stats.seconds = result.seconds;
     stats.n = binding->solver->n();

@@ -83,7 +83,10 @@ namespace pbmg {
 /// with the Dirichlet ring + initial guess and leaves with the solution.
 struct SolveRequest {
   int accuracy_index = -1;        ///< tuned-ladder index; < 0 uses target
-  double target_accuracy = 0.0;   ///< used when accuracy_index < 0
+  /// Used when accuracy_index < 0.  solve() and solve_batch() need one of
+  /// the tuned ladder's accuracies exactly (TunedConfig::accuracy_index);
+  /// solve_op() takes any reduction >= 1.  Must be finite.
+  double target_accuracy = 0.0;
   bool fmg = false;               ///< FULL-MULTIGRID instead of MULTIGRID-V
   /// Optional per-(level, phase) time attribution: when set, the solve
   /// records into it and SolveStats::phases returns it.  Requests may
@@ -93,21 +96,6 @@ struct SolveRequest {
   /// drift bench/tests enable it so latency samples provably come from
   /// solves that did their job, not from ones that diverged quickly.
   ResidualPolicy residual;
-};
-
-/// Operator-routing knobs (SolveService::solve_op).
-struct RoutePolicy {
-  /// A request whose fingerprint sits within this distance of the served
-  /// family's reference fingerprint counts as matched; beyond it the
-  /// request is served anyway (nearest family) but flagged escalated,
-  /// and — when the overall-nearest family has no tuned tables — a
-  /// background family retune fires.  0.75 sits under the smallest
-  /// inter-family reference gap that matters for routing (≈ 1.0 between
-  /// the rotated-tensor families) while absorbing discretization drift
-  /// of one family across grid sizes (≪ 0.1).
-  double match_threshold = 0.75;
-  /// Tuned-variant invocation budget per routed solve.
-  int max_iterations = 64;
 };
 
 /// Admission/eviction budget for the cache of sessions and routed
@@ -228,9 +216,11 @@ class SolveService {
                std::shared_ptr<Engine> engine = nullptr);
 
   /// Solves one request on the calling thread.  Thread-safe; throws what
-  /// the underlying solve throws (after counting the failure), and
-  /// ConfigError for an accuracy_index outside the tuned ladder or the
-  /// unset default (accuracy_index < 0 with target_accuracy <= 0).
+  /// the underlying solve throws (after counting the failure): ConfigError
+  /// for an accuracy_index outside the tuned ladder, for the unset default
+  /// (accuracy_index < 0 with target_accuracy <= 0) and for a non-finite
+  /// target_accuracy, and InvalidArgument for a target_accuracy that is
+  /// not one of the tuned accuracies.
   SolveStats solve(Grid2D& x, const Grid2D& b, const SolveRequest& request);
 
   /// What a family retune produces: tuned tables for the requested
@@ -240,14 +230,13 @@ class SolveService {
   /// requests.
   using FamilyRetuneFn = std::function<tune::TunedConfig(OperatorFamily)>;
 
-  /// Arms operator routing (solve_op): sets the match threshold /
-  /// iteration budget and the background retune callback invoked the
-  /// first time a request's fingerprint lands outside every tuned
-  /// family's threshold.  Call once, before serving routed traffic (the
-  /// policy fields themselves are unsynchronized).  A null `retune`
-  /// routes and escalates without ever training new families; solve_op
-  /// works without this call under the default policy, retune-less.
-  void enable_operator_routing(RoutePolicy policy, FamilyRetuneFn retune);
+  /// Arms operator routing (solve_op): sets the background retune
+  /// callback invoked the first time a request's fingerprint lands
+  /// outside every tuned family's match threshold.  Call once, before
+  /// serving routed traffic (the callback itself is unsynchronized).  A
+  /// null `retune` routes and escalates without ever training new
+  /// families; solve_op works without this call, retune-less.
+  void enable_operator_routing(FamilyRetuneFn retune);
 
   /// Extends the LIVE generation with tuned tables for one operator
   /// family (keyed by config.op_family): future solve_op requests whose
@@ -262,10 +251,12 @@ class SolveService {
 
   /// Serves one arbitrary-operator request: fingerprints `op` (cached
   /// per operator identity × size), routes to the nearest tuned family
-  /// within the match threshold (escalating across families when the
-  /// input underperforms, tune/dynamic.h), and solves on the calling
-  /// thread.  A fingerprint outside every tuned family's threshold is
-  /// still served (nearest family) and — once per family — fires the
+  /// within the match threshold, a fingerprint distance of 0.75
+  /// (escalating across families when the input underperforms,
+  /// tune/dynamic.h), and solves on the calling thread with at most
+  /// tune::kInvocationBudget variant calls.  A fingerprint outside every
+  /// tuned family's threshold is still served (nearest family) and — once
+  /// per family, for a request that passes validation — fires the
   /// background retune armed by enable_operator_routing, whose result
   /// installs via install_family.  `request.accuracy_index` selects the
   /// target reduction from the served family's ladder (target_accuracy
@@ -440,7 +431,7 @@ class SolveService {
   void reclaim_retired_locked(
       std::vector<std::shared_ptr<Generation>>& out);
   /// Throws ConfigError unless `request` selects an accuracy on
-  /// `config`'s ladder.
+  /// `config`'s ladder by index, or names a finite positive target.
   static void validate_request(const tune::TunedConfig& config,
                                const SolveRequest& request);
   enum class Outcome { kServed, kRouted, kThrew };
@@ -472,7 +463,6 @@ class SolveService {
   obs::Counter& requests_ok_;  // resolved once; stable addresses
   obs::Counter& requests_unconverged_;
   obs::Counter& requests_error_;
-  obs::Counter& failures_total_;
   obs::Counter& session_evictions_;
   obs::Counter& trims_total_;
   obs::Counter& trim_bytes_total_;
@@ -510,8 +500,7 @@ class SolveService {
   std::atomic<bool> retune_in_progress_{false};
   std::thread retune_thread_;  // joined before reuse and in the dtor
 
-  RoutePolicy route_policy_;        // set once, before routed traffic
-  FamilyRetuneFn family_retune_fn_;
+  FamilyRetuneFn family_retune_fn_;  // set once, before routed traffic
   std::mutex route_mutex_;  // guards retuned_families_
   /// Families whose background retune has launched (and not failed):
   /// the exactly-once guarantee for family retunes.  Deliberately NOT

@@ -105,7 +105,9 @@ class SolveSession {
     return prepared_.operators();
   }
 
-  /// Ladder index of the cheapest tuned accuracy >= target.
+  /// Ladder index of `target_accuracy`, which must be one of the tuned
+  /// accuracies exactly (TunedConfig::accuracy_index); any other value
+  /// throws InvalidArgument.
   int accuracy_index(double target_accuracy) const {
     return config().accuracy_index(target_accuracy);
   }

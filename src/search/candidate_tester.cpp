@@ -7,6 +7,18 @@
 
 namespace pbmg::search {
 
+namespace {
+
+/// A candidate is abandoned once its accumulated cost exceeds this factor
+/// times the best known total (the trainer prunes by the same factor).
+constexpr double kEarlyAbandonFactor = 2.0;
+
+/// Floor added to the abandon budget so timing noise at microsecond
+/// scales cannot reject viable candidates.
+constexpr double kBudgetFloorSeconds = 1e-3;
+
+}  // namespace
+
 CandidateTester::CandidateTester(const ParamSpace& space, Objective objective,
                                  std::vector<tune::TrainingInstance> instances,
                                  TesterOptions options)
@@ -18,8 +30,6 @@ CandidateTester::CandidateTester(const ParamSpace& space, Objective objective,
              "CandidateTester: objective must be callable");
   PBMG_CHECK(!instances_.empty(),
              "CandidateTester: need at least one training instance");
-  PBMG_CHECK(options_.early_abandon_factor >= 1.0,
-             "CandidateTester: early_abandon_factor must be >= 1");
   PBMG_CHECK(options_.timeout_seconds > 0.0,
              "CandidateTester: timeout must be positive");
 }
@@ -31,8 +41,7 @@ TestResult CandidateTester::test(const Candidate& candidate,
 
   const double abandon_budget =
       std::isfinite(best_known_total)
-          ? options_.early_abandon_factor * best_known_total +
-                options_.budget_floor_seconds
+          ? kEarlyAbandonFactor * best_known_total + kBudgetFloorSeconds
           : std::numeric_limits<double>::infinity();
   Deadline deadline(options_.timeout_seconds);
 

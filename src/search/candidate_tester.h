@@ -16,10 +16,11 @@
 /// Two guards bound the cost of a bad candidate:
 ///
 ///   - early abandon: the per-instance costs reported by the objective are
-///     accumulated, and once the running total exceeds
-///     `early_abandon_factor ×` the best known total, remaining instances
-///     are skipped (deterministic — driven by reported costs, not wall
-///     time, so unit tests and replays behave identically);
+///     accumulated, and once the running total exceeds 2× the best known
+///     total plus a 1 ms noise floor (the trainer's pruning rule),
+///     remaining instances are skipped (deterministic — driven by reported
+///     costs, not wall time, so unit tests and replays behave
+///     identically);
 ///   - timeout: a wall-clock Deadline (support/timer.h) handed to the
 ///     objective, which should poll it inside long iteration loops and bail
 ///     out, protecting the search from pathological candidates (e.g. a
@@ -33,18 +34,10 @@
 
 namespace pbmg::search {
 
-/// Pruning knobs for candidate measurement.
+/// Candidate measurement limits.
 struct TesterOptions {
   /// Hard wall-clock cap per candidate, in seconds.
   double timeout_seconds = std::numeric_limits<double>::infinity();
-
-  /// A candidate is abandoned once its accumulated cost exceeds this factor
-  /// times the best known total (same role as TrainerOptions::prune_factor).
-  double early_abandon_factor = 2.0;
-
-  /// Floor added to the abandon budget so timing noise at microsecond
-  /// scales cannot reject viable candidates.
-  double budget_floor_seconds = 1e-3;
 };
 
 /// Outcome of measuring one candidate.

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 
 #include "support/error.h"
-#include "support/timer.h"
 
 namespace pbmg::search {
 
@@ -31,7 +31,6 @@ void PopulationSearch::log_line(const std::string& line) const {
 
 SearchResult PopulationSearch::run() {
   Rng rng(options_.seed);
-  WallTimer timer;
   SearchResult result;
   std::vector<Evaluated> population;
   std::set<std::string> seen;
@@ -73,8 +72,6 @@ SearchResult PopulationSearch::run() {
   select();
 
   for (int gen = 1; gen <= options_.generations; ++gen) {
-    if (timer.elapsed() > options_.time_budget_seconds) break;
-
     // Breed first (fixed RNG consumption regardless of test outcomes),
     // then race: keeps runs with the same seed on identical paths.
     std::vector<Candidate> offspring;

@@ -30,9 +30,6 @@ struct PopulationOptions {
   int generations = 8;        ///< mutation rounds
   std::uint64_t seed = 20091114;  ///< RNG seed (same seed ⇒ same search)
 
-  /// Overall wall-clock budget; generations stop once exceeded.
-  double time_budget_seconds = std::numeric_limits<double>::infinity();
-
   /// Optional progress sink (one line per generation).
   std::function<void(const std::string&)> log;
 };

@@ -263,8 +263,7 @@ SearchedProfile search_profile(const ProfileSearchOptions& options) {
     return kInf;  // never converged: the candidate is unusable
   };
 
-  CandidateTester tester(space, objective, std::move(instances),
-                         options.tester);
+  CandidateTester tester(space, objective, std::move(instances));
   PopulationOptions popts = options.population;
   popts.seed = options.seed;
   if (!popts.log && options.log) popts.log = options.log;

@@ -97,8 +97,9 @@ struct ProfileSearchOptions {
   /// population.seed).  Part of the cache key.
   std::uint64_t seed = 20091114;
 
-  PopulationOptions population;  ///< engine knobs (budget: generations etc.)
-  TesterOptions tester;          ///< pruning knobs
+  /// Engine knobs (budget: generations etc.).  Candidates race under
+  /// CandidateTester's fixed abandon rule, with no wall-clock timeout.
+  PopulationOptions population;
 
   std::function<void(const std::string&)> log;
 };

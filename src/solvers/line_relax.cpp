@@ -342,14 +342,15 @@ bool has_y_pass(RelaxKind kind) {
   return kind == RelaxKind::kLineY || kind == RelaxKind::kLineZebraAlt;
 }
 
-}  // namespace
-
-void line_relax_sweep(Grid2D& x, const Grid2D& b, RelaxKind kind,
-                      rt::Scheduler& sched, grid::ScratchPool& pool) {
-  check_line_operands(x, b, kind);
+/// The Poisson fast path's sweep: constant bands whose c′ factors every
+/// line shares.
+void line_poisson(Grid2D& x, const Grid2D& b, RelaxKind kind,
+                  rt::Scheduler& sched, grid::ScratchPool& pool) {
   if (has_x_pass(kind)) line_x_poisson(x, b, sched, pool);
   if (has_y_pass(kind)) line_y_poisson(x, b, sched, pool);
 }
+
+}  // namespace
 
 void line_relax_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
                       RelaxKind kind, rt::Scheduler& sched,
@@ -393,7 +394,7 @@ void line_relax_sweep_multi(const grid::StencilOp& op,
     Grid2D& x = *xs[k];
     const Grid2D& b = *bs[k];
     if (op.is_poisson()) {
-      line_relax_sweep(x, b, kind, sched, pool);
+      line_poisson(x, b, kind, sched, pool);
       continue;
     }
     if (has_x_pass(kind)) {

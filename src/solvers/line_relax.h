@@ -48,21 +48,18 @@ namespace pbmg::solvers {
 void thomas_solve(const double* sub, const double* diag, const double* sup,
                   double* rhs, double* work, int m);
 
-/// One zebra line-relaxation sweep of `kind` on the Poisson operator
-/// A·x = b (kLineX: rows, kLineY: columns, kLineZebraAlt: one x pass
-/// then one y pass).  The boundary ring of x is read, not written.
-/// Requires is_line_relax(kind) and x.n() == b.n() = 2^k+1.
-void line_relax_sweep(Grid2D& x, const Grid2D& b, RelaxKind kind,
-                      rt::Scheduler& sched, grid::ScratchPool& pool);
-
-/// Variable-coefficient overload: the tridiagonal bands carry the true
-/// per-edge coefficients (sub = −aW, sup = −aE for rows; −aN/−aS for
-/// columns) and the full diagonal (aW+aE+aN+aS)/h² + c.  The Poisson
-/// fast path runs the overload above, bit-for-bit.  A KernelPolicy
-/// selecting the packed layout runs the batched-Thomas SIMD line solves
-/// (grid/packed_kernels.h), vectorized across independent same-parity
-/// lines and bitwise identical to legacy.  Forwards a one-element span to
-/// line_relax_sweep_multi.  Requires op.n() == x.n().
+/// One zebra line-relaxation sweep of `kind` on A·x = b (kLineX: rows,
+/// kLineY: columns, kLineZebraAlt: one x pass then one y pass).  The
+/// boundary ring of x is read, not written.  The tridiagonal bands carry
+/// the true per-edge coefficients (sub = −aW, sup = −aE for rows;
+/// −aN/−aS for columns) and the full diagonal (aW+aE+aN+aS)/h² + c.  The
+/// Poisson fast path solves constant bands whose elimination factors
+/// every line shares, and matches an explicit unit-coefficient operator
+/// bit for bit.  A KernelPolicy selecting the packed layout runs the
+/// batched-Thomas SIMD line solves (grid/packed_kernels.h), vectorized
+/// across independent same-parity lines and bitwise identical to legacy.
+/// Forwards a one-element span to line_relax_sweep_multi.  Requires
+/// is_line_relax(kind) and op.n() == x.n() == b.n() = 2^k+1.
 void line_relax_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
                       RelaxKind kind, rt::Scheduler& sched,
                       grid::ScratchPool& pool,

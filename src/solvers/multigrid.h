@@ -17,20 +17,26 @@
 ///
 /// All routines solve A·x = b in place: `x` enters holding the Dirichlet
 /// ring plus the current interior guess and leaves holding the improved
-/// solution.  Level temporaries are leased from the caller-supplied
-/// grid::ScratchPool (normally the owning pbmg::Engine's pool), so
-/// concurrent solves on different engines never share allocator state.
+/// solution.  Every cycle runs against a grid::StencilHierarchy: level k
+/// smooths, forms residuals and solves directly with ops.at(k), so the
+/// coarse-grid correction uses the restricted coefficients rather than
+/// rediscretised Poisson.  Bind Poisson as
+/// grid::StencilHierarchy(grid::StencilOp::poisson(n)), which stores no
+/// grids; every op-aware kernel runs its Poisson fast path on it.  Level
+/// temporaries are leased from the caller-supplied grid::ScratchPool
+/// (normally the owning pbmg::Engine's pool), so concurrent solves on
+/// different engines never share allocator state.
 
 namespace pbmg::solvers {
 
-/// Parameters of a classical V-cycle.  The smoother (RelaxKind, in
-/// relax.h) may be point SOR or any line variant on every operator; line
-/// relaxation leases its Thomas workspaces from the cycle's ScratchPool.
+/// Parameters of a classical V-cycle.  The cycle's shape is the paper's
+/// MULTIGRID-V-SIMPLE: one smoothing sweep, the coarse-grid correction,
+/// one smoothing sweep, and a direct solve at level 1 (N = 3).  The
+/// smoother (RelaxKind, in relax.h) may be point SOR or any line variant
+/// on every operator; line relaxation leases its Thomas workspaces from
+/// the cycle's ScratchPool.
 struct VCycleOptions {
-  int pre_relax = 1;             ///< smoothing sweeps before coarsening
-  int post_relax = 1;            ///< smoothing sweeps after the correction
   double omega = kRecurseOmega;  ///< relaxation weight (paper: 1.15)
-  int direct_level = 1;          ///< recursion level solved directly (1 ⇒ N=3)
   /// Smoother (paper: SOR).  kJacobi, the smoother ablation's, runs on the
   /// Poisson operator only (at ω = kJacobiOmega, ignoring `omega`); a cycle
   /// that reaches any other operator with it throws InvalidArgument.
@@ -45,20 +51,6 @@ struct VCycleOptions {
   obs::PhaseProfile* profile = nullptr;
 };
 
-/// One V-cycle on A·x = b (recursion down to options.direct_level).
-/// This is the body of the paper's MULTIGRID-V-SIMPLE when options are the
-/// defaults.
-void vcycle(Grid2D& x, const Grid2D& b, const VCycleOptions& options,
-            rt::Scheduler& sched, DirectSolver& direct,
-            grid::ScratchPool& pool);
-
-/// One full-multigrid pass: recursively solves the restricted *problem*
-/// to seed the fine-grid initial guess, then runs one V-cycle per level on
-/// the way up (the classical FMG ramp of the paper's Figure 3).
-void full_multigrid(Grid2D& x, const Grid2D& b, const VCycleOptions& options,
-                    rt::Scheduler& sched, DirectSolver& direct,
-                    grid::ScratchPool& pool);
-
 /// Stop predicate for the iterate-until-converged reference drivers; called
 /// after each iteration with the current iterate and 1-based iteration
 /// index.  Return true to stop.
@@ -70,52 +62,23 @@ struct IterationOutcome {
   bool converged = false; ///< true when the stop predicate fired
 };
 
-/// Iterated Red-Black SOR: sweeps with the given ω until stop() or
-/// max_iterations.  The paper's "SOR" baseline (Fig. 6) uses ω_opt(n).
-IterationOutcome solve_iterated_sor(Grid2D& x, const Grid2D& b, double omega,
-                                    int max_iterations, const StopFn& stop,
-                                    rt::Scheduler& sched);
-
-/// The paper's "Multigrid" baseline: MULTIGRID-V-SIMPLE iterated until
-/// stop() or max_iterations (reference V-cycle algorithm of §4.2.2).
-IterationOutcome solve_reference_v(Grid2D& x, const Grid2D& b,
-                                   const VCycleOptions& options,
-                                   int max_iterations, const StopFn& stop,
-                                   rt::Scheduler& sched, DirectSolver& direct,
-                                   grid::ScratchPool& pool);
-
-/// The paper's reference full-multigrid algorithm (§4.2.2): one standard
-/// full-multigrid ramp, then standard V-cycles until stop().
-IterationOutcome solve_reference_fmg(Grid2D& x, const Grid2D& b,
-                                     const VCycleOptions& options,
-                                     int max_iterations, const StopFn& stop,
-                                     rt::Scheduler& sched,
-                                     DirectSolver& direct,
-                                     grid::ScratchPool& pool);
-
-// ---------------------------------------------------------------------
-// Variable-coefficient overloads.  Each cycle runs against a
-// grid::StencilHierarchy: level k smooths, forms residuals and solves
-// directly with ops.at(k), so the coarse-grid correction uses the
-// restricted coefficients rather than rediscretised Poisson.  A hierarchy
-// whose fine operator is the Poisson fast path executes bit-for-bit the
-// same arithmetic as the Poisson entry points above.  All overloads
-// require ops.top_level() >= level_of_size(x.n()) and
-// ops.at(level).n() == x.n().
-// ---------------------------------------------------------------------
-
-/// One V-cycle on the hierarchy's operator.
+/// One V-cycle (the body of MULTIGRID-V-SIMPLE) on the hierarchy's
+/// operator.  Every entry point requires ops.top_level() >=
+/// level_of_size(x.n()) and ops.at(level).n() == x.n().
 void vcycle(const grid::StencilHierarchy& ops, Grid2D& x, const Grid2D& b,
             const VCycleOptions& options, rt::Scheduler& sched,
             DirectSolver& direct, grid::ScratchPool& pool);
 
-/// One full-multigrid pass on the hierarchy's operator.
+/// One full-multigrid pass: recursively solves the restricted *problem*
+/// to seed the fine-grid initial guess, then runs one V-cycle per level on
+/// the way up (the classical FMG ramp of the paper's Figure 3).
 void full_multigrid(const grid::StencilHierarchy& ops, Grid2D& x,
                     const Grid2D& b, const VCycleOptions& options,
                     rt::Scheduler& sched, DirectSolver& direct,
                     grid::ScratchPool& pool);
 
-/// Iterated V-cycles on the hierarchy's operator until stop().
+/// The paper's "Multigrid" baseline: MULTIGRID-V-SIMPLE iterated until
+/// stop() or max_iterations (reference V-cycle algorithm of §4.2.2).
 IterationOutcome solve_reference_v(const grid::StencilHierarchy& ops,
                                    Grid2D& x, const Grid2D& b,
                                    const VCycleOptions& options,
@@ -123,14 +86,16 @@ IterationOutcome solve_reference_v(const grid::StencilHierarchy& ops,
                                    rt::Scheduler& sched, DirectSolver& direct,
                                    grid::ScratchPool& pool);
 
-/// Iterated red-black SOR on a variable-coefficient operator until
-/// stop(); the Poisson fast path matches the plain overload bit for bit.
+/// Iterated red-black SOR with the given ω until stop() or
+/// max_iterations.  The paper's "SOR" baseline (Fig. 6) runs
+/// StencilOp::poisson(n) at ω_opt(n).
 IterationOutcome solve_iterated_sor(const grid::StencilOp& op, Grid2D& x,
                                     const Grid2D& b, double omega,
                                     int max_iterations, const StopFn& stop,
                                     rt::Scheduler& sched);
 
-/// FMG ramp then V-cycles on the hierarchy's operator until stop().
+/// The paper's reference full-multigrid algorithm (§4.2.2): one standard
+/// full-multigrid ramp, then standard V-cycles until stop().
 IterationOutcome solve_reference_fmg(const grid::StencilHierarchy& ops,
                                      Grid2D& x, const Grid2D& b,
                                      const VCycleOptions& options,

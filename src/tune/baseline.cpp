@@ -1,6 +1,7 @@
 #include "tune/baseline.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "engine/solve_session.h"
 #include "grid/level.h"
@@ -9,6 +10,13 @@
 #include "tune/accuracy.h"
 
 namespace pbmg::tune {
+
+namespace {
+
+/// Seed of the RHS draw for the timed instances.
+constexpr std::uint64_t kBaselineSeed = 20091114;
+
+}  // namespace
 
 obs::LatencyBaseline measure_latency_baseline(Engine& engine,
                                               const TunedConfig& config,
@@ -21,7 +29,7 @@ obs::LatencyBaseline measure_latency_baseline(Engine& engine,
   const int top = options.max_level > 0
                       ? std::min(options.max_level, config.max_level())
                       : config.max_level();
-  Rng rng(options.seed);
+  Rng rng(kBaselineSeed);
   for (int level = std::max(2, options.min_level); level <= top; ++level) {
     const int n = size_of_level(level);
     // A real session, so the measurement includes exactly what serving

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstdint>
-
 #include "engine/engine.h"
 #include "obs/drift.h"
 #include "tune/table.h"
@@ -32,7 +30,6 @@ struct BaselineOptions {
   int min_level = 2;         ///< smallest measured level (side 2^k + 1)
   int max_level = 0;         ///< 0 = the config's trained top level
   bool include_fmg = false;  ///< also time FMG solves (own fmg=true keys)
-  std::uint64_t seed = 20091114;  ///< RHS draw for the timed instances
 };
 
 /// Measures the baseline latency distribution of `config` executed on
@@ -41,7 +38,8 @@ struct BaselineOptions {
 /// built from the config's own op_family, so non-Poisson families are
 /// timed against the coefficient hierarchies they serve.  One untimed
 /// warm-up solve per level precedes the samples, mirroring a session's
-/// prewarmed steady state.
+/// prewarmed steady state.  The timed right-hand sides come from a fixed
+/// seed, so every measurement of one config times the same instances.
 obs::LatencyBaseline measure_latency_baseline(Engine& engine,
                                               const TunedConfig& config,
                                               const BaselineOptions& options =

@@ -60,13 +60,18 @@ std::string config_cache_key(const TrainerOptions& options,
   // retrained with the packed-kernel dimensions enabled; v6 → v7:
   // searched entries gained the "latency_baseline" section — the tuned
   // tables' healthy latency distribution, which the serving-time drift
-  // watcher needs, so baseline-less v6 entries are clean misses).
+  // watcher needs, so baseline-less v6 entries are clean misses).  The
+  // trailing "_f1" / "_f0" token (FMG cells trained or not) joined v7
+  // later: before it, a V-only entry was served to a request for FMG
+  // tables, whose FMG solves then threw.  Every v7 entry written before
+  // the token is a clean miss once.
   oss << "v7_" << strategy << "_" << profile_name << "_"
       << options.problem_spec().cache_token() << "_m"
       << options.accuracies.size() << "_p"
       << static_cast<int>(std::lround(std::log10(options.accuracies.back())))
       << "_i" << options.training_instances << "_s" << options.seed << "_sm"
-      << smoother_token(options) << "_co" << coarsening_token(options);
+      << smoother_token(options) << "_co" << coarsening_token(options)
+      << "_f" << (options.train_fmg ? 1 : 0);
   return oss.str();
 }
 

@@ -14,7 +14,9 @@
 /// tuned config is stored as JSON under a cache directory, keyed by
 /// everything that determines the tuning outcome — the strategy, the
 /// machine profile, the full ProblemSpec (operator family × distribution
-/// × level range), the accuracy ladder, seed, and instance count.
+/// × level range), the accuracy ladder, seed, instance count, the
+/// smoother and coarsening candidate lists, and whether FMG cells were
+/// trained.
 /// Benchmark binaries share one cache so that, e.g., Figures 10–13 train
 /// each (profile, distribution) combination once, and each operator
 /// family gets its own tuned tables (bench/fig18_operator_families).

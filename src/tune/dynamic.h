@@ -49,6 +49,10 @@
 
 namespace pbmg::tune {
 
+/// Tuned-variant invocation budget of a dynamic solve: DynamicSolver::solve's
+/// default, and what SolveService::solve_op runs every routed request with.
+inline constexpr int kInvocationBudget = 64;
+
 /// One rung of the cross-family escalation ladder: a family name (stable
 /// grid/problem.h token, used in results and metrics labels) and its
 /// tuned tables.  The shared_ptr keeps the config alive for the solver's
@@ -92,19 +96,19 @@ class DynamicSolver {
  public:
   /// Binds `op` and an ordered escalation ladder (nearest family first;
   /// must be non-empty, every config trained to op's level) to execution
-  /// resources (normally one pbmg::Engine's scheduler/direct/scratch
-  /// trio) through one tune::PreparedOperator — solve() reuses all of it.
+  /// resources (normally one pbmg::Engine's scheduler, direct solver,
+  /// scratch pool and relax tunables) through one tune::PreparedOperator —
+  /// solve() reuses all of it.  `relax` has no default: a solver on a
+  /// packed or searched engine must run that engine's weights and layout.
   DynamicSolver(grid::StencilOp op, std::vector<FamilyConfig> ladder,
                 rt::Scheduler& sched, solvers::DirectSolver& direct,
-                grid::ScratchPool& pool,
-                const solvers::RelaxTunables& relax = {});
+                grid::ScratchPool& pool, const solvers::RelaxTunables& relax);
 
   /// Single-family convenience: the historical one-config binding (the
   /// config is copied; its op_family provenance names the ladder rung).
   DynamicSolver(const TunedConfig& config, grid::StencilOp op,
                 rt::Scheduler& sched, solvers::DirectSolver& direct,
-                grid::ScratchPool& pool,
-                const solvers::RelaxTunables& relax = {});
+                grid::ScratchPool& pool, const solvers::RelaxTunables& relax);
 
   /// Not movable: the bound executors hold the hierarchies by address.
   DynamicSolver(const DynamicSolver&) = delete;
@@ -134,7 +138,7 @@ class DynamicSolver {
   /// per-(level, phase) breakdown (the untimed residual norms are not
   /// attributed).
   DynamicResult solve(Grid2D& x, const Grid2D& b, double target_reduction,
-                      int max_iterations = 64,
+                      int max_iterations = kInvocationBudget,
                       obs::PhaseProfile* profile = nullptr) const;
 
  private:

@@ -24,6 +24,24 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// noise at small levels cannot reject viable candidates.
 constexpr double kBudgetFloorSeconds = 1e-3;
 
+/// A candidate is abandoned once it has spent more than kPruneFactor ×
+/// (best known time to the top accuracy) summed over the training
+/// instances; the direct solver is skipped once its extrapolated time
+/// exceeds kPruneFactor × that best time.
+constexpr double kPruneFactor = 2.0;
+
+/// Iteration cap for the RECURSE-style candidates (V RECURSE_j bodies and
+/// the FMG solve phases that recurse).
+constexpr int kMaxRecurseIterations = 100;
+
+/// Iteration cap for plain SOR candidates.
+constexpr int kMaxSorIterations = 100000;
+
+/// Largest grid side for which the direct solver is ever *attempted* as
+/// a candidate (a memory and time guard: its O(N⁴) cost is extrapolated
+/// and pruned before this bound is hit on sane inputs).
+constexpr int kDirectMaxN = 513;
+
 std::string accuracy_tag(double a) {
   std::ostringstream oss;
   oss << "10^" << static_cast<int>(std::lround(std::log10(a)));
@@ -39,8 +57,6 @@ Trainer::Trainer(TrainerOptions options, Engine& engine)
   PBMG_CHECK(options_.max_level >= 2, "Trainer: max_level must be >= 2");
   PBMG_CHECK(options_.training_instances >= 1,
              "Trainer: need at least one training instance");
-  PBMG_CHECK(options_.prune_factor >= 1.0,
-             "Trainer: prune_factor must be >= 1");
   PBMG_CHECK(!options_.accuracies.empty(), "Trainer: empty accuracy ladder");
   PBMG_CHECK(!options_.smoothers.empty(), "Trainer: empty smoother list");
   for (const solvers::RelaxKind kind : options_.smoothers) {
@@ -188,7 +204,7 @@ void Trainer::train_v_level(TunedConfig& config, int level,
   const auto budget = [&] {
     return best_top_time == kInf
                ? kInf
-               : options_.prune_factor * best_top_time *
+               : kPruneFactor * best_top_time *
                          static_cast<double>(set.size()) +
                      kBudgetFloorSeconds;
   };
@@ -218,7 +234,7 @@ void Trainer::train_v_level(TunedConfig& config, int level,
             [&](Grid2D& x, const Grid2D& b) {
               executor.recurse_body(x, b, j, smoother, coarsening);
             },
-            options_.max_recurse_iterations, budget());
+            kMaxRecurseIterations, budget());
         const int top_needed = cand.meas.needed.back();
         if (top_needed > 0) {
           best_top_time =
@@ -230,9 +246,9 @@ void Trainer::train_v_level(TunedConfig& config, int level,
   }
 
   // 2. Direct candidate, with O(N⁴) extrapolation pruning.
-  if (n <= options_.direct_max_n) {
+  if (n <= kDirectMaxN) {
     const double predicted = predicted_direct_time(level);
-    if (predicted <= options_.prune_factor * best_top_time ||
+    if (predicted <= kPruneFactor * best_top_time ||
         predicted == kInf || best_top_time == kInf) {
       CandidateResult cand;
       cand.is_direct = true;
@@ -261,7 +277,7 @@ void Trainer::train_v_level(TunedConfig& config, int level,
           solvers::sor_sweep(fine_op, x, b, omega, sched_,
                              engine_.relax().kernels);
         },
-        options_.max_sor_iterations, budget());
+        kMaxSorIterations, budget());
     candidates.push_back(std::move(cand));
   }
 
@@ -345,7 +361,7 @@ void Trainer::train_fmg_level(TunedConfig& config, int level,
   const auto budget = [&] {
     return best_top_time == kInf
                ? kInf
-               : options_.prune_factor * best_top_time *
+               : kPruneFactor * best_top_time *
                          static_cast<double>(set.size()) +
                      kBudgetFloorSeconds;
   };
@@ -354,7 +370,7 @@ void Trainer::train_fmg_level(TunedConfig& config, int level,
   // time for the direct solver (measured, or extrapolated when it pruned);
   // reuse it rather than re-running an expensive factorization, but
   // re-measure cheap systems to keep the accuracy figure honest.
-  if (n <= options_.direct_max_n) {
+  if (n <= kDirectMaxN) {
     auto it = direct_time_by_level_.find(level);
     const double known = it == direct_time_by_level_.end()
                              ? predicted_direct_time(level)
@@ -407,7 +423,7 @@ void Trainer::train_fmg_level(TunedConfig& config, int level,
           solvers::sor_sweep(fine_op, x, b, omega, sched_,
                              engine_.relax().kernels);
         };
-        max_iterations = options_.max_sor_iterations;
+        max_iterations = kMaxSorIterations;
       } else {
         cand.choice.kind = FmgKind::kEstimateThenRecurse;
         cand.choice.estimate_accuracy = j;
@@ -420,7 +436,7 @@ void Trainer::train_fmg_level(TunedConfig& config, int level,
                 coarsening](Grid2D& x, const Grid2D& b) {
           executor.recurse_body(x, b, solve, smoother, coarsening);
         };
-        max_iterations = options_.max_recurse_iterations;
+        max_iterations = kMaxRecurseIterations;
       }
       cand.meas =
           measure_iterative(set, setup, step, max_iterations, budget());

@@ -66,17 +66,6 @@ struct TrainerOptions {
   /// Training instances per level.
   int training_instances = 2;
 
-  /// Iteration cap for the RECURSE-style candidates.
-  int max_recurse_iterations = 100;
-
-  /// Iteration cap for plain SOR candidates.
-  int max_sor_iterations = 100000;
-
-  /// Largest grid side for which the direct solver is ever *attempted* as
-  /// a candidate (memory/time guard; its O(N⁴) cost is extrapolated and
-  /// pruned before this bound is hit on sane inputs).
-  int direct_max_n = 513;
-
   /// Smoother candidates the DP enumerates for the RECURSE relaxations at
   /// every level — the relaxation axis of the choice space.  The default
   /// is solvers::kTunableSmoothers in its canonical order: the zebra line
@@ -101,12 +90,8 @@ struct TrainerOptions {
   std::vector<grid::Coarsening> coarsenings{grid::Coarsening::kRap,
                                             grid::Coarsening::kAverage};
 
-  /// A candidate is abandoned once it has spent more than
-  /// prune_factor × (best known time to the top accuracy) summed over the
-  /// training instances.
-  double prune_factor = 2.0;
-
-  /// Train the FULL-MULTIGRID table as well (paper §2.4).
+  /// Train the FULL-MULTIGRID table as well (paper §2.4).  Part of the
+  /// config-cache key: a V-only entry never serves an FMG request.
   bool train_fmg = true;
 
   /// Optional progress sink (one line per tuned cell).

@@ -362,6 +362,40 @@ TEST(ConfigCacheIO, SaveLoadRoundTripEquality) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ConfigCacheIO, FmgTrainingIsPartOfTheKey) {
+  // A V-only entry must not serve a request for FMG tables: its FMG cells
+  // were never trained, so every FMG solve on it would throw.
+  const auto dir = fresh_dir("pbmg_cc_fmgkey");
+  const TrainerOptions v_only = tiny_options();
+  ASSERT_FALSE(v_only.train_fmg);
+  TrainerOptions with_fmg = tiny_options();
+  with_fmg.train_fmg = true;
+  EXPECT_NE(config_cache_key(v_only, "serial", "autotuned"),
+            config_cache_key(with_fmg, "serial", "autotuned"));
+  search::ProfileSearchOptions search_options;
+  search_options.base = rt::serial_profile();
+  EXPECT_NE(searched_config_cache_key(v_only, search_options),
+            searched_config_cache_key(with_fmg, search_options));
+
+  bool from_cache = true;
+  (void)load_or_train(v_only, engine(), dir.string(), -1, &from_cache);
+  EXPECT_FALSE(from_cache);
+  from_cache = true;
+  const TunedConfig fmg =
+      load_or_train(with_fmg, engine(), dir.string(), -1, &from_cache);
+  EXPECT_FALSE(from_cache);
+  for (int level = 2; level <= fmg.max_level(); ++level) {
+    for (int i = 0; i < fmg.accuracy_count(); ++i) {
+      EXPECT_TRUE(fmg.fmg_entry(level, i).trained)
+          << "FMG cell (" << level << "," << i << ")";
+    }
+  }
+  // Each entry stays a hit for its own request.
+  (void)load_or_train(v_only, engine(), dir.string(), -1, &from_cache);
+  EXPECT_TRUE(from_cache);
+  std::filesystem::remove_all(dir);
+}
+
 // --------------------------------------------------------- corrupt cache --
 
 class CorruptCacheTest : public ::testing::Test {

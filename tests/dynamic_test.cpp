@@ -50,7 +50,7 @@ const TunedConfig& trained() {
 
 DynamicSolver poisson_solver(int n) {
   return DynamicSolver(trained(), grid::StencilOp::poisson(n), sched(),
-                      engine().direct(), engine().scratch());
+                      engine().direct(), engine().scratch(), engine().relax());
 }
 
 /// Hand-built RAP config: every non-base cell recurses against the
@@ -183,7 +183,7 @@ TEST(DynamicSolver, ValidatesArguments) {
   EXPECT_THROW(solver.solve(x, b17, 0.5), InvalidArgument);
   EXPECT_THROW(
       DynamicSolver(grid::StencilOp::poisson(17), {}, sched(),
-                    engine().direct(), engine().scratch()),
+                    engine().direct(), engine().scratch(), engine().relax()),
       InvalidArgument);
 }
 
@@ -199,7 +199,8 @@ TEST(DynamicSolver, PrewarmSharedAcrossSolves) {
   const grid::StencilOp op =
       make_operator(n, OperatorFamily::kJumpCoefficient);
   const DynamicSolver solver(rap_config(level, "jump"), op, sched(),
-                             engine().direct(), engine().scratch());
+                             engine().direct(), engine().scratch(),
+                             engine().relax());
   const std::size_t bytes_before = solver.operators().bytes();
   Rng rng(48);
   auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
@@ -229,7 +230,8 @@ TEST(DynamicSolver, JumpUnderPoissonStartEscalatesCrossFamily) {
   ladder.push_back({"jump", std::make_shared<const TunedConfig>(
                                 rap_config(level, "jump"))});
   const DynamicSolver solver(op, std::move(ladder), sched(),
-                             engine().direct(), engine().scratch());
+                             engine().direct(), engine().scratch(),
+                             engine().relax());
   EXPECT_EQ(solver.families(),
             (std::vector<std::string>{"poisson", "jump"}));
   Rng rng(49);

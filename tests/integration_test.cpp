@@ -196,12 +196,13 @@ TEST(Integration, ScratchPoolRecyclesAcrossSolves) {
   grid::ScratchPool pool;  // dedicated pool: counts are deterministic
   Rng rng(999);
   auto problem = make_problem(65, InputDistribution::kUnbiased, rng);
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(65));
   Grid2D x = problem.x0;
-  solvers::vcycle(x, problem.b, solvers::VCycleOptions{}, sched(),
+  solvers::vcycle(ops, x, problem.b, solvers::VCycleOptions{}, sched(),
                   engine().direct(), pool);
   const std::size_t after_first = pool.pooled();
   EXPECT_GT(after_first, 0u);  // temporaries returned to the pool
-  solvers::vcycle(x, problem.b, solvers::VCycleOptions{}, sched(),
+  solvers::vcycle(ops, x, problem.b, solvers::VCycleOptions{}, sched(),
                   engine().direct(), pool);
   // Steady state: the second cycle reuses what the first returned.
   EXPECT_EQ(pool.pooled(), after_first);

@@ -276,6 +276,7 @@ TEST(LineFastPath, ExplicitConstantCoefficientsMatchPoissonBitwise) {
   const grid::StencilOp explicit_op =
       grid::StencilOp::variable(std::move(ones_ax), std::move(ones_ay), 0.0);
   ASSERT_FALSE(explicit_op.is_poisson());
+  const grid::StencilOp poisson = grid::StencilOp::poisson(n);
   const auto inst = testing::make_family_instance(OperatorFamily::kPoisson, n,
                                                   0x7110'0007, sched());
   for (const RelaxKind kind :
@@ -285,7 +286,7 @@ TEST(LineFastPath, ExplicitConstantCoefficientsMatchPoissonBitwise) {
     for (int s = 0; s < 3; ++s) {
       line_relax_sweep(explicit_op, via_op, inst.problem.b, kind, sched(),
                        engine().scratch());
-      line_relax_sweep(via_poisson, inst.problem.b, kind, sched(),
+      line_relax_sweep(poisson, via_poisson, inst.problem.b, kind, sched(),
                        engine().scratch());
     }
     ASSERT_EQ(0, std::memcmp(via_op.data(), via_poisson.data(),
@@ -294,31 +295,13 @@ TEST(LineFastPath, ExplicitConstantCoefficientsMatchPoissonBitwise) {
   }
 }
 
-TEST(LineFastPath, PoissonOpDispatchesToConstantKernel) {
-  // StencilOp::poisson routes to the Poisson overload, bit for bit (same
-  // contract as the point sweeps).
-  const int n = 33;
-  const grid::StencilOp op = grid::StencilOp::poisson(n);
-  const auto inst = testing::make_family_instance(OperatorFamily::kPoisson, n,
-                                                  0x7110'0008, sched());
-  Grid2D via_op = inst.problem.x0;
-  Grid2D direct_call = inst.problem.x0;
-  for (int s = 0; s < 3; ++s) {
-    line_relax_sweep(op, via_op, inst.problem.b, RelaxKind::kLineZebraAlt,
-                     sched(), engine().scratch());
-    line_relax_sweep(direct_call, inst.problem.b, RelaxKind::kLineZebraAlt,
-                     sched(), engine().scratch());
-  }
-  ASSERT_EQ(0, std::memcmp(via_op.data(), direct_call.data(),
-                           direct_call.size() * sizeof(double)));
-}
-
 TEST(LineRelax, RejectsInvalidOperands) {
   Grid2D x(17, 0.0), wrong(9, 0.0);
-  EXPECT_THROW(line_relax_sweep(x, wrong, RelaxKind::kLineX, sched(),
+  const grid::StencilOp poisson = grid::StencilOp::poisson(17);
+  EXPECT_THROW(line_relax_sweep(poisson, x, wrong, RelaxKind::kLineX, sched(),
                                 engine().scratch()),
                InvalidArgument);
-  EXPECT_THROW(line_relax_sweep(x, x, RelaxKind::kSor, sched(),
+  EXPECT_THROW(line_relax_sweep(poisson, x, x, RelaxKind::kSor, sched(),
                                 engine().scratch()),
                InvalidArgument);
   const grid::StencilOp op = make_operator(9, OperatorFamily::kAnisotropic);

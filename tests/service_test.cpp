@@ -284,7 +284,6 @@ TEST(SolveService, MetricsSnapshotCountsEveryRequestPerSizeAndAccuracy) {
   EXPECT_EQ(
       snapshot.counters.at("pbmg_solve_requests_total{outcome=\"error\"}"),
       0);
-  EXPECT_EQ(snapshot.counters.at("pbmg_solve_failures_total"), 0);
   EXPECT_EQ(snapshot.histograms.at("pbmg_solve_failure_seconds").count, 0);
   const std::string small_series =
       "pbmg_solve_latency_seconds{n=\"" + std::to_string(size_of_level(3)) +
@@ -303,15 +302,14 @@ TEST(SolveService, MetricsSnapshotCountsEveryRequestPerSizeAndAccuracy) {
   ASSERT_TRUE(snapshot.gauges.count("pbmg_scratch_hit_rate"));
   ASSERT_TRUE(snapshot.gauges.count("pbmg_scheduler_steals"));
 
-  // A rejected request lands in the failure counter, the error-outcome
-  // request series, and the failure latency histogram — not the
+  // A rejected request lands in the error-outcome request series (the one
+  // failure counter) and the failure latency histogram — not the
   // per-(n, acc) success histograms.
   Grid2D x(size_of_level(3), 0.0), b(size_of_level(3), 0.0);
   SolveRequest bad;
   bad.accuracy_index = trained().accuracy_count() + 3;
   EXPECT_THROW(service.solve(x, b, bad), Error);
   const obs::RegistrySnapshot after = service.metrics_snapshot();
-  EXPECT_EQ(after.counters.at("pbmg_solve_failures_total"), 1);
   EXPECT_EQ(
       after.counters.at("pbmg_solve_requests_total{outcome=\"error\"}"), 1);
   EXPECT_EQ(after.histograms.at("pbmg_solve_failure_seconds").count, 1);

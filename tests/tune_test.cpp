@@ -197,9 +197,6 @@ TEST(Trainer, ValidatesOptions) {
   bad = small_options();
   bad.training_instances = 0;
   EXPECT_THROW(Trainer(bad, engine()), InvalidArgument);
-  bad = small_options();
-  bad.prune_factor = 0.5;
-  EXPECT_THROW(Trainer(bad, engine()), InvalidArgument);
 }
 
 TEST(Trainer, AllCellsTrainedWithValidChoices) {
