@@ -122,6 +122,93 @@ void BM_RestrictResidual(benchmark::State& state) {
 }
 BENCHMARK(BM_RestrictResidual)->Arg(257)->Arg(1025)->UseRealTime();
 
+// The two halves of a Poisson point-SOR RECURSE body, each one fused pass,
+// beside the separate passes with the same outputs: the head against
+// sor_sweep then the restriction that zeroes the coarse correction, the
+// tail against interpolate_add then sor_sweep.
+struct PoissonBody {
+  explicit PoissonBody(int n)
+      : problem(problem_for(n)),
+        op(grid::StencilOp::poisson(n)),
+        x(problem.x0),
+        coarse(coarse_size(n), 0.0),
+        correction(coarse_size(n), 0.0) {}
+  // The spans below point at this object's own grids.
+  PoissonBody(const PoissonBody&) = delete;
+  PoissonBody& operator=(const PoissonBody&) = delete;
+
+  PoissonProblem problem;
+  grid::StencilOp op;
+  Grid2D x;
+  Grid2D coarse;
+  Grid2D correction;
+  Grid2D* const xs[1] = {&x};
+  const Grid2D* const xs_read[1] = {&x};
+  const Grid2D* const bs[1] = {&problem.b};
+  Grid2D* const rcs[1] = {&coarse};
+  Grid2D* const es[1] = {&correction};
+  const Grid2D* const es_read[1] = {&correction};
+};
+
+void BM_PoissonHead(benchmark::State& state) {
+  PoissonBody body(static_cast<int>(state.range(0)));
+  Engine& engine = bench_engine();
+  for (auto _ : state) {
+    solvers::recurse_head(body.op, body.xs, body.bs, solvers::RelaxKind::kSor,
+                          solvers::kRecurseOmega, body.rcs, body.es,
+                          engine.scheduler(), engine.scratch(), {}, nullptr);
+    benchmark::DoNotOptimize(body.coarse.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PoissonHead)->Arg(257)->Arg(513)->Arg(1025)->UseRealTime();
+
+void BM_PoissonHeadUnfused(benchmark::State& state) {
+  PoissonBody body(static_cast<int>(state.range(0)));
+  auto& sched = bench_engine().scheduler();
+  for (auto _ : state) {
+    solvers::sor_sweep(body.x, body.problem.b, solvers::kRecurseOmega, sched);
+    grid::restrict_residual_multi(body.op, body.xs_read, body.bs, body.rcs,
+                                  sched, {}, body.es);
+    benchmark::DoNotOptimize(body.coarse.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PoissonHeadUnfused)
+    ->Arg(257)
+    ->Arg(513)
+    ->Arg(1025)
+    ->UseRealTime();
+
+void BM_PoissonTail(benchmark::State& state) {
+  PoissonBody body(static_cast<int>(state.range(0)));
+  Engine& engine = bench_engine();
+  for (auto _ : state) {
+    solvers::recurse_tail(body.op, body.es_read, body.xs, body.bs,
+                          solvers::RelaxKind::kSor, solvers::kRecurseOmega,
+                          engine.scheduler(), engine.scratch(), {}, nullptr);
+    benchmark::DoNotOptimize(body.x.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PoissonTail)->Arg(257)->Arg(513)->Arg(1025)->UseRealTime();
+
+void BM_PoissonTailUnfused(benchmark::State& state) {
+  PoissonBody body(static_cast<int>(state.range(0)));
+  auto& sched = bench_engine().scheduler();
+  for (auto _ : state) {
+    grid::interpolate_add(body.correction, body.x, sched);
+    solvers::sor_sweep(body.x, body.problem.b, solvers::kRecurseOmega, sched);
+    benchmark::DoNotOptimize(body.x.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PoissonTailUnfused)
+    ->Arg(257)
+    ->Arg(513)
+    ->Arg(1025)
+    ->UseRealTime();
+
 void BM_Norm2(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto problem = problem_for(n);

@@ -276,6 +276,10 @@ void SolveService::validate_request(const tune::TunedConfig& config,
                       "' tuned ladder [0, " +
                       std::to_string(config.accuracy_count()) + ")");
   }
+  validate_target(request);
+}
+
+void SolveService::validate_target(const SolveRequest& request) {
   if (request.accuracy_index < 0 &&
       !(std::isfinite(request.target_accuracy) &&
         request.target_accuracy > 0.0)) {
@@ -592,8 +596,17 @@ SolveStats SolveService::solve_op(const grid::StencilOp& op, Grid2D& x,
           "SolveService: solve_op drives tuned V variants; FMG requests "
           "must go through solve() on a trained family");
     }
+    // A request the service rejects trains nothing: the checks no tables
+    // decide run before the binding (DynamicSolver::solve makes the last
+    // two only once a retune has fired), the ladder index after it, and
+    // all before an unmatched operator fires its family retune.
+    validate_target(request);
+    PBMG_CHECK(request.accuracy_index >= 0 || request.target_accuracy >= 1.0,
+               "SolveService: solve_op target_accuracy must be >= 1");
+    PBMG_CHECK(x.n() == op.n() && b.n() == op.n(),
+               "SolveService: solve_op operand size mismatch (operator n=" +
+                   std::to_string(op.n()) + ")");
     binding = binding_for(gen, op);
-    // A request the service rejects trains nothing.
     validate_request(*binding->served_config, request);
     if (!binding->matched) {
       // Outside every tuned family's threshold: serve from the nearest

@@ -434,6 +434,9 @@ class SolveService {
   /// `config`'s ladder by index, or names a finite positive target.
   static void validate_request(const tune::TunedConfig& config,
                                const SolveRequest& request);
+  /// The part of validate_request no tables decide: throws ConfigError
+  /// unless `request` sets an index or a finite positive target.
+  static void validate_target(const SolveRequest& request);
   enum class Outcome { kServed, kRouted, kThrew };
   /// The request ledger of solve, solve_batch and solve_op: `count`
   /// requests timed as one sample of `seconds`, `converged` of which

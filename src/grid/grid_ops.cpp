@@ -61,12 +61,6 @@ void apply_poisson(const Grid2D& x, Grid2D& out, rt::Scheduler& sched) {
 
 namespace {
 
-/// Picks the W-lane instantiation of a row kernel for lane width w.
-template <typename Fn>
-Fn by_width(int w, Fn w1, Fn w2, Fn w4) {
-  return w == 4 ? w4 : w == 2 ? w2 : w1;
-}
-
 /// The row kernel of one operator that apply_op, residual_op and
 /// restrict_residual drive: rows(x, b, i, out) writes interior row i of
 /// b − A·x — or of A·x when the rows were built without a rhs and b is
@@ -276,17 +270,21 @@ void restrict_residual_multi(const StencilOp& op,
                              std::span<const Grid2D* const> bs,
                              std::span<Grid2D* const> coarse,
                              rt::Scheduler& sched,
-                             const KernelPolicy& kernels) {
-  PBMG_CHECK(xs.size() == bs.size() && xs.size() == coarse.size(),
+                             const KernelPolicy& kernels,
+                             std::span<Grid2D* const> zeroed) {
+  PBMG_CHECK(xs.size() == bs.size() && xs.size() == coarse.size() &&
+                 (zeroed.empty() || zeroed.size() == xs.size()),
              "restrict_residual: span size mismatch");
   for (std::size_t k = 0; k < xs.size(); ++k) {
-    PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr && coarse[k] != nullptr,
+    PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr && coarse[k] != nullptr &&
+                   (zeroed.empty() || zeroed[k] != nullptr),
                "restrict_residual: null grid slot");
     check_valid(*xs[k], "restrict_residual");
     check_same_size(*xs[k], *bs[k], "restrict_residual");
     PBMG_CHECK(op.n() == xs[k]->n(),
                "restrict_residual: operator/grid size mismatch");
-    PBMG_CHECK(coarse[k]->n() == coarse_size(xs[k]->n()),
+    PBMG_CHECK(coarse[k]->n() == coarse_size(xs[k]->n()) &&
+                   (zeroed.empty() || zeroed[k]->n() == coarse[k]->n()),
                "restrict_residual: coarse grid has wrong size");
   }
   if (xs.empty()) return;
@@ -325,8 +323,16 @@ void restrict_residual_multi(const StencilOp& op,
           }
           swapped = !swapped;
         }
+        for (Grid2D* e : zeroed) {
+          std::fill(e->row(static_cast<int>(ib)), e->row(static_cast<int>(ie)),
+                    0.0);
+        }
       });
   for (Grid2D* c : coarse) zero_boundary(*c);
+  for (Grid2D* e : zeroed) {
+    std::fill_n(e->row(0), nc, 0.0);
+    std::fill_n(e->row(nc - 1), nc, 0.0);
+  }
 }
 
 void restrict_inject(const Grid2D& fine, Grid2D& coarse,

@@ -75,15 +75,20 @@ void restrict_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
 /// batch and no fine residual is ever stored.  Each slot's arithmetic is
 /// exactly restrict_residual's, so every slot is bitwise identical to K
 /// separate calls under any thread count; the leaves split the coarse
-/// rows with restrict_residual's grain whatever K is.  Requires equal
-/// span sizes, every fine grid matching op.n() and every coarse grid of
-/// side coarse_size(op.n()).
+/// rows with restrict_residual's grain whatever K is.  `zeroed`, when
+/// not empty, holds one grid of the coarse side per slot, which comes
+/// back zero everywhere, ring included: the zero guess of the coarse
+/// correction a multigrid body solves for next.  Each leaf zeroes the
+/// rows it restricts, so the zeroing runs in the same parallel region.
+/// Requires equal span sizes (or an empty `zeroed`), every fine grid
+/// matching op.n() and every coarse grid of side coarse_size(op.n()).
 void restrict_residual_multi(const StencilOp& op,
                              std::span<const Grid2D* const> xs,
                              std::span<const Grid2D* const> bs,
                              std::span<Grid2D* const> coarse,
                              rt::Scheduler& sched,
-                             const KernelPolicy& kernels = {});
+                             const KernelPolicy& kernels = {},
+                             std::span<Grid2D* const> zeroed = {});
 
 /// Injection restriction: coarse(I,J) = fine(2I,2J) over the whole grid,
 /// boundary included.  Used by full multigrid to coarsen the *problem*

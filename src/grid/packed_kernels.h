@@ -54,6 +54,13 @@ int packed_simd_width_supported();
 /// is bitwise identical — so tuned tables stay portable across machines.
 int clamp_simd_width(int width);
 
+/// Picks the W-lane instantiation of a row kernel (packed_rows.h) for
+/// lane width w in {1, 2, 4}.
+template <typename Fn>
+Fn by_width(int w, Fn w1, Fn w2, Fn w4) {
+  return w == 4 ? w4 : w == 2 ? w2 : w1;
+}
+
 /// r = b − A·x under the packed layout.  Matches residual_op.
 void packed_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
                      Grid2D& r, rt::Scheduler& sched, int simd_width);

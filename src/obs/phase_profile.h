@@ -15,9 +15,10 @@
 /// A PhaseProfile is a (level × phase) grid of relaxed-atomic
 /// accumulators; solvers wrap each sweep-granularity operation (one
 /// relaxation sweep, one residual+restriction, one interpolation, one
-/// direct solve) in a ScopedPhaseTimer.  Set-up such as coarsening the
-/// operator ladders happens at bind (tune::PreparedOperator), before any
-/// solve, so no phase of a solve builds anything.
+/// direct solve, or one fused pass of several) in a ScopedPhaseTimer.
+/// Set-up such as coarsening the operator ladders happens at bind
+/// (tune::PreparedOperator), before any solve, so no phase of a solve
+/// builds anything.
 /// The hooks sit *between* kernels, never inside their parallel loops, so
 /// a profile adds two clock reads per sweep — microseconds against
 /// sweeps that cost tens of microseconds to milliseconds — and the
@@ -33,7 +34,12 @@ namespace pbmg::obs {
 
 /// Phases a solve's wall time is attributed to.
 enum class Phase {
-  kRelax = 0,     ///< point relaxation sweeps (SOR / Jacobi)
+  /// Point relaxation sweeps (SOR / Jacobi), and the fused passes of a
+  /// Poisson point-SOR RECURSE body, each timed once here: the head
+  /// (pre-sweep + residual restriction + zeroed correction) and the
+  /// tail (interpolated correction + post-sweep).  So on that path
+  /// kRestrict and kInterpolate keep only ESTIMATE's transfers.
+  kRelax = 0,
   kLineSolve,     ///< zebra line-relaxation sweeps (batched Thomas)
   kRestrict,      ///< residual/problem formation + restriction
   kInterpolate,   ///< correction/solution interpolation

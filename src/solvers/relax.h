@@ -4,12 +4,14 @@
 #include <string>
 
 #include "grid/grid2d.h"
+#include "grid/scratch.h"
 #include "grid/stencil_op.h"
 #include "runtime/scheduler.h"
 
 /// \file relax.h
 /// Relaxation kernels: Red-Black Successive Over-Relaxation and weighted
-/// Jacobi.
+/// Jacobi, and the two halves of a RECURSE body that run them beside the
+/// grid transfers (recurse_head, recurse_tail).
 ///
 /// The paper restricts its search space to Red-Black SOR (§2.3): the
 /// iterative shortcut uses ω_opt(N) — the optimal SOR weight for the 2-D
@@ -17,6 +19,22 @@
 /// RECURSE use the fixed weight 1.15 chosen by the authors.  Weighted
 /// Jacobi is the alternative the paper measured and rejected; it has one
 /// body, the Poisson sweep the smoother ablation runs.
+///
+/// On the Poisson operator, a SOR sweep and each half of a point-SOR
+/// RECURSE body run as one row wavefront: each block of rows runs every
+/// stage of the pass (red, black, residual and restriction, or
+/// interpolation, red, black), each stage a fixed number of rows behind
+/// the one before, so each row is read from cache by every stage that
+/// needs it.  A block's stages stop short of its neighbours' rows; the
+/// rows they leave at each block edge (a triangle) run in a second
+/// parallel region, once every block is done.  Every cell sees the same
+/// inputs in the same order through the same pk:: row kernels as in
+/// separate passes, so the results are bitwise those of the separate
+/// passes under any thread count.
+
+namespace pbmg::obs {
+class PhaseProfile;
+}
 
 namespace pbmg::solvers {
 
@@ -112,8 +130,10 @@ void validate_relax_tunables(const RelaxTunables& tunables);
 double scaled_omega_opt(int n, double scale);
 
 /// One full red-black SOR sweep (red half-sweep then black half-sweep) on
-/// A·x = b.  Cells of one colour depend only on the other colour, so each
-/// half-sweep is row-parallel.  The boundary ring of x is read, not
+/// the Poisson system A·x = b.  Cells of one colour depend only on the
+/// other colour, so the black half-sweep of a row may run as soon as the
+/// red one has passed the rows beside it: the sweep is one two-stage row
+/// wavefront (see the file comment).  The boundary ring of x is read, not
 /// written.
 void sor_sweep(Grid2D& x, const Grid2D& b, double omega,
                rt::Scheduler& sched);
@@ -149,5 +169,42 @@ void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
                      std::span<const Grid2D* const> bs, double omega,
                      rt::Scheduler& sched,
                      const grid::KernelPolicy& kernels = {});
+
+/// First half of one RECURSE body over K iterates of one operator: one
+/// sweep of `smoother` on each xs[k] against bs[k] (point red-black SOR
+/// at `omega` unless it is a line smoother), then rcs[k] = full weighting
+/// of (bs[k] − A·xs[k]) with a zero ring, and es[k] = 0 everywhere, ring
+/// included: the coarse correction's zero guess.  On the Poisson
+/// operator with point SOR this is one three-stage row wavefront (red,
+/// black, residual rows restricted as they complete) timed once under
+/// obs::Phase::kRelax; every other operator or smoother runs
+/// sor_sweep_multi or line_relax_sweep_multi (timed kRelax or kLineSolve)
+/// and then restrict_residual_multi (timed kRestrict), as two passes.
+/// Either way every slot is bitwise the sweep followed by residual_op
+/// and restrict_full_weighting.  `profile` may be null; the level timed
+/// is op.n()'s.  Requires equal span sizes, every fine grid matching
+/// op.n(), and every coarse grid of side coarse_size(op.n()).
+void recurse_head(const grid::StencilOp& op, std::span<Grid2D* const> xs,
+                  std::span<const Grid2D* const> bs, RelaxKind smoother,
+                  double omega, std::span<Grid2D* const> rcs,
+                  std::span<Grid2D* const> es, rt::Scheduler& sched,
+                  grid::ScratchPool& pool, const grid::KernelPolicy& kernels,
+                  obs::PhaseProfile* profile);
+
+/// Second half of one RECURSE body: xs[k] += P·es[k] (bilinear
+/// interpolation of the coarse correction), then one sweep of `smoother`
+/// as in recurse_head.  On the Poisson operator with point SOR this is
+/// one three-stage row wavefront (interpolation, red, black) timed once
+/// under obs::Phase::kRelax; everything else runs interpolate_add per
+/// slot (timed kInterpolate) and then the sweep.  Every slot is bitwise
+/// interpolate_add followed by the sweep.  Same requirements as
+/// recurse_head.
+void recurse_tail(const grid::StencilOp& op,
+                  std::span<const Grid2D* const> es,
+                  std::span<Grid2D* const> xs,
+                  std::span<const Grid2D* const> bs, RelaxKind smoother,
+                  double omega, rt::Scheduler& sched, grid::ScratchPool& pool,
+                  const grid::KernelPolicy& kernels,
+                  obs::PhaseProfile* profile);
 
 }  // namespace pbmg::solvers

@@ -6,7 +6,6 @@
 #include "grid/grid_ops.h"
 #include "grid/level.h"
 #include "grid/scratch.h"
-#include "solvers/line_relax.h"
 #include "solvers/relax.h"
 
 namespace pbmg::tune {
@@ -188,19 +187,6 @@ void TunedExecutor::sor_multi_at(std::span<Grid2D* const> xs,
   trace(trace::Op::kIterative, level, iterations);
 }
 
-void TunedExecutor::interpolate_multi_at(std::span<Grid2D* const> es,
-                                         std::span<Grid2D* const> xs,
-                                         int level,
-                                         obs::PhaseProfile* profile) const {
-  {
-    obs::ScopedPhaseTimer timer(profile, obs::Phase::kInterpolate, level);
-    for (std::size_t k = 0; k < xs.size(); ++k) {
-      grid::interpolate_add(*es[k], *xs[k], sched_);
-    }
-  }
-  trace(trace::Op::kInterpolate, level);
-}
-
 int TunedExecutor::run_v_multi_at(std::span<Grid2D* const> xs,
                                   std::span<const Grid2D* const> bs,
                                   int level, int accuracy_index,
@@ -244,38 +230,21 @@ void TunedExecutor::recurse_body_multi_at(std::span<Grid2D* const> xs,
   // line variant for operators where point relaxation stalls.  The
   // operator comes from the cell's tuned ladder: averaged coefficients
   // (the historical path) or the exact Galerkin RAP coarse operators.
-  // Every kernel takes the whole batch, so each coefficient stream is
-  // loaded once per sweep for all K slots, while each slot's operation
-  // sequence is exactly its solo walk's.
+  // The head (pre-relaxation, residual restriction, zeroed correction)
+  // and the tail (interpolated correction, post-relaxation) each take the
+  // whole batch and time themselves; on Poisson with point SOR each is
+  // one fused pass.  Every slot's operation sequence is exactly its solo
+  // walk's.
   const grid::StencilOp& op = op_at(level, coarsening);
-  const double recurse_omega = relax_.recurse_omega;
-  const obs::Phase relax_phase = solvers::is_line_relax(smoother)
-                                     ? obs::Phase::kLineSolve
-                                     : obs::Phase::kRelax;
-  const auto relax_once = [&] {
-    obs::ScopedPhaseTimer timer(profile, relax_phase, level);
-    if (solvers::is_line_relax(smoother)) {
-      solvers::line_relax_sweep_multi(op, xs, bs, smoother, sched_, pool_,
-                                      relax_.kernels);
-    } else {
-      solvers::sor_sweep_multi(op, xs, bs, recurse_omega, sched_,
-                               relax_.kernels);
-    }
-  };
-  relax_once();
-  trace(trace::Op::kRelax, level);
-
   const int nc = coarse_size(size_of_level(level));
-  const SlotGrids rc(pool_, nc, xs.size());  // interiors + zeroed rings
-  {
-    obs::ScopedPhaseTimer timer(profile, obs::Phase::kRestrict, level);
-    grid::restrict_residual_multi(op, as_read(xs), bs, rc.grids(), sched_,
-                                  relax_.kernels);
-  }
+  const SlotGrids rc(pool_, nc, xs.size());
+  const SlotGrids e(pool_, nc, xs.size());
+  solvers::recurse_head(op, xs, bs, smoother, relax_.recurse_omega,
+                        rc.grids(), e.grids(), sched_, pool_, relax_.kernels,
+                        profile);
+  trace(trace::Op::kRelax, level);
   trace(trace::Op::kRestrict, level);
 
-  const SlotGrids e(pool_, nc, xs.size());
-  for (Grid2D* g : e.grids()) g->fill(0.0);  // zero guess, zero ring
   const std::span<const Grid2D* const> rcs = as_read(rc.grids());
   if (sub_accuracy_index == kClassicalCoarse) {
     // Classical V-cycle coarse call: one recursion body per level (direct
@@ -292,9 +261,11 @@ void TunedExecutor::recurse_body_multi_at(std::span<Grid2D* const> xs,
   } else {
     run_v_multi_at(e.grids(), rcs, level - 1, sub_accuracy_index, profile);
   }
-  interpolate_multi_at(e.grids(), xs, level, profile);
 
-  relax_once();
+  solvers::recurse_tail(op, as_read(e.grids()), xs, bs, smoother,
+                        relax_.recurse_omega, sched_, pool_, relax_.kernels,
+                        profile);
+  trace(trace::Op::kInterpolate, level);
   trace(trace::Op::kRelax, level);
 }
 
@@ -339,19 +310,24 @@ void TunedExecutor::estimate_multi_at(std::span<Grid2D* const> xs,
   // training and execution share this rule, so measurements stay honest.
   const int nc = coarse_size(size_of_level(level));
   const SlotGrids rc(pool_, nc, xs.size());
+  const SlotGrids e(pool_, nc, xs.size());
   {
     obs::ScopedPhaseTimer timer(profile, obs::Phase::kRestrict, level);
     grid::restrict_residual_multi(
         op_at(level, grid::Coarsening::kAverage), as_read(xs), bs,
-        rc.grids(), sched_, relax_.kernels);
+        rc.grids(), sched_, relax_.kernels, e.grids());
   }
   trace(trace::Op::kRestrict, level);
 
-  const SlotGrids e(pool_, nc, xs.size());
-  for (Grid2D* g : e.grids()) g->fill(0.0);
   run_fmg_multi_at(e.grids(), as_read(rc.grids()), level - 1,
                    estimate_accuracy_index, profile);
-  interpolate_multi_at(e.grids(), xs, level, profile);
+  {
+    obs::ScopedPhaseTimer timer(profile, obs::Phase::kInterpolate, level);
+    for (std::size_t k = 0; k < xs.size(); ++k) {
+      grid::interpolate_add(*e.grids()[k], *xs[k], sched_);
+    }
+  }
+  trace(trace::Op::kInterpolate, level);
 }
 
 }  // namespace pbmg::tune

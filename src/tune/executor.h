@@ -27,7 +27,14 @@
 /// where RECURSE (one pre-SOR(1.15), residual restriction, coarse call to
 /// MULTIGRID-V_j, correction, one post-SOR(1.15)) and ESTIMATE (residual
 /// restriction, coarse FULL-MULTIGRID_j, correction) recurse through the
-/// same tables one level down.
+/// same tables one level down.  A RECURSE body runs as
+/// solvers::recurse_head (pre-relaxation, residual restriction, zeroed
+/// coarse correction), the coarse call, and solvers::recurse_tail
+/// (interpolated correction, post-relaxation); on Poisson with point SOR
+/// each half is one fused pass, timed once as relaxation.  ESTIMATE's
+/// restriction zeroes its coarse correction the same way
+/// (grid::restrict_residual_multi), so no walk step zero-fills a grid
+/// on the calling thread.
 ///
 /// There is one walk, and it takes K iterates at once: a solo solve is a
 /// batch of one (run_v, run_fmg, recurse_body and estimate forward a
@@ -80,12 +87,13 @@ class TunedExecutor {
 
   /// Runs MULTIGRID-V on K iterates xs[k] against right-hand-sides bs[k]
   /// simultaneously: one tuned plan walk whose relax and restriction
-  /// sweeps take the whole batch (sor_sweep_multi, line_relax_sweep_multi,
-  /// restrict_residual_multi), so each coefficient row is loaded once per
-  /// sweep and reused across all K.  This walk is the only one: every
-  /// xs[k] finishes bitwise identical to a solo run_v(xs[k], bs[k],
-  /// accuracy_index), because a solo solve is this walk at K = 1 and the
-  /// fusion reorders memory traffic, never each iterate's accumulation.
+  /// sweeps take the whole batch (sor_sweep_multi, recurse_head,
+  /// recurse_tail, restrict_residual_multi), so each coefficient row is
+  /// loaded once per sweep and reused across all K.  This walk is the
+  /// only one: every xs[k] finishes bitwise identical to a solo
+  /// run_v(xs[k], bs[k], accuracy_index), because a solo solve is this
+  /// walk at K = 1 and the fusion reorders memory traffic, never each
+  /// iterate's accumulation.
   /// All grids must share one trained level.  Throws InvalidArgument when
   /// an iterate is another slot's iterate or any slot's right-hand side;
   /// right-hand sides may be shared.  Returns the top-level iteration
@@ -164,10 +172,6 @@ class TunedExecutor {
   void sor_multi_at(std::span<Grid2D* const> xs,
                     std::span<const Grid2D* const> bs, int level,
                     int iterations, obs::PhaseProfile* profile) const;
-  /// xs[k] += P·es[k] for every slot, timed and traced at `level`.
-  void interpolate_multi_at(std::span<Grid2D* const> es,
-                            std::span<Grid2D* const> xs, int level,
-                            obs::PhaseProfile* profile) const;
   void trace(trace::Op op, int level, int detail = 0) const;
 
   /// Operator at `level` in the requested ladder.  A RAP cell at the

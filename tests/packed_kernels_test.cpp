@@ -13,10 +13,12 @@
 // Poisson residual and SOR rows and the restriction and interpolation
 // rows every operator shares are pinned against scalar reference loops
 // kept here, at every width, through the public entry points at one and
-// four threads, and with eight-row leaves racing at n = 257 and 1025; the
+// four threads, and with eight-row leaves racing at n = 257 to 1025; the
 // fused restrict_residual, solo and over K iterates, is pinned against
 // residual_op followed by restrict_full_weighting for every operator
-// kind.
+// kind, and the corrections it zeroes come back zero.  The fused Poisson
+// RECURSE head and tail and the one-pass sweep are pinned against the
+// scalar references, solo and batched, on one to four threads.
 
 #include <cstdint>
 #include <cstring>
@@ -55,9 +57,8 @@ Engine& engine_with(int threads, int grain_rows = 2) {
     p.grain_rows = 2;  // force real slicing so races would surface
     return EngineOptions{p, {}, {}};
   }());
-  // Eight-row leaves: the Poisson SOR sweep runs its full-width rows only
-  // inside a leaf, so its leaf-edge rows race their neighbour leaves only
-  // when leaves are longer than two rows.
+  // Eight-row leaves: a fused-restriction leaf carries residual rows from
+  // one coarse row to the next only when it holds more than two.
   static Engine four_wide([] {
     rt::MachineProfile p;
     p.name = "packed-test-4t-g8";
@@ -65,7 +66,23 @@ Engine& engine_with(int threads, int grain_rows = 2) {
     p.grain_rows = 8;
     return EngineOptions{p, {}, {}};
   }());
+  // Two and three threads split the Poisson wavefront passes into 8 and
+  // 12 blocks; three gives blocks of uneven length.
+  static Engine two([] {
+    rt::MachineProfile p;
+    p.name = "packed-test-2t";
+    p.threads = 2;
+    return EngineOptions{p, {}, {}};
+  }());
+  static Engine three([] {
+    rt::MachineProfile p;
+    p.name = "packed-test-3t";
+    p.threads = 3;
+    return EngineOptions{p, {}, {}};
+  }());
   if (threads == 1) return one;
+  if (threads == 2) return two;
+  if (threads == 3) return three;
   return grain_rows == 8 ? four_wide : four;
 }
 
@@ -576,11 +593,12 @@ TEST(PoissonRows, EntryPointsMatchTheScalarReferenceAtOneAndFourThreads) {
 }
 
 TEST(PoissonRows, SlicedSweepsMatchTheScalarReference) {
-  // Past the 16,384-cell sequential cutoff, so four threads run eight-row
-  // leaves concurrently: the SOR leaf-edge rows and the fused
+  // Past the 16,384-cell sequential cutoff, so four threads run the SOR
+  // sweep's wavefront blocks and the restriction's eight-row leaves
+  // concurrently: the narrow rows at block edges and the fused
   // restriction's per-leaf buffers race here if anywhere.
   std::uint64_t seed = 0x511CE;
-  for (const int n : {257, 1025}) {
+  for (const int n : {257, 513, 1025}) {
     SCOPED_TRACE("n=" + std::to_string(n));
     expect_entry_points_match_reference(n, engine_with(4, 8), seed += 8);
   }
@@ -603,6 +621,17 @@ TEST(FusedRestriction, MatchesResidualThenRestrictForEveryOperatorKind) {
     Grid2D fused(coarse_size(n), 2.0);
     restrict_residual(op, x, b, fused, eng.scheduler(), k);
     EXPECT_TRUE(bitwise_equal(fused, expected));
+    // The same restriction zeroing a coarse correction in its region.
+    Grid2D with_zeroed(coarse_size(n), 2.0);
+    Grid2D zeroed(coarse_size(n), 3.0);
+    const Grid2D* const xs[] = {&x};
+    const Grid2D* const bs[] = {&b};
+    Grid2D* const coarse[] = {&with_zeroed};
+    Grid2D* const corrections[] = {&zeroed};
+    restrict_residual_multi(op, xs, bs, coarse, eng.scheduler(), k,
+                            corrections);
+    EXPECT_TRUE(bitwise_equal(with_zeroed, expected));
+    EXPECT_TRUE(bitwise_equal(zeroed, Grid2D(coarse_size(n), 0.0)));
   };
   std::uint64_t seed = 0xF05E;
   for (const int n : kSmallSizes) {
@@ -630,6 +659,99 @@ TEST(FusedRestriction, MatchesResidualThenRestrictForEveryOperatorKind) {
   for (const KernelPolicy& k : {KernelPolicy{}, packed_policy(4)}) {
     SCOPED_TRACE("jump n=257 sliced, layout=" + to_string(k.layout));
     expect_fused(jump, k, engine_with(4, 8), seed += 2);
+  }
+}
+
+// ------------------------------------------ fused Poisson body passes --
+
+/// The fused Poisson passes of a RECURSE body, and the one-pass SOR
+/// sweep, against the scalar references run one pass at a time on every
+/// slot: the head (sweep, then residual restriction, and a zeroed
+/// correction), the tail (interpolated correction, then sweep) and
+/// sor_sweep_multi.  Blocks split by thread count, so the engines' one to
+/// four threads cover one block, even blocks and uneven ones.
+void expect_fused_passes_match_reference(int n, int k_count,
+                                         std::uint64_t seed) {
+  const double omega = solvers::kRecurseOmega;
+  const int nc = coarse_size(n);
+  const StencilOp op = StencilOp::poisson(n);
+  std::vector<Grid2D> x0;
+  std::vector<Grid2D> b;
+  std::vector<Grid2D> e;
+  std::vector<Grid2D> head_x;
+  std::vector<Grid2D> head_rc;
+  std::vector<Grid2D> tail_x;
+  std::vector<Grid2D> sweep_x;
+  for (int k = 0; k < k_count; ++k) {
+    x0.push_back(random_grid(n, seed + 10 * static_cast<unsigned>(k)));
+    b.push_back(random_grid(n, seed + 10 * static_cast<unsigned>(k) + 1));
+    e.push_back(random_grid(nc, seed + 10 * static_cast<unsigned>(k) + 2));
+    head_x.push_back(x0.back());
+    reference_sor(head_x.back(), b.back(), omega);
+    Grid2D r(n, 0.0);
+    reference_residual(head_x.back(), b.back(), r);
+    head_rc.emplace_back(nc, 0.0);
+    reference_restrict(r, head_rc.back());
+    tail_x.push_back(x0.back());
+    reference_interpolate(e.back(), tail_x.back(), /*assign=*/false);
+    reference_sor(tail_x.back(), b.back(), omega);
+    sweep_x.push_back(x0.back());
+    reference_sor(sweep_x.back(), b.back(), omega);
+  }
+  const Grid2D zero(nc, 0.0);
+  for (const int threads : {1, 2, 3, 4}) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " K=" + std::to_string(k_count) +
+                 " threads=" + std::to_string(threads));
+    Engine& eng = engine_with(threads);
+    std::vector<Grid2D> xs_store = x0;
+    std::vector<Grid2D> rc_store(x0.size(), Grid2D(nc, 2.0));
+    std::vector<Grid2D> es_store(x0.size(), Grid2D(nc, 3.0));
+    std::vector<Grid2D*> xs;
+    std::vector<const Grid2D*> bs;
+    std::vector<Grid2D*> rcs;
+    std::vector<Grid2D*> es;
+    std::vector<const Grid2D*> es_read;
+    for (int k = 0; k < k_count; ++k) {
+      xs.push_back(&xs_store[k]);
+      bs.push_back(&b[k]);
+      rcs.push_back(&rc_store[k]);
+      es.push_back(&es_store[k]);
+      es_read.push_back(&e[k]);
+    }
+    solvers::recurse_head(op, xs, bs, solvers::RelaxKind::kSor, omega, rcs,
+                          es, eng.scheduler(), eng.scratch(), {}, nullptr);
+    for (int k = 0; k < k_count; ++k) {
+      EXPECT_TRUE(bitwise_equal(xs_store[k], head_x[k]))
+          << "head sweep, slot " << k;
+      EXPECT_TRUE(bitwise_equal(rc_store[k], head_rc[k]))
+          << "head restriction, slot " << k;
+      EXPECT_TRUE(bitwise_equal(es_store[k], zero))
+          << "head correction, slot " << k;
+    }
+    xs_store = x0;
+    solvers::recurse_tail(op, es_read, xs, bs, solvers::RelaxKind::kSor, omega,
+                          eng.scheduler(), eng.scratch(), {}, nullptr);
+    for (int k = 0; k < k_count; ++k) {
+      EXPECT_TRUE(bitwise_equal(xs_store[k], tail_x[k])) << "tail, slot " << k;
+    }
+    xs_store = x0;
+    solvers::sor_sweep_multi(op, xs, bs, omega, eng.scheduler());
+    for (int k = 0; k < k_count; ++k) {
+      EXPECT_TRUE(bitwise_equal(xs_store[k], sweep_x[k]))
+          << "sweep, slot " << k;
+    }
+  }
+}
+
+TEST(FusedPoissonPasses, HeadTailAndSweepMatchTheScalarReference) {
+  // From one interior row (n = 3, no coarse interior) through every
+  // vector tail to the sliced sizes past the sequential cutoff, where
+  // blocks and triangles run concurrently.
+  std::uint64_t seed = 0xB0D1E5;
+  for (const int n : {3, 5, 9, 17, 33, 257, 513, 1025}) {
+    for (const int k_count : {1, 3}) {
+      expect_fused_passes_match_reference(n, k_count, seed += 100);
+    }
   }
 }
 
@@ -744,8 +866,9 @@ TEST(MultiRhsParity, AllFamiliesWidthsAndLayoutsMatchSolo) {
 }
 
 TEST(MultiRhsParity, PoissonFastPathAndThreadCountsMatchSolo) {
-  // n = 257 is past the sequential cutoff, so the 4-thread runs split rows
-  // into eight-row leaves and the SIMD SOR rows meet their leaf edges.
+  // n = 257 is past the sequential cutoff, so the 4-thread runs split the
+  // SOR sweep into wavefront blocks, whose edge rows take the narrow SOR
+  // row, and the restriction into eight-row leaves.
   std::uint64_t seed = 0xF00D;
   for (const int n : {33, 257}) {
     const StencilOp op = StencilOp::poisson(n);

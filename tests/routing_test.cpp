@@ -352,7 +352,19 @@ TEST(OperatorRouting, MalformedRequestFiresNoRetune) {
     Grid2D x = problem.x0;
     EXPECT_THROW(service.solve_op(jump, x, problem.b, bad), ConfigError);
   }
-  EXPECT_EQ(service.stats().failures, 4);
+  // A finite target below 1 and an iterate of the wrong side are the
+  // solver's InvalidArgument, raised before the binding.
+  SolveRequest sub_unit;
+  sub_unit.target_accuracy = 0.5;
+  Grid2D x_sub = problem.x0;
+  EXPECT_THROW(service.solve_op(jump, x_sub, problem.b, sub_unit),
+               InvalidArgument);
+  SolveRequest valid_target;
+  valid_target.target_accuracy = 10.0;
+  Grid2D x_wide(size_of_level(level + 1), 0.0);
+  EXPECT_THROW(service.solve_op(jump, x_wide, problem.b, valid_target),
+               InvalidArgument);
+  EXPECT_EQ(service.stats().failures, 6);
   EXPECT_EQ(service.stats().family_retunes, 0);
   EXPECT_EQ(retunes.load(), 0);
 

@@ -326,18 +326,15 @@ TEST(ClassicalCoarse, RecurseClassicalCellIsBitwiseAClassicalVCycle) {
   // options.  This cell type is what lets per-operator tuned tables
   // escape the accuracy ladder's coarse-solve floor on slowly converging
   // operators (tune/table.h); pin its semantics bit for bit.
-  const auto family = OperatorFamily::kAnisotropic;
-  const int n = size_of_level(5);
-  const auto inst = make_instance(family, n, 2026'07'08);
-  const grid::StencilHierarchy ops(make_operator(n, family));
-
-  // Both for the historical point-SOR shape and for a line smoother: the
-  // cell's smoother must travel down the classical ramp exactly as
-  // VCycleOptions::relaxation would.
-  for (const solvers::RelaxKind smoother :
-       {solvers::RelaxKind::kSor, solvers::RelaxKind::kLineZebraAlt}) {
-    tune::TunedConfig config(tune::paper_accuracies(), 5);
-    for (int level = 2; level <= 5; ++level) {
+  const auto expect_vcycle = [](OperatorFamily family, int level,
+                                solvers::RelaxKind smoother) {
+    SCOPED_TRACE(to_string(family) + " level " + std::to_string(level) +
+                 " " + solvers::to_string(smoother));
+    const int n = size_of_level(level);
+    const auto inst = make_instance(family, n, 2026'07'08);
+    const grid::StencilHierarchy ops(make_operator(n, family));
+    tune::TunedConfig config(tune::paper_accuracies(), level);
+    for (int l = 2; l <= level; ++l) {
       for (int i = 0; i < config.accuracy_count(); ++i) {
         tune::VEntry cell;
         cell.choice.kind = tune::VKind::kRecurse;
@@ -345,7 +342,7 @@ TEST(ClassicalCoarse, RecurseClassicalCellIsBitwiseAClassicalVCycle) {
         cell.choice.iterations = 3;
         cell.choice.smoother = smoother;
         cell.trained = true;
-        config.v_entry(level, i) = cell;
+        config.v_entry(l, i) = cell;
       }
     }
     const tune::TunedExecutor executor(config, sched(), engine().direct(),
@@ -363,9 +360,19 @@ TEST(ClassicalCoarse, RecurseClassicalCellIsBitwiseAClassicalVCycle) {
                       engine().direct(), engine().scratch());
     }
     ASSERT_EQ(0, std::memcmp(via_executor.data(), via_vcycle.data(),
-                             via_vcycle.size() * sizeof(double)))
-        << solvers::to_string(smoother);
+                             via_vcycle.size() * sizeof(double)));
+  };
+  // Both for the historical point-SOR shape and for a line smoother: the
+  // cell's smoother must travel down the classical ramp exactly as
+  // VCycleOptions::relaxation would.
+  for (const solvers::RelaxKind smoother :
+       {solvers::RelaxKind::kSor, solvers::RelaxKind::kLineZebraAlt}) {
+    expect_vcycle(OperatorFamily::kAnisotropic, 5, smoother);
   }
+  // Poisson bodies with point SOR run their fused head and tail, which
+  // at n = 513 on four threads split into blocks; the reference cycle
+  // runs the separate sweeps and transfers.
+  expect_vcycle(OperatorFamily::kPoisson, 9, solvers::RelaxKind::kSor);
 }
 
 TEST(StencilValidation, BadCoefficientsThrowInEveryBuild) {
