@@ -452,6 +452,97 @@ BENCHMARK(BM_StencilZebraPackedBatch)
     ->Args({513, 4})
     ->UseRealTime();
 
+// ------------------------------------------------ parallel cutoff --
+// The coarse passes a jump RAP walk runs, each inside a solve that has
+// already forked a region (rt::SolveScope), as a walk's are once its fine
+// passes have forked: on the bench engine the scheduler prices them by
+// their work (the weights in grid/grid_ops.h) and forks them from n = 65
+// or 129, while a one-thread engine runs them inline.  The ratio
+// serial / forked is the cutoff's payoff at each size.  The operator is
+// the 9-point RAP level of the jump operator one level up.
+
+enum class CutoffPass { kXLine, kSor, kRestrict };
+
+Engine& serial_engine() {
+  static Engine instance(rt::serial_profile());
+  return instance;
+}
+
+void cutoff_pass_bench(benchmark::State& state, CutoffPass pass,
+                       Engine& engine) {
+  const int n = static_cast<int>(state.range(0));
+  const grid::StencilHierarchy ladder(
+      make_operator(2 * n - 1, OperatorFamily::kJumpCoefficient),
+      grid::Coarsening::kRap);
+  const grid::StencilOp& op = ladder.at(level_of_size(n));
+  op.packed();
+  const auto problem = problem_for(n);
+  Grid2D x = problem.x0;
+  Grid2D* const xs[] = {&x};
+  const Grid2D* const bs[] = {&problem.b};
+  const Grid2D* const xs_read[] = {&x};
+  Grid2D coarse(coarse_size(n), 0.0);
+  Grid2D* const cs[] = {&coarse};
+  auto& sched = engine.scheduler();
+  const rt::SolveScope solve;
+  sched.parallel_for(0, 2, 1, [](std::int64_t, std::int64_t) {});
+  for (auto _ : state) {
+    switch (pass) {
+      case CutoffPass::kXLine:
+        solvers::line_relax_sweep_multi(op, xs, bs, solvers::RelaxKind::kLineX,
+                                        sched, engine.scratch(),
+                                        packed_policy());
+        break;
+      case CutoffPass::kSor:
+        solvers::sor_sweep_multi(op, xs, bs, solvers::kRecurseOmega, sched,
+                                 packed_policy());
+        break;
+      case CutoffPass::kRestrict:
+        grid::restrict_residual_multi(op, xs_read, bs, cs, sched,
+                                      packed_policy());
+        break;
+    }
+    benchmark::DoNotOptimize(x.data());
+    benchmark::DoNotOptimize(coarse.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * (n - 2) * (n - 2));
+}
+
+void BM_CutoffXLine(benchmark::State& state) {
+  cutoff_pass_bench(state, CutoffPass::kXLine, bench_engine());
+}
+BENCHMARK(BM_CutoffXLine)->Arg(65)->Arg(129)->Arg(257)->UseRealTime();
+
+void BM_CutoffXLineSerial(benchmark::State& state) {
+  cutoff_pass_bench(state, CutoffPass::kXLine, serial_engine());
+}
+BENCHMARK(BM_CutoffXLineSerial)->Arg(65)->Arg(129)->Arg(257)->UseRealTime();
+
+void BM_CutoffSor(benchmark::State& state) {
+  cutoff_pass_bench(state, CutoffPass::kSor, bench_engine());
+}
+BENCHMARK(BM_CutoffSor)->Arg(65)->Arg(129)->Arg(257)->UseRealTime();
+
+void BM_CutoffSorSerial(benchmark::State& state) {
+  cutoff_pass_bench(state, CutoffPass::kSor, serial_engine());
+}
+BENCHMARK(BM_CutoffSorSerial)->Arg(65)->Arg(129)->Arg(257)->UseRealTime();
+
+void BM_CutoffRestrict(benchmark::State& state) {
+  cutoff_pass_bench(state, CutoffPass::kRestrict, bench_engine());
+}
+BENCHMARK(BM_CutoffRestrict)->Arg(65)->Arg(129)->Arg(257)->UseRealTime();
+
+void BM_CutoffRestrictSerial(benchmark::State& state) {
+  cutoff_pass_bench(state, CutoffPass::kRestrict, serial_engine());
+}
+BENCHMARK(BM_CutoffRestrictSerial)
+    ->Arg(65)
+    ->Arg(129)
+    ->Arg(257)
+    ->UseRealTime();
+
 // --------------------------------------------------------- RAP ladders --
 // The Galerkin RAP ladder a θ=45° binding builds, coarsened on the bench
 // engine's scheduler and serially (the scheduler-less constructor).  Both

@@ -100,6 +100,13 @@ class StencilRows {
     row_(*this, x, b != nullptr ? b->row(i) : nullptr, i, out);
   }
 
+  /// grain_for's cost per cell of a pass of these rows over K iterates.
+  std::int64_t cost(std::size_t batch) const {
+    if (op_.is_poisson()) return 1;
+    return (op_.is_nine_point() ? kResidualCost9 : kResidualCost5) *
+           static_cast<std::int64_t>(batch);
+  }
+
  private:
   using RowFn = void (*)(const StencilRows&, const Grid2D&, const double*,
                          int, double*);
@@ -186,7 +193,7 @@ class StencilRows {
 void sweep_rows(const StencilRows& rows, const Grid2D& x, const Grid2D* b,
                 Grid2D& out, rt::Scheduler& sched) {
   const int n = out.n();
-  sched.parallel_for(1, n - 1, sched.grain_for(n - 2, n - 2),
+  sched.parallel_for(1, n - 1, sched.grain_for(n - 2, n - 2, rows.cost(1)),
                      [&](std::int64_t ib, std::int64_t ie) {
                        for (int i = static_cast<int>(ib);
                             i < static_cast<int>(ie); ++i) {
@@ -294,7 +301,7 @@ void restrict_residual_multi(const StencilOp& op,
   const StencilRows rows(op, true, kernels);
   const RestrictRowFn restrict_row = restrict_row_fn();
   sched.parallel_for(
-      1, nc - 1, sched.grain_for(nc - 2, 4 * (nc - 2)),
+      1, nc - 1, sched.grain_for(nc - 2, 4 * (nc - 2), rows.cost(batch)),
       [&](std::int64_t ib, std::int64_t ie) {
         // Coarse row ci weighs fine residual rows 2ci−1 … 2ci+1, so rows
         // 2ib−1 … 2ie−1 each feed this leaf once: the odd row below one

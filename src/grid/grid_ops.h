@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "grid/grid2d.h"
@@ -20,6 +21,40 @@
 /// machine profile executes (the tuner measures under the active profile).
 
 namespace pbmg::grid {
+
+/// Work per cell of each variable-coefficient pass, in Poisson SOR cell
+/// updates: a kernel passes its kind's weight times its batch size K to
+/// rt::Scheduler::grain_for as `cost_per_cell`, on either layout.  Poisson
+/// passes cost 1 whatever K is.  One thread, interleaved, median of 300
+/// calls, as multiples of a Poisson SOR cell (1.42 ns at n = 129, 1.38 ns
+/// at n = 257) on a 4-core x86-64 VM with AVX2, packed layout, n = 129 /
+/// 257:
+///  - SOR: 5-point 3.2 / 3.8, RAP 9-point 5.3 / 6.5;
+///  - residual + restriction, per fine cell: 5-point 1.3 / 2.1, 9-point
+///    2.3 / 3.3 (Poisson 0.8);
+///  - x-line: 5-point 4.7 / 5.8, 9-point 7.3 / 8.4; y-line: 5-point
+///    6.1 / 9.1, 9-point 10.0 / 13.7.
+/// The legacy layout's SOR and restriction cost about the same (5-point
+/// SOR 3.0 / 2.6, 9-point 5.6 / 6.7; restriction 2.4 / 2.2 and
+/// 3.7 / 3.6) and its line passes more (9.6–18), so the shared weights
+/// fork a legacy pass no earlier than its work warrants.  A coloured
+/// sweep counts every cell of the rows its colour region visits, about
+/// twice the cells it updates.  With these weights and the default
+/// cutoff, K = 1 passes fork from n = 65 for the line passes and from
+/// n = 129 for SOR and restriction, and K = 4 passes from n = 65 (lines
+/// from n = 33); four threads inside a forked solve against one thread
+/// measured (µs, K = 1) 9-point x-line 48.0 → 26.0 at n = 65, 9-point
+/// SOR 99.6 → 54.9 and restriction 38.6 → 19.0 at n = 129, and at
+/// K = 4, n = 65, 9-point SOR 108.4 → 72.7.  Forking a K = 1 SOR at
+/// n = 65 gained 9–16% (5-point 17.5 → 14.7 µs, 9-point 29.5 → 26.8),
+/// and a 9-point SOR at n = 33 lost (6.9 → 16.8 µs).
+inline constexpr std::int64_t kSorCost5 = 4;
+inline constexpr std::int64_t kSorCost9 = 6;
+/// Residual, apply, and the fused residual restriction (per fine cell).
+inline constexpr std::int64_t kResidualCost5 = 2;
+inline constexpr std::int64_t kResidualCost9 = 3;
+/// Either line pass, 5- or 9-point (per cell of the lines it solves).
+inline constexpr std::int64_t kLineCost = 10;
 
 /// out(i,j) = (A x)(i,j) on the interior; out's boundary ring is zeroed.
 /// Requires x and out to be the same valid size.
@@ -75,7 +110,7 @@ void restrict_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
 /// batch and no fine residual is ever stored.  Each slot's arithmetic is
 /// exactly restrict_residual's, so every slot is bitwise identical to K
 /// separate calls under any thread count; the leaves split the coarse
-/// rows with restrict_residual's grain whatever K is.  `zeroed`, when
+/// rows, priced at the residual weight times K.  `zeroed`, when
 /// not empty, holds one grid of the coarse side per slot, which comes
 /// back zero everywhere, ring included: the zero guess of the coarse
 /// correction a multigrid body solves for next.  Each leaf zeroes the

@@ -62,6 +62,20 @@ int clamp_line_width(int w, int n) {
   return n < 5 ? std::min(w, 2) : w;
 }
 
+/// Tasks per scheduler thread when a line pass forks: a task takes
+/// max(1, groups / (kLineTasksPerThread · threads)) line groups, in place
+/// of the profile's grain_rows (packed_kernels.h has the measurement).
+constexpr int kLineTasksPerThread = 8;
+
+/// Groups per task of one zebra parity's pass over `groups` line groups of
+/// `cells` cells each (lanes × line length × K), priced at kLineCost: the
+/// whole range when the pass runs inline.
+std::int64_t line_grain(const rt::Scheduler& sched, int groups,
+                        std::int64_t cells) {
+  if (sched.below_cutoff(groups, cells, kLineCost)) return groups;
+  return std::max(1, groups / (kLineTasksPerThread * sched.thread_count()));
+}
+
 }  // namespace
 
 int packed_simd_width_supported() {
@@ -142,19 +156,23 @@ void packed_sor_sweep_multi(const StencilOp& op, std::span<Grid2D* const> xs,
   const double ch2 = op.c() * h2;
   const double keep = 1.0 - omega;
   const int w = clamp_simd_width(simd_width);
+  const auto batch = static_cast<std::int64_t>(xs.size());
   if (p.nine_point()) {
     // Four colours, like the legacy 9-point sweep: corner neighbours of a
     // (i mod 2, j mod 2) class are all in other classes, so same-colour
-    // points are independent and safe to vectorize across.
+    // points are independent and safe to vectorize across.  A colour's
+    // region hands out only its rows, i = 2r + 2 − pi.
     for (int color = 0; color < 4; ++color) {
       const int pi = color >> 1;
       const int pj = color & 1;
+      const int colour_rows = (n - 2 + pi) / 2;
       sched.parallel_for(
-          1, n - 1, sched.grain_for(n - 2, n - 2),
-          [&, pi, pj](std::int64_t ib, std::int64_t ie) {
-            for (int i = static_cast<int>(ib); i < static_cast<int>(ie);
-                 ++i) {
-              if ((i & 1) != pi) continue;
+          0, colour_rows,
+          sched.grain_for(colour_rows, n - 2, kSorCost9 * batch),
+          [&, pi, pj](std::int64_t rb, std::int64_t re) {
+            for (int r = static_cast<int>(rb); r < static_cast<int>(re);
+                 ++r) {
+              const int i = 2 * r + 2 - pi;
               const pk::View9 v = pk::view9(p, i);
               const int j0 = 1 + ((1 + pj) & 1);
               for (std::size_t k = 0; k < xs.size(); ++k) {
@@ -174,7 +192,7 @@ void packed_sor_sweep_multi(const StencilOp& op, std::span<Grid2D* const> xs,
   }
   for (int parity = 0; parity <= 1; ++parity) {
     sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
+        1, n - 1, sched.grain_for(n - 2, n - 2, kSorCost5 * batch),
         [&, parity](std::int64_t ib, std::int64_t ie) {
           for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
             const pk::View5 v = pk::view5(p, i);
@@ -240,8 +258,9 @@ void packed_line_x_multi(const StencilOp& op, std::span<Grid2D* const> xs,
     if (lg.groups == 0) continue;
     sched.parallel_for(
         0, lg.groups,
-        sched.grain_for(lg.groups, static_cast<std::int64_t>(w) * (n - 2) *
-                                       static_cast<std::int64_t>(xs.size())),
+        line_grain(sched, lg.groups,
+                   static_cast<std::int64_t>(w) * (n - 2) *
+                       static_cast<std::int64_t>(xs.size())),
         [&](std::int64_t gb, std::int64_t ge) {
           for (int g = static_cast<int>(gb); g < static_cast<int>(ge); ++g) {
             const int i0 = lg.first + 2 * g * w;
@@ -336,8 +355,9 @@ void packed_line_y_multi(const StencilOp& op, std::span<Grid2D* const> xs,
     if (lg.groups == 0) continue;
     sched.parallel_for(
         0, lg.groups,
-        sched.grain_for(lg.groups, static_cast<std::int64_t>(w) * (n - 2) *
-                                       static_cast<std::int64_t>(xs.size())),
+        line_grain(sched, lg.groups,
+                   static_cast<std::int64_t>(w) * (n - 2) *
+                       static_cast<std::int64_t>(xs.size())),
         [&](std::int64_t gb, std::int64_t ge) {
           for (int g = static_cast<int>(gb); g < static_cast<int>(ge); ++g) {
             const int j0 = lg.first + 2 * g * w;

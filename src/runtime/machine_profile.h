@@ -38,16 +38,23 @@ struct MachineProfile {
 
   /// Minimum rows per leaf task when slicing grid sweeps; larger values
   /// model architectures where fine-grained tasks are not profitable.
+  /// The packed line passes slice their line groups by the thread count
+  /// instead (grid/packed_kernels.h).
   int grain_rows = 8;
 
   /// Busy-wait injected on every task spawn, in nanoseconds.  Models
   /// scheduling cost on architectures with slow scalar cores.
   int spawn_overhead_ns = 0;
 
-  /// Parallel/sequential cutoff: grid kernels whose total work (in cells)
-  /// is at most this bound run inline instead of forking tasks.  This is
-  /// the "parallel-sequential cutoff point" PetaBricks tunes per machine
-  /// (§3.2.2); profiles carry representative values.
+  /// Parallel/sequential cutoff: grid kernels whose total work is at most
+  /// this bound run inline instead of forking tasks.  This is the
+  /// "parallel-sequential cutoff point" PetaBricks tunes per machine
+  /// (§3.2.2); profiles carry representative values.  Work is counted in
+  /// Poisson SOR cell updates, the unit the default was calibrated in on
+  /// Poisson V-cycles (bench/ablation_cutoff): a Poisson pass counts its
+  /// cells, and inside a solve that has forked a region, a
+  /// variable-coefficient pass counts its cells times its kind's weight
+  /// and its batch size (rt::Scheduler::grain_for).
   std::int64_t sequential_cutoff_cells = 16384;
 };
 

@@ -15,6 +15,11 @@ namespace {
 thread_local const Scheduler* tls_scheduler = nullptr;
 thread_local int tls_slot = -1;
 
+// The calling thread's solve (SolveScope): none, one whose regions have
+// all run inline so far, or one that has forked a region.
+enum class SolveState : unsigned char { kNone, kInline, kForked };
+thread_local SolveState tls_solve = SolveState::kNone;
+
 // Idle-spin budgets, in wall time because one pause costs anywhere from a
 // few to over a hundred cycles depending on the CPU.  An idle worker spins
 // this long before sleeping: multigrid issues bursts of parallel regions
@@ -118,6 +123,30 @@ Scheduler::~Scheduler() {
 }
 
 bool Scheduler::on_worker_thread() const { return tls_scheduler == this; }
+
+bool Scheduler::below_cutoff(std::int64_t rows, std::int64_t cells_per_row,
+                             std::int64_t cost_per_cell) const {
+  const std::int64_t cost =
+      tls_solve == SolveState::kForked ? cost_per_cell : 1;
+  return rows * cells_per_row * cost <= profile_.sequential_cutoff_cells;
+}
+
+std::int64_t Scheduler::grain_for(std::int64_t rows,
+                                  std::int64_t cells_per_row,
+                                  std::int64_t cost_per_cell) const {
+  if (below_cutoff(rows, cells_per_row, cost_per_cell)) {
+    return rows > 0 ? rows : 1;
+  }
+  return profile_.grain_rows;
+}
+
+SolveScope::SolveScope() : outermost_(tls_solve == SolveState::kNone) {
+  if (outermost_) tls_solve = SolveState::kInline;
+}
+
+SolveScope::~SolveScope() {
+  if (outermost_) tls_solve = SolveState::kNone;
+}
 
 void Scheduler::notify(std::condition_variable& cv) {
   {
@@ -396,6 +425,7 @@ void Scheduler::parallel_for(std::int64_t begin, std::int64_t end,
     }
   };
   Splitter splitter{this, &group, grain, &body};
+  if (tls_solve == SolveState::kInline) tls_solve = SolveState::kForked;
   CallerScope scope(this);
   // Work-first on every participant, the caller included: keep the left
   // half, spawn the right.  A throw from the leftmost leaf is recorded

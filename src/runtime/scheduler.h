@@ -154,16 +154,31 @@ class Scheduler {
   /// workers, or a caller inside one of its parallel regions or waits.
   bool on_worker_thread() const;
 
-  /// Grain for a row-sliced kernel over `rows` rows of `cells_per_row`
-  /// cells: applies the profile's parallel/sequential cutoff (small kernels
-  /// return a grain spanning the whole range, i.e. run inline) and its
-  /// grain_rows otherwise.
-  std::int64_t grain_for(std::int64_t rows, std::int64_t cells_per_row) const {
-    if (rows * cells_per_row <= profile_.sequential_cutoff_cells) {
-      return rows > 0 ? rows : 1;
-    }
-    return profile_.grain_rows;
-  }
+  /// Grain for a row-sliced pass over `rows` rows of `cells_per_row`
+  /// cells, each cell costing `cost_per_cell` units of work: applies the
+  /// profile's parallel/sequential cutoff (a pass at or below it gets a
+  /// grain spanning the whole range, i.e. runs inline) and its grain_rows
+  /// otherwise.  The unit of work is one Poisson SOR cell update, the unit
+  /// the cutoff was calibrated in, so a Poisson pass costs 1 per cell and
+  /// a variable-coefficient pass passes its kind's weight times its batch
+  /// size (grid/grid_ops.h).
+  ///
+  /// The cost counts only inside a solve that has already forked a region
+  /// (SolveScope): until then the pass is measured by its plain cell
+  /// count, rows × cells_per_row, as outside any solve.  So a solve whose
+  /// grids are all small enough to run inline still runs every pass
+  /// inline and wakes no worker, while a solve that already has the pool
+  /// awake forks its coarse passes by the work they carry.  Priced from
+  /// the first pass, three clients of n <= 129 requests on four cores lost
+  /// 12–31% throughput: each fork woke parked workers, which then spun
+  /// (kWorkerSpin) beside the other clients' inline requests.
+  std::int64_t grain_for(std::int64_t rows, std::int64_t cells_per_row,
+                         std::int64_t cost_per_cell = 1) const;
+
+  /// True when grain_for would run this pass inline by the cutoff, for a
+  /// kernel that slices its range its own way once it forks.
+  bool below_cutoff(std::int64_t rows, std::int64_t cells_per_row,
+                    std::int64_t cost_per_cell = 1) const;
 
   /// Total number of successful steals since construction (observability;
   /// used by tests to verify stealing actually happens).
@@ -245,6 +260,25 @@ class Scheduler {
   std::condition_variable worker_cv_;
   std::condition_variable caller_cv_;
   std::atomic<std::int64_t> steal_count_{0};
+};
+
+/// Marks the calling thread's work, for the scope's lifetime, as one
+/// solve for Scheduler::grain_for: the solve starts out pricing passes by
+/// their plain cell count, and from the first region it forks on any
+/// scheduler (a parallel_for that splits its range) it prices them by
+/// their work.  The mark lives in the calling thread, beside its
+/// scheduler identity, so concurrent solves on other threads never see
+/// it.  tune::TunedExecutor's public entry points open one per call; a
+/// scope opened while the thread is already inside one joins that solve.
+class SolveScope {
+ public:
+  SolveScope();
+  ~SolveScope();
+  SolveScope(const SolveScope&) = delete;
+  SolveScope& operator=(const SolveScope&) = delete;
+
+ private:
+  bool outermost_;
 };
 
 }  // namespace pbmg::rt

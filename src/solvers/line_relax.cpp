@@ -1,5 +1,6 @@
 #include "solvers/line_relax.h"
 
+#include "grid/grid_ops.h"
 #include "grid/level.h"
 #include "grid/packed_kernels.h"
 
@@ -169,7 +170,7 @@ void line_x_op(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
   Grid2D& dpg = dp_lease.get();
   for (int parity = 1; parity >= 0; --parity) {
     sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
+        1, n - 1, sched.grain_for(n - 2, n - 2, grid::kLineCost),
         [&, parity](std::int64_t ib, std::int64_t ie) {
           for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
             if ((i & 1) != parity) continue;
@@ -215,7 +216,7 @@ void line_y_op(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
   Grid2D& dpg = dp_lease.get();
   for (int parity = 1; parity >= 0; --parity) {
     sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
+        1, n - 1, sched.grain_for(n - 2, n - 2, grid::kLineCost),
         [&, parity](std::int64_t jb, std::int64_t je) {
           for (int j = static_cast<int>(jb); j < static_cast<int>(je); ++j) {
             if ((j & 1) != parity) continue;
@@ -256,7 +257,7 @@ void line_x_nine(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
   Grid2D& dpg = dp_lease.get();
   for (int parity = 1; parity >= 0; --parity) {
     sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
+        1, n - 1, sched.grain_for(n - 2, n - 2, grid::kLineCost),
         [&, parity](std::int64_t ib, std::int64_t ie) {
           for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
             if ((i & 1) != parity) continue;
@@ -300,7 +301,7 @@ void line_y_nine(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
   Grid2D& dpg = dp_lease.get();
   for (int parity = 1; parity >= 0; --parity) {
     sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
+        1, n - 1, sched.grain_for(n - 2, n - 2, grid::kLineCost),
         [&, parity](std::int64_t jb, std::int64_t je) {
           for (int j = static_cast<int>(jb); j < static_cast<int>(je); ++j) {
             if ((j & 1) != parity) continue;

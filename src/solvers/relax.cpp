@@ -383,7 +383,7 @@ namespace {
 /// class, restoring the frozen-reads guarantee — the sweep is bitwise
 /// deterministic under any thread count, like the red-black point sweeps.
 /// Coefficient rows are resolved once per grid row and reused across the
-/// K iterates.
+/// K iterates.  A colour's region hands out only its rows, i = 2r + 2 − pi.
 void sor_sweep_nine_multi(const grid::StencilOp& op,
                           std::span<Grid2D* const> xs,
                           std::span<const Grid2D* const> bs, double omega,
@@ -392,14 +392,17 @@ void sor_sweep_nine_multi(const grid::StencilOp& op,
   const double h2 = mesh_width(n) * mesh_width(n);
   const double ch2 = op.c() * h2;
   const double keep = 1.0 - omega;
+  const auto batch = static_cast<std::int64_t>(xs.size());
   for (int color = 0; color < 4; ++color) {
     const int pi = color >> 1;
     const int pj = color & 1;
+    const int colour_rows = (n - 2 + pi) / 2;
     sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
-        [&, pi, pj](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            if ((i & 1) != pi) continue;
+        0, colour_rows,
+        sched.grain_for(colour_rows, n - 2, grid::kSorCost9 * batch),
+        [&, pi, pj](std::int64_t rb, std::int64_t re) {
+          for (int r = static_cast<int>(rb); r < static_cast<int>(re); ++r) {
+            const int i = 2 * r + 2 - pi;
             const grid::NinePointRows rows(op, i);
             const int j0 = 1 + ((1 + pj) & 1);
             for (std::size_t k = 0; k < xs.size(); ++k) {
@@ -432,9 +435,10 @@ void sor_sweep_5pt_multi(const grid::StencilOp& op,
   const double keep = 1.0 - omega;
   const Grid2D& ax = op.ax_grid();
   const Grid2D& ay = op.ay_grid();
+  const auto batch = static_cast<std::int64_t>(xs.size());
   for (int parity = 0; parity <= 1; ++parity) {
     sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
+        1, n - 1, sched.grain_for(n - 2, n - 2, grid::kSorCost5 * batch),
         [&, parity](std::int64_t ib, std::int64_t ie) {
           for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
             const double* axr = ax.row(i);

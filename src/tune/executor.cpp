@@ -119,6 +119,7 @@ int TunedExecutor::run_v_multi(std::span<Grid2D* const> xs,
                                obs::PhaseProfile* profile) const {
   if (xs.empty() && bs.empty()) return 0;
   const int level = batch_level(xs, bs, "run_v");
+  const rt::SolveScope solve;
   return run_v_multi_at(xs, bs, level, accuracy_index, profile);
 }
 
@@ -135,6 +136,7 @@ int TunedExecutor::run_fmg_multi(std::span<Grid2D* const> xs,
                                  obs::PhaseProfile* profile) const {
   if (xs.empty() && bs.empty()) return 0;
   const int level = batch_level(xs, bs, "run_fmg");
+  const rt::SolveScope solve;
   return run_fmg_multi_at(xs, bs, level, accuracy_index, profile);
 }
 
@@ -146,6 +148,7 @@ void TunedExecutor::recurse_body(Grid2D& x, const Grid2D& b,
   Grid2D* const xs[] = {&x};
   const Grid2D* const bs[] = {&b};
   const int level = batch_level(xs, bs, "recurse_body");
+  const rt::SolveScope solve;
   recurse_body_multi_at(xs, bs, level, sub_accuracy_index, smoother,
                         coarsening, profile);
 }
@@ -156,6 +159,7 @@ void TunedExecutor::estimate(Grid2D& x, const Grid2D& b,
   Grid2D* const xs[] = {&x};
   const Grid2D* const bs[] = {&b};
   const int level = batch_level(xs, bs, "estimate");
+  const rt::SolveScope solve;
   estimate_multi_at(xs, bs, level, estimate_accuracy_index, profile);
 }
 

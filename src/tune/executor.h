@@ -40,6 +40,15 @@
 /// batch of one (run_v, run_fmg, recurse_body and estimate forward a
 /// one-element span), so solo and batched solves run the same kernels
 /// and each batch slot is bitwise its solo solve.
+///
+/// Each public entry point runs its walk as one rt::SolveScope, so once
+/// the walk has forked a region (its fine passes, on a grid past the
+/// sequential cutoff) the scheduler prices its later passes by their
+/// work: the coarse line solves, SOR sweeps and restrictions of a
+/// variable-coefficient walk fork where their cells alone would run
+/// inline.  The trainer times recurse_body and estimate, so training and
+/// serving price passes alike; reference cycles (solvers::vcycle) run
+/// outside any scope.  The bits never depend on it.
 
 namespace pbmg::tune {
 

@@ -18,7 +18,10 @@
 // residual_op followed by restrict_full_weighting for every operator
 // kind, and the corrections it zeroes come back zero.  The fused Poisson
 // RECURSE head and tail and the one-pass sweep are pinned against the
-// scalar references, solo and batched, on one to four threads.
+// scalar references, solo and batched, on one to four threads.  Inside a
+// solve that has forked a region, where the scheduler prices passes by
+// their work, the packed sweeps, line passes and fused restriction are
+// pinned against one thread at n = 65 and 129.
 
 #include <cstdint>
 #include <cstring>
@@ -893,6 +896,94 @@ TEST(MultiRhsParity, BatchSizesIncludingSingleAndOddMatchSolo) {
     SCOPED_TRACE("k=" + std::to_string(k_count));
     expect_all_multi_parity(op, packed_policy(4), k_count, /*threads=*/4,
                             ++seed);
+  }
+}
+
+// ------------------------------------------------------ forked solve --
+
+/// Every pass a variable-coefficient walk runs, over K iterates on
+/// `threads` threads: three SOR sweeps, one x, one y and one alternating
+/// line sweep, then the fused restriction with zeroed corrections.  The
+/// passes run inside a solve that has already forked a region (on one
+/// thread nothing forks), so the scheduler prices them by their work and
+/// forks them where their cells alone would run inline.
+std::vector<Grid2D> walk_passes(const StencilOp& op, int k_count,
+                                int threads) {
+  const int n = op.n();
+  Engine& eng = engine_with(threads);
+  rt::Scheduler& sched = eng.scheduler();
+  const KernelPolicy policy = packed_policy(4);
+  std::vector<Grid2D> x_store;
+  std::vector<Grid2D> b_store;
+  for (int k = 0; k < k_count; ++k) {
+    x_store.push_back(random_grid(n, 0xF0 + static_cast<unsigned>(k)));
+    b_store.push_back(random_grid(n, 0xB0 + static_cast<unsigned>(k)));
+  }
+  std::vector<Grid2D*> xs;
+  std::vector<const Grid2D*> bs;
+  for (int k = 0; k < k_count; ++k) {
+    xs.push_back(&x_store[k]);
+    bs.push_back(&b_store[k]);
+  }
+  std::vector<Grid2D> coarse(k_count, Grid2D(coarse_size(n), 1.0));
+  std::vector<Grid2D> zeroed(k_count, Grid2D(coarse_size(n), 1.0));
+  std::vector<Grid2D*> cs;
+  std::vector<Grid2D*> es;
+  for (int k = 0; k < k_count; ++k) {
+    cs.push_back(&coarse[k]);
+    es.push_back(&zeroed[k]);
+  }
+  const rt::SolveScope solve;
+  sched.parallel_for(0, 2, 1, [](std::int64_t, std::int64_t) {});
+  // The premise: a line pass at n <= 129 is under the cutoff by its cells
+  // and, once the solve has forked, over it by its work.
+  EXPECT_EQ(threads == 1, sched.below_cutoff(n - 2, n - 2, kLineCost));
+  for (int s = 0; s < 3; ++s) {
+    solvers::sor_sweep_multi(op, xs, bs, 1.15, sched, policy);
+  }
+  for (const solvers::RelaxKind kind :
+       {solvers::RelaxKind::kLineX, solvers::RelaxKind::kLineY,
+        solvers::RelaxKind::kLineZebraAlt}) {
+    solvers::line_relax_sweep_multi(op, xs, bs, kind, sched, eng.scratch(),
+                                    policy);
+  }
+  const std::vector<const Grid2D*> xs_read(xs.begin(), xs.end());
+  restrict_residual_multi(op, xs_read, bs, cs, sched, policy, es);
+  std::vector<Grid2D> out = x_store;
+  out.insert(out.end(), coarse.begin(), coarse.end());
+  out.insert(out.end(), zeroed.begin(), zeroed.end());
+  return out;
+}
+
+TEST(ForkedSolve, WorkPricedPassesMatchOneThreadBitwise) {
+  // Inside a forked solve the line passes fork from n = 65, and the packed
+  // SOR sweeps (5-point averaged and 9-point RAP) and the fused
+  // restriction at n = 129 or K = 3, where outside one all of them run
+  // inline: each colour's rows, each line group and each coarse row is
+  // independent, so every thread count gives the one-thread bits.
+  const StencilOp fine = make_operator(257, OperatorFamily::kJumpCoefficient);
+  const StencilHierarchy averaged(fine, Coarsening::kAverage);
+  const StencilHierarchy rap(fine, Coarsening::kRap);
+  for (const StencilHierarchy* ladder : {&averaged, &rap}) {
+    for (const int n : {65, 129}) {
+      const StencilOp& op = ladder->at(level_of_size(n));
+      for (const int k_count : {1, 3}) {
+        const std::vector<Grid2D> reference =
+            walk_passes(op, k_count, /*threads=*/1);
+        for (const int threads : {2, 3, 4}) {
+          SCOPED_TRACE(std::string(op.is_nine_point() ? "rap" : "averaged") +
+                       " n=" + std::to_string(n) +
+                       " k=" + std::to_string(k_count) +
+                       " threads=" + std::to_string(threads));
+          const std::vector<Grid2D> got =
+              walk_passes(op, k_count, threads);
+          ASSERT_EQ(got.size(), reference.size());
+          for (std::size_t g = 0; g < got.size(); ++g) {
+            EXPECT_TRUE(bitwise_equal(got[g], reference[g])) << "grid " << g;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -240,6 +240,49 @@ TEST(SchedulerStress, GrainForRespectsSequentialCutoff) {
   EXPECT_EQ(sched.grain_for(100, 50), 8);
   // Degenerate row counts stay positive.
   EXPECT_GE(sched.grain_for(0, 50), 1);
+
+  // 10 rows x 50 cells x cost 4 = 2000 work units > cutoff, 500 cells.
+  // Outside a solve the cost does not count: plain cells decide.
+  EXPECT_EQ(sched.grain_for(10, 50, 4), 10);
+  EXPECT_TRUE(sched.below_cutoff(10, 50, 4));
+  {
+    SolveScope solve;
+    // A solve that has not forked yet still decides by plain cells, so a
+    // solve whose grids all fit the cutoff never forks at all.
+    EXPECT_EQ(sched.grain_for(10, 50, 4), 10);
+    EXPECT_TRUE(sched.below_cutoff(10, 50, 4));
+    // A region too small to split runs inline and marks nothing.
+    sched.parallel_for(0, 4, 8, [](std::int64_t, std::int64_t) {});
+    EXPECT_EQ(sched.grain_for(10, 50, 4), 10);
+    // The solve forks a region: from here its passes are priced by work.
+    sched.parallel_for(0, 2, 1, [](std::int64_t, std::int64_t) {});
+    EXPECT_EQ(sched.grain_for(10, 50, 4), 8);
+    EXPECT_FALSE(sched.below_cutoff(10, 50, 4));
+    // Plain cells keep their answers (cost 1 is the Poisson unit).
+    EXPECT_EQ(sched.grain_for(10, 50), 10);
+    EXPECT_EQ(sched.grain_for(100, 50), 8);
+    {
+      // A nested scope joins the forked solve.
+      SolveScope nested;
+      EXPECT_EQ(sched.grain_for(10, 50, 4), 8);
+    }
+    EXPECT_EQ(sched.grain_for(10, 50, 4), 8);
+    // The mark is the calling thread's: another thread's solve starts
+    // over, even while this one is forked.
+    std::int64_t other = 0;
+    std::thread([&] {
+      SolveScope elsewhere;
+      other = sched.grain_for(10, 50, 4);
+    }).join();
+    EXPECT_EQ(other, 10);
+  }
+  // The scope ended: plain cells decide again.
+  EXPECT_EQ(sched.grain_for(10, 50, 4), 10);
+  {
+    // A new solve starts unforked.
+    SolveScope solve;
+    EXPECT_EQ(sched.grain_for(10, 50, 4), 10);
+  }
 }
 
 TEST(SchedulerStress, SpawnOverheadScalesWithProfileKnob) {

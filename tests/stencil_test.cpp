@@ -373,6 +373,14 @@ TEST(ClassicalCoarse, RecurseClassicalCellIsBitwiseAClassicalVCycle) {
   // at n = 513 on four threads split into blocks; the reference cycle
   // runs the separate sweeps and transfers.
   expect_vcycle(OperatorFamily::kPoisson, 9, solvers::RelaxKind::kSor);
+  // A jump walk at n = 513 forks its fine passes, so the executor's solve
+  // prices its coarse SOR sweeps, line passes and restrictions by their
+  // work and forks them from n = 65 or 129 down, while the reference
+  // cycle, outside any solve, runs them inline by their cell counts.
+  for (const solvers::RelaxKind smoother :
+       {solvers::RelaxKind::kSor, solvers::RelaxKind::kLineZebraAlt}) {
+    expect_vcycle(OperatorFamily::kJumpCoefficient, 9, smoother);
+  }
 }
 
 TEST(StencilValidation, BadCoefficientsThrowInEveryBuild) {
