@@ -452,6 +452,120 @@ BENCHMARK(BM_StencilZebraPackedBatch)
     ->Args({513, 4})
     ->UseRealTime();
 
+// ---------------------------------------------- packed body halves --
+// The two halves of a packed point-SOR RECURSE body, each one fused
+// wavefront, beside the separate passes with the same outputs: the head
+// against sor_sweep_multi then the restriction that zeroes the coarse
+// correction, the tail against interpolate_add then sor_sweep_multi.
+// Arguments are (stencil points, n): 5 is the jump operator's averaged
+// level at n (the 5-point level varcoef-serve's L8 bodies run), 9 its
+// Galerkin RAP level at n.
+
+struct PackedBody {
+  PackedBody(int points, int n)
+      : ladder(make_operator(2 * n - 1, OperatorFamily::kJumpCoefficient),
+               points == 9 ? grid::Coarsening::kRap
+                           : grid::Coarsening::kAverage),
+        op(ladder.at(level_of_size(n))),
+        problem(problem_for(n)),
+        x(problem.x0),
+        coarse(coarse_size(n), 0.0),
+        correction(coarse_size(n), 0.0) {
+    op.packed();
+  }
+  // The spans below point at this object's own grids.
+  PackedBody(const PackedBody&) = delete;
+  PackedBody& operator=(const PackedBody&) = delete;
+
+  grid::StencilHierarchy ladder;
+  const grid::StencilOp& op;
+  PoissonProblem problem;
+  Grid2D x;
+  Grid2D coarse;
+  Grid2D correction;
+  Grid2D* const xs[1] = {&x};
+  const Grid2D* const xs_read[1] = {&x};
+  const Grid2D* const bs[1] = {&problem.b};
+  Grid2D* const rcs[1] = {&coarse};
+  Grid2D* const es[1] = {&correction};
+  const Grid2D* const es_read[1] = {&correction};
+};
+
+void BM_PackedHead(benchmark::State& state) {
+  PackedBody body(static_cast<int>(state.range(0)),
+                  static_cast<int>(state.range(1)));
+  Engine& engine = bench_engine();
+  for (auto _ : state) {
+    solvers::recurse_head(body.op, body.xs, body.bs, solvers::RelaxKind::kSor,
+                          solvers::kRecurseOmega, body.rcs, body.es,
+                          engine.scheduler(), engine.scratch(),
+                          packed_policy(), nullptr);
+    benchmark::DoNotOptimize(body.coarse.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PackedHead)
+    ->Args({5, 257})
+    ->Args({9, 257})
+    ->Args({9, 513})
+    ->UseRealTime();
+
+void BM_PackedHeadUnfused(benchmark::State& state) {
+  PackedBody body(static_cast<int>(state.range(0)),
+                  static_cast<int>(state.range(1)));
+  auto& sched = bench_engine().scheduler();
+  for (auto _ : state) {
+    solvers::sor_sweep_multi(body.op, body.xs, body.bs,
+                             solvers::kRecurseOmega, sched, packed_policy());
+    grid::restrict_residual_multi(body.op, body.xs_read, body.bs, body.rcs,
+                                  sched, packed_policy(), body.es);
+    benchmark::DoNotOptimize(body.coarse.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PackedHeadUnfused)
+    ->Args({5, 257})
+    ->Args({9, 257})
+    ->Args({9, 513})
+    ->UseRealTime();
+
+void BM_PackedTail(benchmark::State& state) {
+  PackedBody body(static_cast<int>(state.range(0)),
+                  static_cast<int>(state.range(1)));
+  Engine& engine = bench_engine();
+  for (auto _ : state) {
+    solvers::recurse_tail(body.op, body.es_read, body.xs, body.bs,
+                          solvers::RelaxKind::kSor, solvers::kRecurseOmega,
+                          engine.scheduler(), engine.scratch(),
+                          packed_policy(), nullptr);
+    benchmark::DoNotOptimize(body.x.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PackedTail)
+    ->Args({5, 257})
+    ->Args({9, 257})
+    ->Args({9, 513})
+    ->UseRealTime();
+
+void BM_PackedTailUnfused(benchmark::State& state) {
+  PackedBody body(static_cast<int>(state.range(0)),
+                  static_cast<int>(state.range(1)));
+  auto& sched = bench_engine().scheduler();
+  for (auto _ : state) {
+    grid::interpolate_add(body.correction, body.x, sched);
+    solvers::sor_sweep_multi(body.op, body.xs, body.bs,
+                             solvers::kRecurseOmega, sched, packed_policy());
+    benchmark::DoNotOptimize(body.x.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PackedTailUnfused)
+    ->Args({5, 257})
+    ->Args({9, 257})
+    ->Args({9, 513})
+    ->UseRealTime();
+
 // ------------------------------------------------ parallel cutoff --
 // The coarse passes a jump RAP walk runs, each inside a solve that has
 // already forked a region (rt::SolveScope), as a walk's are once its fine

@@ -363,20 +363,37 @@ void restrict_inject(const Grid2D& fine, Grid2D& coarse,
 
 namespace {
 
-void interpolate(const Grid2D& coarse, Grid2D& fine, bool assign,
-                 rt::Scheduler& sched) {
-  PBMG_CHECK(coarse.n() == coarse_size(fine.n()),
-             "interpolate: coarse grid has wrong size");
-  const int n = fine.n();
+/// fine[k] = P·coarse[k] (assign) or fine[k] += P·coarse[k] for every
+/// slot: one region over the fine rows, each row run for every slot,
+/// priced at `cost_per_cell` per fine cell.
+void interpolate(std::span<const Grid2D* const> coarse,
+                 std::span<Grid2D* const> fine, bool assign,
+                 std::int64_t cost_per_cell, rt::Scheduler& sched,
+                 const char* what) {
+  PBMG_CHECK(coarse.size() == fine.size(),
+             std::string(what) + ": span size mismatch");
+  for (std::size_t k = 0; k < fine.size(); ++k) {
+    PBMG_CHECK(coarse[k] != nullptr && fine[k] != nullptr,
+               std::string(what) + ": null grid slot");
+    check_valid(*fine[k], what);
+    check_same_size(*fine[k], *fine[0], what);
+    PBMG_CHECK(coarse[k]->n() == coarse_size(fine[k]->n()),
+               std::string(what) + ": coarse grid has wrong size");
+  }
+  if (fine.empty()) return;
+  const int n = fine[0]->n();
   const auto interpolate_row =
       by_width(packed_simd_width_supported(), &pk::interpolate_row<1>,
                &pk::interpolate_row<2>, &pk::interpolate_row<4>);
   sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
+      1, n - 1, sched.grain_for(n - 2, n - 2, cost_per_cell),
       [&](std::int64_t ib, std::int64_t ie) {
         for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          const double* c1 = i % 2 == 0 ? nullptr : coarse.row(i / 2 + 1);
-          interpolate_row(coarse.row(i / 2), c1, fine.row(i), assign, n);
+          for (std::size_t k = 0; k < fine.size(); ++k) {
+            const Grid2D& c = *coarse[k];
+            const double* c1 = i % 2 == 0 ? nullptr : c.row(i / 2 + 1);
+            interpolate_row(c.row(i / 2), c1, fine[k]->row(i), assign, n);
+          }
         }
       });
 }
@@ -385,14 +402,25 @@ void interpolate(const Grid2D& coarse, Grid2D& fine, bool assign,
 
 void interpolate_add(const Grid2D& coarse, Grid2D& fine,
                      rt::Scheduler& sched) {
-  check_valid(fine, "interpolate_add");
-  interpolate(coarse, fine, /*assign=*/false, sched);
+  const Grid2D* const coarses[] = {&coarse};
+  Grid2D* const fines[] = {&fine};
+  interpolate_add_multi(coarses, fines, sched);
+}
+
+void interpolate_add_multi(std::span<const Grid2D* const> coarse,
+                           std::span<Grid2D* const> fine,
+                           rt::Scheduler& sched) {
+  interpolate(coarse, fine, /*assign=*/false,
+              kInterpolateCost * static_cast<std::int64_t>(fine.size()),
+              sched, "interpolate_add");
 }
 
 void interpolate_assign(const Grid2D& coarse, Grid2D& fine,
                         rt::Scheduler& sched) {
-  check_valid(fine, "interpolate_assign");
-  interpolate(coarse, fine, /*assign=*/true, sched);
+  const Grid2D* const coarses[] = {&coarse};
+  Grid2D* const fines[] = {&fine};
+  interpolate(coarses, fines, /*assign=*/true, 1, sched,
+              "interpolate_assign");
 }
 
 double norm2_interior(const Grid2D& g, rt::Scheduler& sched) {

@@ -37,9 +37,16 @@ namespace pbmg::grid {
 /// The legacy layout's SOR and restriction cost about the same (5-point
 /// SOR 3.0 / 2.6, 9-point 5.6 / 6.7; restriction 2.4 / 2.2 and
 /// 3.7 / 3.6) and its line passes more (9.6–18), so the shared weights
-/// fork a legacy pass no earlier than its work warrants.  A coloured
-/// sweep counts every cell of the rows its colour region visits, about
-/// twice the cells it updates.  With these weights and the default
+/// fork a legacy pass no earlier than its work warrants.  A legacy
+/// coloured sweep counts every cell of the rows its colour region
+/// visits, about twice the cells it updates; a packed wavefront pass (the
+/// sweep and the fused body halves, grid/wavefront.h) counts every
+/// interior cell once at the SOR weight, so a 9-point wavefront sweep
+/// forks from n = 65 at K = 1: on the jump RAP level, four threads
+/// inside a forked solve, it read 11.4 µs against 9.8 inline, while a
+/// whole point-SOR classical V-cycle at n = 513 (jump and θ=45°, either
+/// ladder) read the same with wavefront weights 2, 3, 4 and 6.  With
+/// these weights and the default
 /// cutoff, K = 1 passes fork from n = 65 for the line passes and from
 /// n = 129 for SOR and restriction, and K = 4 passes from n = 65 (lines
 /// from n = 33); four threads inside a forked solve against one thread
@@ -55,6 +62,17 @@ inline constexpr std::int64_t kResidualCost5 = 2;
 inline constexpr std::int64_t kResidualCost9 = 3;
 /// Either line pass, 5- or 9-point (per cell of the lines it solves).
 inline constexpr std::int64_t kLineCost = 10;
+/// interpolate_add, on any operator (per fine cell).  In cache an
+/// interpolated cell costs about a third of a Poisson SOR cell, but a
+/// walk interpolates a correction that forked passes just left in other
+/// cores' caches, so the weight is set by what forking then buys.  Four
+/// threads inside a forked solve, right after forked x-line passes on the
+/// jump RAP level and the one below, median of 600 interleaved calls, µs
+/// inline → forked: n = 33 0.48 → 2.39 (K = 1), 4.61 → 3.74 (K = 4);
+/// n = 65 3.01 → 3.58, 13.3 → 6.4; n = 129 9.7 → 6.0, 29.5 → 12.9;
+/// n = 257 29.8 → 12.3.  Weights 2 to 4 all keep n = 65 at K = 1 and
+/// n = 33 inline and fork n = 129 and n = 65 at K = 4.
+inline constexpr std::int64_t kInterpolateCost = 2;
 
 /// out(i,j) = (A x)(i,j) on the interior; out's boundary ring is zeroed.
 /// Requires x and out to be the same valid size.
@@ -133,9 +151,21 @@ void restrict_inject(const Grid2D& fine, Grid2D& coarse,
 
 /// Adds the bilinear interpolation of `coarse` to the fine interior:
 /// fine += P·coarse.  Used for coarse-grid corrections.  The fine boundary
-/// ring is untouched.  Requires coarse.n() == coarse_size(fine.n()).
+/// ring is untouched.  Forwards a one-element span to
+/// interpolate_add_multi, which is the only body.  Requires
+/// coarse.n() == coarse_size(fine.n()).
 void interpolate_add(const Grid2D& coarse, Grid2D& fine,
                      rt::Scheduler& sched);
+
+/// Batched interpolate_add: fine[k] += P·coarse[k] for K corrections, in
+/// one parallel region over the fine rows priced at kInterpolateCost
+/// times K per fine cell.  Each slot's arithmetic is interpolate_add's,
+/// so every slot is bitwise its own call under any thread count.
+/// Requires equal span sizes, fine grids of one valid size and every
+/// coarse grid of side coarse_size(n).
+void interpolate_add_multi(std::span<const Grid2D* const> coarse,
+                           std::span<Grid2D* const> fine,
+                           rt::Scheduler& sched);
 
 /// Overwrites the fine interior with the bilinear interpolation of
 /// `coarse`: fine = P·coarse.  Used by full multigrid to lift a coarse

@@ -7,6 +7,7 @@
 #include "grid/level.h"
 #include "grid/packed_rows.h"
 #include "grid/packed_stencil.h"
+#include "grid/wavefront.h"
 
 // This TU is compiled with baseline flags only — all ISA-specific code
 // lives behind the explicit template instantiations in the per-width TUs
@@ -150,66 +151,7 @@ void packed_sor_sweep_multi(const StencilOp& op, std::span<Grid2D* const> xs,
                             rt::Scheduler& sched, int simd_width) {
   check_packed_batch(op, xs, bs, "packed_sor_sweep");
   if (xs.empty()) return;
-  const PackedStencil& p = op.packed();
-  const int n = op.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const double keep = 1.0 - omega;
-  const int w = clamp_simd_width(simd_width);
-  const auto batch = static_cast<std::int64_t>(xs.size());
-  if (p.nine_point()) {
-    // Four colours, like the legacy 9-point sweep: corner neighbours of a
-    // (i mod 2, j mod 2) class are all in other classes, so same-colour
-    // points are independent and safe to vectorize across.  A colour's
-    // region hands out only its rows, i = 2r + 2 − pi.
-    for (int color = 0; color < 4; ++color) {
-      const int pi = color >> 1;
-      const int pj = color & 1;
-      const int colour_rows = (n - 2 + pi) / 2;
-      sched.parallel_for(
-          0, colour_rows,
-          sched.grain_for(colour_rows, n - 2, kSorCost9 * batch),
-          [&, pi, pj](std::int64_t rb, std::int64_t re) {
-            for (int r = static_cast<int>(rb); r < static_cast<int>(re);
-                 ++r) {
-              const int i = 2 * r + 2 - pi;
-              const pk::View9 v = pk::view9(p, i);
-              const int j0 = 1 + ((1 + pj) & 1);
-              for (std::size_t k = 0; k < xs.size(); ++k) {
-                const double* up = xs[k]->row(i - 1);
-                double* mid = xs[k]->row(i);
-                const double* down = xs[k]->row(i + 1);
-                const double* rhs = bs[k]->row(i);
-                with_width(w, [&](auto W) {
-                  pk::sor_row9<W>(v, up, mid, down, rhs, h2, ch2, omega, keep,
-                                  j0, n);
-                });
-              }
-            }
-          });
-    }
-    return;
-  }
-  for (int parity = 0; parity <= 1; ++parity) {
-    sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2, kSorCost5 * batch),
-        [&, parity](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            const pk::View5 v = pk::view5(p, i);
-            const int j0 = 1 + ((i + 1 + parity) & 1);
-            for (std::size_t k = 0; k < xs.size(); ++k) {
-              const double* up = xs[k]->row(i - 1);
-              double* mid = xs[k]->row(i);
-              const double* down = xs[k]->row(i + 1);
-              const double* rhs = bs[k]->row(i);
-              with_width(w, [&](auto W) {
-                pk::sor_row5<W>(v, up, mid, down, rhs, h2, ch2, omega, keep, j0,
-                                n);
-              });
-            }
-          }
-        });
-  }
+  sor_wavefront(WaveRows(op, omega, simd_width), xs, bs, sched);
 }
 
 void packed_sor_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,

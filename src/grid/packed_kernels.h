@@ -31,19 +31,23 @@
 ///    result-invariant for the same reason.
 ///
 /// Vectorization shapes: residual/apply vectorize unit-stride along the
-/// row; coloured SOR vectorizes across same-colour points (stride-2
-/// gathers, per-lane scalar stores); the line solves vectorize across
-/// independent same-parity lines (lane l = line i0 + 2l), which turns the
-/// serial Thomas recurrences into W independent chains.
+/// row; coloured SOR loads four consecutive columns and stores a blend
+/// that keeps the other colour's lanes (packed_rows.h: the caller must
+/// own the other colour's readers for the pass); the line solves
+/// vectorize across independent same-parity lines (lane l = line
+/// i0 + 2l), which turns the serial Thomas recurrences into W independent
+/// chains.
 ///
 /// The sweeps a tuned walk runs take K iterates: packed_sor_sweep_multi is
 /// the only SOR body, and packed_sor_sweep forwards a one-element span to
-/// it.  The line passes have no single-grid entry; they choose between a
-/// one-pass body and a factor-once body by K.
+/// it.  It is the two-stage row wavefront of grid/wavefront.h, the same
+/// driver as the Poisson sweep's, and solvers::recurse_head/recurse_tail
+/// run a point-SOR body's halves on the packed layout as three-stage
+/// wavefronts of the same rows.  The line passes have no single-grid
+/// entry; they choose between a one-pass body and a factor-once body by K.
 ///
 /// Every pass is priced for rt::Scheduler::grain_for by its work (the
-/// weights in grid_ops.h times K).  A coloured sweep's region hands out
-/// only its colour's rows.  A line pass that forks slices its line groups
+/// weights in grid_ops.h times K).  A line pass that forks slices its line groups
 /// by the thread count rather than by the profile's grain_rows: a task
 /// takes max(1, groups / (8 · threads)) groups, one group per task up to
 /// n = 129 and two at n = 513 on four threads.  Four threads inside a
@@ -87,17 +91,22 @@ void packed_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
                      Grid2D& r, rt::Scheduler& sched, int simd_width);
 
 /// One coloured SOR sweep under the packed layout (red-black for 5-point
-/// operators, four-colour for 9-point).  Matches solvers::sor_sweep's
-/// operator overload.  Forwards a one-element span to
-/// packed_sor_sweep_multi, which is the only body.
+/// operators, four-colour for 9-point), bitwise the legacy layout's
+/// colour passes.  Matches solvers::sor_sweep's operator overload.
+/// Forwards a one-element span to packed_sor_sweep_multi, which is the
+/// only body.
 void packed_sor_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
                       double omega, rt::Scheduler& sched, int simd_width);
 
 /// Coloured SOR over K iterates: one sweep of each xs[k] against bs[k],
-/// the K sweeps fused per colour × row so coefficient blocks are reused
-/// across right-hand-sides.  Each slot's update order is the one-iterate
-/// order (the iterates never couple), so every slot is bitwise identical
-/// to its own packed_sor_sweep call; K = 1 is that call.
+/// as a two-stage row wavefront (grid::sor_wavefront).  A 5-point sweep
+/// runs red at row t and black at row t − 1; a 9-point sweep runs the
+/// even rows' two colours at row t and the odd rows' two at row t − 1.
+/// Every stage runs all K slots' row back to back, so each coefficient
+/// row is read once per sweep for the batch.  Each slot's cells see the
+/// inputs of the colour passes (the iterates never couple), so every slot
+/// is bitwise identical to its own packed_sor_sweep call under any thread
+/// count; K = 1 is that call.
 void packed_sor_sweep_multi(const StencilOp& op, std::span<Grid2D* const> xs,
                             std::span<const Grid2D* const> bs, double omega,
                             rt::Scheduler& sched, int simd_width);

@@ -110,25 +110,45 @@ void stencil_row9(const View9& s, const double* up, const double* mid,
 //   mid[j] = keep*mid[j]
 //          + omega*(h²*rhs[j] + aN*up[j] + aS*down[j]
 //                   + aW*mid[j−1] + aE*mid[j+1]) / diag
+//
+// Both SOR rows take poisson_sor_row's wide form at W = 4: each step
+// loads four consecutive columns from the first active one, so the even
+// lanes are the active cells, and every neighbour an active cell reads
+// is of another colour, which the pass never writes.  Updating all lanes
+// from one set of unit-stride loads and keeping the odd lanes' old
+// values (blend_even) therefore gives the scalar loop's bits; the odd
+// lanes' values, computed from real coefficients, are discarded.  The
+// next step's left neighbours load before the store, as in the Poisson
+// row.  W = 1 and W = 2 run the scalar loop (two lanes keep one updated
+// cell per step).
 template <int W>
 void sor_row5(const View5& s, const double* up, double* mid,
               const double* down, const double* rhs, double h2, double ch2,
               double omega, double keep, int j0, int n) {
-  using V = simd::Vec<W>;
-  const V vh2 = V::broadcast(h2);
-  const V vch2 = V::broadcast(ch2);
-  const V vom = V::broadcast(omega);
-  const V vkeep = V::broadcast(keep);
   int j = j0;
-  for (; j + 2 * (W - 1) <= n - 2; j += 2 * W) {
-    const V m = V::gather(mid + j, 2, W);
-    const V t = vh2 * V::gather(rhs + j, 2, W) +
-                V::gather(s.an + j, 2, W) * V::gather(up + j, 2, W) +
-                V::gather(s.as + j, 2, W) * V::gather(down + j, 2, W) +
-                V::gather(s.aw + j, 2, W) * V::gather(mid + j - 1, 2, W) +
-                V::gather(s.ae + j, 2, W) * V::gather(mid + j + 1, 2, W);
-    const V d = V::gather(s.diag + j, 2, W) + vch2;
-    (vkeep * m + vom * t / d).scatter(mid + j, 2, W);
+  if constexpr (W >= 4) {
+    using V = simd::Vec<W>;
+    if (j + W <= n - 1) {
+      const V vh2 = V::broadcast(h2);
+      const V vch2 = V::broadcast(ch2);
+      const V vom = V::broadcast(omega);
+      const V vkeep = V::broadcast(keep);
+      V left = V::load(mid + j - 1);
+      bool more = true;
+      while (more) {
+        const V m = V::load(mid + j);
+        const V t = vh2 * V::load(rhs + j) +
+                    V::load(s.an + j) * V::load(up + j) +
+                    V::load(s.as + j) * V::load(down + j) +
+                    V::load(s.aw + j) * left +
+                    V::load(s.ae + j) * V::load(mid + j + 1);
+        const V d = V::load(s.diag + j) + vch2;
+        more = j + 2 * W <= n - 1;
+        if (more) left = V::load(mid + j + W - 1);
+        blend_even(vkeep * m + vom * t / d, m).store(mid + j);
+        j += W;
+      }
+    }
   }
   for (; j <= n - 2; j += 2) {
     const double d = s.diag[j] + ch2;
@@ -143,31 +163,40 @@ void sor_row5(const View5& s, const double* up, double* mid,
 // Legacy order (relax.cpp sor_sweep_nine_multi): nb via NinePointRows —
 // (aW*mid[j−1] + aE*mid[j+1]) + cross — then
 //   mid[j] = keep*mid[j] + omega*(h²*rhs[j] + nb)/(ctr + c·h²)
+// A four-colour class's neighbours, corners included, are all in other
+// classes, so the wide form holds here too.
 template <int W>
 void sor_row9(const View9& s, const double* up, double* mid,
               const double* down, const double* rhs, double h2, double ch2,
               double omega, double keep, int j0, int n) {
-  using V = simd::Vec<W>;
-  const V vh2 = V::broadcast(h2);
-  const V vch2 = V::broadcast(ch2);
-  const V vom = V::broadcast(omega);
-  const V vkeep = V::broadcast(keep);
   int j = j0;
-  for (; j + 2 * (W - 1) <= n - 2; j += 2 * W) {
-    const V m = V::gather(mid + j, 2, W);
-    const V cross =
-        V::gather(s.an + j, 2, W) * V::gather(up + j, 2, W) +
-        V::gather(s.as + j, 2, W) * V::gather(down + j, 2, W) +
-        V::gather(s.nw + j, 2, W) * V::gather(up + j - 1, 2, W) +
-        V::gather(s.ne + j, 2, W) * V::gather(up + j + 1, 2, W) +
-        V::gather(s.sw + j, 2, W) * V::gather(down + j - 1, 2, W) +
-        V::gather(s.se + j, 2, W) * V::gather(down + j + 1, 2, W);
-    const V nb = V::gather(s.aw + j, 2, W) * V::gather(mid + j - 1, 2, W) +
-                 V::gather(s.ae + j, 2, W) * V::gather(mid + j + 1, 2, W) +
-                 cross;
-    const V d = V::gather(s.ctr + j, 2, W) + vch2;
-    const V t = vh2 * V::gather(rhs + j, 2, W) + nb;
-    (vkeep * m + vom * t / d).scatter(mid + j, 2, W);
+  if constexpr (W >= 4) {
+    using V = simd::Vec<W>;
+    if (j + W <= n - 1) {
+      const V vh2 = V::broadcast(h2);
+      const V vch2 = V::broadcast(ch2);
+      const V vom = V::broadcast(omega);
+      const V vkeep = V::broadcast(keep);
+      V left = V::load(mid + j - 1);
+      bool more = true;
+      while (more) {
+        const V m = V::load(mid + j);
+        const V cross = V::load(s.an + j) * V::load(up + j) +
+                        V::load(s.as + j) * V::load(down + j) +
+                        V::load(s.nw + j) * V::load(up + j - 1) +
+                        V::load(s.ne + j) * V::load(up + j + 1) +
+                        V::load(s.sw + j) * V::load(down + j - 1) +
+                        V::load(s.se + j) * V::load(down + j + 1);
+        const V nb = V::load(s.aw + j) * left +
+                     V::load(s.ae + j) * V::load(mid + j + 1) + cross;
+        const V d = V::load(s.ctr + j) + vch2;
+        const V t = vh2 * V::load(rhs + j) + nb;
+        more = j + 2 * W <= n - 1;
+        if (more) left = V::load(mid + j + W - 1);
+        blend_even(vkeep * m + vom * t / d, m).store(mid + j);
+        j += W;
+      }
+    }
   }
   for (; j <= n - 2; j += 2) {
     const double cross = s.an[j] * up[j] + s.as[j] * down[j] +

@@ -71,9 +71,15 @@ void stencil_row9(const View9& s, const double* up, const double* mid,
                   double inv_h2, double c, int n);
 
 /// One coloured Gauss–Seidel/SOR pass over a row: updates mid[j] in
-/// place for j = j0, j0+2, … (the row's active colour), vectorized
-/// across same-colour points with stride-2 gathers and per-lane scalar
-/// stores (no writes to the untouched colour).
+/// place for j = j0, j0+2, … (the row's active colour; for a 9-point
+/// operator, one of a row's two four-colour classes).  W = 4 loads four
+/// consecutive columns of rows i−1, i and i+1 and the coefficient streams
+/// and stores four blended columns of row i, writing the other colour's
+/// cells back unchanged, so the caller must own the other colour's
+/// readers for the pass: no other thread may read row i or write rows
+/// i±1 while it runs.  W = 1 and W = 2 run the scalar loop, which reads
+/// only the other colour's cells and writes only the active ones, so it
+/// is safe on any row.
 template <int W>
 void sor_row5(const View5& s, const double* up, double* mid,
               const double* down, const double* rhs, double h2, double ch2,

@@ -45,8 +45,8 @@ namespace pbmg::grid::simd {
 /// reads lane l at p[min(l, lanes−1)·stride]: inactive tail lanes
 /// duplicate the last active lane so reads stay in bounds (their results
 /// are discarded by scatter()).  scatter() writes only the first `lanes`
-/// lanes, one scalar store each — concurrently relaxed columns between
-/// them are never touched, which keeps the stride-2 SOR stores race-free.
+/// lanes, one scalar store each — the other parity's lines between them,
+/// which a zebra pass only reads, are never written.
 template <int W>
 struct Vec {
   double v[W];

@@ -35,10 +35,13 @@ namespace pbmg::obs {
 /// Phases a solve's wall time is attributed to.
 enum class Phase {
   /// Point relaxation sweeps (SOR / Jacobi), and the fused passes of a
-  /// Poisson point-SOR RECURSE body, each timed once here: the head
-  /// (pre-sweep + residual restriction + zeroed correction) and the
-  /// tail (interpolated correction + post-sweep).  So on that path
-  /// kRestrict and kInterpolate keep only ESTIMATE's transfers.
+  /// point-SOR RECURSE body on the Poisson operator or under the packed
+  /// layout, each timed once here: the head (pre-sweep + residual
+  /// restriction + zeroed correction) and the tail (interpolated
+  /// correction + post-sweep).  So on that path kRestrict and
+  /// kInterpolate keep only ESTIMATE's transfers; line-smoother bodies
+  /// and the legacy layout's variable-coefficient bodies still time
+  /// their transfers there.
   kRelax = 0,
   kLineSolve,     ///< zebra line-relaxation sweeps (batched Thomas)
   kRestrict,      ///< residual/problem formation + restriction

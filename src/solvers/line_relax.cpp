@@ -70,6 +70,19 @@ void poisson_cprime(double* cp, int n) {
   }
 }
 
+/// The lines of one zebra parity: first, first + 2, …, n − 2, with
+/// first = 1 for the odd lines and 2 for the even ones.  A pass's region
+/// hands out only these lines and counts only their cells.
+struct ZebraLines {
+  int first;
+  int count;
+};
+
+ZebraLines zebra_lines(int n, int parity) {
+  const int first = parity == 1 ? 1 : 2;
+  return {first, first <= n - 2 ? (n - 2 - first) / 2 + 1 : 0};
+}
+
 /// x-line zebra sweep, Poisson.  Lines are interior rows; odd rows first
 /// (they read only the frozen even rows), then even rows.
 void line_x_poisson(Grid2D& x, const Grid2D& b, rt::Scheduler& sched,
@@ -83,11 +96,13 @@ void line_x_poisson(Grid2D& x, const Grid2D& b, rt::Scheduler& sched,
   double* cp = cpg.row(0);
   poisson_cprime(cp, n);
   for (int parity = 1; parity >= 0; --parity) {
+    const ZebraLines lines = zebra_lines(n, parity);
     sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
-        [&, parity](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            if ((i & 1) != parity) continue;
+        0, lines.count, sched.grain_for(lines.count, n - 2),
+        [&, lines](std::int64_t lb, std::int64_t le) {
+          for (int line = static_cast<int>(lb); line < static_cast<int>(le);
+               ++line) {
+            const int i = lines.first + 2 * line;
             const double* up = x.row(i - 1);
             double* mid = x.row(i);
             const double* down = x.row(i + 1);
@@ -130,11 +145,13 @@ void line_y_poisson(Grid2D& x, const Grid2D& b, rt::Scheduler& sched,
   double* cp = cpg.row(0);
   poisson_cprime(cp, n);
   for (int parity = 1; parity >= 0; --parity) {
+    const ZebraLines lines = zebra_lines(n, parity);
     sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
-        [&, parity](std::int64_t jb, std::int64_t je) {
-          for (int j = static_cast<int>(jb); j < static_cast<int>(je); ++j) {
-            if ((j & 1) != parity) continue;
+        0, lines.count, sched.grain_for(lines.count, n - 2),
+        [&, lines](std::int64_t lb, std::int64_t le) {
+          for (int line = static_cast<int>(lb); line < static_cast<int>(le);
+               ++line) {
+            const int j = lines.first + 2 * line;
             double* dp = dpg.row(j);
             double r1 = h2 * b(1, j) + x(1, j - 1) + x(1, j + 1) + x(0, j);
             if (n == 3) r1 += x(2, j);
@@ -169,11 +186,13 @@ void line_x_op(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
   Grid2D& cpg = cp_lease.get();
   Grid2D& dpg = dp_lease.get();
   for (int parity = 1; parity >= 0; --parity) {
+    const ZebraLines lines = zebra_lines(n, parity);
     sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2, grid::kLineCost),
-        [&, parity](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            if ((i & 1) != parity) continue;
+        0, lines.count, sched.grain_for(lines.count, n - 2, grid::kLineCost),
+        [&, lines](std::int64_t lb, std::int64_t le) {
+          for (int line = static_cast<int>(lb); line < static_cast<int>(le);
+               ++line) {
+            const int i = lines.first + 2 * line;
             const double* up = x.row(i - 1);
             double* mid = x.row(i);
             const double* down = x.row(i + 1);
@@ -215,11 +234,13 @@ void line_y_op(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
   Grid2D& cpg = cp_lease.get();
   Grid2D& dpg = dp_lease.get();
   for (int parity = 1; parity >= 0; --parity) {
+    const ZebraLines lines = zebra_lines(n, parity);
     sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2, grid::kLineCost),
-        [&, parity](std::int64_t jb, std::int64_t je) {
-          for (int j = static_cast<int>(jb); j < static_cast<int>(je); ++j) {
-            if ((j & 1) != parity) continue;
+        0, lines.count, sched.grain_for(lines.count, n - 2, grid::kLineCost),
+        [&, lines](std::int64_t lb, std::int64_t le) {
+          for (int line = static_cast<int>(lb); line < static_cast<int>(le);
+               ++line) {
+            const int j = lines.first + 2 * line;
             solve_interior_line(
                 n, cpg.row(j), dpg.row(j),
                 [&](int i) { return -ay(i - 1, j); },
@@ -256,11 +277,13 @@ void line_x_nine(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
   Grid2D& cpg = cp_lease.get();
   Grid2D& dpg = dp_lease.get();
   for (int parity = 1; parity >= 0; --parity) {
+    const ZebraLines lines = zebra_lines(n, parity);
     sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2, grid::kLineCost),
-        [&, parity](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            if ((i & 1) != parity) continue;
+        0, lines.count, sched.grain_for(lines.count, n - 2, grid::kLineCost),
+        [&, lines](std::int64_t lb, std::int64_t le) {
+          for (int line = static_cast<int>(lb); line < static_cast<int>(le);
+               ++line) {
+            const int i = lines.first + 2 * line;
             const double* up = x.row(i - 1);
             double* mid = x.row(i);
             const double* down = x.row(i + 1);
@@ -300,11 +323,13 @@ void line_y_nine(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
   Grid2D& cpg = cp_lease.get();
   Grid2D& dpg = dp_lease.get();
   for (int parity = 1; parity >= 0; --parity) {
+    const ZebraLines lines = zebra_lines(n, parity);
     sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2, grid::kLineCost),
-        [&, parity](std::int64_t jb, std::int64_t je) {
-          for (int j = static_cast<int>(jb); j < static_cast<int>(je); ++j) {
-            if ((j & 1) != parity) continue;
+        0, lines.count, sched.grain_for(lines.count, n - 2, grid::kLineCost),
+        [&, lines](std::int64_t lb, std::int64_t le) {
+          for (int line = static_cast<int>(lb); line < static_cast<int>(le);
+               ++line) {
+            const int j = lines.first + 2 * line;
             solve_interior_line(
                 n, cpg.row(j), dpg.row(j),
                 [&](int i) { return -ay(i - 1, j); },

@@ -20,17 +20,23 @@
 /// Jacobi is the alternative the paper measured and rejected; it has one
 /// body, the Poisson sweep the smoother ablation runs.
 ///
-/// On the Poisson operator, a SOR sweep and each half of a point-SOR
-/// RECURSE body run as one row wavefront: each block of rows runs every
-/// stage of the pass (red, black, residual and restriction, or
-/// interpolation, red, black), each stage a fixed number of rows behind
-/// the one before, so each row is read from cache by every stage that
-/// needs it.  A block's stages stop short of its neighbours' rows; the
-/// rows they leave at each block edge (a triangle) run in a second
-/// parallel region, once every block is done.  Every cell sees the same
-/// inputs in the same order through the same pk:: row kernels as in
-/// separate passes, so the results are bitwise those of the separate
-/// passes under any thread count.
+/// On the Poisson operator, and on any other operator under the packed
+/// layout, a SOR sweep and each half of a point-SOR RECURSE body run as
+/// one row wavefront (grid/wavefront.h): each block of rows runs every
+/// stage of the pass (two SOR stages, then the residual and restriction;
+/// or the interpolation, then two SOR stages), each stage a fixed number
+/// of rows behind the one before, so each row — and each packed
+/// coefficient row — is read from cache by every stage that needs it.  A
+/// 5-point operator's SOR stages are red and black; a 9-point operator's
+/// are the even rows' two colours and the odd rows' two.  A block's
+/// stages stop short of its neighbours' rows; the rows they leave at each
+/// block edge (a triangle) run in a second parallel region, once every
+/// block is done.  Every cell sees the same inputs in the same order
+/// through the same pk:: row kernels as in separate passes, so the
+/// results are bitwise those of the separate passes (the legacy layout's
+/// colour passes, residual restriction and interpolation) under any
+/// thread count.  The legacy layout's variable-coefficient sweeps and
+/// every line smoother keep their separate passes.
 
 namespace pbmg::obs {
 class PhaseProfile;
@@ -149,7 +155,7 @@ void jacobi_sweep(Grid2D& x, const Grid2D& b, double omega, Grid2D& scratch,
 /// divides by the cell's true diagonal (aW+aE+aN+aS)/h² + c instead of the
 /// Poisson 4/h².  The Poisson fast path runs sor_sweep above's rows,
 /// bit-for-bit.  A KernelPolicy selecting the packed layout runs the SoA
-/// SIMD sweep (grid/packed_kernels.h), bitwise identical to legacy.
+/// SIMD wavefront (grid/packed_kernels.h), bitwise identical to legacy.
 /// Forwards a one-element span to sor_sweep_multi, which holds the only
 /// body of each kind.  Requires x.n() == op.n().
 void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
@@ -157,14 +163,14 @@ void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
                const grid::KernelPolicy& kernels = {});
 
 /// Red-black SOR over K iterates: one sweep of each xs[k] against bs[k]
-/// under one operator, the K sweeps fused per parity (or colour) × row so
+/// under one operator, the K sweeps fused per stage (or colour) × row so
 /// each coefficient row is loaded once and reused across right-hand-sides
 /// — the bandwidth amortization batched serving buys.  The K iterates
-/// never couple, and each k's update order is the one-iterate order, so
-/// every slot is bitwise identical to its own sor_sweep call under any
-/// thread count; K = 1 is that call.  Dispatches Poisson / packed /
-/// 9-point / 5-point.  Requires equal span sizes and all grids matching
-/// op.n().
+/// never couple, and each k's cells see the one-iterate inputs, so every
+/// slot is bitwise identical to its own sor_sweep call under any thread
+/// count; K = 1 is that call.  Dispatches Poisson and packed (one
+/// wavefront) / legacy 9-point / legacy 5-point (colour passes).
+/// Requires equal span sizes and all grids matching op.n().
 void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
                      std::span<const Grid2D* const> bs, double omega,
                      rt::Scheduler& sched,
@@ -174,12 +180,14 @@ void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
 /// sweep of `smoother` on each xs[k] against bs[k] (point red-black SOR
 /// at `omega` unless it is a line smoother), then rcs[k] = full weighting
 /// of (bs[k] − A·xs[k]) with a zero ring, and es[k] = 0 everywhere, ring
-/// included: the coarse correction's zero guess.  On the Poisson
-/// operator with point SOR this is one three-stage row wavefront (red,
-/// black, residual rows restricted as they complete) timed once under
-/// obs::Phase::kRelax; every other operator or smoother runs
-/// sor_sweep_multi or line_relax_sweep_multi (timed kRelax or kLineSolve)
-/// and then restrict_residual_multi (timed kRestrict), as two passes.
+/// included: the coarse correction's zero guess.  With point SOR on the
+/// Poisson operator, or on any operator under the packed layout, this is
+/// one three-stage row wavefront (two SOR stages, then residual rows
+/// restricted as they complete) timed once under obs::Phase::kRelax; a
+/// line smoother, or the legacy layout's variable-coefficient operators,
+/// run sor_sweep_multi or line_relax_sweep_multi (timed kRelax or
+/// kLineSolve) and then restrict_residual_multi (timed kRestrict), as two
+/// passes.
 /// Either way every slot is bitwise the sweep followed by residual_op
 /// and restrict_full_weighting.  `profile` may be null; the level timed
 /// is op.n()'s.  Requires equal span sizes, every fine grid matching
@@ -193,12 +201,12 @@ void recurse_head(const grid::StencilOp& op, std::span<Grid2D* const> xs,
 
 /// Second half of one RECURSE body: xs[k] += P·es[k] (bilinear
 /// interpolation of the coarse correction), then one sweep of `smoother`
-/// as in recurse_head.  On the Poisson operator with point SOR this is
-/// one three-stage row wavefront (interpolation, red, black) timed once
-/// under obs::Phase::kRelax; everything else runs interpolate_add per
-/// slot (timed kInterpolate) and then the sweep.  Every slot is bitwise
-/// interpolate_add followed by the sweep.  Same requirements as
-/// recurse_head.
+/// as in recurse_head.  Where recurse_head fuses, this is one
+/// three-stage row wavefront (interpolation, then two SOR stages) timed
+/// once under obs::Phase::kRelax; everything else runs
+/// interpolate_add_multi, one region for the batch (timed kInterpolate),
+/// and then the sweep.  Every slot is bitwise interpolate_add followed by
+/// the sweep.  Same requirements as recurse_head.
 void recurse_tail(const grid::StencilOp& op,
                   std::span<const Grid2D* const> es,
                   std::span<Grid2D* const> xs,

@@ -236,9 +236,9 @@ void TunedExecutor::recurse_body_multi_at(std::span<Grid2D* const> xs,
   // (the historical path) or the exact Galerkin RAP coarse operators.
   // The head (pre-relaxation, residual restriction, zeroed correction)
   // and the tail (interpolated correction, post-relaxation) each take the
-  // whole batch and time themselves; on Poisson with point SOR each is
-  // one fused pass.  Every slot's operation sequence is exactly its solo
-  // walk's.
+  // whole batch and time themselves; with point SOR on Poisson or under
+  // the packed layout each is one fused pass.  Every slot's operation
+  // sequence is exactly its solo walk's.
   const grid::StencilOp& op = op_at(level, coarsening);
   const int nc = coarse_size(size_of_level(level));
   const SlotGrids rc(pool_, nc, xs.size());
@@ -327,9 +327,7 @@ void TunedExecutor::estimate_multi_at(std::span<Grid2D* const> xs,
                    estimate_accuracy_index, profile);
   {
     obs::ScopedPhaseTimer timer(profile, obs::Phase::kInterpolate, level);
-    for (std::size_t k = 0; k < xs.size(); ++k) {
-      grid::interpolate_add(*e.grids()[k], *xs[k], sched_);
-    }
+    grid::interpolate_add_multi(as_read(e.grids()), xs, sched_);
   }
   trace(trace::Op::kInterpolate, level);
 }

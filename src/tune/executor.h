@@ -30,11 +30,13 @@
 /// same tables one level down.  A RECURSE body runs as
 /// solvers::recurse_head (pre-relaxation, residual restriction, zeroed
 /// coarse correction), the coarse call, and solvers::recurse_tail
-/// (interpolated correction, post-relaxation); on Poisson with point SOR
-/// each half is one fused pass, timed once as relaxation.  ESTIMATE's
-/// restriction zeroes its coarse correction the same way
-/// (grid::restrict_residual_multi), so no walk step zero-fills a grid
-/// on the calling thread.
+/// (interpolated correction, post-relaxation); with point SOR on the
+/// Poisson operator or under the packed layout each half is one fused
+/// row wavefront, timed once as relaxation.  ESTIMATE's restriction
+/// zeroes its coarse correction the same way
+/// (grid::restrict_residual_multi), and its interpolation is one region
+/// for the batch (grid::interpolate_add_multi), so no walk step
+/// zero-fills a grid on the calling thread.
 ///
 /// There is one walk, and it takes K iterates at once: a solo solve is a
 /// batch of one (run_v, run_fmg, recurse_body and estimate forward a

@@ -18,15 +18,18 @@
 // residual_op followed by restrict_full_weighting for every operator
 // kind, and the corrections it zeroes come back zero.  The fused Poisson
 // RECURSE head and tail and the one-pass sweep are pinned against the
-// scalar references, solo and batched, on one to four threads.  Inside a
-// solve that has forked a region, where the scheduler prices passes by
-// their work, the packed sweeps, line passes and fused restriction are
-// pinned against one thread at n = 65 and 129.
+// scalar references, solo and batched, on one to four threads, and the
+// packed ones (the same wavefronts over the packed 5- and 9-point rows)
+// against the legacy layout's separate passes.  Inside a solve that has
+// forked a region, where the scheduler prices passes by their work, the
+// packed sweeps, line passes, fused restriction and batched
+// interpolation are pinned against one thread at n = 65 and 129.
 
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -758,6 +761,118 @@ TEST(FusedPoissonPasses, HeadTailAndSweepMatchTheScalarReference) {
   }
 }
 
+// ------------------------------------------- fused packed body passes --
+
+/// The body passes of one operator over K iterates: the RECURSE head
+/// (sweep, residual restriction, zeroed correction), the tail
+/// (interpolated correction, sweep) and sor_sweep_multi, each from the
+/// same start.  Under the legacy layout on one thread these are the
+/// separate passes (the colour-pass sweeps); under the packed layout they
+/// are the fused wavefronts, run here inside a solve that has forked, so
+/// the scheduler prices them by their work and splits them into blocks
+/// from n = 257 (n = 129 on the 9-point levels).
+std::vector<Grid2D> body_passes(const StencilOp& op, int k_count,
+                                const KernelPolicy& policy, int threads) {
+  const double omega = solvers::kRecurseOmega;
+  const int n = op.n();
+  const int nc = coarse_size(n);
+  std::vector<Grid2D> x0;
+  std::vector<Grid2D> b;
+  std::vector<Grid2D> e;
+  for (int k = 0; k < k_count; ++k) {
+    x0.push_back(random_grid(n, 0xA0 + static_cast<unsigned>(k)));
+    b.push_back(random_grid(n, 0xB0 + static_cast<unsigned>(k)));
+    e.push_back(random_grid(nc, 0xC0 + static_cast<unsigned>(k)));
+  }
+  std::vector<Grid2D> x_store = x0;
+  std::vector<Grid2D> rc_store(x0.size(), Grid2D(nc, 2.0));
+  std::vector<Grid2D> es_store(x0.size(), Grid2D(nc, 3.0));
+  std::vector<Grid2D*> xs;
+  std::vector<const Grid2D*> bs;
+  std::vector<Grid2D*> rcs;
+  std::vector<Grid2D*> es;
+  std::vector<const Grid2D*> es_read;
+  for (int k = 0; k < k_count; ++k) {
+    xs.push_back(&x_store[k]);
+    bs.push_back(&b[k]);
+    rcs.push_back(&rc_store[k]);
+    es.push_back(&es_store[k]);
+    es_read.push_back(&e[k]);
+  }
+  Engine& eng = engine_with(threads);
+  rt::Scheduler& sched = eng.scheduler();
+  const rt::SolveScope solve;
+  sched.parallel_for(0, 2, 1, [](std::int64_t, std::int64_t) {});
+  std::vector<Grid2D> out;
+  if (policy.layout == StencilLayout::kPacked) {
+    solvers::recurse_head(op, xs, bs, solvers::RelaxKind::kSor, omega, rcs,
+                          es, sched, eng.scratch(), policy, nullptr);
+  } else {
+    solvers::sor_sweep_multi(op, xs, bs, omega, sched, policy);
+    const std::vector<const Grid2D*> xs_read(xs.begin(), xs.end());
+    restrict_residual_multi(op, xs_read, bs, rcs, sched, policy, es);
+  }
+  out.insert(out.end(), x_store.begin(), x_store.end());
+  out.insert(out.end(), rc_store.begin(), rc_store.end());
+  out.insert(out.end(), es_store.begin(), es_store.end());
+  x_store = x0;
+  if (policy.layout == StencilLayout::kPacked) {
+    solvers::recurse_tail(op, es_read, xs, bs, solvers::RelaxKind::kSor,
+                          omega, sched, eng.scratch(), policy, nullptr);
+  } else {
+    for (int k = 0; k < k_count; ++k) interpolate_add(e[k], x_store[k], sched);
+    solvers::sor_sweep_multi(op, xs, bs, omega, sched, policy);
+  }
+  out.insert(out.end(), x_store.begin(), x_store.end());
+  x_store = x0;
+  solvers::sor_sweep_multi(op, xs, bs, omega, sched, policy);
+  out.insert(out.end(), x_store.begin(), x_store.end());
+  return out;
+}
+
+TEST(FusedPackedPasses, HeadTailAndSweepMatchTheLegacyPasses) {
+  // Packed point-SOR bodies run as wavefronts with the wide rows from
+  // n = 65; the legacy layout's colour passes, residual restriction and
+  // interpolation are the oracle.  Jump's averaged 5-point and RAP
+  // 9-point levels and theta=45's averaged ladder (9-point) cover every
+  // packed kind, from one interior row to n = 513, at every width, on one
+  // to four threads (even and uneven blocks), solo and batched.
+  const StencilOp jump = make_operator(513, OperatorFamily::kJumpCoefficient);
+  const StencilOp t45 = make_operator(513, OperatorFamily::kAnisoTheta45);
+  const StencilHierarchy jump_avg(jump, Coarsening::kAverage);
+  const StencilHierarchy jump_rap(jump, Coarsening::kRap);
+  const StencilHierarchy t45_avg(t45, Coarsening::kAverage);
+  const std::pair<const char*, const StencilHierarchy*> ladders[] = {
+      {"jump averaged", &jump_avg},
+      {"jump rap", &jump_rap},
+      {"theta45 averaged", &t45_avg}};
+  for (const auto& [name, ladder] : ladders) {
+    for (const int n : {3, 5, 9, 17, 33, 65, 129, 257, 513}) {
+      const StencilOp& op = ladder->at(level_of_size(n));
+      for (const int k_count : {1, 3}) {
+        const std::vector<Grid2D> reference =
+            body_passes(op, k_count, KernelPolicy{}, /*threads=*/1);
+        for (const int width : kWidths) {
+          for (const int threads : {1, 2, 3, 4}) {
+            SCOPED_TRACE(std::string(name) + " n=" + std::to_string(n) +
+                         " k=" + std::to_string(k_count) +
+                         " width=" + std::to_string(width) +
+                         " threads=" + std::to_string(threads));
+            const std::vector<Grid2D> got =
+                body_passes(op, k_count, packed_policy(width), threads);
+            ASSERT_EQ(got.size(), reference.size());
+            for (std::size_t g = 0; g < got.size(); ++g) {
+              EXPECT_TRUE(bitwise_equal(got[g], reference[g]))
+                  << "grid " << g << " (head x, head rc, head e, tail x, "
+                  << "sweep x; " << k_count << " slots each)";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------- multi-RHS --
 
 /// Solo-vs-batched check: runs `solo(x, b)` on each of K slots and
@@ -903,7 +1018,8 @@ TEST(MultiRhsParity, BatchSizesIncludingSingleAndOddMatchSolo) {
 
 /// Every pass a variable-coefficient walk runs, over K iterates on
 /// `threads` threads: three SOR sweeps, one x, one y and one alternating
-/// line sweep, then the fused restriction with zeroed corrections.  The
+/// line sweep, the fused restriction with zeroed corrections, then the
+/// restricted residuals interpolated back onto the iterates.  The
 /// passes run inside a solve that has already forked a region (on one
 /// thread nothing forks), so the scheduler prices them by their work and
 /// forks them where their cells alone would run inline.
@@ -949,6 +1065,8 @@ std::vector<Grid2D> walk_passes(const StencilOp& op, int k_count,
   }
   const std::vector<const Grid2D*> xs_read(xs.begin(), xs.end());
   restrict_residual_multi(op, xs_read, bs, cs, sched, policy, es);
+  const std::vector<const Grid2D*> cs_read(cs.begin(), cs.end());
+  interpolate_add_multi(cs_read, xs, sched);
   std::vector<Grid2D> out = x_store;
   out.insert(out.end(), coarse.begin(), coarse.end());
   out.insert(out.end(), zeroed.begin(), zeroed.end());
@@ -956,11 +1074,12 @@ std::vector<Grid2D> walk_passes(const StencilOp& op, int k_count,
 }
 
 TEST(ForkedSolve, WorkPricedPassesMatchOneThreadBitwise) {
-  // Inside a forked solve the line passes fork from n = 65, and the packed
-  // SOR sweeps (5-point averaged and 9-point RAP) and the fused
-  // restriction at n = 129 or K = 3, where outside one all of them run
-  // inline: each colour's rows, each line group and each coarse row is
-  // independent, so every thread count gives the one-thread bits.
+  // Inside a forked solve the line passes and the 9-point RAP SOR sweep
+  // fork from n = 65, and the 5-point averaged sweep, the fused
+  // restriction and the batched interpolation at n = 129 or K = 3, where
+  // outside one all of them run inline: each wavefront run, line group,
+  // coarse row and fine row is independent, so every thread count gives
+  // the one-thread bits.
   const StencilOp fine = make_operator(257, OperatorFamily::kJumpCoefficient);
   const StencilHierarchy averaged(fine, Coarsening::kAverage);
   const StencilHierarchy rap(fine, Coarsening::kRap);

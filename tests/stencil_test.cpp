@@ -40,6 +40,22 @@ Engine& engine() {
 
 rt::Scheduler& sched() { return engine().scheduler(); }
 
+/// Four threads under the packed layout at four lanes, where point-SOR
+/// RECURSE bodies run as fused wavefronts on every operator.
+Engine& packed_engine() {
+  static Engine instance([] {
+    rt::MachineProfile p;
+    p.name = "stencil-test-packed";
+    p.threads = 4;
+    p.grain_rows = 2;
+    solvers::RelaxTunables relax;
+    relax.kernels.layout = grid::StencilLayout::kPacked;
+    relax.kernels.simd_width = 4;
+    return EngineOptions{p, relax, {}};
+  }());
+  return instance;
+}
+
 constexpr int kFamilyCount =
     static_cast<int>(std::size(kAllOperatorFamilies));
 
@@ -327,9 +343,11 @@ TEST(ClassicalCoarse, RecurseClassicalCellIsBitwiseAClassicalVCycle) {
   // escape the accuracy ladder's coarse-solve floor on slowly converging
   // operators (tune/table.h); pin its semantics bit for bit.
   const auto expect_vcycle = [](OperatorFamily family, int level,
-                                solvers::RelaxKind smoother) {
+                                solvers::RelaxKind smoother,
+                                Engine& walk = engine()) {
     SCOPED_TRACE(to_string(family) + " level " + std::to_string(level) +
-                 " " + solvers::to_string(smoother));
+                 " " + solvers::to_string(smoother) + " " +
+                 grid::to_string(walk.relax().kernels.layout));
     const int n = size_of_level(level);
     const auto inst = make_instance(family, n, 2026'07'08);
     const grid::StencilHierarchy ops(make_operator(n, family));
@@ -345,9 +363,9 @@ TEST(ClassicalCoarse, RecurseClassicalCellIsBitwiseAClassicalVCycle) {
         config.v_entry(l, i) = cell;
       }
     }
-    const tune::TunedExecutor executor(config, sched(), engine().direct(),
-                                       engine().scratch(), engine().relax(),
-                                       ops, nullptr);
+    const tune::TunedExecutor executor(config, walk.scheduler(),
+                                       walk.direct(), walk.scratch(),
+                                       walk.relax(), ops, nullptr);
     Grid2D via_executor = inst.problem.x0;
     executor.run_v(via_executor, inst.problem.b, 0);
 
@@ -380,6 +398,14 @@ TEST(ClassicalCoarse, RecurseClassicalCellIsBitwiseAClassicalVCycle) {
   for (const solvers::RelaxKind smoother :
        {solvers::RelaxKind::kSor, solvers::RelaxKind::kLineZebraAlt}) {
     expect_vcycle(OperatorFamily::kJumpCoefficient, 9, smoother);
+  }
+  // Under the packed layout every point-SOR body runs its fused head and
+  // tail, split into blocks by their work inside the walk's forked solve
+  // (jump's averaged 5-point ladder, theta=45's 9-point one); the
+  // reference cycle runs the legacy layout's separate passes.
+  for (const OperatorFamily family :
+       {OperatorFamily::kJumpCoefficient, OperatorFamily::kAnisoTheta45}) {
+    expect_vcycle(family, 9, solvers::RelaxKind::kSor, packed_engine());
   }
 }
 
