@@ -418,16 +418,24 @@ void BM_StencilZebraPacked(benchmark::State& state) {
 BENCHMARK(BM_StencilZebraPacked)->Arg(129)->Arg(513)->Arg(1025)->UseRealTime();
 
 // The packed line passes pick their body by K (grid/packed_kernels.h):
-// one-pass rows for one iterate, factor-once for a batch.  Arguments are
-// (n, K) on the jump-coefficient operator, the family varcoef batches
-// serve; K = 4 is the batch size they send and K = 1 the solo body on
-// the same operator.  Real time covers one sweep of all K iterates, so
-// time per RHS is real time / K.
+// one-pass for one iterate, factor-once for a batch.  Arguments are
+// (stencil points, n, K) on the jump-coefficient operator, the family
+// varcoef batches serve: 5 is the operator at n, 9 its Galerkin RAP level
+// at n (built as BM_PackedHead builds it), so both band widths run.
+// K = 4 is the batch size they send and K = 1 the solo body on the same
+// operator.  Real time covers one sweep of all K iterates, so time per
+// RHS is real time / K.
 void BM_StencilZebraPackedBatch(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto k_count = static_cast<std::size_t>(state.range(1));
+  const int points = static_cast<int>(state.range(0));
+  const int n = static_cast<int>(state.range(1));
+  const auto k_count = static_cast<std::size_t>(state.range(2));
   const grid::StencilOp op =
-      make_operator(n, OperatorFamily::kJumpCoefficient);
+      points == 9
+          ? grid::StencilHierarchy(
+                make_operator(2 * n - 1, OperatorFamily::kJumpCoefficient),
+                grid::Coarsening::kRap)
+                .at(level_of_size(n))
+          : make_operator(n, OperatorFamily::kJumpCoefficient);
   op.packed();
   const auto problem = problem_for(n);
   std::vector<Grid2D> xs(k_count, problem.x0);
@@ -448,8 +456,10 @@ void BM_StencilZebraPackedBatch(benchmark::State& state) {
                           (n - 2));
 }
 BENCHMARK(BM_StencilZebraPackedBatch)
-    ->Args({513, 1})
-    ->Args({513, 4})
+    ->Args({5, 513, 1})
+    ->Args({5, 513, 4})
+    ->Args({9, 513, 1})
+    ->Args({9, 513, 4})
     ->UseRealTime();
 
 // ---------------------------------------------- packed body halves --

@@ -484,21 +484,4 @@ double max_abs_interior(const Grid2D& g, rt::Scheduler& sched) {
   return result;
 }
 
-void axpy_interior(double alpha, const Grid2D& x, Grid2D& y,
-                   rt::Scheduler& sched) {
-  check_same_size(x, y, "axpy_interior");
-  const int n = x.n();
-  sched.parallel_for(1, n - 1, sched.grain_for(n - 2, n - 2),
-                     [&](std::int64_t ib, std::int64_t ie) {
-                       for (int i = static_cast<int>(ib);
-                            i < static_cast<int>(ie); ++i) {
-                         const double* xr = x.row(i);
-                         double* yr = y.row(i);
-                         for (int j = 1; j < n - 1; ++j) {
-                           yr[j] += alpha * xr[j];
-                         }
-                       }
-                     });
-}
-
 }  // namespace pbmg::grid

@@ -54,7 +54,14 @@ namespace pbmg::grid {
 /// SOR 99.6 → 54.9 and restriction 38.6 → 19.0 at n = 129, and at
 /// K = 4, n = 65, 9-point SOR 108.4 → 72.7.  Forking a K = 1 SOR at
 /// n = 65 gained 9–16% (5-point 17.5 → 14.7 µs, 9-point 29.5 → 26.8),
-/// and a 9-point SOR at n = 33 lost (6.9 → 16.8 µs).
+/// and a 9-point SOR at n = 33 lost (6.9 → 16.8 µs).  A 9-point weight
+/// of 3 would run the K = 1 wavefront passes at n = 65 inline.  On the
+/// wavefront rows (jump RAP level, four threads in a forked solve) the
+/// sweep alone read either way by host load, 23.3 µs forked against
+/// 27.4 on a one-thread engine in one probe and 39.1 against 27.1 at
+/// weight 3 in BM_CutoffSor/65, while the fused head read 29.3 forked
+/// against 44.6 inline and the tail 22.2 against 30.2 (medians of 30
+/// interleaved runs), so the weight stays 6.
 inline constexpr std::int64_t kSorCost5 = 4;
 inline constexpr std::int64_t kSorCost9 = 6;
 /// Residual, apply, and the fused residual restriction (per fine cell).
@@ -183,9 +190,5 @@ double norm2_diff_interior(const Grid2D& a, const Grid2D& b,
 
 /// Largest absolute interior value.
 double max_abs_interior(const Grid2D& g, rt::Scheduler& sched);
-
-/// axpy on the interior: y += alpha · x.  Requires matching sizes.
-void axpy_interior(double alpha, const Grid2D& x, Grid2D& y,
-                   rt::Scheduler& sched);
 
 }  // namespace pbmg::grid

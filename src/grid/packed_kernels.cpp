@@ -1,7 +1,7 @@
 #include "grid/packed_kernels.h"
 
 #include <algorithm>
-#include <type_traits>
+#include <optional>
 
 #include "grid/grid_ops.h"
 #include "grid/level.h"
@@ -102,20 +102,6 @@ int clamp_simd_width(int width) {
 
 namespace {
 
-/// Calls f with the lane width w ∈ {1, 2, 4} as a compile-time constant
-/// (a std::integral_constant), so one call site reaches each width's
-/// explicit instantiation in packed_kernels_w*.cpp.
-template <typename F>
-void with_width(int w, const F& f) {
-  if (w == 4) {
-    f(std::integral_constant<int, 4>{});
-  } else if (w == 2) {
-    f(std::integral_constant<int, 2>{});
-  } else {
-    f(std::integral_constant<int, 1>{});
-  }
-}
-
 void check_packed_operands(const StencilOp& op, const Grid2D& x,
                            const char* what) {
   PBMG_CHECK(!op.is_poisson(),
@@ -161,199 +147,96 @@ void packed_sor_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
   packed_sor_sweep_multi(op, xs, bs, omega, sched, simd_width);
 }
 
-// Both line passes keep two bodies and pick one by K.  One iterate runs
-// the one-pass rows (x_lines*/y_lines*), which eliminate and substitute
-// in a single walk of the bands.  A batch factors each line group once
-// (x_factor*/y_factor*) and replays the rhs recurrence per iterate
-// (x_apply*/y_apply*), so the pivot divides and coefficient loads are
-// shared by all K.  The split costs a second walk over the stored
-// factors, which one iterate never earns back: on 4 threads with AVX2,
-// factor-once took 1.08–1.39× the one-pass time at K = 1 and 0.52–0.90×
-// the time of four one-pass calls at K = 4, with identical bits.
+namespace {
 
-void packed_line_x_multi(const StencilOp& op, std::span<Grid2D* const> xs,
-                         std::span<const Grid2D* const> bs,
-                         rt::Scheduler& sched, ScratchPool& pool,
-                         int simd_width) {
-  check_packed_batch(op, xs, bs, "packed_line_x");
+/// The zebra pass both line entries run: odd lines, then even lines, each
+/// parity's lines in groups of w lanes and each group solved for every
+/// iterate by pk::line_group, which keeps two bodies and picks one by K.
+/// One iterate runs the one-pass body, which eliminates and substitutes
+/// in a single walk of the bands.  A batch factors each line group once
+/// and replays the rhs recurrence per iterate, so the pivot divides and
+/// coefficient loads are shared by all K.  The split costs a second walk
+/// over the stored factors, which one iterate never earns back: on 4
+/// threads with AVX2, factor-once took 1.08–1.39× the one-pass time at
+/// K = 1 and 0.52–0.90× the time of four one-pass calls at K = 4, with
+/// identical bits.
+void packed_line_multi(const StencilOp& op, std::span<Grid2D* const> xs,
+                       std::span<const Grid2D* const> bs, bool columns,
+                       rt::Scheduler& sched, ScratchPool& pool,
+                       int simd_width, const char* what) {
+  check_packed_batch(op, xs, bs, what);
   if (xs.empty()) return;
   const PackedStencil& p = op.packed();
   const int n = op.n();
   const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
   const int w = clamp_line_width(clamp_simd_width(simd_width), n);
-  const long pstride = 2 * p.row_stride();  // lane l: streams of row i0+2l
-  const long gstride = 2 * static_cast<long>(n);  // lane l: grid row i0+2l
-  const bool nine = p.nine_point();
-  const bool factor_once = xs.size() > 1;
+  const auto solve = by_width(w, &pk::line_group<1>, &pk::line_group<2>,
+                              &pk::line_group<4>);
+  const int slots = static_cast<int>(xs.size());
   auto cp_lease = pool.acquire(n);
   auto dp_lease = pool.acquire(n);
-  Grid2D& cpg = cp_lease.get();
-  Grid2D& dpg = dp_lease.get();
-  std::vector<ScratchPool::Lease> factor_leases;
-  if (factor_once) {
-    factor_leases.push_back(pool.acquire(n));
-    factor_leases.push_back(pool.acquire(n));
+  std::optional<ScratchPool::Lease> sub_lease;
+  std::optional<ScratchPool::Lease> inv_lease;
+  if (slots > 1) {
+    sub_lease.emplace(pool.acquire(n));
+    inv_lease.emplace(pool.acquire(n));
   }
+  const pk::LineGroup pass{.streams = p.base(),
+                           .row_stride = p.row_stride(),
+                           .padded = p.padded(),
+                           .nine = p.nine_point(),
+                           .columns = columns,
+                           .slots = slots,
+                           .h2 = h2,
+                           .ch2 = op.c() * h2,
+                           .n = n};
   for (int parity = 1; parity >= 0; --parity) {
     const LineGroups lg = line_groups(n, parity, w);
     if (lg.groups == 0) continue;
     sched.parallel_for(
         0, lg.groups,
         line_grain(sched, lg.groups,
-                   static_cast<std::int64_t>(w) * (n - 2) *
-                       static_cast<std::int64_t>(xs.size())),
+                   static_cast<std::int64_t>(w) * (n - 2) * slots),
         [&](std::int64_t gb, std::int64_t ge) {
-          for (int g = static_cast<int>(gb); g < static_cast<int>(ge); ++g) {
-            const int i0 = lg.first + 2 * g * w;
-            const int lanes = std::min(w, lg.count - g * w);
-            double* cp = cpg.row(g * w);
-            double* dp = dpg.row(g * w);
-            if (!factor_once) {
-              const double* up = xs[0]->row(i0 - 1);
-              double* mid = xs[0]->row(i0);
-              const double* down = xs[0]->row(i0 + 1);
-              const double* rhs = bs[0]->row(i0);
-              if (nine) {
-                const pk::View9 v = pk::view9(p, i0);
-                with_width(w, [&](auto W) {
-                  pk::x_lines9<W>(v, pstride, up, mid, down, rhs, gstride,
-                                  lanes, cp, dp, h2, ch2, n);
-                });
-              } else {
-                const pk::View5 v = pk::view5(p, i0);
-                with_width(w, [&](auto W) {
-                  pk::x_lines5<W>(v, pstride, up, mid, down, rhs, gstride,
-                                  lanes, cp, dp, h2, ch2, n);
-                });
-              }
-              continue;
+          pk::LineGroup g = pass;
+          for (int group = static_cast<int>(gb); group < static_cast<int>(ge);
+               ++group) {
+            const int row = group * w;  // of each Thomas workspace
+            g.first = lg.first + 2 * row;
+            g.lanes = std::min(w, lg.count - row);
+            g.cp = cp_lease.get().row(row);
+            g.dp = dp_lease.get().row(row);
+            if (slots > 1) {
+              g.sub = sub_lease->get().row(row);
+              g.inv = inv_lease->get().row(row);
             }
-            double* sub = factor_leases[0].get().row(g * w);
-            double* inv = factor_leases[1].get().row(g * w);
-            if (nine) {
-              const pk::View9 v = pk::view9(p, i0);
-              with_width(w, [&](auto W) {
-                pk::x_factor9<W>(v, pstride, lanes, cp, sub, inv, ch2, n);
-              });
-              for (std::size_t k = 0; k < xs.size(); ++k) {
-                const double* up = xs[k]->row(i0 - 1);
-                double* mid = xs[k]->row(i0);
-                const double* down = xs[k]->row(i0 + 1);
-                const double* rhs = bs[k]->row(i0);
-                with_width(w, [&](auto W) {
-                  pk::x_apply9<W>(v, pstride, up, mid, down, rhs, gstride,
-                                  lanes, cp, sub, inv, dp, h2, n);
-                });
-              }
-            } else {
-              const pk::View5 v = pk::view5(p, i0);
-              with_width(w, [&](auto W) {
-                pk::x_factor5<W>(v, pstride, lanes, cp, sub, inv, ch2, n);
-              });
-              for (std::size_t k = 0; k < xs.size(); ++k) {
-                const double* up = xs[k]->row(i0 - 1);
-                double* mid = xs[k]->row(i0);
-                const double* down = xs[k]->row(i0 + 1);
-                const double* rhs = bs[k]->row(i0);
-                with_width(w, [&](auto W) {
-                  pk::x_apply5<W>(v, pstride, up, mid, down, rhs, gstride,
-                                  lanes, cp, sub, inv, dp, h2, n);
-                });
-              }
+            for (int k = 0; k < slots; ++k) {
+              g.x = xs[k]->row(0);
+              g.b = bs[k]->row(0);
+              g.slot = k;
+              solve(g);
             }
           }
         });
   }
 }
 
+}  // namespace
+
+void packed_line_x_multi(const StencilOp& op, std::span<Grid2D* const> xs,
+                         std::span<const Grid2D* const> bs,
+                         rt::Scheduler& sched, ScratchPool& pool,
+                         int simd_width) {
+  packed_line_multi(op, xs, bs, /*columns=*/false, sched, pool, simd_width,
+                    "packed_line_x");
+}
+
 void packed_line_y_multi(const StencilOp& op, std::span<Grid2D* const> xs,
                          std::span<const Grid2D* const> bs,
                          rt::Scheduler& sched, ScratchPool& pool,
                          int simd_width) {
-  check_packed_batch(op, xs, bs, "packed_line_y");
-  if (xs.empty()) return;
-  const PackedStencil& p = op.packed();
-  const int n = op.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const int w = clamp_line_width(clamp_simd_width(simd_width), n);
-  const bool nine = p.nine_point();
-  const double* pbase = p.base();
-  const long prow = p.row_stride();
-  const long ppad = p.padded();
-  const bool factor_once = xs.size() > 1;
-  auto cp_lease = pool.acquire(n);
-  auto dp_lease = pool.acquire(n);
-  Grid2D& cpg = cp_lease.get();
-  Grid2D& dpg = dp_lease.get();
-  std::vector<ScratchPool::Lease> factor_leases;
-  if (factor_once) {
-    factor_leases.push_back(pool.acquire(n));
-    factor_leases.push_back(pool.acquire(n));
-  }
-  for (int parity = 1; parity >= 0; --parity) {
-    const LineGroups lg = line_groups(n, parity, w);
-    if (lg.groups == 0) continue;
-    sched.parallel_for(
-        0, lg.groups,
-        line_grain(sched, lg.groups,
-                   static_cast<std::int64_t>(w) * (n - 2) *
-                       static_cast<std::int64_t>(xs.size())),
-        [&](std::int64_t gb, std::int64_t ge) {
-          for (int g = static_cast<int>(gb); g < static_cast<int>(ge); ++g) {
-            const int j0 = lg.first + 2 * g * w;
-            const int lanes = std::min(w, lg.count - g * w);
-            double* cp = cpg.row(g * w);
-            double* dp = dpg.row(g * w);
-            if (!factor_once) {
-              double* xb = xs[0]->row(0);
-              const double* bb = bs[0]->row(0);
-              if (nine) {
-                with_width(w, [&](auto W) {
-                  pk::y_lines9<W>(xb, bb, pbase, prow, ppad, j0, lanes, cp, dp,
-                                  h2, ch2, n);
-                });
-              } else {
-                with_width(w, [&](auto W) {
-                  pk::y_lines5<W>(xb, bb, pbase, prow, ppad, j0, lanes, cp, dp,
-                                  h2, ch2, n);
-                });
-              }
-              continue;
-            }
-            double* sub = factor_leases[0].get().row(g * w);
-            double* inv = factor_leases[1].get().row(g * w);
-            if (nine) {
-              with_width(w, [&](auto W) {
-                pk::y_factor9<W>(pbase, prow, ppad, j0, lanes, cp, sub, inv,
-                                 ch2, n);
-              });
-              for (std::size_t k = 0; k < xs.size(); ++k) {
-                double* xb = xs[k]->row(0);
-                const double* bb = bs[k]->row(0);
-                with_width(w, [&](auto W) {
-                  pk::y_apply9<W>(xb, bb, pbase, prow, ppad, j0, lanes, cp, sub,
-                                  inv, dp, h2, n);
-                });
-              }
-            } else {
-              with_width(w, [&](auto W) {
-                pk::y_factor5<W>(pbase, prow, ppad, j0, lanes, cp, sub, inv,
-                                 ch2, n);
-              });
-              for (std::size_t k = 0; k < xs.size(); ++k) {
-                double* xb = xs[k]->row(0);
-                const double* bb = bs[k]->row(0);
-                with_width(w, [&](auto W) {
-                  pk::y_apply5<W>(xb, bb, pbase, prow, ppad, j0, lanes, cp, sub,
-                                  inv, dp, h2, n);
-                });
-              }
-            }
-          }
-        });
-  }
+  packed_line_multi(op, xs, bs, /*columns=*/true, sched, pool, simd_width,
+                    "packed_line_y");
 }
 
 }  // namespace pbmg::grid

@@ -44,7 +44,9 @@
 /// driver as the Poisson sweep's, and solvers::recurse_head/recurse_tail
 /// run a point-SOR body's halves on the packed layout as three-stage
 /// wavefronts of the same rows.  The line passes have no single-grid
-/// entry; they choose between a one-pass body and a factor-once body by K.
+/// entry: both run one zebra driver over pk::line_group (packed_rows.h),
+/// whose one-pass, factor and apply Thomas bodies take any of four bands
+/// (x/y lines × 5-/9-point), and which picks one-pass or factor-once by K.
 ///
 /// Every pass is priced for rt::Scheduler::grain_for by its work (the
 /// weights in grid_ops.h times K).  A line pass that forks slices its line groups
@@ -114,9 +116,9 @@ void packed_sor_sweep_multi(const StencilOp& op, std::span<Grid2D* const> xs,
 /// One x-line (row) zebra pass over K iterates under the packed layout:
 /// odd rows then even rows, each group of `simd_width` same-parity rows
 /// solved as one batched Thomas elimination.  Matches the x pass of
-/// solvers::line_relax_sweep for every slot, bit for bit.  The entry
-/// picks its body by K: one iterate runs the one-pass rows, which
-/// eliminate and substitute in one walk of the bands; a batch factors
+/// solvers::line_relax_sweep for every slot, bit for bit.  The pass
+/// picks its body by K: one iterate runs the one-pass body, which
+/// eliminates and substitutes in one walk of the bands; a batch factors
 /// each line group once (pivot reciprocals and super-diagonal, every
 /// divide included) and replays the rhs recurrence per iterate against
 /// the stored factors, so K right-hand sides share each coefficient load
@@ -128,7 +130,7 @@ void packed_line_x_multi(const StencilOp& op, std::span<Grid2D* const> xs,
                          int simd_width);
 
 /// One y-line (column) zebra pass over K iterates under the packed
-/// layout; same bodies, same choice by K.
+/// layout; the same driver and bodies over the column bands.
 void packed_line_y_multi(const StencilOp& op, std::span<Grid2D* const> xs,
                          std::span<const Grid2D* const> bs,
                          rt::Scheduler& sched, ScratchPool& pool,

@@ -212,468 +212,221 @@ void sor_row9(const View9& s, const double* up, double* mid,
 // Batched Thomas line solves
 // ---------------------------------------------------------------------------
 
-// All four follow line_relax.cpp solve_interior_line verbatim, one
-// tridiagonal per lane:
+// The three bodies below follow line_relax.cpp solve_interior_line
+// verbatim, one tridiagonal per lane:
 //   inv = 1/diag(1); cp[1] = sup(1)*inv; dp[1] = rhs(1)*inv
 //   k = 2..n−2: s = sub(k); pivot = diag(k) − s*cp[k−1]; inv = 1/pivot
 //               cp[k] = sup(k)*inv; dp[k] = (rhs(k) − s*dp[k−1])*inv
 //   put(n−2); k = n−3..1: dp[k] = dp[k] − cp[k]*dp[k+1]; put(k)
-// with the legacy band definitions (sub = −coupling, diag = stream+c·h²,
-// rhs folding the Dirichlet boundary at k = 1 and k = n−2; for n = 3 the
-// single unknown applies both folds in sequence, like the scalar code).
+// A band supplies sub, diag, sup and rhs at line position k and stores
+// the solution (put), with the legacy band definitions: sub and sup are
+// negated couplings, diag is the stream plus c·h², and rhs folds the
+// Dirichlet boundary at k = 1 and k = n−2 (for n = 3 the single unknown
+// applies both folds in sequence, like the scalar code).
 
-template <int W>
-void x_lines5(const View5& s, long pstride, const double* up, double* mid,
-              const double* down, const double* rhs, long gstride, int lanes,
-              double* cp, double* dp, double h2, double ch2, int n) {
+// Stream slots of a packed row block, in PackedStencil::Stream order.
+enum : int {
+  kAw = 0, kAe = 1, kAn = 2, kAs = 3,
+  kDiag5 = 4,  // 5-point only
+  kNw = 4, kNe = 5, kSw = 6, kSe = 7, kCtr = 8,  // 9-point only
+};
+
+// x-lines: lane l is grid row first + 2l, position k its column.  rhs(k)
+// is the legacy chain h²*b[k] + aN*up[k] + aS*down[k]; a 9-point band
+// sums its six cross terms (NinePointRows order: aN, aS, aNW, aNE, aSW,
+// aSE) in full before adding h²*b[k], as the legacy band does.
+template <int W, bool Nine>
+struct XBand {
   using V = simd::Vec<W>;
-  const V one = V::broadcast(1.0);
-  const V vh2 = V::broadcast(h2);
-  const V vch2 = V::broadcast(ch2);
-  const auto sv = [&](const double* p, int j) {
-    return V::gather(p + j, pstride, lanes);
-  };
-  const auto gv = [&](const double* p, int j) {
-    return V::gather(p + j, gstride, lanes);
-  };
-  // rhs(j) = h²*b[j] + aN*up[j] + aS*down[j] (+ boundary folds), exactly
-  // the legacy chain.
-  const auto band_rhs = [&](int j) {
-    V r = vh2 * gv(rhs, j) + sv(s.an, j) * gv(up, j) +
-          sv(s.as, j) * gv(down, j);
-    if (j == 1) r = r + sv(s.aw, 1) * gv(mid, 0);
-    if (j == n - 2) r = r + sv(s.ae, n - 2) * gv(mid, n - 1);
+
+  explicit XBand(const LineGroup& g)
+      : s(g.streams + (g.first - 1) * g.row_stride),
+        sstride(2 * g.row_stride),
+        pad(g.padded),
+        up(g.x + static_cast<long>(g.first - 1) * g.n),
+        mid(g.x + static_cast<long>(g.first) * g.n),
+        down(g.x + static_cast<long>(g.first + 1) * g.n),
+        b(g.b + static_cast<long>(g.first) * g.n),
+        gstride(2 * static_cast<long>(g.n)),
+        lanes(g.lanes),
+        n(g.n),
+        vh2(V::broadcast(g.h2)),
+        vch2(V::broadcast(g.ch2)) {}
+
+  V sv(int slot, int k) const {
+    return V::gather(s + slot * pad + k, sstride, lanes);
+  }
+  V gv(const double* p, int k) const {
+    return V::gather(p + k, gstride, lanes);
+  }
+  V sub(int k) const { return -sv(kAw, k); }
+  V diag(int k) const { return sv(Nine ? kCtr : kDiag5, k) + vch2; }
+  V sup(int k) const { return -sv(kAe, k); }
+  V rhs(int k) const {
+    V r = vh2 * gv(b, k);
+    if constexpr (Nine) {
+      r = r + (sv(kAn, k) * gv(up, k) + sv(kAs, k) * gv(down, k) +
+               sv(kNw, k) * gv(up, k - 1) + sv(kNe, k) * gv(up, k + 1) +
+               sv(kSw, k) * gv(down, k - 1) + sv(kSe, k) * gv(down, k + 1));
+    } else {
+      r = r + sv(kAn, k) * gv(up, k) + sv(kAs, k) * gv(down, k);
+    }
+    if (k == 1) r = r + sv(kAw, 1) * gv(mid, 0);
+    if (k == n - 2) r = r + sv(kAe, n - 2) * gv(mid, n - 1);
     return r;
-  };
-  {
-    const V inv = one / (sv(s.diag, 1) + vch2);
-    (-sv(s.ae, 1) * inv).store(cp + 1 * W);
-    (band_rhs(1) * inv).store(dp + 1 * W);
   }
-  for (int k = 2; k <= n - 2; ++k) {
-    const V sub = -sv(s.aw, k);
-    const V pivot = (sv(s.diag, k) + vch2) - sub * V::load(cp + (k - 1) * W);
-    const V inv = one / pivot;
-    (-sv(s.ae, k) * inv).store(cp + k * W);
-    ((band_rhs(k) - sub * V::load(dp + (k - 1) * W)) * inv).store(dp + k * W);
+  void put(int k, V v) const { v.scatter(mid + k, gstride, lanes); }
+
+  const double* s;
+  long sstride;
+  long pad;
+  const double* up;
+  double* mid;
+  const double* down;
+  const double* b;
+  long gstride;
+  int lanes;
+  int n;
+  V vh2;
+  V vch2;
+};
+
+// y-lines: lane l is grid column first + 2l, position i its row.  rhs(i)
+// is h²*b + aW*x(i,j−1) + aE*x(i,j+1), which a 9-point band continues
+// with aNW*x(i−1,j−1) + aNE*x(i−1,j+1) + aSW*x(i+1,j−1) + aSE*x(i+1,j+1)
+// as one flat chain, like the legacy 9-point y band.
+template <int W, bool Nine>
+struct YBand {
+  using V = simd::Vec<W>;
+
+  explicit YBand(const LineGroup& g)
+      : s(g.streams + g.first),
+        prow(g.row_stride),
+        pad(g.padded),
+        x(g.x + g.first),
+        b(g.b + g.first),
+        lanes(g.lanes),
+        n(g.n),
+        vh2(V::broadcast(g.h2)),
+        vch2(V::broadcast(g.ch2)) {}
+
+  V ps(int i, int slot) const {
+    return V::gather(s + static_cast<long>(i - 1) * prow + slot * pad, 2,
+                     lanes);
   }
+  V gx(int i, int dj) const {
+    return V::gather(x + static_cast<long>(i) * n + dj, 2, lanes);
+  }
+  V sub(int i) const { return -ps(i, kAn); }
+  V diag(int i) const { return ps(i, Nine ? kCtr : kDiag5) + vch2; }
+  V sup(int i) const { return -ps(i, kAs); }
+  V rhs(int i) const {
+    V r = vh2 * V::gather(b + static_cast<long>(i) * n, 2, lanes) +
+          ps(i, kAw) * gx(i, -1) + ps(i, kAe) * gx(i, +1);
+    if constexpr (Nine) {
+      r = r + ps(i, kNw) * gx(i - 1, -1) + ps(i, kNe) * gx(i - 1, +1) +
+          ps(i, kSw) * gx(i + 1, -1) + ps(i, kSe) * gx(i + 1, +1);
+    }
+    if (i == 1) r = r + ps(1, kAn) * gx(0, 0);
+    if (i == n - 2) r = r + ps(n - 2, kAs) * gx(n - 1, 0);
+    return r;
+  }
+  void put(int i, V v) const {
+    v.scatter(x + static_cast<long>(i) * n, 2, lanes);
+  }
+
+  const double* s;
+  long prow;
+  long pad;
+  double* x;
+  const double* b;
+  int lanes;
+  int n;
+  V vh2;
+  V vch2;
+};
+
+template <int W, typename Band>
+void back_substitute(const Band& band, const double* cp, const double* dp,
+                     int n) {
+  using V = simd::Vec<W>;
   V next = V::load(dp + (n - 2) * W);
-  next.scatter(mid + (n - 2), gstride, lanes);
+  band.put(n - 2, next);
   for (int k = n - 3; k >= 1; --k) {
     next = V::load(dp + k * W) - V::load(cp + k * W) * next;
-    next.store(dp + k * W);
-    next.scatter(mid + k, gstride, lanes);
+    band.put(k, next);
   }
 }
 
-template <int W>
-void x_lines9(const View9& s, long pstride, const double* up, double* mid,
-              const double* down, const double* rhs, long gstride, int lanes,
-              double* cp, double* dp, double h2, double ch2, int n) {
+// One-pass: eliminate and substitute in one walk of the bands.
+template <int W, typename Band>
+void solve_lines(const Band& band, double* cp, double* dp, int n) {
   using V = simd::Vec<W>;
   const V one = V::broadcast(1.0);
-  const V vh2 = V::broadcast(h2);
-  const V vch2 = V::broadcast(ch2);
-  const auto sv = [&](const double* p, int j) {
-    return V::gather(p + j, pstride, lanes);
-  };
-  const auto gv = [&](const double* p, int j) {
-    return V::gather(p + j, gstride, lanes);
-  };
-  // cross(j) = aN*up[j] + aS*down[j] + aNW*up[j−1] + aNE*up[j+1]
-  //          + aSW*down[j−1] + aSE*down[j+1]  (NinePointRows order),
-  // evaluated in full before the h²*b[j] add, as the legacy band does.
-  const auto band_rhs = [&](int j) {
-    const V cross = sv(s.an, j) * gv(up, j) + sv(s.as, j) * gv(down, j) +
-                    sv(s.nw, j) * gv(up, j - 1) +
-                    sv(s.ne, j) * gv(up, j + 1) +
-                    sv(s.sw, j) * gv(down, j - 1) +
-                    sv(s.se, j) * gv(down, j + 1);
-    V r = vh2 * gv(rhs, j) + cross;
-    if (j == 1) r = r + sv(s.aw, 1) * gv(mid, 0);
-    if (j == n - 2) r = r + sv(s.ae, n - 2) * gv(mid, n - 1);
-    return r;
-  };
-  {
-    const V inv = one / (sv(s.ctr, 1) + vch2);
-    (-sv(s.ae, 1) * inv).store(cp + 1 * W);
-    (band_rhs(1) * inv).store(dp + 1 * W);
-  }
+  V inv = one / band.diag(1);
+  (band.sup(1) * inv).store(cp + 1 * W);
+  (band.rhs(1) * inv).store(dp + 1 * W);
   for (int k = 2; k <= n - 2; ++k) {
-    const V sub = -sv(s.aw, k);
-    const V pivot = (sv(s.ctr, k) + vch2) - sub * V::load(cp + (k - 1) * W);
-    const V inv = one / pivot;
-    (-sv(s.ae, k) * inv).store(cp + k * W);
-    ((band_rhs(k) - sub * V::load(dp + (k - 1) * W)) * inv).store(dp + k * W);
+    const V s = band.sub(k);
+    inv = one / (band.diag(k) - s * V::load(cp + (k - 1) * W));
+    (band.sup(k) * inv).store(cp + k * W);
+    ((band.rhs(k) - s * V::load(dp + (k - 1) * W)) * inv).store(dp + k * W);
   }
-  V next = V::load(dp + (n - 2) * W);
-  next.scatter(mid + (n - 2), gstride, lanes);
-  for (int k = n - 3; k >= 1; --k) {
-    next = V::load(dp + k * W) - V::load(cp + k * W) * next;
-    next.store(dp + k * W);
-    next.scatter(mid + k, gstride, lanes);
-  }
+  back_substitute<W>(band, cp, dp, n);
 }
 
-// y-lines address the packed block directly (lane l = column j0 + 2l),
-// so stream slots are hardcoded to PackedStencil::Stream order:
-// 0 = aW, 1 = aE, 2 = aN, 3 = aS, 4 = diag (5-pt) / aNW (9-pt),
-// 5 = aNE, 6 = aSW, 7 = aSE, 8 = ctr.
-
-template <int W>
-void y_lines5(double* xb, const double* bb, const double* pbase, long prow,
-              long ppad, int j0, int lanes, double* cp, double* dp,
-              double h2, double ch2, int n) {
+// Factor: the one-pass walk's cp, sub and inv, without the rhs.
+// sub[1·W..] is never stored (the k = 1 row has no sub-diagonal) and
+// never loaded by the apply body.
+template <int W, typename Band>
+void factor_lines(const Band& band, double* cp, double* sub, double* inv,
+                  int n) {
   using V = simd::Vec<W>;
   const V one = V::broadcast(1.0);
-  const V vh2 = V::broadcast(h2);
-  const V vch2 = V::broadcast(ch2);
-  const auto ps = [&](int i, int slot) {
-    return V::gather(pbase + static_cast<long>(i - 1) * prow + slot * ppad + j0,
-                     2, lanes);
-  };
-  const auto gx = [&](int i, int dj) {
-    return V::gather(xb + static_cast<long>(i) * n + j0 + dj, 2, lanes);
-  };
-  const auto gb = [&](int i) {
-    return V::gather(bb + static_cast<long>(i) * n + j0, 2, lanes);
-  };
-  // rhs(i) = h²*b(i,j) + aW*x(i,j−1) + aE*x(i,j+1) (+ folds): the legacy
-  // ax(i,j−1)/ax(i,j) pair is exactly the aW/aE streams of row i.
-  const auto band_rhs = [&](int i) {
-    V r = vh2 * gb(i) + ps(i, 0) * gx(i, -1) + ps(i, 1) * gx(i, +1);
-    if (i == 1) r = r + ps(1, 2) * gx(0, 0);
-    if (i == n - 2) r = r + ps(n - 2, 3) * gx(n - 1, 0);
-    return r;
-  };
-  {
-    const V inv = one / (ps(1, 4) + vch2);
-    (-ps(1, 3) * inv).store(cp + 1 * W);
-    (band_rhs(1) * inv).store(dp + 1 * W);
-  }
+  V iv = one / band.diag(1);
+  iv.store(inv + 1 * W);
+  (band.sup(1) * iv).store(cp + 1 * W);
   for (int k = 2; k <= n - 2; ++k) {
-    const V sub = -ps(k, 2);
-    const V pivot = (ps(k, 4) + vch2) - sub * V::load(cp + (k - 1) * W);
-    const V inv = one / pivot;
-    (-ps(k, 3) * inv).store(cp + k * W);
-    ((band_rhs(k) - sub * V::load(dp + (k - 1) * W)) * inv).store(dp + k * W);
-  }
-  V next = V::load(dp + (n - 2) * W);
-  next.scatter(xb + static_cast<long>(n - 2) * n + j0, 2, lanes);
-  for (int k = n - 3; k >= 1; --k) {
-    next = V::load(dp + k * W) - V::load(cp + k * W) * next;
-    next.store(dp + k * W);
-    next.scatter(xb + static_cast<long>(k) * n + j0, 2, lanes);
-  }
-}
-
-template <int W>
-void y_lines9(double* xb, const double* bb, const double* pbase, long prow,
-              long ppad, int j0, int lanes, double* cp, double* dp,
-              double h2, double ch2, int n) {
-  using V = simd::Vec<W>;
-  const V one = V::broadcast(1.0);
-  const V vh2 = V::broadcast(h2);
-  const V vch2 = V::broadcast(ch2);
-  const auto ps = [&](int i, int slot) {
-    return V::gather(pbase + static_cast<long>(i - 1) * prow + slot * ppad + j0,
-                     2, lanes);
-  };
-  const auto gx = [&](int i, int dj) {
-    return V::gather(xb + static_cast<long>(i) * n + j0 + dj, 2, lanes);
-  };
-  const auto gb = [&](int i) {
-    return V::gather(bb + static_cast<long>(i) * n + j0, 2, lanes);
-  };
-  // rhs(i) = h²*b + aW*x(i,j−1) + aE*x(i,j+1) + aNW*x(i−1,j−1)
-  //        + aNE*x(i−1,j+1) + aSW*x(i+1,j−1) + aSE*x(i+1,j+1) (+ folds),
-  // one flat chain like the legacy 9-point y band.
-  const auto band_rhs = [&](int i) {
-    V r = vh2 * gb(i) + ps(i, 0) * gx(i, -1) + ps(i, 1) * gx(i, +1) +
-          ps(i, 4) * gx(i - 1, -1) + ps(i, 5) * gx(i - 1, +1) +
-          ps(i, 6) * gx(i + 1, -1) + ps(i, 7) * gx(i + 1, +1);
-    if (i == 1) r = r + ps(1, 2) * gx(0, 0);
-    if (i == n - 2) r = r + ps(n - 2, 3) * gx(n - 1, 0);
-    return r;
-  };
-  {
-    const V inv = one / (ps(1, 8) + vch2);
-    (-ps(1, 3) * inv).store(cp + 1 * W);
-    (band_rhs(1) * inv).store(dp + 1 * W);
-  }
-  for (int k = 2; k <= n - 2; ++k) {
-    const V sub = -ps(k, 2);
-    const V pivot = (ps(k, 8) + vch2) - sub * V::load(cp + (k - 1) * W);
-    const V inv = one / pivot;
-    (-ps(k, 3) * inv).store(cp + k * W);
-    ((band_rhs(k) - sub * V::load(dp + (k - 1) * W)) * inv).store(dp + k * W);
-  }
-  V next = V::load(dp + (n - 2) * W);
-  next.scatter(xb + static_cast<long>(n - 2) * n + j0, 2, lanes);
-  for (int k = n - 3; k >= 1; --k) {
-    next = V::load(dp + k * W) - V::load(cp + k * W) * next;
-    next.store(dp + k * W);
-    next.scatter(xb + static_cast<long>(k) * n + j0, 2, lanes);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Multi-RHS Thomas split (see packed_rows.h)
-// ---------------------------------------------------------------------------
-
-// The factor kernels run the x_lines*/y_lines* coefficient subexpressions
-// verbatim — same gathers, same negations, same association — so the cp
-// and inv values a batch reuses carry the exact bits the solo solve
-// computes inline.  sub[1·W..] is never stored (the k = 1 row has no
-// sub-diagonal) and never loaded by the apply kernels.
-
-template <int W>
-void x_factor5(const View5& s, long pstride, int lanes, double* cp,
-               double* sub, double* inv, double ch2, int n) {
-  using V = simd::Vec<W>;
-  const V one = V::broadcast(1.0);
-  const V vch2 = V::broadcast(ch2);
-  const auto sv = [&](const double* p, int j) {
-    return V::gather(p + j, pstride, lanes);
-  };
-  {
-    const V iv = one / (sv(s.diag, 1) + vch2);
-    iv.store(inv + 1 * W);
-    (-sv(s.ae, 1) * iv).store(cp + 1 * W);
-  }
-  for (int k = 2; k <= n - 2; ++k) {
-    const V sb = -sv(s.aw, k);
-    const V pivot = (sv(s.diag, k) + vch2) - sb * V::load(cp + (k - 1) * W);
-    const V iv = one / pivot;
-    sb.store(sub + k * W);
+    const V s = band.sub(k);
+    iv = one / (band.diag(k) - s * V::load(cp + (k - 1) * W));
+    s.store(sub + k * W);
     iv.store(inv + k * W);
-    (-sv(s.ae, k) * iv).store(cp + k * W);
+    (band.sup(k) * iv).store(cp + k * W);
   }
 }
 
-template <int W>
-void x_factor9(const View9& s, long pstride, int lanes, double* cp,
-               double* sub, double* inv, double ch2, int n) {
+// Apply: the one-pass walk's rhs recurrence against stored factors.
+template <int W, typename Band>
+void apply_lines(const Band& band, const double* cp, const double* sub,
+                 const double* inv, double* dp, int n) {
   using V = simd::Vec<W>;
-  const V one = V::broadcast(1.0);
-  const V vch2 = V::broadcast(ch2);
-  const auto sv = [&](const double* p, int j) {
-    return V::gather(p + j, pstride, lanes);
-  };
-  {
-    const V iv = one / (sv(s.ctr, 1) + vch2);
-    iv.store(inv + 1 * W);
-    (-sv(s.ae, 1) * iv).store(cp + 1 * W);
-  }
+  (band.rhs(1) * V::load(inv + 1 * W)).store(dp + 1 * W);
   for (int k = 2; k <= n - 2; ++k) {
-    const V sb = -sv(s.aw, k);
-    const V pivot = (sv(s.ctr, k) + vch2) - sb * V::load(cp + (k - 1) * W);
-    const V iv = one / pivot;
-    sb.store(sub + k * W);
-    iv.store(inv + k * W);
-    (-sv(s.ae, k) * iv).store(cp + k * W);
-  }
-}
-
-template <int W>
-void x_apply5(const View5& s, long pstride, const double* up, double* mid,
-              const double* down, const double* rhs, long gstride, int lanes,
-              const double* cp, const double* sub, const double* inv,
-              double* dp, double h2, int n) {
-  using V = simd::Vec<W>;
-  const V vh2 = V::broadcast(h2);
-  const auto sv = [&](const double* p, int j) {
-    return V::gather(p + j, pstride, lanes);
-  };
-  const auto gv = [&](const double* p, int j) {
-    return V::gather(p + j, gstride, lanes);
-  };
-  const auto band_rhs = [&](int j) {
-    V r = vh2 * gv(rhs, j) + sv(s.an, j) * gv(up, j) +
-          sv(s.as, j) * gv(down, j);
-    if (j == 1) r = r + sv(s.aw, 1) * gv(mid, 0);
-    if (j == n - 2) r = r + sv(s.ae, n - 2) * gv(mid, n - 1);
-    return r;
-  };
-  (band_rhs(1) * V::load(inv + 1 * W)).store(dp + 1 * W);
-  for (int k = 2; k <= n - 2; ++k) {
-    const V sb = V::load(sub + k * W);
-    ((band_rhs(k) - sb * V::load(dp + (k - 1) * W)) * V::load(inv + k * W))
+    ((band.rhs(k) - V::load(sub + k * W) * V::load(dp + (k - 1) * W)) *
+     V::load(inv + k * W))
         .store(dp + k * W);
   }
-  V next = V::load(dp + (n - 2) * W);
-  next.scatter(mid + (n - 2), gstride, lanes);
-  for (int k = n - 3; k >= 1; --k) {
-    next = V::load(dp + k * W) - V::load(cp + k * W) * next;
-    next.store(dp + k * W);
-    next.scatter(mid + k, gstride, lanes);
+  back_substitute<W>(band, cp, dp, n);
+}
+
+template <int W, typename Band>
+void solve_group(const Band& band, const LineGroup& g) {
+  if (g.slots == 1) {
+    solve_lines<W>(band, g.cp, g.dp, g.n);
+    return;
   }
+  if (g.slot == 0) factor_lines<W>(band, g.cp, g.sub, g.inv, g.n);
+  apply_lines<W>(band, g.cp, g.sub, g.inv, g.dp, g.n);
 }
 
 template <int W>
-void x_apply9(const View9& s, long pstride, const double* up, double* mid,
-              const double* down, const double* rhs, long gstride, int lanes,
-              const double* cp, const double* sub, const double* inv,
-              double* dp, double h2, int n) {
-  using V = simd::Vec<W>;
-  const V vh2 = V::broadcast(h2);
-  const auto sv = [&](const double* p, int j) {
-    return V::gather(p + j, pstride, lanes);
-  };
-  const auto gv = [&](const double* p, int j) {
-    return V::gather(p + j, gstride, lanes);
-  };
-  const auto band_rhs = [&](int j) {
-    const V cross = sv(s.an, j) * gv(up, j) + sv(s.as, j) * gv(down, j) +
-                    sv(s.nw, j) * gv(up, j - 1) +
-                    sv(s.ne, j) * gv(up, j + 1) +
-                    sv(s.sw, j) * gv(down, j - 1) +
-                    sv(s.se, j) * gv(down, j + 1);
-    V r = vh2 * gv(rhs, j) + cross;
-    if (j == 1) r = r + sv(s.aw, 1) * gv(mid, 0);
-    if (j == n - 2) r = r + sv(s.ae, n - 2) * gv(mid, n - 1);
-    return r;
-  };
-  (band_rhs(1) * V::load(inv + 1 * W)).store(dp + 1 * W);
-  for (int k = 2; k <= n - 2; ++k) {
-    const V sb = V::load(sub + k * W);
-    ((band_rhs(k) - sb * V::load(dp + (k - 1) * W)) * V::load(inv + k * W))
-        .store(dp + k * W);
-  }
-  V next = V::load(dp + (n - 2) * W);
-  next.scatter(mid + (n - 2), gstride, lanes);
-  for (int k = n - 3; k >= 1; --k) {
-    next = V::load(dp + k * W) - V::load(cp + k * W) * next;
-    next.store(dp + k * W);
-    next.scatter(mid + k, gstride, lanes);
-  }
-}
-
-template <int W>
-void y_factor5(const double* pbase, long prow, long ppad, int j0, int lanes,
-               double* cp, double* sub, double* inv, double ch2, int n) {
-  using V = simd::Vec<W>;
-  const V one = V::broadcast(1.0);
-  const V vch2 = V::broadcast(ch2);
-  const auto ps = [&](int i, int slot) {
-    return V::gather(pbase + static_cast<long>(i - 1) * prow + slot * ppad + j0,
-                     2, lanes);
-  };
-  {
-    const V iv = one / (ps(1, 4) + vch2);
-    iv.store(inv + 1 * W);
-    (-ps(1, 3) * iv).store(cp + 1 * W);
-  }
-  for (int k = 2; k <= n - 2; ++k) {
-    const V sb = -ps(k, 2);
-    const V pivot = (ps(k, 4) + vch2) - sb * V::load(cp + (k - 1) * W);
-    const V iv = one / pivot;
-    sb.store(sub + k * W);
-    iv.store(inv + k * W);
-    (-ps(k, 3) * iv).store(cp + k * W);
-  }
-}
-
-template <int W>
-void y_factor9(const double* pbase, long prow, long ppad, int j0, int lanes,
-               double* cp, double* sub, double* inv, double ch2, int n) {
-  using V = simd::Vec<W>;
-  const V one = V::broadcast(1.0);
-  const V vch2 = V::broadcast(ch2);
-  const auto ps = [&](int i, int slot) {
-    return V::gather(pbase + static_cast<long>(i - 1) * prow + slot * ppad + j0,
-                     2, lanes);
-  };
-  {
-    const V iv = one / (ps(1, 8) + vch2);
-    iv.store(inv + 1 * W);
-    (-ps(1, 3) * iv).store(cp + 1 * W);
-  }
-  for (int k = 2; k <= n - 2; ++k) {
-    const V sb = -ps(k, 2);
-    const V pivot = (ps(k, 8) + vch2) - sb * V::load(cp + (k - 1) * W);
-    const V iv = one / pivot;
-    sb.store(sub + k * W);
-    iv.store(inv + k * W);
-    (-ps(k, 3) * iv).store(cp + k * W);
-  }
-}
-
-template <int W>
-void y_apply5(double* xb, const double* bb, const double* pbase, long prow,
-              long ppad, int j0, int lanes, const double* cp,
-              const double* sub, const double* inv, double* dp, double h2,
-              int n) {
-  using V = simd::Vec<W>;
-  const V vh2 = V::broadcast(h2);
-  const auto ps = [&](int i, int slot) {
-    return V::gather(pbase + static_cast<long>(i - 1) * prow + slot * ppad + j0,
-                     2, lanes);
-  };
-  const auto gx = [&](int i, int dj) {
-    return V::gather(xb + static_cast<long>(i) * n + j0 + dj, 2, lanes);
-  };
-  const auto gb = [&](int i) {
-    return V::gather(bb + static_cast<long>(i) * n + j0, 2, lanes);
-  };
-  const auto band_rhs = [&](int i) {
-    V r = vh2 * gb(i) + ps(i, 0) * gx(i, -1) + ps(i, 1) * gx(i, +1);
-    if (i == 1) r = r + ps(1, 2) * gx(0, 0);
-    if (i == n - 2) r = r + ps(n - 2, 3) * gx(n - 1, 0);
-    return r;
-  };
-  (band_rhs(1) * V::load(inv + 1 * W)).store(dp + 1 * W);
-  for (int k = 2; k <= n - 2; ++k) {
-    const V sb = V::load(sub + k * W);
-    ((band_rhs(k) - sb * V::load(dp + (k - 1) * W)) * V::load(inv + k * W))
-        .store(dp + k * W);
-  }
-  V next = V::load(dp + (n - 2) * W);
-  next.scatter(xb + static_cast<long>(n - 2) * n + j0, 2, lanes);
-  for (int k = n - 3; k >= 1; --k) {
-    next = V::load(dp + k * W) - V::load(cp + k * W) * next;
-    next.store(dp + k * W);
-    next.scatter(xb + static_cast<long>(k) * n + j0, 2, lanes);
-  }
-}
-
-template <int W>
-void y_apply9(double* xb, const double* bb, const double* pbase, long prow,
-              long ppad, int j0, int lanes, const double* cp,
-              const double* sub, const double* inv, double* dp, double h2,
-              int n) {
-  using V = simd::Vec<W>;
-  const V vh2 = V::broadcast(h2);
-  const auto ps = [&](int i, int slot) {
-    return V::gather(pbase + static_cast<long>(i - 1) * prow + slot * ppad + j0,
-                     2, lanes);
-  };
-  const auto gx = [&](int i, int dj) {
-    return V::gather(xb + static_cast<long>(i) * n + j0 + dj, 2, lanes);
-  };
-  const auto gb = [&](int i) {
-    return V::gather(bb + static_cast<long>(i) * n + j0, 2, lanes);
-  };
-  const auto band_rhs = [&](int i) {
-    V r = vh2 * gb(i) + ps(i, 0) * gx(i, -1) + ps(i, 1) * gx(i, +1) +
-          ps(i, 4) * gx(i - 1, -1) + ps(i, 5) * gx(i - 1, +1) +
-          ps(i, 6) * gx(i + 1, -1) + ps(i, 7) * gx(i + 1, +1);
-    if (i == 1) r = r + ps(1, 2) * gx(0, 0);
-    if (i == n - 2) r = r + ps(n - 2, 3) * gx(n - 1, 0);
-    return r;
-  };
-  (band_rhs(1) * V::load(inv + 1 * W)).store(dp + 1 * W);
-  for (int k = 2; k <= n - 2; ++k) {
-    const V sb = V::load(sub + k * W);
-    ((band_rhs(k) - sb * V::load(dp + (k - 1) * W)) * V::load(inv + k * W))
-        .store(dp + k * W);
-  }
-  V next = V::load(dp + (n - 2) * W);
-  next.scatter(xb + static_cast<long>(n - 2) * n + j0, 2, lanes);
-  for (int k = n - 3; k >= 1; --k) {
-    next = V::load(dp + k * W) - V::load(cp + k * W) * next;
-    next.store(dp + k * W);
-    next.scatter(xb + static_cast<long>(k) * n + j0, 2, lanes);
+void line_group(const LineGroup& g) {
+  if (g.columns) {
+    if (g.nine) solve_group<W>(YBand<W, true>(g), g);
+    else solve_group<W>(YBand<W, false>(g), g);
+  } else {
+    if (g.nine) solve_group<W>(XBand<W, true>(g), g);
+    else solve_group<W>(XBand<W, false>(g), g);
   }
 }
 
@@ -855,40 +608,7 @@ void interpolate_row(const double* c0, const double* c1, double* out,
   template void sor_row9<W>(const View9&, const double*, double*,             \
                             const double*, const double*, double, double,     \
                             double, double, int, int);                        \
-  template void x_lines5<W>(const View5&, long, const double*, double*,       \
-                            const double*, const double*, long, int, double*, \
-                            double*, double, double, int);                    \
-  template void x_lines9<W>(const View9&, long, const double*, double*,       \
-                            const double*, const double*, long, int, double*, \
-                            double*, double, double, int);                    \
-  template void y_lines5<W>(double*, const double*, const double*, long,      \
-                            long, int, int, double*, double*, double, double, \
-                            int);                                             \
-  template void y_lines9<W>(double*, const double*, const double*, long,      \
-                            long, int, int, double*, double*, double, double, \
-                            int);                                             \
-  template void x_factor5<W>(const View5&, long, int, double*, double*,       \
-                             double*, double, int);                           \
-  template void x_factor9<W>(const View9&, long, int, double*, double*,       \
-                             double*, double, int);                           \
-  template void x_apply5<W>(const View5&, long, const double*, double*,       \
-                            const double*, const double*, long, int,          \
-                            const double*, const double*, const double*,      \
-                            double*, double, int);                            \
-  template void x_apply9<W>(const View9&, long, const double*, double*,       \
-                            const double*, const double*, long, int,          \
-                            const double*, const double*, const double*,      \
-                            double*, double, int);                            \
-  template void y_factor5<W>(const double*, long, long, int, int, double*,    \
-                             double*, double*, double, int);                  \
-  template void y_factor9<W>(const double*, long, long, int, int, double*,    \
-                             double*, double*, double, int);                  \
-  template void y_apply5<W>(double*, const double*, const double*, long,      \
-                            long, int, int, const double*, const double*,     \
-                            const double*, double*, double, int);             \
-  template void y_apply9<W>(double*, const double*, const double*, long,      \
-                            long, int, int, const double*, const double*,     \
-                            const double*, double*, double, int);             \
+  template void line_group<W>(const LineGroup&);                             \
   template void poisson_residual_row<W>(const double*, const double*,         \
                                         const double*, const double*,         \
                                         double*, double, int);                \

@@ -90,86 +90,49 @@ void sor_row9(const View9& s, const double* up, double* mid,
               const double* down, const double* rhs, double h2, double ch2,
               double omega, double keep, int j0, int n);
 
-/// Batched Thomas solve of W same-parity x-lines (grid rows).  Lane l
-/// works on grid row i0 + 2l: its streams sit at `s.* + l*pstride`
-/// (pstride = 2·PackedStencil::row_stride()) and its grid rows at
-/// `{up,mid,rhs,down} + l*gstride` (gstride = 2n).  `lanes` ≤ W active
-/// lanes; inactive tail lanes duplicate the last active line's loads and
-/// are never stored.  cp/dp are W-interleaved scratch (entry [k·W+l]),
-/// each at least (n−1)·W doubles.
-template <int W>
-void x_lines5(const View5& s, long pstride, const double* up, double* mid,
-              const double* down, const double* rhs, long gstride, int lanes,
-              double* cp, double* dp, double h2, double ch2, int n);
+/// One group of up to W same-parity lines of a zebra line pass, for one
+/// iterate of a K-iterate batch.  Lane l solves line first + 2l: grid row
+/// first + 2l of x for x-lines, grid column first + 2l for y-lines
+/// (`columns`).  Coefficients are read from the packed block: stream s of
+/// interior grid row i sits at streams + (i−1)·row_stride + s·padded
+/// (PackedStencil::base(), row_stride(), padded(); slots follow
+/// PackedStencil::Stream).  Tail lanes past `lanes` duplicate the last
+/// active line's loads and are never stored.  cp, dp, sub and inv are
+/// W-interleaved scratch (entry [k·W + l]) of at least (n−1)·W doubles
+/// each; sub and inv are read only when slots > 1.
+struct LineGroup {
+  const double* streams = nullptr;
+  long row_stride = 0;
+  long padded = 0;
+  bool nine = false;     ///< 9-point streams (else 5-point)
+  bool columns = false;  ///< y-lines (else x-lines)
+  int first = 0;
+  int lanes = 0;
+  double* x = nullptr;        ///< the iterate's n×n grid, solved in place
+  const double* b = nullptr;  ///< its right-hand side
+  int slot = 0;               ///< the iterate's index in the batch
+  int slots = 0;              ///< K
+  double* cp = nullptr;
+  double* dp = nullptr;
+  double* sub = nullptr;
+  double* inv = nullptr;
+  double h2 = 0.0;
+  double ch2 = 0.0;
+  int n = 0;
+};
 
+/// Thomas solve of one line group for one iterate, bitwise the legacy
+/// line passes' solve_interior_line on every lane.  One iterate
+/// (slots == 1) eliminates and substitutes in one walk of the bands.  A
+/// batch factors the group once, at slot 0: cp as the one-pass walk
+/// computes it, sub[k·W + l] = sub-diagonal(k) and inv[k·W + l] =
+/// 1/pivot(k); every slot then replays only the rhs recurrence and the
+/// back substitution against those factors.  The replay multiplies by the
+/// exact inv values the one-pass walk computes, so every iterate of a
+/// batch is bitwise identical to its solo solve.  Slot 0 must finish
+/// before the group's other slots run.
 template <int W>
-void x_lines9(const View9& s, long pstride, const double* up, double* mid,
-              const double* down, const double* rhs, long gstride, int lanes,
-              double* cp, double* dp, double h2, double ch2, int n);
-
-/// Batched Thomas solve of W same-parity y-lines (grid columns).  Lane l
-/// works on column j0 + 2l of the n×n grids xb (solution, updated in
-/// place) and bb (rhs).  Packed streams are addressed from the block
-/// base: stream `s` of grid row i is `pbase + (i−1)·prow + s·ppad`
-/// (stream slots follow PackedStencil::Stream).
-template <int W>
-void y_lines5(double* xb, const double* bb, const double* pbase, long prow,
-              long ppad, int j0, int lanes, double* cp, double* dp,
-              double h2, double ch2, int n);
-
-template <int W>
-void y_lines9(double* xb, const double* bb, const double* pbase, long prow,
-              long ppad, int j0, int lanes, double* cp, double* dp,
-              double h2, double ch2, int n);
-
-/// Multi-RHS Thomas split.  The forward-elimination pivots are a pure
-/// function of the operator, so a batch of K right-hand sides factors
-/// each line group once and replays only the rhs recurrence per
-/// iterate.  x_factor*/y_factor* store cp exactly as x_lines*/y_lines*
-/// compute it, plus sub[k·W+l] = −sub-diagonal(k) and inv[k·W+l] =
-/// 1/pivot(k); x_apply*/y_apply* then reproduce the solo dp forward
-/// recurrence and back substitution operation-for-operation (same band
-/// rhs chain, multiplied by the identical stored inv), so every iterate
-/// of the batch is bitwise identical to its solo solve.
-template <int W>
-void x_factor5(const View5& s, long pstride, int lanes, double* cp,
-               double* sub, double* inv, double ch2, int n);
-
-template <int W>
-void x_factor9(const View9& s, long pstride, int lanes, double* cp,
-               double* sub, double* inv, double ch2, int n);
-
-template <int W>
-void x_apply5(const View5& s, long pstride, const double* up, double* mid,
-              const double* down, const double* rhs, long gstride, int lanes,
-              const double* cp, const double* sub, const double* inv,
-              double* dp, double h2, int n);
-
-template <int W>
-void x_apply9(const View9& s, long pstride, const double* up, double* mid,
-              const double* down, const double* rhs, long gstride, int lanes,
-              const double* cp, const double* sub, const double* inv,
-              double* dp, double h2, int n);
-
-template <int W>
-void y_factor5(const double* pbase, long prow, long ppad, int j0, int lanes,
-               double* cp, double* sub, double* inv, double ch2, int n);
-
-template <int W>
-void y_factor9(const double* pbase, long prow, long ppad, int j0, int lanes,
-               double* cp, double* sub, double* inv, double ch2, int n);
-
-template <int W>
-void y_apply5(double* xb, const double* bb, const double* pbase, long prow,
-              long ppad, int j0, int lanes, const double* cp,
-              const double* sub, const double* inv, double* dp, double h2,
-              int n);
-
-template <int W>
-void y_apply9(double* xb, const double* bb, const double* pbase, long prow,
-              long ppad, int j0, int lanes, const double* cp,
-              const double* sub, const double* inv, double* dp, double h2,
-              int n);
+void line_group(const LineGroup& g);
 
 // ---------------------------------------------------------------------------
 // Constant-coefficient Poisson rows and the grid transfers

@@ -6,25 +6,6 @@
 
 namespace pbmg::solvers {
 
-void thomas_solve(const double* sub, const double* diag, const double* sup,
-                  double* rhs, double* work, int m) {
-  PBMG_CHECK(m >= 1, "thomas_solve: need at least one unknown");
-  PBMG_NUM_ASSERT(diag[0] != 0.0, "thomas_solve: zero pivot");
-  double inv = 1.0 / diag[0];
-  work[0] = sup[0] * inv;  // read even at m = 1: callers size bands to m
-  rhs[0] = rhs[0] * inv;
-  for (int k = 1; k < m; ++k) {
-    const double pivot = diag[k] - sub[k] * work[k - 1];
-    PBMG_NUM_ASSERT(pivot != 0.0, "thomas_solve: zero pivot");
-    inv = 1.0 / pivot;
-    work[k] = sup[k] * inv;
-    rhs[k] = (rhs[k] - sub[k] * rhs[k - 1]) * inv;
-  }
-  for (int k = m - 2; k >= 0; --k) {
-    rhs[k] -= work[k] * rhs[k + 1];
-  }
-}
-
 namespace {
 
 /// Forward elimination + back substitution with the bands produced on the

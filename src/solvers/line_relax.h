@@ -39,15 +39,6 @@
 
 namespace pbmg::solvers {
 
-/// Solves one tridiagonal system in place by the Thomas algorithm:
-///   sub[k]·u[k−1] + diag[k]·u[k] + sup[k]·u[k+1] = rhs[k],  k in [0, m)
-/// with sub[0] and sup[m−1] ignored.  On return rhs holds the solution.
-/// `work` is caller scratch of length >= m.  Requires m >= 1 and a
-/// positive-definite (or at least factorizable) system; the elimination
-/// asserts non-vanishing pivots under PBMG_ASSERTIONS.
-void thomas_solve(const double* sub, const double* diag, const double* sup,
-                  double* rhs, double* work, int m);
-
 /// One zebra line-relaxation sweep of `kind` on A·x = b (kLineX: rows,
 /// kLineY: columns, kLineZebraAlt: one x pass then one y pass).  The
 /// boundary ring of x is read, not written.  The tridiagonal bands carry
@@ -68,9 +59,11 @@ void line_relax_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
 /// Zebra line relaxation over K iterates: one sweep of each xs[k] against
 /// bs[k], every slot bitwise identical to its own line_relax_sweep call.
 /// The packed layout passes the whole batch to its line passes, which
-/// pick a body by K: the one-pass rows for one iterate, and for a batch
+/// pick a body by K: the one-pass body for one iterate, and for a batch
 /// one factorization per line group replayed per iterate, so the pivot
 /// divides and coefficient loads are shared (grid/packed_kernels.h).  The
+/// packed and legacy passes share the Thomas recurrence of
+/// solve_interior_line (line_relax.cpp), each over its own bands.  The
 /// Poisson fast path and the per-grid layout sweep the iterates one at a
 /// time with their one-iterate bodies.
 void line_relax_sweep_multi(const grid::StencilOp& op,

@@ -372,20 +372,6 @@ TEST(GridOps, NormsMatchSerialComputation) {
   EXPECT_DOUBLE_EQ(grid::max_abs_interior(a, sched()), mx);
 }
 
-TEST(GridOps, AxpyInterior) {
-  const int n = 9;
-  const Grid2D x = random_grid(n, 41);
-  Grid2D y = random_grid(n, 42);
-  const Grid2D y0 = y;
-  grid::axpy_interior(0.5, x, y, sched());
-  for (int i = 1; i < n - 1; ++i) {
-    for (int j = 1; j < n - 1; ++j) {
-      ASSERT_NEAR(y(i, j), y0(i, j) + 0.5 * x(i, j), 1e-12);
-    }
-  }
-  EXPECT_DOUBLE_EQ(y(0, 0), y0(0, 0));
-}
-
 TEST(GridOps, SizeMismatchesThrow) {
   Grid2D a(5, 0.0), b(9, 0.0), c5(5, 0.0), c3(3, 0.0);
   EXPECT_THROW(grid::apply_poisson(a, b, sched()), InvalidArgument);

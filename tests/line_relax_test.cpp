@@ -1,14 +1,12 @@
-// Line-relaxation suite: Thomas-solver exactness against the banded
-// Cholesky backend the DirectSolver runs, zebra ordering/threading
-// invariance (bitwise), per-family V-cycle contraction with line
-// smoothing at 32:1 and 1000:1 anisotropy (tolerance rationale at each
-// bound), bitwise determinism of threaded line sweeps across repeated
-// solves, and StencilOp-vs-Poisson fast-path parity on constant
-// coefficients.
+// Line-relaxation suite: relaxed lines satisfy their equations exactly,
+// zebra ordering/threading invariance (bitwise), per-family V-cycle
+// contraction with line smoothing at 32:1 and 1000:1 anisotropy
+// (tolerance rationale at each bound), bitwise determinism of threaded
+// line sweeps across repeated solves, and StencilOp-vs-Poisson fast-path
+// parity on constant coefficients.
 
 #include <cmath>
 #include <cstring>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,10 +15,8 @@
 #include "grid/level.h"
 #include "grid/problem.h"
 #include "grid/stencil_op.h"
-#include "linalg/band_matrix.h"
 #include "solvers/line_relax.h"
 #include "solvers/multigrid.h"
-#include "support/rng.h"
 #include "test_problems.h"
 
 namespace pbmg::solvers {
@@ -40,57 +36,6 @@ Engine& engine() {
 rt::Scheduler& sched() { return engine().scheduler(); }
 
 // --------------------------------------------------------------- Thomas --
-
-TEST(ThomasSolver, MatchesBandedCholeskyOnRandomSpdTridiagonals) {
-  // The Thomas algorithm must agree with the banded Cholesky machinery
-  // (linalg/band_matrix.h, bandwidth 1) that DirectSolver's solves run
-  // on — the single-line system is exactly what one line relaxation
-  // solves per row/column.
-  Rng rng(0x7110'AA5);
-  for (const int m : {1, 2, 3, 8, 31, 64}) {
-    std::vector<double> sub(static_cast<std::size_t>(m), 0.0);
-    std::vector<double> diag(static_cast<std::size_t>(m), 0.0);
-    std::vector<double> sup(static_cast<std::size_t>(m), 0.0);
-    std::vector<double> rhs(static_cast<std::size_t>(m), 0.0);
-    // Diagonally dominant with negative off-diagonals (the shape every
-    // flux-form line system has) => SPD.
-    for (int k = 0; k + 1 < m; ++k) {
-      const double off = -rng.uniform(0.1, 1.0);
-      sup[static_cast<std::size_t>(k)] = off;
-      sub[static_cast<std::size_t>(k) + 1] = off;
-    }
-    for (int k = 0; k < m; ++k) {
-      diag[static_cast<std::size_t>(k)] =
-          std::abs(sub[static_cast<std::size_t>(k)]) +
-          std::abs(sup[static_cast<std::size_t>(k)]) + rng.uniform(0.2, 1.0);
-      rhs[static_cast<std::size_t>(k)] = rng.uniform(-10.0, 10.0);
-    }
-
-    linalg::BandMatrix a(m, std::min(1, m - 1));
-    for (int k = 0; k < m; ++k) {
-      a.band(k, 0) = diag[static_cast<std::size_t>(k)];
-      if (k + 1 < m && a.bandwidth() >= 1) {
-        a.band(k, 1) = sup[static_cast<std::size_t>(k)];
-      }
-    }
-    std::vector<double> reference = rhs;
-    linalg::band_spd_solve(a, reference);
-
-    std::vector<double> thomas = rhs;
-    std::vector<double> work(static_cast<std::size_t>(m), 0.0);
-    thomas_solve(sub.data(), diag.data(), sup.data(), thomas.data(),
-                 work.data(), m);
-
-    for (int k = 0; k < m; ++k) {
-      // Both are backward-stable O(m) eliminations of a well-conditioned
-      // system; they agree to rounding.
-      EXPECT_NEAR(thomas[static_cast<std::size_t>(k)],
-                  reference[static_cast<std::size_t>(k)],
-                  1e-12 * (1.0 + std::abs(reference[static_cast<std::size_t>(k)])))
-          << "m=" << m << " k=" << k;
-    }
-  }
-}
 
 TEST(ThomasSolver, RelaxedLinesSatisfyTheirEquationsExactly) {
   // After one x-line zebra sweep the even interior rows were solved last:

@@ -308,9 +308,19 @@ TEST(PackedParity, AllKernelsAllFamiliesAllWidths) {
 }
 
 TEST(PackedParity, ThreadCountsAgree) {
-  const StencilOp op = make_operator(65, OperatorFamily::kAnisoTheta45);
-  for (const int threads : {1, 4}) {
-    expect_all_sweeps_parity(op, /*width=*/4, threads, 0xC0FFEE);
+  // At n = 257 a line pass forks outside a solve, and the even parity's
+  // 127 lines leave a three-lane tail group: jump is the served 5-point
+  // operator, θ=45° the 9-point one.
+  const std::pair<int, OperatorFamily> cases[] = {
+      {65, OperatorFamily::kAnisoTheta45},
+      {257, OperatorFamily::kJumpCoefficient},
+      {257, OperatorFamily::kAnisoTheta45}};
+  for (const auto& [n, family] : cases) {
+    const StencilOp op = make_operator(n, family);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("family=" + to_string(family) + " n=" + std::to_string(n));
+      expect_all_sweeps_parity(op, /*width=*/4, threads, 0xC0FFEE);
+    }
   }
 }
 
