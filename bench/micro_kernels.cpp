@@ -313,16 +313,19 @@ void BM_VCycleProfilingOn(benchmark::State& state) {
 BENCHMARK(BM_VCycleProfilingOn)->Arg(257)->UseRealTime();
 
 // ----------------------------------------------- packed-vs-legacy pairs --
-// The ISSUE-7 tentpole's accounting: each pair runs the identical sweep
-// on the identical 9-point operator (the fig20-class rotated-anisotropy
-// discretisation, the family whose legacy sweeps stream nine separate
-// coefficient grids), differing only in KernelPolicy.  Results are
-// bitwise identical by contract (tests/packed_kernels_test.cpp), so the
-// delta is pure memory traffic + SIMD.  The operator is packed before
-// timing starts, like SolveSession's prewarm.
+// Each pair runs the identical sweep on the identical operator, differing
+// only in KernelPolicy.  Arguments are (stencil points, n): 5 is the
+// jump-coefficient operator, 9 the θ=30° rotated-anisotropy
+// discretisation (the fig20 family).  Results are bitwise identical by
+// contract (tests/packed_kernels_test.cpp), and both layouts read the
+// operator's same coefficient grids (the packed rows add a 5-point
+// operator's summed diagonal), so the ratio measures the SIMD rows alone.
+// The operator is packed before timing starts, like SolveSession's
+// prewarm.
 
-grid::StencilOp nine_point_op(int n) {
-  return make_operator(n, OperatorFamily::kAnisoTheta30);
+grid::StencilOp pair_op(int points, int n) {
+  return make_operator(n, points == 9 ? OperatorFamily::kAnisoTheta30
+                                      : OperatorFamily::kJumpCoefficient);
 }
 
 grid::KernelPolicy packed_policy() {
@@ -332,10 +335,17 @@ grid::KernelPolicy packed_policy() {
   return policy;
 }
 
+void pair_args(benchmark::internal::Benchmark* b) {
+  for (const int points : {5, 9}) {
+    for (const int n : {129, 513, 1025}) b->Args({points, n});
+  }
+  b->UseRealTime();
+}
+
 void stencil_residual_bench(benchmark::State& state,
                             const grid::KernelPolicy& policy) {
-  const int n = static_cast<int>(state.range(0));
-  const grid::StencilOp op = nine_point_op(n);
+  const int n = static_cast<int>(state.range(1));
+  const grid::StencilOp op = pair_op(static_cast<int>(state.range(0)), n);
   op.packed();
   auto problem = problem_for(n);
   Grid2D x = problem.x0;
@@ -350,25 +360,17 @@ void stencil_residual_bench(benchmark::State& state,
 void BM_StencilResidualLegacy(benchmark::State& state) {
   stencil_residual_bench(state, grid::KernelPolicy{});
 }
-BENCHMARK(BM_StencilResidualLegacy)
-    ->Arg(129)
-    ->Arg(513)
-    ->Arg(1025)
-    ->UseRealTime();
+BENCHMARK(BM_StencilResidualLegacy)->Apply(pair_args);
 
 void BM_StencilResidualPacked(benchmark::State& state) {
   stencil_residual_bench(state, packed_policy());
 }
-BENCHMARK(BM_StencilResidualPacked)
-    ->Arg(129)
-    ->Arg(513)
-    ->Arg(1025)
-    ->UseRealTime();
+BENCHMARK(BM_StencilResidualPacked)->Apply(pair_args);
 
 void stencil_sor_bench(benchmark::State& state,
                        const grid::KernelPolicy& policy) {
-  const int n = static_cast<int>(state.range(0));
-  const grid::StencilOp op = nine_point_op(n);
+  const int n = static_cast<int>(state.range(1));
+  const grid::StencilOp op = pair_op(static_cast<int>(state.range(0)), n);
   op.packed();
   auto problem = problem_for(n);
   Grid2D x = problem.x0;
@@ -383,17 +385,17 @@ void stencil_sor_bench(benchmark::State& state,
 void BM_StencilSorLegacy(benchmark::State& state) {
   stencil_sor_bench(state, grid::KernelPolicy{});
 }
-BENCHMARK(BM_StencilSorLegacy)->Arg(129)->Arg(513)->Arg(1025)->UseRealTime();
+BENCHMARK(BM_StencilSorLegacy)->Apply(pair_args);
 
 void BM_StencilSorPacked(benchmark::State& state) {
   stencil_sor_bench(state, packed_policy());
 }
-BENCHMARK(BM_StencilSorPacked)->Arg(129)->Arg(513)->Arg(1025)->UseRealTime();
+BENCHMARK(BM_StencilSorPacked)->Apply(pair_args);
 
 void stencil_zebra_bench(benchmark::State& state,
                          const grid::KernelPolicy& policy) {
-  const int n = static_cast<int>(state.range(0));
-  const grid::StencilOp op = nine_point_op(n);
+  const int n = static_cast<int>(state.range(1));
+  const grid::StencilOp op = pair_op(static_cast<int>(state.range(0)), n);
   op.packed();
   auto problem = problem_for(n);
   Grid2D x = problem.x0;
@@ -410,12 +412,12 @@ void stencil_zebra_bench(benchmark::State& state,
 void BM_StencilZebraLegacy(benchmark::State& state) {
   stencil_zebra_bench(state, grid::KernelPolicy{});
 }
-BENCHMARK(BM_StencilZebraLegacy)->Arg(129)->Arg(513)->Arg(1025)->UseRealTime();
+BENCHMARK(BM_StencilZebraLegacy)->Apply(pair_args);
 
 void BM_StencilZebraPacked(benchmark::State& state) {
   stencil_zebra_bench(state, packed_policy());
 }
-BENCHMARK(BM_StencilZebraPacked)->Arg(129)->Arg(513)->Arg(1025)->UseRealTime();
+BENCHMARK(BM_StencilZebraPacked)->Apply(pair_args);
 
 // The packed line passes pick their body by K (grid/packed_kernels.h):
 // one-pass for one iterate, factor-once for a batch.  Arguments are

@@ -7,7 +7,6 @@
 #include "grid/level.h"
 #include "grid/packed_kernels.h"
 #include "grid/packed_rows.h"
-#include "grid/packed_stencil.h"
 
 namespace pbmg::grid {
 
@@ -83,9 +82,9 @@ class StencilRows {
       row_ = by_width(packed_simd_width_supported(), &poisson<1>,
                       &poisson<2>, &poisson<4>);
     } else if (kernels.layout == StencilLayout::kPacked) {
-      packed_ = &op.packed();
+      (void)op.packed();  // sum a 5-point diagonal before any row reads it
       const int w = clamp_simd_width(kernels.simd_width);
-      row_ = packed_->nine_point()
+      row_ = op.is_nine_point()
                  ? by_width(w, &packed9<1>, &packed9<2>, &packed9<4>)
                  : by_width(w, &packed5<1>, &packed5<2>, &packed5<4>);
     } else if (op.is_nine_point()) {
@@ -121,14 +120,14 @@ class StencilRows {
   template <int W>
   static void packed5(const StencilRows& s, const Grid2D& x,
                       const double* rhs, int i, double* out) {
-    pk::stencil_row5<W>(pk::view5(*s.packed_, i), x.row(i - 1), x.row(i),
+    pk::stencil_row5<W>(pk::view5(s.op_, i), x.row(i - 1), x.row(i),
                         x.row(i + 1), rhs, out, s.inv_h2_, s.c_, s.n_);
   }
 
   template <int W>
   static void packed9(const StencilRows& s, const Grid2D& x,
                       const double* rhs, int i, double* out) {
-    pk::stencil_row9<W>(pk::view9(*s.packed_, i), x.row(i - 1), x.row(i),
+    pk::stencil_row9<W>(pk::view9(s.op_, i), x.row(i - 1), x.row(i),
                         x.row(i + 1), rhs, out, s.inv_h2_, s.c_, s.n_);
   }
 
@@ -182,7 +181,6 @@ class StencilRows {
   }
 
   const StencilOp& op_;
-  const PackedStencil* packed_ = nullptr;
   int n_;
   double inv_h2_;
   double c_;
@@ -308,7 +306,7 @@ void restrict_residual_multi(const StencilOp& op,
         // coarse row is the row above the next, and trades places with
         // the row below instead of being recomputed.  Each slot owns
         // three buffer rows, and every slot's rows of one fine row are
-        // computed back to back, so that row's coefficient streams are
+        // computed back to back, so that row's coefficient rows are
         // loaded once for the whole batch.  Only the buffer's interior
         // columns are written or read.
         const auto stride = static_cast<std::size_t>(n);

@@ -26,18 +26,25 @@ namespace pbmg::grid {
 /// updates: a kernel passes its kind's weight times its batch size K to
 /// rt::Scheduler::grain_for as `cost_per_cell`, on either layout.  Poisson
 /// passes cost 1 whatever K is.  One thread, interleaved, median of 300
-/// calls, as multiples of a Poisson SOR cell (1.42 ns at n = 129, 1.38 ns
-/// at n = 257) on a 4-core x86-64 VM with AVX2, packed layout, n = 129 /
-/// 257:
-///  - SOR: 5-point 3.2 / 3.8, RAP 9-point 5.3 / 6.5;
-///  - residual + restriction, per fine cell: 5-point 1.3 / 2.1, 9-point
-///    2.3 / 3.3 (Poisson 0.8);
-///  - x-line: 5-point 4.7 / 5.8, 9-point 7.3 / 8.4; y-line: 5-point
-///    6.1 / 9.1, 9-point 10.0 / 13.7.
-/// The legacy layout's SOR and restriction cost about the same (5-point
-/// SOR 3.0 / 2.6, 9-point 5.6 / 6.7; restriction 2.4 / 2.2 and
-/// 3.7 / 3.6) and its line passes more (9.6–18), so the shared weights
-/// fork a legacy pass no earlier than its work warrants.  A legacy
+/// calls over four runs, as multiples of a Poisson SOR cell (1.70 ns at
+/// n = 129, 1.85 ns at n = 257) on a 4-core x86-64 VM with AVX2, packed
+/// rows over the operator's grids (jump's averaged 5-point and RAP
+/// 9-point levels), n = 129 / 257:
+///  - SOR: 5-point 2.3 / 2.1, RAP 9-point 3.6 / 3.8;
+///  - residual + restriction, per fine cell: 5-point 1.3 / 1.3, 9-point
+///    2.0 / 1.9 (Poisson 0.8);
+///  - x-line: 5-point 4.5 / 4.9, 9-point 6.7 / 7.5; y-line: 5-point
+///    4.7 / 6.8, 9-point 7.0 / 10.0.
+/// The weights stay: where they fork a K = 1 pass (x-line
+/// from n = 65, SOR and restriction from 129), BM_CutoffXLine and
+/// BM_CutoffSor still read forked below their one-thread times (x-line
+/// 31 / 29 µs against 48 / 40 at 65, SOR 49 / 46 against 104 / 72 at
+/// 129), and the 9-point SOR at 65 reads either way by host load, as
+/// below, so no lower weight was shown to pay.
+/// The legacy layout costs more (5-point SOR 3.0 / 2.8, 9-point
+/// 5.7 / 7.0; restriction 2.3 / 2.1 and 3.7 / 3.3; line passes 10–20),
+/// so the shared weights fork a legacy pass no earlier than its work
+/// warrants.  A legacy
 /// coloured sweep counts every cell of the rows its colour region
 /// visits, about twice the cells it updates; a packed wavefront pass (the
 /// sweep and the fused body halves, grid/wavefront.h) counts every
@@ -95,8 +102,9 @@ void residual(const Grid2D& x, const Grid2D& b, Grid2D& r,
 /// dispatches to apply_poisson, bit-for-bit, and a 5-point operator keeps
 /// its pre-9-point loop bit-for-bit; 9-point operators take the corner-
 /// coupled kernel.  A KernelPolicy selecting StencilLayout::kPacked runs
-/// the SoA-packed SIMD rows instead (packed_rows.h) — bitwise identical
-/// results, different memory traffic.  Requires x.n() == op.n().
+/// the packed SIMD rows instead (packed_rows.h) over the same grids —
+/// bitwise identical results, different instructions.  Requires
+/// x.n() == op.n().
 void apply_op(const StencilOp& op, const Grid2D& x, Grid2D& out,
               rt::Scheduler& sched, const KernelPolicy& kernels = {});
 
@@ -131,7 +139,7 @@ void restrict_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
 /// Batched fused residual restriction: coarse[k] = full weighting of
 /// (bs[k] − A·xs[k]) for K iterates of one operator.  Each leaf keeps a
 /// three-row buffer per slot and computes every slot's residual row i
-/// back to back, so row i's coefficient streams are loaded once for the
+/// back to back, so row i's coefficient rows are loaded once for the
 /// batch and no fine residual is ever stored.  Each slot's arithmetic is
 /// exactly restrict_residual's, so every slot is bitwise identical to K
 /// separate calls under any thread count; the leaves split the coarse

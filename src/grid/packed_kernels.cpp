@@ -19,18 +19,16 @@ namespace pbmg::grid {
 
 namespace pk {
 
-View5 view5(const PackedStencil& p, int i) {
-  return {p.stream(i, PackedStencil::kAw), p.stream(i, PackedStencil::kAe),
-          p.stream(i, PackedStencil::kAn), p.stream(i, PackedStencil::kAs),
-          p.stream(i, PackedStencil::kDiag5)};
+View5 view5(const StencilOp& op, int i) {
+  const double* ax = op.ax_grid().row(i);
+  const Grid2D& ay = op.ay_grid();
+  return {ax - 1, ax, ay.row(i - 1), ay.row(i), op.packed().diag().row(i)};
 }
 
-View9 view9(const PackedStencil& p, int i) {
-  return {p.stream(i, PackedStencil::kAw), p.stream(i, PackedStencil::kAe),
-          p.stream(i, PackedStencil::kAn), p.stream(i, PackedStencil::kAs),
-          p.stream(i, PackedStencil::kNw), p.stream(i, PackedStencil::kNe),
-          p.stream(i, PackedStencil::kSw), p.stream(i, PackedStencil::kSe),
-          p.stream(i, PackedStencil::kCtr)};
+View9 view9(const StencilOp& op, int i) {
+  const NinePointRows r(op, i);
+  return {r.ax - 1,    r.ax,    r.ay_up, r.ay_dn, r.se_up,
+          r.sw_up + 1, r.sw_dn, r.se_dn, r.center};
 }
 
 }  // namespace pk
@@ -166,7 +164,6 @@ void packed_line_multi(const StencilOp& op, std::span<Grid2D* const> xs,
                        int simd_width, const char* what) {
   check_packed_batch(op, xs, bs, what);
   if (xs.empty()) return;
-  const PackedStencil& p = op.packed();
   const int n = op.n();
   const double h2 = mesh_width(n) * mesh_width(n);
   const int w = clamp_line_width(clamp_simd_width(simd_width), n);
@@ -181,15 +178,20 @@ void packed_line_multi(const StencilOp& op, std::span<Grid2D* const> xs,
     sub_lease.emplace(pool.acquire(n));
     inv_lease.emplace(pool.acquire(n));
   }
-  const pk::LineGroup pass{.streams = p.base(),
-                           .row_stride = p.row_stride(),
-                           .padded = p.padded(),
-                           .nine = p.nine_point(),
-                           .columns = columns,
-                           .slots = slots,
-                           .h2 = h2,
-                           .ch2 = op.c() * h2,
-                           .n = n};
+  pk::LineGroup pass{.nine = op.is_nine_point(),
+                     .columns = columns,
+                     .slots = slots,
+                     .h2 = h2,
+                     .ch2 = op.c() * h2,
+                     .n = n};
+  if (pass.nine) {
+    pass.coeffs = pk::view9(op, 1);
+  } else {
+    // No corners, and the summed diagonal in the centre's place.
+    const pk::View5 v = pk::view5(op, 1);
+    pass.coeffs = {v.aw,    v.ae,    v.an,    v.as,  nullptr,
+                   nullptr, nullptr, nullptr, v.diag};
+  }
   for (int parity = 1; parity >= 0; --parity) {
     const LineGroups lg = line_groups(n, parity, w);
     if (lg.groups == 0) continue;

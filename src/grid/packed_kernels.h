@@ -3,6 +3,7 @@
 #include <span>
 
 #include "grid/grid2d.h"
+#include "grid/packed_rows.h"
 #include "grid/scratch.h"
 #include "grid/stencil_op.h"
 #include "runtime/scheduler.h"
@@ -19,12 +20,13 @@
 /// solvers::line_relax.h dispatch here when a KernelPolicy selects the
 /// packed layout; callers rarely use these directly.  All of them:
 ///  - require a non-Poisson operator: the fast path stores no
-///    coefficients to pack, and its constant-coefficient residual and
-///    SOR rows (packed_rows.h) run at packed_simd_width_supported() under
-///    either layout;
-///  - read coefficients from op.packed(), packing lazily on first touch
-///    (prewarm via StencilHierarchy::prewarm_packed to keep it off timed
-///    sweeps);
+///    coefficients, and its constant-coefficient residual and SOR rows
+///    (packed_rows.h) run at packed_simd_width_supported() under either
+///    layout;
+///  - read the operator's own coefficient grids, through pk::view5 /
+///    pk::view9 below, plus a 5-point operator's summed diagonal from
+///    op.packed(), which sums it on first touch (prewarm via
+///    StencilHierarchy::prewarm_packed to keep it off timed sweeps);
 ///  - are bitwise identical to the legacy kernels for every simd_width
 ///    and thread count (see packed_kernels_body.h for the contract);
 ///  - clamp simd_width to what the running CPU supports, which is
@@ -69,6 +71,19 @@
 /// for eight-group tasks; the 5-point averaged operator ranks the same.
 
 namespace pbmg::grid {
+
+namespace pk {
+
+/// The coefficients of interior row i (1 <= i <= n−2) of a 5-point
+/// operator (view5) or a 9-point one (view9), as the packed rows read
+/// them: pointers into op's grids at NinePointRows' offsets, and for
+/// view5 into op.packed()'s diagonal, which view5 sums on first touch.
+/// Built per row and pass, so no view outlives the operator that a pass
+/// is handed.
+View5 view5(const StencilOp& op, int i);
+View9 view9(const StencilOp& op, int i);
+
+}  // namespace pk
 
 /// Widest SIMD lane count worth requesting on this machine: 4 when the
 /// CPU runs AVX2 (or is aarch64, where the 4-lane kernels compile to NEON

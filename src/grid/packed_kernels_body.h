@@ -77,7 +77,7 @@ void stencil_row9(const View9& s, const double* up, const double* mid,
     const V m = V::load(mid + j);
     const V cross = V::load(s.an + j) * V::load(up + j) +
                     V::load(s.as + j) * V::load(down + j) +
-                    V::load(s.nw + j) * V::load(up + j - 1) +
+                    V::load(s.nw + j - 1) * V::load(up + j - 1) +
                     V::load(s.ne + j) * V::load(up + j + 1) +
                     V::load(s.sw + j) * V::load(down + j - 1) +
                     V::load(s.se + j) * V::load(down + j + 1);
@@ -93,7 +93,7 @@ void stencil_row9(const View9& s, const double* up, const double* mid,
   for (; j <= n - 2; ++j) {
     const double m = mid[j];
     const double cross = s.an[j] * up[j] + s.as[j] * down[j] +
-                         s.nw[j] * up[j - 1] + s.ne[j] * up[j + 1] +
+                         s.nw[j - 1] * up[j - 1] + s.ne[j] * up[j + 1] +
                          s.sw[j] * down[j - 1] + s.se[j] * down[j + 1];
     const double nb = s.aw[j] * mid[j - 1] + s.ae[j] * mid[j + 1] + cross;
     const double av = (s.ctr[j] * m - nb) * inv_h2 + c * m;
@@ -106,7 +106,7 @@ void stencil_row9(const View9& s, const double* up, const double* mid,
 // ---------------------------------------------------------------------------
 
 // Legacy order (relax.cpp sor_sweep 5-point):
-//   diag = ((((aW+aE)+aN)+aS)) + c·h²          (packed: diag stream + ch2)
+//   diag = ((((aW+aE)+aN)+aS)) + c·h²          (packed: diag grid + ch2)
 //   mid[j] = keep*mid[j]
 //          + omega*(h²*rhs[j] + aN*up[j] + aS*down[j]
 //                   + aW*mid[j−1] + aE*mid[j+1]) / diag
@@ -183,7 +183,7 @@ void sor_row9(const View9& s, const double* up, double* mid,
         const V m = V::load(mid + j);
         const V cross = V::load(s.an + j) * V::load(up + j) +
                         V::load(s.as + j) * V::load(down + j) +
-                        V::load(s.nw + j) * V::load(up + j - 1) +
+                        V::load(s.nw + j - 1) * V::load(up + j - 1) +
                         V::load(s.ne + j) * V::load(up + j + 1) +
                         V::load(s.sw + j) * V::load(down + j - 1) +
                         V::load(s.se + j) * V::load(down + j + 1);
@@ -200,7 +200,7 @@ void sor_row9(const View9& s, const double* up, double* mid,
   }
   for (; j <= n - 2; j += 2) {
     const double cross = s.an[j] * up[j] + s.as[j] * down[j] +
-                         s.nw[j] * up[j - 1] + s.ne[j] * up[j + 1] +
+                         s.nw[j - 1] * up[j - 1] + s.ne[j] * up[j + 1] +
                          s.sw[j] * down[j - 1] + s.se[j] * down[j + 1];
     const double nb = s.aw[j] * mid[j - 1] + s.ae[j] * mid[j + 1] + cross;
     const double d = s.ctr[j] + ch2;
@@ -220,16 +220,12 @@ void sor_row9(const View9& s, const double* up, double* mid,
 //   put(n−2); k = n−3..1: dp[k] = dp[k] − cp[k]*dp[k+1]; put(k)
 // A band supplies sub, diag, sup and rhs at line position k and stores
 // the solution (put), with the legacy band definitions: sub and sup are
-// negated couplings, diag is the stream plus c·h², and rhs folds the
-// Dirichlet boundary at k = 1 and k = n−2 (for n = 3 the single unknown
-// applies both folds in sequence, like the scalar code).
-
-// Stream slots of a packed row block, in PackedStencil::Stream order.
-enum : int {
-  kAw = 0, kAe = 1, kAn = 2, kAs = 3,
-  kDiag5 = 4,  // 5-point only
-  kNw = 4, kNe = 5, kSw = 6, kSe = 7, kCtr = 8,  // 9-point only
-};
+// negated couplings, diag is the centre (a 5-point operator's summed
+// diagonal) plus c·h², and rhs folds the Dirichlet boundary at k = 1 and
+// k = n−2 (for n = 3 the single unknown applies both folds in sequence,
+// like the scalar code).  Both bands read the operator's grids through
+// the group's view of row 1: the coupling of row i, column j is entry j
+// of the view's array, (i − 1)·n doubles on.
 
 // x-lines: lane l is grid row first + 2l, position k its column.  rhs(k)
 // is the legacy chain h²*b[k] + aN*up[k] + aS*down[k]; a 9-point band
@@ -240,9 +236,8 @@ struct XBand {
   using V = simd::Vec<W>;
 
   explicit XBand(const LineGroup& g)
-      : s(g.streams + (g.first - 1) * g.row_stride),
-        sstride(2 * g.row_stride),
-        pad(g.padded),
+      : c(g.coeffs),
+        coff(static_cast<long>(g.first - 1) * g.n),
         up(g.x + static_cast<long>(g.first - 1) * g.n),
         mid(g.x + static_cast<long>(g.first) * g.n),
         down(g.x + static_cast<long>(g.first + 1) * g.n),
@@ -253,33 +248,32 @@ struct XBand {
         vh2(V::broadcast(g.h2)),
         vch2(V::broadcast(g.ch2)) {}
 
-  V sv(int slot, int k) const {
-    return V::gather(s + slot * pad + k, sstride, lanes);
+  V sv(const double* a, int k) const {
+    return V::gather(a + coff + k, gstride, lanes);
   }
   V gv(const double* p, int k) const {
     return V::gather(p + k, gstride, lanes);
   }
-  V sub(int k) const { return -sv(kAw, k); }
-  V diag(int k) const { return sv(Nine ? kCtr : kDiag5, k) + vch2; }
-  V sup(int k) const { return -sv(kAe, k); }
+  V sub(int k) const { return -sv(c.aw, k); }
+  V diag(int k) const { return sv(c.ctr, k) + vch2; }
+  V sup(int k) const { return -sv(c.ae, k); }
   V rhs(int k) const {
     V r = vh2 * gv(b, k);
     if constexpr (Nine) {
-      r = r + (sv(kAn, k) * gv(up, k) + sv(kAs, k) * gv(down, k) +
-               sv(kNw, k) * gv(up, k - 1) + sv(kNe, k) * gv(up, k + 1) +
-               sv(kSw, k) * gv(down, k - 1) + sv(kSe, k) * gv(down, k + 1));
+      r = r + (sv(c.an, k) * gv(up, k) + sv(c.as, k) * gv(down, k) +
+               sv(c.nw, k - 1) * gv(up, k - 1) + sv(c.ne, k) * gv(up, k + 1) +
+               sv(c.sw, k) * gv(down, k - 1) + sv(c.se, k) * gv(down, k + 1));
     } else {
-      r = r + sv(kAn, k) * gv(up, k) + sv(kAs, k) * gv(down, k);
+      r = r + sv(c.an, k) * gv(up, k) + sv(c.as, k) * gv(down, k);
     }
-    if (k == 1) r = r + sv(kAw, 1) * gv(mid, 0);
-    if (k == n - 2) r = r + sv(kAe, n - 2) * gv(mid, n - 1);
+    if (k == 1) r = r + sv(c.aw, 1) * gv(mid, 0);
+    if (k == n - 2) r = r + sv(c.ae, n - 2) * gv(mid, n - 1);
     return r;
   }
   void put(int k, V v) const { v.scatter(mid + k, gstride, lanes); }
 
-  const double* s;
-  long sstride;
-  long pad;
+  View9 c;
+  long coff;  // row first's offset from row 1
   const double* up;
   double* mid;
   const double* down;
@@ -300,9 +294,8 @@ struct YBand {
   using V = simd::Vec<W>;
 
   explicit YBand(const LineGroup& g)
-      : s(g.streams + g.first),
-        prow(g.row_stride),
-        pad(g.padded),
+      : c(g.coeffs),
+        first(g.first),
         x(g.x + g.first),
         b(g.b + g.first),
         lanes(g.lanes),
@@ -310,34 +303,33 @@ struct YBand {
         vh2(V::broadcast(g.h2)),
         vch2(V::broadcast(g.ch2)) {}
 
-  V ps(int i, int slot) const {
-    return V::gather(s + static_cast<long>(i - 1) * prow + slot * pad, 2,
+  V ps(int i, const double* a, int dj = 0) const {
+    return V::gather(a + static_cast<long>(i - 1) * n + first + dj, 2,
                      lanes);
   }
   V gx(int i, int dj) const {
     return V::gather(x + static_cast<long>(i) * n + dj, 2, lanes);
   }
-  V sub(int i) const { return -ps(i, kAn); }
-  V diag(int i) const { return ps(i, Nine ? kCtr : kDiag5) + vch2; }
-  V sup(int i) const { return -ps(i, kAs); }
+  V sub(int i) const { return -ps(i, c.an); }
+  V diag(int i) const { return ps(i, c.ctr) + vch2; }
+  V sup(int i) const { return -ps(i, c.as); }
   V rhs(int i) const {
     V r = vh2 * V::gather(b + static_cast<long>(i) * n, 2, lanes) +
-          ps(i, kAw) * gx(i, -1) + ps(i, kAe) * gx(i, +1);
+          ps(i, c.aw) * gx(i, -1) + ps(i, c.ae) * gx(i, +1);
     if constexpr (Nine) {
-      r = r + ps(i, kNw) * gx(i - 1, -1) + ps(i, kNe) * gx(i - 1, +1) +
-          ps(i, kSw) * gx(i + 1, -1) + ps(i, kSe) * gx(i + 1, +1);
+      r = r + ps(i, c.nw, -1) * gx(i - 1, -1) + ps(i, c.ne) * gx(i - 1, +1) +
+          ps(i, c.sw) * gx(i + 1, -1) + ps(i, c.se) * gx(i + 1, +1);
     }
-    if (i == 1) r = r + ps(1, kAn) * gx(0, 0);
-    if (i == n - 2) r = r + ps(n - 2, kAs) * gx(n - 1, 0);
+    if (i == 1) r = r + ps(1, c.an) * gx(0, 0);
+    if (i == n - 2) r = r + ps(n - 2, c.as) * gx(n - 1, 0);
     return r;
   }
   void put(int i, V v) const {
     v.scatter(x + static_cast<long>(i) * n, 2, lanes);
   }
 
-  const double* s;
-  long prow;
-  long pad;
+  View9 c;
+  int first;
   double* x;
   const double* b;
   int lanes;

@@ -2,11 +2,12 @@
 
 /// \file packed_rows.h
 /// Width-templated flat row kernels: the packed variable-coefficient
-/// sweeps over a PackedStencil row block, and the constant-coefficient
-/// Poisson residual and red-black SOR plus the full-weighting restriction
-/// and bilinear interpolation that every operator shares.
+/// sweeps over a StencilOp's coefficient grids, and the
+/// constant-coefficient Poisson residual and red-black SOR plus the
+/// full-weighting restriction and bilinear interpolation that every
+/// operator shares.
 ///
-/// Everything here works on raw `double*` streams — no Grid2D, no
+/// Everything here works on raw `double*` arrays — no Grid2D, no
 /// scheduler, no StencilOp — so the per-width translation units
 /// (packed_kernels_w1/w2/w4.cpp) that define these templates can be
 /// compiled with different ISA flags without any shared inline code
@@ -23,39 +24,37 @@
 /// the W = 1 instantiation, which is the scalar path.  See simd.h for
 /// why that holds per lane.
 
-namespace pbmg::grid {
-class PackedStencil;
-}
-
 namespace pbmg::grid::pk {
 
-/// One interior row of 5-point streams, pre-shifted so entry [j] is what
-/// column j's update reads (PackedStencil::Stream order).
+/// The 5-point coefficients of one interior row i: pointers into the
+/// operator's grids, offset so entry [j] is what column j's update reads
+/// (aW = ax(i, j−1), aE = ax(i, j), aN = ay(i−1, j), aS = ay(i, j)).
+/// Built per row by pk::view5 (packed_kernels.h); entries are read for j
+/// in [1, n−2].
 struct View5 {
   const double* aw;
   const double* ae;
   const double* an;
   const double* as;
-  const double* diag;  ///< ((aW+aE)+aN)+aS, precomputed at pack time
+  const double* diag;  ///< ((aW+aE)+aN)+aS, PackedStencil::diag()
 };
 
-/// One interior row of 9-point streams.
+/// The 9-point coefficients of one interior row, built by pk::view9 at
+/// NinePointRows' offsets (aNE = asw(i−1, j+1), aSW = asw(i, j),
+/// aSE = ase(i, j), ctr = center(i, j)), with one exception: aNW =
+/// ase(i−1, j−1) is nw[j − 1], because offset like the others nw would
+/// point before the ase grid at row 1.
 struct View9 {
   const double* aw;
   const double* ae;
   const double* an;
   const double* as;
-  const double* nw;
+  const double* nw;  ///< ase row i − 1: aNW = nw[j − 1]
   const double* ne;
   const double* sw;
   const double* se;
   const double* ctr;
 };
-
-/// The streams of interior grid row i of a 5- or 9-point packed block
-/// (defined in packed_kernels.cpp, outside the per-width TUs).
-View5 view5(const PackedStencil& p, int i);
-View9 view9(const PackedStencil& p, int i);
 
 /// Residual/apply over one interior row: out[j] = A·x (rhs == nullptr)
 /// or rhs[j] − A·x (residual).  Unit-stride W-wide inner loop + scalar
@@ -73,8 +72,8 @@ void stencil_row9(const View9& s, const double* up, const double* mid,
 /// One coloured Gauss–Seidel/SOR pass over a row: updates mid[j] in
 /// place for j = j0, j0+2, … (the row's active colour; for a 9-point
 /// operator, one of a row's two four-colour classes).  W = 4 loads four
-/// consecutive columns of rows i−1, i and i+1 and the coefficient streams
-/// and stores four blended columns of row i, writing the other colour's
+/// consecutive columns of rows i−1, i and i+1 and of the coefficients and
+/// stores four blended columns of row i, writing the other colour's
 /// cells back unchanged, so the caller must own the other colour's
 /// readers for the pass: no other thread may read row i or write rows
 /// i±1 while it runs.  W = 1 and W = 2 run the scalar loop, which reads
@@ -93,18 +92,19 @@ void sor_row9(const View9& s, const double* up, double* mid,
 /// One group of up to W same-parity lines of a zebra line pass, for one
 /// iterate of a K-iterate batch.  Lane l solves line first + 2l: grid row
 /// first + 2l of x for x-lines, grid column first + 2l for y-lines
-/// (`columns`).  Coefficients are read from the packed block: stream s of
-/// interior grid row i sits at streams + (i−1)·row_stride + s·padded
-/// (PackedStencil::base(), row_stride(), padded(); slots follow
-/// PackedStencil::Stream).  Tail lanes past `lanes` duplicate the last
-/// active line's loads and are never stored.  cp, dp, sub and inv are
-/// W-interleaved scratch (entry [k·W + l]) of at least (n−1)·W doubles
-/// each; sub and inv are read only when slots > 1.
+/// (`columns`).  Coefficients are read from the operator's grids through
+/// `coeffs`, the view of interior row 1: pk::view9(op, 1), or for a
+/// 5-point operator pk::view5(op, 1)'s arrays with its summed diagonal as
+/// the centre (StencilOp::center's 5-point value) and null corners.  Row
+/// i's entries sit (i − 1)·n doubles further on in every array, so an
+/// x-line group's lanes are 2n apart and a y-line group's 2.  Tail lanes
+/// past `lanes` duplicate the last active line's loads and are never
+/// stored.  cp, dp, sub and inv are W-interleaved scratch (entry
+/// [k·W + l]) of at least (n−1)·W doubles each; sub and inv are read only
+/// when slots > 1.
 struct LineGroup {
-  const double* streams = nullptr;
-  long row_stride = 0;
-  long padded = 0;
-  bool nine = false;     ///< 9-point streams (else 5-point)
+  View9 coeffs{};
+  bool nine = false;     ///< 9-point operator (else 5-point)
   bool columns = false;  ///< y-lines (else x-lines)
   int first = 0;
   int lanes = 0;

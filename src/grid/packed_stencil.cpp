@@ -1,7 +1,5 @@
 #include "grid/packed_stencil.h"
 
-#include <algorithm>
-
 #include "grid/stencil_op.h"
 
 namespace pbmg::grid {
@@ -10,63 +8,16 @@ PackedStencil PackedStencil::pack(const StencilOp& op) {
   PBMG_CHECK(!op.is_poisson(),
              "PackedStencil::pack: the Poisson fast path has no coefficient "
              "grids to pack");
-  const int n = op.n();
-  const bool nine = op.is_nine_point();
   PackedStencil p;
-  p.n_ = n;
-  p.streams_ = nine ? 9 : 5;
-  // Pad each stream to a 64-byte multiple so every stream of every row
-  // block starts on its own cache line (the buffer itself comes from
-  // aligned_alloc(64, …), whose size contract the padding also satisfies).
-  p.padded_ = (static_cast<long>(n) + 7) & ~long{7};
-  p.row_stride_ = p.streams_ * p.padded_;
-  const long count = static_cast<long>(n - 2) * p.row_stride_;
-  double* raw = static_cast<double*>(std::aligned_alloc(
-      64, static_cast<std::size_t>(count) * sizeof(double)));
-  PBMG_CHECK(raw != nullptr, "PackedStencil::pack: allocation failed");
-  std::fill(raw, raw + count, 0.0);
-  p.data_.reset(raw);
-
+  if (op.is_nine_point()) return p;
+  const int n = op.n();
   const Grid2D& ax = op.ax_grid();
   const Grid2D& ay = op.ay_grid();
+  p.diag_ = Grid2D(n, 0.0);
   for (int i = 1; i <= n - 2; ++i) {
-    double* aw = p.mutable_stream(i, kAw);
-    double* ae = p.mutable_stream(i, kAe);
-    double* an = p.mutable_stream(i, kAn);
-    double* as = p.mutable_stream(i, kAs);
+    double* diag = p.diag_.row(i);
     for (int j = 1; j <= n - 2; ++j) {
-      aw[j] = ax(i, j - 1);
-      ae[j] = ax(i, j);
-      an[j] = ay(i - 1, j);
-      as[j] = ay(i, j);
-    }
-    if (nine) {
-      // Pre-shifted corner streams (see NinePointRows for the aliasing
-      // this folds away): entry [j] is the coupling column j's update
-      // reads from the row above/below.
-      double* nw = p.mutable_stream(i, kNw);
-      double* ne = p.mutable_stream(i, kNe);
-      double* sw = p.mutable_stream(i, kSw);
-      double* se = p.mutable_stream(i, kSe);
-      double* ctr = p.mutable_stream(i, kCtr);
-      const Grid2D& ase = op.ase_grid();
-      const Grid2D& asw = op.asw_grid();
-      const Grid2D& center = op.center_grid();
-      for (int j = 1; j <= n - 2; ++j) {
-        nw[j] = ase(i - 1, j - 1);
-        ne[j] = asw(i - 1, j + 1);
-        sw[j] = asw(i, j);
-        se[j] = ase(i, j);
-        ctr[j] = center(i, j);
-      }
-    } else {
-      // Same summation order as every legacy 5-point kernel
-      // (((aW+aE)+aN)+aS), so a packed sweep divides by bitwise the same
-      // diagonal the legacy sweep recomputes per point.
-      double* diag = p.mutable_stream(i, kDiag5);
-      for (int j = 1; j <= n - 2; ++j) {
-        diag[j] = ((aw[j] + ae[j]) + an[j]) + as[j];
-      }
+      diag[j] = ((ax(i, j - 1) + ax(i, j)) + ay(i - 1, j)) + ay(i, j);
     }
   }
   return p;

@@ -1,30 +1,34 @@
 #pragma once
 
-#include <cstdlib>
-#include <memory>
+#include <cstddef>
+
+#include "grid/grid2d.h"
 
 /// \file packed_stencil.h
-/// Interleaved SoA-block layout of a StencilOp's coefficients — the
-/// "packed" side of the grid::StencilLayout choice dimension.
+/// What the packed rows need beside a StencilOp's own coefficient grids —
+/// the stored part of the "packed" side of grid::StencilLayout.
 ///
-/// The legacy layout stores a 9-point level as five separate n×n grids
-/// (ax/ay/ase/asw/center); a sweep over row i then streams eight
-/// coefficient rows from five distinct allocations, several of them read
-/// at offsets j−1/j+1.  The packed layout regroups everything a row sweep
-/// needs into one contiguous block per interior row:
+/// The packed rows (packed_rows.h) read the operator's grids in place:
+/// pk::view5 / pk::view9 (packed_kernels.h) point into them at the
+/// offsets NinePointRows encodes, so entry [j] of each view is the
+/// coupling column j's update reads from interior row i:
 ///
-///     row 1:  [ aW | aE | aN | aS | … ]        one stream per coupling,
-///     row 2:  [ aW | aE | aN | aS | … ]        each padded to a 64-byte
-///       ⋮                                      multiple and indexed by j
+///     aW = ax row i, from column −1      aE = ax row i
+///     aN = ay row i − 1                  aS = ay row i
+///     aNW = ase row i − 1, at j − 1      aNE = asw row i − 1, from +1
+///     aSW = asw row i                    aSE = ase row i
+///     ctr = center row i                 (the last five 9-point only)
 ///
-/// Every stream is pre-shifted so entry [j] is the coefficient the update
-/// of column j reads (aW[j] = ax(i,j−1), aN[j] = ay(i−1,j), …): the inner
-/// loop becomes W-wide unit-stride loads with no cross-grid pointer
-/// chasing, which is what the SIMD kernels in packed_kernels.h vectorize
-/// over.  A 5-point operator packs five streams (the sum diagonal
-/// ((aW+aE)+aN)+aS is precomputed — exactly the accumulation order the
-/// legacy kernels use, so results stay bitwise identical); a 9-point
-/// operator packs nine.
+/// (aNW is read at j − 1 rather than offset, which at row 1 would point
+/// before the ase grid.)
+///
+/// A 5-point view reads ax, ay and the diagonal below, a 9-point view its
+/// five grids, each at row i and the row above, so a row sweep streams
+/// each grid once.  A 9-point operator stores its centre, so it needs
+/// nothing more and packs nothing.  A 5-point operator stores no centre:
+/// the legacy rows sum ((aW+aE)+aN)+aS per cell, and the packed SOR row
+/// divides by it, so it is summed once, in that order, into one n×n
+/// grid.  That grid is all a PackedStencil holds.
 ///
 /// Packing is a one-time cost per level: StencilOp caches the packed form
 /// next to its coefficient grids (copies share it) and
@@ -34,81 +38,32 @@ namespace pbmg::grid {
 
 class StencilOp;
 
-/// The packed coefficients of one operator.  Move-only value; built by
-/// pack() and normally owned by the StencilOp's shared cache slot.
+/// The packed coefficients of one operator; built by pack() and normally
+/// owned by the StencilOp's shared cache slot.
 class PackedStencil {
  public:
-  /// Stream indices within a row block.  Both layouts share the four edge
-  /// streams; slot 4 is the precomputed diagonal for 5-point operators
-  /// and the first corner stream for 9-point ones.
-  enum Stream : int {
-    kAw = 0,    ///< aW[j] = ax(i, j−1)
-    kAe = 1,    ///< aE[j] = ax(i, j)
-    kAn = 2,    ///< aN[j] = ay(i−1, j)
-    kAs = 3,    ///< aS[j] = ay(i, j)
-    kDiag5 = 4, ///< 5-point only: ((aW+aE)+aN)+aS
-    kNw = 4,    ///< 9-point only: aNW[j] = ase(i−1, j−1)
-    kNe = 5,    ///< 9-point only: aNE[j] = asw(i−1, j+1)
-    kSw = 6,    ///< 9-point only: aSW[j] = asw(i, j)
-    kSe = 7,    ///< 9-point only: aSE[j] = ase(i, j)
-    kCtr = 8,   ///< 9-point only: explicit centre coefficient
-  };
-
   /// Empty; assign from pack().
   PackedStencil() = default;
 
-  /// Packs `op`'s coefficients.  Requires !op.is_poisson() — the fast
-  /// path stores no grids (callers dispatch Poisson to the legacy
-  /// kernels, which need no coefficients at all).
+  /// Packs `op`: its summed diagonal if 5-point, nothing if 9-point.
+  /// Requires !op.is_poisson() — the fast path stores no grids (callers
+  /// dispatch Poisson to the legacy kernels, which need no coefficients
+  /// at all).
   static PackedStencil pack(const StencilOp& op);
 
-  int n() const { return n_; }
-  bool nine_point() const { return streams_ == 9; }
-  int stream_count() const { return streams_; }
+  /// A 5-point operator's diagonal ((aW+aE)+aN)+aS at each interior cell
+  /// (the boundary ring is 0), in the legacy rows' summation order, so
+  /// a packed row divides by bitwise the diagonal the legacy row
+  /// recomputes.  Empty (0×0) for a 9-point operator.
+  const Grid2D& diag() const { return diag_; }
 
-  /// Doubles per stream: n rounded up to a multiple of 8 (64 bytes), so
-  /// every stream starts 64-byte aligned.  Entries outside [1, n−2] are
-  /// zero.
-  long padded() const { return padded_; }
-
-  /// Doubles between the blocks of consecutive interior rows
-  /// (= stream_count() · padded()).
-  long row_stride() const { return row_stride_; }
-
-  /// Stream `s` of interior grid row i (i in [1, n−2]); entry [j] is the
-  /// coefficient column j's update reads, valid for j in [1, n−2].
-  const double* stream(int i, int s) const {
-    return data_.get() + static_cast<long>(i - 1) * row_stride_ +
-           static_cast<long>(s) * padded_;
-  }
-
-  /// Block base (row 1, stream 0) for kernels that stride manually.
-  const double* base() const { return data_.get(); }
-
-  /// Heap bytes held by the packed block (0 while empty).  Feeds the
-  /// per-session footprint accounting SolveService budgets against.
-  std::size_t bytes() const {
-    return data_ == nullptr
-               ? 0
-               : static_cast<std::size_t>(n_ - 2) *
-                     static_cast<std::size_t>(row_stride_) * sizeof(double);
-  }
+  /// Heap bytes held (one n×n grid for a 5-point operator, 0 for a
+  /// 9-point one or while empty).  Feeds the per-session footprint
+  /// accounting SolveService budgets against.
+  std::size_t bytes() const { return diag_.size() * sizeof(double); }
 
  private:
-  struct FreeDeleter {
-    void operator()(double* p) const { std::free(p); }
-  };
-
-  double* mutable_stream(int i, int s) {
-    return data_.get() + static_cast<long>(i - 1) * row_stride_ +
-           static_cast<long>(s) * padded_;
-  }
-
-  int n_ = 0;
-  int streams_ = 0;
-  long padded_ = 0;
-  long row_stride_ = 0;
-  std::unique_ptr<double[], FreeDeleter> data_;
+  Grid2D diag_;
 };
 
 }  // namespace pbmg::grid

@@ -146,9 +146,9 @@ std::size_t StencilOp::bytes() const {
   if (corner_ != nullptr) {
     total += 3 * corner_->ase.size() * sizeof(double);
   }
-  // An unpacked legacy-layout operator genuinely holds no packed block
-  // yet, so bytes() may grow after the first packed sweep; sessions
-  // compute their footprint post-prewarm.
+  // An unpacked 5-point operator genuinely holds no diagonal yet, so
+  // bytes() may grow after the first packed sweep; sessions compute their
+  // footprint post-prewarm.
   if (packed_slot_ != nullptr) {
     total += packed_slot_->bytes.load(std::memory_order_acquire);
   }

@@ -94,16 +94,18 @@ std::string to_string(Coarsening mode);
 /// anything else.
 Coarsening parse_coarsening(const std::string& name);
 
-/// How the sweep kernels read a level's coefficients — a tuned choice
-/// dimension like Coarsening.  kLegacy streams the separate n×n grids;
-/// kPacked streams the interleaved SoA row blocks of grid::PackedStencil
-/// (see packed_stencil.h) with SIMD inner loops.  Both produce bitwise
-/// identical results; only the memory traffic differs, so the tuner picks
-/// per (machine × operator family × size).  Serialized as "legacy" /
-/// "packed"; a missing field reads as kLegacy.
+/// Which row kernels the sweeps run over a level's coefficient grids — a
+/// tuned choice dimension like Coarsening.  kLegacy runs the scalar
+/// loops; kPacked runs the SIMD rows of packed_rows.h, which read the
+/// same n×n grids through per-row views (pk::view5 / pk::view9) plus a
+/// 5-point operator's summed diagonal (grid::PackedStencil, see
+/// packed_stencil.h).  Both produce bitwise identical results; only the
+/// instructions differ, so the tuner picks per (machine × operator
+/// family × size).  Serialized as "legacy" / "packed"; a missing field
+/// reads as kLegacy.
 enum class StencilLayout {
-  kLegacy,  ///< separate coefficient grids, scalar sweeps (the seed path)
-  kPacked,  ///< interleaved SoA row blocks + SIMD sweeps
+  kLegacy,  ///< scalar sweeps over the coefficient grids (the seed path)
+  kPacked,  ///< SIMD rows over the same grids + a 5-point diagonal grid
 };
 
 /// Stable names used in tuned tables and cache keys: "legacy", "packed".
@@ -275,18 +277,20 @@ class StencilOp {
   /// Dispatch helper: restricted() or galerkin_coarse() by mode.
   StencilOp coarsened(Coarsening mode) const;
 
-  /// The operator's packed (SoA-block) coefficients, built on first call
-  /// and cached in the slot every copy of this operator shares — so a
-  /// hierarchy packs each level at most once no matter how many sessions
-  /// run it.  Thread-safe (std::call_once); requires !is_poisson() (the
-  /// fast path dispatches to the legacy Poisson kernels before packing is
-  /// ever consulted).
+  /// What the packed rows read beside the coefficient grids: a 5-point
+  /// operator's summed diagonal as one n×n grid, nothing for a 9-point
+  /// one (see packed_stencil.h).  Built on first call and cached in the
+  /// slot every copy of this operator shares — so a hierarchy packs each
+  /// level at most once no matter how many sessions run it.  Thread-safe
+  /// (std::call_once); requires !is_poisson() (the fast path dispatches
+  /// to the legacy Poisson kernels before packing is ever consulted).
   const PackedStencil& packed() const;
 
   /// Heap bytes held by this operator's coefficient grids plus its packed
-  /// block if one has been built (0 for the Poisson fast path).  Safe to
-  /// call concurrently with a first pack(); counts what is resident *now*,
-  /// so callers that budget against it should measure after prewarming.
+  /// diagonal if one has been built (0 for the Poisson fast path).  Safe
+  /// to call concurrently with a first pack(); counts what is resident
+  /// *now*, so callers that budget against it should measure after
+  /// prewarming.
   std::size_t bytes() const;
 
  private:
@@ -309,7 +313,8 @@ class StencilOp {
 };
 
 /// Row-pointer view of a 9-point operator's coefficients around grid row
-/// i, for the row-sweeping kernels (apply/residual, SOR, x-line solves).
+/// i, for the row-sweeping kernels (the legacy apply/residual, SOR and
+/// x-line solves, and pk::view9, which the packed rows read).
 /// It encodes the offset aliasing of the shared-coupling layout
 /// — aNW = se_up[j−1], aNE = sw_up[j+1], aSW = sw_dn[j], aSE = se_dn[j] —
 /// in one place, so the kernels cannot drift from the convention that
@@ -386,9 +391,9 @@ class StencilHierarchy {
   /// Operator at recursion level `level` in [1, top_level].
   const StencilOp& at(int level) const;
 
-  /// Packs every non-Poisson level's coefficients now (idempotent, shared
-  /// with every copy of the ladder), so a kPacked solve never pays the
-  /// packing cost inside a timed sweep.  Sessions and the profile-search
+  /// Packs every non-Poisson level now (idempotent, shared with every
+  /// copy of the ladder; only 5-point levels store anything), so a
+  /// kPacked solve never pays the packing cost inside a timed sweep.  Sessions and the profile-search
   /// setup call this ahead of racing candidates.
   void prewarm_packed() const;
 

@@ -5,7 +5,6 @@
 #include "grid/grid_ops.h"
 #include "grid/level.h"
 #include "grid/packed_kernels.h"
-#include "grid/packed_stencil.h"
 
 namespace pbmg::grid {
 
@@ -44,12 +43,13 @@ WaveRows::WaveRows(int n, double omega)
 WaveRows::WaveRows(const StencilOp& op, double omega, int simd_width)
     : WaveRows(op.n(), omega) {
   if (op.is_poisson()) return;
-  packed_ = &op.packed();
+  (void)op.packed();  // sum a 5-point diagonal before any row reads it
+  op_ = &op;
   c_ = op.c();
   ch2_ = op.c() * h2_;
   const int w = clamp_simd_width(simd_width);
   const int sor_w = n_ < kWideSorMinN ? 1 : w;
-  if (packed_->nine_point()) {
+  if (op.is_nine_point()) {
     kind_ = Kind::kNinePoint;
     sor9_ = by_width(sor_w, &pk::sor_row9<1>, &pk::sor_row9<2>,
                      &pk::sor_row9<4>);
@@ -90,13 +90,13 @@ void WaveRows::sor(Grid2D& x, const Grid2D& b, int i, int stage,
     }
     case Kind::kFivePoint: {
       const auto row = narrow ? &pk::sor_row5<1> : sor5_;
-      row(pk::view5(*packed_, i), up, mid, down, rhs, h2_, ch2_, omega_,
+      row(pk::view5(*op_, i), up, mid, down, rhs, h2_, ch2_, omega_,
           keep_, j0, n_);
       return;
     }
     case Kind::kNinePoint: {
       if ((i & 1) != stage) return;
-      const pk::View9 v = pk::view9(*packed_, i);
+      const pk::View9 v = pk::view9(*op_, i);
       for (const int first_column : {2, 1}) {
         sor9_(v, up, mid, down, rhs, h2_, ch2_, omega_, keep_, first_column,
               n_);
@@ -116,11 +116,11 @@ void WaveRows::residual(const Grid2D& x, const Grid2D& b, int i,
       poisson_residual_(up, mid, down, b.row(i), out, inv_h2_, n_);
       return;
     case Kind::kFivePoint:
-      residual5_(pk::view5(*packed_, i), up, mid, down, b.row(i), out,
+      residual5_(pk::view5(*op_, i), up, mid, down, b.row(i), out,
                  inv_h2_, c_, n_);
       return;
     case Kind::kNinePoint:
-      residual9_(pk::view9(*packed_, i), up, mid, down, b.row(i), out,
+      residual9_(pk::view9(*op_, i), up, mid, down, b.row(i), out,
                  inv_h2_, c_, n_);
       return;
   }

@@ -140,8 +140,10 @@ class WaveRows {
   WaveRows(int n, double omega);
 
   /// The rows of `op`: the Poisson rows on the fast path, and otherwise
-  /// the packed 5- or 9-point streams (op.packed(), packed on first
-  /// touch) at `simd_width`, clamped to what the CPU supports.
+  /// the packed 5- or 9-point rows over op's grids (pk::view5 / view9;
+  /// a 5-point diagonal is summed here on first touch) at `simd_width`,
+  /// clamped to what the CPU supports.  Keeps a pointer to `op`, which
+  /// must outlive the rows.
   WaveRows(const StencilOp& op, double omega, int simd_width);
 
   int n() const { return n_; }
@@ -187,7 +189,7 @@ class WaveRows {
   enum class Kind { kPoisson, kFivePoint, kNinePoint };
 
   Kind kind_ = Kind::kPoisson;
-  const PackedStencil* packed_ = nullptr;
+  const StencilOp* op_ = nullptr;
   int n_;
   int nc_;
   double h2_;

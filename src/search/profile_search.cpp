@@ -60,14 +60,14 @@ ParamSpace make_profile_space(const rt::MachineProfile& base,
   // search must still be able to flip it.
   space.add_categorical("coarsening", {"avg", "rap"}, /*default_index=*/0);
   // Kernel implementation axes (grid/stencil_op.h KernelPolicy): the
-  // coefficient layout the sweeps stream (legacy per-grid vs packed
-  // SoA blocks) and the SIMD lane count of the packed kernels.  Both are
-  // bitwise result-invariant — pure memory-traffic/ILP knobs — so the
+  // row kernels the sweeps run over the coefficient grids (legacy scalar
+  // vs packed SIMD) and the SIMD lane count of the packed kernels.  Both
+  // are bitwise result-invariant — pure instruction/ILP knobs — so the
   // tuner races them like any machine parameter; they sit in the
   // relaxation group because the win is operator-family-dependent (the
-  // packed layout pays off on the 9-point/RAP ladders where legacy
-  // sweeps stream nine separate grids).  Widths the CPU lacks are
-  // clamped at dispatch (clamp_simd_width), also result-invariant.
+  // packed rows pay off most on the 9-point/RAP ladders).  Widths the
+  // CPU lacks are clamped at dispatch (clamp_simd_width), also
+  // result-invariant.
   space.add_categorical("layout", {"legacy", "packed"}, /*default_index=*/0);
   space.add_categorical("simd_width", {"1", "2", "4"}, /*default_index=*/0);
   return space;

@@ -42,8 +42,8 @@ struct VCycleOptions {
   /// that reaches any other operator with it throws InvalidArgument.
   RelaxKind relaxation = RelaxKind::kSor;
   /// Kernel implementation policy for the smoothing and residual sweeps
-  /// (grid/stencil_op.h): legacy streaming vs the packed SoA layout plus
-  /// SIMD width.  Bitwise result-invariant; affects Poisson cycles not at
+  /// (grid/stencil_op.h): the legacy scalar rows vs the packed SIMD rows
+  /// plus their width.  Bitwise result-invariant; affects Poisson cycles not at
   /// all (the fast path keeps its dedicated kernels).
   grid::KernelPolicy kernels;
   /// Optional per-(level, phase) wall-time sink (obs/phase_profile.h);

@@ -117,10 +117,10 @@ struct RelaxTunables {
   double recurse_omega = kRecurseOmega;  ///< ω of RECURSE's pre/post sweeps
   double omega_scale = 1.0;              ///< multiplier applied to ω_opt(N)
   /// Searched kernel implementation policy (the "layout" / "simd_width"
-  /// axes of make_profile_space): legacy per-grid streaming vs the packed
-  /// SoA-block layout and its SIMD lane count.  Bitwise result-invariant —
-  /// this axis trades memory traffic only — so the tuner is free to race
-  /// it like any other runtime parameter.
+  /// axes of make_profile_space): the legacy scalar rows vs the packed
+  /// SIMD rows and their lane count, over the same coefficient grids.
+  /// Bitwise result-invariant — this axis trades instructions only — so
+  /// the tuner is free to race it like any other runtime parameter.
   grid::KernelPolicy kernels;
 };
 
@@ -154,7 +154,7 @@ void jacobi_sweep(Grid2D& x, const Grid2D& b, double omega, Grid2D& scratch,
 /// Red-black SOR sweep for a variable-coefficient operator: each update
 /// divides by the cell's true diagonal (aW+aE+aN+aS)/h² + c instead of the
 /// Poisson 4/h².  The Poisson fast path runs sor_sweep above's rows,
-/// bit-for-bit.  A KernelPolicy selecting the packed layout runs the SoA
+/// bit-for-bit.  A KernelPolicy selecting the packed layout runs the
 /// SIMD wavefront (grid/packed_kernels.h), bitwise identical to legacy.
 /// Forwards a one-element span to sor_sweep_multi, which holds the only
 /// body of each kind.  Requires x.n() == op.n().

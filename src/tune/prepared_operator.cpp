@@ -75,7 +75,7 @@ PreparedOperator::PreparedOperator(
     ops_.prewarm_packed();
     if (rap != nullptr) ops_rap_.prewarm_packed();
   }
-  // Counted last, so the packed streams just materialized are included.
+  // Counted last, so the packed diagonals just summed are included.
   // The RAP ladder's top is ops_'s top (same coefficients, same packed
   // slot), so only its levels below the top add bytes.
   std::size_t rap_bytes = 0;

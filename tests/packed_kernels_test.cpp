@@ -7,13 +7,15 @@
 // not tolerances: residual/apply, coloured SOR and the zebra line
 // solves, on 5-point and 9-point operators, down the Galerkin RAP
 // ladder, at n = 3 and 5 edge sizes, and across thread counts.
-// Also covered: the PackedStencil layout itself (alignment, stream
-// mapping, fused 5-point diagonal), the Poisson passthrough, width
-// clamping, and KernelPolicy validation.  The constant-coefficient
-// Poisson residual and SOR rows and the restriction and interpolation
-// rows every operator shares are pinned against scalar reference loops
-// kept here, at every width, through the public entry points at one and
-// four threads, and with eight-row leaves racing at n = 257 to 1025; the
+// Also covered: what the packed rows read (every view entry against
+// StencilOp::coupling, the summed 5-point diagonal bit for bit, and the
+// packed footprint), a level that outlives the ladder it was copied
+// from, the Poisson passthrough, width clamping, and KernelPolicy
+// validation.  The constant-coefficient Poisson residual and SOR rows
+// and the restriction and interpolation rows every operator shares are
+// pinned against scalar reference loops kept here, at every width,
+// through the public entry points at one and four threads, and with
+// eight-row leaves racing at n = 257 to 1025; the
 // fused restrict_residual, solo and over K iterates, is pinned against
 // residual_op followed by restrict_full_weighting for every operator
 // kind, and the corrections it zeroes come back zero.  The fused Poisson
@@ -25,6 +27,7 @@
 // packed sweeps, line passes, fused restriction and batched
 // interpolation are pinned against one thread at n = 65 and 129.
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -147,58 +150,49 @@ KernelPolicy packed_policy(int width) {
 
 // ------------------------------------------------------ layout & policy --
 
-TEST(PackedStencil, LayoutAlignmentAndStreamMapping) {
+/// Bitwise equality of two doubles (EXPECT_EQ compares values).
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(PackedStencil, FivePointRowsReadTheGridsAndOneDiagonal) {
   const int n = 17;
   const StencilOp op = make_operator(n, OperatorFamily::kSmoothVariable);
-  const PackedStencil& p = op.packed();
-  EXPECT_EQ(p.n(), n);
-  EXPECT_FALSE(p.nine_point());
-  EXPECT_EQ(p.stream_count(), 5);
-  EXPECT_EQ(p.padded() % 8, 0);
-  EXPECT_GE(p.padded(), n);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p.base()) % 64, 0u);
-  const Grid2D& ax = op.ax_grid();
-  const Grid2D& ay = op.ay_grid();
+  ASSERT_FALSE(op.is_nine_point());
+  EXPECT_EQ(op.packed().bytes(),
+            static_cast<std::size_t>(n) * n * sizeof(double));
   for (int i = 1; i < n - 1; ++i) {
-    const double* aw = p.stream(i, PackedStencil::kAw);
-    const double* ae = p.stream(i, PackedStencil::kAe);
-    const double* an = p.stream(i, PackedStencil::kAn);
-    const double* as = p.stream(i, PackedStencil::kAs);
-    const double* diag = p.stream(i, PackedStencil::kDiag5);
+    const pk::View5 v = pk::view5(op, i);
     for (int j = 1; j < n - 1; ++j) {
-      EXPECT_EQ(aw[j], ax(i, j - 1));
-      EXPECT_EQ(ae[j], ax(i, j));
-      EXPECT_EQ(an[j], ay(i - 1, j));
-      EXPECT_EQ(as[j], ay(i, j));
-      // The fused diagonal must carry the legacy association exactly.
-      const double expect = ((ax(i, j - 1) + ax(i, j)) + ay(i - 1, j)) +
-                            ay(i, j);
-      EXPECT_EQ(diag[j], expect);
+      EXPECT_EQ(v.aw[j], op.coupling(i, j, 0, -1));
+      EXPECT_EQ(v.ae[j], op.coupling(i, j, 0, 1));
+      EXPECT_EQ(v.an[j], op.coupling(i, j, -1, 0));
+      EXPECT_EQ(v.as[j], op.coupling(i, j, 1, 0));
+      // The summed diagonal must carry the legacy association exactly.
+      const double expect =
+          ((op.ax(i, j - 1) + op.ax(i, j)) + op.ay(i - 1, j)) + op.ay(i, j);
+      EXPECT_TRUE(same_bits(v.diag[j], expect)) << i << ", " << j;
     }
   }
 }
 
-TEST(PackedStencil, NinePointPackCarriesCornerStreams) {
+TEST(PackedStencil, NinePointRowsReadTheGridsAndPackNothing) {
   const int n = 17;
   const StencilOp op = make_operator(n, OperatorFamily::kAnisoTheta30);
   ASSERT_TRUE(op.is_nine_point());
-  const PackedStencil& p = op.packed();
-  EXPECT_TRUE(p.nine_point());
-  EXPECT_EQ(p.stream_count(), 9);
-  const Grid2D& ase = op.ase_grid();
-  const Grid2D& asw = op.asw_grid();
+  EXPECT_EQ(op.packed().bytes(), 0u);
   for (int i = 1; i < n - 1; ++i) {
-    const double* nw = p.stream(i, PackedStencil::kNw);
-    const double* ne = p.stream(i, PackedStencil::kNe);
-    const double* sw = p.stream(i, PackedStencil::kSw);
-    const double* se = p.stream(i, PackedStencil::kSe);
-    const double* ctr = p.stream(i, PackedStencil::kCtr);
+    const pk::View9 v = pk::view9(op, i);
     for (int j = 1; j < n - 1; ++j) {
-      EXPECT_EQ(nw[j], ase(i - 1, j - 1));
-      EXPECT_EQ(ne[j], asw(i - 1, j + 1));
-      EXPECT_EQ(sw[j], asw(i, j));
-      EXPECT_EQ(se[j], ase(i, j));
-      EXPECT_EQ(ctr[j], NinePointRows(op, i).center[j]);
+      EXPECT_EQ(v.aw[j], op.coupling(i, j, 0, -1));
+      EXPECT_EQ(v.ae[j], op.coupling(i, j, 0, 1));
+      EXPECT_EQ(v.an[j], op.coupling(i, j, -1, 0));
+      EXPECT_EQ(v.as[j], op.coupling(i, j, 1, 0));
+      EXPECT_EQ(v.nw[j - 1], op.coupling(i, j, -1, -1));
+      EXPECT_EQ(v.ne[j], op.coupling(i, j, -1, 1));
+      EXPECT_EQ(v.sw[j], op.coupling(i, j, 1, -1));
+      EXPECT_EQ(v.se[j], op.coupling(i, j, 1, 1));
+      EXPECT_EQ(v.ctr[j], op.center(i, j));
     }
   }
 }
@@ -385,6 +379,28 @@ TEST(PackedParity, PrewarmedHierarchyMatchesLazyPacking) {
     residual_op(warm.at(level), x, b, r_warm, sched, packed_policy(4));
     residual_op(lazy.at(level), x, b, r_lazy, sched, packed_policy(4));
     EXPECT_TRUE(bitwise_equal(r_warm, r_lazy)) << "level=" << level;
+  }
+}
+
+TEST(PackedParity, ALevelCopiedOutOfItsLadderOutlivesIt) {
+  // The packed rows build their views from the operator they are handed,
+  // row by row, so a level copied out of a ladder still reads the grids
+  // and diagonal it co-owns after the ladder and the fine operator are
+  // gone.  Under ASan a view left pointing into freed grids fails here.
+  // Averaged jump levels are 5-point, RAP levels 9-point.
+  const int n = 33;
+  for (const Coarsening mode : {Coarsening::kAverage, Coarsening::kRap}) {
+    StencilOp level;
+    {
+      const StencilOp fine =
+          make_operator(2 * n - 1, OperatorFamily::kJumpCoefficient);
+      const StencilHierarchy ladder(fine, mode);
+      ladder.prewarm_packed();
+      level = ladder.at(level_of_size(n));
+    }
+    ASSERT_EQ(level.is_nine_point(), mode == Coarsening::kRap);
+    SCOPED_TRACE("coarsening=" + to_string(mode));
+    expect_all_sweeps_parity(level, /*width=*/4, /*threads=*/4, 0x11FE);
   }
 }
 
