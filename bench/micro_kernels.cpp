@@ -421,24 +421,26 @@ BENCHMARK(BM_StencilZebraPacked)->Apply(pair_args);
 
 // The packed line passes pick their body by K (grid/packed_kernels.h):
 // one-pass for one iterate, factor-once for a batch.  Arguments are
-// (stencil points, n, K) on the jump-coefficient operator, the family
-// varcoef batches serve: 5 is the operator at n, 9 its Galerkin RAP level
-// at n (built as BM_PackedHead builds it), so both band widths run.
-// K = 4 is the batch size they send and K = 1 the solo body on the same
-// operator.  Real time covers one sweep of all K iterates, so time per
-// RHS is real time / K.
+// (stencil points, n, K): 5 is the jump-coefficient operator at n, the
+// family varcoef batches serve, 9 its Galerkin RAP level at n (built as
+// BM_PackedHead builds it), and 0 the Poisson operator, whose bands read
+// no grid and which runs at the widest width under any policy, so every
+// band kind runs.  K = 4 is the batch size varcoef sends and K = 1 the
+// solo body on the same operator.  Real time covers one sweep of all K
+// iterates, so time per RHS is real time / K.
 void BM_StencilZebraPackedBatch(benchmark::State& state) {
   const int points = static_cast<int>(state.range(0));
   const int n = static_cast<int>(state.range(1));
   const auto k_count = static_cast<std::size_t>(state.range(2));
   const grid::StencilOp op =
-      points == 9
+      points == 0 ? grid::StencilOp::poisson(n)
+      : points == 9
           ? grid::StencilHierarchy(
                 make_operator(2 * n - 1, OperatorFamily::kJumpCoefficient),
                 grid::Coarsening::kRap)
                 .at(level_of_size(n))
           : make_operator(n, OperatorFamily::kJumpCoefficient);
-  op.packed();
+  if (!op.is_poisson()) op.packed();
   const auto problem = problem_for(n);
   std::vector<Grid2D> xs(k_count, problem.x0);
   std::vector<Grid2D*> slots;
@@ -458,6 +460,8 @@ void BM_StencilZebraPackedBatch(benchmark::State& state) {
                           (n - 2));
 }
 BENCHMARK(BM_StencilZebraPackedBatch)
+    ->Args({0, 513, 1})
+    ->Args({0, 513, 4})
     ->Args({5, 513, 1})
     ->Args({5, 513, 4})
     ->Args({9, 513, 1})

@@ -35,29 +35,6 @@ void zero_boundary(Grid2D& g) {
 
 }  // namespace
 
-void apply_poisson(const Grid2D& x, Grid2D& out, rt::Scheduler& sched) {
-  check_valid(x, "apply_poisson");
-  check_same_size(x, out, "apply_poisson");
-  const int n = x.n();
-  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
-  sched.parallel_for(1, n - 1, sched.grain_for(n - 2, n - 2),
-                     [&](std::int64_t ib, std::int64_t ie) {
-                       for (int i = static_cast<int>(ib);
-                            i < static_cast<int>(ie); ++i) {
-                         const double* up = x.row(i - 1);
-                         const double* mid = x.row(i);
-                         const double* down = x.row(i + 1);
-                         double* o = out.row(i);
-                         for (int j = 1; j < n - 1; ++j) {
-                           o[j] = (4.0 * mid[j] - up[j] - down[j] -
-                                   mid[j - 1] - mid[j + 1]) *
-                                  inv_h2;
-                         }
-                       }
-                     });
-  zero_boundary(out);
-}
-
 namespace {
 
 /// The row kernel of one operator that apply_op, residual_op and
@@ -65,7 +42,7 @@ namespace {
 /// b − A·x — or of A·x when the rows were built without a rhs and b is
 /// null — into out[1..n−2].  One object serves every iterate of a batch.
 /// The kinds are the Poisson fast path (the pk:: SIMD row at the widest
-/// supported width; requires a rhs), the packed 5- and 9-point rows at
+/// supported width), the packed 5- and 9-point rows at
 /// the policy's clamped width, and the legacy 5- and 9-point rows.  Every
 /// kind at every width gives the same bits as its scalar loop, so a
 /// driver's choice of rows never changes results.
@@ -78,7 +55,6 @@ class StencilRows {
                 static_cast<double>(op.n() - 1)),
         c_(op.c()) {
     if (op.is_poisson()) {
-      PBMG_CHECK(with_rhs, "StencilRows: Poisson rows need a rhs");
       row_ = by_width(packed_simd_width_supported(), &poisson<1>,
                       &poisson<2>, &poisson<4>);
     } else if (kernels.layout == StencilLayout::kPacked) {
@@ -214,11 +190,12 @@ void apply_op(const StencilOp& op, const Grid2D& x, Grid2D& out,
   check_valid(x, "apply_op");
   check_same_size(x, out, "apply_op");
   PBMG_CHECK(op.n() == x.n(), "apply_op: operator/grid size mismatch");
-  if (op.is_poisson()) {
-    apply_poisson(x, out, sched);
-    return;
-  }
   sweep_rows(StencilRows(op, false, kernels), x, nullptr, out, sched);
+}
+
+void apply_poisson(const Grid2D& x, Grid2D& out, rt::Scheduler& sched) {
+  check_valid(x, "apply_poisson");
+  apply_op(StencilOp::poisson(x.n()), x, out, sched);
 }
 
 void residual_op(const StencilOp& op, const Grid2D& x, const Grid2D& b,

@@ -89,7 +89,8 @@ inline constexpr std::int64_t kLineCost = 10;
 inline constexpr std::int64_t kInterpolateCost = 2;
 
 /// out(i,j) = (A x)(i,j) on the interior; out's boundary ring is zeroed.
-/// Requires x and out to be the same valid size.
+/// apply_op on StencilOp::poisson(x.n()).  Requires x and out to be the
+/// same valid size.
 void apply_poisson(const Grid2D& x, Grid2D& out, rt::Scheduler& sched);
 
 /// r = b − A x on the interior; r's boundary ring is zeroed.
@@ -99,9 +100,9 @@ void residual(const Grid2D& x, const Grid2D& b, Grid2D& r,
 
 /// out(i,j) = (A x)(i,j) for a variable-coefficient operator (see
 /// stencil_op.h); out's boundary ring is zeroed.  The Poisson fast path
-/// dispatches to apply_poisson, bit-for-bit, and a 5-point operator keeps
-/// its pre-9-point loop bit-for-bit; 9-point operators take the corner-
-/// coupled kernel.  A KernelPolicy selecting StencilLayout::kPacked runs
+/// runs residual_op's constant-coefficient SIMD row without a rhs, and a
+/// 5-point operator keeps its pre-9-point loop bit-for-bit; 9-point
+/// operators take the corner-coupled kernel.  A KernelPolicy selecting StencilLayout::kPacked runs
 /// the packed SIMD rows instead (packed_rows.h) over the same grids —
 /// bitwise identical results, different instructions.  Requires
 /// x.n() == op.n().

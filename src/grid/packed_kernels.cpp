@@ -67,11 +67,11 @@ int clamp_line_width(int w, int n) {
 constexpr int kLineTasksPerThread = 8;
 
 /// Groups per task of one zebra parity's pass over `groups` line groups of
-/// `cells` cells each (lanes × line length × K), priced at kLineCost: the
-/// whole range when the pass runs inline.
+/// `cells` cells each (lanes × line length × K), priced at `cost` per
+/// cell: the whole range when the pass runs inline.
 std::int64_t line_grain(const rt::Scheduler& sched, int groups,
-                        std::int64_t cells) {
-  if (sched.below_cutoff(groups, cells, kLineCost)) return groups;
+                        std::int64_t cells, std::int64_t cost) {
+  if (sched.below_cutoff(groups, cells, cost)) return groups;
   return std::max(1, groups / (kLineTasksPerThread * sched.thread_count()));
 }
 
@@ -110,12 +110,15 @@ void check_packed_operands(const StencilOp& op, const Grid2D& x,
              std::string(what) + ": operator/grid size mismatch");
 }
 
-void check_packed_batch(const StencilOp& op, std::span<Grid2D* const> xs,
-                        std::span<const Grid2D* const> bs, const char* what) {
+/// The batch's size checks.  They allow Poisson, which only the line
+/// passes take.
+void check_batch_sizes(const StencilOp& op, std::span<Grid2D* const> xs,
+                       std::span<const Grid2D* const> bs, const char* what) {
   PBMG_CHECK(xs.size() == bs.size(),
              std::string(what) + ": span size mismatch");
   if (xs.empty()) return;
-  check_packed_operands(op, *xs[0], what);
+  PBMG_CHECK(is_valid_grid_size(op.n()),
+             std::string(what) + ": grid size must be 2^k+1");
   for (std::size_t k = 0; k < xs.size(); ++k) {
     PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n(),
                std::string(what) + ": grid size mismatch");
@@ -133,8 +136,9 @@ void packed_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
 void packed_sor_sweep_multi(const StencilOp& op, std::span<Grid2D* const> xs,
                             std::span<const Grid2D* const> bs, double omega,
                             rt::Scheduler& sched, int simd_width) {
-  check_packed_batch(op, xs, bs, "packed_sor_sweep");
+  check_batch_sizes(op, xs, bs, "packed_sor_sweep");
   if (xs.empty()) return;
+  check_packed_operands(op, *xs[0], "packed_sor_sweep");
   sor_wavefront(WaveRows(op, omega, simd_width), xs, bs, sched);
 }
 
@@ -145,28 +149,25 @@ void packed_sor_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
   packed_sor_sweep_multi(op, xs, bs, omega, sched, simd_width);
 }
 
-namespace {
-
-/// The zebra pass both line entries run: odd lines, then even lines, each
-/// parity's lines in groups of w lanes and each group solved for every
-/// iterate by pk::line_group, which keeps two bodies and picks one by K.
-/// One iterate runs the one-pass body, which eliminates and substitutes
-/// in a single walk of the bands.  A batch factors each line group once
-/// and replays the rhs recurrence per iterate, so the pivot divides and
-/// coefficient loads are shared by all K.  The split costs a second walk
-/// over the stored factors, which one iterate never earns back: on 4
-/// threads with AVX2, factor-once took 1.08–1.39× the one-pass time at
-/// K = 1 and 0.52–0.90× the time of four one-pass calls at K = 4, with
-/// identical bits.
+// Odd lines, then even lines, each parity's lines in groups of w lanes,
+// and each group solved for every iterate by pk::line_group, which picks
+// its body by K.  Factor-once costs a second walk over the stored
+// factors, which one iterate never earns back: on 4 threads with
+// AVX2, factor-once took 1.08–1.39× the one-pass time at K = 1 and
+// 0.52–0.90× the time of four one-pass calls at K = 4, with identical
+// bits.
 void packed_line_multi(const StencilOp& op, std::span<Grid2D* const> xs,
                        std::span<const Grid2D* const> bs, bool columns,
                        rt::Scheduler& sched, ScratchPool& pool,
-                       int simd_width, const char* what) {
-  check_packed_batch(op, xs, bs, what);
+                       int simd_width) {
+  check_batch_sizes(op, xs, bs, "packed_line");
   if (xs.empty()) return;
   const int n = op.n();
   const double h2 = mesh_width(n) * mesh_width(n);
-  const int w = clamp_line_width(clamp_simd_width(simd_width), n);
+  const bool poisson = op.is_poisson();
+  const int w = clamp_line_width(
+      poisson ? packed_simd_width_supported() : clamp_simd_width(simd_width),
+      n);
   const auto solve = by_width(w, &pk::line_group<1>, &pk::line_group<2>,
                               &pk::line_group<4>);
   const int slots = static_cast<int>(xs.size());
@@ -178,27 +179,31 @@ void packed_line_multi(const StencilOp& op, std::span<Grid2D* const> xs,
     sub_lease.emplace(pool.acquire(n));
     inv_lease.emplace(pool.acquire(n));
   }
-  pk::LineGroup pass{.nine = op.is_nine_point(),
-                     .columns = columns,
+  pk::LineGroup pass{.columns = columns,
                      .slots = slots,
                      .h2 = h2,
                      .ch2 = op.c() * h2,
                      .n = n};
-  if (pass.nine) {
+  if (poisson) {
+    pass.stencil = pk::LineStencil::kPoisson;  // reads no coefficient
+  } else if (op.is_nine_point()) {
+    pass.stencil = pk::LineStencil::kNine;
     pass.coeffs = pk::view9(op, 1);
   } else {
     // No corners, and the summed diagonal in the centre's place.
+    pass.stencil = pk::LineStencil::kFive;
     const pk::View5 v = pk::view5(op, 1);
     pass.coeffs = {v.aw,    v.ae,    v.an,    v.as,  nullptr,
                    nullptr, nullptr, nullptr, v.diag};
   }
+  const std::int64_t cost = poisson ? 1 : kLineCost;
   for (int parity = 1; parity >= 0; --parity) {
     const LineGroups lg = line_groups(n, parity, w);
     if (lg.groups == 0) continue;
     sched.parallel_for(
         0, lg.groups,
         line_grain(sched, lg.groups,
-                   static_cast<std::int64_t>(w) * (n - 2) * slots),
+                   static_cast<std::int64_t>(w) * (n - 2) * slots, cost),
         [&](std::int64_t gb, std::int64_t ge) {
           pk::LineGroup g = pass;
           for (int group = static_cast<int>(gb); group < static_cast<int>(ge);
@@ -221,24 +226,6 @@ void packed_line_multi(const StencilOp& op, std::span<Grid2D* const> xs,
           }
         });
   }
-}
-
-}  // namespace
-
-void packed_line_x_multi(const StencilOp& op, std::span<Grid2D* const> xs,
-                         std::span<const Grid2D* const> bs,
-                         rt::Scheduler& sched, ScratchPool& pool,
-                         int simd_width) {
-  packed_line_multi(op, xs, bs, /*columns=*/false, sched, pool, simd_width,
-                    "packed_line_x");
-}
-
-void packed_line_y_multi(const StencilOp& op, std::span<Grid2D* const> xs,
-                         std::span<const Grid2D* const> bs,
-                         rt::Scheduler& sched, ScratchPool& pool,
-                         int simd_width) {
-  packed_line_multi(op, xs, bs, /*columns=*/true, sched, pool, simd_width,
-                    "packed_line_y");
 }
 
 }  // namespace pbmg::grid

@@ -19,10 +19,11 @@
 /// The public entry points in grid_ops.h / solvers::relax.h /
 /// solvers::line_relax.h dispatch here when a KernelPolicy selects the
 /// packed layout; callers rarely use these directly.  All of them:
-///  - require a non-Poisson operator: the fast path stores no
+///  - require a non-Poisson operator, except the line pass, which also
+///    runs every Poisson line sweep: the fast path stores no
 ///    coefficients, and its constant-coefficient residual and SOR rows
-///    (packed_rows.h) run at packed_simd_width_supported() under either
-///    layout;
+///    and line bands (packed_rows.h) run at packed_simd_width_supported()
+///    under either layout;
 ///  - read the operator's own coefficient grids, through pk::view5 /
 ///    pk::view9 below, plus a 5-point operator's summed diagonal from
 ///    op.packed(), which sums it on first touch (prewarm via
@@ -45,10 +46,10 @@
 /// it.  It is the two-stage row wavefront of grid/wavefront.h, the same
 /// driver as the Poisson sweep's, and solvers::recurse_head/recurse_tail
 /// run a point-SOR body's halves on the packed layout as three-stage
-/// wavefronts of the same rows.  The line passes have no single-grid
-/// entry: both run one zebra driver over pk::line_group (packed_rows.h),
-/// whose one-pass, factor and apply Thomas bodies take any of four bands
-/// (x/y lines × 5-/9-point), and which picks one-pass or factor-once by K.
+/// wavefronts of the same rows.  The line pass has no single-grid entry:
+/// one zebra driver runs pk::line_group (packed_rows.h), whose one-pass,
+/// factor and apply Thomas bodies take any of six bands (x/y lines ×
+/// Poisson, 5- and 9-point), and which picks one-pass or factor-once by K.
 ///
 /// Every pass is priced for rt::Scheduler::grain_for by its work (the
 /// weights in grid_ops.h times K).  A line pass that forks slices its line groups
@@ -128,27 +129,26 @@ void packed_sor_sweep_multi(const StencilOp& op, std::span<Grid2D* const> xs,
                             std::span<const Grid2D* const> bs, double omega,
                             rt::Scheduler& sched, int simd_width);
 
-/// One x-line (row) zebra pass over K iterates under the packed layout:
-/// odd rows then even rows, each group of `simd_width` same-parity rows
-/// solved as one batched Thomas elimination.  Matches the x pass of
-/// solvers::line_relax_sweep for every slot, bit for bit.  The pass
-/// picks its body by K: one iterate runs the one-pass body, which
-/// eliminates and substitutes in one walk of the bands; a batch factors
-/// each line group once (pivot reciprocals and super-diagonal, every
-/// divide included) and replays the rhs recurrence per iterate against
-/// the stored factors, so K right-hand sides share each coefficient load
-/// and each pivot divide.  The replay multiplies by the exact inv values
-/// the one-pass elimination computes, so both bodies give the same bits.
-void packed_line_x_multi(const StencilOp& op, std::span<Grid2D* const> xs,
-                         std::span<const Grid2D* const> bs,
-                         rt::Scheduler& sched, ScratchPool& pool,
-                         int simd_width);
-
-/// One y-line (column) zebra pass over K iterates under the packed
-/// layout; the same driver and bodies over the column bands.
-void packed_line_y_multi(const StencilOp& op, std::span<Grid2D* const> xs,
-                         std::span<const Grid2D* const> bs,
-                         rt::Scheduler& sched, ScratchPool& pool,
-                         int simd_width);
+/// One zebra line pass over K iterates: x-lines (rows), or y-lines
+/// (columns) when `columns` is set.  Odd lines then even lines, each
+/// group of `simd_width` same-parity lines solved as one batched Thomas
+/// elimination.  Matches that pass of solvers::line_relax_sweep for every
+/// slot, bit for bit.  Poisson runs here too, at
+/// packed_simd_width_supported() whatever simd_width says, over bands of
+/// constant couplings that read no grid (bitwise the legacy passes on an
+/// operator whose coefficient grids hold 1).  The pass picks its body by
+/// K: one iterate runs the one-pass body, which eliminates and
+/// substitutes in one walk of the bands; a batch factors each line group
+/// once (pivot reciprocals and super-diagonal, every divide included) and
+/// replays the rhs recurrence per iterate against the stored factors, so
+/// K right-hand sides share each coefficient load and each pivot divide.
+/// The replay multiplies by the exact inv values the one-pass elimination
+/// computes, so both bodies give the same bits.  A Poisson pass is priced
+/// at 1 per cell, other operators at kLineCost (grid_ops.h); both count
+/// K in the cells.
+void packed_line_multi(const StencilOp& op, std::span<Grid2D* const> xs,
+                       std::span<const Grid2D* const> bs, bool columns,
+                       rt::Scheduler& sched, ScratchPool& pool,
+                       int simd_width);
 
 }  // namespace pbmg::grid

@@ -223,15 +223,21 @@ void sor_row9(const View9& s, const double* up, double* mid,
 // negated couplings, diag is the centre (a 5-point operator's summed
 // diagonal) plus c·h², and rhs folds the Dirichlet boundary at k = 1 and
 // k = n−2 (for n = 3 the single unknown applies both folds in sequence,
-// like the scalar code).  Both bands read the operator's grids through
-// the group's view of row 1: the coupling of row i, column j is entry j
-// of the view's array, (i − 1)·n doubles on.
+// like the scalar code).  The 5- and 9-point bands read the operator's
+// grids through the group's view of row 1: the coupling of row i, column
+// j is entry j of the view's array, (i − 1)·n doubles on.  The Poisson
+// band is the 5-point band with every coupling 1 and the centre 4
+// (c = 0), and loads no coefficient: a coupling times a value is the
+// value itself, which is exact, so it gives the legacy bands' bits on an
+// operator whose grids hold 1.  Its sub and sup are −1, so the first inv
+// is 0.25 and every later one is 1/(4 + cp[k−1]), the same for every
+// line.
 
 // x-lines: lane l is grid row first + 2l, position k its column.  rhs(k)
 // is the legacy chain h²*b[k] + aN*up[k] + aS*down[k]; a 9-point band
 // sums its six cross terms (NinePointRows order: aN, aS, aNW, aNE, aSW,
 // aSE) in full before adding h²*b[k], as the legacy band does.
-template <int W, bool Nine>
+template <int W, LineStencil S>
 struct XBand {
   using V = simd::Vec<W>;
 
@@ -254,20 +260,31 @@ struct XBand {
   V gv(const double* p, int k) const {
     return V::gather(p + k, gstride, lanes);
   }
-  V sub(int k) const { return -sv(c.aw, k); }
-  V diag(int k) const { return sv(c.ctr, k) + vch2; }
-  V sup(int k) const { return -sv(c.ae, k); }
+  V coupling(const double* a, int k) const {
+    if constexpr (S == LineStencil::kPoisson) return V::broadcast(1.0);
+    else return sv(a, k);
+  }
+  V coupled(const double* a, int k, V v) const {
+    if constexpr (S == LineStencil::kPoisson) return v;
+    else return sv(a, k) * v;
+  }
+  V sub(int k) const { return -coupling(c.aw, k); }
+  V diag(int k) const {
+    if constexpr (S == LineStencil::kPoisson) return V::broadcast(4.0);
+    else return sv(c.ctr, k) + vch2;
+  }
+  V sup(int k) const { return -coupling(c.ae, k); }
   V rhs(int k) const {
     V r = vh2 * gv(b, k);
-    if constexpr (Nine) {
+    if constexpr (S == LineStencil::kNine) {
       r = r + (sv(c.an, k) * gv(up, k) + sv(c.as, k) * gv(down, k) +
                sv(c.nw, k - 1) * gv(up, k - 1) + sv(c.ne, k) * gv(up, k + 1) +
                sv(c.sw, k) * gv(down, k - 1) + sv(c.se, k) * gv(down, k + 1));
     } else {
-      r = r + sv(c.an, k) * gv(up, k) + sv(c.as, k) * gv(down, k);
+      r = r + coupled(c.an, k, gv(up, k)) + coupled(c.as, k, gv(down, k));
     }
-    if (k == 1) r = r + sv(c.aw, 1) * gv(mid, 0);
-    if (k == n - 2) r = r + sv(c.ae, n - 2) * gv(mid, n - 1);
+    if (k == 1) r = r + coupled(c.aw, 1, gv(mid, 0));
+    if (k == n - 2) r = r + coupled(c.ae, n - 2, gv(mid, n - 1));
     return r;
   }
   void put(int k, V v) const { v.scatter(mid + k, gstride, lanes); }
@@ -289,7 +306,7 @@ struct XBand {
 // is h²*b + aW*x(i,j−1) + aE*x(i,j+1), which a 9-point band continues
 // with aNW*x(i−1,j−1) + aNE*x(i−1,j+1) + aSW*x(i+1,j−1) + aSE*x(i+1,j+1)
 // as one flat chain, like the legacy 9-point y band.
-template <int W, bool Nine>
+template <int W, LineStencil S>
 struct YBand {
   using V = simd::Vec<W>;
 
@@ -310,18 +327,29 @@ struct YBand {
   V gx(int i, int dj) const {
     return V::gather(x + static_cast<long>(i) * n + dj, 2, lanes);
   }
-  V sub(int i) const { return -ps(i, c.an); }
-  V diag(int i) const { return ps(i, c.ctr) + vch2; }
-  V sup(int i) const { return -ps(i, c.as); }
+  V coupling(int i, const double* a) const {
+    if constexpr (S == LineStencil::kPoisson) return V::broadcast(1.0);
+    else return ps(i, a);
+  }
+  V coupled(int i, const double* a, V v) const {
+    if constexpr (S == LineStencil::kPoisson) return v;
+    else return ps(i, a) * v;
+  }
+  V sub(int i) const { return -coupling(i, c.an); }
+  V diag(int i) const {
+    if constexpr (S == LineStencil::kPoisson) return V::broadcast(4.0);
+    else return ps(i, c.ctr) + vch2;
+  }
+  V sup(int i) const { return -coupling(i, c.as); }
   V rhs(int i) const {
     V r = vh2 * V::gather(b + static_cast<long>(i) * n, 2, lanes) +
-          ps(i, c.aw) * gx(i, -1) + ps(i, c.ae) * gx(i, +1);
-    if constexpr (Nine) {
+          coupled(i, c.aw, gx(i, -1)) + coupled(i, c.ae, gx(i, +1));
+    if constexpr (S == LineStencil::kNine) {
       r = r + ps(i, c.nw, -1) * gx(i - 1, -1) + ps(i, c.ne) * gx(i - 1, +1) +
           ps(i, c.sw) * gx(i + 1, -1) + ps(i, c.se) * gx(i + 1, +1);
     }
-    if (i == 1) r = r + ps(1, c.an) * gx(0, 0);
-    if (i == n - 2) r = r + ps(n - 2, c.as) * gx(n - 1, 0);
+    if (i == 1) r = r + coupled(1, c.an, gx(0, 0));
+    if (i == n - 2) r = r + coupled(n - 2, c.as, gx(n - 1, 0));
     return r;
   }
   void put(int i, V v) const {
@@ -411,40 +439,61 @@ void solve_group(const Band& band, const LineGroup& g) {
   apply_lines<W>(band, g.cp, g.sub, g.inv, g.dp, g.n);
 }
 
+template <int W, template <int, LineStencil> class Band>
+void solve_stencil(const LineGroup& g) {
+  switch (g.stencil) {
+    case LineStencil::kPoisson:
+      return solve_group<W>(Band<W, LineStencil::kPoisson>(g), g);
+    case LineStencil::kFive:
+      return solve_group<W>(Band<W, LineStencil::kFive>(g), g);
+    case LineStencil::kNine:
+      return solve_group<W>(Band<W, LineStencil::kNine>(g), g);
+  }
+}
+
 template <int W>
 void line_group(const LineGroup& g) {
-  if (g.columns) {
-    if (g.nine) solve_group<W>(YBand<W, true>(g), g);
-    else solve_group<W>(YBand<W, false>(g), g);
-  } else {
-    if (g.nine) solve_group<W>(XBand<W, true>(g), g);
-    else solve_group<W>(XBand<W, false>(g), g);
-  }
+  if (g.columns) solve_stencil<W, YBand>(g);
+  else solve_stencil<W, XBand>(g);
 }
 
 // ---------------------------------------------------------------------------
 // Constant-coefficient Poisson rows and the grid transfers
 // ---------------------------------------------------------------------------
 
-template <int W>
-void poisson_residual_row(const double* up, const double* mid,
-                          const double* down, const double* rhs, double* out,
-                          double inv_h2, int n) {
+// The rhs test is hoisted out of the loops: this row is the hot residual
+// of every Poisson cycle.
+template <int W, bool WithRhs>
+void poisson_row_as(const double* up, const double* mid, const double* down,
+                    const double* rhs, double* out, double inv_h2, int n) {
   using V = simd::Vec<W>;
   const V vinv = V::broadcast(inv_h2);
   const V four = V::broadcast(4.0);
   int j = 1;
   for (; j + W <= n - 1; j += W) {
-    (V::load(rhs + j) -
-     (four * V::load(mid + j) - V::load(up + j) - V::load(down + j) -
-      V::load(mid + j - 1) - V::load(mid + j + 1)) *
-         vinv)
-        .store(out + j);
+    const V av = (four * V::load(mid + j) - V::load(up + j) -
+                  V::load(down + j) - V::load(mid + j - 1) -
+                  V::load(mid + j + 1)) *
+                 vinv;
+    if constexpr (WithRhs) (V::load(rhs + j) - av).store(out + j);
+    else av.store(out + j);
   }
   for (; j <= n - 2; ++j) {
-    out[j] = rhs[j] - (4.0 * mid[j] - up[j] - down[j] - mid[j - 1] -
-                       mid[j + 1]) *
-                          inv_h2;
+    const double av =
+        (4.0 * mid[j] - up[j] - down[j] - mid[j - 1] - mid[j + 1]) * inv_h2;
+    if constexpr (WithRhs) out[j] = rhs[j] - av;
+    else out[j] = av;
+  }
+}
+
+template <int W>
+void poisson_residual_row(const double* up, const double* mid,
+                          const double* down, const double* rhs, double* out,
+                          double inv_h2, int n) {
+  if (rhs != nullptr) {
+    poisson_row_as<W, true>(up, mid, down, rhs, out, inv_h2, n);
+  } else {
+    poisson_row_as<W, false>(up, mid, down, rhs, out, inv_h2, n);
   }
 }
 

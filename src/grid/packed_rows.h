@@ -2,10 +2,10 @@
 
 /// \file packed_rows.h
 /// Width-templated flat row kernels: the packed variable-coefficient
-/// sweeps over a StencilOp's coefficient grids, and the
-/// constant-coefficient Poisson residual and red-black SOR plus the
-/// full-weighting restriction and bilinear interpolation that every
-/// operator shares.
+/// sweeps over a StencilOp's coefficient grids, the zebra line groups of
+/// every operator (Poisson's included), and the constant-coefficient
+/// Poisson residual and red-black SOR plus the full-weighting restriction
+/// and bilinear interpolation that every operator shares.
 ///
 /// Everything here works on raw `double*` arrays — no Grid2D, no
 /// scheduler, no StencilOp — so the per-width translation units
@@ -89,22 +89,27 @@ void sor_row9(const View9& s, const double* up, double* mid,
               const double* down, const double* rhs, double h2, double ch2,
               double omega, double keep, int j0, int n);
 
+/// The stencil a line pass solves: the constant-coefficient Poisson
+/// operator, whose couplings are all 1 and whose centre is 4 (no
+/// coefficient is read), or a 5- or 9-point operator's grids.
+enum class LineStencil { kPoisson, kFive, kNine };
+
 /// One group of up to W same-parity lines of a zebra line pass, for one
 /// iterate of a K-iterate batch.  Lane l solves line first + 2l: grid row
 /// first + 2l of x for x-lines, grid column first + 2l for y-lines
-/// (`columns`).  Coefficients are read from the operator's grids through
+/// (`columns`).  A 5- or 9-point group reads the operator's grids through
 /// `coeffs`, the view of interior row 1: pk::view9(op, 1), or for a
 /// 5-point operator pk::view5(op, 1)'s arrays with its summed diagonal as
-/// the centre (StencilOp::center's 5-point value) and null corners.  Row
-/// i's entries sit (i − 1)·n doubles further on in every array, so an
-/// x-line group's lanes are 2n apart and a y-line group's 2.  Tail lanes
-/// past `lanes` duplicate the last active line's loads and are never
-/// stored.  cp, dp, sub and inv are W-interleaved scratch (entry
-/// [k·W + l]) of at least (n−1)·W doubles each; sub and inv are read only
-/// when slots > 1.
+/// the centre (StencilOp::center's 5-point value) and null corners; a
+/// Poisson group leaves it null.  Row i's entries sit (i − 1)·n doubles
+/// further on in every array, so an x-line group's lanes are 2n apart and
+/// a y-line group's 2.  Tail lanes past `lanes` duplicate the last active
+/// line's loads and are never stored.  cp, dp, sub and inv are
+/// W-interleaved scratch (entry [k·W + l]) of at least (n−1)·W doubles
+/// each; sub and inv are read only when slots > 1.
 struct LineGroup {
   View9 coeffs{};
-  bool nine = false;     ///< 9-point operator (else 5-point)
+  LineStencil stencil = LineStencil::kFive;
   bool columns = false;  ///< y-lines (else x-lines)
   int first = 0;
   int lanes = 0;
@@ -122,7 +127,8 @@ struct LineGroup {
 };
 
 /// Thomas solve of one line group for one iterate, bitwise the legacy
-/// line passes' solve_interior_line on every lane.  One iterate
+/// line passes' solve_interior_line on every lane (for Poisson, over an
+/// operator whose coefficient grids hold 1).  One iterate
 /// (slots == 1) eliminates and substitutes in one walk of the bands.  A
 /// batch factors the group once, at slot 0: cp as the one-pass walk
 /// computes it, sub[k·W + l] = sub-diagonal(k) and inv[k·W + l] =
@@ -138,9 +144,9 @@ void line_group(const LineGroup& g);
 // Constant-coefficient Poisson rows and the grid transfers
 // ---------------------------------------------------------------------------
 
-/// Poisson residual over one interior row: out[j] = rhs[j] −
-/// (4·mid[j] − up[j] − down[j] − mid[j−1] − mid[j+1])·inv_h2 for j in
-/// [1, n−2].
+/// Poisson residual/apply over one interior row: with av = (4·mid[j] −
+/// up[j] − down[j] − mid[j−1] − mid[j+1])·inv_h2, out[j] = av
+/// (rhs == nullptr) or rhs[j] − av, for j in [1, n−2].
 template <int W>
 void poisson_residual_row(const double* up, const double* mid,
                           const double* down, const double* rhs, double* out,

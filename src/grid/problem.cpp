@@ -136,7 +136,7 @@ ProblemSpec ProblemSpec::from_json(const Json& json) {
   ProblemSpec spec;
   spec.op = parse_operator_family(json.at("operator").as_string());
   spec.distribution = parse_distribution(json.at("distribution").as_string());
-  spec.level = static_cast<int>(json.at("level").as_int());
+  spec.level = json.at("level").as_int32();
   PBMG_CHECK(spec.level >= 1 && spec.level <= 30,
              "ProblemSpec: level out of range");
   return spec;

@@ -61,8 +61,16 @@ HistogramSnapshot snapshot_from_json(const Json& json) {
                           0);
   std::int64_t total = 0;
   for (std::size_t i = 0; i < buckets.size(); ++i) {
-    snapshot.buckets[i] = buckets[i].as_int();
-    total += snapshot.buckets[i];
+    // Negative counts, or a sum past int64 (undefined in signed
+    // arithmetic), could add up to any total, the count included.
+    const std::int64_t samples = buckets[i].as_int();
+    if (samples < 0 ||
+        samples > std::numeric_limits<std::int64_t>::max() - total) {
+      throw ConfigError("latency baseline: bucket " + std::to_string(i) +
+                        " holds " + std::to_string(samples) + " samples");
+    }
+    snapshot.buckets[i] = samples;
+    total += samples;
   }
   if (total != snapshot.count) {
     throw ConfigError("latency baseline: bucket sum " + std::to_string(total) +
@@ -91,8 +99,8 @@ Json LatencyBaseline::to_json() const {
 LatencyBaseline LatencyBaseline::from_json(const Json& json) {
   LatencyBaseline baseline;
   for (const Json& entry : json.at("entries").as_array()) {
-    baseline.set(static_cast<int>(entry.at("n").as_int()),
-                 static_cast<int>(entry.at("accuracy_index").as_int()),
+    baseline.set(entry.at("n").as_int32(),
+                 entry.at("accuracy_index").as_int32(),
                  snapshot_from_json(entry),
                  entry.contains("fmg") && entry.at("fmg").as_bool());
   }

@@ -118,11 +118,9 @@ Json profile_to_json(const MachineProfile& profile) {
 MachineProfile profile_from_json(const Json& json) {
   MachineProfile p;
   p.name = json.get("name", p.name);
-  p.threads = static_cast<int>(json.get("threads", std::int64_t{p.threads}));
-  p.grain_rows =
-      static_cast<int>(json.get("grain_rows", std::int64_t{p.grain_rows}));
-  p.spawn_overhead_ns = static_cast<int>(
-      json.get("spawn_overhead_ns", std::int64_t{p.spawn_overhead_ns}));
+  p.threads = json.get("threads", p.threads);
+  p.grain_rows = json.get("grain_rows", p.grain_rows);
+  p.spawn_overhead_ns = json.get("spawn_overhead_ns", p.spawn_overhead_ns);
   p.sequential_cutoff_cells =
       json.get("sequential_cutoff_cells", p.sequential_cutoff_cells);
   if (p.threads < 1 || p.grain_rows < 1 || p.spawn_overhead_ns < 0 ||

@@ -135,19 +135,17 @@ SearchedProfile SearchedProfile::from_json(const Json& json) {
     // fields are ignored.
     out.relax.kernels.layout = grid::parse_stencil_layout(
         json.get("layout", std::string("legacy")));
-    out.relax.kernels.simd_width =
-        static_cast<int>(json.get("simd_width", std::int64_t{1}));
+    out.relax.kernels.simd_width = json.get("simd_width", 1);
     solvers::validate_relax_tunables(out.relax);
   } catch (const InvalidArgument& e) {
     throw ConfigError(std::string("searched profile: ") + e.what());
   }
   out.default_seconds = json.get("default_seconds", 0.0);
   out.searched_seconds = json.get("searched_seconds", 0.0);
-  out.evaluations =
-      static_cast<int>(json.get("evaluations", std::int64_t{0}));
+  out.evaluations = json.get("evaluations", 0);
   out.seed = static_cast<std::uint64_t>(json.get("seed", std::int64_t{0}));
-  out.generations = static_cast<int>(json.get("generations", std::int64_t{0}));
-  out.population = static_cast<int>(json.get("population", std::int64_t{0}));
+  out.generations = json.get("generations", 0);
+  out.population = json.get("population", 0);
   return out;
 }
 

@@ -41,16 +41,6 @@ inline void solve_interior_line(int n, double* cp, double* dp, Sub sub,
   }
 }
 
-/// Shared constant-coefficient elimination for the Poisson fast path: the
-/// tridiagonal (−1, 4, −1) is the same for every line, so the c′ factors
-/// are computed once and read by all lines of both parities.
-void poisson_cprime(double* cp, int n) {
-  cp[1] = -0.25;
-  for (int k = 2; k <= n - 2; ++k) {
-    cp[k] = -1.0 / (4.0 + cp[k - 1]);
-  }
-}
-
 /// The lines of one zebra parity: first, first + 2, …, n − 2, with
 /// first = 1 for the odd lines and 2 for the even ones.  A pass's region
 /// hands out only these lines and counts only their cells.
@@ -64,152 +54,109 @@ ZebraLines zebra_lines(int n, int parity) {
   return {first, first <= n - 2 ? (n - 2 - first) / 2 + 1 : 0};
 }
 
-/// x-line zebra sweep, Poisson.  Lines are interior rows; odd rows first
-/// (they read only the frozen even rows), then even rows.
-void line_x_poisson(Grid2D& x, const Grid2D& b, rt::Scheduler& sched,
-                    grid::ScratchPool& pool) {
-  const int n = x.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  auto cp_lease = pool.acquire(n);
-  auto dp_lease = pool.acquire(n);
-  Grid2D& cpg = cp_lease.get();
-  Grid2D& dpg = dp_lease.get();
-  double* cp = cpg.row(0);
-  poisson_cprime(cp, n);
-  for (int parity = 1; parity >= 0; --parity) {
-    const ZebraLines lines = zebra_lines(n, parity);
-    sched.parallel_for(
-        0, lines.count, sched.grain_for(lines.count, n - 2),
-        [&, lines](std::int64_t lb, std::int64_t le) {
-          for (int line = static_cast<int>(lb); line < static_cast<int>(le);
-               ++line) {
-            const int i = lines.first + 2 * line;
-            const double* up = x.row(i - 1);
-            double* mid = x.row(i);
-            const double* down = x.row(i + 1);
-            const double* rhs = b.row(i);
-            double* dp = dpg.row(i);
-            // Forward substitution against the shared c′ factors; the
-            // Dirichlet columns fold into the first/last interior rhs
-            // (at n = 3 the single unknown is both).
-            double r1 = h2 * rhs[1] + up[1] + down[1] + mid[0];
-            if (n == 3) r1 += mid[2];
-            dp[1] = r1 * 0.25;
-            for (int j = 2; j <= n - 2; ++j) {
-              double r = h2 * rhs[j] + up[j] + down[j];
-              if (j == n - 2) r += mid[n - 1];
-              // −cp[j] is exactly the reciprocal pivot 1/(4 + cp[j−1])
-              // (IEEE negation is exact), so this matches the variable-
-              // coefficient elimination bit for bit without re-dividing.
-              dp[j] = (r + dp[j - 1]) * -cp[j];
-            }
-            mid[n - 2] = dp[n - 2];
-            for (int j = n - 3; j >= 1; --j) {
-              dp[j] -= cp[j] * dp[j + 1];
-              mid[j] = dp[j];
-            }
-          }
-        });
-  }
-}
-
-/// y-line zebra sweep, Poisson: same system per column (the Poisson
-/// stencil is symmetric in x/y), strided accesses down the column.
-void line_y_poisson(Grid2D& x, const Grid2D& b, rt::Scheduler& sched,
-                    grid::ScratchPool& pool) {
-  const int n = x.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  auto cp_lease = pool.acquire(n);
-  auto dp_lease = pool.acquire(n);
-  Grid2D& cpg = cp_lease.get();
-  Grid2D& dpg = dp_lease.get();
-  double* cp = cpg.row(0);
-  poisson_cprime(cp, n);
-  for (int parity = 1; parity >= 0; --parity) {
-    const ZebraLines lines = zebra_lines(n, parity);
-    sched.parallel_for(
-        0, lines.count, sched.grain_for(lines.count, n - 2),
-        [&, lines](std::int64_t lb, std::int64_t le) {
-          for (int line = static_cast<int>(lb); line < static_cast<int>(le);
-               ++line) {
-            const int j = lines.first + 2 * line;
-            double* dp = dpg.row(j);
-            double r1 = h2 * b(1, j) + x(1, j - 1) + x(1, j + 1) + x(0, j);
-            if (n == 3) r1 += x(2, j);
-            dp[1] = r1 * 0.25;
-            for (int i = 2; i <= n - 2; ++i) {
-              double r = h2 * b(i, j) + x(i, j - 1) + x(i, j + 1);
-              if (i == n - 2) r += x(n - 1, j);
-              dp[i] = (r + dp[i - 1]) * -cp[i];
-            }
-            x(n - 2, j) = dp[n - 2];
-            for (int i = n - 3; i >= 1; --i) {
-              dp[i] -= cp[i] * dp[i + 1];
-              x(i, j) = dp[i];
-            }
-          }
-        });
-  }
-}
-
-/// x-line zebra sweep with true per-edge coefficients: row i's system is
+/// Solves line `l` of one zebra pass against the true per-edge
+/// coefficients: grid row l for x-lines, grid column l for y-lines
+/// (`columns`).  Row i's 5-point system is
 ///   −aW·u[j−1] + (aW+aE+aN+aS+c·h²)·u[j] − aE·u[j+1]
-///     = h²·b[j] + aN·up[j] + aS·down[j]  (+ Dirichlet folds at the ends).
-void line_x_op(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
-               rt::Scheduler& sched, grid::ScratchPool& pool) {
+///     = h²·b[j] + aN·up[j] + aS·down[j]  (+ Dirichlet folds at the ends),
+/// and a column's the same in the ay bands.  A 9-point operator keeps the
+/// in-line bands (corner couplings reach only the neighbouring lines, so
+/// zebra parity still freezes every read), takes its diagonal from the
+/// explicit centre and folds the corner terms into the right-hand side.
+void solve_line(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
+                bool columns, int l, double* cp, double* dp) {
   const int n = x.n();
   const double h2 = mesh_width(n) * mesh_width(n);
   const double ch2 = op.c() * h2;
   const Grid2D& ax = op.ax_grid();
   const Grid2D& ay = op.ay_grid();
-  auto cp_lease = pool.acquire(n);
-  auto dp_lease = pool.acquire(n);
-  Grid2D& cpg = cp_lease.get();
-  Grid2D& dpg = dp_lease.get();
-  for (int parity = 1; parity >= 0; --parity) {
-    const ZebraLines lines = zebra_lines(n, parity);
-    sched.parallel_for(
-        0, lines.count, sched.grain_for(lines.count, n - 2, grid::kLineCost),
-        [&, lines](std::int64_t lb, std::int64_t le) {
-          for (int line = static_cast<int>(lb); line < static_cast<int>(le);
-               ++line) {
-            const int i = lines.first + 2 * line;
-            const double* up = x.row(i - 1);
-            double* mid = x.row(i);
-            const double* down = x.row(i + 1);
-            const double* rhs = b.row(i);
-            const double* axr = ax.row(i);
-            const double* ay_up = ay.row(i - 1);
-            const double* ay_dn = ay.row(i);
-            solve_interior_line(
-                n, cpg.row(i), dpg.row(i),
-                [&](int j) { return -axr[j - 1]; },
-                [&](int j) {
-                  return axr[j - 1] + axr[j] + ay_up[j] + ay_dn[j] + ch2;
-                },
-                [&](int j) { return -axr[j]; },
-                [&](int j) {
-                  double r = h2 * rhs[j] + ay_up[j] * up[j] +
-                             ay_dn[j] * down[j];
-                  if (j == 1) r += axr[0] * mid[0];
-                  if (j == n - 2) r += axr[n - 2] * mid[n - 1];
-                  return r;
-                },
-                [&](int j, double value) { mid[j] = value; });
-          }
-        });
+  if (!columns) {
+    const int i = l;
+    const double* up = x.row(i - 1);
+    double* mid = x.row(i);
+    const double* down = x.row(i + 1);
+    const double* rhs = b.row(i);
+    const auto put = [&](int j, double value) { mid[j] = value; };
+    if (op.is_nine_point()) {
+      const grid::NinePointRows rows(op, i);
+      solve_interior_line(
+          n, cp, dp, [&](int j) { return -rows.ax[j - 1]; },
+          [&](int j) { return rows.center[j] + ch2; },
+          [&](int j) { return -rows.ax[j]; },
+          [&](int j) {
+            double r = h2 * rhs[j] + rows.cross_row_sum(up, down, j);
+            if (j == 1) r += rows.ax[0] * mid[0];
+            if (j == n - 2) r += rows.ax[n - 2] * mid[n - 1];
+            return r;
+          },
+          put);
+      return;
+    }
+    const double* axr = ax.row(i);
+    const double* ay_up = ay.row(i - 1);
+    const double* ay_dn = ay.row(i);
+    solve_interior_line(
+        n, cp, dp, [&](int j) { return -axr[j - 1]; },
+        [&](int j) {
+          return axr[j - 1] + axr[j] + ay_up[j] + ay_dn[j] + ch2;
+        },
+        [&](int j) { return -axr[j]; },
+        [&](int j) {
+          double r = h2 * rhs[j] + ay_up[j] * up[j] + ay_dn[j] * down[j];
+          if (j == 1) r += axr[0] * mid[0];
+          if (j == n - 2) r += axr[n - 2] * mid[n - 1];
+          return r;
+        },
+        put);
+    return;
   }
+  const int j = l;
+  const auto sub = [&](int i) { return -ay(i - 1, j); };
+  const auto sup = [&](int i) { return -ay(i, j); };
+  const auto put = [&](int i, double value) { x(i, j) = value; };
+  if (op.is_nine_point()) {
+    const Grid2D& ase = op.ase_grid();
+    const Grid2D& asw = op.asw_grid();
+    const Grid2D& ctr = op.center_grid();
+    solve_interior_line(
+        n, cp, dp, sub, [&](int i) { return ctr(i, j) + ch2; }, sup,
+        [&](int i) {
+          double r = h2 * b(i, j) + ax(i, j - 1) * x(i, j - 1) +
+                     ax(i, j) * x(i, j + 1) +
+                     ase(i - 1, j - 1) * x(i - 1, j - 1) +
+                     asw(i - 1, j + 1) * x(i - 1, j + 1) +
+                     asw(i, j) * x(i + 1, j - 1) + ase(i, j) * x(i + 1, j + 1);
+          if (i == 1) r += ay(0, j) * x(0, j);
+          if (i == n - 2) r += ay(n - 2, j) * x(n - 1, j);
+          return r;
+        },
+        put);
+    return;
+  }
+  solve_interior_line(
+      n, cp, dp, sub,
+      [&](int i) {
+        return ax(i, j - 1) + ax(i, j) + ay(i - 1, j) + ay(i, j) + ch2;
+      },
+      sup,
+      [&](int i) {
+        double r = h2 * b(i, j) + ax(i, j - 1) * x(i, j - 1) +
+                   ax(i, j) * x(i, j + 1);
+        if (i == 1) r += ay(0, j) * x(0, j);
+        if (i == n - 2) r += ay(n - 2, j) * x(n - 1, j);
+        return r;
+      },
+      put);
 }
 
-/// y-line zebra sweep with true per-edge coefficients (column systems in
-/// the ay bands).
-void line_y_op(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
-               rt::Scheduler& sched, grid::ScratchPool& pool) {
+/// One zebra pass of the legacy layout over one iterate: the odd lines,
+/// then the even ones, each parity's lines solved in parallel (they read
+/// only the frozen lines of the other parity).  Line l's Thomas
+/// workspaces are row l of two leased grids.
+void legacy_line_pass(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
+                      bool columns, rt::Scheduler& sched,
+                      grid::ScratchPool& pool) {
   const int n = x.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const Grid2D& ax = op.ax_grid();
-  const Grid2D& ay = op.ay_grid();
   auto cp_lease = pool.acquire(n);
   auto dp_lease = pool.acquire(n);
   Grid2D& cpg = cp_lease.get();
@@ -221,113 +168,8 @@ void line_y_op(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
         [&, lines](std::int64_t lb, std::int64_t le) {
           for (int line = static_cast<int>(lb); line < static_cast<int>(le);
                ++line) {
-            const int j = lines.first + 2 * line;
-            solve_interior_line(
-                n, cpg.row(j), dpg.row(j),
-                [&](int i) { return -ay(i - 1, j); },
-                [&](int i) {
-                  return ax(i, j - 1) + ax(i, j) + ay(i - 1, j) + ay(i, j) +
-                         ch2;
-                },
-                [&](int i) { return -ay(i, j); },
-                [&](int i) {
-                  double r = h2 * b(i, j) + ax(i, j - 1) * x(i, j - 1) +
-                             ax(i, j) * x(i, j + 1);
-                  if (i == 1) r += ay(0, j) * x(0, j);
-                  if (i == n - 2) r += ay(n - 2, j) * x(n - 1, j);
-                  return r;
-                },
-                [&](int i, double value) { x(i, j) = value; });
-          }
-        });
-  }
-}
-
-/// x-line zebra sweep for a 9-point operator: the in-row bands are the
-/// same −aW / diag / −aE as the 5-point case (corner couplings reach only
-/// the rows above and below, so zebra parity still freezes every read),
-/// while the corner terms fold into the right-hand side alongside aN/aS.
-/// The diagonal comes from the operator's explicit centre coefficient.
-void line_x_nine(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
-                 rt::Scheduler& sched, grid::ScratchPool& pool) {
-  const int n = x.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  auto cp_lease = pool.acquire(n);
-  auto dp_lease = pool.acquire(n);
-  Grid2D& cpg = cp_lease.get();
-  Grid2D& dpg = dp_lease.get();
-  for (int parity = 1; parity >= 0; --parity) {
-    const ZebraLines lines = zebra_lines(n, parity);
-    sched.parallel_for(
-        0, lines.count, sched.grain_for(lines.count, n - 2, grid::kLineCost),
-        [&, lines](std::int64_t lb, std::int64_t le) {
-          for (int line = static_cast<int>(lb); line < static_cast<int>(le);
-               ++line) {
-            const int i = lines.first + 2 * line;
-            const double* up = x.row(i - 1);
-            double* mid = x.row(i);
-            const double* down = x.row(i + 1);
-            const double* rhs = b.row(i);
-            const grid::NinePointRows rows(op, i);
-            solve_interior_line(
-                n, cpg.row(i), dpg.row(i),
-                [&](int j) { return -rows.ax[j - 1]; },
-                [&](int j) { return rows.center[j] + ch2; },
-                [&](int j) { return -rows.ax[j]; },
-                [&](int j) {
-                  double r = h2 * rhs[j] + rows.cross_row_sum(up, down, j);
-                  if (j == 1) r += rows.ax[0] * mid[0];
-                  if (j == n - 2) r += rows.ax[n - 2] * mid[n - 1];
-                  return r;
-                },
-                [&](int j, double value) { mid[j] = value; });
-          }
-        });
-  }
-}
-
-/// y-line zebra sweep for a 9-point operator (column systems in the ay
-/// bands; corner terms read the frozen left/right columns).
-void line_y_nine(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
-                 rt::Scheduler& sched, grid::ScratchPool& pool) {
-  const int n = x.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const Grid2D& ax = op.ax_grid();
-  const Grid2D& ay = op.ay_grid();
-  const Grid2D& ase = op.ase_grid();
-  const Grid2D& asw = op.asw_grid();
-  const Grid2D& ctr = op.center_grid();
-  auto cp_lease = pool.acquire(n);
-  auto dp_lease = pool.acquire(n);
-  Grid2D& cpg = cp_lease.get();
-  Grid2D& dpg = dp_lease.get();
-  for (int parity = 1; parity >= 0; --parity) {
-    const ZebraLines lines = zebra_lines(n, parity);
-    sched.parallel_for(
-        0, lines.count, sched.grain_for(lines.count, n - 2, grid::kLineCost),
-        [&, lines](std::int64_t lb, std::int64_t le) {
-          for (int line = static_cast<int>(lb); line < static_cast<int>(le);
-               ++line) {
-            const int j = lines.first + 2 * line;
-            solve_interior_line(
-                n, cpg.row(j), dpg.row(j),
-                [&](int i) { return -ay(i - 1, j); },
-                [&](int i) { return ctr(i, j) + ch2; },
-                [&](int i) { return -ay(i, j); },
-                [&](int i) {
-                  double r = h2 * b(i, j) + ax(i, j - 1) * x(i, j - 1) +
-                             ax(i, j) * x(i, j + 1) +
-                             ase(i - 1, j - 1) * x(i - 1, j - 1) +
-                             asw(i - 1, j + 1) * x(i - 1, j + 1) +
-                             asw(i, j) * x(i + 1, j - 1) +
-                             ase(i, j) * x(i + 1, j + 1);
-                  if (i == 1) r += ay(0, j) * x(0, j);
-                  if (i == n - 2) r += ay(n - 2, j) * x(n - 1, j);
-                  return r;
-                },
-                [&](int i, double value) { x(i, j) = value; });
+            const int l = lines.first + 2 * line;
+            solve_line(op, x, b, columns, l, cpg.row(l), dpg.row(l));
           }
         });
   }
@@ -347,14 +189,6 @@ bool has_x_pass(RelaxKind kind) {
 
 bool has_y_pass(RelaxKind kind) {
   return kind == RelaxKind::kLineY || kind == RelaxKind::kLineZebraAlt;
-}
-
-/// The Poisson fast path's sweep: constant bands whose c′ factors every
-/// line shares.
-void line_poisson(Grid2D& x, const Grid2D& b, RelaxKind kind,
-                  rt::Scheduler& sched, grid::ScratchPool& pool) {
-  if (has_x_pass(kind)) line_x_poisson(x, b, sched, pool);
-  if (has_y_pass(kind)) line_y_poisson(x, b, sched, pool);
 }
 
 }  // namespace
@@ -382,35 +216,29 @@ void line_relax_sweep_multi(const grid::StencilOp& op,
                "line_relax_sweep: operator/grid size mismatch");
   }
   if (xs.empty()) return;
-  if (!op.is_poisson() && kernels.layout == grid::StencilLayout::kPacked) {
-    // The packed passes take the whole batch (grid/packed_kernels.h).  The
-    // zebra order per iterate (x pass then y pass, odd lines then even)
-    // holds inside each pass, so every slot is bitwise its solo sweep.
+  if (op.is_poisson() || kernels.layout == grid::StencilLayout::kPacked) {
+    // Poisson, under either layout, and the packed layout hand the whole
+    // batch to the packed passes (grid/packed_kernels.h).  The zebra
+    // order per iterate (x pass then y pass, odd lines then even) holds
+    // inside each pass, so every slot is bitwise its solo sweep.
     if (has_x_pass(kind)) {
-      grid::packed_line_x_multi(op, xs, bs, sched, pool, kernels.simd_width);
+      grid::packed_line_multi(op, xs, bs, /*columns=*/false, sched, pool,
+                              kernels.simd_width);
     }
     if (has_y_pass(kind)) {
-      grid::packed_line_y_multi(op, xs, bs, sched, pool, kernels.simd_width);
+      grid::packed_line_multi(op, xs, bs, /*columns=*/true, sched, pool,
+                              kernels.simd_width);
     }
     return;
   }
-  // The Poisson fast path and the per-grid layout have one line body
-  // each, for one iterate; they sweep the batch an iterate at a time.
-  const bool nine = op.is_nine_point();
+  // The legacy layout's passes solve one iterate; they sweep the batch an
+  // iterate at a time.
   for (std::size_t k = 0; k < xs.size(); ++k) {
-    Grid2D& x = *xs[k];
-    const Grid2D& b = *bs[k];
-    if (op.is_poisson()) {
-      line_poisson(x, b, kind, sched, pool);
-      continue;
-    }
     if (has_x_pass(kind)) {
-      if (nine) line_x_nine(op, x, b, sched, pool);
-      else line_x_op(op, x, b, sched, pool);
+      legacy_line_pass(op, *xs[k], *bs[k], /*columns=*/false, sched, pool);
     }
     if (has_y_pass(kind)) {
-      if (nine) line_y_nine(op, x, b, sched, pool);
-      else line_y_op(op, x, b, sched, pool);
+      legacy_line_pass(op, *xs[k], *bs[k], /*columns=*/true, sched, pool);
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "support/error.h"
@@ -34,9 +35,16 @@ class Parser {
     if (pos_ >= text_.size()) fail("unexpected end of input");
     switch (text_[pos_]) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        // Each level recurses, so a cap keeps a deeply nested document
+        // from overflowing the stack; configs nest four levels.
+        if (++depth_ > kMaxDepth) {
+          fail("nested deeper than " + std::to_string(kMaxDepth));
+        }
+        Json v = text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return Json(parse_string());
       case 't':
@@ -249,8 +257,11 @@ class Parser {
     throw ConfigError(oss.str());
   }
 
+  static constexpr int kMaxDepth = 256;
+
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 void dump_string(std::string& out, const std::string& s) {
@@ -308,11 +319,25 @@ std::int64_t Json::as_int() const {
     return std::get<std::int64_t>(value_);
   }
   if (std::holds_alternative<double>(value_)) {
+    // Casting a double outside the int64 range is undefined, so only
+    // [−2⁶³, 2⁶³) reaches the cast.
     const double d = std::get<double>(value_);
-    const auto i = static_cast<std::int64_t>(d);
-    if (static_cast<double>(i) == d) return i;
+    if (d >= -0x1p63 && d < 0x1p63) {
+      const auto i = static_cast<std::int64_t>(d);
+      if (static_cast<double>(i) == d) return i;
+    }
   }
   type_error("an integer");
+}
+
+int Json::as_int32() const {
+  const std::int64_t i = as_int();
+  if (i < std::numeric_limits<int>::min() ||
+      i > std::numeric_limits<int>::max()) {
+    throw ConfigError("JSON integer " + std::to_string(i) +
+                      " does not fit an int");
+  }
+  return static_cast<int>(i);
 }
 
 const std::string& Json::as_string() const {
@@ -359,6 +384,10 @@ double Json::get(const std::string& key, double fallback) const {
 
 std::int64_t Json::get(const std::string& key, std::int64_t fallback) const {
   return contains(key) ? at(key).as_int() : fallback;
+}
+
+int Json::get(const std::string& key, int fallback) const {
+  return contains(key) ? at(key).as_int32() : fallback;
 }
 
 std::string Json::get(const std::string& key,

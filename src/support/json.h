@@ -54,6 +54,9 @@ class Json {
   bool as_bool() const;
   double as_double() const;
   std::int64_t as_int() const;
+  /// as_int() narrowed to int: the one reader of int fields, which throws
+  /// ConfigError outside int's range instead of wrapping.
+  int as_int32() const;
   const std::string& as_string() const;
   const Array& as_array() const;
   const Object& as_object() const;
@@ -66,6 +69,7 @@ class Json {
   bool contains(const std::string& key) const;
   double get(const std::string& key, double fallback) const;
   std::int64_t get(const std::string& key, std::int64_t fallback) const;
+  int get(const std::string& key, int fallback) const;  ///< via as_int32
   std::string get(const std::string& key, const std::string& fallback) const;
   bool get(const std::string& key, bool fallback) const;
 

@@ -93,8 +93,8 @@ Json v_entry_to_json(const VEntry& e) {
 VEntry v_entry_from_json(const Json& j) {
   VEntry e;
   e.choice.kind = parse_v_kind(j.at("kind").as_string());
-  e.choice.sub_accuracy = static_cast<int>(j.at("sub_accuracy").as_int());
-  e.choice.iterations = static_cast<int>(j.at("iterations").as_int());
+  e.choice.sub_accuracy = j.at("sub_accuracy").as_int32();
+  e.choice.iterations = j.at("iterations").as_int32();
   e.choice.smoother = smoother_from_json(j);
   e.choice.coarsening = coarsening_from_json(j);
   e.expected_time = j.at("expected_time").as_double();
@@ -120,10 +120,9 @@ Json fmg_entry_to_json(const FmgEntry& e) {
 FmgEntry fmg_entry_from_json(const Json& j) {
   FmgEntry e;
   e.choice.kind = parse_fmg_kind(j.at("kind").as_string());
-  e.choice.estimate_accuracy =
-      static_cast<int>(j.at("estimate_accuracy").as_int());
-  e.choice.solve_accuracy = static_cast<int>(j.at("solve_accuracy").as_int());
-  e.choice.iterations = static_cast<int>(j.at("iterations").as_int());
+  e.choice.estimate_accuracy = j.at("estimate_accuracy").as_int32();
+  e.choice.solve_accuracy = j.at("solve_accuracy").as_int32();
+  e.choice.iterations = j.at("iterations").as_int32();
   e.choice.smoother = smoother_from_json(j);
   e.choice.coarsening = coarsening_from_json(j);
   e.expected_time = j.at("expected_time").as_double();
@@ -242,8 +241,16 @@ TunedConfig TunedConfig::from_json(const Json& json) {
   for (const Json& a : json.at("accuracies").as_array()) {
     accuracies.push_back(a.as_double());
   }
-  const int max_level = static_cast<int>(json.at("max_level").as_int());
-  TunedConfig config(std::move(accuracies), max_level);
+  const int max_level = json.at("max_level").as_int32();
+  // The constructor checks the ladder and max_level; a document that
+  // fails them is malformed, not a caller's bad argument.
+  TunedConfig config = [&] {
+    try {
+      return TunedConfig(std::move(accuracies), max_level);
+    } catch (const InvalidArgument& e) {
+      throw ConfigError(std::string("tuned-config: ") + e.what());
+    }
+  }();
   config.profile_name = json.get("profile", std::string());
   config.distribution = json.get("distribution", std::string());
   // Configs written before operator families existed are Poisson by

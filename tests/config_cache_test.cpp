@@ -1,17 +1,27 @@
 // Focused tests for the tuned-config disk cache: key stability and
 // per-field divergence, save→load round trips, corrupt-entry recovery
-// (every flavour of damage must read as a cache miss), and the combined
-// search-then-train artifact with its "searched_profile" section.
+// (every flavour of damage must read as a cache miss), malformed tables,
+// profiles and baselines failing as ConfigError (including 500 seeded
+// mutations of saved documents), and the combined search-then-train
+// artifact with its "searched_profile" section.
 
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <initializer_list>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
+#include "obs/drift.h"
+#include "runtime/machine_profile.h"
+#include "search/profile_search.h"
 #include "solvers/relax.h"
 #include "support/json.h"
+#include "support/rng.h"
 #include "tune/config_cache.h"
 #include "tune/table.h"
 #include "tune/trainer.h"
@@ -546,6 +556,236 @@ TEST_F(CorruptCacheTest, OutOfRangeNumberLiteral) {
       "overflow",
       "{\"format\": \"pbmg-tuned-config-v1\", \"max_level\": 3,"
       " \"accuracies\": [1e400]}");
+}
+
+// -------------------------------------------------- malformed documents --
+// A document that fails validation is a ConfigError, the type every cache
+// loader reads as a clean miss; InvalidArgument is for a caller's bad
+// argument.  No integer field wraps into range: 2³² + k used to read as k.
+
+constexpr std::int64_t kTwoTo32 = std::int64_t{1} << 32;
+
+Json with_field(Json doc, const char* key, Json value) {
+  doc.set(key, std::move(value));
+  return doc;
+}
+
+Json ladder(std::initializer_list<double> accuracies) {
+  Json out = Json::array();
+  for (const double a : accuracies) out.push_back(a);
+  return out;
+}
+
+TEST(MalformedDocuments, TableLaddersAndLevelsTheConstructorRejects) {
+  // TunedConfig's constructor checks these with PBMG_CHECK, which used to
+  // escape from_json as InvalidArgument.
+  const Json doc = handmade_config().to_json();
+  const std::pair<const char*, Json> cases[] = {
+      {"max_level 21", with_field(doc, "max_level", 21)},
+      {"max_level 0", with_field(doc, "max_level", 0)},
+      {"empty ladder", with_field(doc, "accuracies", Json::array())},
+      {"descending ladder",
+       with_field(doc, "accuracies", ladder({1e9, 1e7, 1e5, 1e3, 1e1}))},
+      {"ladder from 0.5",
+       with_field(doc, "accuracies", ladder({0.5, 1e3, 1e5, 1e7, 1e9}))}};
+  for (const auto& [what, bad] : cases) {
+    EXPECT_THROW(TunedConfig::from_json(bad), ConfigError) << what;
+  }
+}
+
+TEST(MalformedDocuments, TableIntegersOutsideIntAreRejected) {
+  // A level-2 table whose max_level reads 2³² + 2 used to load as a
+  // level-2 table, and a cell's counts and indices wrapped the same way.
+  const Json level2 = TunedConfig(paper_accuracies(), 2).to_json();
+  EXPECT_THROW(TunedConfig::from_json(
+                   with_field(level2, "max_level", kTwoTo32 + 2)),
+               ConfigError);
+  const TunedConfig config = handmade_config();
+  ASSERT_EQ(config.v_entry(3, 2).choice.kind, VKind::kRecurse);
+  ASSERT_EQ(config.v_entry(3, 1).choice.kind, VKind::kIterSor);
+  const std::pair<const char*, Json> cases[] = {
+      {"V sor iterations",
+       with_cell(config, "multigrid_v", 3, 1, "iterations", kTwoTo32 + 2)},
+      {"V recurse sub_accuracy",
+       with_cell(config, "multigrid_v", 3, 2, "sub_accuracy", kTwoTo32 + 2)},
+      {"FMG iterations",
+       with_cell(config, "full_multigrid", 3, 2, "iterations", kTwoTo32 + 2)},
+      {"FMG estimate_accuracy",
+       with_cell(config, "full_multigrid", 3, 2, "estimate_accuracy",
+                 kTwoTo32 + 2)},
+      {"FMG solve_accuracy",
+       with_cell(config, "full_multigrid", 3, 2, "solve_accuracy",
+                 kTwoTo32 + 2)}};
+  for (const auto& [what, bad] : cases) {
+    EXPECT_THROW(TunedConfig::from_json(bad), ConfigError) << what;
+  }
+}
+
+TEST(MalformedDocuments, ProfileIntegersOutsideIntAreRejected) {
+  // threads 2³² + 4 used to read as 4.
+  const Json doc = rt::profile_to_json(rt::serial_profile());
+  for (const char* key : {"threads", "grain_rows", "spawn_overhead_ns"}) {
+    EXPECT_THROW(rt::profile_from_json(with_field(doc, key, kTwoTo32 + 4)),
+                 ConfigError)
+        << key;
+  }
+}
+
+TEST(MalformedDocuments, SearchedProfileIntegersOutsideIntAreRejected) {
+  // simd_width 2³² + 4 used to read as 4 and pass validation.
+  search::SearchedProfile searched;
+  searched.profile = rt::serial_profile();
+  const Json doc = searched.to_json();
+  ASSERT_NO_THROW(search::SearchedProfile::from_json(doc));
+  for (const char* key :
+       {"simd_width", "evaluations", "generations", "population"}) {
+    EXPECT_THROW(
+        search::SearchedProfile::from_json(with_field(doc, key, kTwoTo32 + 4)),
+        ConfigError)
+        << key;
+  }
+}
+
+TEST(MalformedDocuments, DriftBaselineIntegersOutsideTheirRangeAreRejected) {
+  // An entry's n and accuracy_index wrapped into range.
+  Json entry = Json::object();
+  entry.set("n", 33);
+  entry.set("accuracy_index", 2);
+  entry.set("count", 0);
+  entry.set("sum", 0.0);
+  entry.set("min", 0.0);
+  entry.set("max", 0.0);
+  entry.set("buckets", Json::array());
+  const auto baseline = [](Json e) {
+    Json entries = Json::array();
+    entries.push_back(std::move(e));
+    return with_field(Json::object(), "entries", std::move(entries));
+  };
+  ASSERT_EQ(obs::LatencyBaseline::from_json(baseline(entry)).size(), 1u);
+  for (const char* key : {"n", "accuracy_index"}) {
+    EXPECT_THROW(obs::LatencyBaseline::from_json(
+                     baseline(with_field(entry, key, kTwoTo32 + 33))),
+                 ConfigError)
+        << key;
+  }
+  // Bucket counts summed to the count by going negative, or by wrapping
+  // past int64 (four buckets of 2⁶² sum to 0 mod 2⁶⁴).
+  const std::int64_t quarter = std::int64_t{1} << 62;
+  const std::pair<const char*, Json> buckets[] = {
+      {"negative bucket", Json(Json::Array{Json(-1), Json(1)})},
+      {"wrapping sum",
+       Json(Json::Array{Json(quarter), Json(quarter), Json(quarter),
+                        Json(quarter)})}};
+  for (const auto& [what, counts] : buckets) {
+    EXPECT_THROW(obs::LatencyBaseline::from_json(
+                     baseline(with_field(entry, "buckets", counts))),
+                 ConfigError)
+        << what;
+  }
+}
+
+/// A node of a parsed document, and the object holding it under `key`
+/// (null for the root and for array elements).
+struct Site {
+  Json* node;
+  Json* parent;
+  std::string key;
+};
+
+void collect_sites(Json& node, Json* parent, const std::string& key,
+                   std::vector<Site>& out) {
+  out.push_back({&node, parent, key});
+  if (node.is_array()) {
+    for (Json& child : node.as_array()) collect_sites(child, nullptr, "", out);
+  } else if (node.is_object()) {
+    for (auto& [k, child] : node.as_object()) {
+      collect_sites(child, &node, k, out);
+    }
+  }
+}
+
+/// `text` after one seeded mutation: an integer replaced by 0, −1, 2³¹,
+/// 2³² + k or 1e308, a string replaced by a number, a key deleted, or the
+/// text truncated.  `what` describes it.
+std::string mutate(const std::string& text, Rng& rng, std::string& what) {
+  const auto pick = [&](std::size_t count) {
+    return static_cast<std::size_t>(rng.uniform_index(count));
+  };
+  const int kind = static_cast<int>(pick(4));
+  if (kind == 3) {
+    const std::size_t cut = pick(text.size());
+    what = "truncated at " + std::to_string(cut);
+    return text.substr(0, cut);
+  }
+  Json doc = Json::parse(text);
+  std::vector<Site> sites;
+  collect_sites(doc, nullptr, "", sites);
+  std::vector<Site> eligible;
+  for (const Site& site : sites) {
+    const Json& v = *site.node;
+    const bool integer =
+        v.is_number() && std::floor(v.as_double()) == v.as_double();
+    if ((kind == 0 && integer) || (kind == 1 && v.is_string()) ||
+        (kind == 2 && site.parent != nullptr)) {
+      eligible.push_back(site);
+    }
+  }
+  const Site& site = eligible[pick(eligible.size())];
+  if (kind == 0) {
+    const Json values[] = {Json(0), Json(-1), Json(std::int64_t{1} << 31),
+                           Json(kTwoTo32 + static_cast<std::int64_t>(pick(8))),
+                           Json(1e308)};
+    *site.node = values[pick(5)];
+    what = "integer at '" + site.key + "' -> " + site.node->dump();
+  } else if (kind == 1) {
+    *site.node = pick(2) == 0 ? Json(7) : Json(2.5);
+    what = "string at '" + site.key + "' -> " + site.node->dump();
+  } else {
+    what = "deleted '" + site.key + "'";
+    site.parent->as_object().erase(site.key);
+  }
+  return doc.dump(2);
+}
+
+TEST(MalformedDocuments, SeededMutationsLoadOrFailAsConfigError) {
+  // 500 single mutations of a saved table and a saved searched profile:
+  // each mutated document loads or throws ConfigError, and nothing else.
+  search::SearchedProfile searched;
+  searched.profile = rt::serial_profile();
+  searched.profile.name = "serial+searched";
+  searched.relax.kernels = {grid::StencilLayout::kPacked, 4};
+  searched.evaluations = 12;
+  searched.seed = 41;
+  searched.generations = 3;
+  searched.population = 6;
+  const std::string table = handmade_config().to_json().dump(2) + "\n";
+  const std::string profile = searched.to_json().dump(2) + "\n";
+  Rng rng(0xC0DE'CAFE);
+  int loaded = 0;
+  int rejected = 0;
+  for (int m = 0; m < 500; ++m) {
+    const bool is_table = m % 2 == 0;
+    std::string what;
+    const std::string text = mutate(is_table ? table : profile, rng, what);
+    try {
+      const Json doc = Json::parse(text);
+      if (is_table) {
+        (void)TunedConfig::from_json(doc);
+      } else {
+        (void)search::SearchedProfile::from_json(doc);
+      }
+      ++loaded;
+    } catch (const ConfigError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << (is_table ? "table" : "searched profile") << ", "
+                    << what << ": " << e.what();
+    }
+  }
+  // Both outcomes occur, so the mutations reach fields that matter and
+  // fields that do not.
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 // ---------------------------------------------------- searched profiles --

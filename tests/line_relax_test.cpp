@@ -3,20 +3,28 @@
 // contraction with line smoothing at 32:1 and 1000:1 anisotropy
 // (tolerance rationale at each bound), bitwise determinism of threaded
 // line sweeps across repeated solves, and StencilOp-vs-Poisson fast-path
-// parity on constant coefficients.
+// parity on constant coefficients at every size class, batch, thread
+// count, layout and lane width.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
 #include "grid/grid_ops.h"
 #include "grid/level.h"
+#include "grid/packed_kernels.h"
+#include "grid/packed_rows.h"
 #include "grid/problem.h"
 #include "grid/stencil_op.h"
 #include "solvers/line_relax.h"
 #include "solvers/multigrid.h"
+#include "support/rng.h"
 #include "test_problems.h"
 
 namespace pbmg::solvers {
@@ -210,33 +218,130 @@ TEST(LineContraction, PointSmoothingStallsAtExtremeAnisotropy) {
 
 // ------------------------------------------------------ fast-path parity --
 
+/// Dense data at the unbiased distribution's ±2³² scale, ring included.
+Grid2D random_grid(int n, std::uint64_t seed) {
+  Grid2D g(n, 0.0);
+  Rng rng(seed);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      g(i, j) = rng.uniform(-4294967296.0, 4294967296.0);
+    }
+  }
+  return g;
+}
+
+/// One zebra pass of the Poisson bands at lane width W over every iterate,
+/// group by group as grid::packed_line_multi drives them (which runs
+/// Poisson at the widest width only).
+template <int W>
+void poisson_pass_at_width(std::vector<Grid2D>& xs,
+                           const std::vector<Grid2D>& bs, bool columns) {
+  const int n = xs[0].n();
+  const auto scratch = static_cast<std::size_t>((n - 1) * W);
+  for (int parity = 1; parity >= 0; --parity) {
+    const int first = parity == 1 ? 1 : 2;
+    const int count = first <= n - 2 ? (n - 2 - first) / 2 + 1 : 0;
+    for (int row = 0; row < count; row += W) {
+      std::vector<double> cp(scratch), dp(scratch), sub(scratch), inv(scratch);
+      grid::pk::LineGroup g{.stencil = grid::pk::LineStencil::kPoisson,
+                            .columns = columns,
+                            .first = first + 2 * row,
+                            .lanes = std::min(W, count - row),
+                            .slots = static_cast<int>(xs.size()),
+                            .cp = cp.data(),
+                            .dp = dp.data(),
+                            .sub = sub.data(),
+                            .inv = inv.data(),
+                            .h2 = mesh_width(n) * mesh_width(n),
+                            .n = n};
+      for (std::size_t k = 0; k < xs.size(); ++k) {
+        g.x = xs[k].row(0);
+        g.b = bs[k].row(0);
+        g.slot = static_cast<int>(k);
+        grid::pk::line_group<W>(g);
+      }
+    }
+  }
+}
+
 TEST(LineFastPath, ExplicitConstantCoefficientsMatchPoissonBitwise) {
   // A StencilOp holding explicit all-ones coefficient grids is *not* the
   // fast path (it stores grids), yet its line systems are algebraically
   // the Poisson systems with the same association order, and every band
-  // value is an exact small integer — the sweeps must agree bit for bit
-  // with the dedicated constant-coefficient kernels.
-  const int n = 33;
-  Grid2D ones_ax(n, 1.0), ones_ay(n, 1.0);
-  const grid::StencilOp explicit_op =
-      grid::StencilOp::variable(std::move(ones_ax), std::move(ones_ay), 0.0);
-  ASSERT_FALSE(explicit_op.is_poisson());
-  const grid::StencilOp poisson = grid::StencilOp::poisson(n);
-  const auto inst = testing::make_family_instance(OperatorFamily::kPoisson, n,
-                                                  0x7110'0007, sched());
-  for (const RelaxKind kind :
-       {RelaxKind::kLineX, RelaxKind::kLineY, RelaxKind::kLineZebraAlt}) {
-    Grid2D via_op = inst.problem.x0;
-    Grid2D via_poisson = inst.problem.x0;
-    for (int s = 0; s < 3; ++s) {
-      line_relax_sweep(explicit_op, via_op, inst.problem.b, kind, sched(),
-                       engine().scratch());
-      line_relax_sweep(poisson, via_poisson, inst.problem.b, kind, sched(),
-                       engine().scratch());
+  // value is an exact small integer — the Poisson passes, whose bands
+  // read no grid, must agree bit for bit with the legacy layout's passes
+  // over the explicit grids.  Poisson runs the packed passes at the
+  // widest width under either layout, one-pass at K = 1 and factor-once
+  // at K = 3, on four threads and on one.  At n = 3 a group clamps to two
+  // lanes; at n = 257 a pass forks on four threads and each parity ends
+  // in a three-lane group.  The narrower widths' Poisson bands are driven
+  // directly.
+  static Engine serial(rt::serial_profile());
+  for (const int n : {3, 5, 9, 17, 33, 65, 257}) {
+    Grid2D ones_ax(n, 1.0), ones_ay(n, 1.0);
+    const grid::StencilOp explicit_op = grid::StencilOp::variable(
+        std::move(ones_ax), std::move(ones_ay), 0.0);
+    ASSERT_FALSE(explicit_op.is_poisson());
+    const grid::StencilOp poisson = grid::StencilOp::poisson(n);
+    for (const int k_count : {1, 3}) {
+      std::vector<Grid2D> x0;
+      std::vector<Grid2D> bs;
+      for (int k = 0; k < k_count; ++k) {
+        x0.push_back(random_grid(n, 0x7110'0007 + 2 * k));
+        bs.push_back(random_grid(n, 0x7110'0008 + 2 * k));
+      }
+      std::vector<const Grid2D*> b_slots;
+      for (const Grid2D& b : bs) b_slots.push_back(&b);
+      const auto sweep = [&](const grid::StencilOp& op, RelaxKind kind,
+                             Engine& eng, const grid::KernelPolicy& policy) {
+        std::vector<Grid2D> xs = x0;
+        std::vector<Grid2D*> x_slots;
+        for (Grid2D& x : xs) x_slots.push_back(&x);
+        for (int s = 0; s < 3; ++s) {
+          line_relax_sweep_multi(op, x_slots, b_slots, kind, eng.scheduler(),
+                                 eng.scratch(), policy);
+        }
+        return xs;
+      };
+      const auto expect_same = [&](const std::vector<Grid2D>& got,
+                                   const std::vector<Grid2D>& want,
+                                   const std::string& what) {
+        for (int k = 0; k < k_count; ++k) {
+          ASSERT_EQ(0, std::memcmp(got[k].data(), want[k].data(),
+                                   want[k].size() * sizeof(double)))
+              << what << " n=" << n << " K=" << k_count << " slot " << k;
+        }
+      };
+      for (const RelaxKind kind :
+           {RelaxKind::kLineX, RelaxKind::kLineY, RelaxKind::kLineZebraAlt}) {
+        const std::vector<Grid2D> oracle =
+            sweep(explicit_op, kind, engine(), grid::KernelPolicy{});
+        for (Engine* eng : {&engine(), &serial}) {
+          for (const grid::StencilLayout layout :
+               {grid::StencilLayout::kLegacy, grid::StencilLayout::kPacked}) {
+            expect_same(sweep(poisson, kind, *eng, {layout, 1}), oracle,
+                        to_string(kind) + " " + grid::to_string(layout) +
+                            (eng == &serial ? " serial" : " 4 threads"));
+          }
+        }
+        const auto at_width = [&](auto width) {
+          constexpr int W = decltype(width)::value;
+          if (grid::packed_simd_width_supported() < W) return;
+          std::vector<Grid2D> xs = x0;
+          for (int s = 0; s < 3; ++s) {
+            if (kind != RelaxKind::kLineY) {
+              poisson_pass_at_width<W>(xs, bs, /*columns=*/false);
+            }
+            if (kind != RelaxKind::kLineX) {
+              poisson_pass_at_width<W>(xs, bs, /*columns=*/true);
+            }
+          }
+          expect_same(xs, oracle, to_string(kind) + " W=" + std::to_string(W));
+        };
+        at_width(std::integral_constant<int, 1>{});
+        at_width(std::integral_constant<int, 2>{});
+      }
     }
-    ASSERT_EQ(0, std::memcmp(via_op.data(), via_poisson.data(),
-                             via_poisson.size() * sizeof(double)))
-        << to_string(kind);
   }
 }
 

@@ -2,7 +2,9 @@
 // timers, error checks.
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -73,6 +75,12 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse("tru"), ConfigError);
   EXPECT_THROW(Json::parse("1 2"), ConfigError);
   EXPECT_THROW(Json::parse("{'a': 1}"), ConfigError);
+  // Nesting is capped at 256 levels, so a hostile document cannot
+  // overflow the parser's stack.
+  EXPECT_NO_THROW(Json::parse(std::string(256, '[') + std::string(256, ']')));
+  EXPECT_THROW(Json::parse(std::string(257, '[') + std::string(257, ']')),
+               ConfigError);
+  EXPECT_THROW(Json::parse(std::string(1'000'000, '[')), ConfigError);
 }
 
 TEST(Json, TypeMismatchesThrow) {
@@ -81,6 +89,10 @@ TEST(Json, TypeMismatchesThrow) {
   EXPECT_THROW(doc.at("missing"), ConfigError);
   EXPECT_THROW(Json(1.5).as_int(), ConfigError);
   EXPECT_EQ(Json(2.0).as_int(), 2);  // integral double converts
+  EXPECT_THROW(Json(1e308).as_int(), ConfigError);  // past int64
+  EXPECT_THROW(Json(std::int64_t{1} << 32).as_int32(), ConfigError);
+  EXPECT_THROW(Json(-(std::int64_t{1} << 31) - 1).as_int32(), ConfigError);
+  EXPECT_EQ(Json(-7).as_int32(), -7);
 }
 
 TEST(Json, GetWithFallback) {
@@ -89,6 +101,8 @@ TEST(Json, GetWithFallback) {
   EXPECT_EQ(doc.get("y", std::int64_t{5}), 5);
   EXPECT_EQ(doc.get("z", std::string("d")), "d");
   EXPECT_EQ(doc.get("w", true), true);
+  EXPECT_EQ(doc.get("x", 0), 7);  // int fields read through as_int32
+  EXPECT_EQ(doc.get("y", 5), 5);
 }
 
 // ----------------------------------------------------------------- RNG --
