@@ -316,12 +316,11 @@ BENCHMARK(BM_VCycleProfilingOn)->Arg(257)->UseRealTime();
 // Each pair runs the identical sweep on the identical operator, differing
 // only in KernelPolicy.  Arguments are (stencil points, n): 5 is the
 // jump-coefficient operator, 9 the θ=30° rotated-anisotropy
-// discretisation (the fig20 family).  Results are bitwise identical by
-// contract (tests/packed_kernels_test.cpp), and both layouts read the
-// operator's same coefficient grids (the packed rows add a 5-point
-// operator's summed diagonal), so the ratio measures the SIMD rows alone.
-// The operator is packed before timing starts, like SolveSession's
-// prewarm.
+// discretisation (the fig20 family).  Both layouts run the same pk::
+// rows over the operator's same coefficient grids, the legacy layout at
+// one lane and the packed one at the widest supported width; results are
+// bitwise identical by contract (tests/packed_kernels_test.cpp), so
+// legacy / packed is the SIMD lanes' speedup over one lane.
 
 grid::StencilOp pair_op(int points, int n) {
   return make_operator(n, points == 9 ? OperatorFamily::kAnisoTheta30
@@ -346,7 +345,6 @@ void stencil_residual_bench(benchmark::State& state,
                             const grid::KernelPolicy& policy) {
   const int n = static_cast<int>(state.range(1));
   const grid::StencilOp op = pair_op(static_cast<int>(state.range(0)), n);
-  op.packed();
   auto problem = problem_for(n);
   Grid2D x = problem.x0;
   Grid2D r(n, 0.0);
@@ -371,7 +369,6 @@ void stencil_sor_bench(benchmark::State& state,
                        const grid::KernelPolicy& policy) {
   const int n = static_cast<int>(state.range(1));
   const grid::StencilOp op = pair_op(static_cast<int>(state.range(0)), n);
-  op.packed();
   auto problem = problem_for(n);
   Grid2D x = problem.x0;
   auto& sched = bench_engine().scheduler();
@@ -396,7 +393,6 @@ void stencil_zebra_bench(benchmark::State& state,
                          const grid::KernelPolicy& policy) {
   const int n = static_cast<int>(state.range(1));
   const grid::StencilOp op = pair_op(static_cast<int>(state.range(0)), n);
-  op.packed();
   auto problem = problem_for(n);
   Grid2D x = problem.x0;
   auto& sched = bench_engine().scheduler();
@@ -440,7 +436,6 @@ void BM_StencilZebraPackedBatch(benchmark::State& state) {
                 grid::Coarsening::kRap)
                 .at(level_of_size(n))
           : make_operator(n, OperatorFamily::kJumpCoefficient);
-  if (!op.is_poisson()) op.packed();
   const auto problem = problem_for(n);
   std::vector<Grid2D> xs(k_count, problem.x0);
   std::vector<Grid2D*> slots;
@@ -486,9 +481,7 @@ struct PackedBody {
         problem(problem_for(n)),
         x(problem.x0),
         coarse(coarse_size(n), 0.0),
-        correction(coarse_size(n), 0.0) {
-    op.packed();
-  }
+        correction(coarse_size(n), 0.0) {}
   // The spans below point at this object's own grids.
   PackedBody(const PackedBody&) = delete;
   PackedBody& operator=(const PackedBody&) = delete;
@@ -605,7 +598,6 @@ void cutoff_pass_bench(benchmark::State& state, CutoffPass pass,
       make_operator(2 * n - 1, OperatorFamily::kJumpCoefficient),
       grid::Coarsening::kRap);
   const grid::StencilOp& op = ladder.at(level_of_size(n));
-  op.packed();
   const auto problem = problem_for(n);
   Grid2D x = problem.x0;
   Grid2D* const xs[] = {&x};

@@ -65,8 +65,8 @@
 ///
 /// Fleet-scale memory: sessions and routed bindings are the expensive
 /// resident state (each is a tune::PreparedOperator: coefficient
-/// ladders, averaged and RAP, with their packed diagonals, and prewarmed
-/// scratch), so each generation keeps
+/// ladders, averaged and RAP, and prewarmed scratch), so each generation
+/// keeps
 /// both in one byte-budgeted LRU cache.  ServicePolicy caps resident
 /// bytes and/or entry count; a bind past the budget evicts the
 /// least-recently-used *unpinned* entries

@@ -39,16 +39,15 @@ namespace {
 
 /// The row kernel of one operator that apply_op, residual_op and
 /// restrict_residual drive: rows(x, b, i, out) writes interior row i of
-/// b − A·x — or of A·x when the rows were built without a rhs and b is
-/// null — into out[1..n−2].  One object serves every iterate of a batch.
-/// The kinds are the Poisson fast path (the pk:: SIMD row at the widest
-/// supported width), the packed 5- and 9-point rows at
-/// the policy's clamped width, and the legacy 5- and 9-point rows.  Every
-/// kind at every width gives the same bits as its scalar loop, so a
-/// driver's choice of rows never changes results.
+/// b − A·x — or of A·x when b is null — into out[1..n−2].  One object
+/// serves every iterate of a batch.  The kinds are the Poisson fast path
+/// (the pk:: SIMD row at the widest supported width) and the pk:: 5- and
+/// 9-point rows at `width` lanes (row_width of the policy).  Every kind
+/// at every width gives the same bits as its scalar loop, so a driver's
+/// choice of rows never changes results.
 class StencilRows {
  public:
-  StencilRows(const StencilOp& op, bool with_rhs, const KernelPolicy& kernels)
+  StencilRows(const StencilOp& op, int width)
       : op_(op),
         n_(op.n()),
         inv_h2_(static_cast<double>(op.n() - 1) *
@@ -57,16 +56,10 @@ class StencilRows {
     if (op.is_poisson()) {
       row_ = by_width(packed_simd_width_supported(), &poisson<1>,
                       &poisson<2>, &poisson<4>);
-    } else if (kernels.layout == StencilLayout::kPacked) {
-      (void)op.packed();  // sum a 5-point diagonal before any row reads it
-      const int w = clamp_simd_width(kernels.simd_width);
-      row_ = op.is_nine_point()
-                 ? by_width(w, &packed9<1>, &packed9<2>, &packed9<4>)
-                 : by_width(w, &packed5<1>, &packed5<2>, &packed5<4>);
     } else if (op.is_nine_point()) {
-      row_ = with_rhs ? &legacy9<true> : &legacy9<false>;
+      row_ = by_width(width, &nine<1>, &nine<2>, &nine<4>);
     } else {
-      row_ = with_rhs ? &legacy5<true> : &legacy5<false>;
+      row_ = by_width(width, &five<1>, &five<2>, &five<4>);
     }
   }
 
@@ -94,66 +87,17 @@ class StencilRows {
   }
 
   template <int W>
-  static void packed5(const StencilRows& s, const Grid2D& x,
-                      const double* rhs, int i, double* out) {
+  static void five(const StencilRows& s, const Grid2D& x, const double* rhs,
+                   int i, double* out) {
     pk::stencil_row5<W>(pk::view5(s.op_, i), x.row(i - 1), x.row(i),
                         x.row(i + 1), rhs, out, s.inv_h2_, s.c_, s.n_);
   }
 
   template <int W>
-  static void packed9(const StencilRows& s, const Grid2D& x,
-                      const double* rhs, int i, double* out) {
+  static void nine(const StencilRows& s, const Grid2D& x, const double* rhs,
+                   int i, double* out) {
     pk::stencil_row9<W>(pk::view9(s.op_, i), x.row(i - 1), x.row(i),
                         x.row(i + 1), rhs, out, s.inv_h2_, s.c_, s.n_);
-  }
-
-  /// Legacy 5-point row; WithRhs selects residual (rhs − A·x) versus
-  /// plain application (A·x).  The accumulation order mirrors the Poisson
-  /// kernels term for term, so a variable operator whose coefficients
-  /// happen to be exactly 1 (c = 0) reproduces the fast path to the last
-  /// ulp.
-  template <bool WithRhs>
-  static void legacy5(const StencilRows& s, const Grid2D& x,
-                      const double* rhs, int i, double* o) {
-    const double* up = x.row(i - 1);
-    const double* mid = x.row(i);
-    const double* down = x.row(i + 1);
-    const double* axr = s.op_.ax_grid().row(i);  // aW = axr[j-1], aE = axr[j]
-    const double* ay_up = s.op_.ay_grid().row(i - 1);  // aN = ay_up[j]
-    const double* ay_dn = s.op_.ay_grid().row(i);      // aS = ay_dn[j]
-    for (int j = 1; j < s.n_ - 1; ++j) {
-      const double aw = axr[j - 1];
-      const double ae = axr[j];
-      const double an = ay_up[j];
-      const double as = ay_dn[j];
-      const double diag = ((aw + ae) + an) + as;
-      const double av = (diag * mid[j] - an * up[j] - as * down[j] -
-                         aw * mid[j - 1] - ae * mid[j + 1]) *
-                            s.inv_h2_ +
-                        s.c_ * mid[j];
-      if constexpr (WithRhs) o[j] = rhs[j] - av;
-      else o[j] = av;
-    }
-  }
-
-  /// Legacy 9-point row: corner couplings and the explicit centre
-  /// coefficient join the accumulation (see stencil_op.h for the coupling
-  /// layout).  The 5-point row above stays separate so operators without
-  /// corners keep their bitwise-stable code path.
-  template <bool WithRhs>
-  static void legacy9(const StencilRows& s, const Grid2D& x,
-                      const double* rhs, int i, double* o) {
-    const double* up = x.row(i - 1);
-    const double* mid = x.row(i);
-    const double* down = x.row(i + 1);
-    const NinePointRows rows(s.op_, i);
-    for (int j = 1; j < s.n_ - 1; ++j) {
-      const double nb = rows.neighbour_sum(up, mid, down, j);
-      const double av =
-          (rows.center[j] * mid[j] - nb) * s.inv_h2_ + s.c_ * mid[j];
-      if constexpr (WithRhs) o[j] = rhs[j] - av;
-      else o[j] = av;
-    }
   }
 
   const StencilOp& op_;
@@ -190,7 +134,7 @@ void apply_op(const StencilOp& op, const Grid2D& x, Grid2D& out,
   check_valid(x, "apply_op");
   check_same_size(x, out, "apply_op");
   PBMG_CHECK(op.n() == x.n(), "apply_op: operator/grid size mismatch");
-  sweep_rows(StencilRows(op, false, kernels), x, nullptr, out, sched);
+  sweep_rows(StencilRows(op, row_width(kernels)), x, nullptr, out, sched);
 }
 
 void apply_poisson(const Grid2D& x, Grid2D& out, rt::Scheduler& sched) {
@@ -205,7 +149,7 @@ void residual_op(const StencilOp& op, const Grid2D& x, const Grid2D& b,
   check_same_size(x, b, "residual_op");
   check_same_size(x, r, "residual_op");
   PBMG_CHECK(op.n() == x.n(), "residual_op: operator/grid size mismatch");
-  sweep_rows(StencilRows(op, true, kernels), x, &b, r, sched);
+  sweep_rows(StencilRows(op, row_width(kernels)), x, &b, r, sched);
 }
 
 namespace {
@@ -273,7 +217,7 @@ void restrict_residual_multi(const StencilOp& op,
   const std::size_t batch = xs.size();
   const int n = op.n();
   const int nc = coarse_size(n);
-  const StencilRows rows(op, true, kernels);
+  const StencilRows rows(op, row_width(kernels));
   const RestrictRowFn restrict_row = restrict_row_fn();
   sched.parallel_for(
       1, nc - 1, sched.grain_for(nc - 2, 4 * (nc - 2), rows.cost(batch)),

@@ -24,7 +24,7 @@ namespace pbmg::grid {
 
 /// Work per cell of each variable-coefficient pass, in Poisson SOR cell
 /// updates: a kernel passes its kind's weight times its batch size K to
-/// rt::Scheduler::grain_for as `cost_per_cell`, on either layout.  Poisson
+/// rt::Scheduler::grain_for as `cost_per_cell`, at any row width.  Poisson
 /// passes cost 1 whatever K is.  One thread, interleaved, median of 300
 /// calls over four runs, as multiples of a Poisson SOR cell (1.70 ns at
 /// n = 129, 1.85 ns at n = 257) on a 4-core x86-64 VM with AVX2, packed
@@ -41,14 +41,11 @@ namespace pbmg::grid {
 /// 31 / 29 µs against 48 / 40 at 65, SOR 49 / 46 against 104 / 72 at
 /// 129), and the 9-point SOR at 65 reads either way by host load, as
 /// below, so no lower weight was shown to pay.
-/// The legacy layout costs more (5-point SOR 3.0 / 2.8, 9-point
-/// 5.7 / 7.0; restriction 2.3 / 2.1 and 3.7 / 3.3; line passes 10–20),
-/// so the shared weights fork a legacy pass no earlier than its work
-/// warrants.  A legacy
-/// coloured sweep counts every cell of the rows its colour region
-/// visits, about twice the cells it updates; a packed wavefront pass (the
-/// sweep and the fused body halves, grid/wavefront.h) counts every
-/// interior cell once at the SOR weight, so a 9-point wavefront sweep
+/// The legacy layout runs the same rows at one lane, which costs more
+/// per cell, so the shared weights fork its passes no earlier than their
+/// work warrants.  A wavefront pass (the sweep and the fused body halves,
+/// grid/wavefront.h) counts every interior cell once at the SOR weight,
+/// so a 9-point wavefront sweep
 /// forks from n = 65 at K = 1: on the jump RAP level, four threads
 /// inside a forked solve, it read 11.4 µs against 9.8 inline, while a
 /// whole point-SOR classical V-cycle at n = 513 (jump and θ=45°, either
@@ -100,19 +97,18 @@ void residual(const Grid2D& x, const Grid2D& b, Grid2D& r,
 
 /// out(i,j) = (A x)(i,j) for a variable-coefficient operator (see
 /// stencil_op.h); out's boundary ring is zeroed.  The Poisson fast path
-/// runs residual_op's constant-coefficient SIMD row without a rhs, and a
-/// 5-point operator keeps its pre-9-point loop bit-for-bit; 9-point
-/// operators take the corner-coupled kernel.  A KernelPolicy selecting StencilLayout::kPacked runs
-/// the packed SIMD rows instead (packed_rows.h) over the same grids —
-/// bitwise identical results, different instructions.  Requires
-/// x.n() == op.n().
+/// runs residual_op's constant-coefficient SIMD row without a rhs; 5- and
+/// 9-point operators run the pk:: 5- and 9-point rows (packed_rows.h)
+/// over the operator's grids at row_width(kernels) lanes (one under the
+/// legacy layout) — bitwise identical results at every width, different
+/// instructions.  Requires x.n() == op.n().
 void apply_op(const StencilOp& op, const Grid2D& x, Grid2D& out,
               rt::Scheduler& sched, const KernelPolicy& kernels = {});
 
 /// r = b − A x for a variable-coefficient operator; r's boundary ring is
 /// zeroed.  The Poisson fast path runs the constant-coefficient SIMD row
 /// at the widest width the CPU supports (identical to residual()); other
-/// operators take the legacy or packed rows as in apply_op.
+/// operators take the 5- or 9-point rows as in apply_op.
 void residual_op(const StencilOp& op, const Grid2D& x, const Grid2D& b,
                  Grid2D& r, rt::Scheduler& sched,
                  const KernelPolicy& kernels = {});

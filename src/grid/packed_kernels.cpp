@@ -6,7 +6,6 @@
 #include "grid/grid_ops.h"
 #include "grid/level.h"
 #include "grid/packed_rows.h"
-#include "grid/packed_stencil.h"
 #include "grid/wavefront.h"
 
 // This TU is compiled with baseline flags only — all ISA-specific code
@@ -22,7 +21,7 @@ namespace pk {
 View5 view5(const StencilOp& op, int i) {
   const double* ax = op.ax_grid().row(i);
   const Grid2D& ay = op.ay_grid();
-  return {ax - 1, ax, ay.row(i - 1), ay.row(i), op.packed().diag().row(i)};
+  return {ax - 1, ax, ay.row(i - 1), ay.row(i)};
 }
 
 View9 view9(const StencilOp& op, int i) {
@@ -98,6 +97,12 @@ int clamp_simd_width(int width) {
   return w < 1 ? 1 : w;
 }
 
+int row_width(const KernelPolicy& kernels) {
+  return kernels.layout == StencilLayout::kPacked
+             ? clamp_simd_width(kernels.simd_width)
+             : 1;
+}
+
 namespace {
 
 void check_packed_operands(const StencilOp& op, const Grid2D& x,
@@ -133,20 +138,14 @@ void packed_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
   residual_op(op, x, b, r, sched, {StencilLayout::kPacked, simd_width});
 }
 
-void packed_sor_sweep_multi(const StencilOp& op, std::span<Grid2D* const> xs,
-                            std::span<const Grid2D* const> bs, double omega,
-                            rt::Scheduler& sched, int simd_width) {
-  check_batch_sizes(op, xs, bs, "packed_sor_sweep");
-  if (xs.empty()) return;
-  check_packed_operands(op, *xs[0], "packed_sor_sweep");
-  sor_wavefront(WaveRows(op, omega, simd_width), xs, bs, sched);
-}
-
 void packed_sor_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
                       double omega, rt::Scheduler& sched, int simd_width) {
+  check_packed_operands(op, x, "packed_sor_sweep");
+  PBMG_CHECK(b.n() == x.n(), "packed_sor_sweep: grid size mismatch");
   Grid2D* const xs[] = {&x};
   const Grid2D* const bs[] = {&b};
-  packed_sor_sweep_multi(op, xs, bs, omega, sched, simd_width);
+  sor_wavefront(WaveRows(op, omega, clamp_simd_width(simd_width)), xs, bs,
+                sched);
 }
 
 // Odd lines, then even lines, each parity's lines in groups of w lanes,
@@ -190,11 +189,11 @@ void packed_line_multi(const StencilOp& op, std::span<Grid2D* const> xs,
     pass.stencil = pk::LineStencil::kNine;
     pass.coeffs = pk::view9(op, 1);
   } else {
-    // No corners, and the summed diagonal in the centre's place.
+    // No corners and no centre: the band sums the diagonal.
     pass.stencil = pk::LineStencil::kFive;
     const pk::View5 v = pk::view5(op, 1);
-    pass.coeffs = {v.aw,    v.ae,    v.an,    v.as,  nullptr,
-                   nullptr, nullptr, nullptr, v.diag};
+    pass.coeffs = {v.aw,    v.ae,    v.an,    v.as,   nullptr,
+                   nullptr, nullptr, nullptr, nullptr};
   }
   const std::int64_t cost = poisson ? 1 : kLineCost;
   for (int parity = 1; parity >= 0; --parity) {

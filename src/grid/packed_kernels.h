@@ -9,27 +9,26 @@
 #include "runtime/scheduler.h"
 
 /// \file packed_kernels.h
-/// Packed-layout sweep kernels: the StencilLayout::kPacked implementations
-/// of the residual, coloured SOR and the zebra batched-Thomas line
-/// solves, vectorized with the simd.h wrapper.  Apply and the fused
-/// residual restriction run the same packed rows through grid_ops.cpp's
-/// drivers; weighted Jacobi has no packed form (its one body is the
-/// Poisson sweep in solvers/relax.h).
-///
-/// The public entry points in grid_ops.h / solvers::relax.h /
-/// solvers::line_relax.h dispatch here when a KernelPolicy selects the
-/// packed layout; callers rarely use these directly.  All of them:
+/// The drivers of the pk:: rows (packed_rows.h) over a StencilOp: the
+/// residual, coloured SOR and the zebra batched-Thomas line solves,
+/// vectorized with the simd.h wrapper.  They are the only implementation
+/// of each variable-coefficient pass: under either StencilLayout the
+/// entry points in grid_ops.h / solvers::relax.h / solvers::line_relax.h
+/// run them at row_width(kernels) lanes (one under kLegacy, the clamped
+/// simd_width under kPacked), as do apply and the fused residual
+/// restriction through grid_ops.cpp's drivers.  Weighted Jacobi has no
+/// form here (its one body is the Poisson sweep in solvers/relax.h).
+/// Callers rarely use these directly.  All of them:
 ///  - require a non-Poisson operator, except the line pass, which also
 ///    runs every Poisson line sweep: the fast path stores no
 ///    coefficients, and its constant-coefficient residual and SOR rows
 ///    and line bands (packed_rows.h) run at packed_simd_width_supported()
-///    under either layout;
+///    whatever the policy says;
 ///  - read the operator's own coefficient grids, through pk::view5 /
-///    pk::view9 below, plus a 5-point operator's summed diagonal from
-///    op.packed(), which sums it on first touch (prewarm via
-///    StencilHierarchy::prewarm_packed to keep it off timed sweeps);
-///  - are bitwise identical to the legacy kernels for every simd_width
-///    and thread count (see packed_kernels_body.h for the contract);
+///    pk::view9 below, and nothing else: a 5-point row sums its diagonal
+///    from the couplings it loads;
+///  - give the same bits for every width and thread count (see
+///    packed_kernels_body.h for the contract);
 ///  - clamp simd_width to what the running CPU supports, which is
 ///    result-invariant for the same reason.
 ///
@@ -41,12 +40,12 @@
 /// i0 + 2l), which turns the serial Thomas recurrences into W independent
 /// chains.
 ///
-/// The sweeps a tuned walk runs take K iterates: packed_sor_sweep_multi is
-/// the only SOR body, and packed_sor_sweep forwards a one-element span to
-/// it.  It is the two-stage row wavefront of grid/wavefront.h, the same
+/// The sweeps a tuned walk runs take K iterates: every SOR sweep is the
+/// two-stage row wavefront of grid/wavefront.h (solvers::sor_sweep_multi;
+/// packed_sor_sweep is one iterate of it at a given width), the same
 /// driver as the Poisson sweep's, and solvers::recurse_head/recurse_tail
-/// run a point-SOR body's halves on the packed layout as three-stage
-/// wavefronts of the same rows.  The line pass has no single-grid entry:
+/// run a point-SOR body's halves as three-stage wavefronts of the same
+/// rows.  The line pass has no single-grid entry:
 /// one zebra driver runs pk::line_group (packed_rows.h), whose one-pass,
 /// factor and apply Thomas bodies take any of six bands (x/y lines ×
 /// Poisson, 5- and 9-point), and which picks one-pass or factor-once by K.
@@ -77,10 +76,9 @@ namespace pk {
 
 /// The coefficients of interior row i (1 <= i <= n−2) of a 5-point
 /// operator (view5) or a 9-point one (view9), as the packed rows read
-/// them: pointers into op's grids at NinePointRows' offsets, and for
-/// view5 into op.packed()'s diagonal, which view5 sums on first touch.
-/// Built per row and pass, so no view outlives the operator that a pass
-/// is handed.
+/// them: pointers into op's grids at NinePointRows' offsets.  Built per
+/// row and pass, so no view outlives the operator that a pass is
+/// handed.
 View5 view5(const StencilOp& op, int i);
 View9 view9(const StencilOp& op, int i);
 
@@ -97,6 +95,12 @@ int packed_simd_width_supported();
 /// is bitwise identical — so tuned tables stay portable across machines.
 int clamp_simd_width(int width);
 
+/// The lane count a policy runs the variable-coefficient rows at: 1 under
+/// StencilLayout::kLegacy, which ignores simd_width, and
+/// clamp_simd_width(simd_width) under kPacked.  The only reader of the
+/// layout on the solve path.
+int row_width(const KernelPolicy& kernels);
+
 /// Picks the W-lane instantiation of a row kernel (packed_rows.h) for
 /// lane width w in {1, 2, 4}.
 template <typename Fn>
@@ -104,39 +108,28 @@ Fn by_width(int w, Fn w1, Fn w2, Fn w4) {
   return w == 4 ? w4 : w == 2 ? w2 : w1;
 }
 
-/// r = b − A·x under the packed layout.  Matches residual_op.
+/// r = b − A·x under the packed layout: residual_op at simd_width.
 void packed_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
                      Grid2D& r, rt::Scheduler& sched, int simd_width);
 
 /// One coloured SOR sweep under the packed layout (red-black for 5-point
-/// operators, four-colour for 9-point), bitwise the legacy layout's
-/// colour passes.  Matches solvers::sor_sweep's operator overload.
-/// Forwards a one-element span to packed_sor_sweep_multi, which is the
-/// only body.
+/// operators, four-colour for 9-point): solvers::sor_sweep's operator
+/// overload at simd_width, the same two-stage row wavefront
+/// (grid::sor_wavefront).  A 5-point sweep runs red at row t and black at
+/// row t − 1; a 9-point sweep runs the even rows' two colours at row t and
+/// the odd rows' two at row t − 1, which gives the colour passes' bits
+/// under any thread count.
 void packed_sor_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
                       double omega, rt::Scheduler& sched, int simd_width);
 
-/// Coloured SOR over K iterates: one sweep of each xs[k] against bs[k],
-/// as a two-stage row wavefront (grid::sor_wavefront).  A 5-point sweep
-/// runs red at row t and black at row t − 1; a 9-point sweep runs the
-/// even rows' two colours at row t and the odd rows' two at row t − 1.
-/// Every stage runs all K slots' row back to back, so each coefficient
-/// row is read once per sweep for the batch.  Each slot's cells see the
-/// inputs of the colour passes (the iterates never couple), so every slot
-/// is bitwise identical to its own packed_sor_sweep call under any thread
-/// count; K = 1 is that call.
-void packed_sor_sweep_multi(const StencilOp& op, std::span<Grid2D* const> xs,
-                            std::span<const Grid2D* const> bs, double omega,
-                            rt::Scheduler& sched, int simd_width);
-
 /// One zebra line pass over K iterates: x-lines (rows), or y-lines
 /// (columns) when `columns` is set.  Odd lines then even lines, each
-/// group of `simd_width` same-parity lines solved as one batched Thomas
-/// elimination.  Matches that pass of solvers::line_relax_sweep for every
-/// slot, bit for bit.  Poisson runs here too, at
-/// packed_simd_width_supported() whatever simd_width says, over bands of
-/// constant couplings that read no grid (bitwise the legacy passes on an
-/// operator whose coefficient grids hold 1).  The pass picks its body by
+/// group of `simd_width` (clamped) same-parity lines solved as one
+/// batched Thomas elimination; solvers::line_relax_sweep runs every pass
+/// here.  Poisson runs here too, at packed_simd_width_supported()
+/// whatever simd_width says, over bands of constant couplings that read
+/// no grid (bitwise the 5-point passes on an operator whose coefficient
+/// grids hold 1).  The pass picks its body by
 /// K: one iterate runs the one-pass body, which eliminates and
 /// substitutes in one walk of the bands; a batch factors each line group
 /// once (pivot reciprocals and super-diagonal, every divide included) and

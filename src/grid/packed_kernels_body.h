@@ -7,22 +7,42 @@
 /// packed_rows.h for why the definitions must not leak into TUs built
 /// with different ISA flags.
 ///
-/// Every expression below mirrors the legacy scalar kernel it replaces
-/// term by term: same left-to-right association, negation via exact
-/// sign flip, no FMA (build-wide -ffp-contract=off).  Do not "simplify"
-/// the arithmetic — reassociating any chain breaks the bitwise
-/// packed↔legacy parity that packed_kernels_test pins.
+/// Every expression below is the scalar loop's term by term: same
+/// left-to-right association, negation via exact sign flip, no FMA
+/// (build-wide -ffp-contract=off), so every width gives the W = 1 bits.
+/// A 5-point operator stores no centre: its rows and bands sum the
+/// diagonal ((aW+aE)+aN)+aS in registers, from the couplings they load,
+/// in that order.  Do not "simplify" the arithmetic — reassociating any
+/// chain breaks the bitwise parity with the scalar oracle that
+/// packed_kernels_test and line_relax_test pin.
+///
+/// The SOR rows check that every diagonal they divide by is positive,
+/// and the Thomas bodies every pivot, lane by lane, through
+/// PBMG_NUM_ASSERT, which compiles out unless PBMG_ASSERTIONS is set.
 
 #include "grid/packed_rows.h"
 #include "grid/simd.h"
+#include "support/error.h"
 
 namespace pbmg::grid::pk {
+
+/// True when every lane of v is > 0 (false on a NaN lane).
+template <int W>
+bool all_positive(simd::Vec<W> v) {
+  double lanes[W];
+  v.store(lanes);
+  for (int l = 0; l < W; ++l) {
+    if (!(lanes[l] > 0.0)) return false;
+  }
+  return true;
+}
 
 // ---------------------------------------------------------------------------
 // Residual / apply
 // ---------------------------------------------------------------------------
 
-// Legacy order (grid_ops.cpp stencil_loop):
+// The 5-point row:
+//   diag = ((aW+aE)+aN)+aS
 //   av = (diag*mid[j] − aN*up[j] − aS*down[j] − aW*mid[j−1] − aE*mid[j+1])
 //        * inv_h2 + c*mid[j]
 //   out[j] = rhs ? rhs[j] − av : av
@@ -36,11 +56,13 @@ void stencil_row5(const View5& s, const double* up, const double* mid,
   int j = 1;
   for (; j + W <= n - 1; j += W) {
     const V m = V::load(mid + j);
-    const V av = (V::load(s.diag + j) * m -
-                  V::load(s.an + j) * V::load(up + j) -
-                  V::load(s.as + j) * V::load(down + j) -
-                  V::load(s.aw + j) * V::load(mid + j - 1) -
-                  V::load(s.ae + j) * V::load(mid + j + 1)) *
+    const V aw = V::load(s.aw + j);
+    const V ae = V::load(s.ae + j);
+    const V an = V::load(s.an + j);
+    const V as = V::load(s.as + j);
+    const V diag = ((aw + ae) + an) + as;
+    const V av = (diag * m - an * V::load(up + j) - as * V::load(down + j) -
+                  aw * V::load(mid + j - 1) - ae * V::load(mid + j + 1)) *
                      vinv +
                  vc * m;
     if (rhs != nullptr) {
@@ -51,7 +73,8 @@ void stencil_row5(const View5& s, const double* up, const double* mid,
   }
   for (; j <= n - 2; ++j) {
     const double m = mid[j];
-    const double av = (s.diag[j] * m - s.an[j] * up[j] - s.as[j] * down[j] -
+    const double diag = ((s.aw[j] + s.ae[j]) + s.an[j]) + s.as[j];
+    const double av = (diag * m - s.an[j] * up[j] - s.as[j] * down[j] -
                        s.aw[j] * mid[j - 1] - s.ae[j] * mid[j + 1]) *
                           inv_h2 +
                       c * m;
@@ -59,8 +82,8 @@ void stencil_row5(const View5& s, const double* up, const double* mid,
   }
 }
 
-// Legacy order (grid_ops.cpp stencil_loop9 via NinePointRows): the cross
-// sum is its own left-associated chain, added to the in-row pair last —
+// The 9-point row (NinePointRows' couplings): the cross sum is its own
+// left-associated chain, added to the in-row pair last —
 //   cross = aN*up[j] + aS*down[j] + aNW*up[j−1] + aNE*up[j+1]
 //         + aSW*down[j−1] + aSE*down[j+1]
 //   nb = (aW*mid[j−1] + aE*mid[j+1]) + cross
@@ -105,8 +128,8 @@ void stencil_row9(const View9& s, const double* up, const double* mid,
 // SOR
 // ---------------------------------------------------------------------------
 
-// Legacy order (relax.cpp sor_sweep 5-point):
-//   diag = ((((aW+aE)+aN)+aS)) + c·h²          (packed: diag grid + ch2)
+// The 5-point SOR update:
+//   diag = (((aW+aE)+aN)+aS) + c·h²
 //   mid[j] = keep*mid[j]
 //          + omega*(h²*rhs[j] + aN*up[j] + aS*down[j]
 //                   + aW*mid[j−1] + aE*mid[j+1]) / diag
@@ -137,12 +160,16 @@ void sor_row5(const View5& s, const double* up, double* mid,
       bool more = true;
       while (more) {
         const V m = V::load(mid + j);
-        const V t = vh2 * V::load(rhs + j) +
-                    V::load(s.an + j) * V::load(up + j) +
-                    V::load(s.as + j) * V::load(down + j) +
-                    V::load(s.aw + j) * left +
-                    V::load(s.ae + j) * V::load(mid + j + 1);
-        const V d = V::load(s.diag + j) + vch2;
+        const V aw = V::load(s.aw + j);
+        const V ae = V::load(s.ae + j);
+        const V an = V::load(s.an + j);
+        const V as = V::load(s.as + j);
+        const V t = vh2 * V::load(rhs + j) + an * V::load(up + j) +
+                    as * V::load(down + j) + aw * left +
+                    ae * V::load(mid + j + 1);
+        const V d = (((aw + ae) + an) + as) + vch2;
+        PBMG_NUM_ASSERT(all_positive(d),
+                        "sor_sweep: non-positive stencil diagonal");
         more = j + 2 * W <= n - 1;
         if (more) left = V::load(mid + j + W - 1);
         blend_even(vkeep * m + vom * t / d, m).store(mid + j);
@@ -151,16 +178,20 @@ void sor_row5(const View5& s, const double* up, double* mid,
     }
   }
   for (; j <= n - 2; j += 2) {
-    const double d = s.diag[j] + ch2;
-    mid[j] = keep * mid[j] +
-             omega *
-                 (h2 * rhs[j] + s.an[j] * up[j] + s.as[j] * down[j] +
-                  s.aw[j] * mid[j - 1] + s.ae[j] * mid[j + 1]) /
-                 d;
+    const double aw = s.aw[j];
+    const double ae = s.ae[j];
+    const double an = s.an[j];
+    const double as = s.as[j];
+    const double d = (((aw + ae) + an) + as) + ch2;
+    PBMG_NUM_ASSERT(d > 0.0, "sor_sweep: non-positive stencil diagonal");
+    mid[j] = keep * mid[j] + omega *
+                                 (h2 * rhs[j] + an * up[j] + as * down[j] +
+                                  aw * mid[j - 1] + ae * mid[j + 1]) /
+                                 d;
   }
 }
 
-// Legacy order (relax.cpp sor_sweep_nine_multi): nb via NinePointRows —
+// The 9-point SOR update: nb as in stencil_row9 —
 // (aW*mid[j−1] + aE*mid[j+1]) + cross — then
 //   mid[j] = keep*mid[j] + omega*(h²*rhs[j] + nb)/(ctr + c·h²)
 // A four-colour class's neighbours, corners included, are all in other
@@ -190,6 +221,8 @@ void sor_row9(const View9& s, const double* up, double* mid,
         const V nb = V::load(s.aw + j) * left +
                      V::load(s.ae + j) * V::load(mid + j + 1) + cross;
         const V d = V::load(s.ctr + j) + vch2;
+        PBMG_NUM_ASSERT(all_positive(d),
+                        "sor_sweep: non-positive stencil diagonal");
         const V t = vh2 * V::load(rhs + j) + nb;
         more = j + 2 * W <= n - 1;
         if (more) left = V::load(mid + j + W - 1);
@@ -204,6 +237,7 @@ void sor_row9(const View9& s, const double* up, double* mid,
                          s.sw[j] * down[j - 1] + s.se[j] * down[j + 1];
     const double nb = s.aw[j] * mid[j - 1] + s.ae[j] * mid[j + 1] + cross;
     const double d = s.ctr[j] + ch2;
+    PBMG_NUM_ASSERT(d > 0.0, "sor_sweep: non-positive stencil diagonal");
     mid[j] = keep * mid[j] + omega * (h2 * rhs[j] + nb) / d;
   }
 }
@@ -212,31 +246,45 @@ void sor_row9(const View9& s, const double* up, double* mid,
 // Batched Thomas line solves
 // ---------------------------------------------------------------------------
 
-// The three bodies below follow line_relax.cpp solve_interior_line
-// verbatim, one tridiagonal per lane:
+// The three bodies below run the Thomas recurrence, one tridiagonal per
+// lane:
 //   inv = 1/diag(1); cp[1] = sup(1)*inv; dp[1] = rhs(1)*inv
 //   k = 2..n−2: s = sub(k); pivot = diag(k) − s*cp[k−1]; inv = 1/pivot
 //               cp[k] = sup(k)*inv; dp[k] = (rhs(k) − s*dp[k−1])*inv
 //   put(n−2); k = n−3..1: dp[k] = dp[k] − cp[k]*dp[k+1]; put(k)
-// A band supplies sub, diag, sup and rhs at line position k and stores
-// the solution (put), with the legacy band definitions: sub and sup are
-// negated couplings, diag is the centre (a 5-point operator's summed
-// diagonal) plus c·h², and rhs folds the Dirichlet boundary at k = 1 and
-// k = n−2 (for n = 3 the single unknown applies both folds in sequence,
-// like the scalar code).  The 5- and 9-point bands read the operator's
-// grids through the group's view of row 1: the coupling of row i, column
-// j is entry j of the view's array, (i − 1)·n doubles on.  The Poisson
-// band is the 5-point band with every coupling 1 and the centre 4
-// (c = 0), and loads no coefficient: a coupling times a value is the
-// value itself, which is exact, so it gives the legacy bands' bits on an
-// operator whose grids hold 1.  Its sub and sup are −1, so the first inv
-// is 0.25 and every later one is 1/(4 + cp[k−1]), the same for every
-// line.
+// A band's row(k) supplies sub, diag and sup at line position k, and the
+// couplings to the two neighbouring lines, lo and hi, from one load of
+// each coupling; rhs(k, lo, hi) builds the right-hand side from them
+// (rhs(k) loads its own, for the apply walk, which needs no row), and
+// put stores the solution.  sub and sup are negated couplings, diag is
+// the centre plus c·h² (a 5-point band sums ((aW+aE)+aN)+aS first, from
+// the couplings sub, sup, lo and hi hold), and rhs folds the Dirichlet
+// boundary at k = 1 and k = n−2 (for n = 3 the single unknown applies
+// both folds in sequence).  The 5- and 9-point bands read the
+// operator's grids through the group's view of row 1: the coupling of
+// row i, column j is entry j of the view's array, (i − 1)·n doubles on.
+// The Poisson band is the 5-point band with every coupling 1 and the
+// centre 4 (c = 0), and loads no coefficient: a coupling times a value is
+// the value itself, which is exact, so it gives the 5-point band's bits
+// on an operator whose grids hold 1.  Its sub and sup are −1, so the
+// first inv is 0.25 and every later one is 1/(4 + cp[k−1]), the same for
+// every line.
 
-// x-lines: lane l is grid row first + 2l, position k its column.  rhs(k)
-// is the legacy chain h²*b[k] + aN*up[k] + aS*down[k]; a 9-point band
-// sums its six cross terms (NinePointRows order: aN, aS, aNW, aNE, aSW,
-// aSE) in full before adding h²*b[k], as the legacy band does.
+/// One position of a band: its tridiagonal row and the couplings to the
+/// neighbouring lines (all 1 on the Poisson band, which loads none).
+template <int W>
+struct BandRow {
+  simd::Vec<W> sub;
+  simd::Vec<W> diag;
+  simd::Vec<W> sup;
+  simd::Vec<W> lo;
+  simd::Vec<W> hi;
+};
+
+// x-lines: lane l is grid row first + 2l, position k its column; lo and
+// hi are aN and aS.  rhs(k) is the chain h²*b[k] + aN*up[k] + aS*down[k];
+// a 9-point band sums its six cross terms (NinePointRows order: aN, aS,
+// aNW, aNE, aSW, aSE) in full before adding h²*b[k].
 template <int W, LineStencil S>
 struct XBand {
   using V = simd::Vec<W>;
@@ -268,20 +316,33 @@ struct XBand {
     if constexpr (S == LineStencil::kPoisson) return v;
     else return sv(a, k) * v;
   }
-  V sub(int k) const { return -coupling(c.aw, k); }
-  V diag(int k) const {
-    if constexpr (S == LineStencil::kPoisson) return V::broadcast(4.0);
-    else return sv(c.ctr, k) + vch2;
+  // Forced inline: returned through memory, the row would cost more than
+  // the loads it saves.
+  [[gnu::always_inline]] BandRow<W> row(int k) const {
+    const V aw = coupling(c.aw, k);
+    const V ae = coupling(c.ae, k);
+    const V an = coupling(c.an, k);
+    const V as = coupling(c.as, k);
+    if constexpr (S == LineStencil::kPoisson) {
+      return {-aw, V::broadcast(4.0), -ae, an, as};
+    } else if constexpr (S == LineStencil::kFive) {
+      return {-aw, (((aw + ae) + an) + as) + vch2, -ae, an, as};
+    } else {
+      return {-aw, sv(c.ctr, k) + vch2, -ae, an, as};
+    }
   }
-  V sup(int k) const { return -coupling(c.ae, k); }
-  V rhs(int k) const {
+  /// rhs without a row, loading lo and hi itself (the apply walk).
+  V rhs(int k) const { return rhs(k, coupling(c.an, k), coupling(c.as, k)); }
+  V rhs(int k, V lo, V hi) const {
     V r = vh2 * gv(b, k);
-    if constexpr (S == LineStencil::kNine) {
-      r = r + (sv(c.an, k) * gv(up, k) + sv(c.as, k) * gv(down, k) +
+    if constexpr (S == LineStencil::kPoisson) {
+      r = r + gv(up, k) + gv(down, k);
+    } else if constexpr (S == LineStencil::kFive) {
+      r = r + lo * gv(up, k) + hi * gv(down, k);
+    } else {
+      r = r + (lo * gv(up, k) + hi * gv(down, k) +
                sv(c.nw, k - 1) * gv(up, k - 1) + sv(c.ne, k) * gv(up, k + 1) +
                sv(c.sw, k) * gv(down, k - 1) + sv(c.se, k) * gv(down, k + 1));
-    } else {
-      r = r + coupled(c.an, k, gv(up, k)) + coupled(c.as, k, gv(down, k));
     }
     if (k == 1) r = r + coupled(c.aw, 1, gv(mid, 0));
     if (k == n - 2) r = r + coupled(c.ae, n - 2, gv(mid, n - 1));
@@ -302,10 +363,10 @@ struct XBand {
   V vch2;
 };
 
-// y-lines: lane l is grid column first + 2l, position i its row.  rhs(i)
-// is h²*b + aW*x(i,j−1) + aE*x(i,j+1), which a 9-point band continues
-// with aNW*x(i−1,j−1) + aNE*x(i−1,j+1) + aSW*x(i+1,j−1) + aSE*x(i+1,j+1)
-// as one flat chain, like the legacy 9-point y band.
+// y-lines: lane l is grid column first + 2l, position i its row; lo and
+// hi are aW and aE.  rhs(i) is h²*b + aW*x(i,j−1) + aE*x(i,j+1), which a
+// 9-point band continues with aNW*x(i−1,j−1) + aNE*x(i−1,j+1) +
+// aSW*x(i+1,j−1) + aSE*x(i+1,j+1) as one flat chain.
 template <int W, LineStencil S>
 struct YBand {
   using V = simd::Vec<W>;
@@ -335,15 +396,28 @@ struct YBand {
     if constexpr (S == LineStencil::kPoisson) return v;
     else return ps(i, a) * v;
   }
-  V sub(int i) const { return -coupling(i, c.an); }
-  V diag(int i) const {
-    if constexpr (S == LineStencil::kPoisson) return V::broadcast(4.0);
-    else return ps(i, c.ctr) + vch2;
+  [[gnu::always_inline]] BandRow<W> row(int i) const {
+    const V aw = coupling(i, c.aw);
+    const V ae = coupling(i, c.ae);
+    const V an = coupling(i, c.an);
+    const V as = coupling(i, c.as);
+    if constexpr (S == LineStencil::kPoisson) {
+      return {-an, V::broadcast(4.0), -as, aw, ae};
+    } else if constexpr (S == LineStencil::kFive) {
+      return {-an, (((aw + ae) + an) + as) + vch2, -as, aw, ae};
+    } else {
+      return {-an, ps(i, c.ctr) + vch2, -as, aw, ae};
+    }
   }
-  V sup(int i) const { return -coupling(i, c.as); }
-  V rhs(int i) const {
-    V r = vh2 * V::gather(b + static_cast<long>(i) * n, 2, lanes) +
-          coupled(i, c.aw, gx(i, -1)) + coupled(i, c.ae, gx(i, +1));
+  /// rhs without a row, loading lo and hi itself (the apply walk).
+  V rhs(int i) const { return rhs(i, coupling(i, c.aw), coupling(i, c.ae)); }
+  V rhs(int i, V lo, V hi) const {
+    V r = vh2 * V::gather(b + static_cast<long>(i) * n, 2, lanes);
+    if constexpr (S == LineStencil::kPoisson) {
+      r = r + gx(i, -1) + gx(i, +1);
+    } else {
+      r = r + lo * gx(i, -1) + hi * gx(i, +1);
+    }
     if constexpr (S == LineStencil::kNine) {
       r = r + ps(i, c.nw, -1) * gx(i - 1, -1) + ps(i, c.ne) * gx(i - 1, +1) +
           ps(i, c.sw) * gx(i + 1, -1) + ps(i, c.se) * gx(i + 1, +1);
@@ -383,14 +457,20 @@ template <int W, typename Band>
 void solve_lines(const Band& band, double* cp, double* dp, int n) {
   using V = simd::Vec<W>;
   const V one = V::broadcast(1.0);
-  V inv = one / band.diag(1);
-  (band.sup(1) * inv).store(cp + 1 * W);
-  (band.rhs(1) * inv).store(dp + 1 * W);
+  const BandRow<W> first = band.row(1);
+  PBMG_NUM_ASSERT(all_positive(first.diag),
+                  "line_relax: non-positive diagonal");
+  V inv = one / first.diag;
+  (first.sup * inv).store(cp + 1 * W);
+  (band.rhs(1, first.lo, first.hi) * inv).store(dp + 1 * W);
   for (int k = 2; k <= n - 2; ++k) {
-    const V s = band.sub(k);
-    inv = one / (band.diag(k) - s * V::load(cp + (k - 1) * W));
-    (band.sup(k) * inv).store(cp + k * W);
-    ((band.rhs(k) - s * V::load(dp + (k - 1) * W)) * inv).store(dp + k * W);
+    const BandRow<W> t = band.row(k);
+    const V pivot = t.diag - t.sub * V::load(cp + (k - 1) * W);
+    PBMG_NUM_ASSERT(all_positive(pivot), "line_relax: non-positive pivot");
+    inv = one / pivot;
+    (t.sup * inv).store(cp + k * W);
+    ((band.rhs(k, t.lo, t.hi) - t.sub * V::load(dp + (k - 1) * W)) * inv)
+        .store(dp + k * W);
   }
   back_substitute<W>(band, cp, dp, n);
 }
@@ -403,15 +483,20 @@ void factor_lines(const Band& band, double* cp, double* sub, double* inv,
                   int n) {
   using V = simd::Vec<W>;
   const V one = V::broadcast(1.0);
-  V iv = one / band.diag(1);
+  const BandRow<W> first = band.row(1);
+  PBMG_NUM_ASSERT(all_positive(first.diag),
+                  "line_relax: non-positive diagonal");
+  V iv = one / first.diag;
   iv.store(inv + 1 * W);
-  (band.sup(1) * iv).store(cp + 1 * W);
+  (first.sup * iv).store(cp + 1 * W);
   for (int k = 2; k <= n - 2; ++k) {
-    const V s = band.sub(k);
-    iv = one / (band.diag(k) - s * V::load(cp + (k - 1) * W));
-    s.store(sub + k * W);
+    const BandRow<W> t = band.row(k);
+    const V pivot = t.diag - t.sub * V::load(cp + (k - 1) * W);
+    PBMG_NUM_ASSERT(all_positive(pivot), "line_relax: non-positive pivot");
+    iv = one / pivot;
+    t.sub.store(sub + k * W);
     iv.store(inv + k * W);
-    (band.sup(k) * iv).store(cp + k * W);
+    (t.sup * iv).store(cp + k * W);
   }
 }
 

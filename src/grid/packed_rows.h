@@ -1,11 +1,12 @@
 #pragma once
 
 /// \file packed_rows.h
-/// Width-templated flat row kernels: the packed variable-coefficient
-/// sweeps over a StencilOp's coefficient grids, the zebra line groups of
-/// every operator (Poisson's included), and the constant-coefficient
-/// Poisson residual and red-black SOR plus the full-weighting restriction
-/// and bilinear interpolation that every operator shares.
+/// Width-templated flat row kernels: the variable-coefficient sweeps
+/// over a StencilOp's coefficient grids (under either StencilLayout: the
+/// legacy layout runs them at W = 1), the zebra line groups of every
+/// operator (Poisson's included), and the constant-coefficient Poisson
+/// residual and red-black SOR plus the full-weighting restriction and
+/// bilinear interpolation that every operator shares.
 ///
 /// Everything here works on raw `double*` arrays — no Grid2D, no
 /// scheduler, no StencilOp — so the per-width translation units
@@ -18,11 +19,11 @@
 /// dispatching TUs (compiled with baseline flags) link against exactly
 /// one copy per width.
 ///
-/// Parity contract: every kernel reproduces the corresponding scalar
-/// loop's floating-point expression tree verbatim (same association,
-/// same negations), so for any W the results are bitwise identical to
-/// the W = 1 instantiation, which is the scalar path.  See simd.h for
-/// why that holds per lane.
+/// Parity contract: every lane computes the scalar loop's floating-point
+/// expression tree (same association, same negations), so for any W the
+/// results are bitwise identical to the W = 1 instantiation, which is the
+/// scalar path.  See simd.h for why that holds per lane; the tests keep
+/// the scalar loops as the oracle.
 
 namespace pbmg::grid::pk {
 
@@ -30,13 +31,13 @@ namespace pbmg::grid::pk {
 /// operator's grids, offset so entry [j] is what column j's update reads
 /// (aW = ax(i, j−1), aE = ax(i, j), aN = ay(i−1, j), aS = ay(i, j)).
 /// Built per row by pk::view5 (packed_kernels.h); entries are read for j
-/// in [1, n−2].
+/// in [1, n−2].  A 5-point operator stores no centre: the rows sum the
+/// diagonal ((aW+aE)+aN)+aS from these four, in that order.
 struct View5 {
   const double* aw;
   const double* ae;
   const double* an;
   const double* as;
-  const double* diag;  ///< ((aW+aE)+aN)+aS, PackedStencil::diag()
 };
 
 /// The 9-point coefficients of one interior row, built by pk::view9 at
@@ -99,9 +100,9 @@ enum class LineStencil { kPoisson, kFive, kNine };
 /// first + 2l of x for x-lines, grid column first + 2l for y-lines
 /// (`columns`).  A 5- or 9-point group reads the operator's grids through
 /// `coeffs`, the view of interior row 1: pk::view9(op, 1), or for a
-/// 5-point operator pk::view5(op, 1)'s arrays with its summed diagonal as
-/// the centre (StencilOp::center's 5-point value) and null corners; a
-/// Poisson group leaves it null.  Row i's entries sit (i − 1)·n doubles
+/// 5-point operator pk::view5(op, 1)'s arrays with a null centre and null
+/// corners (its band sums the centre, StencilOp::center's 5-point value);
+/// a Poisson group leaves it null.  Row i's entries sit (i − 1)·n doubles
 /// further on in every array, so an x-line group's lanes are 2n apart and
 /// a y-line group's 2.  Tail lanes past `lanes` duplicate the last active
 /// line's loads and are never stored.  cp, dp, sub and inv are
@@ -126,9 +127,9 @@ struct LineGroup {
   int n = 0;
 };
 
-/// Thomas solve of one line group for one iterate, bitwise the legacy
-/// line passes' solve_interior_line on every lane (for Poisson, over an
-/// operator whose coefficient grids hold 1).  One iterate
+/// Thomas solve of one line group for one iterate, bitwise the scalar
+/// Thomas recurrence on every lane (for Poisson, over an operator whose
+/// coefficient grids hold 1).  One iterate
 /// (slots == 1) eliminates and substitutes in one walk of the bands.  A
 /// batch factors the group once, at slot 0: cp as the one-pass walk
 /// computes it, sub[k·W + l] = sub-diagonal(k) and inv[k·W + l] =

@@ -45,9 +45,9 @@
 /// The constant-coefficient Poisson operator (M ≡ I, c = 0) is the
 /// zero-overhead fast path: `StencilOp::poisson(n)` stores no coefficient
 /// grids, and every kernel that takes a StencilOp dispatches it to the
-/// original specialised Poisson kernel, bit-for-bit identical to calling
-/// that kernel directly.  Likewise a 5-point operator (no corner grids)
-/// dispatches to the pre-9-point kernels bit for bit.
+/// specialised Poisson rows.  A 5-point operator (no corner grids) runs
+/// the 5-point rows, which read no centre grid and sum the diagonal from
+/// the four edge couplings.
 ///
 /// Coarse-grid operators come in two flavours — the `Coarsening` choice
 /// dimension the autotuner races (tune/trainer.h):
@@ -94,18 +94,17 @@ std::string to_string(Coarsening mode);
 /// anything else.
 Coarsening parse_coarsening(const std::string& name);
 
-/// Which row kernels the sweeps run over a level's coefficient grids — a
-/// tuned choice dimension like Coarsening.  kLegacy runs the scalar
-/// loops; kPacked runs the SIMD rows of packed_rows.h, which read the
-/// same n×n grids through per-row views (pk::view5 / pk::view9) plus a
-/// 5-point operator's summed diagonal (grid::PackedStencil, see
-/// packed_stencil.h).  Both produce bitwise identical results; only the
-/// instructions differ, so the tuner picks per (machine × operator
-/// family × size).  Serialized as "legacy" / "packed"; a missing field
-/// reads as kLegacy.
+/// How wide the sweeps run the one set of row kernels over a level's
+/// coefficient grids (the pk:: rows of packed_rows.h, which read the n×n
+/// grids through per-row views, pk::view5 / pk::view9).  kLegacy runs
+/// them at one lane; kPacked at KernelPolicy::simd_width lanes (see
+/// row_width in packed_kernels.h).  Both produce bitwise identical
+/// results; only the instructions differ, so the tuner picks per
+/// (machine × operator family × size).  Serialized as "legacy" /
+/// "packed"; a missing field reads as kLegacy.
 enum class StencilLayout {
-  kLegacy,  ///< scalar sweeps over the coefficient grids (the seed path)
-  kPacked,  ///< SIMD rows over the same grids + a 5-point diagonal grid
+  kLegacy,  ///< the rows at one lane
+  kPacked,  ///< the rows at simd_width lanes
 };
 
 /// Stable names used in tuned tables and cache keys: "legacy", "packed".
@@ -120,10 +119,11 @@ StencilLayout parse_stencil_layout(const std::string& name);
 /// forwards it).  simd_width is the *requested* lane count in {1, 2, 4};
 /// the dispatcher clamps it to what the running CPU supports — safe because
 /// every width is bitwise identical, so clamping never changes results.
-/// Width only matters under kPacked (legacy sweeps ignore it); the Poisson
-/// residual and SOR rows and the restriction and interpolation every
-/// operator shares always run at the widest supported width
-/// (packed_simd_width_supported()), whatever the policy says.
+/// Width only matters under kPacked (kLegacy runs one lane); the Poisson
+/// residual and SOR rows, its line bands, and the restriction and
+/// interpolation every operator shares always run at the widest
+/// supported width (packed_simd_width_supported()), whatever the policy
+/// says.
 struct KernelPolicy {
   StencilLayout layout = StencilLayout::kLegacy;
   int simd_width = 1;
@@ -277,20 +277,12 @@ class StencilOp {
   /// Dispatch helper: restricted() or galerkin_coarse() by mode.
   StencilOp coarsened(Coarsening mode) const;
 
-  /// What the packed rows read beside the coefficient grids: a 5-point
-  /// operator's summed diagonal as one n×n grid, nothing for a 9-point
-  /// one (see packed_stencil.h).  Built on first call and cached in the
-  /// slot every copy of this operator shares — so a hierarchy packs each
-  /// level at most once no matter how many sessions run it.  Thread-safe
-  /// (std::call_once); requires !is_poisson() (the fast path dispatches
-  /// to the legacy Poisson kernels before packing is ever consulted).
+  /// An empty PackedStencil (packed_stencil.h): the rows read nothing
+  /// beside the coefficient grids.  Kept for the benchmark's probes.
   const PackedStencil& packed() const;
 
-  /// Heap bytes held by this operator's coefficient grids plus its packed
-  /// diagonal if one has been built (0 for the Poisson fast path).  Safe
-  /// to call concurrently with a first pack(); counts what is resident
-  /// *now*, so callers that budget against it should measure after
-  /// prewarming.
+  /// Heap bytes held by this operator's coefficient grids (0 for the
+  /// Poisson fast path).
   std::size_t bytes() const;
 
  private:
@@ -303,19 +295,15 @@ class StencilOp {
     Grid2D asw;
     Grid2D center;
   };
-  struct PackedSlot;  // once_flag + PackedStencil, defined in the .cpp
-
   int n_ = 0;
   double c_ = 0.0;
   std::shared_ptr<const Coefficients> coeff_;  ///< null ⇒ Poisson fast path
   std::shared_ptr<const CornerCoefficients> corner_;  ///< null ⇒ 5-point
-  std::shared_ptr<PackedSlot> packed_slot_;  ///< null ⇒ Poisson fast path
 };
 
 /// Row-pointer view of a 9-point operator's coefficients around grid row
-/// i, for the row-sweeping kernels (the legacy apply/residual, SOR and
-/// x-line solves, and pk::view9, which the packed rows read).
-/// It encodes the offset aliasing of the shared-coupling layout
+/// i, from which pk::view9 builds the view the 9-point rows and bands
+/// read.  It encodes the offset aliasing of the shared-coupling layout
 /// — aNW = se_up[j−1], aNE = sw_up[j+1], aSW = sw_dn[j], aSE = se_dn[j] —
 /// in one place, so the kernels cannot drift from the convention that
 /// StencilOp::coupling() defines.  Requires is_nine_point() and an
@@ -339,21 +327,6 @@ struct NinePointRows {
   const double* sw_up;  ///< aNE = sw_up[j+1]
   const double* sw_dn;  ///< aSW = sw_dn[j]
   const double* center;
-
-  /// Coupling-weighted sum of the six neighbours in rows i±1 — the terms
-  /// a row-wise line solve folds into its right-hand side.
-  double cross_row_sum(const double* up, const double* down, int j) const {
-    return ay_up[j] * up[j] + ay_dn[j] * down[j] +
-           se_up[j - 1] * up[j - 1] + sw_up[j + 1] * up[j + 1] +
-           sw_dn[j] * down[j - 1] + se_dn[j] * down[j + 1];
-  }
-
-  /// Coupling-weighted sum of all eight neighbours.
-  double neighbour_sum(const double* up, const double* mid,
-                       const double* down, int j) const {
-    return ax[j - 1] * mid[j - 1] + ax[j] * mid[j + 1] +
-           cross_row_sum(up, down, j);
-  }
 };
 
 /// The per-level operator ladder a multigrid solve runs against: ops at
@@ -390,12 +363,6 @@ class StencilHierarchy {
 
   /// Operator at recursion level `level` in [1, top_level].
   const StencilOp& at(int level) const;
-
-  /// Packs every non-Poisson level now (idempotent, shared with every
-  /// copy of the ladder; only 5-point levels store anything), so a
-  /// kPacked solve never pays the packing cost inside a timed sweep.  Sessions and the profile-search
-  /// setup call this ahead of racing candidates.
-  void prewarm_packed() const;
 
   /// Sum of StencilOp::bytes() over the ladder — the coefficient-side
   /// footprint a session pays to keep this hierarchy resident.

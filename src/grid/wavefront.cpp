@@ -40,14 +40,12 @@ WaveRows::WaveRows(int n, double omega)
                             &pk::interpolate_row<1>, &pk::interpolate_row<2>,
                             &pk::interpolate_row<4>)) {}
 
-WaveRows::WaveRows(const StencilOp& op, double omega, int simd_width)
+WaveRows::WaveRows(const StencilOp& op, double omega, int w)
     : WaveRows(op.n(), omega) {
   if (op.is_poisson()) return;
-  (void)op.packed();  // sum a 5-point diagonal before any row reads it
   op_ = &op;
   c_ = op.c();
   ch2_ = op.c() * h2_;
-  const int w = clamp_simd_width(simd_width);
   const int sor_w = n_ < kWideSorMinN ? 1 : w;
   if (op.is_nine_point()) {
     kind_ = Kind::kNinePoint;

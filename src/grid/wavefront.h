@@ -26,8 +26,8 @@
 /// half of a RECURSE body as a three-stage one.
 ///
 /// WaveRows holds the pk:: row kernels of one operator: the Poisson rows,
-/// or the packed 5- or 9-point rows.  Every cell sees the same inputs in
-/// the same order through the same rows as in separate passes, so a
+/// or the 5- or 9-point rows.  Every cell sees the same inputs in the
+/// same order through the same rows as in separate passes, so a
 /// wavefront's results are bitwise those of the separate passes under any
 /// thread count and SIMD width.
 
@@ -131,20 +131,21 @@ void wavefront(int n, int depth, std::int64_t cost_per_cell,
 /// the SOR rows of its two stages, its residual rows, and the
 /// full-weighting restriction and bilinear interpolation rows every
 /// operator shares.  The Poisson rows and the transfers run at the
-/// widest supported width, the packed rows at the policy's clamped
-/// width, and rows shorter than a wide SOR row earns back run the scalar
-/// SOR row; every width gives the scalar loop's bits.
+/// widest supported width, the 5- and 9-point rows at the width they
+/// are built with (row_width of the policy), and rows shorter than a
+/// wide SOR row earns back run the scalar SOR row; every width gives the
+/// scalar loop's bits.
 class WaveRows {
  public:
   /// The Poisson operator's rows.
   WaveRows(int n, double omega);
 
   /// The rows of `op`: the Poisson rows on the fast path, and otherwise
-  /// the packed 5- or 9-point rows over op's grids (pk::view5 / view9;
-  /// a 5-point diagonal is summed here on first touch) at `simd_width`,
-  /// clamped to what the CPU supports.  Keeps a pointer to `op`, which
-  /// must outlive the rows.
-  WaveRows(const StencilOp& op, double omega, int simd_width);
+  /// the 5- or 9-point rows over op's grids (pk::view5 / view9) at `w`
+  /// lanes, a width the CPU supports (row_width or clamp_simd_width
+  /// resolves it).  Keeps a pointer to `op`, which must outlive the
+  /// rows.
+  WaveRows(const StencilOp& op, double omega, int w);
 
   int n() const { return n_; }
   int nc() const { return nc_; }

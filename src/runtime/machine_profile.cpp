@@ -123,8 +123,8 @@ MachineProfile profile_from_json(const Json& json) {
   p.spawn_overhead_ns = json.get("spawn_overhead_ns", p.spawn_overhead_ns);
   p.sequential_cutoff_cells =
       json.get("sequential_cutoff_cells", p.sequential_cutoff_cells);
-  if (p.threads < 1 || p.grain_rows < 1 || p.spawn_overhead_ns < 0 ||
-      p.sequential_cutoff_cells < 0) {
+  if (p.threads < 1 || p.threads > kMaxProfileThreads || p.grain_rows < 1 ||
+      p.spawn_overhead_ns < 0 || p.sequential_cutoff_cells < 0) {
     throw ConfigError("machine profile JSON has out-of-range fields");
   }
   return p;

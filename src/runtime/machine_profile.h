@@ -24,6 +24,13 @@ namespace pbmg::rt {
 /// Hardware threads reported by the platform (8 when it reports none).
 int hardware_threads();
 
+/// The most threads a loaded profile may name: far above any host this
+/// runs on and above anything the profile search writes (its threads
+/// range is the host's hardware_threads()).  profile_from_json rejects
+/// more as ConfigError, so a cached entry asking for more is a clean
+/// cache miss rather than a scheduler that starts that many workers.
+inline constexpr int kMaxProfileThreads = 4096;
+
 /// Execution-environment description used to configure the scheduler.
 struct MachineProfile {
   /// Identifier used in configs, tables and figure labels.
@@ -104,7 +111,9 @@ MachineProfile with_tunable(const MachineProfile& base,
                             const std::string& name, std::int64_t value);
 
 /// JSON round trip, used by the tuned-config disk cache to persist searched
-/// profiles alongside tuned tables.
+/// profiles alongside tuned tables.  profile_from_json throws ConfigError
+/// for a field outside its range: threads outside [1, kMaxProfileThreads],
+/// grain_rows < 1, or a negative spawn overhead or cutoff.
 Json profile_to_json(const MachineProfile& profile);
 MachineProfile profile_from_json(const Json& json);
 

@@ -60,14 +60,13 @@ ParamSpace make_profile_space(const rt::MachineProfile& base,
   // search must still be able to flip it.
   space.add_categorical("coarsening", {"avg", "rap"}, /*default_index=*/0);
   // Kernel implementation axes (grid/stencil_op.h KernelPolicy): the
-  // row kernels the sweeps run over the coefficient grids (legacy scalar
-  // vs packed SIMD) and the SIMD lane count of the packed kernels.  Both
-  // are bitwise result-invariant — pure instruction/ILP knobs — so the
-  // tuner races them like any machine parameter; they sit in the
-  // relaxation group because the win is operator-family-dependent (the
-  // packed rows pay off most on the 9-point/RAP ladders).  Widths the
-  // CPU lacks are clamped at dispatch (clamp_simd_width), also
-  // result-invariant.
+  // lane count the sweeps run their rows at over the coefficient grids
+  // (legacy: one lane; packed: simd_width lanes).  Both are bitwise
+  // result-invariant — pure instruction/ILP knobs — so the tuner races
+  // them like any machine parameter; they sit in the relaxation group
+  // because the win is operator-family-dependent (the wide rows pay off
+  // most on the 9-point/RAP ladders).  Widths the CPU lacks are clamped
+  // at dispatch (clamp_simd_width), also result-invariant.
   space.add_categorical("layout", {"legacy", "packed"}, /*default_index=*/0);
   space.add_categorical("simd_width", {"1", "2", "4"}, /*default_index=*/0);
   return space;
@@ -171,11 +170,6 @@ SearchedProfile search_profile(const ProfileSearchOptions& options) {
   const grid::StencilOp op = make_operator(n, options.op_family);
   const grid::StencilHierarchy ops(op);
   const grid::StencilHierarchy ops_rap(op, grid::Coarsening::kRap);
-  // Candidates flip the packed-layout axis freely; pack both ladders once
-  // up front so no candidate's timed sweeps pay the one-time O(n²) pack
-  // (a no-op for Poisson levels, which keep their dedicated kernels).
-  ops.prewarm_packed();
-  ops_rap.prewarm_packed();
   Rng rng(options.seed);
   auto instances =
       tune::make_training_set(op, options.distribution, rng.split(0x5EA7C4),

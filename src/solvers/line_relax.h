@@ -43,13 +43,14 @@ namespace pbmg::solvers {
 /// kLineY: columns, kLineZebraAlt: one x pass then one y pass).  The
 /// boundary ring of x is read, not written.  The tridiagonal bands carry
 /// the true per-edge coefficients (sub = −aW, sup = −aE for rows;
-/// −aN/−aS for columns) and the full diagonal (aW+aE+aN+aS)/h² + c.  A
-/// KernelPolicy selecting the packed layout runs the batched-Thomas SIMD
-/// line solves (grid/packed_kernels.h), vectorized across independent
-/// same-parity lines and bitwise identical to legacy.  The Poisson fast
-/// path runs those solves under either layout, at the widest width the
-/// CPU supports, over constant bands that read no grid, and matches an
-/// explicit unit-coefficient operator on the legacy layout bit for bit.
+/// −aN/−aS for columns) and the full diagonal (aW+aE+aN+aS)/h² + c.
+/// Every sweep runs the batched-Thomas line solves
+/// (grid/packed_kernels.h), vectorized across independent same-parity
+/// lines at grid::row_width(kernels) lanes (one under the legacy
+/// layout), with the same bits at every width.  The Poisson fast path
+/// runs them at the widest width the CPU supports whatever the policy,
+/// over constant bands that read no grid, and matches an explicit
+/// unit-coefficient operator bit for bit.
 /// Forwards a one-element span to line_relax_sweep_multi.  Requires
 /// is_line_relax(kind) and op.n() == x.n() == b.n() = 2^k+1.
 void line_relax_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
@@ -59,14 +60,11 @@ void line_relax_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
 
 /// Zebra line relaxation over K iterates: one sweep of each xs[k] against
 /// bs[k], every slot bitwise identical to its own line_relax_sweep call.
-/// Poisson and the packed layout pass the whole batch to the packed line
-/// passes, which pick a body by K: the one-pass body for one iterate, and
-/// for a batch one factorization per line group replayed per iterate, so
-/// the pivot divides and coefficient loads are shared
-/// (grid/packed_kernels.h).  The packed and legacy passes share the
-/// Thomas recurrence of solve_interior_line (line_relax.cpp), each over
-/// its own bands.  Only the legacy layout sweeps the iterates one at a
-/// time, with its one-iterate driver.
+/// The whole batch goes to the line passes, which pick a body by K: the
+/// one-pass body for one iterate, and for a batch one factorization per
+/// line group replayed per iterate, so the pivot divides and coefficient
+/// loads are shared (grid/packed_kernels.h).  Under PBMG_ASSERTIONS the
+/// bodies throw InvalidArgument on a non-positive diagonal or pivot.
 void line_relax_sweep_multi(const grid::StencilOp& op,
                             std::span<Grid2D* const> xs,
                             std::span<const Grid2D* const> bs, RelaxKind kind,

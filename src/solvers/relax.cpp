@@ -184,104 +184,6 @@ void jacobi_sweep(Grid2D& x, const Grid2D& b, double omega, Grid2D& scratch,
   x.swap(scratch);
 }
 
-namespace {
-
-/// 9-point SOR needs four colours: diagonal neighbours share the red-black
-/// parity (i+j changes by 0 or 2 across a corner), so a two-colour sweep
-/// would race same-colour updates under the row-parallel scheduler.  With
-/// colours (i mod 2, j mod 2) every stencil neighbour lies in a different
-/// class, restoring the frozen-reads guarantee — the sweep is bitwise
-/// deterministic under any thread count, like the red-black point sweeps.
-/// Coefficient rows are resolved once per grid row and reused across the
-/// K iterates.  A colour's region hands out only its rows, i = 2r + 2 − pi.
-void sor_sweep_nine_multi(const grid::StencilOp& op,
-                          std::span<Grid2D* const> xs,
-                          std::span<const Grid2D* const> bs, double omega,
-                          rt::Scheduler& sched) {
-  const int n = op.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const double keep = 1.0 - omega;
-  const auto batch = static_cast<std::int64_t>(xs.size());
-  for (int color = 0; color < 4; ++color) {
-    const int pi = color >> 1;
-    const int pj = color & 1;
-    const int colour_rows = (n - 2 + pi) / 2;
-    sched.parallel_for(
-        0, colour_rows,
-        sched.grain_for(colour_rows, n - 2, grid::kSorCost9 * batch),
-        [&, pi, pj](std::int64_t rb, std::int64_t re) {
-          for (int r = static_cast<int>(rb); r < static_cast<int>(re); ++r) {
-            const int i = 2 * r + 2 - pi;
-            const grid::NinePointRows rows(op, i);
-            const int j0 = 1 + ((1 + pj) & 1);
-            for (std::size_t k = 0; k < xs.size(); ++k) {
-              const double* up = xs[k]->row(i - 1);
-              double* mid = xs[k]->row(i);
-              const double* down = xs[k]->row(i + 1);
-              const double* rhs = bs[k]->row(i);
-              for (int j = j0; j < n - 1; j += 2) {
-                const double diag = rows.center[j] + ch2;
-                PBMG_NUM_ASSERT(diag > 0.0,
-                                "sor_sweep: non-positive stencil diagonal");
-                const double nb = rows.neighbour_sum(up, mid, down, j);
-                mid[j] = keep * mid[j] + omega * (h2 * rhs[j] + nb) / diag;
-              }
-            }
-          }
-        });
-  }
-}
-
-/// 5-point red-black sweep over K iterates, each coefficient row loaded
-/// once for all K.
-void sor_sweep_5pt_multi(const grid::StencilOp& op,
-                         std::span<Grid2D* const> xs,
-                         std::span<const Grid2D* const> bs, double omega,
-                         rt::Scheduler& sched) {
-  const int n = op.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const double keep = 1.0 - omega;
-  const Grid2D& ax = op.ax_grid();
-  const Grid2D& ay = op.ay_grid();
-  const auto batch = static_cast<std::int64_t>(xs.size());
-  for (int parity = 0; parity <= 1; ++parity) {
-    sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2, grid::kSorCost5 * batch),
-        [&, parity](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            const double* axr = ax.row(i);
-            const double* ay_up = ay.row(i - 1);
-            const double* ay_dn = ay.row(i);
-            const int j0 = 1 + ((i + 1 + parity) & 1);
-            for (std::size_t k = 0; k < xs.size(); ++k) {
-              const double* up = xs[k]->row(i - 1);
-              double* mid = xs[k]->row(i);
-              const double* down = xs[k]->row(i + 1);
-              const double* rhs = bs[k]->row(i);
-              for (int j = j0; j < n - 1; j += 2) {
-                const double aw = axr[j - 1];
-                const double ae = axr[j];
-                const double an = ay_up[j];
-                const double as = ay_dn[j];
-                const double diag = (((aw + ae) + an) + as) + ch2;
-                PBMG_NUM_ASSERT(diag > 0.0,
-                                "sor_sweep: non-positive stencil diagonal");
-                mid[j] = keep * mid[j] +
-                         omega *
-                             (h2 * rhs[j] + an * up[j] + as * down[j] +
-                              aw * mid[j - 1] + ae * mid[j + 1]) /
-                             diag;
-              }
-            }
-          }
-        });
-  }
-}
-
-}  // namespace
-
 void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
                      std::span<const Grid2D* const> bs, double omega,
                      rt::Scheduler& sched,
@@ -295,16 +197,8 @@ void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
                "sor_sweep: operator/grid size mismatch");
   }
   if (xs.empty()) return;
-  if (op.is_poisson()) {
-    grid::sor_wavefront(grid::WaveRows(op.n(), omega), xs, bs, sched);
-  } else if (kernels.layout == grid::StencilLayout::kPacked) {
-    grid::packed_sor_sweep_multi(op, xs, bs, omega, sched,
-                                 kernels.simd_width);
-  } else if (op.is_nine_point()) {
-    sor_sweep_nine_multi(op, xs, bs, omega, sched);
-  } else {
-    sor_sweep_5pt_multi(op, xs, bs, omega, sched);
-  }
+  grid::sor_wavefront(grid::WaveRows(op, omega, grid::row_width(kernels)), xs,
+                      bs, sched);
 }
 
 void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
@@ -344,15 +238,10 @@ int body_level(const grid::StencilOp& op, std::span<Grid2D* const> xs,
   return level_of_size(op.n());
 }
 
-/// Point-SOR body halves run fused on the Poisson operator and on the
-/// packed layout; a line smoother, or a variable-coefficient operator
-/// under the legacy layout, keeps its separate passes.  A smoother that
-/// is not a line smoother runs point SOR (tables can name no other).
-bool fused_body(const grid::StencilOp& op, RelaxKind smoother,
-                const grid::KernelPolicy& kernels) {
-  return !is_line_relax(smoother) &&
-         (op.is_poisson() || kernels.layout == grid::StencilLayout::kPacked);
-}
+/// Point-SOR body halves run fused on every operator; a line smoother
+/// keeps its separate passes.  A smoother that is not a line smoother
+/// runs point SOR (tables can name no other).
+bool fused_body(RelaxKind smoother) { return !is_line_relax(smoother); }
 
 /// One sweep of `smoother` over the batch, timed as its phase.
 void relax_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
@@ -381,10 +270,10 @@ void recurse_head(const grid::StencilOp& op, std::span<Grid2D* const> xs,
       body_level(op, xs, bs, {{rcs.data(), rcs.size()}, {es.data(), es.size()}},
                  "recurse_head");
   if (xs.empty()) return;
-  if (fused_body(op, smoother, kernels)) {
+  if (fused_body(smoother)) {
     obs::ScopedPhaseTimer timer(profile, obs::Phase::kRelax, level);
-    fused_head(grid::WaveRows(op, omega, kernels.simd_width), xs, bs, rcs, es,
-               sched);
+    fused_head(grid::WaveRows(op, omega, grid::row_width(kernels)), xs, bs,
+               rcs, es, sched);
     return;
   }
   relax_multi(op, xs, bs, smoother, omega, sched, pool, kernels, profile,
@@ -403,10 +292,10 @@ void recurse_tail(const grid::StencilOp& op,
                   obs::PhaseProfile* profile) {
   const int level = body_level(op, xs, bs, {es}, "recurse_tail");
   if (xs.empty()) return;
-  if (fused_body(op, smoother, kernels)) {
+  if (fused_body(smoother)) {
     obs::ScopedPhaseTimer timer(profile, obs::Phase::kRelax, level);
-    fused_tail(grid::WaveRows(op, omega, kernels.simd_width), es, xs, bs,
-               sched);
+    fused_tail(grid::WaveRows(op, omega, grid::row_width(kernels)), es, xs,
+               bs, sched);
     return;
   }
   {

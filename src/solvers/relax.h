@@ -20,23 +20,24 @@
 /// Jacobi is the alternative the paper measured and rejected; it has one
 /// body, the Poisson sweep the smoother ablation runs.
 ///
-/// On the Poisson operator, and on any other operator under the packed
-/// layout, a SOR sweep and each half of a point-SOR RECURSE body run as
-/// one row wavefront (grid/wavefront.h): each block of rows runs every
+/// A SOR sweep and each half of a point-SOR RECURSE body run as one row
+/// wavefront (grid/wavefront.h) on every operator, under either kernel
+/// layout (the legacy layout runs the rows at one lane, the packed one
+/// at simd_width lanes): each block of rows runs every
 /// stage of the pass (two SOR stages, then the residual and restriction;
 /// or the interpolation, then two SOR stages), each stage a fixed number
-/// of rows behind the one before, so each row — and each packed
-/// coefficient row — is read from cache by every stage that needs it.  A
+/// of rows behind the one before, so each row — and each coefficient
+/// row — is read from cache by every stage that needs it.  A
 /// 5-point operator's SOR stages are red and black; a 9-point operator's
 /// are the even rows' two colours and the odd rows' two.  A block's
 /// stages stop short of its neighbours' rows; the rows they leave at each
 /// block edge (a triangle) run in a second parallel region, once every
 /// block is done.  Every cell sees the same inputs in the same order
 /// through the same pk:: row kernels as in separate passes, so the
-/// results are bitwise those of the separate passes (the legacy layout's
-/// colour passes, residual restriction and interpolation) under any
-/// thread count.  The legacy layout's variable-coefficient sweeps and
-/// every line smoother keep their separate passes.
+/// results are bitwise those of the separate colour passes, residual
+/// restriction and interpolation under any thread count (the tests keep
+/// those passes as scalar loops, their oracle).  Line smoothers keep
+/// their separate passes.
 
 namespace pbmg::obs {
 class PhaseProfile;
@@ -117,10 +118,11 @@ struct RelaxTunables {
   double recurse_omega = kRecurseOmega;  ///< ω of RECURSE's pre/post sweeps
   double omega_scale = 1.0;              ///< multiplier applied to ω_opt(N)
   /// Searched kernel implementation policy (the "layout" / "simd_width"
-  /// axes of make_profile_space): the legacy scalar rows vs the packed
-  /// SIMD rows and their lane count, over the same coefficient grids.
-  /// Bitwise result-invariant — this axis trades instructions only — so
-  /// the tuner is free to race it like any other runtime parameter.
+  /// axes of make_profile_space): the lane count of the one set of rows
+  /// over the coefficient grids, one under the legacy layout and
+  /// simd_width under the packed one (grid::row_width).  Bitwise
+  /// result-invariant — this axis trades instructions only — so the
+  /// tuner is free to race it like any other runtime parameter.
   grid::KernelPolicy kernels;
 };
 
@@ -153,11 +155,12 @@ void jacobi_sweep(Grid2D& x, const Grid2D& b, double omega, Grid2D& scratch,
 
 /// Red-black SOR sweep for a variable-coefficient operator: each update
 /// divides by the cell's true diagonal (aW+aE+aN+aS)/h² + c instead of the
-/// Poisson 4/h².  The Poisson fast path runs sor_sweep above's rows,
-/// bit-for-bit.  A KernelPolicy selecting the packed layout runs the
-/// SIMD wavefront (grid/packed_kernels.h), bitwise identical to legacy.
-/// Forwards a one-element span to sor_sweep_multi, which holds the only
-/// body of each kind.  Requires x.n() == op.n().
+/// Poisson 4/h² (four-colour on a 9-point operator, whose corner
+/// neighbours share the red-black colour).  The Poisson fast path runs
+/// sor_sweep above's rows, bit-for-bit.  Every operator runs the same
+/// wavefront over the pk:: rows at grid::row_width(kernels) lanes, and
+/// every width gives the same bits.  Forwards a one-element span to
+/// sor_sweep_multi, which holds the only body.  Requires x.n() == op.n().
 void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
                double omega, rt::Scheduler& sched,
                const grid::KernelPolicy& kernels = {});
@@ -168,8 +171,7 @@ void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
 /// — the bandwidth amortization batched serving buys.  The K iterates
 /// never couple, and each k's cells see the one-iterate inputs, so every
 /// slot is bitwise identical to its own sor_sweep call under any thread
-/// count; K = 1 is that call.  Dispatches Poisson and packed (one
-/// wavefront) / legacy 9-point / legacy 5-point (colour passes).
+/// count; K = 1 is that call.  One wavefront for every operator.
 /// Requires equal span sizes and all grids matching op.n().
 void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
                      std::span<const Grid2D* const> bs, double omega,
@@ -180,14 +182,11 @@ void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
 /// sweep of `smoother` on each xs[k] against bs[k] (point red-black SOR
 /// at `omega` unless it is a line smoother), then rcs[k] = full weighting
 /// of (bs[k] − A·xs[k]) with a zero ring, and es[k] = 0 everywhere, ring
-/// included: the coarse correction's zero guess.  With point SOR on the
-/// Poisson operator, or on any operator under the packed layout, this is
+/// included: the coarse correction's zero guess.  With point SOR this is
 /// one three-stage row wavefront (two SOR stages, then residual rows
 /// restricted as they complete) timed once under obs::Phase::kRelax; a
-/// line smoother, or the legacy layout's variable-coefficient operators,
-/// run sor_sweep_multi or line_relax_sweep_multi (timed kRelax or
-/// kLineSolve) and then restrict_residual_multi (timed kRestrict), as two
-/// passes.
+/// line smoother runs line_relax_sweep_multi (timed kLineSolve) and then
+/// restrict_residual_multi (timed kRestrict), as two passes.
 /// Either way every slot is bitwise the sweep followed by residual_op
 /// and restrict_full_weighting.  `profile` may be null; the level timed
 /// is op.n()'s.  Requires equal span sizes, every fine grid matching

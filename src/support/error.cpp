@@ -12,4 +12,9 @@ void throw_check_failure(const char* expr, const char* file, int line,
   throw InvalidArgument(oss.str());
 }
 
+void throw_check_failure(const char* expr, const char* file, int line,
+                         const char* message) {
+  throw_check_failure(expr, file, line, std::string(message));
+}
+
 }  // namespace pbmg::detail

@@ -42,6 +42,12 @@ class NumericalError : public Error {
 namespace detail {
 [[noreturn]] void throw_check_failure(const char* expr, const char* file,
                                       int line, const std::string& message);
+/// A literal message takes this overload, so a check builds no
+/// std::string where it is written: the per-width kernel TUs
+/// (grid/packed_kernels_w*.cpp), built with their own ISA flags, must
+/// instantiate no inline code that other TUs share.
+[[noreturn]] void throw_check_failure(const char* expr, const char* file,
+                                      int line, const char* message);
 }  // namespace detail
 
 }  // namespace pbmg

@@ -165,8 +165,10 @@ SearchTrainResult load_or_search_train(
       // the explicit call keeps the contract even if that serializer
       // loosens, and turns any violation into the catch below.
       solvers::validate_relax_tunables(result.searched.relax);
-      PBMG_CHECK(result.searched.profile.threads >= 1,
-                 "searched profile: threads must be >= 1");
+      PBMG_CHECK(result.searched.profile.threads >= 1 &&
+                     result.searched.profile.threads <= rt::kMaxProfileThreads,
+                 "searched profile: threads must be in [1, "
+                 "rt::kMaxProfileThreads]");
       if (from_cache != nullptr) *from_cache = true;
       return result;
     } catch (const std::exception&) {

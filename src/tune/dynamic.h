@@ -37,8 +37,7 @@
 ///    stalling — the cross-family half of the §6 loop.
 ///  - Everything expensive happens once, at bind time, in one
 ///    tune::PreparedOperator over the ladder's configs: the coefficient
-///    ladders, one TunedExecutor per family, the packed diagonals and
-///    the scratch warm-up.  solve() touches none of it — two consecutive
+///    ladders, one TunedExecutor per family and the scratch warm-up.  solve() touches none of it — two consecutive
 ///    solves share every prewarmed structure (dynamic_test pins this).
 ///
 /// Honest stats contract (PR 8): DynamicResult reports the executor's

@@ -236,8 +236,8 @@ void TunedExecutor::recurse_body_multi_at(std::span<Grid2D* const> xs,
   // (the historical path) or the exact Galerkin RAP coarse operators.
   // The head (pre-relaxation, residual restriction, zeroed correction)
   // and the tail (interpolated correction, post-relaxation) each take the
-  // whole batch and time themselves; with point SOR on Poisson or under
-  // the packed layout each is one fused pass.  Every slot's operation
+  // whole batch and time themselves; with point SOR each is one fused
+  // pass.  Every slot's operation
   // sequence is exactly its solo walk's.
   const grid::StencilOp& op = op_at(level, coarsening);
   const int nc = coarse_size(size_of_level(level));

@@ -30,9 +30,8 @@
 /// same tables one level down.  A RECURSE body runs as
 /// solvers::recurse_head (pre-relaxation, residual restriction, zeroed
 /// coarse correction), the coarse call, and solvers::recurse_tail
-/// (interpolated correction, post-relaxation); with point SOR on the
-/// Poisson operator or under the packed layout each half is one fused
-/// row wavefront, timed once as relaxation.  ESTIMATE's restriction
+/// (interpolated correction, post-relaxation); with point SOR each half
+/// is one fused row wavefront, timed once as relaxation.  ESTIMATE's restriction
 /// zeroes its coarse correction the same way
 /// (grid::restrict_residual_multi), and its interpolation is one region
 /// for the batch (grid::interpolate_add_multi), so no walk step

@@ -69,15 +69,8 @@ PreparedOperator::PreparedOperator(
     warm.reserve(static_cast<std::size_t>(per_level));
     for (int c = 0; c < per_level; ++c) warm.push_back(pool_.acquire(side));
   }  // leases release here, stocking the free-list
-  // Pack every level here for the same reason the ladders coarsen here:
-  // no solve ever pays the O(n²) pack on its timed path.
-  if (relax_.kernels.layout == grid::StencilLayout::kPacked) {
-    ops_.prewarm_packed();
-    if (rap != nullptr) ops_rap_.prewarm_packed();
-  }
-  // Counted last, so the packed diagonals just summed are included.
-  // The RAP ladder's top is ops_'s top (same coefficients, same packed
-  // slot), so only its levels below the top add bytes.
+  // The RAP ladder's top is ops_'s top (the same coefficients), so only
+  // its levels below the top add bytes.
   std::size_t rap_bytes = 0;
   for (int k = 1; k < ops_rap_.top_level(); ++k) {
     rap_bytes += ops_rap_.at(k).bytes();

@@ -26,11 +26,9 @@
 ///    ladders share the fine operator, which the executors read from the
 ///    averaged side;
 ///  - one TunedExecutor per config, bound to those ladders;
-///  - the packed rows' 5-point diagonals (StencilOp::packed), when the
-///    relax tunables select the packed kernel layout;
 ///  - the scratch grids a V/FMG walk leases, stocked into the pool: two
 ///    per level, or four when a reachable body runs a line smoother.
-/// No solve then coarsens, packs or allocates on its timed path.
+/// No solve then coarsens or allocates on its timed path.
 ///
 /// This is the only place a served ladder is made: a TunedExecutor binds
 /// the ladders it is given and never builds or looks one up, and the
@@ -71,7 +69,7 @@ class PreparedOperator {
   }
 
   /// Resident bytes this binding pins: the coefficient ladders (averaged
-  /// and RAP, packed diagonals included) plus the scratch grids its solves
+  /// and RAP) plus the scratch grids its solves
   /// cycle through.  Each level is counted once: the RAP ladder adds only
   /// its levels below the top, whose operator is the averaged ladder's.
   /// The scratch term is the warm-up estimate: pool grids are shared by

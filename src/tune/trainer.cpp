@@ -543,14 +543,6 @@ TunedConfig Trainer::train() {
       hier_rap = grid::StencilHierarchy(hier.at(level), grid::Coarsening::kRap,
                                         sched_);
     }
-    // Pack both ladders up front on packed engines, as PreparedOperator
-    // does at bind: otherwise the first candidate at each level — the
-    // robust one that sets the pruning budget — pays the pack in its
-    // timed steps.
-    if (engine_.relax().kernels.layout == grid::StencilLayout::kPacked) {
-      hier.prewarm_packed();
-      hier_rap.prewarm_packed();
-    }
     const grid::StencilHierarchy* ops_rap = want_rap ? &hier_rap : nullptr;
     // The Poisson operator's instances come from the DST oracle.
     const auto set = make_training_set(

@@ -629,6 +629,17 @@ TEST(MalformedDocuments, ProfileIntegersOutsideIntAreRejected) {
                  ConfigError)
         << key;
   }
+  // An int that asks for more workers than any host runs: the profile is
+  // only parsed here, never handed to a scheduler.
+  ASSERT_NO_THROW(rt::profile_from_json(
+      with_field(doc, "threads", std::int64_t{rt::kMaxProfileThreads})));
+  for (const std::int64_t threads :
+       {std::int64_t{rt::kMaxProfileThreads} + 1,
+        std::int64_t{2147483647}}) {
+    EXPECT_THROW(rt::profile_from_json(with_field(doc, "threads", threads)),
+                 ConfigError)
+        << threads;
+  }
 }
 
 TEST(MalformedDocuments, SearchedProfileIntegersOutsideIntAreRejected) {
@@ -748,8 +759,12 @@ std::string mutate(const std::string& text, Rng& rng, std::string& what) {
 }
 
 TEST(MalformedDocuments, SeededMutationsLoadOrFailAsConfigError) {
-  // 500 single mutations of a saved table and a saved searched profile:
-  // each mutated document loads or throws ConfigError, and nothing else.
+  // 500 single mutations, in turn, of a saved table, a saved searched
+  // profile, and a whole searched-cache entry as load_or_search_train
+  // writes it (the table with its searched_profile and a
+  // latency_baseline holding V and FMG entries), read through that
+  // loader's three readers in its order: each mutated document loads or
+  // throws ConfigError, and nothing else.
   search::SearchedProfile searched;
   searched.profile = rt::serial_profile();
   searched.profile.name = "serial+searched";
@@ -758,28 +773,43 @@ TEST(MalformedDocuments, SeededMutationsLoadOrFailAsConfigError) {
   searched.seed = 41;
   searched.generations = 3;
   searched.population = 6;
+  obs::LatencyBaseline baseline;
+  for (const bool fmg : {false, true}) {
+    obs::Histogram latencies;
+    for (const double seconds : {1e-4, 2e-4, 3e-4}) latencies.record(seconds);
+    baseline.set(17, 2, latencies.snapshot(), fmg);
+  }
+  Json entry = handmade_config().to_json();
+  entry.set("searched_profile", searched.to_json());
+  entry.set("latency_baseline", baseline.to_json());
   const std::string table = handmade_config().to_json().dump(2) + "\n";
   const std::string profile = searched.to_json().dump(2) + "\n";
+  const std::string cached = entry.dump(2) + "\n";
+  const char* const names[] = {"table", "searched profile", "cache entry"};
   Rng rng(0xC0DE'CAFE);
   int loaded = 0;
   int rejected = 0;
   for (int m = 0; m < 500; ++m) {
-    const bool is_table = m % 2 == 0;
+    const int kind = m % 3;
     std::string what;
-    const std::string text = mutate(is_table ? table : profile, rng, what);
+    const std::string text =
+        mutate(kind == 0 ? table : kind == 1 ? profile : cached, rng, what);
     try {
       const Json doc = Json::parse(text);
-      if (is_table) {
+      if (kind == 0) {
         (void)TunedConfig::from_json(doc);
-      } else {
+      } else if (kind == 1) {
         (void)search::SearchedProfile::from_json(doc);
+      } else {
+        (void)TunedConfig::from_json(doc);
+        (void)search::SearchedProfile::from_json(doc.at("searched_profile"));
+        (void)obs::LatencyBaseline::from_json(doc.at("latency_baseline"));
       }
       ++loaded;
     } catch (const ConfigError&) {
       ++rejected;
     } catch (const std::exception& e) {
-      ADD_FAILURE() << (is_table ? "table" : "searched profile") << ", "
-                    << what << ": " << e.what();
+      ADD_FAILURE() << names[kind] << ", " << what << ": " << e.what();
     }
   }
   // Both outcomes occur, so the mutations reach fields that matter and

@@ -53,6 +53,38 @@ DynamicSolver poisson_solver(int n) {
                       engine().direct(), engine().scratch(), engine().relax());
 }
 
+/// Hand-built Poisson V table of the shape trained() takes (level 5, seed
+/// 1717, in repeated trains): direct solves at level 1 and above the
+/// first two rungs of level 2, ω_opt SOR below them (2 and 5 sweeps) and
+/// across level 3 (3, 9, 16, 22 and 28), and classical point-SOR RECURSE
+/// bodies on the averaged ladder at levels 4 and 5 (1, 2, 4, 5 and 7).
+/// The cross-family tests start from it rather than from trained(): which
+/// cells a training run picks depends on its timings (some trains put
+/// line_y or RAP bodies at level 4), and their premise is a plan shape,
+/// Poisson cells whose reductions fall short on the jump interface.
+TunedConfig poisson_start() {
+  TunedConfig config(paper_accuracies(), 5);
+  const int recurse_iterations[] = {1, 2, 4, 5, 7};
+  const int sor_iterations[][5] = {{2, 5, 0, 0, 0}, {3, 9, 16, 22, 28}};
+  for (int level = 1; level <= 5; ++level) {
+    for (int i = 0; i < config.accuracy_count(); ++i) {
+      VEntry& cell = config.v_entry(level, i);
+      cell.trained = true;
+      if (level >= 4) {
+        cell.choice.kind = VKind::kRecurse;
+        cell.choice.sub_accuracy = kClassicalCoarse;
+        cell.choice.iterations = recurse_iterations[i];
+      } else if (level >= 2 && sor_iterations[level - 2][i] > 0) {
+        cell.choice.kind = VKind::kIterSor;
+        cell.choice.iterations = sor_iterations[level - 2][i];
+      }
+    }
+  }
+  config.op_family = "poisson";
+  config.strategy = "hand-built";
+  return config;
+}
+
 /// Hand-built RAP config: every non-base cell recurses against the
 /// Galerkin ladder with 2·(i+1) iterations.  Deterministic (no training
 /// run) and it exercises the second coefficient hierarchy, which is what
@@ -215,18 +247,19 @@ TEST(DynamicSolver, PrewarmSharedAcrossSolves) {
 
 TEST(DynamicSolver, JumpUnderPoissonStartEscalatesCrossFamily) {
   // The cross-family half of the §6 loop: a high-contrast jump operator
-  // under a Poisson-trained start.  The Poisson tables' cycle shapes were
-  // certified on constant coefficients; on the jump interface their
-  // per-invocation reductions fall under each accuracy class's promise,
-  // so the driver climbs the accuracy ladder, exhausts it, and switches
-  // to the jump rung (Galerkin RAP tables) to finish.
+  // under a Poisson start (the hand-built table of trained()'s shape).
+  // The Poisson tables' cycle shapes were certified on constant
+  // coefficients; on the jump interface their per-invocation reductions
+  // fall under each accuracy class's promise, so the driver climbs the
+  // accuracy ladder, exhausts it, and switches to the jump rung (Galerkin
+  // RAP tables) to finish.
   const int level = 5;
   const int n = size_of_level(level);
   const grid::StencilOp op =
       make_operator(n, OperatorFamily::kJumpCoefficient);
   std::vector<FamilyConfig> ladder;
   ladder.push_back(
-      {"poisson", std::make_shared<const TunedConfig>(trained())});
+      {"poisson", std::make_shared<const TunedConfig>(poisson_start())});
   ladder.push_back({"jump", std::make_shared<const TunedConfig>(
                                 rap_config(level, "jump"))});
   const DynamicSolver solver(op, std::move(ladder), sched(),
@@ -259,7 +292,7 @@ TEST(DynamicSolver, PreallocatesTheLevelHierarchy) {
   const int n = size_of_level(level);
   std::vector<FamilyConfig> ladder;
   ladder.push_back(
-      {"poisson", std::make_shared<const TunedConfig>(trained())});
+      {"poisson", std::make_shared<const TunedConfig>(poisson_start())});
   ladder.push_back({"jump", std::make_shared<const TunedConfig>(
                                 rap_config(level, "jump"))});
   const DynamicSolver solver(

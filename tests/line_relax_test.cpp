@@ -2,9 +2,11 @@
 // zebra ordering/threading invariance (bitwise), per-family V-cycle
 // contraction with line smoothing at 32:1 and 1000:1 anisotropy
 // (tolerance rationale at each bound), bitwise determinism of threaded
-// line sweeps across repeated solves, and StencilOp-vs-Poisson fast-path
-// parity on constant coefficients at every size class, batch, thread
-// count, layout and lane width.
+// line sweeps across repeated solves, the Poisson fast path and an
+// explicit unit-coefficient operator against the scalar oracle
+// (stencil_oracle.h) at every size class, batch, thread count, layout
+// and lane width, and, under PBMG_ASSERTIONS, the Thomas bodies' pivot
+// check under both layouts.
 
 #include <algorithm>
 #include <cmath>
@@ -24,6 +26,7 @@
 #include "grid/stencil_op.h"
 #include "solvers/line_relax.h"
 #include "solvers/multigrid.h"
+#include "stencil_oracle.h"
 #include "support/rng.h"
 #include "test_problems.h"
 
@@ -269,13 +272,15 @@ TEST(LineFastPath, ExplicitConstantCoefficientsMatchPoissonBitwise) {
   // fast path (it stores grids), yet its line systems are algebraically
   // the Poisson systems with the same association order, and every band
   // value is an exact small integer — the Poisson passes, whose bands
-  // read no grid, must agree bit for bit with the legacy layout's passes
-  // over the explicit grids.  Poisson runs the packed passes at the
-  // widest width under either layout, one-pass at K = 1 and factor-once
-  // at K = 3, on four threads and on one.  At n = 3 a group clamps to two
-  // lanes; at n = 257 a pass forks on four threads and each parity ends
-  // in a three-lane group.  The narrower widths' Poisson bands are driven
-  // directly.
+  // read no grid, and the 5-point passes over the explicit grids must
+  // both agree bit for bit with the scalar oracle's passes over those
+  // grids, one iterate at a time.  Poisson runs its bands at the widest
+  // width under either layout, the explicit operator at one lane under
+  // the legacy layout and at widths 1, 2 and 4 under the packed one;
+  // one-pass at K = 1 and factor-once at K = 3, on four threads and on
+  // one.  At n = 3 a group clamps to two lanes; at n = 257 a pass forks
+  // on four threads and each parity ends in a three-lane group.  The
+  // narrower widths' Poisson bands are driven directly.
   static Engine serial(rt::serial_profile());
   for (const int n : {3, 5, 9, 17, 33, 65, 257}) {
     Grid2D ones_ax(n, 1.0), ones_ay(n, 1.0);
@@ -314,14 +319,31 @@ TEST(LineFastPath, ExplicitConstantCoefficientsMatchPoissonBitwise) {
       };
       for (const RelaxKind kind :
            {RelaxKind::kLineX, RelaxKind::kLineY, RelaxKind::kLineZebraAlt}) {
-        const std::vector<Grid2D> oracle =
-            sweep(explicit_op, kind, engine(), grid::KernelPolicy{});
+        std::vector<Grid2D> oracle = x0;
+        for (int k = 0; k < k_count; ++k) {
+          for (int s = 0; s < 3; ++s) {
+            testing::oracle::line_sweep(explicit_op, oracle[k], bs[k], kind);
+          }
+        }
+        // The legacy layout ignores simd_width, and Poisson ignores both.
+        const grid::KernelPolicy policies[] = {
+            {grid::StencilLayout::kLegacy, 1},
+            {grid::StencilLayout::kPacked, 1},
+            {grid::StencilLayout::kPacked, 2},
+            {grid::StencilLayout::kPacked, 4}};
         for (Engine* eng : {&engine(), &serial}) {
-          for (const grid::StencilLayout layout :
-               {grid::StencilLayout::kLegacy, grid::StencilLayout::kPacked}) {
-            expect_same(sweep(poisson, kind, *eng, {layout, 1}), oracle,
-                        to_string(kind) + " " + grid::to_string(layout) +
-                            (eng == &serial ? " serial" : " 4 threads"));
+          for (const grid::KernelPolicy& policy : policies) {
+            const std::string what =
+                to_string(kind) + " " + grid::to_string(policy.layout) +
+                " W=" + std::to_string(policy.simd_width) +
+                (eng == &serial ? " serial" : " 4 threads");
+            expect_same(sweep(explicit_op, kind, *eng, policy), oracle,
+                        "explicit " + what);
+            if (policy.layout == grid::StencilLayout::kLegacy ||
+                policy.simd_width == 4) {
+              expect_same(sweep(poisson, kind, *eng, policy), oracle,
+                          "poisson " + what);
+            }
           }
         }
         const auto at_width = [&](auto width) {
@@ -344,6 +366,29 @@ TEST(LineFastPath, ExplicitConstantCoefficientsMatchPoissonBitwise) {
     }
   }
 }
+
+#if defined(PBMG_ASSERTIONS)
+TEST(LineRelax, NonPositivePivotThrowsUnderBothLayouts) {
+  // Edge couplings of 2 around a centre of 1: every x-line's first pivot
+  // is 1 and its second 1 − (−2)·(−2) = −3, which the Thomas bodies
+  // check lane by lane at every width.
+  const int n = 9;
+  const grid::StencilOp op = grid::StencilOp::nine_point(
+      Grid2D(n, 2.0), Grid2D(n, 1.0), Grid2D(n, 0.0), Grid2D(n, 0.0),
+      Grid2D(n, 1.0), 0.0);
+  for (const grid::StencilLayout layout :
+       {grid::StencilLayout::kLegacy, grid::StencilLayout::kPacked}) {
+    for (const int width : {1, 2, 4}) {
+      Grid2D x(n, 0.0);
+      const Grid2D b(n, 1.0);
+      EXPECT_THROW(line_relax_sweep(op, x, b, RelaxKind::kLineX, sched(),
+                                    engine().scratch(), {layout, width}),
+                   InvalidArgument)
+          << grid::to_string(layout) << " W=" << width;
+    }
+  }
+}
+#endif
 
 TEST(LineRelax, RejectsInvalidOperands) {
   Grid2D x(17, 0.0), wrong(9, 0.0);

@@ -1,17 +1,18 @@
-// Packed-kernel suite: the StencilLayout::kPacked SoA sweeps
-// (grid/packed_kernels.h) promise *bitwise* identity with the legacy
-// per-grid kernels for every operator family, SIMD width, smoother and
-// thread count.  That contract is what lets the tuner race the layout
-// and width axes as pure performance knobs — no candidate can change the
-// numerics — so this suite pins it with exact (memcmp-grade) equality,
-// not tolerances: residual/apply, coloured SOR and the zebra line
-// solves, on 5-point and 9-point operators, down the Galerkin RAP
-// ladder, at n = 3 and 5 edge sizes, and across thread counts.
-// Also covered: what the packed rows read (every view entry against
-// StencilOp::coupling, the summed 5-point diagonal bit for bit, and the
-// packed footprint), a level that outlives the ladder it was copied
-// from, the Poisson passthrough, width clamping, and KernelPolicy
-// validation.  The constant-coefficient Poisson residual and SOR rows
+// Row-kernel suite: the one set of pk:: rows and line bands
+// (grid/packed_kernels.h), run at one lane under the legacy layout and
+// at simd_width lanes under the packed one, promise *bitwise* identity
+// with the scalar oracle loops (stencil_oracle.h) for every operator
+// family, SIMD width, smoother and thread count.  That contract is what
+// lets the tuner race the layout and width axes as pure performance
+// knobs — no candidate can change the numerics — so this suite pins it
+// with exact (memcmp-grade) equality, not tolerances: residual/apply,
+// coloured SOR and the zebra line solves, on 5-point and 9-point
+// operators, down the Galerkin RAP ladder, at n = 3 and 5 edge sizes,
+// and across thread counts, under both layouts against the oracle.
+// Also covered: what the rows read (every view entry against
+// StencilOp::coupling, and nothing packed beside the grids), a level
+// that outlives the ladder it was copied from, the Poisson passthrough,
+// width clamping, and KernelPolicy validation.  The constant-coefficient Poisson residual and SOR rows
 // and the restriction and interpolation rows every operator shares are
 // pinned against scalar reference loops kept here, at every width,
 // through the public entry points at one and four threads, and with
@@ -21,13 +22,12 @@
 // kind, and the corrections it zeroes come back zero.  The fused Poisson
 // RECURSE head and tail and the one-pass sweep are pinned against the
 // scalar references, solo and batched, on one to four threads, and the
-// packed ones (the same wavefronts over the packed 5- and 9-point rows)
-// against the legacy layout's separate passes.  Inside a solve that has
+// variable-coefficient ones (the same wavefronts over the 5- and 9-point
+// rows) under both layouts against the oracle's separate passes.  Inside a solve that has
 // forked a region, where the scheduler prices passes by their work, the
 // packed sweeps, line passes, fused restriction and batched
 // interpolation are pinned against one thread at n = 65 and 129.
 
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -47,10 +47,13 @@
 #include "grid/stencil_op.h"
 #include "solvers/line_relax.h"
 #include "solvers/relax.h"
+#include "stencil_oracle.h"
 #include "support/rng.h"
 
 namespace pbmg::grid {
 namespace {
+
+namespace oracle = pbmg::testing::oracle;
 
 Engine& engine_with(int threads, int grain_rows = 2) {
   static Engine one([] {
@@ -150,17 +153,14 @@ KernelPolicy packed_policy(int width) {
 
 // ------------------------------------------------------ layout & policy --
 
-/// Bitwise equality of two doubles (EXPECT_EQ compares values).
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-TEST(PackedStencil, FivePointRowsReadTheGridsAndOneDiagonal) {
+TEST(PackedStencil, FivePointRowsReadTheGridsAndPackNothing) {
+  // The 5-point rows sum their diagonal from these four couplings; the
+  // oracle parity below pins that sum's bits.
   const int n = 17;
   const StencilOp op = make_operator(n, OperatorFamily::kSmoothVariable);
   ASSERT_FALSE(op.is_nine_point());
-  EXPECT_EQ(op.packed().bytes(),
-            static_cast<std::size_t>(n) * n * sizeof(double));
+  EXPECT_EQ(op.packed().bytes(), 0u);
+  EXPECT_EQ(op.bytes(), 2 * static_cast<std::size_t>(n) * n * sizeof(double));
   for (int i = 1; i < n - 1; ++i) {
     const pk::View5 v = pk::view5(op, i);
     for (int j = 1; j < n - 1; ++j) {
@@ -168,10 +168,6 @@ TEST(PackedStencil, FivePointRowsReadTheGridsAndOneDiagonal) {
       EXPECT_EQ(v.ae[j], op.coupling(i, j, 0, 1));
       EXPECT_EQ(v.an[j], op.coupling(i, j, -1, 0));
       EXPECT_EQ(v.as[j], op.coupling(i, j, 1, 0));
-      // The summed diagonal must carry the legacy association exactly.
-      const double expect =
-          ((op.ax(i, j - 1) + op.ax(i, j)) + op.ay(i - 1, j)) + op.ay(i, j);
-      EXPECT_TRUE(same_bits(v.diag[j], expect)) << i << ", " << j;
     }
   }
 }
@@ -197,13 +193,6 @@ TEST(PackedStencil, NinePointRowsReadTheGridsAndPackNothing) {
   }
 }
 
-TEST(PackedStencil, SharedAcrossCopiesAndPackedOncePerOperator) {
-  const StencilOp op = make_operator(33, OperatorFamily::kJumpCoefficient);
-  const StencilOp copy = op;  // copies share the packed slot
-  EXPECT_EQ(&op.packed(), &copy.packed());
-  EXPECT_EQ(&op.packed(), &op.packed());
-}
-
 TEST(KernelPolicy, ValidationAndLayoutNames) {
   KernelPolicy ok;
   validate_kernel_policy(ok);  // defaults are valid
@@ -227,56 +216,85 @@ TEST(KernelPolicy, WidthClampIsMonotoneAndValid) {
     EXPECT_TRUE(clamped == 1 || clamped == 2 || clamped == 4);
   }
   EXPECT_EQ(clamp_simd_width(1), 1);
+  // The legacy layout runs the rows at one lane whatever it requests.
+  for (const int w : kWidths) {
+    EXPECT_EQ(row_width({StencilLayout::kLegacy, w}), 1);
+    EXPECT_EQ(row_width(packed_policy(w)), clamp_simd_width(w));
+  }
 }
 
 // ------------------------------------------------------------- sweeps --
 
-/// Runs `sweep(x, b, policy)` twice from identical state — once legacy,
-/// once packed at `width` — and requires bitwise-identical iterates.
+/// Runs `sweep(x, b, policy, threads)` from identical state through the
+/// oracle (a null policy) and through both layouts at `width`, and
+/// requires bitwise-identical iterates.
 template <typename Sweep>
 void expect_sweep_parity(const StencilOp& op, int width, int threads,
                          std::uint64_t seed, const Sweep& sweep) {
   const int n = op.n();
   const Grid2D b = random_grid(n, seed ^ 0xB0B);
-  Grid2D x_legacy = random_grid(n, seed);
-  Grid2D x_packed = x_legacy;
-  sweep(x_legacy, b, KernelPolicy{}, threads);
-  sweep(x_packed, b, packed_policy(width), threads);
-  EXPECT_TRUE(bitwise_equal(x_legacy, x_packed))
-      << "n=" << n << " width=" << width << " threads=" << threads;
+  const Grid2D x0 = random_grid(n, seed);
+  Grid2D expected = x0;
+  sweep(expected, b, nullptr, 1);
+  for (const StencilLayout layout :
+       {StencilLayout::kLegacy, StencilLayout::kPacked}) {
+    const KernelPolicy policy{layout, width};
+    Grid2D x = x0;
+    sweep(x, b, &policy, threads);
+    EXPECT_TRUE(bitwise_equal(x, expected))
+        << "n=" << n << " layout=" << to_string(layout) << " width=" << width
+        << " threads=" << threads;
+  }
 }
 
 void expect_all_sweeps_parity(const StencilOp& op, int width, int threads,
                               std::uint64_t seed) {
-  const auto sor = [&](Grid2D& x, const Grid2D& b, const KernelPolicy& k,
+  const auto sor = [&](Grid2D& x, const Grid2D& b, const KernelPolicy* k,
                        int t) {
     rt::Scheduler& sched = engine_with(t).scheduler();
     // Three chained sweeps: any drift compounds and must stay zero.
-    for (int s = 0; s < 3; ++s) solvers::sor_sweep(op, x, b, 1.15, sched, k);
+    for (int s = 0; s < 3; ++s) {
+      if (k == nullptr) {
+        oracle::sor_sweep(op, x, b, 1.15);
+      } else {
+        solvers::sor_sweep(op, x, b, 1.15, sched, *k);
+      }
+    }
   };
   const auto lines = [&](solvers::RelaxKind kind) {
-    return [&, kind](Grid2D& x, const Grid2D& b, const KernelPolicy& k,
+    return [&, kind](Grid2D& x, const Grid2D& b, const KernelPolicy* k,
                      int t) {
       Engine& eng = engine_with(t);
       for (int s = 0; s < 2; ++s) {
-        solvers::line_relax_sweep(op, x, b, kind, eng.scheduler(),
-                                  eng.scratch(), k);
+        if (k == nullptr) {
+          oracle::line_sweep(op, x, b, kind);
+        } else {
+          solvers::line_relax_sweep(op, x, b, kind, eng.scheduler(),
+                                    eng.scratch(), *k);
+        }
       }
     };
   };
   const auto residual = [&](Grid2D& x, const Grid2D& b,
-                            const KernelPolicy& k, int t) {
+                            const KernelPolicy* k, int t) {
     rt::Scheduler& sched = engine_with(t).scheduler();
     Grid2D r(x.n(), 1.0);  // overwritten; nonzero so stale cells surface
-    residual_op(op, x, b, r, sched, k);
+    if (k == nullptr) {
+      oracle::stencil_rows(op, x, &b, r);
+    } else {
+      residual_op(op, x, b, r, sched, *k);
+    }
     x = r;
   };
-  const auto apply = [&](Grid2D& x, const Grid2D& b, const KernelPolicy& k,
+  const auto apply = [&](Grid2D& x, const Grid2D&, const KernelPolicy* k,
                          int t) {
-    (void)b;
     rt::Scheduler& sched = engine_with(t).scheduler();
     Grid2D out(x.n(), 1.0);
-    apply_op(op, x, out, sched, k);
+    if (k == nullptr) {
+      oracle::stencil_rows(op, x, nullptr, out);
+    } else {
+      apply_op(op, x, out, sched, *k);
+    }
     x = out;
   };
   expect_sweep_parity(op, width, threads, seed, residual);
@@ -352,42 +370,21 @@ TEST(PackedParity, TinyGridsIncludingCoarsestSolvable) {
   }
 }
 
-TEST(PackedParity, PoissonPassthroughBitwiseMatchesLegacy) {
+TEST(PackedParity, PoissonPassthroughMatchesTheOracle) {
   // The Poisson fast path keeps its dedicated constant-coefficient
-  // kernels under either layout, so a packed policy on the Poisson
-  // operator must be a pure passthrough.
+  // kernels under either layout, so a policy on the Poisson operator
+  // must be a pure passthrough.
   const StencilOp op = StencilOp::poisson(33);
   EXPECT_TRUE(op.is_poisson());
   expect_all_sweeps_parity(op, /*width=*/4, /*threads=*/4, 0xBEEF);
 }
 
-TEST(PackedParity, PrewarmedHierarchyMatchesLazyPacking) {
-  // prewarm_packed is an optimisation, never a semantic switch: packing
-  // eagerly up front and packing lazily on first sweep give the same
-  // bits.
-  const StencilOp fine = make_operator(17, OperatorFamily::kAnisoTheta30);
-  const StencilHierarchy warm(fine, Coarsening::kRap);
-  warm.prewarm_packed();
-  const StencilHierarchy lazy(fine, Coarsening::kRap);
-  rt::Scheduler& sched = engine_with(4).scheduler();
-  for (int level = warm.top_level(); level >= 1; --level) {
-    const int n = warm.at(level).n();
-    const Grid2D x = random_grid(n, 0x11 + static_cast<std::uint64_t>(level));
-    const Grid2D b = random_grid(n, 0x22 + static_cast<std::uint64_t>(level));
-    Grid2D r_warm(n, 0.0);
-    Grid2D r_lazy(n, 0.0);
-    residual_op(warm.at(level), x, b, r_warm, sched, packed_policy(4));
-    residual_op(lazy.at(level), x, b, r_lazy, sched, packed_policy(4));
-    EXPECT_TRUE(bitwise_equal(r_warm, r_lazy)) << "level=" << level;
-  }
-}
-
 TEST(PackedParity, ALevelCopiedOutOfItsLadderOutlivesIt) {
-  // The packed rows build their views from the operator they are handed,
-  // row by row, so a level copied out of a ladder still reads the grids
-  // and diagonal it co-owns after the ladder and the fine operator are
-  // gone.  Under ASan a view left pointing into freed grids fails here.
-  // Averaged jump levels are 5-point, RAP levels 9-point.
+  // The rows build their views from the operator they are handed, row by
+  // row, so a level copied out of a ladder still reads the grids it
+  // co-owns after the ladder and the fine operator are gone.  Under ASan
+  // a view left pointing into freed grids fails here.  Averaged jump
+  // levels are 5-point, RAP levels 9-point.
   const int n = 33;
   for (const Coarsening mode : {Coarsening::kAverage, Coarsening::kRap}) {
     StencilOp level;
@@ -395,7 +392,6 @@ TEST(PackedParity, ALevelCopiedOutOfItsLadderOutlivesIt) {
       const StencilOp fine =
           make_operator(2 * n - 1, OperatorFamily::kJumpCoefficient);
       const StencilHierarchy ladder(fine, mode);
-      ladder.prewarm_packed();
       level = ladder.at(level_of_size(n));
     }
     ASSERT_EQ(level.is_nine_point(), mode == Coarsening::kRap);
@@ -787,18 +783,18 @@ TEST(FusedPoissonPasses, HeadTailAndSweepMatchTheScalarReference) {
   }
 }
 
-// ------------------------------------------- fused packed body passes --
+// ----------------------------------------- fused stencil body passes --
 
-/// The body passes of one operator over K iterates: the RECURSE head
-/// (sweep, residual restriction, zeroed correction), the tail
-/// (interpolated correction, sweep) and sor_sweep_multi, each from the
-/// same start.  Under the legacy layout on one thread these are the
-/// separate passes (the colour-pass sweeps); under the packed layout they
-/// are the fused wavefronts, run here inside a solve that has forked, so
-/// the scheduler prices them by their work and splits them into blocks
-/// from n = 257 (n = 129 on the 9-point levels).
+/// The body passes of one operator over K iterates from the same start:
+/// the RECURSE head (sweep, residual restriction, zeroed correction), the
+/// tail (interpolated correction, sweep) and sor_sweep_multi, in the
+/// order head x, head rc, head e, tail x, sweep x.  With a null policy
+/// they are the oracle's separate passes, one slot at a time; otherwise
+/// the fused wavefronts under `policy`, run inside a solve that has
+/// forked, so the scheduler prices them by their work and splits them
+/// into blocks from n = 257 (n = 129 on the 9-point levels).
 std::vector<Grid2D> body_passes(const StencilOp& op, int k_count,
-                                const KernelPolicy& policy, int threads) {
+                                const KernelPolicy* policy, int threads) {
   const double omega = solvers::kRecurseOmega;
   const int n = op.n();
   const int nc = coarse_size(n);
@@ -813,6 +809,31 @@ std::vector<Grid2D> body_passes(const StencilOp& op, int k_count,
   std::vector<Grid2D> x_store = x0;
   std::vector<Grid2D> rc_store(x0.size(), Grid2D(nc, 2.0));
   std::vector<Grid2D> es_store(x0.size(), Grid2D(nc, 3.0));
+  std::vector<Grid2D> out;
+  if (policy == nullptr) {
+    for (int k = 0; k < k_count; ++k) {
+      oracle::sor_sweep(op, x_store[k], b[k], omega);
+      Grid2D r(n, 0.0);
+      oracle::stencil_rows(op, x_store[k], &b[k], r);
+      reference_restrict(r, rc_store[k]);
+      es_store[k].fill(0.0);
+    }
+    out.insert(out.end(), x_store.begin(), x_store.end());
+    out.insert(out.end(), rc_store.begin(), rc_store.end());
+    out.insert(out.end(), es_store.begin(), es_store.end());
+    x_store = x0;
+    for (int k = 0; k < k_count; ++k) {
+      reference_interpolate(e[k], x_store[k], /*assign=*/false);
+      oracle::sor_sweep(op, x_store[k], b[k], omega);
+    }
+    out.insert(out.end(), x_store.begin(), x_store.end());
+    x_store = x0;
+    for (int k = 0; k < k_count; ++k) {
+      oracle::sor_sweep(op, x_store[k], b[k], omega);
+    }
+    out.insert(out.end(), x_store.begin(), x_store.end());
+    return out;
+  }
   std::vector<Grid2D*> xs;
   std::vector<const Grid2D*> bs;
   std::vector<Grid2D*> rcs;
@@ -829,40 +850,31 @@ std::vector<Grid2D> body_passes(const StencilOp& op, int k_count,
   rt::Scheduler& sched = eng.scheduler();
   const rt::SolveScope solve;
   sched.parallel_for(0, 2, 1, [](std::int64_t, std::int64_t) {});
-  std::vector<Grid2D> out;
-  if (policy.layout == StencilLayout::kPacked) {
-    solvers::recurse_head(op, xs, bs, solvers::RelaxKind::kSor, omega, rcs,
-                          es, sched, eng.scratch(), policy, nullptr);
-  } else {
-    solvers::sor_sweep_multi(op, xs, bs, omega, sched, policy);
-    const std::vector<const Grid2D*> xs_read(xs.begin(), xs.end());
-    restrict_residual_multi(op, xs_read, bs, rcs, sched, policy, es);
-  }
+  solvers::recurse_head(op, xs, bs, solvers::RelaxKind::kSor, omega, rcs, es,
+                        sched, eng.scratch(), *policy, nullptr);
   out.insert(out.end(), x_store.begin(), x_store.end());
   out.insert(out.end(), rc_store.begin(), rc_store.end());
   out.insert(out.end(), es_store.begin(), es_store.end());
   x_store = x0;
-  if (policy.layout == StencilLayout::kPacked) {
-    solvers::recurse_tail(op, es_read, xs, bs, solvers::RelaxKind::kSor,
-                          omega, sched, eng.scratch(), policy, nullptr);
-  } else {
-    for (int k = 0; k < k_count; ++k) interpolate_add(e[k], x_store[k], sched);
-    solvers::sor_sweep_multi(op, xs, bs, omega, sched, policy);
-  }
+  solvers::recurse_tail(op, es_read, xs, bs, solvers::RelaxKind::kSor, omega,
+                        sched, eng.scratch(), *policy, nullptr);
   out.insert(out.end(), x_store.begin(), x_store.end());
   x_store = x0;
-  solvers::sor_sweep_multi(op, xs, bs, omega, sched, policy);
+  solvers::sor_sweep_multi(op, xs, bs, omega, sched, *policy);
   out.insert(out.end(), x_store.begin(), x_store.end());
   return out;
 }
 
-TEST(FusedPackedPasses, HeadTailAndSweepMatchTheLegacyPasses) {
-  // Packed point-SOR bodies run as wavefronts with the wide rows from
-  // n = 65; the legacy layout's colour passes, residual restriction and
-  // interpolation are the oracle.  Jump's averaged 5-point and RAP
-  // 9-point levels and theta=45's averaged ladder (9-point) cover every
-  // packed kind, from one interior row to n = 513, at every width, on one
-  // to four threads (even and uneven blocks), solo and batched.
+TEST(FusedStencilPasses, HeadTailAndSweepMatchTheOracle) {
+  // Point-SOR bodies run as wavefronts under both layouts, with the wide
+  // rows from n = 65 at width 4; the oracle's colour passes, residual,
+  // restriction and interpolation, one slot at a time, are the
+  // reference.  Jump's averaged 5-point and RAP 9-point levels and
+  // theta=45's averaged ladder (9-point) cover every kind, from one
+  // interior row to n = 513, under the legacy layout (one lane, which
+  // ignores simd_width: KernelPolicy.WidthClampIsMonotoneAndValid) and
+  // the packed one at every width, on one to four threads (even and
+  // uneven blocks), solo and batched.
   const StencilOp jump = make_operator(513, OperatorFamily::kJumpCoefficient);
   const StencilOp t45 = make_operator(513, OperatorFamily::kAnisoTheta45);
   const StencilHierarchy jump_avg(jump, Coarsening::kAverage);
@@ -877,15 +889,18 @@ TEST(FusedPackedPasses, HeadTailAndSweepMatchTheLegacyPasses) {
       const StencilOp& op = ladder->at(level_of_size(n));
       for (const int k_count : {1, 3}) {
         const std::vector<Grid2D> reference =
-            body_passes(op, k_count, KernelPolicy{}, /*threads=*/1);
-        for (const int width : kWidths) {
+            body_passes(op, k_count, nullptr, /*threads=*/1);
+        for (const KernelPolicy& policy :
+             {KernelPolicy{}, packed_policy(1), packed_policy(2),
+              packed_policy(4)}) {
           for (const int threads : {1, 2, 3, 4}) {
             SCOPED_TRACE(std::string(name) + " n=" + std::to_string(n) +
-                         " k=" + std::to_string(k_count) +
-                         " width=" + std::to_string(width) +
+                         " k=" + std::to_string(k_count) + " layout=" +
+                         to_string(policy.layout) + " width=" +
+                         std::to_string(policy.simd_width) +
                          " threads=" + std::to_string(threads));
             const std::vector<Grid2D> got =
-                body_passes(op, k_count, packed_policy(width), threads);
+                body_passes(op, k_count, &policy, threads);
             ASSERT_EQ(got.size(), reference.size());
             for (std::size_t g = 0; g < got.size(); ++g) {
               EXPECT_TRUE(bitwise_equal(got[g], reference[g]))

@@ -472,11 +472,12 @@ TEST(ProfileSearch, EndToEndOnATinyWorkload) {
 
 // ------------------------------------------------ packed-layout discovery --
 
-/// The ISSUE-7 contract, mirroring the trainer's line-smoother discovery
+/// The contract, mirroring the trainer's line-smoother discovery
 /// (tune_test's DiscoversLineSmootherAtExtremeAnisotropy): the layout /
-/// simd_width axes exist so the *search* can pick the packed SoA kernels
-/// where they pay — the fig20-class 9-point operators whose legacy sweeps
-/// stream nine separate coefficient grids.  The two arms are bitwise
+/// simd_width axes exist so the *search* can pick the wide rows where
+/// they pay — the fig20-class 9-point operators, whose rows load the
+/// most couplings per cell, run at one lane under the legacy layout and
+/// at simd_width lanes under the packed one.  The two arms are bitwise
 /// identical, so the outcome is decided purely by measured time; that
 /// makes the test machine-dependent by construction, and it calibrates
 /// the arms head-to-head first — when this machine shows no clear
@@ -494,7 +495,6 @@ TEST(ProfileSearch, DiscoversPackedLayoutOnNinePointWork) {
   const int n = size_of_level(level);
   const OperatorFamily family = OperatorFamily::kAnisoTheta30;
   const grid::StencilOp op = make_operator(n, family);
-  op.packed();  // prewarm: keep the one-time pack out of both arms
   Engine eng(rt::MachineProfile{});
   rt::Scheduler& sched = eng.scheduler();
 
