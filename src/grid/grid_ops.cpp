@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
+#include <initializer_list>
+#include <mutex>
 
 #include "grid/level.h"
 #include "grid/packed_kernels.h"
-#include "grid/packed_rows.h"
+#include "grid/wavefront.h"
 
 namespace pbmg::grid {
 
@@ -33,95 +34,52 @@ void zero_boundary(Grid2D& g) {
   }
 }
 
-}  // namespace
-
-namespace {
-
-/// The row kernel of one operator that apply_op, residual_op and
-/// restrict_residual drive: rows(x, b, i, out) writes interior row i of
-/// b − A·x — or of A·x when b is null — into out[1..n−2].  One object
-/// serves every iterate of a batch.  The kinds are the Poisson fast path
-/// (the pk:: SIMD row at the widest supported width) and the pk:: 5- and
-/// 9-point rows at `width` lanes (row_width of the policy).  Every kind
-/// at every width gives the same bits as its scalar loop, so a driver's
-/// choice of rows never changes results.
-class StencilRows {
- public:
-  StencilRows(const StencilOp& op, int width)
-      : op_(op),
-        n_(op.n()),
-        inv_h2_(static_cast<double>(op.n() - 1) *
-                static_cast<double>(op.n() - 1)),
-        c_(op.c()) {
-    if (op.is_poisson()) {
-      row_ = by_width(packed_simd_width_supported(), &poisson<1>,
-                      &poisson<2>, &poisson<4>);
-    } else if (op.is_nine_point()) {
-      row_ = by_width(width, &nine<1>, &nine<2>, &nine<4>);
-    } else {
-      row_ = by_width(width, &five<1>, &five<2>, &five<4>);
-    }
-  }
-
-  void operator()(const Grid2D& x, const Grid2D* b, int i,
-                  double* out) const {
-    row_(*this, x, b != nullptr ? b->row(i) : nullptr, i, out);
-  }
-
-  /// grain_for's cost per cell of a pass of these rows over K iterates.
-  std::int64_t cost(std::size_t batch) const {
-    if (op_.is_poisson()) return 1;
-    return (op_.is_nine_point() ? kResidualCost9 : kResidualCost5) *
-           static_cast<std::int64_t>(batch);
-  }
-
- private:
-  using RowFn = void (*)(const StencilRows&, const Grid2D&, const double*,
-                         int, double*);
-
-  template <int W>
-  static void poisson(const StencilRows& s, const Grid2D& x,
-                      const double* rhs, int i, double* out) {
-    pk::poisson_residual_row<W>(x.row(i - 1), x.row(i), x.row(i + 1), rhs,
-                                out, s.inv_h2_, s.n_);
-  }
-
-  template <int W>
-  static void five(const StencilRows& s, const Grid2D& x, const double* rhs,
-                   int i, double* out) {
-    pk::stencil_row5<W>(pk::view5(s.op_, i), x.row(i - 1), x.row(i),
-                        x.row(i + 1), rhs, out, s.inv_h2_, s.c_, s.n_);
-  }
-
-  template <int W>
-  static void nine(const StencilRows& s, const Grid2D& x, const double* rhs,
-                   int i, double* out) {
-    pk::stencil_row9<W>(pk::view9(s.op_, i), x.row(i - 1), x.row(i),
-                        x.row(i + 1), rhs, out, s.inv_h2_, s.c_, s.n_);
-  }
-
-  const StencilOp& op_;
-  int n_;
-  double inv_h2_;
-  double c_;
-  RowFn row_ = nullptr;
-};
-
-/// Writes every interior row of `out` through `rows` and zeroes its ring.
-void sweep_rows(const StencilRows& rows, const Grid2D& x, const Grid2D* b,
+/// Writes every interior row of `out` through `rows` (A·x, or b − A·x
+/// when b is not null) and zeroes its ring.
+void sweep_rows(const OperatorRows& rows, const Grid2D& x, const Grid2D* b,
                 Grid2D& out, rt::Scheduler& sched) {
   const int n = out.n();
-  sched.parallel_for(1, n - 1, sched.grain_for(n - 2, n - 2, rows.cost(1)),
-                     [&](std::int64_t ib, std::int64_t ie) {
-                       for (int i = static_cast<int>(ib);
-                            i < static_cast<int>(ie); ++i) {
-                         rows(x, b, i, out.row(i));
-                       }
-                     });
+  sched.parallel_for(
+      1, n - 1,
+      sched.grain_for(n - 2, n - 2, rows.cost(OperatorRows::kResidual, 1)),
+      [&](std::int64_t ib, std::int64_t ie) {
+        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
+          rows.residual(x, b, i, out.row(i));
+        }
+      });
   zero_boundary(out);
 }
 
 }  // namespace
+
+void check_batch(const char* what, int n,
+                 std::initializer_list<std::span<const Grid2D* const>> fine,
+                 std::initializer_list<std::span<const Grid2D* const>> coarse) {
+  const std::size_t batch = fine.begin()->size();
+  for (const auto grids : {fine, coarse}) {
+    for (const std::span<const Grid2D* const> slots : grids) {
+      PBMG_CHECK(slots.size() == batch,
+                 std::string(what) + ": span size mismatch");
+      for (const Grid2D* g : slots) {
+        PBMG_CHECK(g != nullptr, std::string(what) + ": null grid slot");
+      }
+    }
+  }
+  PBMG_CHECK(is_valid_grid_size(n),
+             std::string(what) + ": grid size must be 2^k + 1");
+  for (const std::span<const Grid2D* const> slots : fine) {
+    for (const Grid2D* g : slots) {
+      PBMG_CHECK(g->n() == n,
+                 std::string(what) + ": operator/grid size mismatch");
+    }
+  }
+  for (const std::span<const Grid2D* const> slots : coarse) {
+    for (const Grid2D* g : slots) {
+      PBMG_CHECK(g->n() == coarse_size(n),
+                 std::string(what) + ": coarse grid has wrong size");
+    }
+  }
+}
 
 void residual(const Grid2D& x, const Grid2D& b, Grid2D& r,
               rt::Scheduler& sched) {
@@ -134,7 +92,7 @@ void apply_op(const StencilOp& op, const Grid2D& x, Grid2D& out,
   check_valid(x, "apply_op");
   check_same_size(x, out, "apply_op");
   PBMG_CHECK(op.n() == x.n(), "apply_op: operator/grid size mismatch");
-  sweep_rows(StencilRows(op, row_width(kernels)), x, nullptr, out, sched);
+  sweep_rows(OperatorRows(op, row_width(kernels)), x, nullptr, out, sched);
 }
 
 void apply_poisson(const Grid2D& x, Grid2D& out, rt::Scheduler& sched) {
@@ -149,20 +107,8 @@ void residual_op(const StencilOp& op, const Grid2D& x, const Grid2D& b,
   check_same_size(x, b, "residual_op");
   check_same_size(x, r, "residual_op");
   PBMG_CHECK(op.n() == x.n(), "residual_op: operator/grid size mismatch");
-  sweep_rows(StencilRows(op, row_width(kernels)), x, &b, r, sched);
+  sweep_rows(OperatorRows(op, row_width(kernels)), x, &b, r, sched);
 }
-
-namespace {
-
-using RestrictRowFn = void (*)(const double*, const double*, const double*,
-                               double*, int);
-
-RestrictRowFn restrict_row_fn() {
-  return by_width(packed_simd_width_supported(), &pk::restrict_row<1>,
-                  &pk::restrict_row<2>, &pk::restrict_row<4>);
-}
-
-}  // namespace
 
 void restrict_full_weighting(const Grid2D& fine, Grid2D& coarse,
                              rt::Scheduler& sched) {
@@ -170,13 +116,13 @@ void restrict_full_weighting(const Grid2D& fine, Grid2D& coarse,
   PBMG_CHECK(coarse.n() == coarse_size(fine.n()),
              "restrict_full_weighting: coarse grid has wrong size");
   const int nc = coarse.n();
-  const RestrictRowFn restrict_row = restrict_row_fn();
+  const OperatorRows rows(fine.n());
   sched.parallel_for(
       1, nc - 1, sched.grain_for(nc - 2, 4 * (nc - 2)),
       [&](std::int64_t ib, std::int64_t ie) {
         for (int ci = static_cast<int>(ib); ci < static_cast<int>(ie); ++ci) {
-          restrict_row(fine.row(2 * ci - 1), fine.row(2 * ci),
-                       fine.row(2 * ci + 1), coarse.row(ci), nc);
+          rows.restrict_rows(fine.row(2 * ci - 1), fine.row(2 * ci),
+                             fine.row(2 * ci + 1), coarse.row(ci));
         }
       });
   zero_boundary(coarse);
@@ -198,66 +144,30 @@ void restrict_residual_multi(const StencilOp& op,
                              rt::Scheduler& sched,
                              const KernelPolicy& kernels,
                              std::span<Grid2D* const> zeroed) {
-  PBMG_CHECK(xs.size() == bs.size() && xs.size() == coarse.size() &&
-                 (zeroed.empty() || zeroed.size() == xs.size()),
-             "restrict_residual: span size mismatch");
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr && coarse[k] != nullptr &&
-                   (zeroed.empty() || zeroed[k] != nullptr),
-               "restrict_residual: null grid slot");
-    check_valid(*xs[k], "restrict_residual");
-    check_same_size(*xs[k], *bs[k], "restrict_residual");
-    PBMG_CHECK(op.n() == xs[k]->n(),
-               "restrict_residual: operator/grid size mismatch");
-    PBMG_CHECK(coarse[k]->n() == coarse_size(xs[k]->n()) &&
-                   (zeroed.empty() || zeroed[k]->n() == coarse[k]->n()),
-               "restrict_residual: coarse grid has wrong size");
-  }
+  // An empty `zeroed` checks as `coarse` again.
+  check_batch("restrict_residual", op.n(), {xs, bs},
+              {coarse, zeroed.empty() ? coarse : zeroed});
   if (xs.empty()) return;
-  const std::size_t batch = xs.size();
-  const int n = op.n();
-  const int nc = coarse_size(n);
-  const StencilRows rows(op, row_width(kernels));
-  const RestrictRowFn restrict_row = restrict_row_fn();
+  const int nc = coarse_size(op.n());
+  const OperatorRows rows(op, row_width(kernels));
   sched.parallel_for(
-      1, nc - 1, sched.grain_for(nc - 2, 4 * (nc - 2), rows.cost(batch)),
+      1, nc - 1,
+      sched.grain_for(nc - 2, 4 * (nc - 2),
+                      rows.cost(OperatorRows::kResidual, xs.size())),
       [&](std::int64_t ib, std::int64_t ie) {
-        // Coarse row ci weighs fine residual rows 2ci−1 … 2ci+1, so rows
-        // 2ib−1 … 2ie−1 each feed this leaf once: the odd row below one
-        // coarse row is the row above the next, and trades places with
-        // the row below instead of being recomputed.  Each slot owns
-        // three buffer rows, and every slot's rows of one fine row are
-        // computed back to back, so that row's coefficient rows are
-        // loaded once for the whole batch.  Only the buffer's interior
-        // columns are written or read.
-        const auto stride = static_cast<std::size_t>(n);
-        std::vector<double> buffer(3 * batch * stride, 0.0);
-        for (std::size_t k = 0; k < batch; ++k) {
-          rows(*xs[k], bs[k], 2 * static_cast<int>(ib) - 1,
-               buffer.data() + 3 * k * stride);
-        }
-        bool swapped = false;
-        for (int ci = static_cast<int>(ib); ci < static_cast<int>(ie); ++ci) {
-          for (std::size_t k = 0; k < batch; ++k) {
-            double* slot = buffer.data() + 3 * k * stride;
-            double* up = swapped ? slot + 2 * stride : slot;
-            double* mid = slot + stride;
-            double* down = swapped ? slot : slot + 2 * stride;
-            rows(*xs[k], bs[k], 2 * ci, mid);
-            rows(*xs[k], bs[k], 2 * ci + 1, down);
-            restrict_row(up, mid, down, coarse[k]->row(ci), nc);
-          }
-          swapped = !swapped;
-        }
-        for (Grid2D* e : zeroed) {
-          std::fill(e->row(static_cast<int>(ib)), e->row(static_cast<int>(ie)),
-                    0.0);
+        // Coarse row ci weighs fine residual rows 2ci − 1 … 2ci + 1, so
+        // rows 2ib − 1 … 2ie − 1 each feed this leaf once, through its
+        // ring.
+        ResidualRing ring(rows, 2 * static_cast<int>(ib) - 1, xs, bs, coarse,
+                          zeroed);
+        for (int i = 2 * static_cast<int>(ib) - 1;
+             i < 2 * static_cast<int>(ie); ++i) {
+          ring.step(i);
         }
       });
-  for (Grid2D* c : coarse) zero_boundary(*c);
-  for (Grid2D* e : zeroed) {
-    std::fill_n(e->row(0), nc, 0.0);
-    std::fill_n(e->row(nc - 1), nc, 0.0);
+  for (const int ci : {0, nc - 1}) {
+    for (Grid2D* c : coarse) std::fill_n(c->row(ci), nc, 0.0);
+    for (Grid2D* e : zeroed) std::fill_n(e->row(ci), nc, 0.0);
   }
 }
 
@@ -289,29 +199,18 @@ void interpolate(std::span<const Grid2D* const> coarse,
                  std::span<Grid2D* const> fine, bool assign,
                  std::int64_t cost_per_cell, rt::Scheduler& sched,
                  const char* what) {
-  PBMG_CHECK(coarse.size() == fine.size(),
-             std::string(what) + ": span size mismatch");
-  for (std::size_t k = 0; k < fine.size(); ++k) {
-    PBMG_CHECK(coarse[k] != nullptr && fine[k] != nullptr,
-               std::string(what) + ": null grid slot");
-    check_valid(*fine[k], what);
-    check_same_size(*fine[k], *fine[0], what);
-    PBMG_CHECK(coarse[k]->n() == coarse_size(fine[k]->n()),
-               std::string(what) + ": coarse grid has wrong size");
-  }
+  // The fine grids have no operator: the first one's side stands in for
+  // its side (any valid side when there is no grid to check).
+  const int n = fine.empty() || fine[0] == nullptr ? 3 : fine[0]->n();
+  check_batch(what, n, {fine}, {coarse});
   if (fine.empty()) return;
-  const int n = fine[0]->n();
-  const auto interpolate_row =
-      by_width(packed_simd_width_supported(), &pk::interpolate_row<1>,
-               &pk::interpolate_row<2>, &pk::interpolate_row<4>);
+  const OperatorRows rows(n);
   sched.parallel_for(
       1, n - 1, sched.grain_for(n - 2, n - 2, cost_per_cell),
       [&](std::int64_t ib, std::int64_t ie) {
         for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
           for (std::size_t k = 0; k < fine.size(); ++k) {
-            const Grid2D& c = *coarse[k];
-            const double* c1 = i % 2 == 0 ? nullptr : c.row(i / 2 + 1);
-            interpolate_row(c.row(i / 2), c1, fine[k]->row(i), assign, n);
+            rows.interpolate(*coarse[k], *fine[k], i, assign);
           }
         }
       });
@@ -383,8 +282,12 @@ double norm2_diff_interior(const Grid2D& a, const Grid2D& b,
 double max_abs_interior(const Grid2D& g, rt::Scheduler& sched) {
   const int n = g.n();
   if (n <= 2) return 0.0;
-  // Reduce via max encoded in a sum-free way: compute per-chunk maxima and
-  // combine under a mutex inside the chunk function.
+  // Per-chunk maxima combined under a mutex.  A NaN cell makes its chunk's
+  // maximum NaN, and a NaN maximum wins every combine, so one NaN anywhere
+  // in the interior makes the result NaN.
+  const auto larger = [](double a, double b) {
+    return std::isnan(a) || a >= b ? a : b;
+  };
   std::mutex mutex;
   double result = 0.0;
   sched.parallel_for(1, n - 1, sched.grain_for(n - 2, n - 2),
@@ -394,11 +297,11 @@ double max_abs_interior(const Grid2D& g, rt::Scheduler& sched) {
                             i < static_cast<int>(ie); ++i) {
                          const double* r = g.row(i);
                          for (int j = 1; j < n - 1; ++j) {
-                           local = std::max(local, std::abs(r[j]));
+                           local = larger(local, std::abs(r[j]));
                          }
                        }
                        std::lock_guard<std::mutex> lock(mutex);
-                       result = std::max(result, local);
+                       result = larger(result, local);
                      });
   return result;
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 
 #include "grid/grid2d.h"
@@ -85,6 +86,19 @@ inline constexpr std::int64_t kLineCost = 10;
 /// n = 33 inline and fork n = 129 and n = 65 at K = 4.
 inline constexpr std::int64_t kInterpolateCost = 2;
 
+/// The span checks every batched pass over K iterates of side n runs
+/// first: sor_sweep_multi, recurse_head and recurse_tail
+/// (solvers/relax.h), line_relax_sweep_multi (solvers/line_relax.h),
+/// packed_line_multi, restrict_residual_multi and interpolate_add_multi.
+/// Throws InvalidArgument, naming `what`, unless every span in `fine`
+/// and `coarse` holds as many slots as the first, no slot is null, n is
+/// 2^k + 1, every grid in `fine` has side n and every grid in `coarse`
+/// side coarse_size(n).  `fine` must name at least one span.
+void check_batch(
+    const char* what, int n,
+    std::initializer_list<std::span<const Grid2D* const>> fine,
+    std::initializer_list<std::span<const Grid2D* const>> coarse = {});
+
 /// out(i,j) = (A x)(i,j) on the interior; out's boundary ring is zeroed.
 /// apply_op on StencilOp::poisson(x.n()).  Requires x and out to be the
 /// same valid size.
@@ -96,19 +110,21 @@ void residual(const Grid2D& x, const Grid2D& b, Grid2D& r,
               rt::Scheduler& sched);
 
 /// out(i,j) = (A x)(i,j) for a variable-coefficient operator (see
-/// stencil_op.h); out's boundary ring is zeroed.  The Poisson fast path
-/// runs residual_op's constant-coefficient SIMD row without a rhs; 5- and
-/// 9-point operators run the pk:: 5- and 9-point rows (packed_rows.h)
-/// over the operator's grids at row_width(kernels) lanes (one under the
-/// legacy layout) — bitwise identical results at every width, different
-/// instructions.  Requires x.n() == op.n().
+/// stencil_op.h); out's boundary ring is zeroed.  Runs the operator's
+/// residual rows without a rhs (grid::OperatorRows, wavefront.h, the one
+/// row set every point pass runs): the Poisson fast path's
+/// constant-coefficient SIMD row, or the pk:: 5- and 9-point rows
+/// (packed_rows.h) over the operator's grids at row_width(kernels) lanes
+/// (one under the legacy layout) — bitwise identical results at every
+/// width, different instructions.  Requires x.n() == op.n().
 void apply_op(const StencilOp& op, const Grid2D& x, Grid2D& out,
               rt::Scheduler& sched, const KernelPolicy& kernels = {});
 
 /// r = b − A x for a variable-coefficient operator; r's boundary ring is
-/// zeroed.  The Poisson fast path runs the constant-coefficient SIMD row
-/// at the widest width the CPU supports (identical to residual()); other
-/// operators take the 5- or 9-point rows as in apply_op.
+/// zeroed.  The same OperatorRows as apply_op, with the rhs: the Poisson
+/// fast path runs the constant-coefficient SIMD row at the widest width
+/// the CPU supports (identical to residual()), other operators the 5- or
+/// 9-point rows at row_width(kernels) lanes.
 void residual_op(const StencilOp& op, const Grid2D& x, const Grid2D& b,
                  Grid2D& r, rt::Scheduler& sched,
                  const KernelPolicy& kernels = {});
@@ -125,7 +141,7 @@ void restrict_full_weighting(const Grid2D& fine, Grid2D& coarse,
 /// bitwise identical to residual_op(op, x, b, r, sched, kernels) followed
 /// by restrict_full_weighting(r, coarse, sched), but the fine residual is
 /// never stored: each parallel leaf computes the residual rows its coarse
-/// rows weigh into a three-row buffer and restricts them from there.
+/// rows weigh into a three-row ring and restricts them from there.
 /// Forwards a one-element span to restrict_residual_multi, which is the
 /// only body.  Requires b.n() == x.n() == op.n() and
 /// coarse.n() == coarse_size(x.n()).
@@ -134,19 +150,21 @@ void restrict_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
                        const KernelPolicy& kernels = {});
 
 /// Batched fused residual restriction: coarse[k] = full weighting of
-/// (bs[k] − A·xs[k]) for K iterates of one operator.  Each leaf keeps a
-/// three-row buffer per slot and computes every slot's residual row i
-/// back to back, so row i's coefficient rows are loaded once for the
-/// batch and no fine residual is ever stored.  Each slot's arithmetic is
-/// exactly restrict_residual's, so every slot is bitwise identical to K
-/// separate calls under any thread count; the leaves split the coarse
-/// rows, priced at the residual weight times K.  `zeroed`, when
-/// not empty, holds one grid of the coarse side per slot, which comes
-/// back zero everywhere, ring included: the zero guess of the coarse
-/// correction a multigrid body solves for next.  Each leaf zeroes the
-/// rows it restricts, so the zeroing runs in the same parallel region.
-/// Requires equal span sizes (or an empty `zeroed`), every fine grid
-/// matching op.n() and every coarse grid of side coarse_size(op.n()).
+/// (bs[k] − A·xs[k]) for K iterates of one operator.  The leaves split
+/// the coarse rows, priced at the residual weight times K, and each
+/// steps one grid::ResidualRing (wavefront.h) down the fine rows its
+/// coarse rows weigh: the three-row ring the fused RECURSE head
+/// (solvers::recurse_head) also steps, over the same OperatorRows as
+/// residual_op.  Every slot's residual row i runs back to back, so row
+/// i's coefficient rows are loaded once for the batch and no fine
+/// residual is ever stored.  Each slot's arithmetic is exactly
+/// restrict_residual's, so every slot is bitwise identical to K separate
+/// calls under any thread count.  `zeroed`, when not empty, holds one
+/// grid of the coarse side per slot, which comes back zero everywhere,
+/// ring included: the zero guess of the coarse correction a multigrid
+/// body solves for next.  The ring zeroes each row it restricts, so the
+/// zeroing runs in the same parallel region.  check_batch's
+/// requirements, with `zeroed` empty or one coarse grid per slot.
 void restrict_residual_multi(const StencilOp& op,
                              std::span<const Grid2D* const> xs,
                              std::span<const Grid2D* const> bs,
@@ -173,8 +191,8 @@ void interpolate_add(const Grid2D& coarse, Grid2D& fine,
 /// one parallel region over the fine rows priced at kInterpolateCost
 /// times K per fine cell.  Each slot's arithmetic is interpolate_add's,
 /// so every slot is bitwise its own call under any thread count.
-/// Requires equal span sizes, fine grids of one valid size and every
-/// coarse grid of side coarse_size(n).
+/// check_batch's requirements, the first fine grid's side standing in
+/// for the operator's.
 void interpolate_add_multi(std::span<const Grid2D* const> coarse,
                            std::span<Grid2D* const> fine,
                            rt::Scheduler& sched);
@@ -193,7 +211,8 @@ double norm2_interior(const Grid2D& g, rt::Scheduler& sched);
 double norm2_diff_interior(const Grid2D& a, const Grid2D& b,
                            rt::Scheduler& sched);
 
-/// Largest absolute interior value.
+/// Largest absolute interior value; NaN when any interior cell is NaN, so
+/// a NaN residual never reads as a small one.
 double max_abs_interior(const Grid2D& g, rt::Scheduler& sched);
 
 }  // namespace pbmg::grid

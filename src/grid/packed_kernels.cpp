@@ -115,21 +115,6 @@ void check_packed_operands(const StencilOp& op, const Grid2D& x,
              std::string(what) + ": operator/grid size mismatch");
 }
 
-/// The batch's size checks.  They allow Poisson, which only the line
-/// passes take.
-void check_batch_sizes(const StencilOp& op, std::span<Grid2D* const> xs,
-                       std::span<const Grid2D* const> bs, const char* what) {
-  PBMG_CHECK(xs.size() == bs.size(),
-             std::string(what) + ": span size mismatch");
-  if (xs.empty()) return;
-  PBMG_CHECK(is_valid_grid_size(op.n()),
-             std::string(what) + ": grid size must be 2^k+1");
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n(),
-               std::string(what) + ": grid size mismatch");
-  }
-}
-
 }  // namespace
 
 void packed_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
@@ -144,7 +129,7 @@ void packed_sor_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
   PBMG_CHECK(b.n() == x.n(), "packed_sor_sweep: grid size mismatch");
   Grid2D* const xs[] = {&x};
   const Grid2D* const bs[] = {&b};
-  sor_wavefront(WaveRows(op, omega, clamp_simd_width(simd_width)), xs, bs,
+  sor_wavefront(OperatorRows(op, clamp_simd_width(simd_width), omega), xs, bs,
                 sched);
 }
 
@@ -159,7 +144,7 @@ void packed_line_multi(const StencilOp& op, std::span<Grid2D* const> xs,
                        std::span<const Grid2D* const> bs, bool columns,
                        rt::Scheduler& sched, ScratchPool& pool,
                        int simd_width) {
-  check_batch_sizes(op, xs, bs, "packed_line");
+  check_batch("packed_line", op.n(), {xs, bs});
   if (xs.empty()) return;
   const int n = op.n();
   const double h2 = mesh_width(n) * mesh_width(n);

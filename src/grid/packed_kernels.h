@@ -15,10 +15,14 @@
 /// of each variable-coefficient pass: under either StencilLayout the
 /// entry points in grid_ops.h / solvers::relax.h / solvers::line_relax.h
 /// run them at row_width(kernels) lanes (one under kLegacy, the clamped
-/// simd_width under kPacked), as do apply and the fused residual
-/// restriction through grid_ops.cpp's drivers.  Weighted Jacobi has no
-/// form here (its one body is the Poisson sweep in solvers/relax.h).
-/// Callers rarely use these directly.  All of them:
+/// simd_width under kPacked).  Every point pass (apply, the residual,
+/// the SOR wavefronts, the fused residual restriction, the RECURSE halves
+/// and the transfers) takes its rows from one grid::OperatorRows
+/// (wavefront.h), the only place they are picked and priced, and every
+/// batched entry, the line pass here included, checks its spans through
+/// grid::check_batch (grid_ops.h).  Weighted Jacobi has no form here (its
+/// one body is the Poisson sweep in solvers/relax.h).  Callers rarely use
+/// these directly.  All of them:
 ///  - require a non-Poisson operator, except the line pass, which also
 ///    runs every Poisson line sweep: the fast path stores no
 ///    coefficients, and its constant-coefficient residual and SOR rows

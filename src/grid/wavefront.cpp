@@ -1,5 +1,6 @@
 #include "grid/wavefront.h"
 
+#include <algorithm>
 #include <initializer_list>
 
 #include "grid/grid_ops.h"
@@ -18,7 +19,7 @@ constexpr int kWideSorMinN = 65;
 
 }  // namespace
 
-WaveRows::WaveRows(int n, double omega)
+OperatorRows::OperatorRows(int n, double omega)
     : n_(n),
       nc_(coarse_size(n)),
       h2_(mesh_width(n) * mesh_width(n)),
@@ -40,8 +41,8 @@ WaveRows::WaveRows(int n, double omega)
                             &pk::interpolate_row<1>, &pk::interpolate_row<2>,
                             &pk::interpolate_row<4>)) {}
 
-WaveRows::WaveRows(const StencilOp& op, double omega, int w)
-    : WaveRows(op.n(), omega) {
+OperatorRows::OperatorRows(const StencilOp& op, int w, double omega)
+    : OperatorRows(op.n(), omega) {
   if (op.is_poisson()) return;
   op_ = &op;
   c_ = op.c();
@@ -62,18 +63,19 @@ WaveRows::WaveRows(const StencilOp& op, double omega, int w)
   }
 }
 
-std::int64_t WaveRows::sor_cost(std::size_t batch) const {
+std::int64_t OperatorRows::cost(Pass pass, std::size_t batch) const {
+  const auto k = static_cast<std::int64_t>(batch);
   switch (kind_) {
     case Kind::kPoisson: return 1;
     case Kind::kFivePoint:
-      return kSorCost5 * static_cast<std::int64_t>(batch);
+      return (pass == kSor ? kSorCost5 : kResidualCost5) * k;
     case Kind::kNinePoint:
-      return kSorCost9 * static_cast<std::int64_t>(batch);
+      return (pass == kSor ? kSorCost9 : kResidualCost9) * k;
   }
   return 1;  // unreachable; silences -Wreturn-type
 }
 
-void WaveRows::sor(Grid2D& x, const Grid2D& b, int i, int stage,
+void OperatorRows::sor(Grid2D& x, const Grid2D& b, int i, int stage,
                    bool narrow) const {
   const double* up = x.row(i - 1);
   double* mid = x.row(i);
@@ -104,29 +106,75 @@ void WaveRows::sor(Grid2D& x, const Grid2D& b, int i, int stage,
   }
 }
 
-void WaveRows::residual(const Grid2D& x, const Grid2D& b, int i,
-                        double* out) const {
+void OperatorRows::residual(const Grid2D& x, const Grid2D* b, int i,
+                            double* out) const {
   const double* up = x.row(i - 1);
   const double* mid = x.row(i);
   const double* down = x.row(i + 1);
+  const double* rhs = b != nullptr ? b->row(i) : nullptr;
   switch (kind_) {
     case Kind::kPoisson:
-      poisson_residual_(up, mid, down, b.row(i), out, inv_h2_, n_);
+      poisson_residual_(up, mid, down, rhs, out, inv_h2_, n_);
       return;
     case Kind::kFivePoint:
-      residual5_(pk::view5(*op_, i), up, mid, down, b.row(i), out,
-                 inv_h2_, c_, n_);
+      residual5_(pk::view5(*op_, i), up, mid, down, rhs, out, inv_h2_, c_,
+                 n_);
       return;
     case Kind::kNinePoint:
-      residual9_(pk::view9(*op_, i), up, mid, down, b.row(i), out,
-                 inv_h2_, c_, n_);
+      residual9_(pk::view9(*op_, i), up, mid, down, rhs, out, inv_h2_, c_,
+                 n_);
       return;
   }
 }
 
-void sor_wavefront(const WaveRows& rows, std::span<Grid2D* const> xs,
+ResidualRing::ResidualRing(const OperatorRows& rows, int first,
+                           std::span<const Grid2D* const> xs,
+                           std::span<const Grid2D* const> bs,
+                           std::span<Grid2D* const> coarse,
+                           std::span<Grid2D* const> zeroed)
+    : rows_(rows),
+      first_(first),
+      xs_(xs),
+      bs_(bs),
+      coarse_(coarse),
+      zeroed_(zeroed),
+      ring_(new double[3 * xs.size() * static_cast<std::size_t>(rows.n())]) {
+  // The wide restriction row loads column n − 1, which no residual row
+  // writes, into lanes it discards: zero it so no load is indeterminate.
+  const auto stride = static_cast<std::size_t>(rows.n());
+  for (std::size_t r = 0; r < 3 * xs.size(); ++r) {
+    ring_[r * stride + stride - 1] = 0.0;
+  }
+}
+
+void ResidualRing::step(int i) {
+  const auto stride = static_cast<std::size_t>(rows_.n());
+  const bool restrict_now = i % 2 == 1 && i > first_;
+  const int ci = (i - 1) / 2;
+  const int nc = rows_.nc();
+  for (std::size_t k = 0; k < xs_.size(); ++k) {
+    double* slot = ring_.get() + 3 * k * stride;
+    rows_.residual(*xs_[k], bs_[k], i, slot + (i % 3) * stride);
+    if (!restrict_now) continue;
+    double* out = coarse_[k]->row(ci);
+    rows_.restrict_rows(slot + ((i - 2) % 3) * stride,
+                        slot + ((i - 1) % 3) * stride,
+                        slot + (i % 3) * stride, out);
+    out[0] = 0.0;
+    out[nc - 1] = 0.0;
+    if (!zeroed_.empty()) std::fill_n(zeroed_[k]->row(ci), nc, 0.0);
+  }
+}
+
+void ResidualRing::zero_row(int ci) const {
+  const int nc = rows_.nc();
+  for (Grid2D* c : coarse_) std::fill_n(c->row(ci), nc, 0.0);
+  for (Grid2D* e : zeroed_) std::fill_n(e->row(ci), nc, 0.0);
+}
+
+void sor_wavefront(const OperatorRows& rows, std::span<Grid2D* const> xs,
                    std::span<const Grid2D* const> bs, rt::Scheduler& sched) {
-  wavefront(rows.n(), 1, rows.sor_cost(xs.size()), sched,
+  wavefront(rows.n(), 1, rows.cost(OperatorRows::kSor, xs.size()), sched,
             [&](const WaveRun& run) {
               for_each_step<2>(
                   {run.rows(0), run.rows(1)}, [&](int s, int i) {

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 
 #include "grid/grid2d.h"
@@ -13,7 +14,7 @@
 #include "runtime/scheduler.h"
 
 /// \file wavefront.h
-/// Row wavefronts, and the rows a point-SOR wavefront runs.
+/// Row wavefronts, and the one row set every point pass runs.
 ///
 /// A wavefront is one pass of several stages over the interior rows of a
 /// grid, each stage a fixed number of rows behind the one before, so each
@@ -25,11 +26,15 @@
 /// solvers::recurse_head and recurse_tail (solvers/relax.h) run each
 /// half of a RECURSE body as a three-stage one.
 ///
-/// WaveRows holds the pk:: row kernels of one operator: the Poisson rows,
-/// or the 5- or 9-point rows.  Every cell sees the same inputs in the
-/// same order through the same rows as in separate passes, so a
-/// wavefront's results are bitwise those of the separate passes under any
-/// thread count and SIMD width.
+/// OperatorRows holds the pk:: rows of one operator, the Poisson rows or
+/// the 5- or 9-point rows and the transfers, and is the only place they
+/// are picked: the wavefronts here and grid_ops.h's apply, residual,
+/// restriction and interpolation passes all run them.  ResidualRing is
+/// the residual restriction's three-row ring, shared by
+/// restrict_residual_multi's leaves and the fused RECURSE head.  Every
+/// cell sees the same inputs in the same order through the same rows as
+/// in separate passes, so a wavefront's results are bitwise those of the
+/// separate passes under any thread count and SIMD width.
 
 namespace pbmg::grid {
 
@@ -127,33 +132,39 @@ void wavefront(int n, int depth, std::int64_t cost_per_cell,
   });
 }
 
-/// The pk:: rows a point-SOR wavefront runs on one operator of side n:
-/// the SOR rows of its two stages, its residual rows, and the
-/// full-weighting restriction and bilinear interpolation rows every
-/// operator shares.  The Poisson rows and the transfers run at the
-/// widest supported width, the 5- and 9-point rows at the width they
-/// are built with (row_width of the policy), and rows shorter than a
-/// wide SOR row earns back run the scalar SOR row; every width gives the
-/// scalar loop's bits.
-class WaveRows {
+/// The pk:: rows of one operator of side n, the only row set a point
+/// pass runs: apply and the residual (residual_op, apply_op), the SOR
+/// rows of a wavefront's two stages, and the full-weighting restriction
+/// and bilinear interpolation rows every operator shares (the grid_ops.h
+/// transfers, the fused restriction and the RECURSE halves).  The
+/// Poisson rows and the transfers run at the widest supported width, the
+/// 5- and 9-point rows at the width they are built with (row_width of
+/// the policy), and rows shorter than a wide SOR row earns back run the
+/// scalar SOR row; every width gives the scalar loop's bits.
+class OperatorRows {
  public:
-  /// The Poisson operator's rows.
-  WaveRows(int n, double omega);
+  /// Which weight of grid_ops.h prices a pass of these rows: a SOR sweep
+  /// or wavefront (kSorCost5/9), or a residual, apply or residual
+  /// restriction (kResidualCost5/9, per fine cell).
+  enum Pass { kSor, kResidual };
+
+  /// The Poisson operator's rows, whose transfers also serve any
+  /// operator of side n; the SOR rows run at `omega`.
+  explicit OperatorRows(int n, double omega = 1.0);
 
   /// The rows of `op`: the Poisson rows on the fast path, and otherwise
   /// the 5- or 9-point rows over op's grids (pk::view5 / view9) at `w`
   /// lanes, a width the CPU supports (row_width or clamp_simd_width
-  /// resolves it).  Keeps a pointer to `op`, which must outlive the
-  /// rows.
-  WaveRows(const StencilOp& op, double omega, int w);
+  /// resolves it), with the SOR rows at `omega`.  Keeps a pointer to
+  /// `op`, which must outlive the rows.
+  OperatorRows(const StencilOp& op, int w, double omega = 1.0);
 
   int n() const { return n_; }
   int nc() const { return nc_; }
 
-  /// rt::Scheduler::grain_for's cost per cell of a SOR pass over K
-  /// iterates: 1 on Poisson, the SOR weight (grid_ops.h) times K
-  /// otherwise.
-  std::int64_t sor_cost(std::size_t batch) const;
+  /// rt::Scheduler::grain_for's cost per cell of a pass over K iterates:
+  /// 1 on Poisson, the pass's 5- or 9-point weight times K otherwise.
+  std::int64_t cost(Pass pass, std::size_t batch) const;
 
   /// SOR stage `stage` (0 or 1) of row i.  On a 5-point operator stage 0
   /// updates the red cells ((i + j) even) and stage 1 the black ones; a
@@ -171,19 +182,20 @@ class WaveRows {
   /// other, so it ignores `narrow`.
   void sor(Grid2D& x, const Grid2D& b, int i, int stage, bool narrow) const;
 
-  /// Row i of b − A·x into out[1 … n − 2].
-  void residual(const Grid2D& x, const Grid2D& b, int i, double* out) const;
+  /// Row i of b − A·x, or of A·x when b is null, into out[1 … n − 2].
+  void residual(const Grid2D& x, const Grid2D* b, int i, double* out) const;
 
-  /// Full weighting of fine rows up/mid/down onto coarse row `out`.
+  /// Full weighting of fine rows up/mid/down onto coarse row `out`
+  /// (columns 1 … nc − 2).
   void restrict_rows(const double* up, const double* mid, const double* down,
                      double* out) const {
     restrict_(up, mid, down, out, nc_);
   }
 
-  /// x row i += P·e.
-  void interpolate_add(const Grid2D& e, Grid2D& x, int i) const {
-    interpolate_(e.row(i / 2), i % 2 == 0 ? nullptr : e.row(i / 2 + 1),
-                 x.row(i), /*assign=*/false, n_);
+  /// Fine row i = P·c (assign) or += P·c, c of side nc.
+  void interpolate(const Grid2D& c, Grid2D& fine, int i, bool assign) const {
+    interpolate_(c.row(i / 2), i % 2 == 0 ? nullptr : c.row(i / 2 + 1),
+                 fine.row(i), assign, n_);
   }
 
  private:
@@ -210,12 +222,49 @@ class WaveRows {
   decltype(&pk::interpolate_row<1>) interpolate_;
 };
 
+/// The three-row ring of a fused residual restriction over K iterates of
+/// one operator: coarse[k] = full weighting of (bs[k] − A·xs[k]) from
+/// fine residual rows kept only in the ring, each slot's last three rows
+/// (row i at ring row i mod 3).  One ring serves one parallel leaf of
+/// restrict_residual_multi or one run of the fused RECURSE head
+/// (solvers/relax.h), over fine rows first, first + 1, … in order;
+/// `first` is odd, the row above the ring's first coarse row, whenever a
+/// row is stepped.
+class ResidualRing {
+ public:
+  ResidualRing(const OperatorRows& rows, int first,
+               std::span<const Grid2D* const> xs,
+               std::span<const Grid2D* const> bs,
+               std::span<Grid2D* const> coarse,
+               std::span<Grid2D* const> zeroed);
+
+  /// Writes residual row i of every slot into that slot's ring, back to
+  /// back, so row i's coefficient rows load once for the batch.  When
+  /// row i completes coarse row ci = (i − 1)/2 (i odd, past `first`),
+  /// restricts ci of every slot with a zero ring and zeroes row ci of
+  /// each zeroed grid: the coarse correction's zero guess.
+  void step(int i);
+
+  /// Zeroes coarse row ci, ring included, of every coarse and zeroed
+  /// grid: rows 0 and nc − 1, which no step restricts.
+  void zero_row(int ci) const;
+
+ private:
+  const OperatorRows& rows_;
+  int first_;
+  std::span<const Grid2D* const> xs_;
+  std::span<const Grid2D* const> bs_;
+  std::span<Grid2D* const> coarse_;
+  std::span<Grid2D* const> zeroed_;
+  std::unique_ptr<double[]> ring_;
+};
+
 /// One point-SOR sweep of each xs[k] against bs[k] under rows' operator,
 /// as a two-stage row wavefront (stage 1 one row behind stage 0).  A
 /// 5-point block's stage-0 rows at its edges border another block's
 /// stage-0 rows, so they take the narrow row.  Every slot is bitwise its
 /// colour passes, under any thread count; the slots never couple.
-void sor_wavefront(const WaveRows& rows, std::span<Grid2D* const> xs,
+void sor_wavefront(const OperatorRows& rows, std::span<Grid2D* const> xs,
                    std::span<const Grid2D* const> bs, rt::Scheduler& sched);
 
 }  // namespace pbmg::grid

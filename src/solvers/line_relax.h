@@ -65,6 +65,8 @@ void line_relax_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
 /// line group replayed per iterate, so the pivot divides and coefficient
 /// loads are shared (grid/packed_kernels.h).  Under PBMG_ASSERTIONS the
 /// bodies throw InvalidArgument on a non-positive diagonal or pivot.
+/// Requires is_line_relax(kind) and grid::check_batch's requirements:
+/// equal span sizes, no null slot and every grid matching op.n().
 void line_relax_sweep_multi(const grid::StencilOp& op,
                             std::span<Grid2D* const> xs,
                             std::span<const Grid2D* const> bs, RelaxKind kind,

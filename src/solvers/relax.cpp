@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <initializer_list>
-#include <memory>
 
 #include "grid/grid_ops.h"
 #include "grid/level.h"
@@ -57,28 +55,19 @@ double scaled_omega_opt(int n, double scale) {
 namespace {
 
 /// The fused head: SOR stage 0, stage 1 one row behind, and the residual
-/// one row further, each slot's residual rows kept in a three-row ring
-/// and restricted as each coarse row's third row completes.  A block
-/// restricts the coarse rows whose three residual rows it finishes
-/// itself; the triangle at an edge restricts the rest between its two
-/// blocks, recomputing the residual rows it shares with them (the same
-/// bits: a residual row is a function of final x rows).  Each run zeroes
-/// the corrections' rows of the coarse rows it restricts, and the first
-/// and last blocks the coarse ring rows.
-void fused_head(const grid::WaveRows& rows, std::span<Grid2D* const> xs,
+/// one row further, stepping a grid::ResidualRing that restricts each
+/// coarse row as its third residual row completes.  A block restricts
+/// the coarse rows whose three residual rows it finishes itself; the
+/// triangle at an edge restricts the rest between its two blocks,
+/// recomputing the residual rows it shares with them (the same bits: a
+/// residual row is a function of final x rows).  The ring zeroes the
+/// corrections' rows of the coarse rows it restricts, and the first and
+/// last blocks zero the coarse ring rows.
+void fused_head(const grid::OperatorRows& rows, std::span<Grid2D* const> xs,
                 std::span<const Grid2D* const> bs,
                 std::span<Grid2D* const> rcs, std::span<Grid2D* const> es,
                 rt::Scheduler& sched) {
   const int n = rows.n();
-  const int nc = rows.nc();
-  const std::size_t stride = static_cast<std::size_t>(n);
-  const std::size_t batch = xs.size();
-  const auto zero_coarse_row = [&](int ci) {
-    for (std::size_t k = 0; k < batch; ++k) {
-      std::fill_n(rcs[k]->row(ci), nc, 0.0);
-      std::fill_n(es[k]->row(ci), nc, 0.0);
-    }
-  };
   const auto run_head = [&](const grid::WaveRun& run) {
     // Coarse row ci weighs residual rows 2ci − 1 … 2ci + 1.
     const grid::StageRows fine = run.rows(2);
@@ -87,53 +76,41 @@ void fused_head(const grid::WaveRows& rows, std::span<Grid2D* const> xs,
     const grid::StageRows residual_rows =
         c0 < c1 ? grid::StageRows{2 * c0 - 1, 2 * c1}
                 : grid::StageRows{0, 0};
-    // Only the interior columns of the ring are written or read.
-    const std::unique_ptr<double[]> ring(new double[3 * batch * stride]);
+    grid::ResidualRing ring(rows, residual_rows.begin, xs, bs, rcs, es);
     grid::for_each_step<3>(
         {run.rows(0), run.rows(1), residual_rows}, [&](int s, int i) {
-          if (s < 2) {
-            const bool narrow = s == 0 && (i == run.lo || i == run.hi - 1);
-            for (std::size_t k = 0; k < batch; ++k) {
-              rows.sor(*xs[k], *bs[k], i, s, narrow);
-            }
+          if (s == 2) {
+            ring.step(i);
             return;
           }
-          const bool restrict_now = i % 2 == 1 && i > residual_rows.begin;
-          for (std::size_t k = 0; k < batch; ++k) {
-            double* slot = ring.get() + 3 * k * stride;
-            rows.residual(*xs[k], *bs[k], i, slot + (i % 3) * stride);
-            if (!restrict_now) continue;
-            const int ci = (i - 1) / 2;
-            double* out = rcs[k]->row(ci);
-            rows.restrict_rows(slot + ((i - 2) % 3) * stride,
-                               slot + ((i - 1) % 3) * stride,
-                               slot + (i % 3) * stride, out);
-            out[0] = 0.0;
-            out[nc - 1] = 0.0;
-            std::fill_n(es[k]->row(ci), nc, 0.0);
+          const bool narrow = s == 0 && (i == run.lo || i == run.hi - 1);
+          for (std::size_t k = 0; k < xs.size(); ++k) {
+            rows.sor(*xs[k], *bs[k], i, s, narrow);
           }
         });
     if (run.triangle()) return;
-    if (run.lo == 1) zero_coarse_row(0);
-    if (run.hi == n - 1) zero_coarse_row(nc - 1);
+    if (run.lo == 1) ring.zero_row(0);
+    if (run.hi == n - 1) ring.zero_row(rows.nc() - 1);
   };
-  grid::wavefront(n, 2, rows.sor_cost(batch), sched, run_head);
+  grid::wavefront(n, 2, rows.cost(grid::OperatorRows::kSor, xs.size()), sched,
+                  run_head);
 }
 
 /// The fused tail: the interpolated correction, SOR stage 0 one row
 /// behind and stage 1 one row further.  The SOR stages stay a row inside
 /// their block, so they never border another block's rows.
-void fused_tail(const grid::WaveRows& rows, std::span<const Grid2D* const> es,
+void fused_tail(const grid::OperatorRows& rows,
+                std::span<const Grid2D* const> es,
                 std::span<Grid2D* const> xs,
                 std::span<const Grid2D* const> bs, rt::Scheduler& sched) {
   grid::wavefront(
-      rows.n(), 2, rows.sor_cost(xs.size()), sched,
+      rows.n(), 2, rows.cost(grid::OperatorRows::kSor, xs.size()), sched,
       [&](const grid::WaveRun& run) {
         grid::for_each_step<3>(
             {run.rows(0), run.rows(1), run.rows(2)}, [&](int s, int i) {
               for (std::size_t k = 0; k < xs.size(); ++k) {
                 if (s == 0) {
-                  rows.interpolate_add(*es[k], *xs[k], i);
+                  rows.interpolate(*es[k], *xs[k], i, /*assign=*/false);
                 } else {
                   rows.sor(*xs[k], *bs[k], i, s - 1, /*narrow=*/false);
                 }
@@ -150,7 +127,7 @@ void sor_sweep(Grid2D& x, const Grid2D& b, double omega,
   PBMG_CHECK(x.n() == b.n(), "sor_sweep: grid size mismatch");
   Grid2D* const xs[] = {&x};
   const Grid2D* const bs[] = {&b};
-  grid::sor_wavefront(grid::WaveRows(x.n(), omega), xs, bs, sched);
+  grid::sor_wavefront(grid::OperatorRows(x.n(), omega), xs, bs, sched);
 }
 
 void jacobi_sweep(Grid2D& x, const Grid2D& b, double omega, Grid2D& scratch,
@@ -188,17 +165,10 @@ void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
                      std::span<const Grid2D* const> bs, double omega,
                      rt::Scheduler& sched,
                      const grid::KernelPolicy& kernels) {
-  PBMG_CHECK(xs.size() == bs.size(), "sor_sweep: span size mismatch");
-  PBMG_CHECK(is_valid_grid_size(op.n()), "sor_sweep: grid size must be 2^k+1");
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr,
-               "sor_sweep: null grid slot");
-    PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n(),
-               "sor_sweep: operator/grid size mismatch");
-  }
+  grid::check_batch("sor_sweep", op.n(), {xs, bs});
   if (xs.empty()) return;
-  grid::sor_wavefront(grid::WaveRows(op, omega, grid::row_width(kernels)), xs,
-                      bs, sched);
+  grid::sor_wavefront(grid::OperatorRows(op, grid::row_width(kernels), omega),
+                      xs, bs, sched);
 }
 
 void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
@@ -210,33 +180,6 @@ void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
 }
 
 namespace {
-
-/// Checks a RECURSE half's fine and coarse spans and returns the level it
-/// times.
-int body_level(const grid::StencilOp& op, std::span<Grid2D* const> xs,
-               std::span<const Grid2D* const> bs,
-               std::initializer_list<std::span<const Grid2D* const>> coarse,
-               const char* what) {
-  PBMG_CHECK(is_valid_grid_size(op.n()),
-             std::string(what) + ": grid size must be 2^k+1");
-  PBMG_CHECK(xs.size() == bs.size(),
-             std::string(what) + ": span size mismatch");
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr,
-               std::string(what) + ": null grid slot");
-    PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n(),
-               std::string(what) + ": operator/grid size mismatch");
-  }
-  for (const std::span<const Grid2D* const> grids : coarse) {
-    PBMG_CHECK(grids.size() == xs.size(),
-               std::string(what) + ": span size mismatch");
-    for (const Grid2D* g : grids) {
-      PBMG_CHECK(g != nullptr && g->n() == coarse_size(op.n()),
-                 std::string(what) + ": coarse grid has wrong size");
-    }
-  }
-  return level_of_size(op.n());
-}
 
 /// Point-SOR body halves run fused on every operator; a line smoother
 /// keeps its separate passes.  A smoother that is not a line smoother
@@ -266,21 +209,19 @@ void recurse_head(const grid::StencilOp& op, std::span<Grid2D* const> xs,
                   std::span<Grid2D* const> es, rt::Scheduler& sched,
                   grid::ScratchPool& pool, const grid::KernelPolicy& kernels,
                   obs::PhaseProfile* profile) {
-  const int level =
-      body_level(op, xs, bs, {{rcs.data(), rcs.size()}, {es.data(), es.size()}},
-                 "recurse_head");
+  grid::check_batch("recurse_head", op.n(), {xs, bs}, {rcs, es});
+  const int level = level_of_size(op.n());
   if (xs.empty()) return;
   if (fused_body(smoother)) {
     obs::ScopedPhaseTimer timer(profile, obs::Phase::kRelax, level);
-    fused_head(grid::WaveRows(op, omega, grid::row_width(kernels)), xs, bs,
-               rcs, es, sched);
+    fused_head(grid::OperatorRows(op, grid::row_width(kernels), omega), xs,
+               bs, rcs, es, sched);
     return;
   }
   relax_multi(op, xs, bs, smoother, omega, sched, pool, kernels, profile,
               level);
   obs::ScopedPhaseTimer timer(profile, obs::Phase::kRestrict, level);
-  grid::restrict_residual_multi(op, {xs.data(), xs.size()}, bs, rcs, sched,
-                                kernels, es);
+  grid::restrict_residual_multi(op, xs, bs, rcs, sched, kernels, es);
 }
 
 void recurse_tail(const grid::StencilOp& op,
@@ -290,12 +231,13 @@ void recurse_tail(const grid::StencilOp& op,
                   double omega, rt::Scheduler& sched, grid::ScratchPool& pool,
                   const grid::KernelPolicy& kernels,
                   obs::PhaseProfile* profile) {
-  const int level = body_level(op, xs, bs, {es}, "recurse_tail");
+  grid::check_batch("recurse_tail", op.n(), {xs, bs}, {es});
+  const int level = level_of_size(op.n());
   if (xs.empty()) return;
   if (fused_body(smoother)) {
     obs::ScopedPhaseTimer timer(profile, obs::Phase::kRelax, level);
-    fused_tail(grid::WaveRows(op, omega, grid::row_width(kernels)), es, xs,
-               bs, sched);
+    fused_tail(grid::OperatorRows(op, grid::row_width(kernels), omega), es,
+               xs, bs, sched);
     return;
   }
   {

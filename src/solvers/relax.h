@@ -172,7 +172,8 @@ void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
 /// never couple, and each k's cells see the one-iterate inputs, so every
 /// slot is bitwise identical to its own sor_sweep call under any thread
 /// count; K = 1 is that call.  One wavefront for every operator.
-/// Requires equal span sizes and all grids matching op.n().
+/// grid::check_batch's requirements: equal span sizes, no null slot
+/// and every grid matching op.n().
 void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
                      std::span<const Grid2D* const> bs, double omega,
                      rt::Scheduler& sched,
@@ -184,13 +185,16 @@ void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
 /// of (bs[k] − A·xs[k]) with a zero ring, and es[k] = 0 everywhere, ring
 /// included: the coarse correction's zero guess.  With point SOR this is
 /// one three-stage row wavefront (two SOR stages, then residual rows
-/// restricted as they complete) timed once under obs::Phase::kRelax; a
-/// line smoother runs line_relax_sweep_multi (timed kLineSolve) and then
-/// restrict_residual_multi (timed kRestrict), as two passes.
+/// restricted as they complete, through the grid::ResidualRing that
+/// restrict_residual_multi's leaves also step) timed once under
+/// obs::Phase::kRelax; a line smoother runs line_relax_sweep_multi (timed
+/// kLineSolve) and then restrict_residual_multi (timed kRestrict), as two
+/// passes.
 /// Either way every slot is bitwise the sweep followed by residual_op
 /// and restrict_full_weighting.  `profile` may be null; the level timed
-/// is op.n()'s.  Requires equal span sizes, every fine grid matching
-/// op.n(), and every coarse grid of side coarse_size(op.n()).
+/// is op.n()'s.  grid::check_batch's requirements: equal span sizes, no
+/// null slot, every fine grid matching op.n(), and every coarse grid of
+/// side coarse_size(op.n()).
 void recurse_head(const grid::StencilOp& op, std::span<Grid2D* const> xs,
                   std::span<const Grid2D* const> bs, RelaxKind smoother,
                   double omega, std::span<Grid2D* const> rcs,

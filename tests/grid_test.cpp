@@ -1,8 +1,11 @@
 // Tests for the grid substrate: Grid2D semantics, level math, the 5-point
 // operator and residual, transfer operators, norms, the scratch-grid pool
-// (reuse/trim/stats), and the paper's input distributions.
+// (reuse/trim/stats), and the paper's input distributions.  The norms
+// include max_abs_interior's NaN rule: a NaN interior cell reads NaN.
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -370,6 +373,31 @@ TEST(GridOps, NormsMatchSerialComputation) {
   EXPECT_NEAR(grid::norm2_interior(a, sched()), std::sqrt(ss), 1e-12);
   EXPECT_NEAR(grid::norm2_diff_interior(a, b, sched()), std::sqrt(sd), 1e-12);
   EXPECT_DOUBLE_EQ(grid::max_abs_interior(a, sched()), mx);
+}
+
+TEST(GridOps, MaxAbsInteriorIsNanWhenAnyInteriorCellIsNan) {
+  // Tests bound residuals with max_abs_interior, so a NaN residual must
+  // not read as a small one.  At n = 17 the pass runs as one leaf; at
+  // n = 257 it forks, so a NaN in the first, a middle or the last leaf
+  // must also survive the combine against larger finite maxima.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const int n : {17, 257}) {
+    for (const int row : {1, n / 2, n - 2}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " row=" + std::to_string(row));
+      Grid2D g = random_grid(n, 41);
+      g(n / 3, n / 3) = 1.0e6;
+      g(row, n / 2) = nan;
+      EXPECT_TRUE(std::isnan(grid::max_abs_interior(g, sched())));
+    }
+    SCOPED_TRACE("n=" + std::to_string(n));
+    EXPECT_TRUE(std::isnan(grid::max_abs_interior(Grid2D(n, nan), sched())));
+    // The ring is not interior: a NaN there is not read.
+    Grid2D ring(n, 0.0);
+    ring.fill_interior(2.0);
+    ring(0, n / 2) = nan;
+    ring(n / 2, n - 1) = nan;
+    EXPECT_EQ(grid::max_abs_interior(ring, sched()), 2.0);
+  }
 }
 
 TEST(GridOps, SizeMismatchesThrow) {

@@ -5,14 +5,16 @@
 // line sweeps across repeated solves, the Poisson fast path and an
 // explicit unit-coefficient operator against the scalar oracle
 // (stencil_oracle.h) at every size class, batch, thread count, layout
-// and lane width, and, under PBMG_ASSERTIONS, the Thomas bodies' pivot
-// check under both layouts.
+// and lane width, random-coefficient 5- and 9-point operators and a RAP
+// level against the same oracle, and, under PBMG_ASSERTIONS, the Thomas
+// bodies' pivot check under both layouts.
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -362,6 +364,72 @@ TEST(LineFastPath, ExplicitConstantCoefficientsMatchPoissonBitwise) {
         };
         at_width(std::integral_constant<int, 1>{});
         at_width(std::integral_constant<int, 2>{});
+      }
+    }
+  }
+}
+
+TEST(LineOracle, RandomCoefficientPassesMatchTheOracle) {
+  // Random-coefficient operators (stencil_oracle.h) round a reordered
+  // band differently at almost every line, where smooth and
+  // piecewise-constant coefficients often round alike either way: the
+  // 5-point operator, the 9-point one and a RAP level of the 5-point one
+  // (9-point), against the oracle's passes one iterate at a time, under
+  // the legacy layout and the packed one at widths 1, 2 and 4, K = 1
+  // (one-pass) and K = 3 (factor-once), on four threads and one.  At
+  // n = 129 a pass forks on four threads.
+  static Engine serial(rt::serial_profile());
+  const grid::StencilHierarchy random5_rap(
+      testing::oracle::random_five_point(257, 0x11AE), grid::Coarsening::kRap);
+  const std::pair<const char*, grid::StencilOp> operators[] = {
+      {"random 5-point", testing::oracle::random_five_point(33, 0x11AF)},
+      {"random 5-point", testing::oracle::random_five_point(129, 0x11B0)},
+      {"random 9-point", testing::oracle::random_nine_point(33, 0x11B1)},
+      {"random 9-point", testing::oracle::random_nine_point(129, 0x11B2)},
+      {"random 5-point rap level", random5_rap.at(level_of_size(129))}};
+  const grid::KernelPolicy policies[] = {{grid::StencilLayout::kLegacy, 1},
+                                         {grid::StencilLayout::kPacked, 1},
+                                         {grid::StencilLayout::kPacked, 2},
+                                         {grid::StencilLayout::kPacked, 4}};
+  for (const auto& [name, op] : operators) {
+    const int n = op.n();
+    for (const int k_count : {1, 3}) {
+      std::vector<Grid2D> x0;
+      std::vector<Grid2D> bs;
+      std::vector<const Grid2D*> b_slots;
+      for (int k = 0; k < k_count; ++k) {
+        x0.push_back(random_grid(n, 0x11C0 + 2 * k));
+        bs.push_back(random_grid(n, 0x11C1 + 2 * k));
+      }
+      for (const Grid2D& b : bs) b_slots.push_back(&b);
+      for (const RelaxKind kind :
+           {RelaxKind::kLineX, RelaxKind::kLineY, RelaxKind::kLineZebraAlt}) {
+        std::vector<Grid2D> oracle = x0;
+        for (int k = 0; k < k_count; ++k) {
+          for (int s = 0; s < 2; ++s) {
+            testing::oracle::line_sweep(op, oracle[k], bs[k], kind);
+          }
+        }
+        for (Engine* eng : {&engine(), &serial}) {
+          for (const grid::KernelPolicy& policy : policies) {
+            std::vector<Grid2D> xs = x0;
+            std::vector<Grid2D*> x_slots;
+            for (Grid2D& x : xs) x_slots.push_back(&x);
+            for (int s = 0; s < 2; ++s) {
+              line_relax_sweep_multi(op, x_slots, b_slots, kind,
+                                     eng->scheduler(), eng->scratch(), policy);
+            }
+            for (int k = 0; k < k_count; ++k) {
+              ASSERT_EQ(0, std::memcmp(xs[k].data(), oracle[k].data(),
+                                       oracle[k].size() * sizeof(double)))
+                  << name << " n=" << n << " K=" << k_count << " slot " << k
+                  << " " << to_string(kind) << " "
+                  << grid::to_string(policy.layout)
+                  << " W=" << policy.simd_width
+                  << (eng == &serial ? " serial" : " 4 threads");
+            }
+          }
+        }
       }
     }
   }

@@ -18,8 +18,11 @@
 // through the public entry points at one and four threads, and with
 // eight-row leaves racing at n = 257 to 1025; the
 // fused restrict_residual, solo and over K iterates, is pinned against
-// residual_op followed by restrict_full_weighting for every operator
-// kind, and the corrections it zeroes come back zero.  The fused Poisson
+// the oracle's residual followed by the scalar restriction for every
+// operator kind on one to four threads, and the corrections it zeroes
+// come back zero.  Random-coefficient operators (stencil_oracle.h) join
+// the thread-count, fused-pass and fused-restriction cases, so a
+// reordered 5-point diagonal or 9-point row fails them too.  The fused Poisson
 // RECURSE head and tail and the one-pass sweep are pinned against the
 // scalar references, solo and batched, on one to four threads, and the
 // variable-coefficient ones (the same wavefronts over the 5- and 9-point
@@ -30,6 +33,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -322,15 +326,23 @@ TEST(PackedParity, AllKernelsAllFamiliesAllWidths) {
 TEST(PackedParity, ThreadCountsAgree) {
   // At n = 257 a line pass forks outside a solve, and the even parity's
   // 127 lines leave a three-lane tail group: jump is the served 5-point
-  // operator, θ=45° the 9-point one.
-  const std::pair<int, OperatorFamily> cases[] = {
-      {65, OperatorFamily::kAnisoTheta45},
-      {257, OperatorFamily::kJumpCoefficient},
-      {257, OperatorFamily::kAnisoTheta45}};
-  for (const auto& [n, family] : cases) {
-    const StencilOp op = make_operator(n, family);
+  // operator, θ=45° the 9-point one.  The random-coefficient operators
+  // (stencil_oracle.h), and a RAP level of the 5-point one, are where a
+  // reordered 5-point diagonal or 9-point row rounds differently.
+  const StencilOp random5 = oracle::random_five_point(513, 0x5A17);
+  const StencilHierarchy random5_rap(random5, Coarsening::kRap);
+  const std::pair<const char*, StencilOp> cases[] = {
+      {"theta45", make_operator(65, OperatorFamily::kAnisoTheta45)},
+      {"jump", make_operator(257, OperatorFamily::kJumpCoefficient)},
+      {"theta45", make_operator(257, OperatorFamily::kAnisoTheta45)},
+      {"random 5-point", oracle::random_five_point(257, 0x5A18)},
+      {"random 9-point", oracle::random_nine_point(65, 0x9A17)},
+      {"random 9-point", oracle::random_nine_point(257, 0x9A18)},
+      {"random 5-point rap", random5_rap.at(level_of_size(257))}};
+  for (const auto& [name, op] : cases) {
     for (const int threads : {1, 4}) {
-      SCOPED_TRACE("family=" + to_string(family) + " n=" + std::to_string(n));
+      SCOPED_TRACE(std::string(name) + " n=" + std::to_string(op.n()) +
+                   " threads=" + std::to_string(threads));
       expect_all_sweeps_parity(op, /*width=*/4, threads, 0xC0FFEE);
     }
   }
@@ -633,60 +645,100 @@ TEST(PoissonRows, SlicedSweepsMatchTheScalarReference) {
 }
 
 TEST(FusedRestriction, MatchesResidualThenRestrictForEveryOperatorKind) {
-  // restrict_residual drives the same row kernel as residual_op, so it
-  // must equal residual_op followed by restrict_full_weighting exactly:
-  // Poisson, every parity family under both layouts, and a Galerkin RAP
-  // level (9-point coarse operator of a rotated fine one).
+  // restrict_residual runs the same rows as residual_op, so its reference
+  // is the oracle's residual (stencil_oracle.h) followed by the scalar
+  // restriction, one slot at a time.  Solo, and K = 3 slots with and
+  // without zeroed corrections, on one to four threads: Poisson, every
+  // parity family under both layouts, the random-coefficient operators,
+  // a Galerkin RAP level of a rotated and of a random operator, and jump
+  // at n = 257 with eight-row leaves.
   const auto expect_fused = [](const StencilOp& op, const KernelPolicy& k,
-                               Engine& eng, std::uint64_t seed) {
+                               std::uint64_t seed, int grain_rows = 2) {
+    constexpr int kSlots = 3;
     const int n = op.n();
-    const Grid2D x = random_grid(n, seed);
-    const Grid2D b = random_grid(n, seed + 1);
-    Grid2D r(n, 1.0);
-    Grid2D expected(coarse_size(n), 1.0);
-    residual_op(op, x, b, r, eng.scheduler(), k);
-    restrict_full_weighting(r, expected, eng.scheduler());
-    Grid2D fused(coarse_size(n), 2.0);
-    restrict_residual(op, x, b, fused, eng.scheduler(), k);
-    EXPECT_TRUE(bitwise_equal(fused, expected));
-    // The same restriction zeroing a coarse correction in its region.
-    Grid2D with_zeroed(coarse_size(n), 2.0);
-    Grid2D zeroed(coarse_size(n), 3.0);
-    const Grid2D* const xs[] = {&x};
-    const Grid2D* const bs[] = {&b};
-    Grid2D* const coarse[] = {&with_zeroed};
-    Grid2D* const corrections[] = {&zeroed};
-    restrict_residual_multi(op, xs, bs, coarse, eng.scheduler(), k,
-                            corrections);
-    EXPECT_TRUE(bitwise_equal(with_zeroed, expected));
-    EXPECT_TRUE(bitwise_equal(zeroed, Grid2D(coarse_size(n), 0.0)));
+    const int nc = coarse_size(n);
+    std::vector<Grid2D> xs_store;
+    std::vector<Grid2D> bs_store;
+    std::vector<Grid2D> expected;
+    for (int s = 0; s < kSlots; ++s) {
+      xs_store.push_back(random_grid(n, seed + 2 * static_cast<unsigned>(s)));
+      bs_store.push_back(
+          random_grid(n, seed + 2 * static_cast<unsigned>(s) + 1));
+      Grid2D r(n, 0.0);
+      oracle::stencil_rows(op, xs_store.back(), &bs_store.back(), r);
+      expected.emplace_back(nc, 1.0);
+      reference_restrict(r, expected.back());
+    }
+    std::vector<const Grid2D*> xs;
+    std::vector<const Grid2D*> bs;
+    for (int s = 0; s < kSlots; ++s) {
+      xs.push_back(&xs_store[s]);
+      bs.push_back(&bs_store[s]);
+    }
+    for (const int threads : {1, 2, 3, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      rt::Scheduler& sched = engine_with(threads, grain_rows).scheduler();
+      Grid2D solo(nc, 2.0);
+      restrict_residual(op, xs_store[0], bs_store[0], solo, sched, k);
+      EXPECT_TRUE(bitwise_equal(solo, expected[0])) << "solo";
+      for (const bool zero_corrections : {false, true}) {
+        std::vector<Grid2D> coarse_store(kSlots, Grid2D(nc, 2.0));
+        std::vector<Grid2D> zeroed_store(kSlots, Grid2D(nc, 3.0));
+        std::vector<Grid2D*> coarse;
+        std::vector<Grid2D*> zeroed;
+        for (int s = 0; s < kSlots; ++s) {
+          coarse.push_back(&coarse_store[s]);
+          zeroed.push_back(&zeroed_store[s]);
+        }
+        restrict_residual_multi(
+            op, xs, bs, coarse, sched, k,
+            zero_corrections ? std::span<Grid2D* const>(zeroed)
+                             : std::span<Grid2D* const>());
+        for (int s = 0; s < kSlots; ++s) {
+          EXPECT_TRUE(bitwise_equal(coarse_store[s], expected[s]))
+              << "slot " << s << " zeroing=" << zero_corrections;
+          EXPECT_TRUE(bitwise_equal(
+              zeroed_store[s], Grid2D(nc, zero_corrections ? 0.0 : 3.0)))
+              << "correction " << s;
+        }
+      }
+    }
   };
   std::uint64_t seed = 0xF05E;
   for (const int n : kSmallSizes) {
     SCOPED_TRACE("poisson n=" + std::to_string(n));
-    expect_fused(StencilOp::poisson(n), KernelPolicy{}, engine_with(4),
-                 seed += 2);
+    expect_fused(StencilOp::poisson(n), KernelPolicy{}, seed += 8);
   }
+  const KernelPolicy policies[] = {KernelPolicy{}, packed_policy(4)};
   for (const OperatorFamily family : kParityFamilies) {
     for (const int n : {5, 33}) {
       const StencilOp op = make_operator(n, family);
-      for (const KernelPolicy& k : {KernelPolicy{}, packed_policy(4)}) {
+      for (const KernelPolicy& k : policies) {
         SCOPED_TRACE("family=" + to_string(family) + " n=" +
                      std::to_string(n) + " layout=" + to_string(k.layout));
-        expect_fused(op, k, engine_with(4), seed += 2);
+        expect_fused(op, k, seed += 8);
       }
     }
   }
   const StencilHierarchy rap(make_operator(33, OperatorFamily::kAnisoTheta30),
                              Coarsening::kRap);
-  for (const KernelPolicy& k : {KernelPolicy{}, packed_policy(4)}) {
-    SCOPED_TRACE("rap level, layout=" + to_string(k.layout));
-    expect_fused(rap.at(rap.top_level() - 1), k, engine_with(4), seed += 2);
+  const StencilHierarchy random_rap(oracle::random_five_point(129, 0x5A1A),
+                                    Coarsening::kRap);
+  const std::pair<const char*, StencilOp> operators[] = {
+      {"theta30 rap level", rap.at(rap.top_level() - 1)},
+      {"random 5-point", oracle::random_five_point(65, 0x5A1B)},
+      {"random 9-point", oracle::random_nine_point(65, 0x9A1B)},
+      {"random 5-point rap level", random_rap.at(random_rap.top_level() - 1)}};
+  for (const auto& [name, op] : operators) {
+    for (const KernelPolicy& k : policies) {
+      SCOPED_TRACE(std::string(name) + " layout=" + to_string(k.layout));
+      expect_fused(op, k, seed += 8);
+    }
   }
   const StencilOp jump = make_operator(257, OperatorFamily::kJumpCoefficient);
-  for (const KernelPolicy& k : {KernelPolicy{}, packed_policy(4)}) {
+  for (const KernelPolicy& k : policies) {
     SCOPED_TRACE("jump n=257 sliced, layout=" + to_string(k.layout));
-    expect_fused(jump, k, engine_with(4, 8), seed += 2);
+    expect_fused(jump, k, seed += 8, /*grain_rows=*/8);
   }
 }
 
@@ -874,16 +926,24 @@ TEST(FusedStencilPasses, HeadTailAndSweepMatchTheOracle) {
   // interior row to n = 513, under the legacy layout (one lane, which
   // ignores simd_width: KernelPolicy.WidthClampIsMonotoneAndValid) and
   // the packed one at every width, on one to four threads (even and
-  // uneven blocks), solo and batched.
+  // uneven blocks), solo and batched.  The random-coefficient ladders
+  // (stencil_oracle.h: a 5-point operator averaged, a 9-point one and its
+  // RAP levels) round differently under any reordered row.
   const StencilOp jump = make_operator(513, OperatorFamily::kJumpCoefficient);
   const StencilOp t45 = make_operator(513, OperatorFamily::kAnisoTheta45);
   const StencilHierarchy jump_avg(jump, Coarsening::kAverage);
   const StencilHierarchy jump_rap(jump, Coarsening::kRap);
   const StencilHierarchy t45_avg(t45, Coarsening::kAverage);
+  const StencilHierarchy random5_avg(oracle::random_five_point(513, 0x5A19),
+                                     Coarsening::kAverage);
+  const StencilHierarchy random9_rap(oracle::random_nine_point(513, 0x9A19),
+                                     Coarsening::kRap);
   const std::pair<const char*, const StencilHierarchy*> ladders[] = {
       {"jump averaged", &jump_avg},
       {"jump rap", &jump_rap},
-      {"theta45 averaged", &t45_avg}};
+      {"theta45 averaged", &t45_avg},
+      {"random 5-point averaged", &random5_avg},
+      {"random 9-point rap", &random9_rap}};
   for (const auto& [name, ladder] : ladders) {
     for (const int n : {3, 5, 9, 17, 33, 65, 129, 257, 513}) {
       const StencilOp& op = ladder->at(level_of_size(n));

@@ -3,6 +3,10 @@
 // drivers the paper benchmarks against.
 
 #include <cmath>
+#include <functional>
+#include <span>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +18,7 @@
 #include "grid/stencil_op.h"
 #include "runtime/scheduler.h"
 #include "solvers/direct.h"
+#include "solvers/line_relax.h"
 #include "solvers/multigrid.h"
 #include "solvers/relax.h"
 #include "support/rng.h"
@@ -139,6 +144,137 @@ TEST(Relax, InputValidation) {
   EXPECT_THROW(jacobi_sweep(x, b, 1.0, scratch, sched()), InvalidArgument);
   Grid2D bad(8, 0.0);
   EXPECT_THROW(sor_sweep(bad, bad, 1.0, sched()), InvalidArgument);
+}
+
+/// The spans one batched entry point reads: iterates, right-hand sides,
+/// coarse grids and coarse corrections, two slots each by default.
+enum BatchRole { kIterates, kRhs, kCoarse, kCorrections };
+
+struct Batch {
+  std::vector<Grid2D> grids[4];
+  std::vector<Grid2D*> slots[4];
+
+  Batch(int n, int nc) {
+    Rng rng(0xBA7C4);
+    for (int role = 0; role < 4; ++role) {
+      const int side = role < kCoarse ? n : nc;
+      for (int k = 0; k < 2; ++k) {
+        Grid2D g(side, 0.0);
+        for (int i = 1; i < side - 1; ++i) {
+          for (int j = 1; j < side - 1; ++j) g(i, j) = rng.uniform(-1.0, 1.0);
+        }
+        grids[role].push_back(std::move(g));
+      }
+    }
+    for (int role = 0; role < 4; ++role) {
+      for (Grid2D& g : grids[role]) slots[role].push_back(&g);
+    }
+  }
+
+  Batch(const Batch&) = delete;  // the slots point into this batch's grids
+
+  std::span<Grid2D* const> mut(BatchRole role) const { return slots[role]; }
+  std::span<const Grid2D* const> in(BatchRole role) const {
+    return {slots[role].data(), slots[role].size()};
+  }
+};
+
+TEST(Relax, EveryBatchedEntryRejectsAMalformedBatch) {
+  // Every batched entry point throws InvalidArgument for each malformed
+  // batch: a span of another size, a null slot, an iterate or rhs of the
+  // wrong side, a coarse grid or correction of the wrong side, and an
+  // operator (for interpolation, fine grids) of a side that is not
+  // 2^k + 1.  Each case breaks one span the entry reads, and the
+  // well-formed batch runs.
+  const int n = 9;
+  const int nc = coarse_size(n);
+  grid::ScratchPool& scratch = pool();
+  struct Entry {
+    const char* name;
+    bool reads_operator;
+    std::vector<BatchRole> reads;
+    std::function<void(const grid::StencilOp&, const Batch&)> run;
+  };
+  const Entry entries[] = {
+      {"sor_sweep_multi",
+       true,
+       {kIterates, kRhs},
+       [](const grid::StencilOp& op, const Batch& b) {
+         sor_sweep_multi(op, b.mut(kIterates), b.in(kRhs), 1.15, sched());
+       }},
+      {"recurse_head",
+       true,
+       {kIterates, kRhs, kCoarse, kCorrections},
+       [&](const grid::StencilOp& op, const Batch& b) {
+         recurse_head(op, b.mut(kIterates), b.in(kRhs), RelaxKind::kSor, 1.15,
+                      b.mut(kCoarse), b.mut(kCorrections), sched(), scratch,
+                      {}, nullptr);
+       }},
+      {"recurse_tail",
+       true,
+       {kIterates, kRhs, kCorrections},
+       [&](const grid::StencilOp& op, const Batch& b) {
+         recurse_tail(op, b.in(kCorrections), b.mut(kIterates), b.in(kRhs),
+                      RelaxKind::kSor, 1.15, sched(), scratch, {}, nullptr);
+       }},
+      {"restrict_residual_multi",
+       true,
+       {kIterates, kRhs, kCoarse},
+       [](const grid::StencilOp& op, const Batch& b) {
+         grid::restrict_residual_multi(op, b.in(kIterates), b.in(kRhs),
+                                       b.mut(kCoarse), sched());
+       }},
+      {"restrict_residual_multi with corrections",
+       true,
+       {kIterates, kRhs, kCoarse, kCorrections},
+       [](const grid::StencilOp& op, const Batch& b) {
+         grid::restrict_residual_multi(op, b.in(kIterates), b.in(kRhs),
+                                       b.mut(kCoarse), sched(), {},
+                                       b.mut(kCorrections));
+       }},
+      {"interpolate_add_multi",
+       false,
+       {kIterates, kCorrections},
+       [](const grid::StencilOp&, const Batch& b) {
+         grid::interpolate_add_multi(b.in(kCorrections), b.mut(kIterates),
+                                     sched());
+       }},
+      {"line_relax_sweep_multi",
+       true,
+       {kIterates, kRhs},
+       [&](const grid::StencilOp& op, const Batch& b) {
+         line_relax_sweep_multi(op, b.mut(kIterates), b.in(kRhs),
+                                RelaxKind::kLineX, sched(), scratch);
+       }},
+  };
+  const grid::StencilOp op = make_operator(n, OperatorFamily::kJumpCoefficient);
+  for (const Entry& entry : entries) {
+    SCOPED_TRACE(entry.name);
+    {
+      const Batch good(n, nc);
+      EXPECT_NO_THROW(entry.run(op, good));
+    }
+    for (const BatchRole role : entry.reads) {
+      SCOPED_TRACE("span " + std::to_string(role));
+      Batch shorter(n, nc);
+      shorter.slots[role].pop_back();
+      EXPECT_THROW(entry.run(op, shorter), InvalidArgument);
+      Batch null_slot(n, nc);
+      null_slot.slots[role][1] = nullptr;
+      EXPECT_THROW(entry.run(op, null_slot), InvalidArgument);
+      // Fine grids take the coarse side and coarse grids the fine one.
+      Batch wrong_side(n, nc);
+      Grid2D other(role < kCoarse ? nc : n, 0.0);
+      wrong_side.slots[role][1] = &other;
+      EXPECT_THROW(entry.run(op, wrong_side), InvalidArgument);
+    }
+    // A default operator has side 0; every grid matches it, so only the
+    // side rule fails.  Interpolation has no operator: its fine grids
+    // take side 6.
+    const int bad = entry.reads_operator ? 0 : 6;
+    EXPECT_THROW(entry.run(grid::StencilOp(), Batch(bad, coarse_size(bad))),
+                 InvalidArgument);
+  }
 }
 
 // --------------------------------------------------------------- direct --

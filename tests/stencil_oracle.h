@@ -14,14 +14,20 @@
 //    (solve_interior_line) over bands built on the fly.
 // Every association below is the one the rows keep; a row that
 // reassociates a chain, or a 5-point row that sums its diagonal in
-// another order, fails the memcmp checks against these loops.
+// another order, fails the memcmp checks against these loops.  The
+// random-coefficient operators at the end (random_five_point,
+// random_nine_point and their RAP levels) are the inputs on which such a
+// reordering rounds differently at almost every cell.
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "grid/grid2d.h"
 #include "grid/level.h"
 #include "grid/stencil_op.h"
 #include "solvers/relax.h"
+#include "support/rng.h"
 
 namespace pbmg::testing::oracle {
 
@@ -289,6 +295,49 @@ inline void line_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
                        solvers::RelaxKind kind) {
   if (kind != solvers::RelaxKind::kLineY) line_pass(op, x, b, false);
   if (kind != solvers::RelaxKind::kLineX) line_pass(op, x, b, true);
+}
+
+/// A 5-point operator whose edges are independent Rng draws in
+/// [0.05, 20] (and c = 3), so a row's diagonal ((aW+aE)+aN)+aS rounds
+/// differently from other association orders at almost every cell:
+/// smooth or piecewise-constant coefficients often round alike either
+/// way.
+inline grid::StencilOp random_five_point(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  const auto draw = [&] {
+    Grid2D g(n, 0.0);
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) g(i, j) = rng.uniform(0.05, 20.0);
+    }
+    return g;
+  };
+  Grid2D ax = draw();
+  Grid2D ay = draw();
+  return grid::StencilOp::variable(std::move(ax), std::move(ay), 3.0);
+}
+
+/// A 9-point operator whose couplings are independent Rng draws of
+/// either sign in [−1, 1] and whose centres, drawn in [8.5, 9.5], exceed
+/// the sum of their eight couplings' magnitudes: symmetric and strictly
+/// diagonally dominant, so SOR sweeps and Thomas pivots stay bounded and
+/// positive, and its Galerkin RAP levels exist.
+inline grid::StencilOp random_nine_point(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  const auto draw = [&](double lo, double hi) {
+    Grid2D g(n, 0.0);
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) g(i, j) = rng.uniform(lo, hi);
+    }
+    return g;
+  };
+  Grid2D ax = draw(-1.0, 1.0);
+  Grid2D ay = draw(-1.0, 1.0);
+  Grid2D ase = draw(-1.0, 1.0);
+  Grid2D asw = draw(-1.0, 1.0);
+  Grid2D center = draw(8.5, 9.5);
+  return grid::StencilOp::nine_point(std::move(ax), std::move(ay),
+                                     std::move(ase), std::move(asw),
+                                     std::move(center), 0.0);
 }
 
 }  // namespace pbmg::testing::oracle
